@@ -83,9 +83,10 @@ def parse_state_spec(spec: str, d: int | None) -> tuple[PureState, str]:
     norm = float(np.linalg.norm(amps))
     if norm < 1e-12:
         raise _UsageError("state amplitudes are all zero")
+    state = PureState.normalized(amps)  # rejects non-finite amplitudes
     if abs(norm - 1.0) > 1e-6:
         print(f"warning: normalizing input state (norm was {_fmt(norm)})", file=sys.stderr)
-    return PureState(len(amps), amps / norm), spec
+    return state, spec
 
 
 def _parse_weights(text: str) -> tuple[float, ...]:

@@ -8,16 +8,39 @@ derived numbers anchor everything: conditioned on coalescence, the
 ancilla-matches-input branch carries relative weight 2/(d+1) (fidelity 1)
 and the d-1 orthogonal branches carry total weight (d-1)/(d+1) (fidelity
 1/2), giving the optimal 1 -> 2 average fidelity 1/2 + 1/(d+1).
+
+The engine-backed routes (:func:`clone_oracle`, :func:`cascade_clone`)
+carry the photons in port 0 as one density operator rho on the m-photon
+symmetric subspace, of dimension C(m+d-1, m). A stage m -> m+1 applies one
+Kraus operator K[port, k] per output port and ancilla level k:
+
+    rho' = sum_{port, k, l} sigma_kl K[port, k] rho K[port, l]^dag,
+
+with sigma the ancilla's density matrix (I_d/d for the fully mixed
+ancilla). The trace of rho' is the stage's coalescence probability, and
+the success probability is the product of the stage traces. Each K[port, k]
+comes from the second-quantized engine in :mod:`symclone.bosonic`, one
+basis ket at a time, and is cached per (d, m) for the life of the process.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import bosonic
-from .hilbert import DensityMatrix, LabeledBasis, PureState, basis_computational, fidelity_pure
+from .hilbert import (
+    DensityMatrix,
+    LabeledBasis,
+    PureState,
+    basis_computational,
+    basis_state,
+    fidelity_pure,
+)
 
 __all__ = [
     "CloningSpec",
@@ -30,7 +53,8 @@ __all__ = [
     "DEFAULT_CASCADE_CAP",
 ]
 
-# Fock-space guard: each extra output copy multiplies the branch count by d.
+# Guard on M, which sets the C(M+d-1, M) dimension of the density operator
+# the cascade carries through its Kraus stages.
 DEFAULT_CASCADE_CAP = 6
 
 
@@ -135,6 +159,116 @@ def clone_analytic(phi: PureState, basis: LabeledBasis) -> CloningOutcome:
     )
 
 
+@cache
+def _fock_basis(d: int, m: int) -> dict[tuple[int, ...], int]:
+    """Position of each m-photon occupation of d levels: the symmetric-subspace basis."""
+    index = {}
+    for levels in itertools.combinations_with_replacement(range(d), m):
+        occ = [0] * d
+        for k in levels:
+            occ[k] += 1
+        index[tuple(occ)] = len(index)
+    return index
+
+
+@cache
+def _stage_operators(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators K[port, k] of one m -> m+1 stage, built by the engine.
+
+    Column n of K[port, k] is the unnormalized state left when the port-0
+    basis ket |n> meets the ancilla |k> on port 1 at the beam splitter and
+    every photon coalesces into ``port``, relabelled as a port-0 ket. That
+    state is a single ket, so each operator is stored compactly: column n
+    is ``amp[port, k, n]`` times the (m+1)-photon basis ket ``dest[port, k, n]``.
+    """
+    source = _fock_basis(d, m)
+    target = _fock_basis(d, m + 1)
+    dest = np.empty((2, d, len(source)), dtype=np.intp)
+    amp = np.empty((2, d, len(source)), dtype=complex)
+    empty_port = (0,) * d
+    for k in range(d):
+        ancilla = basis_state(d, k)
+        for col, occ in enumerate(source):
+            state = bosonic.FockState(2, d, {occ + empty_port: 1.0 + 0j})
+            state = bosonic.beam_splitter(bosonic.add_photon(state, 1, ancilla), 0, 1)
+            for port in (0, 1):
+                prob, kept = bosonic.postselect_same_port(state, port)
+                if len(kept.terms) != 1:
+                    raise RuntimeError(
+                        f"expected one coalesced ket in port {port}, got {len(kept.terms)}"
+                    )
+                [(out_occ, out_amp)] = kept.terms.items()
+                dest[port, k, col] = target[out_occ[port * d:(port + 1) * d]]
+                amp[port, k, col] = math.sqrt(prob) * out_amp
+    dest.setflags(write=False)
+    amp.setflags(write=False)
+    return dest, amp
+
+
+@cache
+def _raising(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_k^dag on the m-photon basis: |n> -> coeff[k, n] |up[k, n]>."""
+    source = _fock_basis(d, m)
+    target = _fock_basis(d, m + 1)
+    up = np.empty((d, len(source)), dtype=np.intp)
+    coeff = np.empty((d, len(source)))
+    for col, occ in enumerate(source):
+        for k in range(d):
+            raised = list(occ)
+            raised[k] += 1
+            up[k, col] = target[tuple(raised)]
+            coeff[k, col] = math.sqrt(raised[k])
+    up.setflags(write=False)
+    coeff.setflags(write=False)
+    return up, coeff
+
+
+def _stage(rho: np.ndarray, m: int, sigma: np.ndarray) -> np.ndarray:
+    """Interfere the m port-0 photons in ``rho`` with one ancilla photon and keep coalescence.
+
+    ``sigma`` is the ancilla's d x d density matrix. An ancilla photon
+    a_psi^dag = sum_k psi_k a_k^dag has Kraus operator sum_k psi_k K[port, k]
+    by linearity, so a mixture of such photons contributes
+    sum_{k,l} sigma_kl K[port, k] rho K[port, l]^dag. Returns the
+    unnormalized (m+1)-photon rho'; for unit-trace rho its trace is the
+    coalescence probability, both output ports counted.
+    """
+    d = len(sigma)
+    dest, amp = _stage_operators(d, m)
+    out = np.zeros((len(_fock_basis(d, m + 1)),) * 2, dtype=complex)
+    for k, l in zip(*np.nonzero(sigma)):
+        for port in (0, 1):
+            block = sigma[k, l] * (amp[port, k][:, None] * rho * amp[port, l].conj())
+            out[np.ix_(dest[port, k], dest[port, l])] += block
+    return out
+
+
+def _interfere(phi: PureState, n: int, m: int, sigma: np.ndarray) -> tuple[float, DensityMatrix]:
+    """Carry n photons in ``phi`` through m - n stages: (success probability, clone state).
+
+    The clone state is the single-photon reduction <a_l^dag a_k> / m of the
+    final m-photon rho, i.e. sum_i sqrt(i_k + 1) sqrt(i_l + 1) rho[i + e_k, i + e_l] / m
+    over the (m-1)-photon basis kets i.
+    """
+    d = phi.dim
+    start = bosonic.identical_photons(0, phi, n)
+    index = _fock_basis(d, n)
+    vec = np.zeros(len(index), dtype=complex)
+    for occ, amp in start.terms.items():
+        vec[index[occ[:d]]] = amp
+    rho = np.outer(vec, vec.conj())
+    success = 1.0
+    for photons in range(n, m):
+        rho = _stage(rho, photons, sigma)
+        prob = float(np.real(np.trace(rho)))
+        success *= prob
+        rho /= prob
+    up, coeff = _raising(d, m - 1)
+    weights = coeff[:, None, :] * coeff[None, :, :]
+    clone = np.sum(weights * rho[up[:, None, :], up[None, :, :]], axis=-1) / m
+    return success, DensityMatrix(dim=d, mat=(clone + clone.conj().T) / 2)
+
+
 def _mixed_ancilla_branches(
     phi: PureState, ancilla_basis: LabeledBasis
 ) -> list[tuple[float, float, DensityMatrix]]:
@@ -144,51 +278,26 @@ def _mixed_ancilla_branches(
     combination over the basis states, never by sampling; the coalescence
     probability counts both output ports of the balanced splitter.
     """
-    d = phi.dim
+    weight = 1.0 / phi.dim
     branches = []
     for anc in ancilla_basis.states:
-        state = bosonic.FockState.vacuum(2, d)
-        state = bosonic.add_photon(state, 0, phi)
-        state = bosonic.add_photon(state, 1, anc)
-        state = bosonic.beam_splitter(state, 0, 1)
-        p0, cond = bosonic.postselect_same_port(state, 0)
-        p1, _ = bosonic.postselect_same_port(state, 1)
-        rho = bosonic.reduced_single_photon(cond, 0)
-        branches.append((1.0 / d, p0 + p1, rho))
+        prob, rho = _interfere(phi, 1, 2, np.outer(anc.amps, anc.amps.conj()))
+        branches.append((weight, prob, rho))
     return branches
 
 
 def clone_oracle(
     phi: PureState, d: int, ancilla_basis: LabeledBasis | None = None
 ) -> CloningOutcome:
-    """Brute-force 1 -> 2 outcome from the second-quantized engine.
+    """1 -> 2 outcome from the second-quantized engine: the one-stage cascade.
 
-    Runs the full beam-splitter computation for every ancilla branch and
-    averages; agrees with :func:`clone_analytic` to machine precision. The
-    ancilla decomposition basis is arbitrary for a fully mixed state
-    (defaults to computational); the result must not depend on it.
+    Agrees with :func:`clone_analytic` to machine precision. The ancilla
+    decomposition basis is arbitrary for a fully mixed state (defaults to
+    computational); the result must not depend on it.
     """
     if d != phi.dim:
         raise ValueError(f"dimension mismatch: d={d} but phi.dim={phi.dim}")
-    if ancilla_basis is None:
-        ancilla_basis = basis_computational(d)
-    if ancilla_basis.dim != d:
-        raise ValueError(f"ancilla basis dimension {ancilla_basis.dim} != {d}")
-    success = 0.0
-    rho = np.zeros((d, d), dtype=complex)
-    for weight, prob, branch_rho in _mixed_ancilla_branches(phi, ancilla_basis):
-        success += weight * prob
-        rho += weight * prob * branch_rho.mat
-    rho /= success
-    clone = DensityMatrix(dim=d, mat=(rho + rho.conj().T) / 2)
-    return CloningOutcome(
-        input_state=phi,
-        clone_state=clone,
-        fidelity=fidelity_pure(clone, phi),
-        success_prob=success,
-        n=1,
-        m=2,
-    )
+    return cascade_clone(phi, CloningSpec(d=d, n=1, m=2), ancilla_basis=ancilla_basis)
 
 
 def cascade_clone(
@@ -202,43 +311,29 @@ def cascade_clone(
     Starts with N photons in phi on one port; each stage interferes the
     accumulated photons with one fresh fully mixed ancilla photon and keeps
     only total coalescence into a common output port (partial-coalescence
-    outcomes count as failures). The reported success probability is the
-    weighted product of the stage-conditional probabilities over all
-    ancilla branches; the clone state is the branch-averaged single-photon
-    reduction of the final M-photon state.
+    outcomes count as failures). The photons are carried as one density
+    operator on the symmetric subspace, of dimension C(m+d-1, m) after m
+    photons, through the engine-built Kraus operators of each stage. The
+    success probability is the product of the stage traces; the clone state
+    is the single-photon reduction of the final M-photon density operator.
+    The ancilla enters only through its density matrix, built from
+    ``ancilla_basis`` (default computational), so the basis cannot matter.
     """
     if phi.dim != spec.d:
         raise ValueError(f"dimension mismatch: spec.d={spec.d} but phi.dim={phi.dim}")
+    d = spec.d
     if spec.m > cap:
         raise ValueError(
-            f"M={spec.m} exceeds the Fock-space cap {cap}; raise `cap` explicitly "
-            "if you accept the exponential branch growth"
+            f"M={spec.m} exceeds the cap {cap}; the cascade's density operator would have "
+            f"dimension C(M+d-1, M) = {math.comb(spec.m + d - 1, spec.m)}. Raise `cap` "
+            "explicitly to allow it"
         )
-    d = spec.d
     if ancilla_basis is None:
         ancilla_basis = basis_computational(d)
-    # branches: (probability-weighted weight, accumulated FockState in port 0)
-    start = bosonic.identical_photons(0, phi, spec.n)
-    branches: list[tuple[float, bosonic.FockState]] = [(1.0, start)]
-    for _ in range(spec.m - spec.n):
-        grown: list[tuple[float, bosonic.FockState]] = []
-        for weight, state in branches:
-            for anc in ancilla_basis.states:
-                merged = bosonic.add_photon(state, 1, anc)
-                merged = bosonic.beam_splitter(merged, 0, 1)
-                p0, cond = bosonic.postselect_same_port(merged, 0)
-                p1, _ = bosonic.postselect_same_port(merged, 1)
-                stage_prob = p0 + p1
-                if stage_prob <= 0.0:
-                    continue
-                grown.append((weight * stage_prob / d, cond))
-        branches = grown
-    success = sum(w for w, _ in branches)
-    rho = np.zeros((d, d), dtype=complex)
-    for weight, state in branches:
-        rho += weight * bosonic.reduced_single_photon(state, 0).mat
-    rho /= success
-    clone = DensityMatrix(dim=d, mat=(rho + rho.conj().T) / 2)
+    if ancilla_basis.dim != d:
+        raise ValueError(f"ancilla basis dimension {ancilla_basis.dim} != {d}")
+    u = ancilla_basis.matrix
+    success, clone = _interfere(phi, spec.n, spec.m, u @ u.conj().T / d)
     return CloningOutcome(
         input_state=phi,
         clone_state=clone,

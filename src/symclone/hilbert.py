@@ -62,6 +62,8 @@ class PureState:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > STRUCT_TOL:
             raise ValueError(f"state is not normalized: sum |amps|^2 = {norm_sq!r}")
@@ -71,6 +73,8 @@ class PureState:
     def normalized(cls, amps) -> "PureState":
         """Build a state from un-normalized amplitudes (rejects the zero vector)."""
         amps = np.asarray(amps, dtype=complex)
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if norm < 1e-12:
             raise ValueError("cannot normalize the zero vector")
@@ -93,8 +97,8 @@ class PureState:
 class DensityMatrix:
     """d x d Hermitian, unit-trace, positive-semidefinite matrix.
 
-    Constructor rejects non-Hermitian or trace != 1 inputs (tolerance 1e-9)
-    and eigenvalues below the PSD floor.
+    Constructor rejects non-finite entries, non-Hermitian or trace != 1
+    inputs (tolerance 1e-9) and eigenvalues below the PSD floor.
     """
 
     dim: int
@@ -106,6 +110,8 @@ class DensityMatrix:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix entries must be finite")
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_defect > _MATRIX_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")

@@ -121,6 +121,15 @@ def test_clone_bad_spec(capsys):
     assert main(["clone", "--input", "V:1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["clone", "cascade"])
+@pytest.mark.parametrize("spec", ["nan,1", "1,inf", "-inf,0", "nanj,1"])
+def test_non_finite_amplitudes_are_usage_errors(command, spec, capsys):
+    assert main([command, f"--input={spec}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: amplitudes must be finite"]
+
+
 # ----------------------------------------------------------------------- hom
 
 

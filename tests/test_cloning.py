@@ -1,8 +1,11 @@
 """Cloning formulas, the symmetrization channel, and the cascade driver."""
 
+import math
+
 import numpy as np
 import pytest
 
+from symclone import bosonic
 from symclone.cloning import (
     CloningOutcome,
     CloningSpec,
@@ -227,3 +230,77 @@ def test_cascade_cap_guard():
     # explicit cap raise is honored
     out = cascade_clone(basis_state(2, 0), CloningSpec(d=2, n=1, m=7), cap=7)
     assert out.fidelity == pytest.approx(f_clon(1, 7, 2), abs=1e-9)
+
+
+def _werner_clone(phi: PureState, n: int, m: int) -> tuple[np.ndarray, float]:
+    """Werner's optimal cloner in closed form: (per-clone state, cascade success probability).
+
+    The clone is eta |phi><phi| + (1 - eta) I/d with eta = N(M+d) / (M(N+d));
+    stage m -> m+1 of the cascade succeeds with probability (m+d) / (d 2^m).
+    """
+    d = phi.dim
+    eta = n * (m + d) / (m * (n + d))
+    clone = eta * np.outer(phi.amps, phi.amps.conj()) + (1 - eta) * np.eye(d) / d
+    success = math.prod((k + d) / (d * 2**k) for k in range(n, m))
+    return clone, success
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_cascade_matches_werner_cloner_in_closed_form(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    for phi in (basis_state(d, d - 1), _haar(rng, d)):
+        for m in range(n + 1, 9):
+            out = cascade_clone(phi, CloningSpec(d=d, n=n, m=m), cap=8)
+            clone, success = _werner_clone(phi, n, m)
+            assert np.max(np.abs(out.clone_state.mat - clone)) < 1e-12
+            assert abs(out.success_prob - success) < 1e-12
+            assert abs(out.success_prob / success - 1) < 1e-12
+
+
+def test_cascade_one_to_ten_matches_werner_cloner():
+    phi = _haar(np.random.default_rng(110), 4)
+    out = cascade_clone(phi, CloningSpec(d=4, n=1, m=10), cap=10)
+    clone, success = _werner_clone(phi, 1, 10)
+    assert np.max(np.abs(out.clone_state.mat - clone)) < 1e-12
+    assert abs(out.success_prob / success - 1) < 1e-12
+    assert out.fidelity == pytest.approx(f_clon(1, 10, 4), abs=1e-12)
+
+
+def test_cascade_is_ancilla_basis_independent():
+    rng = np.random.default_rng(14)
+    phi = _haar(rng, 4)
+    spec = CloningSpec(d=4, n=1, m=4)
+    reference = cascade_clone(phi, spec)
+    for _ in range(2):
+        other = cascade_clone(phi, spec, ancilla_basis=_haar_basis(rng, 4))
+        assert np.max(np.abs(other.clone_state.mat - reference.clone_state.mat)) < 1e-12
+        assert abs(other.success_prob - reference.success_prob) < 1e-12
+
+
+def _branch_enumeration(phi: PureState, n: int, m: int) -> tuple[np.ndarray, float]:
+    """Reference cascade: one pure Fock state per ancilla branch, d^(M-N) of them."""
+    d = phi.dim
+    branches = [(1.0, bosonic.identical_photons(0, phi, n))]
+    for _ in range(m - n):
+        grown = []
+        for weight, state in branches:
+            for k in range(d):
+                merged = bosonic.add_photon(state, 1, basis_state(d, k))
+                merged = bosonic.beam_splitter(merged, 0, 1)
+                p0, kept = bosonic.postselect_same_port(merged, 0)
+                p1, _ = bosonic.postselect_same_port(merged, 1)
+                grown.append((weight * (p0 + p1) / d, kept))
+        branches = grown
+    success = sum(w for w, _ in branches)
+    rho = sum(w * bosonic.reduced_single_photon(state, 0).mat for w, state in branches)
+    return rho / success, success
+
+
+@pytest.mark.parametrize("n,m,d", [(1, 3, 2), (2, 5, 2), (1, 3, 3), (1, 3, 4)])
+def test_cascade_matches_branch_enumeration(n, m, d):
+    phi = _haar(np.random.default_rng(m * d), d)
+    out = cascade_clone(phi, CloningSpec(d=d, n=n, m=m))
+    rho, success = _branch_enumeration(phi, n, m)
+    assert np.max(np.abs(out.clone_state.mat - rho)) < 1e-12
+    assert abs(out.success_prob - success) < 1e-12

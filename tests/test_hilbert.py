@@ -41,6 +41,14 @@ def test_pure_state_normalized_constructor():
         PureState.normalized([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PureState(2, np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        PureState.normalized([bad, 1.0])
+
+
 def test_pure_state_is_immutable():
     s = basis_state(4, 0)
     with pytest.raises(ValueError):
@@ -72,6 +80,14 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_negative_eigenvalues():
     with pytest.raises(ValueError):
         DensityMatrix(2, np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(2, np.array([[bad, 0.0], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(2, np.array([[0.5, bad], [bad, 0.5]]))
 
 
 def test_density_matrix_from_pure_and_purity():
