@@ -27,7 +27,7 @@ from .cloning import (
     f_clon,
     f_est,
 )
-from .hilbert import PureState, basis_adapted_to, basis_four, basis_logical
+from .hilbert import PureState, basis_adapted_to
 
 __all__ = ["main"]
 
@@ -36,8 +36,6 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 OUT_DIR_ENV = "SYMCLONE_OUT_DIR"
-
-_BASIS_FACTORIES = {"I": basis_logical, "IV": basis_four}
 
 
 class _UsageError(Exception):
@@ -62,9 +60,9 @@ def parse_state_spec(spec: str, d: int | None) -> tuple[PureState, str]:
     1e-6. Returns the state and a display label.
     """
     spec = spec.strip()
-    if ":" in spec and spec.split(":", 1)[0] in _BASIS_FACTORIES:
+    if ":" in spec and spec.split(":", 1)[0] in experiment._NAMED_BASES:
         name, _, idx_text = spec.partition(":")
-        basis = _BASIS_FACTORIES[name]()
+        basis = experiment._NAMED_BASES[name]()
         try:
             idx = int(idx_text)
         except ValueError:
@@ -123,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
 
     p = sub.add_parser("experiment", help="coincidence-count run over a full basis")
-    p.add_argument("--basis", choices=["I", "IV"], default="I")
+    p.add_argument("--basis", choices=list(experiment._NAMED_BASES), default="I")
     p.add_argument("--shots", type=int, default=None, help="post-selected coincidences per input")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--v", type=float, default=None, help="wavepacket overlap at the splitter")
@@ -213,7 +211,10 @@ def _experiment_config(args) -> experiment.ExperimentConfig:
     data = {"shots": 10_000, "seed": 0}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise _UsageError(f"config file {args.config} must hold a JSON object")
+        data.update(loaded)
     overrides = {
         "shots": args.shots,
         "v": args.v,

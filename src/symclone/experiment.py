@@ -15,12 +15,35 @@ Randomness
 ----------
 Counter-based and reproducible. Trials are processed in fixed-size batches
 (``BATCH_TRIALS``); batch ``b`` of the run for input index ``i`` draws all
-its variates, in a fixed documented order, from
+its variates from
 
     Generator(Philox(SeedSequence(entropy=config.seed, spawn_key=(i, b))))
 
 so results are identical no matter how batches are distributed across
 workers, and two runs with the same config are count-for-count identical.
+
+Within a batch of B trials the draws follow stream layout 2
+(``STREAM_LAYOUT``), which draws only the variates a trial uses, in this
+order:
+
+1. one accept uniform ``u`` per trial (B values);
+2. one ancilla uniform per trial (B values);
+3. the preparation perturbation of the signal;
+4. for the trials kept by the coalescence thinning below, the filter-arm
+   perturbation, then the scanner-arm perturbation (d states per trial);
+   ``swap_detectors`` reverses these two blocks.
+
+A perturbation with fidelity f = 1 draws nothing; otherwise it draws one
+pass uniform per state, then 2d standard normals for each state that fails
+the pass test, in order. A trial is post-selected with outcome j when
+
+    u < p_coal * 1/2 * p_filter * (q_0 + ... + q_j) / (q_0 + ... + q_{d-1})
+
+for the smallest such j (p_coal, p_filter and the scanner weights q_j as in
+``_event_terms``). This has the joint law of separate coalescence, split,
+filter-click and outcome draws. Since the right-hand side never
+exceeds p_coal/2, which depends only on the signal and the ancilla, trials
+with u >= p_coal/2 are dropped before any analyzer state is built.
 """
 
 from __future__ import annotations
@@ -36,6 +59,7 @@ from .hilbert import LabeledBasis, PureState, basis_four, basis_logical
 
 __all__ = [
     "BATCH_TRIALS",
+    "STREAM_LAYOUT",
     "ExperimentConfig",
     "CountsTable",
     "EstimationResult",
@@ -53,8 +77,17 @@ __all__ = [
 # which trial and therefore the realization (not the statistics).
 BATCH_TRIALS = 4096
 
+# Order and use of the variates within a batch (see the module docstring).
+# Recorded in every config dict: a fixed seed reproduces counts only under
+# the layout that drew them.
+STREAM_LAYOUT = 2
+
 # Give up if this many consecutive batches yield no coincidence at all.
 _MAX_DRY_BATCHES = 2000
+
+_CONFIG_KEYS = frozenset(
+    {"shots", "v", "ancillaWeights", "prepFidelity", "analysisFidelity", "seed", "streamLayout"}
+)
 
 
 @dataclass(frozen=True)
@@ -111,19 +144,31 @@ class ExperimentConfig:
             "prepFidelity": self.prep_fidelity,
             "analysisFidelity": self.analysis_fidelity,
             "seed": self.seed,
+            "streamLayout": STREAM_LAYOUT,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError("unknown config key " + ", ".join(map(repr, unknown)))
+        layout = data.get("streamLayout", STREAM_LAYOUT)
+        if layout != STREAM_LAYOUT:
+            raise ValueError(
+                f"streamLayout {layout!r} is not supported; this version draws layout {STREAM_LAYOUT}"
+            )
         weights = data.get("ancillaWeights")
-        return cls(
-            shots=int(data["shots"]),
-            v=float(data.get("v", 1.0)),
-            ancilla_weights=tuple(weights) if weights else None,
-            prep_fidelity=float(data.get("prepFidelity", 1.0)),
-            analysis_fidelity=float(data.get("analysisFidelity", 1.0)),
-            seed=int(data.get("seed", 0)),
-        )
+        try:
+            return cls(
+                shots=int(data["shots"]),
+                v=float(data.get("v", 1.0)),
+                ancilla_weights=tuple(weights) if weights else None,
+                prep_fidelity=float(data.get("prepFidelity", 1.0)),
+                analysis_fidelity=float(data.get("analysisFidelity", 1.0)),
+                seed=int(data.get("seed", 0)),
+            )
+        except (TypeError, OverflowError) as exc:  # e.g. null or a scalar for a list
+            raise ValueError(f"bad config value: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -188,23 +233,37 @@ def randomize_ancilla(rng: np.random.Generator, config: ExperimentConfig, basis:
     return basis.states[idx]
 
 
-def _orthogonal_haar(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Haar-random unit vector in the orthogonal complement of ``psi``.
+def _perturb_batch(targets: np.ndarray, f: float, rng: np.random.Generator) -> np.ndarray:
+    """:func:`apply_infidelity` on every row of ``targets`` (shape (n, d)).
 
-    ``z`` supplies 2d standard normals. The measure-zero degenerate draw
-    falls back to orthogonalizing the basis vector least parallel to psi.
+    Draws nothing when f = 1 (the rows come back as given). Otherwise it
+    draws n pass uniforms, then 2d standard normals for each row that fails
+    the pass test, in row order; a failing row is replaced by a Haar-random
+    unit vector in the orthogonal complement of its target.
     """
-    d = len(psi)
-    chi = z[:d] + 1j * z[d:]
-    chi -= np.vdot(psi, chi) * psi
-    norm = np.linalg.norm(chi)
-    if norm < 1e-12:
-        k = int(np.argmin(np.abs(psi)))
-        chi = np.zeros(d, dtype=complex)
-        chi[k] = 1.0
-        chi -= np.vdot(psi, chi) * psi
-        norm = np.linalg.norm(chi)
-    return chi / norm
+    if f >= 1.0:
+        return targets
+    n, d = targets.shape
+    bad = rng.random(n) >= f
+    out = np.array(targets, dtype=complex)
+    psi = out[bad]
+    if len(psi):
+        z = rng.standard_normal((len(psi), 2 * d))
+        chi = z[:, :d] + 1j * z[:, d:]
+        chi -= (np.conj(psi) * chi).sum(axis=1, keepdims=True) * psi
+        norms = np.linalg.norm(chi, axis=1)
+        low = norms < 1e-12
+        if np.any(low):
+            # measure-zero degenerate draws: orthogonalize the basis vector
+            # least parallel to the target instead
+            psi_low = psi[low]
+            fb = np.zeros_like(psi_low)
+            fb[np.arange(len(fb)), np.argmin(np.abs(psi_low), axis=1)] = 1.0
+            fb -= (np.conj(psi_low) * fb).sum(axis=1, keepdims=True) * psi_low
+            chi[low] = fb
+            norms = np.linalg.norm(chi, axis=1)
+        out[bad] = chi / norms[:, None]
+    return out
 
 
 def apply_infidelity(psi: PureState, f: float, rng: np.random.Generator) -> PureState:
@@ -216,37 +275,11 @@ def apply_infidelity(psi: PureState, f: float, rng: np.random.Generator) -> Pure
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {f}")
-    if rng.random() < f:
+    out = _perturb_batch(psi.amps[None, :], f, rng)[0]
+    # a replaced row is orthogonal to psi, so equality means it passed
+    if np.array_equal(out, psi.amps):
         return psi
-    z = rng.standard_normal(2 * psi.dim)
-    return PureState(psi.dim, _orthogonal_haar(psi.amps, z))
-
-
-def _perturb_batch(psi: np.ndarray, f: float, u: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vectorized apply_infidelity: one state per row of the output.
-
-    u: (B,) uniforms deciding pass-through; z: (B, 2d) normals feeding the
-    orthogonal replacement. Same construction as the scalar op.
-    """
-    B = len(u)
-    d = len(psi)
-    out = np.broadcast_to(psi, (B, d)).copy()
-    bad = u >= f
-    if np.any(bad):
-        chi = z[bad, :d] + 1j * z[bad, d:]
-        chi -= (np.conj(psi)[None, :] * chi).sum(axis=1, keepdims=True) * psi[None, :]
-        norms = np.linalg.norm(chi, axis=1, keepdims=True)
-        # measure-zero degenerate rows: deterministic orthogonal fallback
-        if np.any(norms[:, 0] < 1e-12):
-            k = int(np.argmin(np.abs(psi)))
-            fb = np.zeros(d, dtype=complex)
-            fb[k] = 1.0
-            fb -= np.vdot(psi, fb) * psi
-            fb /= np.linalg.norm(fb)
-            chi[norms[:, 0] < 1e-12] = fb
-            norms = np.linalg.norm(chi, axis=1, keepdims=True)
-        out[bad] = chi / norms
-    return out
+    return PureState(psi.dim, out)
 
 
 def _batch_rng(seed: int, input_index: int, batch: int) -> np.random.Generator:
@@ -360,62 +393,49 @@ def _simulate_batch(
     analysis_f: float,
     rng: np.random.Generator,
     swap_detectors: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run BATCH_TRIALS single-shot trials; return (coincidence mask, outcomes).
+) -> np.ndarray:
+    """Run BATCH_TRIALS single-shot trials; return the outcomes of the
+    post-selected ones, in trial order.
 
-    Variates are drawn in a fixed order: signal preparation, ancilla index,
-    coalescence, pair splitting, analyzer perturbations (filter arm first,
-    scanner arm second; the swapped-detector mode reverses those two
-    blocks), filter click, scanner outcome.
+    Stream layout 2: draw the accept uniforms u (B) and the ancilla uniforms
+    (B), then perturb the prepared signals. The coalesced-and-split
+    probability p_coal/2 = (1 + v^2 |<S|N>|^2)/8 bounds every acceptance
+    threshold, so only rows with u < p_coal/2 go on. For those rows draw the
+    filter-arm perturbations, then the scanner-arm ones (reversed when
+    ``swap_detectors``), evaluate the closed-form event terms and accept
+    outcome j for the smallest j with u < p_coal/2 * p_filter * cum(q)_j/sum(q).
     """
     B = BATCH_TRIALS
     d = len(phi)
-    w = math.sqrt(max(0.0, 1.0 - v * v))
 
-    u_prep = rng.random(B)
-    z_prep = rng.standard_normal((B, 2 * d))
-    u_anc = rng.random(B)
-    u_coal = rng.random(B)
-    u_split = rng.random(B)
+    u = rng.random(B)
+    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
+    N = basis_cols.T[anc_idx]  # (B, d) ancilla internal states
+    S = _perturb_batch(np.broadcast_to(phi, (B, d)), prep_f, rng)
+
+    # thinning: p_coal/2 bounds every acceptance threshold of the row
+    half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
+    keep = u < half_coal
+    u, S, N, half_coal = u[keep], S[keep], N[keep], half_coal[keep]
+    K = len(u)
+
+    filters = np.broadcast_to(phi, (K, d))  # arm-1 filter on |phi>
+    settings = np.broadcast_to(basis_cols.T, (K, d, d)).reshape(K * d, d)  # arm-2 scanner
     if swap_detectors:
-        u_scan = rng.random((B, d))
-        z_scan = rng.standard_normal((B, d, 2 * d))
-        u_fil = rng.random(B)
-        z_fil = rng.standard_normal((B, 2 * d))
+        G_states = _perturb_batch(settings, analysis_f, rng)
+        F_states = _perturb_batch(filters, analysis_f, rng)
     else:
-        u_fil = rng.random(B)
-        z_fil = rng.standard_normal((B, 2 * d))
-        u_scan = rng.random((B, d))
-        z_scan = rng.standard_normal((B, d, 2 * d))
-    u_pass = rng.random(B)
-    u_out = rng.random(B)
+        F_states = _perturb_batch(filters, analysis_f, rng)
+        G_states = _perturb_batch(settings, analysis_f, rng)
+    G_states = G_states.reshape(K, d, d)
 
-    S = _perturb_batch(phi, prep_f, u_prep, z_prep)
-
-    cum_w = np.cumsum(weights)
-    anc_idx = np.minimum(np.searchsorted(cum_w, u_anc, side="right"), d - 1)
-    N = basis_cols[:, anc_idx].T  # (B, d) ancilla internal states
-
-    F_states = _perturb_batch(phi, analysis_f, u_fil, z_fil)  # arm-1 filter
-    G_states = np.empty((B, d, d), dtype=complex)  # arm-2 analyzer settings
-    for j in range(d):
-        G_states[:, j, :] = _perturb_batch(
-            basis_cols[:, j], analysis_f, u_scan[:, j], z_scan[:, j, :]
-        )
-
-    p_coal, p_filter, q = _event_terms(S, N, v, F_states, G_states)
-    coal = u_coal < p_coal  # both photons into the monitored port
-    split = u_split < 0.5  # one photon per arm after the second splitter
-    fired = u_pass < p_filter
-    totals = q.sum(axis=1)
-    resolvable = totals > 0.0
-
-    thresholds = u_out * np.where(resolvable, totals, 1.0)
-    outcomes = (np.cumsum(q, axis=1) < thresholds[:, None]).sum(axis=1)
-    outcomes = np.minimum(outcomes, d - 1)
-
-    ok = coal & split & fired & resolvable
-    return ok, outcomes
+    _, p_filter, q = _event_terms(S, N, v, F_states, G_states)
+    cum_q = np.cumsum(q, axis=1)
+    totals = cum_q[:, -1:]
+    # unresolvable rows (sum q = 0) get all-zero thresholds and never pass
+    thresholds = (half_coal * p_filter)[:, None] * cum_q / np.where(totals > 0.0, totals, 1.0)
+    outcomes = (u[:, None] >= thresholds).sum(axis=1)
+    return outcomes[outcomes < d]
 
 
 def run_cloning_experiment(
@@ -443,7 +463,7 @@ def run_cloning_experiment(
     dry = 0
     while collected < config.shots:
         rng = _batch_rng(config.seed, phi_index, batch)
-        ok, outcomes = _simulate_batch(
+        hits = _simulate_batch(
             phi.amps,
             basis_cols,
             weights,
@@ -453,7 +473,6 @@ def run_cloning_experiment(
             rng,
             swap_detectors,
         )
-        hits = outcomes[ok]
         if hits.size == 0:
             dry += 1
             if dry >= _MAX_DRY_BATCHES:

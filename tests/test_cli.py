@@ -254,6 +254,23 @@ def test_experiment_config_file_with_flag_override(tmp_path, capsys):
     assert config["v"] == 0.9  # file value kept
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"shots": 100, "prepFidelty": 0.9}', "'prepFidelty'"),
+    ('{"shots": 100, "ancillaWeights": 5}', "bad config value"),
+    ('{"shots": 100, "v": null}', "bad config value"),
+    ('{"shots": 1e400}', "bad config value"),
+])
+def test_experiment_bad_config_file_is_usage_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code = main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not (tmp_path / "experiment_I.csv").exists()
+
+
 def test_experiment_env_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SYMCLONE_OUT_DIR", str(tmp_path))
     assert main(["experiment", "--basis", "I", "--shots", "500", "--seed", "2"]) == EXIT_OK

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from symclone.experiment import (
+    BATCH_TRIALS,
     CountsTable,
     ExperimentConfig,
+    _batch_rng,
     _event_terms,
+    _perturb_batch,
+    _simulate_batch,
     apply_infidelity,
     coincidence_probabilities,
     estimate_probabilities,
@@ -56,6 +60,17 @@ def test_config_round_trip():
         prep_fidelity=0.95, analysis_fidelity=0.9, seed=123,
     )
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_records_the_stream_layout():
+    cfg = ExperimentConfig(shots=10)
+    assert cfg.to_dict()["streamLayout"] == 2
+    data = cfg.to_dict()
+    del data["streamLayout"]
+    assert ExperimentConfig.from_dict(data) == cfg
+    for layout in (1, 3, "2", None):
+        with pytest.raises(ValueError, match="streamLayout"):
+            ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
 
 def test_weights_dimension_check():
@@ -124,6 +139,40 @@ def test_apply_infidelity_fully_randomized_is_orthogonal():
     assert max(overlaps) < 1e-24
 
 
+class _DegenerateRng:
+    """Stand-in stream: every pass test fails and every normal is zero."""
+
+    def random(self, n):
+        return np.ones(n)
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_perturbation_falls_back_on_degenerate_draws():
+    targets = np.stack([s.amps for s in (*basis_four().states, *basis_logical().states)])
+    out = _perturb_batch(targets, 0.5, _DegenerateRng())
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+    assert np.max(np.abs((np.conj(targets) * out).sum(axis=1))) < 1e-12
+
+
+def _stream_position(rng):
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+def test_perturbation_draws_normals_only_for_failing_rows():
+    phi = basis_four().states[0].amps
+    rng = _batch_rng(8, 0, 0)
+    out = _perturb_batch(np.broadcast_to(phi, (500, 4)), 0.7, rng)
+    fresh = _batch_rng(8, 0, 0)
+    bad = fresh.random(500) >= 0.7
+    fresh.standard_normal((int(bad.sum()), 8))
+    assert _stream_position(rng) == _stream_position(fresh)
+    assert np.all(out[~bad] == phi)
+    assert np.max(np.abs(out[bad] @ np.conj(phi))) < 1e-12
+
+
 # ----------------------------------------------- closed forms vs the engine
 
 
@@ -143,6 +192,43 @@ def test_trial_terms_agree_with_fock_engine():
         assert p_fil_e == pytest.approx(p_fil_c, abs=1e-12)
         # engine weights live on the normalized pair state
         assert np.max(np.abs(q_e - q_c / (2 * (1 + x)))) < 1e-12
+
+
+def test_batches_match_the_fock_engine_acceptance_law():
+    # per-trial probability of a coincidence with outcome j, summed over the
+    # ancilla: sum_k w_k p_coal p_split p_filter q_j / sum(q), all taken from
+    # the second-quantized engine rather than the closed forms
+    basis = basis_four()
+    phi = basis.states[1]
+    v = 0.9
+    weights = np.array([0.3, 0.3, 0.2, 0.2])
+    expected = np.zeros(4)
+    for w_k, ancilla in zip(weights, basis.states):
+        p_coal, p_split, p_filter, q = coincidence_probabilities(
+            phi, ancilla, v, phi, basis.states
+        )
+        expected += w_k * p_coal * p_split * p_filter * q / q.sum()
+    batches = 100
+    counts = np.zeros(4)
+    for b in range(batches):
+        hits = _simulate_batch(
+            phi.amps, basis.matrix, weights, v, 1.0, 1.0, _batch_rng(31, 1, b), False
+        )
+        counts += np.bincount(hits, minlength=4)
+    n = batches * BATCH_TRIALS
+    z = (counts - n * expected) / np.sqrt(n * expected * (1.0 - expected))
+    assert np.max(np.abs(z)) < 5.0
+
+
+def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
+    basis = basis_logical()
+    rng = _batch_rng(3, 0, 0)
+    _simulate_batch(
+        basis.states[0].amps, basis.matrix, np.full(4, 0.25), 1.0, 1.0, 1.0, rng, False
+    )
+    fresh = _batch_rng(3, 0, 0)
+    fresh.random(2 * BATCH_TRIALS)
+    assert _stream_position(rng) == _stream_position(fresh)
 
 
 # ------------------------------------------------------------------- runs
