@@ -37,6 +37,9 @@ EXIT_RUNTIME = 2
 
 OUT_DIR_ENV = "SYMCLONE_OUT_DIR"
 
+# Largest ``hom --steps``: one curve row per step is computed and printed.
+HOM_MAX_STEPS = 100_000
+
 
 class _UsageError(Exception):
     pass
@@ -115,7 +118,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--ancilla", default=None, help="ancilla state spec (default: same as input)")
     p.add_argument("--tau-min-fs", type=float, default=-1000.0)
     p.add_argument("--tau-max-fs", type=float, default=1000.0)
-    p.add_argument("--steps", type=int, default=81)
+    p.add_argument("--steps", type=int, default=81,
+                   help=f"number of delays, 2..{HOM_MAX_STEPS} (default: 81)")
     p.add_argument("--wavelength-nm", type=float, default=795.0)
     p.add_argument("--bandwidth-nm", type=float, default=4.5)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
@@ -185,14 +189,16 @@ def _cmd_clone(args) -> int:
 
 
 def _cmd_hom(args) -> int:
+    if args.steps < 2 or args.tau_max_fs <= args.tau_min_fs:
+        raise _UsageError("need an increasing delay range with at least 2 steps")
+    if args.steps > HOM_MAX_STEPS:
+        raise _UsageError(f"--steps must be at most {HOM_MAX_STEPS}, got {args.steps}")
     signal, _ = parse_state_spec(args.input, None)
     ancilla, _ = (
         parse_state_spec(args.ancilla, None) if args.ancilla else (signal, args.input)
     )
     if ancilla.dim != signal.dim:
         raise _UsageError("signal and ancilla dimensions differ")
-    if args.steps < 2 or args.tau_max_fs <= args.tau_min_fs:
-        raise _UsageError("need an increasing delay range with at least 2 steps")
     model = DistinguishabilityModel.from_spectrum(args.wavelength_nm, args.bandwidth_nm)
     delays = np.linspace(args.tau_min_fs, args.tau_max_fs, args.steps) * 1e-15
     rows = hom_curve(signal, ancilla, delays, model)

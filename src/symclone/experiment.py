@@ -44,12 +44,21 @@ for the smallest such j (p_coal, p_filter and the scanner weights q_j as in
 filter-click and outcome draws. Since the right-hand side never
 exceeds p_coal/2, which depends only on the signal and the ancilla, trials
 with u >= p_coal/2 are dropped before any analyzer state is built.
+
+In a trial where no state was replaced, p_coal/2 and the d thresholds
+depend only on the ancilla index, so each run computes them once per input
+(``_clean_row_table``) and such trials read them from that table; only
+trials with a replaced state evaluate the event terms row by row. The
+table changes which code computes the thresholds, not their values or the
+draw order: the same variates are drawn and fixed-seed counts are
+unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +97,22 @@ _MAX_DRY_BATCHES = 2000
 _CONFIG_KEYS = frozenset(
     {"shots", "v", "ancillaWeights", "prepFidelity", "analysisFidelity", "seed", "streamLayout"}
 )
+
+
+def _integral(data: dict, key: str, default: int | None = None) -> int:
+    """``data[key]`` as an int; a bool or a number with a fraction is an
+    error, and so is a missing key without a default."""
+    if key not in data:
+        if default is None:
+            raise ValueError(f"missing config key {key!r}")
+        return default
+    value = data[key]
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"bad config value: {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -160,12 +185,12 @@ class ExperimentConfig:
         weights = data.get("ancillaWeights")
         try:
             return cls(
-                shots=int(data["shots"]),
+                shots=_integral(data, "shots"),
                 v=float(data.get("v", 1.0)),
                 ancilla_weights=tuple(weights) if weights else None,
                 prep_fidelity=float(data.get("prepFidelity", 1.0)),
                 analysis_fidelity=float(data.get("analysisFidelity", 1.0)),
-                seed=int(data.get("seed", 0)),
+                seed=_integral(data, "seed", 0),
             )
         except (TypeError, OverflowError) as exc:  # e.g. null or a scalar for a list
             raise ValueError(f"bad config value: {exc}") from None
@@ -233,18 +258,22 @@ def randomize_ancilla(rng: np.random.Generator, config: ExperimentConfig, basis:
     return basis.states[idx]
 
 
-def _perturb_batch(targets: np.ndarray, f: float, rng: np.random.Generator) -> np.ndarray:
-    """:func:`apply_infidelity` on every row of ``targets`` (shape (n, d)).
+def _perturb_batch(
+    targets: np.ndarray, f: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`apply_infidelity` on every row of ``targets`` (shape (..., d)).
 
-    Draws nothing when f = 1 (the rows come back as given). Otherwise it
-    draws n pass uniforms, then 2d standard normals for each row that fails
-    the pass test, in row order; a failing row is replaced by a Haar-random
-    unit vector in the orthogonal complement of its target.
+    Returns the perturbed rows and the boolean mask of the replaced ones
+    (shape (...)). Draws nothing when f = 1 (the rows come back as given,
+    none replaced). Otherwise it draws one pass uniform per row, then 2d
+    standard normals for each row that fails the pass test, in C order of
+    the rows; a failing row is replaced by a Haar-random unit vector in the
+    orthogonal complement of its target.
     """
+    lead, d = targets.shape[:-1], targets.shape[-1]
     if f >= 1.0:
-        return targets
-    n, d = targets.shape
-    bad = rng.random(n) >= f
+        return targets, np.zeros(lead, dtype=bool)
+    bad = rng.random(lead) >= f
     out = np.array(targets, dtype=complex)
     psi = out[bad]
     if len(psi):
@@ -263,7 +292,7 @@ def _perturb_batch(targets: np.ndarray, f: float, rng: np.random.Generator) -> n
             chi[low] = fb
             norms = np.linalg.norm(chi, axis=1)
         out[bad] = chi / norms[:, None]
-    return out
+    return out, bad
 
 
 def apply_infidelity(psi: PureState, f: float, rng: np.random.Generator) -> PureState:
@@ -275,11 +304,10 @@ def apply_infidelity(psi: PureState, f: float, rng: np.random.Generator) -> Pure
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {f}")
-    out = _perturb_batch(psi.amps[None, :], f, rng)[0]
-    # a replaced row is orthogonal to psi, so equality means it passed
-    if np.array_equal(out, psi.amps):
+    out, bad = _perturb_batch(psi.amps[None, :], f, rng)
+    if not bad[0]:
         return psi
-    return PureState(psi.dim, out)
+    return PureState(psi.dim, out[0])
 
 
 def _batch_rng(seed: int, input_index: int, batch: int) -> np.random.Generator:
@@ -384,6 +412,41 @@ def coincidence_probabilities(
     return float(p_coal), float(p_split), p_filter, q
 
 
+def _half_coal(S: np.ndarray, N: np.ndarray, v: float) -> np.ndarray:
+    """p_coal/2 = (1 + v^2 |<S|N>|^2)/8 per row: the coalesced-and-split
+    probability, which bounds every acceptance threshold of the row."""
+    return (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
+
+
+def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row, the d cumulative thresholds p_coal/2 * p_filter * cum(q)_j/sum(q)."""
+    cum_q = np.cumsum(q, axis=1)
+    totals = cum_q[:, -1:]
+    # unresolvable rows (sum q = 0) get all-zero thresholds and never pass
+    return (half_coal * p_filter)[:, None] * cum_q / np.where(totals > 0.0, totals, 1.0)
+
+
+def _clean_row_table(
+    phi: np.ndarray, basis_cols: np.ndarray, v: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Thinning bounds and acceptance thresholds of unperturbed trials.
+
+    In a trial where no state was replaced the signal and the filter are
+    |phi>, the scanner is the basis and the ancilla is basis state k, so
+    its numbers depend on k alone. Returns p_coal/2 (shape (d,)) and the
+    thresholds (shape (d, d)), row k for ancilla k, evaluated by the same
+    arithmetic, on arrays of the same layout, as the replaced rows in
+    :func:`_simulate_batch`.
+    """
+    d = len(phi)
+    S = np.broadcast_to(phi, (d, d))
+    N = basis_cols.T[np.arange(d)]
+    G = np.broadcast_to(basis_cols.T, (d, d, d))[np.arange(d)]
+    half_coal = _half_coal(S, N, v)
+    _, p_filter, q = _event_terms(np.array(S), N, v, S, G)
+    return half_coal, _acceptance_thresholds(half_coal, p_filter, q)
+
+
 def _simulate_batch(
     phi: np.ndarray,
     basis_cols: np.ndarray,
@@ -393,6 +456,7 @@ def _simulate_batch(
     analysis_f: float,
     rng: np.random.Generator,
     swap_detectors: bool,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Run BATCH_TRIALS single-shot trials; return the outcomes of the
     post-selected ones, in trial order.
@@ -402,38 +466,54 @@ def _simulate_batch(
     probability p_coal/2 = (1 + v^2 |<S|N>|^2)/8 bounds every acceptance
     threshold, so only rows with u < p_coal/2 go on. For those rows draw the
     filter-arm perturbations, then the scanner-arm ones (reversed when
-    ``swap_detectors``), evaluate the closed-form event terms and accept
-    outcome j for the smallest j with u < p_coal/2 * p_filter * cum(q)_j/sum(q).
+    ``swap_detectors``), and accept outcome j for the smallest j with
+    u < p_coal/2 * p_filter * cum(q)_j/sum(q).
+
+    ``table`` is :func:`_clean_row_table` for these arguments (built here
+    when None). Rows whose signal was not replaced read p_coal/2 from it,
+    and rows where no state was replaced read their thresholds from it;
+    only the other rows evaluate :func:`_event_terms`. The table holds the
+    numbers those rows would compute, so the draws and the outcomes are
+    the same either way.
     """
     B = BATCH_TRIALS
     d = len(phi)
+    if table is None:
+        table = _clean_row_table(phi, basis_cols, v)
+    clean_half_coal, clean_thresholds = table
 
     u = rng.random(B)
     anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
-    N = basis_cols.T[anc_idx]  # (B, d) ancilla internal states
-    S = _perturb_batch(np.broadcast_to(phi, (B, d)), prep_f, rng)
+    S, s_bad = _perturb_batch(np.broadcast_to(phi, (B, d)), prep_f, rng)
 
     # thinning: p_coal/2 bounds every acceptance threshold of the row
-    half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
-    keep = u < half_coal
-    u, S, N, half_coal = u[keep], S[keep], N[keep], half_coal[keep]
-    K = len(u)
+    half_coal = clean_half_coal[anc_idx]
+    if s_bad.any():
+        half_coal[s_bad] = _half_coal(S[s_bad], basis_cols.T[anc_idx[s_bad]], v)
+    rows = np.flatnonzero(u < half_coal)
+    u, anc_idx, s_bad, half_coal = u[rows], anc_idx[rows], s_bad[rows], half_coal[rows]
+    K = len(rows)
 
     filters = np.broadcast_to(phi, (K, d))  # arm-1 filter on |phi>
-    settings = np.broadcast_to(basis_cols.T, (K, d, d)).reshape(K * d, d)  # arm-2 scanner
+    settings = np.broadcast_to(basis_cols.T, (K, d, d))  # arm-2 scanner
     if swap_detectors:
-        G_states = _perturb_batch(settings, analysis_f, rng)
-        F_states = _perturb_batch(filters, analysis_f, rng)
+        G_states, g_bad = _perturb_batch(settings, analysis_f, rng)
+        F_states, f_bad = _perturb_batch(filters, analysis_f, rng)
     else:
-        F_states = _perturb_batch(filters, analysis_f, rng)
-        G_states = _perturb_batch(settings, analysis_f, rng)
-    G_states = G_states.reshape(K, d, d)
+        F_states, f_bad = _perturb_batch(filters, analysis_f, rng)
+        G_states, g_bad = _perturb_batch(settings, analysis_f, rng)
 
-    _, p_filter, q = _event_terms(S, N, v, F_states, G_states)
-    cum_q = np.cumsum(q, axis=1)
-    totals = cum_q[:, -1:]
-    # unresolvable rows (sum q = 0) get all-zero thresholds and never pass
-    thresholds = (half_coal * p_filter)[:, None] * cum_q / np.where(totals > 0.0, totals, 1.0)
+    thresholds = clean_thresholds[anc_idx]
+    dirty = np.flatnonzero(s_bad | f_bad | g_bad.any(axis=1))
+    if len(dirty):
+        _, p_filter, q = _event_terms(
+            S[rows[dirty]],
+            basis_cols.T[anc_idx[dirty]],
+            v,
+            F_states[dirty],
+            G_states[dirty],
+        )
+        thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_filter, q)
     outcomes = (u[:, None] >= thresholds).sum(axis=1)
     return outcomes[outcomes < d]
 
@@ -457,6 +537,7 @@ def run_cloning_experiment(
     phi_index = basis.index_of(phi)
     weights = config.weights_for(basis.dim)
     basis_cols = basis.matrix
+    table = _clean_row_table(phi.amps, basis_cols, config.v)
     counts = np.zeros(basis.dim, dtype=np.int64)
     collected = 0
     batch = 0
@@ -472,6 +553,7 @@ def run_cloning_experiment(
             config.analysis_fidelity,
             rng,
             swap_detectors,
+            table,
         )
         if hits.size == 0:
             dry += 1

@@ -15,7 +15,8 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_JSONSCHEMA = False
 
-from symclone.cli import EXIT_OK, EXIT_USAGE, main, parse_state_spec
+from symclone import cli
+from symclone.cli import EXIT_OK, EXIT_USAGE, HOM_MAX_STEPS, main, parse_state_spec
 from symclone.hilbert import basis_four
 
 
@@ -156,6 +157,32 @@ def test_hom_bad_range(capsys):
     assert main(["hom", "--tau-min-fs", "5", "--tau-max-fs", "-5"]) == EXIT_USAGE
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("no delay grid may be built for a refused --steps")
+
+
+@pytest.mark.parametrize("steps", [HOM_MAX_STEPS + 1, 10**12])
+def test_hom_steps_above_the_bound_are_usage_errors(steps, monkeypatch, capsys):
+    monkeypatch.setattr(cli.np, "linspace", _refuse)
+    monkeypatch.setattr(cli, "hom_curve", _refuse)
+    assert main(["hom", "--steps", str(steps)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --steps must be at most {HOM_MAX_STEPS}, got {steps}"]
+
+
+def test_hom_steps_bound_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "hom_curve", lambda s, a, delays, model: [(t, 1.0) for t in delays])
+    assert main(["hom", "--steps", str(HOM_MAX_STEPS)]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + HOM_MAX_STEPS
+
+
+def test_hom_help_states_the_steps_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["hom", "--help"])
+    assert f"2..{HOM_MAX_STEPS}" in capsys.readouterr().out
+
+
 def test_hom_to_file(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert main(["hom", "--steps", "5", "--output", str(out)]) == EXIT_OK
@@ -267,6 +294,24 @@ def test_experiment_bad_config_file_is_usage_error(tmp_path, capsys, content, me
     code = main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not (tmp_path / "experiment_I.csv").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"shots": 2.9, "seed": 1}', "'shots' must be an integer, got 2.9"),
+    ('{"shots": 100, "seed": 1.7}', "'seed' must be an integer, got 1.7"),
+    ('{"shots": true}', "'shots' must be an integer, got True"),
+    ('{"shots": 100, "seed": false}', "'seed' must be an integer, got False"),
+])
+def test_experiment_config_integers_are_checked(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code = main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert not (tmp_path / "experiment_I.csv").exists()
 

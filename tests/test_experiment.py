@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symclone import experiment
 from symclone.experiment import (
     BATCH_TRIALS,
     CountsTable,
     ExperimentConfig,
     _batch_rng,
+    _clean_row_table,
     _event_terms,
     _perturb_batch,
     _simulate_batch,
@@ -71,6 +73,30 @@ def test_config_records_the_stream_layout():
     for layout in (1, 3, "2", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"shots": 2.9, "seed": 1}, "'shots'"),
+    ({"shots": 10, "seed": 1.7}, "'seed'"),
+    ({"shots": True}, "'shots'"),
+    ({"shots": 10, "seed": False}, "'seed'"),
+    ({"shots": "10"}, "'shots'"),
+    ({"shots": float("nan")}, "'shots'"),
+])
+def test_config_rejects_non_integral_shots_and_seed(data, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_accepts_integral_floats():
+    assert ExperimentConfig.from_dict({"shots": 3.0, "seed": 2.0}) == ExperimentConfig(shots=3, seed=2)
+
+
+def test_config_reports_missing_shots():
+    with pytest.raises(ValueError, match="missing config key 'shots'"):
+        ExperimentConfig.from_dict({})
+    with pytest.raises(ValueError, match="'shots'"):
+        ExperimentConfig.from_dict({"seed": 3})
 
 
 def test_weights_dimension_check():
@@ -151,7 +177,7 @@ class _DegenerateRng:
 
 def test_perturbation_falls_back_on_degenerate_draws():
     targets = np.stack([s.amps for s in (*basis_four().states, *basis_logical().states)])
-    out = _perturb_batch(targets, 0.5, _DegenerateRng())
+    out, _ = _perturb_batch(targets, 0.5, _DegenerateRng())
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs((np.conj(targets) * out).sum(axis=1))) < 1e-12
 
@@ -164,7 +190,7 @@ def _stream_position(rng):
 def test_perturbation_draws_normals_only_for_failing_rows():
     phi = basis_four().states[0].amps
     rng = _batch_rng(8, 0, 0)
-    out = _perturb_batch(np.broadcast_to(phi, (500, 4)), 0.7, rng)
+    out, _ = _perturb_batch(np.broadcast_to(phi, (500, 4)), 0.7, rng)
     fresh = _batch_rng(8, 0, 0)
     bad = fresh.random(500) >= 0.7
     fresh.standard_normal((int(bad.sum()), 8))
@@ -229,6 +255,124 @@ def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
     fresh = _batch_rng(3, 0, 0)
     fresh.random(2 * BATCH_TRIALS)
     assert _stream_position(rng) == _stream_position(fresh)
+
+
+# ------------------------------------------------- clean-row threshold table
+
+
+def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, swap_detectors):
+    """Reference: a stream-layout-2 batch that evaluates p_coal/2 and
+    ``_event_terms`` on every kept row, with no clean-row table."""
+    B = BATCH_TRIALS
+    d = len(phi)
+    u = rng.random(B)
+    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
+    N = basis_cols.T[anc_idx]
+    S, _ = _perturb_batch(np.broadcast_to(phi, (B, d)), prep_f, rng)
+    half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
+    keep = u < half_coal
+    u, S, N, half_coal = u[keep], S[keep], N[keep], half_coal[keep]
+    K = len(u)
+    filters = np.broadcast_to(phi, (K, d))
+    settings = np.broadcast_to(basis_cols.T, (K, d, d)).reshape(K * d, d)
+    if swap_detectors:
+        G_states, _ = _perturb_batch(settings, analysis_f, rng)
+        F_states, _ = _perturb_batch(filters, analysis_f, rng)
+    else:
+        F_states, _ = _perturb_batch(filters, analysis_f, rng)
+        G_states, _ = _perturb_batch(settings, analysis_f, rng)
+    _, p_filter, q = _event_terms(S, N, v, F_states, G_states.reshape(K, d, d))
+    cum_q = np.cumsum(q, axis=1)
+    totals = cum_q[:, -1:]
+    thresholds = (half_coal * p_filter)[:, None] * cum_q / np.where(totals > 0.0, totals, 1.0)
+    outcomes = (u[:, None] >= thresholds).sum(axis=1)
+    return outcomes[outcomes < d]
+
+
+def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, analysis_f,
+                                         swap, seed, batches):
+    phi = basis.states[phi_index].amps
+    table = _clean_row_table(phi, basis.matrix, v)
+    for b in range(batches):
+        fast, slow = _batch_rng(seed, phi_index, b), _batch_rng(seed, phi_index, b)
+        hits = _simulate_batch(phi, basis.matrix, weights, v, prep_f, analysis_f, fast, swap, table)
+        expected = _per_row_batch(phi, basis.matrix, weights, v, prep_f, analysis_f, slow, swap)
+        assert np.array_equal(hits, expected), (b, hits.size, expected.size)
+        assert _stream_position(fast) == _stream_position(slow)
+
+
+_TABLE_CASES = {
+    "ideal-I": (basis_logical, 1.0, 1.0, 1.0, None),
+    "prep-only-IV": (basis_four, 0.95, 0.8, 1.0, (0.4, 0.2, 0.2, 0.2)),
+    "analysis-only-I": (basis_logical, 0.9, 1.0, 0.7, None),
+    "degraded-IV": (basis_four, 0.9165, 0.9, 0.9, (0.3, 0.3, 0.2, 0.2)),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_table_path_matches_per_row_reference(case, swap):
+    make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
+    basis = make_basis()
+    weights = np.full(4, 0.25) if weights is None else np.array(weights)
+    for phi_index in range(4):
+        _assert_table_path_matches_reference(
+            basis, phi_index, weights, v, prep_f, analysis_f, swap, seed=43, batches=6
+        )
+
+
+def test_table_is_built_when_not_given():
+    basis = basis_four()
+    phi, weights = basis.states[2].amps, np.full(4, 0.25)
+    args = (phi, basis.matrix, weights, 0.9, 0.9, 0.8)
+    given = _simulate_batch(*args, _batch_rng(5, 2, 0), True, _clean_row_table(phi, basis.matrix, 0.9))
+    built = _simulate_batch(*args, _batch_rng(5, 2, 0), True)
+    assert np.array_equal(given, built)
+
+
+def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return _event_terms(*args)
+
+    basis = basis_logical()
+    phi, weights = basis.states[1].amps, np.full(4, 0.25)
+    table = _clean_row_table(phi, basis.matrix, 1.0)
+    monkeypatch.setattr(experiment, "_event_terms", counted)
+    for b in range(5):
+        hits = _simulate_batch(phi, basis.matrix, weights, 1.0, 1.0, 1.0, _batch_rng(9, 1, b), False, table)
+        assert hits.size > 0
+    assert calls == []
+    # the counter sees the rows of a noisy batch, which do need the terms
+    _simulate_batch(phi, basis.matrix, weights, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0), False, table)
+    assert len(calls) == 1 and calls[0] > 0
+
+
+def test_table_path_matches_reference_on_random_configs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fidelity = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        v=st.floats(0.0, 1.0),
+        prep_f=fidelity,
+        analysis_f=fidelity,
+        raw_weights=st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any),
+        make_basis=st.sampled_from([basis_logical, basis_four]),
+        phi_index=st.integers(0, 3),
+        swap=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def check(v, prep_f, analysis_f, raw_weights, make_basis, phi_index, swap, seed):
+        weights = np.array(raw_weights, dtype=float) / sum(raw_weights)
+        _assert_table_path_matches_reference(
+            make_basis(), phi_index, weights, v, prep_f, analysis_f, swap, seed, batches=1
+        )
+
+    check()
 
 
 # ------------------------------------------------------------------- runs
