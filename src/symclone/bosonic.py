@@ -22,6 +22,12 @@ Conventions
   photon is split into a v-weighted copy of the first photon's temporal
   mode and a sqrt(1 - v^2)-weighted orthogonal temporal mode. This
   reproduces the standard HOM visibility law with a single parameter.
+* After the beam splitter that input is v|Phi_1> + sqrt(1 - v^2)|Phi_0>,
+  where |Phi_1> (both photons in the shared temporal mode) and |Phi_0>
+  (one photon in each) occupy disjoint modes, and the same-port projection
+  is diagonal in the occupation basis. So every coalescence probability is
+  exactly P(v) = v^2 P(1) + (1 - v^2) P(0), and a HOM curve over any number
+  of delays costs two engine runs.
 """
 
 from __future__ import annotations
@@ -325,7 +331,7 @@ class DistinguishabilityModel:
     intensity spectrum), ``v_of_delay`` gives the overlap as a function of
     the relative delay in seconds:
 
-        v(tau) = exp(-(tau / tau_c)^2),   tau_c = sqrt(2) / sigma_omega,
+        v(tau) = v exp(-(tau / tau_c)^2),   tau_c = sqrt(2) / sigma_omega,
 
     with sigma_omega the std of the angular-frequency intensity spectrum.
     """
@@ -357,22 +363,24 @@ class DistinguishabilityModel:
         return math.sqrt(2) / sigma_omega
 
     def v_of_delay(self, tau: float) -> float:
-        """Gaussian overlap-vs-delay law; v(0) = 1, even, nonincreasing in |tau|."""
-        return math.exp(-((tau / self.coherence_time) ** 2))
+        """Gaussian overlap-vs-delay law; v(0) = ``v``, even, nonincreasing in |tau|."""
+        return self.v * math.exp(-((tau / self.coherence_time) ** 2))
 
 
-def _two_photon_input(psi_s: PureState, psi_a: PureState, v: float) -> FockState:
+def _two_photon_input(
+    psi_s: PureState, psi_a: PureState, v: float, ports: int = 2
+) -> FockState:
     """Signal photon on port 0, ancilla on port 1, with temporal overlap v.
 
     The internal space is doubled: levels [0, d) are the signal's temporal
     mode, levels [d, 2d) an orthogonal one carrying the ancilla's
-    distinguishable fraction.
+    distinguishable fraction. Ports beyond 1 start empty.
     """
     d = psi_s.dim
     w = math.sqrt(max(0.0, 1.0 - v * v))
     signal = PureState(2 * d, np.concatenate([psi_s.amps, np.zeros(d)]))
     ancilla = PureState(2 * d, np.concatenate([v * psi_a.amps, w * psi_a.amps]))
-    state = FockState.vacuum(2, 2 * d)
+    state = FockState.vacuum(ports, 2 * d)
     state = add_photon(state, 0, signal)
     return add_photon(state, 1, ancilla)
 
@@ -405,13 +413,14 @@ def hom_curve(
 
     ``delays`` are in seconds; the model must carry spectral parameters.
     Returns (tau, R) pairs with R(0) maximal and R -> 1 far off the peak.
+
+    The delay only sets the overlap v(tau), and R is exactly
+    v^2 R(1) + (1 - v^2) R(0) (see the module docstring), so the engine
+    runs twice, at v = 1 and v = 0, whatever the number of delays.
     """
-    out = []
-    for tau in delays:
-        m = DistinguishabilityModel(
-            v=model.v_of_delay(float(tau)),
-            wavelength=model.wavelength,
-            bandwidth=model.bandwidth,
-        )
-        out.append((float(tau), coalescence_enhancement(psi_s, psi_a, m)))
-    return out
+    taus = [float(tau) for tau in delays]
+    # raises for a model without spectral parameters, before any engine work
+    v2 = [model.v_of_delay(tau) ** 2 for tau in taus]
+    r_one = coalescence_enhancement(psi_s, psi_a, DistinguishabilityModel(v=1.0))
+    r_zero = coalescence_enhancement(psi_s, psi_a, DistinguishabilityModel(v=0.0))
+    return [(tau, w * r_one + (1.0 - w) * r_zero) for tau, w in zip(taus, v2)]

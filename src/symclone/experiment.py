@@ -115,6 +115,13 @@ def _integral(data: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
+def _real(value, key: str) -> float:
+    """A config number as a float; a bool or a non-number is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"bad config value: {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs of the simulated bench.
@@ -186,10 +193,14 @@ class ExperimentConfig:
         try:
             return cls(
                 shots=_integral(data, "shots"),
-                v=float(data.get("v", 1.0)),
-                ancilla_weights=tuple(weights) if weights else None,
-                prep_fidelity=float(data.get("prepFidelity", 1.0)),
-                analysis_fidelity=float(data.get("analysisFidelity", 1.0)),
+                v=_real(data.get("v", 1.0), "v"),
+                ancilla_weights=(
+                    tuple(_real(w, f"ancillaWeights[{i}]") for i, w in enumerate(weights))
+                    if weights
+                    else None
+                ),
+                prep_fidelity=_real(data.get("prepFidelity", 1.0), "prepFidelity"),
+                analysis_fidelity=_real(data.get("analysisFidelity", 1.0), "analysisFidelity"),
                 seed=_integral(data, "seed", 0),
             )
         except (TypeError, OverflowError) as exc:  # e.g. null or a scalar for a list
@@ -370,12 +381,7 @@ def coincidence_probabilities(
     loop; exists so the two can be cross-checked.
     """
     d = signal.dim
-    w = math.sqrt(max(0.0, 1.0 - v * v))
-    u = PureState(2 * d, np.concatenate([signal.amps, np.zeros(d)]))
-    a = PureState(2 * d, np.concatenate([v * ancilla.amps, w * ancilla.amps]))
-    state = bosonic.FockState.vacuum(3, 2 * d)
-    state = bosonic.add_photon(state, 0, u)
-    state = bosonic.add_photon(state, 1, a)
+    state = bosonic._two_photon_input(signal, ancilla, v, ports=3)
     state = bosonic.beam_splitter(state, 0, 1)
     p_coal, cond = bosonic.postselect_same_port(state, 0)
     if p_coal == 0.0:

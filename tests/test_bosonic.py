@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from symclone import bosonic
 from symclone.bosonic import (
     DistinguishabilityModel,
     FockState,
@@ -18,6 +19,7 @@ from symclone.bosonic import (
     reduced_single_photon,
     single_photon,
 )
+from symclone.cli import main
 from symclone.hilbert import PureState, basis_four, basis_logical, basis_state
 
 RT2 = 1 / np.sqrt(2)
@@ -341,3 +343,131 @@ def test_hom_curve_shape():
     for tau, r in curve:
         assert r == pytest.approx(rs[-tau], abs=1e-12)  # even in tau
     assert max(rs.values()) == rs[0.0]
+
+
+def _per_delay_reference(psi_s, psi_a, delays, model):
+    """One full engine run per delay: the HOM curve before its v^2 decomposition."""
+    out = []
+    for tau in delays:
+        m = DistinguishabilityModel(
+            v=model.v_of_delay(float(tau)),
+            wavelength=model.wavelength,
+            bandwidth=model.bandwidth,
+        )
+        out.append((float(tau), coalescence_enhancement(psi_s, psi_a, m)))
+    return out
+
+
+def _random_ket(rng, d):
+    return PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+
+def _assert_curves_match(curve, reference):
+    assert len(curve) == len(reference)
+    for (tau, r), (tau_ref, r_ref) in zip(curve, reference):
+        assert tau == tau_ref
+        assert r == pytest.approx(r_ref, abs=1e-12)
+
+
+_BENCH_MODEL = DistinguishabilityModel.from_spectrum(795.0, 4.5)
+_BENCH_DELAYS = np.linspace(-1000.0, 1000.0, 81) * 1e-15
+
+
+def test_hom_curve_matches_per_delay_engine_runs_on_random_states():
+    rng = np.random.default_rng(5)
+    for d in range(2, 6):
+        s, a = _random_ket(rng, d), _random_ket(rng, d)
+        for psi_s, psi_a in ((s, s), (s, a), (a, s)):
+            _assert_curves_match(
+                hom_curve(psi_s, psi_a, _BENCH_DELAYS, _BENCH_MODEL),
+                _per_delay_reference(psi_s, psi_a, _BENCH_DELAYS, _BENCH_MODEL),
+            )
+
+
+def test_hom_curve_matches_per_delay_engine_runs_on_unequal_bench_pairs():
+    states = [*basis_logical().states, *basis_four().states]
+    delays = _BENCH_DELAYS[::8]
+    for psi_s in states:
+        for psi_a in states:
+            _assert_curves_match(
+                hom_curve(psi_s, psi_a, delays, _BENCH_MODEL),
+                _per_delay_reference(psi_s, psi_a, delays, _BENCH_MODEL),
+            )
+
+
+def test_hom_curve_matches_per_delay_engine_runs_below_full_overlap():
+    rng = np.random.default_rng(8)
+    model = DistinguishabilityModel(v=0.7, wavelength=810e-9, bandwidth=3e-9)
+    s, a = _random_ket(rng, 4), _random_ket(rng, 4)
+    _assert_curves_match(
+        hom_curve(s, a, _BENCH_DELAYS, model),
+        _per_delay_reference(s, a, _BENCH_DELAYS, model),
+    )
+
+
+def test_hom_curve_peak_carries_the_zero_delay_overlap():
+    model = DistinguishabilityModel(v=0.9, wavelength=795e-9, bandwidth=4.5e-9)
+    assert model.v_of_delay(0.0) == 0.9
+    psi = basis_four().states[0]
+    partner = PureState(4, np.cos(0.4) * psi.amps + np.sin(0.4) * basis_four().states[1].amps)
+    for psi_a in (psi, partner):
+        [(tau, r)] = hom_curve(psi, psi_a, [0.0], model)
+        expected = 1.0 + 0.9**2 * abs(np.vdot(psi_a.amps, psi.amps)) ** 2
+        assert tau == 0.0
+        assert r == pytest.approx(expected, abs=1e-12)
+        assert r == pytest.approx(coalescence_enhancement(psi, psi_a, model), abs=1e-12)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(bosonic, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bosonic, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_delays", [3, 81])
+def test_hom_curve_runs_the_engine_twice(monkeypatch, n_delays):
+    calls = _counting(monkeypatch, "coalescence_enhancement")
+    psi = basis_four().states[2]
+    curve = hom_curve(psi, psi, np.linspace(-5e-13, 5e-13, n_delays), _BENCH_MODEL)
+    assert len(curve) == n_delays
+    assert len(calls) == 2
+
+
+def test_hom_curve_of_no_delays_is_empty():
+    psi = basis_four().states[0]
+    assert hom_curve(psi, psi, [], _BENCH_MODEL) == []
+    assert hom_curve(psi, psi, np.array([]), _BENCH_MODEL) == []
+
+
+def test_hom_curve_without_spectral_parameters_fails_before_the_engine(monkeypatch):
+    enhancement_calls = _counting(monkeypatch, "coalescence_enhancement")
+    splitter_calls = _counting(monkeypatch, "beam_splitter")
+    psi = basis_four().states[0]
+    with pytest.raises(ValueError, match="spectral"):
+        hom_curve(psi, psi, [0.0, 1e-13], DistinguishabilityModel(v=0.8))
+    assert enhancement_calls == [] and splitter_calls == []
+
+
+def test_cli_hom_matches_per_delay_engine_runs(capsys):
+    # the CLI's default delay grid and spectrum, each bench state against itself
+    labels = [f"I:{k}" for k in range(1, 5)] + [f"IV:{k}" for k in range(1, 5)]
+    states = [*basis_logical().states, *basis_four().states]
+    for label, psi in zip(labels, states, strict=True):
+        assert main(["hom", "--input", label]) == 0
+        reference = _per_delay_reference(psi, psi, _BENCH_DELAYS, _BENCH_MODEL)
+        expected = ["tau_fs,R"] + [f"{tau * 1e15:.6g},{r:.9g}" for tau, r in reference]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+def test_two_photon_input_leaves_extra_ports_empty():
+    s, a = basis_four().states[0], basis_logical().states[1]
+    two = bosonic._two_photon_input(s, a, 0.6)
+    three = bosonic._two_photon_input(s, a, 0.6, ports=3)
+    assert three.ports == 3 and three.dim == two.dim == 8
+    assert three.terms == {occ + (0,) * 8: amp for occ, amp in two.terms.items()}

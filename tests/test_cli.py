@@ -287,6 +287,7 @@ def test_experiment_config_file_with_flag_override(tmp_path, capsys):
     ('{"shots": 100, "ancillaWeights": 5}', "bad config value"),
     ('{"shots": 100, "v": null}', "bad config value"),
     ('{"shots": 1e400}', "bad config value"),
+    ('{"shots": 100, "v": true}', "'v' must be a number, got True"),
 ])
 def test_experiment_bad_config_file_is_usage_error(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"

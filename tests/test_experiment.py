@@ -88,6 +88,27 @@ def test_config_rejects_non_integral_shots_and_seed(data, key):
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"shots": 10, "v": True}, r"'v' must be a number, got True"),
+    ({"shots": 10, "v": "0.5"}, r"'v' must be a number, got '0.5'"),
+    ({"shots": 10, "prepFidelity": True}, r"'prepFidelity' must be a number"),
+    ({"shots": 10, "analysisFidelity": "1"}, r"'analysisFidelity' must be a number"),
+    ({"shots": 10, "ancillaWeights": [True, False, False, False]}, r"'ancillaWeights\[0\]'"),
+    ({"shots": 10, "ancillaWeights": [0.5, "0.5"]}, r"'ancillaWeights\[1\]'"),
+    ({"shots": 10, "ancillaWeights": [0.5, [0.5]]}, r"'ancillaWeights\[1\]'"),
+])
+def test_config_rejects_booleans_and_non_numbers(data, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_accepts_integers_for_real_keys():
+    cfg = ExperimentConfig.from_dict(
+        {"shots": 10, "v": 1, "prepFidelity": 0, "ancillaWeights": [1, 0, 0, 0]}
+    )
+    assert cfg == ExperimentConfig(shots=10, v=1.0, prep_fidelity=0.0, ancilla_weights=(1.0, 0.0, 0.0, 0.0))
+
+
 def test_config_accepts_integral_floats():
     assert ExperimentConfig.from_dict({"shots": 3.0, "seed": 2.0}) == ExperimentConfig(shots=3, seed=2)
 
