@@ -3,8 +3,9 @@
 
 The channel mixes the signal photon with a fully mixed ancilla photon on a
 balanced beam splitter and keeps coalesced pairs. Run both routes: the
-closed form and the brute-force second-quantized engine; they agree to
-machine precision, for separable and spin-orbit entangled inputs alike.
+closed-form clone state and the density operator carried through the
+closed-form Kraus stage; they agree to machine precision, for separable and
+spin-orbit entangled inputs alike.
 """
 
 import numpy as np

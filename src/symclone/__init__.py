@@ -19,7 +19,6 @@ from .hilbert import (
 from .bosonic import (
     DistinguishabilityModel,
     FockState,
-    ModeIndex,
     add_photon,
     beam_splitter,
     coalescence_enhancement,

@@ -1,11 +1,12 @@
 """Few-photon second-quantized states and balanced beam-splitter evolution.
 
-This is the brute-force engine behind every cloning number in the package:
-states are sparse maps from mode-occupation vectors to complex amplitudes,
-a mode being one (spatial port, internal level) pair. The 50/50 beam
-splitter acts identically on every internal level, so two-photon
-interference (Hong-Ou-Mandel coalescence) emerges from the operator
-algebra rather than from any closed-form shortcut.
+This is the brute-force engine behind the HOM curves, and the independent
+route against which the test suite checks the closed-form cloning stages of
+:mod:`symclone.cloning`: states are sparse maps from mode-occupation vectors
+to complex amplitudes, a mode being one (spatial port, internal level)
+pair. The 50/50 beam splitter acts identically on every internal level, so
+two-photon interference (Hong-Ou-Mandel coalescence) emerges from the
+operator algebra rather than from any closed-form shortcut.
 
 Conventions
 -----------
@@ -40,7 +41,6 @@ import numpy as np
 from .hilbert import DensityMatrix, PureState
 
 __all__ = [
-    "ModeIndex",
     "FockState",
     "DistinguishabilityModel",
     "single_photon",
@@ -60,18 +60,6 @@ _PRUNE_TOL = 1e-14
 _NORM_TOL = 1e-12
 
 _SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """One (spatial port, internal level) mode of the optical circuit."""
-
-    port: int
-    level: int
-
-    def flat(self, dim: int) -> int:
-        """Position of this mode in an occupation vector with ``dim`` levels per port."""
-        return self.port * dim + self.level
 
 
 class FockState:
@@ -345,8 +333,10 @@ class DistinguishabilityModel:
             raise ValueError(f"overlap v must lie in [0, 1], got {self.v}")
         if (self.wavelength is None) != (self.bandwidth is None):
             raise ValueError("wavelength and bandwidth must be given together")
-        if self.wavelength is not None and (self.wavelength <= 0 or self.bandwidth <= 0):
-            raise ValueError("wavelength and bandwidth must be positive")
+        if self.wavelength is not None and not (
+            0 < self.wavelength < math.inf and 0 < self.bandwidth < math.inf
+        ):
+            raise ValueError("wavelength and bandwidth must be positive and finite")
 
     @classmethod
     def from_spectrum(cls, wavelength_nm: float, bandwidth_nm: float) -> "DistinguishabilityModel":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -55,6 +56,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _json(payload) -> str:
+    """Strict JSON: a NaN or an infinity raises instead of printing a bare token."""
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
 def parse_state_spec(spec: str, d: int | None) -> tuple[PureState, str]:
     """Parse ``BASIS:index`` (e.g. I:1, IV:3; 1-based) or raw amplitudes.
 
@@ -81,10 +87,15 @@ def parse_state_spec(spec: str, d: int | None) -> tuple[PureState, str]:
         raise _UsageError(f"cannot parse state spec {spec!r}") from None
     if d is not None and len(amps) != d:
         raise _UsageError(f"{len(amps)} amplitudes given but d={d}")
-    norm = float(np.linalg.norm(amps))
+    if not np.all(np.isfinite(amps)):
+        raise _UsageError("amplitudes must be finite")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if math.isinf(norm):
+        raise _UsageError("the norm of the state amplitudes overflows")
     if norm < 1e-12:
         raise _UsageError("state amplitudes are all zero")
-    state = PureState.normalized(amps)  # rejects non-finite amplitudes
+    state = PureState.normalized(amps)
     if abs(norm - 1.0) > 1e-6:
         print(f"warning: normalizing input state (norm was {_fmt(norm)})", file=sys.stderr)
     return state, spec
@@ -160,7 +171,7 @@ def _cmd_formulas(args) -> int:
         "advantage": clon - est,
     }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(f"f_est(N={args.n}, d={args.d})          = {_fmt(est)}")
         print(f"f_clon(N={args.n}, M={args.m}, d={args.d})    = {_fmt(clon)}")
@@ -178,7 +189,7 @@ def _cmd_clone(args) -> int:
     payload["input"] = label
     payload["mode"] = args.mode
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         diag = np.real(np.diag(outcome.clone_state.mat))
         print(f"input            {label}  (d={phi.dim}, mode={args.mode})")
@@ -189,6 +200,8 @@ def _cmd_clone(args) -> int:
 
 
 def _cmd_hom(args) -> int:
+    if not all(map(math.isfinite, (args.tau_min_fs, args.tau_max_fs))):
+        raise _UsageError("delay bounds must be finite")
     if args.steps < 2 or args.tau_max_fs <= args.tau_min_fs:
         raise _UsageError("need an increasing delay range with at least 2 steps")
     if args.steps > HOM_MAX_STEPS:
@@ -237,6 +250,7 @@ def _experiment_config(args) -> experiment.ExperimentConfig:
 def _cmd_experiment(args) -> int:
     config = _experiment_config(args)
     table = experiment.replicate_table(args.basis, config)
+    summary = _json(table.to_dict()) + "\n"
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"experiment_{args.basis}.csv"
@@ -244,8 +258,7 @@ def _cmd_experiment(args) -> int:
     with open(csv_path, "w", newline="") as fh:
         experiment.write_counts_csv(table.tables, fh)
     with open(json_path, "w") as fh:
-        json.dump(table.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(summary)
     print(str(table))
     print()
     print("p(i|phi) matrix (rows = inputs, columns = outcomes):")
@@ -268,7 +281,7 @@ def _cmd_cascade(args) -> int:
     payload["formulaFidelity"] = formula
     payload["difference"] = outcome.fidelity - formula
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(f"cascade {args.n} -> {args.m}, d={phi.dim}, input {label}")
         print(f"cascade fidelity  {_fmt(outcome.fidelity)}")

@@ -9,18 +9,28 @@ ancilla-matches-input branch carries relative weight 2/(d+1) (fidelity 1)
 and the d-1 orthogonal branches carry total weight (d-1)/(d+1) (fidelity
 1/2), giving the optimal 1 -> 2 average fidelity 1/2 + 1/(d+1).
 
-The engine-backed routes (:func:`clone_oracle`, :func:`cascade_clone`)
+The density-operator routes (:func:`clone_oracle`, :func:`cascade_clone`)
 carry the photons in port 0 as one density operator rho on the m-photon
-symmetric subspace, of dimension C(m+d-1, m). A stage m -> m+1 applies one
-Kraus operator K[port, k] per output port and ancilla level k:
+symmetric subspace, of dimension C(m+d-1, m). A stage m -> m+1 meets them
+with one ancilla photon a_k^dag on port 1. The balanced splitter sends each
+creation operator to (a_0^dag + i a_1^dag)/sqrt2 or (i a_0^dag + a_1^dag)/sqrt2,
+so keeping only the term with every photon in one output port multiplies
+the (m+1)-photon creation product by a phase and 2^(-(m+1)/2). The Kraus
+operator of that outcome is
 
-    rho' = sum_{port, k, l} sigma_kl K[port, k] rho K[port, l]^dag,
+    K[port, k] = phase(port, m) 2^(-(m+1)/2) a_k^dag,
+
+relabelled as a port-0 ket. The phase cancels in K rho K^dag, and the two
+ports contribute equally, so a stage is Werner's symmetric-subspace cloner
+
+    rho' = 2^(-m) sum_{k, l} sigma_kl a_k^dag rho a_l,
 
 with sigma the ancilla's density matrix (I_d/d for the fully mixed
 ancilla). The trace of rho' is the stage's coalescence probability, and
-the success probability is the product of the stage traces. Each K[port, k]
-comes from the second-quantized engine in :mod:`symclone.bosonic`, one
-basis ket at a time, and is cached per (d, m) for the life of the process.
+the success probability is the product of the stage traces. The tests
+rebuild each K[port, k] with the second-quantized engine in
+:mod:`symclone.bosonic`, one basis ket at a time, and check it against this
+closed form.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ from .hilbert import (
     LabeledBasis,
     PureState,
     basis_computational,
-    basis_state,
     fidelity_pure,
 )
 
@@ -172,40 +181,6 @@ def _fock_basis(d: int, m: int) -> dict[tuple[int, ...], int]:
 
 
 @cache
-def _stage_operators(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus operators K[port, k] of one m -> m+1 stage, built by the engine.
-
-    Column n of K[port, k] is the unnormalized state left when the port-0
-    basis ket |n> meets the ancilla |k> on port 1 at the beam splitter and
-    every photon coalesces into ``port``, relabelled as a port-0 ket. That
-    state is a single ket, so each operator is stored compactly: column n
-    is ``amp[port, k, n]`` times the (m+1)-photon basis ket ``dest[port, k, n]``.
-    """
-    source = _fock_basis(d, m)
-    target = _fock_basis(d, m + 1)
-    dest = np.empty((2, d, len(source)), dtype=np.intp)
-    amp = np.empty((2, d, len(source)), dtype=complex)
-    empty_port = (0,) * d
-    for k in range(d):
-        ancilla = basis_state(d, k)
-        for col, occ in enumerate(source):
-            state = bosonic.FockState(2, d, {occ + empty_port: 1.0 + 0j})
-            state = bosonic.beam_splitter(bosonic.add_photon(state, 1, ancilla), 0, 1)
-            for port in (0, 1):
-                prob, kept = bosonic.postselect_same_port(state, port)
-                if len(kept.terms) != 1:
-                    raise RuntimeError(
-                        f"expected one coalesced ket in port {port}, got {len(kept.terms)}"
-                    )
-                [(out_occ, out_amp)] = kept.terms.items()
-                dest[port, k, col] = target[out_occ[port * d:(port + 1) * d]]
-                amp[port, k, col] = math.sqrt(prob) * out_amp
-    dest.setflags(write=False)
-    amp.setflags(write=False)
-    return dest, amp
-
-
-@cache
 def _raising(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """a_k^dag on the m-photon basis: |n> -> coeff[k, n] |up[k, n]>."""
     source = _fock_basis(d, m)
@@ -226,20 +201,17 @@ def _raising(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _stage(rho: np.ndarray, m: int, sigma: np.ndarray) -> np.ndarray:
     """Interfere the m port-0 photons in ``rho`` with one ancilla photon and keep coalescence.
 
-    ``sigma`` is the ancilla's d x d density matrix. An ancilla photon
-    a_psi^dag = sum_k psi_k a_k^dag has Kraus operator sum_k psi_k K[port, k]
-    by linearity, so a mixture of such photons contributes
-    sum_{k,l} sigma_kl K[port, k] rho K[port, l]^dag. Returns the
-    unnormalized (m+1)-photon rho'; for unit-trace rho its trace is the
+    ``sigma`` is the ancilla's d x d density matrix. Returns the
+    unnormalized (m+1)-photon rho' = 2^(-m) sum_{k,l} sigma_kl a_k^dag rho a_l
+    (see the module docstring); for unit-trace rho its trace is the
     coalescence probability, both output ports counted.
     """
     d = len(sigma)
-    dest, amp = _stage_operators(d, m)
+    up, coeff = _raising(d, m)
     out = np.zeros((len(_fock_basis(d, m + 1)),) * 2, dtype=complex)
     for k, l in zip(*np.nonzero(sigma)):
-        for port in (0, 1):
-            block = sigma[k, l] * (amp[port, k][:, None] * rho * amp[port, l].conj())
-            out[np.ix_(dest[port, k], dest[port, l])] += block
+        weight = sigma[k, l] / 2**m
+        out[np.ix_(up[k], up[l])] += weight * (coeff[k][:, None] * rho * coeff[l])
     return out
 
 
@@ -269,29 +241,13 @@ def _interfere(phi: PureState, n: int, m: int, sigma: np.ndarray) -> tuple[float
     return success, DensityMatrix(dim=d, mat=(clone + clone.conj().T) / 2)
 
 
-def _mixed_ancilla_branches(
-    phi: PureState, ancilla_basis: LabeledBasis
-) -> list[tuple[float, float, DensityMatrix]]:
-    """Evolve each ancilla basis branch: (weight, coalescence prob, clone state).
-
-    The fully mixed ancilla is handled as an exact equal-weight convex
-    combination over the basis states, never by sampling; the coalescence
-    probability counts both output ports of the balanced splitter.
-    """
-    weight = 1.0 / phi.dim
-    branches = []
-    for anc in ancilla_basis.states:
-        prob, rho = _interfere(phi, 1, 2, np.outer(anc.amps, anc.amps.conj()))
-        branches.append((weight, prob, rho))
-    return branches
-
-
 def clone_oracle(
     phi: PureState, d: int, ancilla_basis: LabeledBasis | None = None
 ) -> CloningOutcome:
-    """1 -> 2 outcome from the second-quantized engine: the one-stage cascade.
+    """1 -> 2 outcome of the one-stage cascade: one closed-form Kraus stage.
 
-    Agrees with :func:`clone_analytic` to machine precision. The ancilla
+    An independent route to :func:`clone_analytic`, with which it agrees to
+    machine precision. The ancilla
     decomposition basis is arbitrary for a fully mixed state (defaults to
     computational); the result must not depend on it.
     """
@@ -313,7 +269,7 @@ def cascade_clone(
     only total coalescence into a common output port (partial-coalescence
     outcomes count as failures). The photons are carried as one density
     operator on the symmetric subspace, of dimension C(m+d-1, m) after m
-    photons, through the engine-built Kraus operators of each stage. The
+    photons, through the closed-form Kraus stage of the module docstring. The
     success probability is the product of the stage traces; the clone state
     is the single-photon reduction of the final M-photon density operator.
     The ancilla enters only through its density matrix, built from

@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.ancilla_weights is not None:
             w = tuple(float(x) for x in self.ancilla_weights)
+            if not all(math.isfinite(x) for x in w):
+                raise ValueError("ancilla weights must be finite")
             if any(x < 0 for x in w):
                 raise ValueError("ancilla weights must be nonnegative")
             if abs(sum(w) - 1.0) > 1e-12:

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from _engine_reference import mixed_ancilla_branches
 from symclone.bosonic import (
     DistinguishabilityModel,
     FockState,
@@ -24,7 +25,6 @@ from symclone.cloning import (
     f_clon,
     f_est,
 )
-from symclone.cloning import _mixed_ancilla_branches
 from symclone.experiment import ExperimentConfig, replicate_table, run_cloning_experiment
 from symclone.hilbert import (
     PureState,
@@ -79,7 +79,7 @@ def test_criterion_2_oracle_reproduces_clone_matrix():
 def test_criterion_3_coalescence_branch_weights():
     with criterion(3, "coalescence branch weights 2/(d+1)"):
         for d in (2, 3, 4, 5):
-            branches = _mixed_ancilla_branches(basis_state(d, 0), basis_computational(d))
+            branches = mixed_ancilla_branches(basis_state(d, 0), basis_computational(d))
             total = sum(w * p for w, p, _ in branches)
             matched = branches[0][0] * branches[0][1] / total
             orthogonal = sum(w * p for w, p, _ in branches[1:]) / total

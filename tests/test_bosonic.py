@@ -9,7 +9,6 @@ from symclone import bosonic
 from symclone.bosonic import (
     DistinguishabilityModel,
     FockState,
-    ModeIndex,
     add_photon,
     beam_splitter,
     coalescence_enhancement,
@@ -31,10 +30,6 @@ def _pair(level_s: int, level_a: int, d: int = 4) -> FockState:
 
 
 # ------------------------------------------------------------- FockState
-
-
-def test_mode_index_flattening():
-    assert ModeIndex(port=1, level=2).flat(dim=4) == 6
 
 
 def test_fock_state_rejects_mixed_photon_number():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -326,6 +327,29 @@ def test_experiment_env_out_dir(tmp_path, monkeypatch, capsys):
 def test_experiment_bad_weights(capsys):
     assert main(["experiment", "--shots", "100",
                  "--ancilla-weights", "0.5,0.4"]) == EXIT_USAGE
+
+
+# --------------------------------------------------------- non-finite input
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--wavelength-nm", "nan"],
+    ["hom", "--tau-min-fs", "nan"],
+    ["hom", "--tau-max-fs", "inf", "--steps", "3"],
+    ["experiment", "--shots", "100", "--ancilla-weights", "nan,0,0,1"],
+    ["clone", "--input", "1e308,1e308"],
+])
+def test_non_finite_input_is_one_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYMCLONE_OUT_DIR", str(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_USAGE
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""  # hom prints its CSV here
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------ parsing

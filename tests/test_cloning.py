@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from _engine_reference import engine_stage, engine_stage_operators, mixed_ancilla_branches
 from symclone import bosonic
 from symclone.cloning import (
     CloningOutcome,
     CloningSpec,
+    _raising,
+    _stage,
     cascade_clone,
     clone_analytic,
     clone_oracle,
@@ -165,10 +168,8 @@ def test_oracle_is_ancilla_basis_independent():
 def test_matched_ancilla_branch_weight(d):
     # conditioned on coalescence, the ancilla-equals-input branch carries
     # weight 2/(d+1); the d-1 orthogonal branches share (d-1)/(d+1)
-    from symclone.cloning import _mixed_ancilla_branches
-
     phi = basis_state(d, 0)
-    branches = _mixed_ancilla_branches(phi, basis_computational(d))
+    branches = mixed_ancilla_branches(phi, basis_computational(d))
     total = sum(w * p for w, p, _ in branches)
     matched = branches[0][0] * branches[0][1] / total
     orthogonal = sum(w * p for w, p, _ in branches[1:]) / total
@@ -304,3 +305,61 @@ def test_cascade_matches_branch_enumeration(n, m, d):
     rho, success = _branch_enumeration(phi, n, m)
     assert np.max(np.abs(out.clone_state.mat - rho)) < 1e-12
     assert abs(out.success_prob - success) < 1e-12
+
+
+# ------------------------------------------------- engine vs closed form
+
+
+def _creation_matrix(d: int, m: int, k: int) -> np.ndarray:
+    """Dense a_k^dag from the m-photon to the (m+1)-photon symmetric basis."""
+    up, coeff = _raising(d, m)
+    mat = np.zeros((math.comb(m + d, m + 1), up.shape[1]))
+    mat[up[k], np.arange(up.shape[1])] = coeff[k]
+    return mat
+
+
+def _random_hermitian(rng, dim: int) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = z + z.conj().T
+    return h / np.trace(h).real
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_engine_kraus_operators_are_phased_creation_operators(d, m):
+    kraus = engine_stage_operators(d, m)
+    scale = 2.0 ** (-(m + 1) / 2)
+    for port in (0, 1):
+        a0 = _creation_matrix(d, m, 0)
+        # one phase per (port, m), read off any nonzero entry of K[port, 0]
+        row, col = np.argwhere(a0)[0]
+        phase = kraus[port, 0, row, col] / (scale * a0[row, col])
+        assert abs(abs(phase) - 1) < 1e-12
+        for k in range(d):
+            expected = phase * scale * _creation_matrix(d, m, k)
+            assert np.max(np.abs(kraus[port, k] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_engine_stage_map_equals_closed_form_stage(d, m):
+    rng = np.random.default_rng(100 * d + m)
+    rho = _random_hermitian(rng, math.comb(m + d - 1, m))
+    sigma = _random_hermitian(rng, d)
+    assert np.max(np.abs(engine_stage(rho, m, sigma) - _stage(rho, m, sigma))) < 1e-12
+
+
+def _no_engine(*args, **kwargs):
+    raise AssertionError("cloning must not evolve Fock states")
+
+
+def test_cloning_makes_no_engine_evolution_call(monkeypatch):
+    monkeypatch.setattr(bosonic, "beam_splitter", _no_engine)
+    monkeypatch.setattr(bosonic, "postselect_same_port", _no_engine)
+    phi = _haar(np.random.default_rng(6), 6)
+    out = cascade_clone(phi, CloningSpec(d=6, n=1, m=3))
+    clone, success = _werner_clone(phi, 1, 3)
+    assert np.max(np.abs(out.clone_state.mat - clone)) < 1e-12
+    assert abs(out.success_prob - success) < 1e-12
+    oracle = clone_oracle(phi, 6)
+    assert oracle.fidelity == pytest.approx(f_clon(1, 2, 6), abs=1e-12)
