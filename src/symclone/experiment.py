@@ -91,6 +91,13 @@ BATCH_TRIALS = 4096
 # the layout that drew them.
 STREAM_LAYOUT = 2
 
+# Scanner weights sum(q) at or below this are rounding residue, not a
+# click probability: on basis IV a trial whose scanner arm can give no click
+# still leaves sum(q) ~ 1e-33. Over 1.75e6 evaluated rows of the degraded
+# basis-IV bench (seeds 1-10, 5e4 shots) the residue stayed below 3e-29 and
+# genuine totals above 2e-7, so the cutoff sits far from both.
+_Q_TOTAL_CUTOFF = 1e-20
+
 # Give up if this many consecutive batches yield no coincidence at all.
 _MAX_DRY_BATCHES = 2000
 
@@ -427,11 +434,16 @@ def _half_coal(S: np.ndarray, N: np.ndarray, v: float) -> np.ndarray:
 
 
 def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per row, the d cumulative thresholds p_coal/2 * p_filter * cum(q)_j/sum(q)."""
+    """Per row, the d cumulative thresholds p_coal/2 * p_filter * cum(q)_j/sum(q).
+
+    A row with sum(q) <= ``_Q_TOTAL_CUTOFF`` is unresolvable (no scanner
+    setting can click): it gets all-zero thresholds and never passes.
+    """
     cum_q = np.cumsum(q, axis=1)
     totals = cum_q[:, -1:]
-    # unresolvable rows (sum q = 0) get all-zero thresholds and never pass
-    return (half_coal * p_filter)[:, None] * cum_q / np.where(totals > 0.0, totals, 1.0)
+    resolvable = totals > _Q_TOTAL_CUTOFF
+    scale = np.where(resolvable, (half_coal * p_filter)[:, None], 0.0)
+    return scale * cum_q / np.where(resolvable, totals, 1.0)
 
 
 def _clean_row_table(

@@ -11,6 +11,8 @@ from symclone.experiment import (
     BATCH_TRIALS,
     CountsTable,
     ExperimentConfig,
+    _Q_TOTAL_CUTOFF,
+    _acceptance_thresholds,
     _batch_rng,
     _clean_row_table,
     _event_terms,
@@ -306,6 +308,7 @@ def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, swap_de
     cum_q = np.cumsum(q, axis=1)
     totals = cum_q[:, -1:]
     thresholds = (half_coal * p_filter)[:, None] * cum_q / np.where(totals > 0.0, totals, 1.0)
+    thresholds[totals[:, 0] <= _Q_TOTAL_CUTOFF] = 0.0  # rounding residue never clicks
     outcomes = (u[:, None] >= thresholds).sum(axis=1)
     return outcomes[outcomes < d]
 
@@ -394,6 +397,43 @@ def test_table_path_matches_reference_on_random_configs():
         )
 
     check()
+
+
+# ------------------------------------------------- unresolvable scanner rows
+
+
+def test_rounding_residue_in_scanner_weights_never_accepts():
+    q = np.array([[1e-33, 2e-33, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 1.0]])
+    thresholds = _acceptance_thresholds(np.full(3, 0.25), np.ones(3), q)
+    assert np.all(thresholds[:2] == 0.0)
+    assert thresholds[2] == pytest.approx([0.0625, 0.1875, 0.1875, 0.25])
+    # u = 0, the smallest accept uniform, passes no zero threshold
+    assert np.array_equal((0.0 >= thresholds).sum(axis=1), [4, 4, 0])
+
+
+def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
+    # on basis IV an analyzer error can leave sum(q) ~ 1e-33 where exact
+    # arithmetic gives 0; such rows must not be accepted
+    basis = basis_four()
+    weights = np.array([0.3, 0.3, 0.2, 0.2])
+    seen = []
+
+    def recorded(half_coal, p_filter, q):
+        thresholds = _acceptance_thresholds(half_coal, p_filter, q)
+        seen.append((q.sum(axis=1), thresholds))
+        return thresholds
+
+    for i, phi in enumerate(basis.states):
+        table = _clean_row_table(phi.amps, basis.matrix, 0.9165)
+        monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
+        _simulate_batch(phi.amps, basis.matrix, weights, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0), False, table)
+        monkeypatch.undo()
+    totals = np.concatenate([t for t, _ in seen])
+    thresholds = np.concatenate([th for _, th in seen])
+    residue = (totals > 0.0) & (totals <= _Q_TOTAL_CUTOFF)
+    assert residue.sum() > 100
+    assert np.all(thresholds[residue] == 0.0)
+    assert np.all(thresholds[totals > _Q_TOTAL_CUTOFF][:, -1] > 0.0)
 
 
 # ------------------------------------------------------------------- runs
