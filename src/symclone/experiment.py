@@ -101,6 +101,11 @@ _Q_TOTAL_CUTOFF = 1e-20
 # Give up if this many consecutive batches yield no coincidence at all.
 _MAX_DRY_BATCHES = 2000
 
+# Most batches evaluated as one chunk (see ``_simulate_chunk``). Each holds
+# BATCH_TRIALS rows in flight; an 8-batch chunk peaked near +3 MB of
+# traced allocations for no further gain.
+_MAX_CHUNK_BATCHES = 4
+
 _CONFIG_KEYS = frozenset(
     {"shots", "v", "ancillaWeights", "prepFidelity", "analysisFidelity", "seed", "streamLayout"}
 )
@@ -221,7 +226,7 @@ class CountsTable:
     """Coincidence counts N_{phi,i} for one input state."""
 
     input_label: str
-    basis_label: str
+    basis_labels: tuple[str, ...]
     phi_index: int
     counts: dict[int, int]
     config: ExperimentConfig
@@ -237,7 +242,7 @@ class CountsTable:
     def to_dict(self) -> dict:
         return {
             "input": self.input_label,
-            "basis": self.basis_label,
+            "basis": " / ".join(self.basis_labels),
             "phiIndex": self.phi_index,
             "counts": {str(i): int(self.counts[i]) for i in sorted(self.counts)},
             "config": self.config.to_dict(),
@@ -278,41 +283,63 @@ def randomize_ancilla(rng: np.random.Generator, config: ExperimentConfig, basis:
     return basis.states[idx]
 
 
+def _fail_draws(
+    lead: tuple[int, ...], d: int, f: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one perturbation of ``lead`` states of dimension d.
+
+    Returns the mask of the replaced states (shape ``lead``) and 2d standard
+    normals per replaced state, in C order. Draws nothing when f >= 1;
+    otherwise one pass uniform per state, then the normals.
+    """
+    if f >= 1.0:
+        return np.zeros(lead, dtype=bool), np.empty((0, 2 * d))
+    bad = rng.random(lead) >= f
+    return bad, rng.standard_normal((int(np.count_nonzero(bad)), 2 * d))
+
+
+def _orthogonalized(psi: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, ``chi`` minus its projection on ``psi``, and its norm."""
+    chi = chi - np.einsum("...i,...i->...", np.conj(psi), chi)[:, None] * psi
+    flat = chi.view(float)
+    return chi, np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per row of ``z``, a Haar-random unit vector orthogonal to the
+    target ``psi`` (one state, shape (d,), or one per row, shape (n, d)),
+    made from the row's 2d standard normals."""
+    d = psi.shape[-1]
+    chi = np.empty((len(z), d), dtype=complex)
+    chi.real, chi.imag = z[:, :d], z[:, d:]
+    chi, norms = _orthogonalized(psi, chi)
+    low = norms < 1e-12
+    if low.any():
+        # measure-zero degenerate draws: orthogonalize the basis vector
+        # least parallel to the target instead
+        psi_low = np.broadcast_to(psi, chi.shape)[low]
+        fb = np.zeros((len(psi_low), d), dtype=complex)
+        fb[np.arange(len(fb)), np.argmin(np.abs(psi_low), axis=1)] = 1.0
+        chi[low], norms[low] = _orthogonalized(psi_low, fb)
+    chi.view(float)[:] /= norms[:, None]
+    return chi
+
+
 def _perturb_batch(
     targets: np.ndarray, f: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`apply_infidelity` on every row of ``targets`` (shape (..., d)).
 
-    Returns the perturbed rows and the boolean mask of the replaced ones
-    (shape (...)). Draws nothing when f = 1 (the rows come back as given,
-    none replaced). Otherwise it draws one pass uniform per row, then 2d
-    standard normals for each row that fails the pass test, in C order of
-    the rows; a failing row is replaced by a Haar-random unit vector in the
-    orthogonal complement of its target.
+    Returns the boolean mask of the replaced rows (shape (...)) and only
+    their replacements (shape (n, d)), in C order of the rows; the rows
+    that pass stay as they are in ``targets``. Draws nothing when f = 1.
+    Otherwise it draws one pass uniform per row, then 2d standard normals
+    for each row that fails the pass test, in C order of the rows; a
+    failing row is replaced by a Haar-random unit vector in the orthogonal
+    complement of its target.
     """
-    lead, d = targets.shape[:-1], targets.shape[-1]
-    if f >= 1.0:
-        return targets, np.zeros(lead, dtype=bool)
-    bad = rng.random(lead) >= f
-    out = np.array(targets, dtype=complex)
-    psi = out[bad]
-    if len(psi):
-        z = rng.standard_normal((len(psi), 2 * d))
-        chi = z[:, :d] + 1j * z[:, d:]
-        chi -= (np.conj(psi) * chi).sum(axis=1, keepdims=True) * psi
-        norms = np.linalg.norm(chi, axis=1)
-        low = norms < 1e-12
-        if np.any(low):
-            # measure-zero degenerate draws: orthogonalize the basis vector
-            # least parallel to the target instead
-            psi_low = psi[low]
-            fb = np.zeros_like(psi_low)
-            fb[np.arange(len(fb)), np.argmin(np.abs(psi_low), axis=1)] = 1.0
-            fb -= (np.conj(psi_low) * fb).sum(axis=1, keepdims=True) * psi_low
-            chi[low] = fb
-            norms = np.linalg.norm(chi, axis=1)
-        out[bad] = chi / norms[:, None]
-    return out, bad
+    bad, z = _fail_draws(targets.shape[:-1], targets.shape[-1], f, rng)
+    return bad, _complement_states(targets[bad], z)
 
 
 def apply_infidelity(psi: PureState, f: float, rng: np.random.Generator) -> PureState:
@@ -324,15 +351,19 @@ def apply_infidelity(psi: PureState, f: float, rng: np.random.Generator) -> Pure
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {f}")
-    out, bad = _perturb_batch(psi.amps[None, :], f, rng)
+    bad, replaced = _perturb_batch(psi.amps[None, :], f, rng)
     if not bad[0]:
         return psi
-    return PureState(psi.dim, out[0])
+    return PureState(psi.dim, replaced[0])
 
 
 def _batch_rng(seed: int, input_index: int, batch: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(input_index, batch))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
 
 
 def _event_terms(S, N_arr, v, F_states, G_states):
@@ -352,22 +383,23 @@ def _event_terms(S, N_arr, v, F_states, G_states):
     :func:`coincidence_probabilities` recomputes all of this through the
     second-quantized engine; the two routes must agree.
     """
-    c = (np.conj(S) * N_arr).sum(axis=-1)
-    x = (v * v) * np.abs(c) ** 2
+    c = np.einsum("...i,...i->...", np.conj(S), N_arr)
+    x = (v * v) * _abs2(c)
     p_coal = (1.0 + x) / 4.0
-    A = (np.conj(F_states) * S).sum(axis=-1)
-    B = (np.conj(F_states) * N_arr).sum(axis=-1)
+    conj_F = np.conj(F_states)
+    A = np.einsum("...i,...i->...", conj_F, S)
+    B = np.einsum("...i,...i->...", conj_F, N_arr)
     p_filter = (
-        np.abs(A) ** 2 + np.abs(B) ** 2 + 2.0 * v * v * np.real(np.conj(A) * B * np.conj(c))
+        _abs2(A) + _abs2(B) + 2.0 * v * v * np.real(np.conj(A) * B * np.conj(c))
     ) / (2.0 * (1.0 + x))
-    F_j = (np.conj(G_states) * S[..., None, :]).sum(axis=-1)
-    G_j = (np.conj(G_states) * N_arr[..., None, :]).sum(axis=-1)
-    q = (
-        np.abs(A[..., None] * G_j) ** 2
-        + np.abs(B[..., None] * F_j) ** 2
-        + 2.0 * v * v * np.real(np.conj(A)[..., None] * B[..., None] * np.conj(G_j) * F_j)
-    )
-    return p_coal, p_filter, np.maximum(q, 0.0)
+    # conj(sum G conj(S)) is sum conj(G) S exactly, without a conjugated copy of G
+    F_j = np.conj(np.einsum("...ji,...i->...j", G_states, np.conj(S)))
+    G_j = np.conj(np.einsum("...ji,...i->...j", G_states, np.conj(N_arr)))
+    # q_j = |a|^2 + |b|^2 + 2 v^2 Re(conj(a) b) with a = A G_j, b = B F_j
+    a = A[..., None] * G_j
+    b = B[..., None] * F_j
+    q = (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
+    return p_coal, p_filter, q
 
 
 def coincidence_probabilities(
@@ -430,7 +462,17 @@ def coincidence_probabilities(
 def _half_coal(S: np.ndarray, N: np.ndarray, v: float) -> np.ndarray:
     """p_coal/2 = (1 + v^2 |<S|N>|^2)/8 per row: the coalesced-and-split
     probability, which bounds every acceptance threshold of the row."""
-    return (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
+    return (1.0 + (v * v) * _abs2(np.einsum("bi,bi->b", np.conj(S), N))) / 8.0
+
+
+def _ancilla_index(cum_weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The ancilla index drawn by each uniform x: the number of cumulative
+    weights but the last that are <= x, which is
+    min(searchsorted(cum_weights, x, side="right"), d - 1)."""
+    idx = np.zeros(len(x), dtype=np.intp)
+    for c in cum_weights[:-1]:
+        idx += x >= c
+    return idx
 
 
 def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -455,16 +497,133 @@ def _clean_row_table(
     |phi>, the scanner is the basis and the ancilla is basis state k, so
     its numbers depend on k alone. Returns p_coal/2 (shape (d,)) and the
     thresholds (shape (d, d)), row k for ancilla k, evaluated by the same
-    arithmetic, on arrays of the same layout, as the replaced rows in
-    :func:`_simulate_batch`.
+    arithmetic, on contiguous arrays of the same layout, as the replaced
+    rows in :func:`_simulate_chunk`.
     """
     d = len(phi)
-    S = np.broadcast_to(phi, (d, d))
-    N = basis_cols.T[np.arange(d)]
-    G = np.broadcast_to(basis_cols.T, (d, d, d))[np.arange(d)]
+    S = np.tile(phi, (d, 1))
+    N = np.array(basis_cols.T)
+    G = np.tile(basis_cols.T, (d, 1, 1))
     half_coal = _half_coal(S, N, v)
-    _, p_filter, q = _event_terms(np.array(S), N, v, S, G)
+    _, p_filter, q = _event_terms(S, N, v, S, G)
     return half_coal, _acceptance_thresholds(half_coal, p_filter, q)
+
+
+def _simulate_chunk(
+    phi: np.ndarray,
+    basis_cols: np.ndarray,
+    weights: np.ndarray,
+    v: float,
+    prep_f: float,
+    analysis_f: float,
+    rngs: list[np.random.Generator],
+    swap_detectors: bool,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Run BATCH_TRIALS single-shot trials per stream in ``rngs``; return,
+    per batch, the outcomes of its post-selected trials in trial order.
+
+    Each batch draws from its own stream in stream layout 2 (see the module
+    docstring), exactly as if it ran alone: the accept uniforms u, the
+    ancilla uniforms, the preparation perturbation, and then, for the rows
+    kept by the thinning, the filter-arm and the scanner-arm perturbations
+    (reversed when ``swap_detectors``). Only the arithmetic between the
+    draws runs once on the concatenated rows of all batches:
+
+    1. rows with u >= (1 + v^2)/8, the largest p_coal/2 of any row, are
+       dropped before the ancilla is looked up or a replaced signal built;
+    2. the others keep u < p_coal/2 = (1 + v^2 |<S|N>|^2)/8, which bounds
+       every acceptance threshold of the row;
+    3. a kept row is accepted with outcome j for the smallest j with
+       u < p_coal/2 * p_filter * cum(q)_j/sum(q).
+
+    ``table`` is :func:`_clean_row_table` for these arguments (built here
+    when None). Rows whose signal was not replaced read p_coal/2 from it,
+    and rows where no state was replaced read their thresholds from it;
+    only the other ("dirty") rows build their states and evaluate
+    :func:`_event_terms`. The table holds the numbers those rows would
+    compute, so the draws and the outcomes are the same either way.
+    """
+    B = BATCH_TRIALS
+    d = len(phi)
+    n = len(rngs)
+    if table is None:
+        table = _clean_row_table(phi, basis_cols, v)
+    clean_half_coal, clean_thresholds = table
+    settings = basis_cols.T  # row j: scanner setting j, also ancilla j
+
+    # per stream: accept and ancilla uniforms, preparation draws
+    u, anc_u = np.empty(n * B), np.empty(n * B)
+    prep = []
+    for b, rng in enumerate(rngs):
+        rng.random(out=u[b * B : (b + 1) * B])
+        rng.random(out=anc_u[b * B : (b + 1) * B])
+        prep.append(_fail_draws((B,), d, prep_f, rng))
+    s_fail = np.concatenate([bad for bad, _ in prep])
+    s_z = np.concatenate([z for _, z in prep])
+
+    # thinning on the chunk's rows: every p_coal/2 is at most (1 + v^2)/8
+    # (the margin covers rounding); the row's own p_coal/2 comes next
+    near = u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
+    rows = np.flatnonzero(near)
+    u = u[rows]
+    anc_idx = _ancilla_index(np.cumsum(weights), anc_u[rows])
+    half_coal = clean_half_coal[anc_idx]
+    s_rows = np.flatnonzero(s_fail[rows])
+    S_bad = _complement_states(phi, s_z[near[s_fail]])
+    if len(s_rows):
+        half_coal[s_rows] = _half_coal(S_bad, settings[anc_idx[s_rows]], v)
+    kept = u < half_coal
+    S_bad = S_bad[kept[s_rows]]
+    kept = np.flatnonzero(kept)
+    rows, u, anc_idx, half_coal = rows[kept], u[kept], anc_idx[kept], half_coal[kept]
+    s_rows = np.flatnonzero(s_fail[rows])
+    ends = np.searchsorted(rows, B * np.arange(1, n + 1))  # kept rows per batch, cumulative
+
+    # per stream: analyzer draws for its kept rows; then the replaced states
+    dirty = np.zeros(len(rows), dtype=bool)
+    dirty[s_rows] = True
+    if analysis_f < 1.0:
+        arms = []
+        for rng, k in zip(rngs, np.diff(ends, prepend=0)):
+            if swap_detectors:
+                g_draws = _fail_draws((k, d), d, analysis_f, rng)
+                f_draws = _fail_draws((k,), d, analysis_f, rng)
+            else:
+                f_draws = _fail_draws((k,), d, analysis_f, rng)
+                g_draws = _fail_draws((k, d), d, analysis_f, rng)
+            arms.append((f_draws, g_draws))
+        f_rows = np.flatnonzero(np.concatenate([f[0] for f, _ in arms]))
+        g_rows, g_cols = np.nonzero(np.concatenate([g[0] for _, g in arms]))
+        z = np.concatenate([f[1] for f, _ in arms] + [g[1] for _, g in arms])
+        targets = np.concatenate([np.broadcast_to(phi, (len(f_rows), d)), settings[g_cols]])
+        replaced = _complement_states(targets, z)
+        dirty[f_rows] = True
+        dirty[g_rows] = True
+
+    # event terms of the dirty rows only
+    thresholds = clean_thresholds[anc_idx]
+    dirty = np.flatnonzero(dirty)
+    if len(dirty):
+        slot = np.empty(len(rows), dtype=np.intp)  # kept row -> its dirty row
+        slot[dirty] = np.arange(len(dirty))
+        S, F = np.empty((2, len(dirty), d), dtype=complex)
+        S[:] = F[:] = phi
+        S[slot[s_rows]] = S_bad
+        G = np.empty((len(dirty), d, d), dtype=complex)
+        G[:] = settings
+        if analysis_f < 1.0:
+            F[slot[f_rows]] = replaced[: len(f_rows)]
+            G[slot[g_rows], g_cols] = replaced[len(f_rows) :]
+        _, p_filter, q = _event_terms(S, settings[anc_idx[dirty]], v, F, G)
+        thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_filter, q)
+    outcomes = np.zeros(len(rows), dtype=np.intp)
+    for j in range(d):
+        outcomes += u >= thresholds[:, j]
+    hits = np.flatnonzero(outcomes < d)
+    hit_ends = np.searchsorted(rows[hits], B * np.arange(n + 1)).tolist()
+    outcomes = outcomes[hits]
+    return [outcomes[a:b] for a, b in zip(hit_ends, hit_ends[1:])]
 
 
 def _simulate_batch(
@@ -478,64 +637,30 @@ def _simulate_batch(
     swap_detectors: bool,
     table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Run BATCH_TRIALS single-shot trials; return the outcomes of the
-    post-selected ones, in trial order.
+    """Run BATCH_TRIALS single-shot trials from one stream; return the
+    outcomes of the post-selected ones, in trial order.
 
-    Stream layout 2: draw the accept uniforms u (B) and the ancilla uniforms
-    (B), then perturb the prepared signals. The coalesced-and-split
-    probability p_coal/2 = (1 + v^2 |<S|N>|^2)/8 bounds every acceptance
-    threshold, so only rows with u < p_coal/2 go on. For those rows draw the
-    filter-arm perturbations, then the scanner-arm ones (reversed when
-    ``swap_detectors``), and accept outcome j for the smallest j with
-    u < p_coal/2 * p_filter * cum(q)_j/sum(q).
-
-    ``table`` is :func:`_clean_row_table` for these arguments (built here
-    when None). Rows whose signal was not replaced read p_coal/2 from it,
-    and rows where no state was replaced read their thresholds from it;
-    only the other rows evaluate :func:`_event_terms`. The table holds the
-    numbers those rows would compute, so the draws and the outcomes are
-    the same either way.
+    The one-batch case of :func:`_simulate_chunk`, which documents the
+    draws and the accept rule.
     """
-    B = BATCH_TRIALS
-    d = len(phi)
-    if table is None:
-        table = _clean_row_table(phi, basis_cols, v)
-    clean_half_coal, clean_thresholds = table
+    return _simulate_chunk(
+        phi, basis_cols, weights, v, prep_f, analysis_f, [rng], swap_detectors, table
+    )[0]
 
-    u = rng.random(B)
-    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
-    S, s_bad = _perturb_batch(np.broadcast_to(phi, (B, d)), prep_f, rng)
 
-    # thinning: p_coal/2 bounds every acceptance threshold of the row
-    half_coal = clean_half_coal[anc_idx]
-    if s_bad.any():
-        half_coal[s_bad] = _half_coal(S[s_bad], basis_cols.T[anc_idx[s_bad]], v)
-    rows = np.flatnonzero(u < half_coal)
-    u, anc_idx, s_bad, half_coal = u[rows], anc_idx[rows], s_bad[rows], half_coal[rows]
-    K = len(rows)
+def _chunk_size(remaining: int, hits: int, batches: int) -> int:
+    """How many batches to evaluate as the next chunk.
 
-    filters = np.broadcast_to(phi, (K, d))  # arm-1 filter on |phi>
-    settings = np.broadcast_to(basis_cols.T, (K, d, d))  # arm-2 scanner
-    if swap_detectors:
-        G_states, g_bad = _perturb_batch(settings, analysis_f, rng)
-        F_states, f_bad = _perturb_batch(filters, analysis_f, rng)
-    else:
-        F_states, f_bad = _perturb_batch(filters, analysis_f, rng)
-        G_states, g_bad = _perturb_batch(settings, analysis_f, rng)
-
-    thresholds = clean_thresholds[anc_idx]
-    dirty = np.flatnonzero(s_bad | f_bad | g_bad.any(axis=1))
-    if len(dirty):
-        _, p_filter, q = _event_terms(
-            S[rows[dirty]],
-            basis_cols.T[anc_idx[dirty]],
-            v,
-            F_states[dirty],
-            G_states[dirty],
-        )
-        thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_filter, q)
-    outcomes = (u[:, None] >= thresholds).sum(axis=1)
-    return outcomes[outcomes < d]
+    Up to ``_MAX_CHUNK_BATCHES``, but so few that the chunk's batches
+    before its last one are unlikely to collect the ``remaining`` hits on
+    their own: each is taken to yield well above the mean per batch seen so
+    far (``hits`` over ``batches``). The first chunk is a single batch.
+    """
+    if batches == 0:
+        return 1
+    mean = hits / batches
+    high = mean + 4.0 * math.sqrt(mean) + 1.0
+    return int(min(_MAX_CHUNK_BATCHES, 1 + (remaining - 1) // high))
 
 
 def run_cloning_experiment(
@@ -560,38 +685,44 @@ def run_cloning_experiment(
     table = _clean_row_table(phi.amps, basis_cols, config.v)
     counts = np.zeros(basis.dim, dtype=np.int64)
     collected = 0
+    hits_seen = 0
     batch = 0
     dry = 0
     while collected < config.shots:
-        rng = _batch_rng(config.seed, phi_index, batch)
-        hits = _simulate_batch(
+        n = _chunk_size(config.shots - collected, hits_seen, batch)
+        rngs = [_batch_rng(config.seed, phi_index, batch + k) for k in range(n)]
+        chunk = _simulate_chunk(
             phi.amps,
             basis_cols,
             weights,
             config.v,
             config.prep_fidelity,
             config.analysis_fidelity,
-            rng,
+            rngs,
             swap_detectors,
             table,
         )
-        if hits.size == 0:
-            dry += 1
-            if dry >= _MAX_DRY_BATCHES:
-                raise RuntimeError(
-                    "post-selection yield is (near) zero for this configuration"
-                )
-        else:
-            dry = 0
-            room = config.shots - collected
-            if hits.size > room:
-                hits = hits[:room]
-            counts += np.bincount(hits, minlength=basis.dim)
-            collected += hits.size
-        batch += 1
+        batch += n
+        # batches in order, as if each ran alone; any after the one that
+        # fills ``shots`` are dropped
+        for hits in chunk:
+            if collected >= config.shots:
+                break
+            hits_seen += hits.size
+            if hits.size == 0:
+                dry += 1
+                if dry >= _MAX_DRY_BATCHES:
+                    raise RuntimeError(
+                        "post-selection yield is (near) zero for this configuration"
+                    )
+            else:
+                dry = 0
+                hits = hits[: config.shots - collected]
+                counts += np.bincount(hits, minlength=basis.dim)
+                collected += hits.size
     return CountsTable(
         input_label=basis.labels[phi_index],
-        basis_label=" / ".join(basis.labels),
+        basis_labels=tuple(basis.labels),
         phi_index=phi_index,
         counts={i: int(counts[i]) for i in range(basis.dim)},
         config=config,
@@ -696,6 +827,5 @@ def write_counts_csv(tables, fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["input", "outcome", "count"])
     for table in tables:
-        labels = table.basis_label.split(" / ")
         for i in sorted(table.counts):
-            writer.writerow([table.input_label, labels[i], table.counts[i]])
+            writer.writerow([table.input_label, table.basis_labels[i], table.counts[i]])

@@ -34,10 +34,10 @@ def _haar(rng, d):
 
 
 def _counts_table(counts: dict) -> CountsTable:
-    labels = " / ".join(f"s{i}" for i in range(len(counts)))
+    labels = tuple(f"s{i}" for i in range(len(counts)))
     return CountsTable(
         input_label="s0",
-        basis_label=labels,
+        basis_labels=labels,
         phi_index=0,
         counts=counts,
         config=ExperimentConfig(shots=max(1, sum(counts.values()))),
@@ -188,6 +188,14 @@ def test_apply_infidelity_fully_randomized_is_orthogonal():
     assert max(overlaps) < 1e-24
 
 
+def _perturbed(targets, f, rng):
+    """``targets`` with the rows ``_perturb_batch`` replaces swapped in."""
+    bad, replaced = _perturb_batch(targets, f, rng)
+    out = np.array(targets, dtype=complex)
+    out[bad] = replaced
+    return out
+
+
 class _DegenerateRng:
     """Stand-in stream: every pass test fails and every normal is zero."""
 
@@ -200,7 +208,7 @@ class _DegenerateRng:
 
 def test_perturbation_falls_back_on_degenerate_draws():
     targets = np.stack([s.amps for s in (*basis_four().states, *basis_logical().states)])
-    out, _ = _perturb_batch(targets, 0.5, _DegenerateRng())
+    out = _perturbed(targets, 0.5, _DegenerateRng())
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs((np.conj(targets) * out).sum(axis=1))) < 1e-12
 
@@ -213,7 +221,7 @@ def _stream_position(rng):
 def test_perturbation_draws_normals_only_for_failing_rows():
     phi = basis_four().states[0].amps
     rng = _batch_rng(8, 0, 0)
-    out, _ = _perturb_batch(np.broadcast_to(phi, (500, 4)), 0.7, rng)
+    out = _perturbed(np.broadcast_to(phi, (500, 4)), 0.7, rng)
     fresh = _batch_rng(8, 0, 0)
     bad = fresh.random(500) >= 0.7
     fresh.standard_normal((int(bad.sum()), 8))
@@ -291,7 +299,7 @@ def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, swap_de
     u = rng.random(B)
     anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
     N = basis_cols.T[anc_idx]
-    S, _ = _perturb_batch(np.broadcast_to(phi, (B, d)), prep_f, rng)
+    S = _perturbed(np.broadcast_to(phi, (B, d)), prep_f, rng)
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
     keep = u < half_coal
     u, S, N, half_coal = u[keep], S[keep], N[keep], half_coal[keep]
@@ -299,11 +307,11 @@ def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, swap_de
     filters = np.broadcast_to(phi, (K, d))
     settings = np.broadcast_to(basis_cols.T, (K, d, d)).reshape(K * d, d)
     if swap_detectors:
-        G_states, _ = _perturb_batch(settings, analysis_f, rng)
-        F_states, _ = _perturb_batch(filters, analysis_f, rng)
+        G_states = _perturbed(settings, analysis_f, rng)
+        F_states = _perturbed(filters, analysis_f, rng)
     else:
-        F_states, _ = _perturb_batch(filters, analysis_f, rng)
-        G_states, _ = _perturb_batch(settings, analysis_f, rng)
+        F_states = _perturbed(filters, analysis_f, rng)
+        G_states = _perturbed(settings, analysis_f, rng)
     _, p_filter, q = _event_terms(S, N, v, F_states, G_states.reshape(K, d, d))
     cum_q = np.cumsum(q, axis=1)
     totals = cum_q[:, -1:]
