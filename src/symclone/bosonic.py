@@ -337,6 +337,8 @@ class DistinguishabilityModel:
             0 < self.wavelength < math.inf and 0 < self.bandwidth < math.inf
         ):
             raise ValueError("wavelength and bandwidth must be positive and finite")
+        if self.wavelength is not None and not 0.0 < self.coherence_time < math.inf:
+            raise ValueError("wavelength and bandwidth give no finite, nonzero coherence time")
 
     @classmethod
     def from_spectrum(cls, wavelength_nm: float, bandwidth_nm: float) -> "DistinguishabilityModel":
@@ -348,13 +350,17 @@ class DistinguishabilityModel:
         """tau_c in seconds; requires spectral parameters."""
         if self.wavelength is None:
             raise ValueError("no spectral parameters set")
-        fwhm_nu = _SPEED_OF_LIGHT * self.bandwidth / self.wavelength**2
+        # a float product overflows to inf where ``**`` raises; a square that
+        # underflows to 0 means an unbounded spectral width
+        square = self.wavelength * self.wavelength
+        fwhm_nu = _SPEED_OF_LIGHT * self.bandwidth / square if square > 0 else math.inf
         sigma_omega = 2 * math.pi * fwhm_nu / (2 * math.sqrt(2 * math.log(2)))
-        return math.sqrt(2) / sigma_omega
+        return math.sqrt(2) / sigma_omega if sigma_omega > 0 else math.inf
 
     def v_of_delay(self, tau: float) -> float:
         """Gaussian overlap-vs-delay law; v(0) = ``v``, even, nonincreasing in |tau|."""
-        return self.v * math.exp(-((tau / self.coherence_time) ** 2))
+        r = tau / self.coherence_time
+        return self.v * math.exp(-(r * r))  # an overflowing r * r gives overlap 0
 
 
 def _two_photon_input(

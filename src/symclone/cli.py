@@ -204,6 +204,8 @@ def _cmd_hom(args) -> int:
         raise _UsageError("delay bounds must be finite")
     if args.steps < 2 or args.tau_max_fs <= args.tau_min_fs:
         raise _UsageError("need an increasing delay range with at least 2 steps")
+    if not math.isfinite(args.tau_max_fs - args.tau_min_fs):
+        raise _UsageError("the delay range is too wide to represent")
     if args.steps > HOM_MAX_STEPS:
         raise _UsageError(f"--steps must be at most {HOM_MAX_STEPS}, got {args.steps}")
     signal, _ = parse_state_spec(args.input, None)

@@ -311,6 +311,8 @@ def _complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
     made from the row's 2d standard normals."""
     d = psi.shape[-1]
     chi = np.empty((len(z), d), dtype=complex)
+    if not len(chi):
+        return chi
     chi.real, chi.imag = z[:, :d], z[:, d:]
     chi, norms = _orthogonalized(psi, chi)
     low = norms < 1e-12
@@ -509,6 +511,30 @@ def _clean_row_table(
     return half_coal, _acceptance_thresholds(half_coal, p_filter, q)
 
 
+def _analyzer_draws(
+    rngs: list[np.random.Generator], kept: np.ndarray, d: int, f: float, swap_detectors: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The analyzer perturbation draws of ``kept[b]`` trials from stream b.
+
+    Each stream draws the filter-arm perturbation of its trials, then the
+    scanner-arm one (the reverse when ``swap_detectors``). Returns, over
+    all trials in stream order, the replaced-filter mask (shape (K,)), the
+    replaced-setting mask (shape (K, d)) and the normals of the replaced
+    filters followed by those of the replaced settings.
+    """
+    filters, scanners = [], []
+    for rng, k in zip(rngs, kept):
+        if swap_detectors:
+            scanners.append(_fail_draws((k, d), d, f, rng))
+            filters.append(_fail_draws((k,), d, f, rng))
+        else:
+            filters.append(_fail_draws((k,), d, f, rng))
+            scanners.append(_fail_draws((k, d), d, f, rng))
+    f_bad, f_z = (np.concatenate(x) for x in zip(*filters))
+    g_bad, g_z = (np.concatenate(x) for x in zip(*scanners))
+    return f_bad, g_bad, np.concatenate([f_z, g_z])
+
+
 def _simulate_chunk(
     phi: np.ndarray,
     basis_cols: np.ndarray,
@@ -584,18 +610,9 @@ def _simulate_chunk(
     dirty = np.zeros(len(rows), dtype=bool)
     dirty[s_rows] = True
     if analysis_f < 1.0:
-        arms = []
-        for rng, k in zip(rngs, np.diff(ends, prepend=0)):
-            if swap_detectors:
-                g_draws = _fail_draws((k, d), d, analysis_f, rng)
-                f_draws = _fail_draws((k,), d, analysis_f, rng)
-            else:
-                f_draws = _fail_draws((k,), d, analysis_f, rng)
-                g_draws = _fail_draws((k, d), d, analysis_f, rng)
-            arms.append((f_draws, g_draws))
-        f_rows = np.flatnonzero(np.concatenate([f[0] for f, _ in arms]))
-        g_rows, g_cols = np.nonzero(np.concatenate([g[0] for _, g in arms]))
-        z = np.concatenate([f[1] for f, _ in arms] + [g[1] for _, g in arms])
+        f_bad, g_bad, z = _analyzer_draws(rngs, np.diff(ends, prepend=0), d, analysis_f, swap_detectors)
+        f_rows = np.flatnonzero(f_bad)
+        g_rows, g_cols = np.nonzero(g_bad)
         targets = np.concatenate([np.broadcast_to(phi, (len(f_rows), d)), settings[g_cols]])
         replaced = _complement_states(targets, z)
         dirty[f_rows] = True

@@ -259,6 +259,22 @@ def test_model_validation():
         DistinguishabilityModel(v=1.0, wavelength=795e-9)  # bandwidth missing
 
 
+@pytest.mark.parametrize("wavelength, bandwidth", [
+    (1e291, 4.5e-9),  # the square of the wavelength overflows
+    (1e-170, 4.5e-9),  # ... or underflows to 0
+    (795e-9, 1e291),  # a spectrum too wide: coherence time 0
+])
+def test_model_rejects_spectra_without_a_finite_coherence_time(wavelength, bandwidth):
+    with pytest.raises(ValueError, match="coherence time"):
+        DistinguishabilityModel(wavelength=wavelength, bandwidth=bandwidth)
+
+
+def test_overlap_vanishes_at_huge_delays():
+    model = DistinguishabilityModel.from_spectrum(795.0, 4.5)
+    for tau in (1e150, -1e292, 1.7e308):  # (tau / tau_c)^2 is past the float range
+        assert model.v_of_delay(tau) == 0.0
+
+
 def test_coherence_time_for_bench_spectrum():
     model = DistinguishabilityModel.from_spectrum(795.0, 4.5)
     # FWHM 4.5 nm at 795 nm -> Gaussian coherence time ~0.25 ps

@@ -352,6 +352,34 @@ def test_non_finite_input_is_one_usage_error(argv, tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["hom", "--tau-min-fs=-1e308", "--tau-max-fs=1e308", "--steps", "3"],
+    ["hom", "--wavelength-nm", "1e300"],
+    ["hom", "--wavelength-nm", "1e-300"],
+    ["hom", "--bandwidth-nm", "1e300"],
+])
+def test_huge_hom_input_is_one_usage_error(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_USAGE
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_huge_finite_delays_give_finite_rows(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["hom", "--tau-min-fs=-1e307", "--tau-max-fs=1e307", "--steps", "3"]) == EXIT_OK
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # far outside the coherence time the photons are distinguishable: R = 1
+    assert captured.out.splitlines() == ["tau_fs,R", "-1e+307,1", "0,2", "1e+307,1"]
+
+
 # ------------------------------------------------------------------ parsing
 
 

@@ -11,13 +11,17 @@ from symclone.experiment import (
     BATCH_TRIALS,
     CountsTable,
     ExperimentConfig,
+    _MAX_CHUNK_BATCHES,
     _Q_TOTAL_CUTOFF,
     _acceptance_thresholds,
+    _ancilla_index,
     _batch_rng,
+    _chunk_size,
     _clean_row_table,
     _event_terms,
     _perturb_batch,
     _simulate_batch,
+    _simulate_chunk,
     apply_infidelity,
     coincidence_probabilities,
     estimate_probabilities,
@@ -407,6 +411,126 @@ def test_table_path_matches_reference_on_random_configs():
     check()
 
 
+# ------------------------------------------------------------ chunked batches
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_chunk_matches_single_batches(case, swap):
+    make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
+    basis = make_basis()
+    weights = np.full(4, 0.25) if weights is None else np.array(weights)
+    for phi_index in (0, 3):
+        phi = basis.states[phi_index].amps
+        table = _clean_row_table(phi, basis.matrix, v)
+        args = (phi, basis.matrix, weights, v, prep_f, analysis_f)
+        for n in range(1, _MAX_CHUNK_BATCHES + 1):
+            first = 5 * n  # chunks start at any batch
+            chunk_rngs = [_batch_rng(61, phi_index, first + k) for k in range(n)]
+            chunk = _simulate_chunk(*args, chunk_rngs, swap, table)
+            assert len(chunk) == n
+            for k, (hits, rng) in enumerate(zip(chunk, chunk_rngs)):
+                alone = _batch_rng(61, phi_index, first + k)
+                assert np.array_equal(hits, _simulate_batch(*args, alone, swap, table)), (n, k)
+                assert _stream_position(rng) == _stream_position(alone)
+
+
+def test_ancilla_index_is_the_clipped_searchsorted():
+    rng = np.random.default_rng(12)
+    for weights in ([0.25] * 4, [0.3, 0.3, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]):
+        cum = np.cumsum(weights)
+        x = np.concatenate([rng.random(1000), cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        expected = np.minimum(np.searchsorted(cum, x, side="right"), 3)
+        assert np.array_equal(_ancilla_index(cum, x), expected)
+
+
+def test_chunk_size_grows_to_the_cap_and_shrinks_near_the_end():
+    assert _chunk_size(10_000, 0, 0) == 1  # nothing seen yet
+    assert _chunk_size(10_000, 900, 2) == _MAX_CHUNK_BATCHES
+    assert _chunk_size(10_000, 0, 7) == _MAX_CHUNK_BATCHES  # dry so far
+    assert _chunk_size(450, 900, 2) == 1  # one batch of ~450 hits fills it
+    mean = 400.0
+    high = mean + 4.0 * np.sqrt(mean) + 1.0
+    for remaining in range(1, 3000, 7):
+        n = _chunk_size(remaining, 4 * int(mean), 4)
+        # the chunk's batches before the last stay below ``remaining`` at a high yield
+        assert 1 <= n <= _MAX_CHUNK_BATCHES and (n - 1) * high < remaining
+
+
+def _single_batch_run(phi, basis, config, swap=False):
+    """Reference: run_cloning_experiment as one batch per step, no chunks."""
+    i = basis.index_of(phi)
+    table = _clean_row_table(phi.amps, basis.matrix, config.v)
+    weights = config.weights_for(basis.dim)
+    counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
+    while collected < config.shots:
+        rng = _batch_rng(config.seed, i, batch)
+        hits = _simulate_batch(phi.amps, basis.matrix, weights, config.v, config.prep_fidelity,
+                               config.analysis_fidelity, rng, swap, table)
+        hits = hits[: config.shots - collected]
+        counts += np.bincount(hits, minlength=basis.dim)
+        collected += hits.size
+        batch += 1
+    return {k: int(counts[k]) for k in range(basis.dim)}, batch
+
+
+_RUN_CASES = [
+    ("I", ExperimentConfig(shots=3000, seed=3)),
+    ("IV", ExperimentConfig(shots=2500, v=0.9165, prep_fidelity=0.9, analysis_fidelity=0.9,
+                            ancilla_weights=(0.3, 0.3, 0.2, 0.2), seed=4)),
+    ("I", ExperimentConfig(shots=1200, v=0.8, prep_fidelity=0.7, analysis_fidelity=0.8, seed=5)),
+]
+
+
+@pytest.mark.parametrize("forced", [None, 2, 3, 4])
+@pytest.mark.parametrize("basis_name, config", _RUN_CASES)
+def test_run_counts_match_single_batches(monkeypatch, basis_name, config, forced):
+    # ``forced`` fixes the chunk size, so the batch that fills ``shots`` is
+    # often not the last of its chunk and the rest must be dropped
+    basis = experiment._NAMED_BASES[basis_name]()
+    built = []
+    real_rng = experiment._batch_rng
+    monkeypatch.setattr(experiment, "_batch_rng", lambda *a: built.append(a[2]) or real_rng(*a))
+    if forced is not None:
+        monkeypatch.setattr(experiment, "_chunk_size", lambda *a: forced)
+    for swap in (False, True):
+        for phi in basis.states:
+            built.clear()
+            table = run_cloning_experiment(phi, basis, config, swap_detectors=swap)
+            counts, batches = _single_batch_run(phi, basis, config, swap)
+            assert table.counts == counts
+            assert built == list(range(len(built)))
+            # sized chunks stop at the batch that fills ``shots`` here
+            assert len(built) - batches < (1 if forced is None else forced)
+
+
+@pytest.mark.parametrize("forced", [None, 3, 4])
+@pytest.mark.parametrize("hit_batches, raises", [
+    ({0, 5, 10}, False),  # dry runs of 4 between hits: each hit resets the count
+    ({4}, False),  # 4 dry batches first
+    ({5}, True),  # the 5th consecutive dry batch gives up
+    ({0, 6}, True),
+    ({0, 3, 9}, True),
+])
+def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, raises, forced):
+    # a stand-in kernel: batch b yields one coincidence when b is in hit_batches
+    monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
+    monkeypatch.setattr(experiment, "_batch_rng", lambda seed, i, b: b)
+    monkeypatch.setattr(
+        experiment, "_simulate_chunk",
+        lambda *args: [np.array([0] if b in hit_batches else [], dtype=np.intp) for b in args[6]],
+    )
+    if forced is not None:
+        monkeypatch.setattr(experiment, "_chunk_size", lambda *a: forced)
+    basis = basis_logical()
+    config = ExperimentConfig(shots=len(hit_batches))
+    if raises:
+        with pytest.raises(RuntimeError, match="yield is"):
+            run_cloning_experiment(basis.states[0], basis, config)
+    else:
+        assert run_cloning_experiment(basis.states[0], basis, config).counts[0] == len(hit_batches)
+
+
 # ------------------------------------------------- unresolvable scanner rows
 
 
@@ -442,6 +566,30 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     assert residue.sum() > 100
     assert np.all(thresholds[residue] == 0.0)
     assert np.all(thresholds[totals > _Q_TOTAL_CUTOFF][:, -1] > 0.0)
+
+
+# ---------------------------------------------------- fixed-seed regression
+
+# Integer counts per input (rows) and outcome (columns), recorded when rows
+# whose scanner weights sum to rounding residue became unresolvable. A
+# change to the Monte Carlo arithmetic that keeps the draws and the accept
+# rule must leave them as they are.
+_GOLDEN_COUNTS = {
+    "I": [[1211, 268, 294, 227], [267, 1176, 272, 285], [294, 282, 1136, 288], [283, 297, 289, 1131]],
+    "IV": [[1144, 368, 251, 237], [356, 1129, 250, 265], [401, 398, 919, 282], [407, 403, 283, 907]],
+}
+_GOLDEN_CONFIGS = {
+    "I": ExperimentConfig(shots=2000, seed=0),
+    # the degraded bench of acceptance criterion 6
+    "IV": ExperimentConfig(shots=2000, v=0.9165, prep_fidelity=0.9, analysis_fidelity=0.9,
+                           ancilla_weights=(0.3, 0.3, 0.2, 0.2), seed=0),
+}
+
+
+@pytest.mark.parametrize("basis_name", sorted(_GOLDEN_COUNTS))
+def test_fixed_seed_counts_are_pinned(basis_name):
+    table = replicate_table(basis_name, _GOLDEN_CONFIGS[basis_name])
+    assert [[t.counts[i] for i in range(4)] for t in table.tables] == _GOLDEN_COUNTS[basis_name]
 
 
 # ------------------------------------------------------------------- runs
@@ -594,3 +742,20 @@ def test_counts_csv_format():
     assert len(lines) == 1 + 16  # four inputs x four outcomes
     # labels contain commas, so fields must be quoted
     assert lines[1].startswith('"R,+2","R,+2",')
+
+
+def test_counts_keep_basis_labels_that_contain_the_separator():
+    labels = ("a / b", "c", "d / e / f")
+    table = CountsTable(input_label="c", basis_labels=labels, phi_index=1,
+                        counts={0: 3, 1: 5, 2: 7}, config=ExperimentConfig(shots=15))
+    buf = io.StringIO()
+    write_counts_csv([table], buf)
+    assert buf.getvalue().splitlines()[1:] == ["c,a / b,3", "c,c,5", "c,d / e / f,7"]
+    # the JSON summary keeps its " / "-joined string
+    assert table.to_dict()["basis"] == "a / b / c / d / e / f"
+
+
+def test_counts_table_records_the_basis_labels():
+    table = replicate_table("IV", ExperimentConfig(shots=50, seed=2)).tables[0]
+    assert table.basis_labels == tuple(basis_four().labels)
+    assert table.to_dict()["basis"] == " / ".join(basis_four().labels)
