@@ -43,7 +43,10 @@ for the smallest such j (p_coal, p_filter and the scanner weights q_j as in
 ``_event_terms``). This has the joint law of separate coalescence, split,
 filter-click and outcome draws. Since the right-hand side never
 exceeds p_coal/2, which depends only on the signal and the ancilla, trials
-with u >= p_coal/2 are dropped before any analyzer state is built.
+with u >= p_coal/2 are dropped before any analyzer state is built. A trial
+whose scanner weights sum to at most ``_Q_TOTAL_CUTOFF`` is never
+accepted: no scanner setting can click, and the sum is rounding residue
+of an exact 0 (basis IV leaves ~1e-33), not a click probability.
 
 In a trial where no state was replaced, p_coal/2 and the d thresholds
 depend only on the ancilla index, so each run computes them once per input
@@ -52,6 +55,15 @@ trials with a replaced state evaluate the event terms row by row. The
 table changes which code computes the thresholds, not their values or the
 draw order: the same variates are drawn and fixed-seed counts are
 unchanged.
+
+A run evaluates up to ``_MAX_CHUNK_BATCHES`` consecutive batches as one
+chunk (``_simulate_chunk``). Chunks share arithmetic, not streams: each
+batch still draws from its own stream in the order above, and only the
+thinning and the event arithmetic between the draws run once on the
+chunk's rows. Counts are taken batch by batch, in order, so the result is
+that of single batches; batches a chunk evaluated past the one that fills
+``shots`` are dropped, and chunks are sized from the hits per batch seen
+so far to make that rare.
 """
 
 from __future__ import annotations
@@ -101,9 +113,10 @@ _Q_TOTAL_CUTOFF = 1e-20
 # Give up if this many consecutive batches yield no coincidence at all.
 _MAX_DRY_BATCHES = 2000
 
-# Most batches evaluated as one chunk (see ``_simulate_chunk``). Each holds
-# BATCH_TRIALS rows in flight; an 8-batch chunk peaked near +3 MB of
-# traced allocations for no further gain.
+# Most batches evaluated as one chunk (see ``_simulate_chunk``). Memory
+# grows with the chunk: on the degraded basis-IV bench, traced allocations
+# peak near 2.2 MB with 4-batch chunks and 4.4 MB with 8, which run no
+# faster.
 _MAX_CHUNK_BATCHES = 4
 
 _CONFIG_KEYS = frozenset(
@@ -599,9 +612,9 @@ def _simulate_chunk(
     S_bad = _complement_states(phi, s_z[near[s_fail]])
     if len(s_rows):
         half_coal[s_rows] = _half_coal(S_bad, settings[anc_idx[s_rows]], v)
-    kept = u < half_coal
-    S_bad = S_bad[kept[s_rows]]
-    kept = np.flatnonzero(kept)
+    keep = u < half_coal
+    S_bad = S_bad[keep[s_rows]]
+    kept = np.flatnonzero(keep)
     rows, u, anc_idx, half_coal = rows[kept], u[kept], anc_idx[kept], half_coal[kept]
     s_rows = np.flatnonzero(s_fail[rows])
     ends = np.searchsorted(rows, B * np.arange(1, n + 1))  # kept rows per batch, cumulative
