@@ -255,6 +255,41 @@ def test_trial_terms_agree_with_fock_engine():
         assert np.max(np.abs(q_e - q_c / (2 * (1 + x)))) < 1e-12
 
 
+def _elementwise_terms(S, N, v, F, G):
+    """The closed forms of ``_event_terms``, written out term by term."""
+    c = (np.conj(S) * N).sum(axis=-1)
+    x = v * v * np.abs(c) ** 2
+    A = (np.conj(F) * S).sum(axis=-1)
+    B = (np.conj(F) * N).sum(axis=-1)
+    p_filter = (
+        np.abs(A) ** 2 + np.abs(B) ** 2 + 2 * v * v * np.real(np.conj(A) * B * np.conj(c))
+    ) / (2 * (1 + x))
+    F_j = (np.conj(G) * S[..., None, :]).sum(axis=-1)
+    G_j = (np.conj(G) * N[..., None, :]).sum(axis=-1)
+    q = (
+        np.abs(A[..., None] * G_j) ** 2
+        + np.abs(B[..., None] * F_j) ** 2
+        + 2 * v * v * np.real(np.conj(A)[..., None] * B[..., None] * np.conj(G_j) * F_j)
+    )
+    return (1 + x) / 4, p_filter, q
+
+
+def test_event_terms_match_the_elementwise_formulas():
+    rng = np.random.default_rng(14)
+
+    def states(*shape):
+        z = rng.standard_normal((*shape, 2)) @ np.array([1.0, 1j])
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+    for d in (2, 4, 5):
+        S, N, F, G = states(60, d), states(60, d), states(60, d), states(60, d, d)
+        for v in (0.0, 0.6, 1.0):
+            got = _event_terms(S, N, v, F, G)
+            for a, b in zip(got, _elementwise_terms(S, N, v, F, G)):
+                assert np.max(np.abs(a - b)) < 1e-12
+            assert np.all(got[2] >= 0.0)
+
+
 def test_batches_match_the_fock_engine_acceptance_law():
     # per-trial probability of a coincidence with outcome j, summed over the
     # ancilla: sum_k w_k p_coal p_split p_filter q_j / sum(q), all taken from
