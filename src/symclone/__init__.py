@@ -42,9 +42,7 @@ from .experiment import (
     EstimationResult,
     ExperimentConfig,
     FidelityTable,
-    apply_infidelity,
     estimate_probabilities,
-    randomize_ancilla,
     replicate_table,
     run_cloning_experiment,
     write_counts_csv,

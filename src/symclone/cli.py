@@ -281,14 +281,17 @@ def _cmd_cascade(args) -> int:
     payload = outcome.to_dict()
     payload["input"] = label
     payload["formulaFidelity"] = formula
-    payload["difference"] = outcome.fidelity - formula
+    difference = outcome.fidelity - formula
+    payload["difference"] = difference
     if args.json:
         print(_json(payload))
     else:
+        # below 1e-12 the difference is rounding residue of the stage arithmetic
+        shown = 0.0 if abs(difference) < 1e-12 else difference
         print(f"cascade {args.n} -> {args.m}, d={phi.dim}, input {label}")
         print(f"cascade fidelity  {_fmt(outcome.fidelity)}")
         print(f"formula fidelity  {_fmt(formula)}")
-        print(f"difference        {_fmt(outcome.fidelity - formula)}")
+        print(f"difference        {_fmt(shown)}")
         print(f"success prob      {_fmt(outcome.success_prob)}")
     return EXIT_OK
 

@@ -30,8 +30,7 @@ order:
 2. one ancilla uniform per trial (B values);
 3. the preparation perturbation of the signal;
 4. for the trials kept by the coalescence thinning below, the filter-arm
-   perturbation, then the scanner-arm perturbation (d states per trial);
-   ``swap_detectors`` reverses these two blocks.
+   perturbation, then the scanner-arm perturbation (d states per trial).
 
 A perturbation with fidelity f = 1 draws nothing; otherwise it draws one
 pass uniform per state, then 2d standard normals for each state that fails
@@ -39,14 +38,15 @@ the pass test, in order. A trial is post-selected with outcome j when
 
     u < p_coal * 1/2 * p_filter * (q_0 + ... + q_j) / (q_0 + ... + q_{d-1})
 
-for the smallest such j (p_coal, p_filter and the scanner weights q_j as in
-``_event_terms``). This has the joint law of separate coalescence, split,
-filter-click and outcome draws. Since the right-hand side never
-exceeds p_coal/2, which depends only on the signal and the ancilla, trials
-with u >= p_coal/2 are dropped before any analyzer state is built. A trial
-whose scanner weights sum to at most ``_Q_TOTAL_CUTOFF`` is never
-accepted: no scanner setting can click, and the sum is rounding residue
-of an exact 0 (basis IV leaves ~1e-33), not a click probability.
+for the smallest such j (p_coal as in ``_half_coal``, p_filter and the
+scanner weights q_j as in ``_event_terms``). This has the joint law of
+separate coalescence, split, filter-click and outcome draws. Since the
+right-hand side never exceeds p_coal/2, which depends only on the signal
+and the ancilla, trials with u >= p_coal/2 are dropped before any analyzer
+state is built. A trial whose scanner weights sum to at most
+``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can click, and
+the sum is rounding residue of an exact 0 (basis IV leaves ~1e-33), not a
+click probability.
 
 In a trial where no state was replaced, p_coal/2 and the d thresholds
 depend only on the ancilla index, so each run computes them once per input
@@ -85,8 +85,6 @@ __all__ = [
     "CountsTable",
     "EstimationResult",
     "FidelityTable",
-    "randomize_ancilla",
-    "apply_infidelity",
     "coincidence_probabilities",
     "run_cloning_experiment",
     "estimate_probabilities",
@@ -216,21 +214,26 @@ class ExperimentConfig:
             raise ValueError(
                 f"streamLayout {layout!r} is not supported; this version draws layout {STREAM_LAYOUT}"
             )
-        weights = data.get("ancillaWeights")
+        weights = data.get("ancillaWeights")  # missing or null: uniform
+        if weights is not None and (not isinstance(weights, (list, tuple)) or not weights):
+            raise ValueError(
+                "bad config value: 'ancillaWeights' must be null or a non-empty list"
+                f" of numbers, got {weights!r}"
+            )
         try:
             return cls(
                 shots=_integral(data, "shots"),
                 v=_real(data.get("v", 1.0), "v"),
                 ancilla_weights=(
                     tuple(_real(w, f"ancillaWeights[{i}]") for i, w in enumerate(weights))
-                    if weights
+                    if weights is not None
                     else None
                 ),
                 prep_fidelity=_real(data.get("prepFidelity", 1.0), "prepFidelity"),
                 analysis_fidelity=_real(data.get("analysisFidelity", 1.0), "analysisFidelity"),
                 seed=_integral(data, "seed", 0),
             )
-        except (TypeError, OverflowError) as exc:  # e.g. null or a scalar for a list
+        except (TypeError, OverflowError) as exc:  # e.g. an integer past the float range
             raise ValueError(f"bad config value: {exc}") from None
 
 
@@ -285,17 +288,6 @@ class EstimationResult:
         }
 
 
-def randomize_ancilla(rng: np.random.Generator, config: ExperimentConfig, basis: LabeledBasis) -> PureState:
-    """Draw one ancilla state from the basis according to the config weights.
-
-    With uniform weights the drawn ensemble averages to the fully mixed
-    state I_d/d, as required for a universal cloner.
-    """
-    weights = config.weights_for(basis.dim)
-    idx = int(rng.choice(basis.dim, p=weights))
-    return basis.states[idx]
-
-
 def _fail_draws(
     lead: tuple[int, ...], d: int, f: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -340,38 +332,6 @@ def _complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
     return chi
 
 
-def _perturb_batch(
-    targets: np.ndarray, f: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`apply_infidelity` on every row of ``targets`` (shape (..., d)).
-
-    Returns the boolean mask of the replaced rows (shape (...)) and only
-    their replacements (shape (n, d)), in C order of the rows; the rows
-    that pass stay as they are in ``targets``. Draws nothing when f = 1.
-    Otherwise it draws one pass uniform per row, then 2d standard normals
-    for each row that fails the pass test, in C order of the rows; a
-    failing row is replaced by a Haar-random unit vector in the orthogonal
-    complement of its target.
-    """
-    bad, z = _fail_draws(targets.shape[:-1], targets.shape[-1], f, rng)
-    return bad, _complement_states(targets[bad], z)
-
-
-def apply_infidelity(psi: PureState, f: float, rng: np.random.Generator) -> PureState:
-    """Depolarizing-style state error with mean overlap f.
-
-    With probability f the state passes unchanged; otherwise it is replaced
-    by a Haar-random state in the orthogonal complement, so the expected
-    overlap |<psi|out>|^2 over the channel equals f.
-    """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {f}")
-    bad, replaced = _perturb_batch(psi.amps[None, :], f, rng)
-    if not bad[0]:
-        return psi
-    return PureState(psi.dim, replaced[0])
-
-
 def _batch_rng(seed: int, input_index: int, batch: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(input_index, batch))
     return np.random.Generator(np.random.Philox(ss))
@@ -382,25 +342,25 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def _event_terms(S, N_arr, v, F_states, G_states):
-    """Closed-form event quantities for one trial (broadcasts over leading axes).
+    """Closed-form analyzer quantities for one trial (broadcasts over leading axes).
 
     With u = S (x) e0 and a = N (x) (v e0 + w e1) the coalesced pair,
     split across the two detection arms, is (|u,a> + |a,u>) / sqrt(2(1+x)),
-    x = v^2 |<S|N>|^2. Writing A = <filter|S>, B = <filter|N>,
-    F_j = <outcome_j|S>, G_j = <outcome_j|N> and tracing the temporal
-    modes at the detectors gives
+    x = v^2 |<S|N>|^2 (its probability is :func:`_half_coal`). Writing
+    c = <S|N>, A = <filter|S>, B = <filter|N>, F_j = <outcome_j|S>,
+    G_j = <outcome_j|N> and tracing the temporal modes at the detectors
+    gives
 
-        p_coal   = (1 + x) / 4                      (into the monitored port)
         p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
         q_j      = |A G_j|^2 + |B F_j|^2 + 2 v^2 Re(conj(A) B conj(G_j) F_j)
 
-    q_j are relative scanner-click weights (normalized by the caller).
-    :func:`coincidence_probabilities` recomputes all of this through the
-    second-quantized engine; the two routes must agree.
+    and returns ``(p_filter, q)``. q_j are relative scanner-click weights
+    (normalized by the caller). :func:`coincidence_probabilities`
+    recomputes all of this through the second-quantized engine; the two
+    routes must agree.
     """
     c = np.einsum("...i,...i->...", np.conj(S), N_arr)
     x = (v * v) * _abs2(c)
-    p_coal = (1.0 + x) / 4.0
     conj_F = np.conj(F_states)
     A = np.einsum("...i,...i->...", conj_F, S)
     B = np.einsum("...i,...i->...", conj_F, N_arr)
@@ -414,7 +374,7 @@ def _event_terms(S, N_arr, v, F_states, G_states):
     a = A[..., None] * G_j
     b = B[..., None] * F_j
     q = (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
-    return p_coal, p_filter, q
+    return p_filter, q
 
 
 def coincidence_probabilities(
@@ -475,8 +435,13 @@ def coincidence_probabilities(
 
 
 def _half_coal(S: np.ndarray, N: np.ndarray, v: float) -> np.ndarray:
-    """p_coal/2 = (1 + v^2 |<S|N>|^2)/8 per row: the coalesced-and-split
-    probability, which bounds every acceptance threshold of the row."""
+    """p_coal/2 per row: the coalesced-and-split probability, which bounds
+    every acceptance threshold of the row.
+
+    The pair coalesces into the monitored port of the first splitter with
+    p_coal = (1 + x)/4, x = v^2 |<S|N>|^2, and the second splitter sends
+    one photon to each arm with probability 1/2, so p_coal/2 = (1 + x)/8.
+    """
     return (1.0 + (v * v) * _abs2(np.einsum("bi,bi->b", np.conj(S), N))) / 8.0
 
 
@@ -520,29 +485,25 @@ def _clean_row_table(
     N = np.array(basis_cols.T)
     G = np.tile(basis_cols.T, (d, 1, 1))
     half_coal = _half_coal(S, N, v)
-    _, p_filter, q = _event_terms(S, N, v, S, G)
+    p_filter, q = _event_terms(S, N, v, S, G)
     return half_coal, _acceptance_thresholds(half_coal, p_filter, q)
 
 
 def _analyzer_draws(
-    rngs: list[np.random.Generator], kept: np.ndarray, d: int, f: float, swap_detectors: bool
+    rngs: list[np.random.Generator], kept: np.ndarray, d: int, f: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The analyzer perturbation draws of ``kept[b]`` trials from stream b.
 
     Each stream draws the filter-arm perturbation of its trials, then the
-    scanner-arm one (the reverse when ``swap_detectors``). Returns, over
-    all trials in stream order, the replaced-filter mask (shape (K,)), the
-    replaced-setting mask (shape (K, d)) and the normals of the replaced
-    filters followed by those of the replaced settings.
+    scanner-arm one. Returns, over all trials in stream order, the
+    replaced-filter mask (shape (K,)), the replaced-setting mask (shape
+    (K, d)) and the normals of the replaced filters followed by those of
+    the replaced settings.
     """
     filters, scanners = [], []
     for rng, k in zip(rngs, kept):
-        if swap_detectors:
-            scanners.append(_fail_draws((k, d), d, f, rng))
-            filters.append(_fail_draws((k,), d, f, rng))
-        else:
-            filters.append(_fail_draws((k,), d, f, rng))
-            scanners.append(_fail_draws((k, d), d, f, rng))
+        filters.append(_fail_draws((k,), d, f, rng))
+        scanners.append(_fail_draws((k, d), d, f, rng))
     f_bad, f_z = (np.concatenate(x) for x in zip(*filters))
     g_bad, g_z = (np.concatenate(x) for x in zip(*scanners))
     return f_bad, g_bad, np.concatenate([f_z, g_z])
@@ -556,8 +517,7 @@ def _simulate_chunk(
     prep_f: float,
     analysis_f: float,
     rngs: list[np.random.Generator],
-    swap_detectors: bool,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
+    table: tuple[np.ndarray, np.ndarray],
 ) -> list[np.ndarray]:
     """Run BATCH_TRIALS single-shot trials per stream in ``rngs``; return,
     per batch, the outcomes of its post-selected trials in trial order.
@@ -565,9 +525,9 @@ def _simulate_chunk(
     Each batch draws from its own stream in stream layout 2 (see the module
     docstring), exactly as if it ran alone: the accept uniforms u, the
     ancilla uniforms, the preparation perturbation, and then, for the rows
-    kept by the thinning, the filter-arm and the scanner-arm perturbations
-    (reversed when ``swap_detectors``). Only the arithmetic between the
-    draws runs once on the concatenated rows of all batches:
+    kept by the thinning, the filter-arm and the scanner-arm perturbations.
+    Only the arithmetic between the draws runs once on the concatenated
+    rows of all batches:
 
     1. rows with u >= (1 + v^2)/8, the largest p_coal/2 of any row, are
        dropped before the ancilla is looked up or a replaced signal built;
@@ -576,18 +536,16 @@ def _simulate_chunk(
     3. a kept row is accepted with outcome j for the smallest j with
        u < p_coal/2 * p_filter * cum(q)_j/sum(q).
 
-    ``table`` is :func:`_clean_row_table` for these arguments (built here
-    when None). Rows whose signal was not replaced read p_coal/2 from it,
-    and rows where no state was replaced read their thresholds from it;
-    only the other ("dirty") rows build their states and evaluate
-    :func:`_event_terms`. The table holds the numbers those rows would
-    compute, so the draws and the outcomes are the same either way.
+    ``table`` is :func:`_clean_row_table` for these arguments. Rows whose
+    signal was not replaced read p_coal/2 from it, and rows where no state
+    was replaced read their thresholds from it; only the other ("dirty")
+    rows build their states and evaluate :func:`_event_terms`. The table
+    holds the numbers those rows would compute, so the draws and the
+    outcomes are the same either way.
     """
     B = BATCH_TRIALS
     d = len(phi)
     n = len(rngs)
-    if table is None:
-        table = _clean_row_table(phi, basis_cols, v)
     clean_half_coal, clean_thresholds = table
     settings = basis_cols.T  # row j: scanner setting j, also ancilla j
 
@@ -623,7 +581,7 @@ def _simulate_chunk(
     dirty = np.zeros(len(rows), dtype=bool)
     dirty[s_rows] = True
     if analysis_f < 1.0:
-        f_bad, g_bad, z = _analyzer_draws(rngs, np.diff(ends, prepend=0), d, analysis_f, swap_detectors)
+        f_bad, g_bad, z = _analyzer_draws(rngs, np.diff(ends, prepend=0), d, analysis_f)
         f_rows = np.flatnonzero(f_bad)
         g_rows, g_cols = np.nonzero(g_bad)
         targets = np.concatenate([np.broadcast_to(phi, (len(f_rows), d)), settings[g_cols]])
@@ -645,7 +603,7 @@ def _simulate_chunk(
         if analysis_f < 1.0:
             F[slot[f_rows]] = replaced[: len(f_rows)]
             G[slot[g_rows], g_cols] = replaced[len(f_rows) :]
-        _, p_filter, q = _event_terms(S, settings[anc_idx[dirty]], v, F, G)
+        p_filter, q = _event_terms(S, settings[anc_idx[dirty]], v, F, G)
         thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_filter, q)
     outcomes = np.zeros(len(rows), dtype=np.intp)
     for j in range(d):
@@ -654,28 +612,6 @@ def _simulate_chunk(
     hit_ends = np.searchsorted(rows[hits], B * np.arange(n + 1)).tolist()
     outcomes = outcomes[hits]
     return [outcomes[a:b] for a, b in zip(hit_ends, hit_ends[1:])]
-
-
-def _simulate_batch(
-    phi: np.ndarray,
-    basis_cols: np.ndarray,
-    weights: np.ndarray,
-    v: float,
-    prep_f: float,
-    analysis_f: float,
-    rng: np.random.Generator,
-    swap_detectors: bool,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Run BATCH_TRIALS single-shot trials from one stream; return the
-    outcomes of the post-selected ones, in trial order.
-
-    The one-batch case of :func:`_simulate_chunk`, which documents the
-    draws and the accept rule.
-    """
-    return _simulate_chunk(
-        phi, basis_cols, weights, v, prep_f, analysis_f, [rng], swap_detectors, table
-    )[0]
 
 
 def _chunk_size(remaining: int, hits: int, batches: int) -> int:
@@ -697,17 +633,13 @@ def run_cloning_experiment(
     phi: PureState,
     basis: LabeledBasis,
     config: ExperimentConfig,
-    *,
-    swap_detectors: bool = False,
 ) -> CountsTable:
     """Collect coincidence counts for one input state of ``basis``.
 
     ``phi`` must be an element of ``basis``; trials accumulate until
     ``config.shots`` post-selected coincidences are recorded. Fully
     deterministic given the config (see the module docstring for the
-    stream layout). ``swap_detectors`` exchanges which arm filters on
-    |phi> and which arm scans the basis; the estimator's expectation is
-    unchanged by the exchange symmetry of the photon pair.
+    stream layout).
     """
     phi_index = basis.index_of(phi)
     weights = config.weights_for(basis.dim)
@@ -729,7 +661,6 @@ def run_cloning_experiment(
             config.prep_fidelity,
             config.analysis_fidelity,
             rngs,
-            swap_detectors,
             table,
         )
         batch += n

@@ -216,6 +216,17 @@ def test_cascade_qubit_two_to_three(capsys):
     assert abs(payload["difference"]) < 1e-9
 
 
+def test_cascade_text_prints_rounding_residue_as_zero(capsys):
+    # the stage arithmetic leaves a difference of ~1e-16 here; --json keeps it
+    argv = ["cascade", "--input", "1,0", "--m", "3"]
+    assert main(argv + ["--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["difference"] == payload["fidelity"] - payload["formulaFidelity"]
+    assert abs(payload["difference"]) < 1e-12
+    assert main(argv) == EXIT_OK
+    assert "difference        0\n" in capsys.readouterr().out
+
+
 def test_cascade_cap_exceeded(capsys):
     assert main(["cascade", "--n", "1", "--m", "9", "--input", "1,0"]) == EXIT_USAGE
     assert "cap" in capsys.readouterr().err
@@ -289,6 +300,7 @@ def test_experiment_config_file_with_flag_override(tmp_path, capsys):
     ('{"shots": 100, "v": null}', "bad config value"),
     ('{"shots": 1e400}', "bad config value"),
     ('{"shots": 100, "v": true}', "'v' must be a number, got True"),
+    ('{"shots": 100, "ancillaWeights": []}', "'ancillaWeights' must be null or a non-empty list"),
 ])
 def test_experiment_bad_config_file_is_usage_error(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
