@@ -178,21 +178,38 @@ def _stream_position(rng):
     return state["state"]["counter"].tolist(), state["buffer_pos"]
 
 
-def test_perturbation_draws_normals_only_for_failing_rows():
-    # f = 1 draws nothing and passes every row; f = 0 replaces every row
-    # by a state orthogonal to its target
+def _apply_infidelity(f, n=500):
+    """Perturb ``n`` copies of a target at fidelity ``f``; check that the
+    stream advanced only by the pass tests and the normals of the failing
+    rows, that passing rows are untouched and that failing rows are
+    orthogonal to the target. Returns the mask of failing rows."""
     phi = basis_four().states[0].amps
-    for f in (0.7, 1.0, 0.0):
-        rng = _batch_rng(8, 0, 0)
-        out = _perturbed(np.broadcast_to(phi, (500, 4)), f, rng)
-        fresh = _batch_rng(8, 0, 0)
-        bad = np.zeros(500, dtype=bool)
-        if f < 1.0:
-            bad = fresh.random(500) >= f
-            fresh.standard_normal((int(bad.sum()), 8))
-        assert _stream_position(rng) == _stream_position(fresh)
-        assert np.all(out[~bad] == phi)
-        assert np.max(np.abs(out[bad] @ np.conj(phi)), initial=0.0) < 1e-12
+    rng = _batch_rng(8, 0, 0)
+    out = _perturbed(np.broadcast_to(phi, (n, 4)), f, rng)
+    fresh = _batch_rng(8, 0, 0)
+    bad = np.zeros(n, dtype=bool)
+    if f < 1.0:
+        bad = fresh.random(n) >= f
+        fresh.standard_normal((int(bad.sum()), 8))
+    assert _stream_position(rng) == _stream_position(fresh)
+    assert np.all(out[~bad] == phi)
+    assert np.max(np.abs(out[bad] @ np.conj(phi)), initial=0.0) < 1e-12
+    return bad
+
+
+def test_perturbation_draws_normals_only_for_failing_rows():
+    bad = _apply_infidelity(0.7)
+    assert 0 < bad.sum() < bad.size
+
+
+def test_apply_infidelity_passthrough():
+    # f = 1 draws nothing and passes every row unchanged
+    assert not _apply_infidelity(1.0).any()
+
+
+def test_apply_infidelity_fully_randomized_is_orthogonal():
+    # f = 0 replaces every row by a state orthogonal to its target
+    assert _apply_infidelity(0.0).all()
 
 
 # ----------------------------------------------- closed forms vs the engine
