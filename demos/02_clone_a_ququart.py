@@ -10,19 +10,12 @@ spin-orbit entangled inputs alike.
 
 import numpy as np
 
-from symclone import (
-    PureState,
-    basis_adapted_to,
-    basis_four,
-    basis_logical,
-    clone_analytic,
-    clone_oracle,
-)
+from symclone import PureState, basis_four, basis_logical, clone_analytic, clone_oracle
 
 
 def show(label, phi):
     oracle = clone_oracle(phi, phi.dim)
-    analytic = clone_analytic(phi, basis_adapted_to(phi))
+    analytic = clone_analytic(phi)
     gap = np.max(np.abs(oracle.clone_state.mat - analytic.clone_state.mat))
     print(f"{label}")
     print(f"  fidelity      {oracle.fidelity:.12f}")

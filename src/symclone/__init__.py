@@ -6,15 +6,11 @@ from .hilbert import (
     DensityMatrix,
     LabeledBasis,
     PureState,
-    basis_adapted_to,
     basis_computational,
     basis_four,
     basis_logical,
     basis_state,
     fidelity_pure,
-    inner,
-    maximally_mixed,
-    unbiasedness_check,
 )
 from .bosonic import (
     DistinguishabilityModel,

@@ -114,17 +114,6 @@ class FockState:
     def amplitude(self, occ: tuple[int, ...]) -> complex:
         return self.terms.get(tuple(occ), 0j)
 
-    def to_dict(self) -> dict:
-        """Debug dump: {"ports": P, "dim": d, "terms": [{"occ": [...], "amp": [re, im]}]}."""
-        return {
-            "ports": self.ports,
-            "dim": self.dim,
-            "terms": [
-                {"occ": list(occ), "amp": [float(amp.real), float(amp.imag)]}
-                for occ, amp in sorted(self.terms.items())
-            ],
-        }
-
 
 def _pruned(raw: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
     return {occ: amp for occ, amp in raw.items() if abs(amp) > _PRUNE_TOL}

@@ -28,7 +28,7 @@ from .cloning import (
     f_clon,
     f_est,
 )
-from .hilbert import PureState, basis_adapted_to
+from .hilbert import PureState
 
 __all__ = ["main"]
 
@@ -94,7 +94,7 @@ def parse_state_spec(spec: str, d: int | None) -> tuple[PureState, str]:
     if math.isinf(norm):
         raise _UsageError("the norm of the state amplitudes overflows")
     if norm < 1e-12:
-        raise _UsageError("state amplitudes are all zero")
+        raise _UsageError("the norm of the state amplitudes is below 1e-12")
     state = PureState.normalized(amps)
     if abs(norm - 1.0) > 1e-6:
         print(f"warning: normalizing input state (norm was {_fmt(norm)})", file=sys.stderr)
@@ -184,7 +184,7 @@ def _cmd_clone(args) -> int:
     if args.mode == "oracle":
         outcome = clone_oracle(phi, phi.dim)
     else:
-        outcome = clone_analytic(phi, basis_adapted_to(phi))
+        outcome = clone_analytic(phi)
     payload = outcome.to_dict()
     payload["input"] = label
     payload["mode"] = args.mode

@@ -37,19 +37,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from . import bosonic
-from .hilbert import (
-    DensityMatrix,
-    LabeledBasis,
-    PureState,
-    basis_computational,
-    fidelity_pure,
-)
+from .hilbert import DensityMatrix, PureState, fidelity_pure
 
 __all__ = [
     "CloningSpec",
@@ -140,20 +135,16 @@ def _success_1_to_2(d: int) -> float:
     return (d + 1) / (2 * d)
 
 
-def clone_analytic(phi: PureState, basis: LabeledBasis) -> CloningOutcome:
-    """Closed-form 1 -> 2 outcome, expressed in a basis whose first element is phi.
+def clone_analytic(phi: PureState) -> CloningOutcome:
+    """Closed-form 1 -> 2 outcome.
 
-    The per-clone state is diagonal in that basis:
+    The per-clone state is diagonal in any basis whose first element is phi:
 
         rho = (d+3)/(2(d+1)) |phi><phi| + 1/(2(d+1)) (I - |phi><phi|)
 
     i.e. diag(7, 1, 1, 1)/10 for d = 4.
     """
     d = phi.dim
-    if basis.dim != d:
-        raise ValueError(f"dimension mismatch: {basis.dim} vs {d}")
-    if abs(abs(np.vdot(basis.states[0].amps, phi.amps)) - 1.0) > 1e-9:
-        raise ValueError("phi must be the first element of the supplied basis")
     top = (d + 3) / (2 * (d + 1))
     rest = 1 / (2 * (d + 1))
     proj = np.outer(phi.amps, phi.amps.conj())
@@ -241,26 +232,19 @@ def _interfere(phi: PureState, n: int, m: int, sigma: np.ndarray) -> tuple[float
     return success, DensityMatrix(dim=d, mat=(clone + clone.conj().T) / 2)
 
 
-def clone_oracle(
-    phi: PureState, d: int, ancilla_basis: LabeledBasis | None = None
-) -> CloningOutcome:
+def clone_oracle(phi: PureState, d: int) -> CloningOutcome:
     """1 -> 2 outcome of the one-stage cascade: one closed-form Kraus stage.
 
     An independent route to :func:`clone_analytic`, with which it agrees to
-    machine precision. The ancilla
-    decomposition basis is arbitrary for a fully mixed state (defaults to
-    computational); the result must not depend on it.
+    machine precision.
     """
     if d != phi.dim:
         raise ValueError(f"dimension mismatch: d={d} but phi.dim={phi.dim}")
-    return cascade_clone(phi, CloningSpec(d=d, n=1, m=2), ancilla_basis=ancilla_basis)
+    return cascade_clone(phi, CloningSpec(d=d, n=1, m=2))
 
 
 def cascade_clone(
-    phi: PureState,
-    spec: CloningSpec,
-    cap: int = DEFAULT_CASCADE_CAP,
-    ancilla_basis: LabeledBasis | None = None,
+    phi: PureState, spec: CloningSpec, cap: int = DEFAULT_CASCADE_CAP
 ) -> CloningOutcome:
     """N -> M cloning by a chain of M - N beam splitters and mixed ancillas.
 
@@ -272,8 +256,8 @@ def cascade_clone(
     photons, through the closed-form Kraus stage of the module docstring. The
     success probability is the product of the stage traces; the clone state
     is the single-photon reduction of the final M-photon density operator.
-    The ancilla enters only through its density matrix, built from
-    ``ancilla_basis`` (default computational), so the basis cannot matter.
+    The ancilla enters only through its density matrix I_d/d. A success
+    probability below the smallest normal float is an error, not a result.
     """
     if phi.dim != spec.d:
         raise ValueError(f"dimension mismatch: spec.d={spec.d} but phi.dim={phi.dim}")
@@ -284,12 +268,11 @@ def cascade_clone(
             f"dimension C(M+d-1, M) = {math.comb(spec.m + d - 1, spec.m)}. Raise `cap` "
             "explicitly to allow it"
         )
-    if ancilla_basis is None:
-        ancilla_basis = basis_computational(d)
-    if ancilla_basis.dim != d:
-        raise ValueError(f"ancilla basis dimension {ancilla_basis.dim} != {d}")
-    u = ancilla_basis.matrix
-    success, clone = _interfere(phi, spec.n, spec.m, u @ u.conj().T / d)
+    success, clone = _interfere(phi, spec.n, spec.m, np.eye(d, dtype=complex) / d)
+    if success < sys.float_info.min:
+        raise ValueError(
+            f"the cascade's success probability underflows the float range at M={spec.m}, d={d}"
+        )
     return CloningOutcome(
         input_state=phi,
         clone_state=clone,

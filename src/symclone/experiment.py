@@ -64,6 +64,11 @@ chunk's rows. Counts are taken batch by batch, in order, so the result is
 that of single batches; batches a chunk evaluated past the one that fills
 ``shots`` are dropped, and chunks are sized from the hits per batch seen
 so far to make that rare.
+
+The two-photon step (interfere on the first splitter, post-select
+coalescence, split, analyze) is computed in one place, the closed forms
+``_half_coal`` and ``_event_terms``. The tests check both against the
+second-quantized engine of :mod:`symclone.bosonic`, which a run never calls.
 """
 
 from __future__ import annotations
@@ -75,7 +80,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bosonic
 from .hilbert import LabeledBasis, PureState, basis_four, basis_logical
 
 __all__ = [
@@ -85,7 +89,6 @@ __all__ = [
     "CountsTable",
     "EstimationResult",
     "FidelityTable",
-    "coincidence_probabilities",
     "run_cloning_experiment",
     "estimate_probabilities",
     "replicate_table",
@@ -355,9 +358,9 @@ def _event_terms(S, N_arr, v, F_states, G_states):
         q_j      = |A G_j|^2 + |B F_j|^2 + 2 v^2 Re(conj(A) B conj(G_j) F_j)
 
     and returns ``(p_filter, q)``. q_j are relative scanner-click weights
-    (normalized by the caller). :func:`coincidence_probabilities`
-    recomputes all of this through the second-quantized engine; the two
-    routes must agree.
+    (normalized by the caller). The tests recompute all of this, and
+    p_coal, through the second-quantized engine of :mod:`symclone.bosonic`;
+    the two routes must agree.
     """
     c = np.einsum("...i,...i->...", np.conj(S), N_arr)
     x = (v * v) * _abs2(c)
@@ -375,63 +378,6 @@ def _event_terms(S, N_arr, v, F_states, G_states):
     b = B[..., None] * F_j
     q = (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
     return p_filter, q
-
-
-def coincidence_probabilities(
-    signal: PureState,
-    ancilla: PureState,
-    v: float,
-    filter_state: PureState,
-    outcome_states,
-) -> tuple[float, float, float, np.ndarray]:
-    """Engine-backed single-trial reference for the coincidence pipeline.
-
-    Builds the full second-quantized computation (temporal-mode doubling,
-    first splitter, coalescence into the monitored port, second splitter,
-    one-photon-per-arm coincidence, analyzer projections) and returns
-
-        (p_coal, p_split, p_filter, q)
-
-    where q holds the relative scanner-click weights per outcome. Slow but
-    independent of the vectorized closed forms used in the Monte Carlo
-    loop; exists so the two can be cross-checked.
-    """
-    d = signal.dim
-    state = bosonic._two_photon_input(signal, ancilla, v, ports=3)
-    state = bosonic.beam_splitter(state, 0, 1)
-    p_coal, cond = bosonic.postselect_same_port(state, 0)
-    if p_coal == 0.0:
-        return 0.0, 0.0, 0.0, np.zeros(len(outcome_states))
-    split = bosonic.beam_splitter(cond, 0, 2)
-    # one photon in port 0, one in port 2 -> 2d x 2d amplitude matrix
-    dd = 2 * d
-    psi = np.zeros((dd, dd), dtype=complex)
-    p_split = 0.0
-    for occ, amp in split.terms.items():
-        port0 = occ[0:dd]
-        port2 = occ[2 * dd : 3 * dd]
-        if sum(port0) == 1 and sum(port2) == 1:
-            p_split += abs(amp) ** 2
-            psi[port0.index(1), port2.index(1)] = amp
-    if p_split == 0.0:
-        return p_coal, 0.0, 0.0, np.zeros(len(outcome_states))
-    psi /= math.sqrt(p_split)
-
-    def temporal_pair(s: PureState) -> np.ndarray:
-        cols = np.zeros((dd, 2), dtype=complex)
-        cols[:d, 0] = s.amps
-        cols[d:, 1] = s.amps
-        return cols
-
-    fil = temporal_pair(filter_state)
-    p_filter = float(np.sum(np.abs(fil.conj().T @ psi) ** 2))
-    q = np.array(
-        [
-            np.sum(np.abs(fil.conj().T @ psi @ np.conj(temporal_pair(out))) ** 2)
-            for out in outcome_states
-        ]
-    )
-    return float(p_coal), float(p_split), p_filter, q
 
 
 def _half_coal(S: np.ndarray, N: np.ndarray, v: float) -> np.ndarray:

@@ -20,14 +20,10 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "LabeledBasis",
-    "inner",
     "basis_state",
     "basis_computational",
     "basis_logical",
     "basis_four",
-    "basis_adapted_to",
-    "unbiasedness_check",
-    "maximally_mixed",
     "fidelity_pure",
 ]
 
@@ -80,18 +76,6 @@ class PureState:
             raise ValueError("cannot normalize the zero vector")
         return cls(dim=len(amps), amps=amps / norm)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form: {"dim": d, "amps": [[re, im], ...]}."""
-        return {
-            "dim": self.dim,
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PureState":
-        amps = np.array([complex(re, im) for re, im in data["amps"]])
-        return cls(dim=int(data["dim"]), amps=amps)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -123,15 +107,6 @@ class DensityMatrix:
             raise ValueError(f"matrix is not positive semidefinite (min eig {min_eig:.3e})")
         object.__setattr__(self, "mat", _readonly(mat))
 
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        """Projector |psi><psi|."""
-        return cls(dim=psi.dim, mat=np.outer(psi.amps, psi.amps.conj()))
-
-    def purity(self) -> float:
-        """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
-        return float(np.real(np.trace(self.mat @ self.mat)))
-
     def to_dict(self) -> dict:
         """JSON-ready form: {"dim": d, "mat": [[[re, im], ...], ...]}."""
         return {
@@ -140,13 +115,6 @@ class DensityMatrix:
                 [[float(x.real), float(x.imag)] for x in row] for row in self.mat
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DensityMatrix":
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in data["mat"]]
-        )
-        return cls(dim=int(data["dim"]), mat=mat)
 
 
 @dataclass(frozen=True)
@@ -176,22 +144,15 @@ class LabeledBasis:
         """Unitary with the basis states as columns."""
         return np.column_stack([s.amps for s in self.states])
 
-    def index_of(self, psi: PureState, tol: float = 1e-9) -> int:
+    def index_of(self, psi: PureState) -> int:
         """Index of the basis state equal to ``psi`` up to global phase."""
         if psi.dim != self.dim:
             raise ValueError("dimension mismatch")
         overlaps = np.abs(self.matrix.conj().T @ psi.amps) ** 2
         best = int(np.argmax(overlaps))
-        if abs(overlaps[best] - 1.0) > tol:
+        if abs(overlaps[best] - 1.0) > 1e-9:
             raise ValueError("state is not an element of this basis")
         return best
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b> (conjugate-linear in the first argument)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def basis_state(d: int, k: int) -> PureState:
@@ -251,40 +212,6 @@ def basis_four() -> LabeledBasis:
     )
     states = tuple(PureState(dim=4, amps=np.array(v, dtype=complex)) for v in vectors)
     return LabeledBasis(dim=4, states=states, labels=labels)
-
-
-def basis_adapted_to(phi: PureState) -> LabeledBasis:
-    """Orthonormal basis whose first element is ``phi``.
-
-    The completion is deterministic: remaining columns come from a QR
-    factorization seeded with the identity.
-    """
-    d = phi.dim
-    cols = np.eye(d, dtype=complex)
-    # Replace the column most parallel to phi, then re-orthogonalize.
-    overlaps = np.abs(cols.conj().T @ phi.amps)
-    cols = np.delete(cols, int(np.argmax(overlaps)), axis=1)
-    block = np.column_stack([phi.amps, cols])
-    q, _ = np.linalg.qr(block)
-    # QR may flip the first column's phase; pin it back to phi exactly.
-    states = [phi] + [PureState.normalized(q[:, j]) for j in range(1, d)]
-    labels = ("phi",) + tuple(f"perp{j}" for j in range(1, d))
-    return LabeledBasis(dim=d, states=tuple(states), labels=labels)
-
-
-def unbiasedness_check(b1: LabeledBasis, b2: LabeledBasis, tol: float) -> bool:
-    """True iff |<i|j>|^2 = 1/d within ``tol`` for every cross pair."""
-    if b1.dim != b2.dim:
-        raise ValueError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
-    overlaps = np.abs(b1.matrix.conj().T @ b2.matrix) ** 2
-    return bool(np.all(np.abs(overlaps - 1.0 / b1.dim) <= tol))
-
-
-def maximally_mixed(d: int) -> DensityMatrix:
-    """The fully mixed state I_d / d."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return DensityMatrix(dim=d, mat=np.eye(d, dtype=complex) / d)
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:

@@ -1,8 +1,9 @@
-"""Second-quantized engine routes that the cloning tests compare against.
+"""Second-quantized engine routes the cloning and Monte Carlo tests check against.
 
-These rebuild, one Fock state at a time, what :mod:`symclone.cloning`
-computes in closed form, so every cloning number has an independent check
-that runs through :mod:`symclone.bosonic` alone.
+These rebuild, one Fock state at a time, what :mod:`symclone.cloning` and
+the Monte Carlo event terms of :mod:`symclone.experiment` compute in closed
+form, so every cloning and coincidence number has an independent check that
+runs through :mod:`symclone.bosonic` alone.
 """
 
 import math
@@ -78,3 +79,60 @@ def mixed_ancilla_branches(
             mat += prob * bosonic.reduced_single_photon(kept, port).mat
         branches.append((weight, total, DensityMatrix(dim=phi.dim, mat=mat / total)))
     return branches
+
+
+def coincidence_probabilities(
+    signal: PureState,
+    ancilla: PureState,
+    v: float,
+    filter_state: PureState,
+    outcome_states,
+) -> tuple[float, float, float, np.ndarray]:
+    """Single-trial engine reference for the Monte Carlo coincidence pipeline.
+
+    Builds the full second-quantized computation (temporal-mode doubling,
+    first splitter, coalescence into the monitored port, second splitter,
+    one-photon-per-arm coincidence, analyzer projections) and returns
+
+        (p_coal, p_split, p_filter, q)
+
+    where q holds the relative scanner-click weights per outcome. Slow but
+    independent of the closed forms ``_half_coal`` and ``_event_terms`` of
+    :mod:`symclone.experiment`, against which the tests check it.
+    """
+    d = signal.dim
+    state = bosonic._two_photon_input(signal, ancilla, v, ports=3)
+    state = bosonic.beam_splitter(state, 0, 1)
+    p_coal, cond = bosonic.postselect_same_port(state, 0)
+    if p_coal == 0.0:
+        return 0.0, 0.0, 0.0, np.zeros(len(outcome_states))
+    split = bosonic.beam_splitter(cond, 0, 2)
+    # one photon in port 0, one in port 2 -> 2d x 2d amplitude matrix
+    dd = 2 * d
+    psi = np.zeros((dd, dd), dtype=complex)
+    p_split = 0.0
+    for occ, amp in split.terms.items():
+        port0 = occ[0:dd]
+        port2 = occ[2 * dd : 3 * dd]
+        if sum(port0) == 1 and sum(port2) == 1:
+            p_split += abs(amp) ** 2
+            psi[port0.index(1), port2.index(1)] = amp
+    if p_split == 0.0:
+        return p_coal, 0.0, 0.0, np.zeros(len(outcome_states))
+    psi /= math.sqrt(p_split)
+
+    def temporal_pair(s: PureState) -> np.ndarray:
+        cols = np.zeros((dd, 2), dtype=complex)
+        cols[:d, 0] = s.amps
+        cols[d:, 1] = s.amps
+        return cols
+
+    fil = temporal_pair(filter_state)
+    p_filter = float(np.sum(np.abs(fil.conj().T @ psi) ** 2))
+    q = np.array(
+        [
+            np.sum(np.abs(fil.conj().T @ psi @ np.conj(temporal_pair(out))) ** 2)
+            for out in outcome_states
+        ]
+    )
+    return float(p_coal), float(p_split), p_filter, q

@@ -21,6 +21,7 @@ from symclone.bosonic import (
 from symclone.cloning import (
     CloningSpec,
     cascade_clone,
+    clone_analytic,
     clone_oracle,
     f_clon,
     f_est,
@@ -28,14 +29,11 @@ from symclone.cloning import (
 from symclone.experiment import ExperimentConfig, replicate_table, run_cloning_experiment
 from symclone.hilbert import (
     PureState,
-    basis_adapted_to,
     basis_computational,
     basis_four,
     basis_logical,
     basis_state,
 )
-
-CLONE_DIAG = np.diag([0.7, 0.1, 0.1, 0.1])
 
 
 @contextmanager
@@ -71,9 +69,10 @@ def test_criterion_2_oracle_reproduces_clone_matrix():
         probes = bench_states + [_haar(rng, 4) for _ in range(20)]
         for phi in probes:
             rho = clone_oracle(phi, 4).clone_state.mat
-            u = basis_adapted_to(phi).matrix
-            in_adapted = u.conj().T @ rho @ u
-            assert np.max(np.abs(in_adapted - CLONE_DIAG)) < 1e-12
+            assert np.max(np.abs(rho - clone_analytic(phi).clone_state.mat)) < 1e-12
+            # diag(0.7, 0.1, 0.1, 0.1) in any basis whose first element is phi
+            expected = 0.1 * np.eye(4) + 0.6 * np.outer(phi.amps, phi.amps.conj())
+            assert np.max(np.abs(rho - expected)) < 1e-12
 
 
 def test_criterion_3_coalescence_branch_weights():

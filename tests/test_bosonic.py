@@ -47,14 +47,6 @@ def test_empty_state_marker():
     assert empty.is_empty and empty.n_photons == 0
 
 
-def test_debug_dump_is_sorted_and_round_shaped():
-    state = single_photon(0, PureState.normalized([1.0, 1j]))
-    dump = state.to_dict()
-    assert dump["ports"] == 2 and dump["dim"] == 2
-    occs = [tuple(t["occ"]) for t in dump["terms"]]
-    assert occs == sorted(occs)
-
-
 # ---------------------------------------------------------- single_photon
 
 

@@ -123,6 +123,14 @@ def test_clone_bad_spec(capsys):
     assert main(["clone", "--input", "V:1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("spec", ["1e-13,0", "0,0"])
+def test_amplitudes_below_the_norm_bound_are_one_usage_error(spec, capsys):
+    assert main(["clone", f"--input={spec}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: the norm of the state amplitudes is below 1e-12"]
+
+
 @pytest.mark.parametrize("command", ["clone", "cascade"])
 @pytest.mark.parametrize("spec", ["nan,1", "1,inf", "-inf,0", "nanj,1"])
 def test_non_finite_amplitudes_are_usage_errors(command, spec, capsys):
@@ -230,6 +238,17 @@ def test_cascade_text_prints_rounding_residue_as_zero(capsys):
 def test_cascade_cap_exceeded(capsys):
     assert main(["cascade", "--n", "1", "--m", "9", "--input", "1,0"]) == EXIT_USAGE
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["50", "60"])
+def test_cascade_success_probability_underflow_is_one_usage_error(m, capsys):
+    argv = ["cascade", "--input", "1,0", "--n", "1", "--m", m, "--cap", m]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: the cascade's success probability underflows the float range at M={m}, d=2"
+    ]
 
 
 # --------------------------------------------------------------- experiment

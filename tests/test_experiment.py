@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _engine_reference import coincidence_probabilities
 from symclone import experiment
 from symclone.experiment import (
     BATCH_TRIALS,
@@ -23,7 +24,6 @@ from symclone.experiment import (
     _fail_draws,
     _half_coal,
     _simulate_chunk,
-    coincidence_probabilities,
     estimate_probabilities,
     replicate_table,
     run_cloning_experiment,
