@@ -22,15 +22,17 @@ its variates from
 so results are identical no matter how batches are distributed across
 workers, and two runs with the same config are count-for-count identical.
 
-Within a batch of B trials the draws follow stream layout 2
-(``STREAM_LAYOUT``), which draws only the variates a trial uses, in this
-order:
+Within a batch of B trials the draws follow stream layout 3
+(``STREAM_LAYOUT``), which draws only the variates a trial can still use,
+in this order:
 
 1. one accept uniform ``u`` per trial (B values);
 2. one ancilla uniform per trial (B values);
-3. the preparation perturbation of the signal;
-4. for the trials kept by the coalescence thinning below, the filter-arm
-   perturbation, then the scanner-arm perturbation (d states per trial).
+3. the preparation perturbation of the signal, for the near trials only:
+   u < (1 + v^2)/8, the largest p_coal/2 of any trial;
+4. the filter-arm perturbation, for the kept trials only: u < p_coal/2;
+5. the scanner-arm perturbation (d states per trial), for the trials that
+   also pass u < p_coal/2 * p_filter.
 
 A perturbation with fidelity f = 1 draws nothing; otherwise it draws one
 pass uniform per state, then 2d standard normals for each state that fails
@@ -40,21 +42,28 @@ the pass test, in order. A trial is post-selected with outcome j when
 
 for the smallest such j (p_coal as in ``_half_coal``, p_filter and the
 scanner weights q_j as in ``_event_terms``). This has the joint law of
-separate coalescence, split, filter-click and outcome draws. Since the
-right-hand side never exceeds p_coal/2, which depends only on the signal
-and the ancilla, trials with u >= p_coal/2 are dropped before any analyzer
-state is built. A trial whose scanner weights sum to at most
-``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can click, and
-the sum is rounding residue of an exact 0 (basis IV leaves ~1e-33), not a
-click probability.
+separate coalescence, split, filter-click and outcome draws. The right-hand
+side never exceeds p_coal/2 * p_filter, which does not depend on the
+scanner, nor p_coal/2, which depends only on the signal and the ancilla;
+so a trial above one of these bounds is dropped before the draws of the
+next step, which it could never use. Steps 3 and 5 select their trials with
+a relative rounding margin (``_BOUND_MARGIN``). A trial whose scanner
+weights sum to at most ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner
+setting can click, and the sum is rounding residue of an exact 0 (basis IV
+leaves ~1e-33), not a click probability.
 
-In a trial where no state was replaced, p_coal/2 and the d thresholds
-depend only on the ancilla index, so each run computes them once per input
-(``_clean_row_table``) and such trials read them from that table; only
-trials with a replaced state evaluate the event terms row by row. The
-table changes which code computes the thresholds, not their values or the
-draw order: the same variates are drawn and fixed-seed counts are
-unchanged.
+At f = 1 nothing is perturbed and layout 3 draws exactly what layout 2
+drew, so such runs give the counts they gave under layout 2. With a
+fidelity below 1 the same law is sampled from a different draw order.
+
+In a trial where no state was replaced, p_coal/2, p_filter and the d
+thresholds depend only on the ancilla index, so each run computes them once
+per input (``_clean_row_table``) and such trials read them from that table;
+only trials with a replaced state evaluate the event terms row by row. Both
+take the scanner overlaps from one product with the unperturbed settings
+(``_scanner_overlaps``); a trial with replaced settings overwrites only
+their entries. The table changes which code computes the thresholds, not
+their values or the draw order.
 
 A run evaluates up to ``_MAX_CHUNK_BATCHES`` consecutive batches as one
 chunk (``_simulate_chunk``). Chunks share arithmetic, not streams: each
@@ -67,8 +76,10 @@ so far to make that rare.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
-``_half_coal`` and ``_event_terms``. The tests check both against the
-second-quantized engine of :mod:`symclone.bosonic`, which a run never calls.
+``_half_coal`` and ``_event_terms`` (whose filter part, ``_filter_terms``,
+also runs alone where the scanner is not yet drawn). The tests check both
+against the second-quantized engine of :mod:`symclone.bosonic`, which a
+run never calls.
 """
 
 from __future__ import annotations
@@ -102,14 +113,20 @@ BATCH_TRIALS = 4096
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability: on basis IV a trial whose scanner arm can give no click
-# still leaves sum(q) ~ 1e-33. Over 1.75e6 evaluated rows of the degraded
-# basis-IV bench (seeds 1-10, 5e4 shots) the residue stayed below 3e-29 and
-# genuine totals above 2e-7, so the cutoff sits far from both.
+# still leaves sum(q) ~ 1e-33. Over the 7.96e5 rows that evaluate their
+# scanner weights in the degraded basis-IV bench (seeds 1-10, 5e4 shots,
+# stream layout 3), 1.54e5 residue totals stayed below 7.4e-30 and genuine
+# totals above 2.4e-6, so the cutoff sits far from both.
 _Q_TOTAL_CUTOFF = 1e-20
+
+# Relative margin on the bounds that select the trials to perturb (see
+# ``_simulate_chunk``): a trial's thresholds are computed by other arithmetic
+# than its bound and may exceed it by rounding, never by 1e-9.
+_BOUND_MARGIN = 1.0 + 1e-9
 
 # Give up if this many consecutive batches yield no coincidence at all.
 _MAX_DRY_BATCHES = 2000
@@ -344,15 +361,37 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _event_terms(S, N_arr, v, F_states, G_states):
+def _filter_terms(S, N_arr, v, filters):
+    """The filter-arm click probability of a coalesced-and-split pair and
+    its filter amplitudes (broadcasts over leading axes).
+
+    With c = <S|N>, x = v^2 |c|^2, A = <filter|S> and B = <filter|N>:
+
+        p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
+
+    Returns ``(p_filter, A, B)``; :func:`_event_terms` gives the derivation.
+    """
+    c = np.einsum("...i,...i->...", np.conj(S), N_arr)
+    x = (v * v) * _abs2(c)
+    conj_filters = np.conj(filters)
+    A = np.einsum("...i,...i->...", conj_filters, S)
+    B = np.einsum("...i,...i->...", conj_filters, N_arr)
+    p_filter = (
+        _abs2(A) + _abs2(B) + 2.0 * v * v * np.real(np.conj(A) * B * np.conj(c))
+    ) / (2.0 * (1.0 + x))
+    return p_filter, A, B
+
+
+def _event_terms(S, N_arr, v, filters, F, G):
     """Closed-form analyzer quantities for one trial (broadcasts over leading axes).
 
     With u = S (x) e0 and a = N (x) (v e0 + w e1) the coalesced pair,
     split across the two detection arms, is (|u,a> + |a,u>) / sqrt(2(1+x)),
     x = v^2 |<S|N>|^2 (its probability is :func:`_half_coal`). Writing
-    c = <S|N>, A = <filter|S>, B = <filter|N>, F_j = <outcome_j|S>,
-    G_j = <outcome_j|N> and tracing the temporal modes at the detectors
-    gives
+    c = <S|N>, A = <filter|S>, B = <filter|N> and, for scanner setting g_j,
+    F_j = <g_j|S> and G_j = <g_j|N> (the scanner overlaps ``F`` and ``G``,
+    shape (..., d), from :func:`_scanner_overlaps`), tracing the temporal
+    modes at the detectors gives
 
         p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
         q_j      = |A G_j|^2 + |B F_j|^2 + 2 v^2 Re(conj(A) B conj(G_j) F_j)
@@ -362,22 +401,24 @@ def _event_terms(S, N_arr, v, F_states, G_states):
     p_coal, through the second-quantized engine of :mod:`symclone.bosonic`;
     the two routes must agree.
     """
-    c = np.einsum("...i,...i->...", np.conj(S), N_arr)
-    x = (v * v) * _abs2(c)
-    conj_F = np.conj(F_states)
-    A = np.einsum("...i,...i->...", conj_F, S)
-    B = np.einsum("...i,...i->...", conj_F, N_arr)
-    p_filter = (
-        _abs2(A) + _abs2(B) + 2.0 * v * v * np.real(np.conj(A) * B * np.conj(c))
-    ) / (2.0 * (1.0 + x))
-    # conj(sum G conj(S)) is sum conj(G) S exactly, without a conjugated copy of G
-    F_j = np.conj(np.einsum("...ji,...i->...j", G_states, np.conj(S)))
-    G_j = np.conj(np.einsum("...ji,...i->...j", G_states, np.conj(N_arr)))
+    p_filter, A, B = _filter_terms(S, N_arr, v, filters)
     # q_j = |a|^2 + |b|^2 + 2 v^2 Re(conj(a) b) with a = A G_j, b = B F_j
-    a = A[..., None] * G_j
-    b = B[..., None] * F_j
+    a = A[..., None] * G
+    b = B[..., None] * F
     q = (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
     return p_filter, q
+
+
+def _scanner_overlaps(SN: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
+    """The overlaps of each row's signal and ancilla with every unperturbed
+    scanner setting (the columns of ``basis_cols``).
+
+    ``SN`` has shape (m, 2, d): per row the signal S and the ancilla N. The
+    result has the same shape: per row F_j = <g_j|S> and G_j = <g_j|N>, as
+    one product ``SN @ conj(settings).T``.
+    """
+    m, _, d = SN.shape
+    return (SN.reshape(2 * m, d) @ np.conj(basis_cols)).reshape(m, 2, d)
 
 
 def _half_coal(S: np.ndarray, N: np.ndarray, v: float) -> np.ndarray:
@@ -416,43 +457,43 @@ def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.nd
 
 def _clean_row_table(
     phi: np.ndarray, basis_cols: np.ndarray, v: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Thinning bounds and acceptance thresholds of unperturbed trials.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thinning bounds, filter probabilities and acceptance thresholds of
+    unperturbed trials.
 
     In a trial where no state was replaced the signal and the filter are
     |phi>, the scanner is the basis and the ancilla is basis state k, so
-    its numbers depend on k alone. Returns p_coal/2 (shape (d,)) and the
-    thresholds (shape (d, d)), row k for ancilla k, evaluated by the same
-    arithmetic, on contiguous arrays of the same layout, as the replaced
-    rows in :func:`_simulate_chunk`.
+    its numbers depend on k alone. Returns p_coal/2 and p_filter (shape
+    (d,) each) and the thresholds (shape (d, d)), row k for ancilla k,
+    evaluated by the same arithmetic, through the same overlap route, as
+    the replaced rows in :func:`_simulate_chunk`.
     """
     d = len(phi)
-    S = np.tile(phi, (d, 1))
-    N = np.array(basis_cols.T)
-    G = np.tile(basis_cols.T, (d, 1, 1))
-    half_coal = _half_coal(S, N, v)
-    p_filter, q = _event_terms(S, N, v, S, G)
-    return half_coal, _acceptance_thresholds(half_coal, p_filter, q)
+    SN = np.empty((d, 2, d), dtype=complex)
+    SN[:, 0] = phi
+    SN[:, 1] = basis_cols.T
+    overlaps = _scanner_overlaps(SN, basis_cols)
+    half_coal = _half_coal(SN[:, 0], SN[:, 1], v)
+    p_filter, q = _event_terms(SN[:, 0], SN[:, 1], v, SN[:, 0], overlaps[:, 0], overlaps[:, 1])
+    return half_coal, p_filter, _acceptance_thresholds(half_coal, p_filter, q)
 
 
-def _analyzer_draws(
-    rngs: list[np.random.Generator], kept: np.ndarray, d: int, f: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The analyzer perturbation draws of ``kept[b]`` trials from stream b.
+def _stream_draws(
+    rngs: list[np.random.Generator], rows: np.ndarray, shape: tuple[int, ...], d: int, f: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One perturbation per trial in ``rows`` (sorted trial indices of the
+    chunk), of ``shape`` states each, drawn from the trial's own stream.
 
-    Each stream draws the filter-arm perturbation of its trials, then the
-    scanner-arm one. Returns, over all trials in stream order, the
-    replaced-filter mask (shape (K,)), the replaced-setting mask (shape
-    (K, d)) and the normals of the replaced filters followed by those of
-    the replaced settings.
+    Returns, over all those trials in order, the replaced-state mask (shape
+    (len(rows), *shape)) and the normals of the replaced states.
     """
-    filters, scanners = [], []
-    for rng, k in zip(rngs, kept):
-        filters.append(_fail_draws((k,), d, f, rng))
-        scanners.append(_fail_draws((k, d), d, f, rng))
-    f_bad, f_z = (np.concatenate(x) for x in zip(*filters))
-    g_bad, g_z = (np.concatenate(x) for x in zip(*scanners))
-    return f_bad, g_bad, np.concatenate([f_z, g_z])
+    if f >= 1.0:
+        return np.zeros((len(rows), *shape), dtype=bool), np.empty((0, 2 * d))
+    ends = np.searchsorted(rows, BATCH_TRIALS * np.arange(1, len(rngs) + 1))
+    draws = [
+        _fail_draws((k, *shape), d, f, rng) for rng, k in zip(rngs, np.diff(ends, prepend=0))
+    ]
+    return np.concatenate([m for m, _ in draws]), np.concatenate([z for _, z in draws])
 
 
 def _simulate_chunk(
@@ -463,94 +504,102 @@ def _simulate_chunk(
     prep_f: float,
     analysis_f: float,
     rngs: list[np.random.Generator],
-    table: tuple[np.ndarray, np.ndarray],
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> list[np.ndarray]:
     """Run BATCH_TRIALS single-shot trials per stream in ``rngs``; return,
     per batch, the outcomes of its post-selected trials in trial order.
 
-    Each batch draws from its own stream in stream layout 2 (see the module
-    docstring), exactly as if it ran alone: the accept uniforms u, the
-    ancilla uniforms, the preparation perturbation, and then, for the rows
-    kept by the thinning, the filter-arm and the scanner-arm perturbations.
-    Only the arithmetic between the draws runs once on the concatenated
-    rows of all batches:
+    Each batch draws from its own stream in stream layout 3 (see the module
+    docstring), exactly as if it ran alone, and each perturbation only for
+    the trials that can still click:
 
-    1. rows with u >= (1 + v^2)/8, the largest p_coal/2 of any row, are
-       dropped before the ancilla is looked up or a replaced signal built;
-    2. the others keep u < p_coal/2 = (1 + v^2 |<S|N>|^2)/8, which bounds
-       every acceptance threshold of the row;
-    3. a kept row is accepted with outcome j for the smallest j with
-       u < p_coal/2 * p_filter * cum(q)_j/sum(q).
+    1. the accept uniforms u and the ancilla uniforms of all trials;
+    2. the preparation perturbation of the near trials, u < (1 + v^2)/8
+       (the largest p_coal/2 of any trial);
+    3. the filter-arm perturbation of the kept trials, u < p_coal/2 =
+       (1 + v^2 |<S|N>|^2)/8;
+    4. the scanner-arm perturbation of the kept trials that also pass
+       u < p_coal/2 * p_filter, the largest threshold of the trial.
+
+    The two bounds that select trials before their draws (2 and 4) carry
+    the relative margin ``_BOUND_MARGIN``, so rounding never skips a trial
+    that its thresholds would accept. A trial that reaches step 4 is
+    accepted with outcome j for the smallest j with
+    u < p_coal/2 * p_filter * cum(q)_j/sum(q). Only the arithmetic between
+    the draws runs once on the concatenated rows of all batches.
 
     ``table`` is :func:`_clean_row_table` for these arguments. Rows whose
-    signal was not replaced read p_coal/2 from it, and rows where no state
-    was replaced read their thresholds from it; only the other ("dirty")
-    rows build their states and evaluate :func:`_event_terms`. The table
-    holds the numbers those rows would compute, so the draws and the
-    outcomes are the same either way.
+    signal was not replaced read p_coal/2 from it, rows whose signal and
+    filter were not replaced read p_filter, and rows where no state was
+    replaced read their thresholds; only the other ("dirty") rows evaluate
+    :func:`_event_terms`, on scanner overlaps from
+    :func:`_scanner_overlaps` with the entries of their replaced settings
+    overwritten. The table holds the numbers those rows would compute, so
+    the draws and the outcomes are the same either way.
     """
     B = BATCH_TRIALS
     d = len(phi)
     n = len(rngs)
-    clean_half_coal, clean_thresholds = table
+    clean_half_coal, clean_p_filter, clean_thresholds = table
     settings = basis_cols.T  # row j: scanner setting j, also ancilla j
 
-    # per stream: accept and ancilla uniforms, preparation draws
+    # per stream: accept and ancilla uniforms
     u, anc_u = np.empty(n * B), np.empty(n * B)
-    prep = []
     for b, rng in enumerate(rngs):
         rng.random(out=u[b * B : (b + 1) * B])
         rng.random(out=anc_u[b * B : (b + 1) * B])
-        prep.append(_fail_draws((B,), d, prep_f, rng))
-    s_fail = np.concatenate([bad for bad, _ in prep])
-    s_z = np.concatenate([z for _, z in prep])
 
-    # thinning on the chunk's rows: every p_coal/2 is at most (1 + v^2)/8
-    # (the margin covers rounding); the row's own p_coal/2 comes next
-    near = u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
-    rows = np.flatnonzero(near)
+    # near trials: preparation draws, then the row's own p_coal/2
+    rows = np.flatnonzero(u < (1.0 + v * v) / 8.0 * _BOUND_MARGIN)
+    s_bad, s_z = _stream_draws(rngs, rows, (), d, prep_f)
     u = u[rows]
     anc_idx = _ancilla_index(np.cumsum(weights), anc_u[rows])
     half_coal = clean_half_coal[anc_idx]
-    s_rows = np.flatnonzero(s_fail[rows])
-    S_bad = _complement_states(phi, s_z[near[s_fail]])
-    if len(s_rows):
-        half_coal[s_rows] = _half_coal(S_bad, settings[anc_idx[s_rows]], v)
+    S_bad = _complement_states(phi, s_z)
+    if len(S_bad):
+        half_coal[s_bad] = _half_coal(S_bad, settings[anc_idx[s_bad]], v)
     keep = u < half_coal
-    S_bad = S_bad[keep[s_rows]]
+    S_bad = S_bad[keep[s_bad]]
     kept = np.flatnonzero(keep)
-    rows, u, anc_idx, half_coal = rows[kept], u[kept], anc_idx[kept], half_coal[kept]
-    s_rows = np.flatnonzero(s_fail[rows])
-    ends = np.searchsorted(rows, B * np.arange(1, n + 1))  # kept rows per batch, cumulative
+    rows, u, anc_idx, half_coal, s_bad = (x[kept] for x in (rows, u, anc_idx, half_coal, s_bad))
 
-    # per stream: analyzer draws for its kept rows; then the replaced states
-    dirty = np.zeros(len(rows), dtype=bool)
-    dirty[s_rows] = True
-    if analysis_f < 1.0:
-        f_bad, g_bad, z = _analyzer_draws(rngs, np.diff(ends, prepend=0), d, analysis_f)
-        f_rows = np.flatnonzero(f_bad)
-        g_rows, g_cols = np.nonzero(g_bad)
-        targets = np.concatenate([np.broadcast_to(phi, (len(f_rows), d)), settings[g_cols]])
-        replaced = _complement_states(targets, z)
-        dirty[f_rows] = True
-        dirty[g_rows] = True
+    # kept trials: filter-arm draws, then the row's own p_filter
+    f_bad, f_z = _stream_draws(rngs, rows, (), d, analysis_f)
+    F_bad = _complement_states(phi, f_z)
+    p_filter = clean_p_filter[anc_idx]
+    pre = s_bad | f_bad
+    if pre.any():
+        S, filters = np.empty((2, np.count_nonzero(pre), d), dtype=complex)
+        S[:] = filters[:] = phi
+        S[s_bad[pre]] = S_bad
+        filters[f_bad[pre]] = F_bad
+        p_filter[pre] = _filter_terms(S, settings[anc_idx[pre]], v, filters)[0]
+    passing = u < half_coal * p_filter * _BOUND_MARGIN
+    S_bad, F_bad = S_bad[passing[s_bad]], F_bad[passing[f_bad]]
+    passed = np.flatnonzero(passing)
+    rows, u, anc_idx, half_coal, s_bad, f_bad = (
+        x[passed] for x in (rows, u, anc_idx, half_coal, s_bad, f_bad)
+    )
 
-    # event terms of the dirty rows only
+    # filter-passing trials: scanner-arm draws, then the event terms of the
+    # dirty rows only
+    g_bad, g_z = _stream_draws(rngs, rows, (d,), d, analysis_f)
     thresholds = clean_thresholds[anc_idx]
-    dirty = np.flatnonzero(dirty)
+    dirty = np.flatnonzero(s_bad | f_bad | g_bad.any(axis=1))
     if len(dirty):
-        slot = np.empty(len(rows), dtype=np.intp)  # kept row -> its dirty row
-        slot[dirty] = np.arange(len(dirty))
-        S, F = np.empty((2, len(dirty), d), dtype=complex)
-        S[:] = F[:] = phi
-        S[slot[s_rows]] = S_bad
-        G = np.empty((len(dirty), d, d), dtype=complex)
-        G[:] = settings
-        if analysis_f < 1.0:
-            F[slot[f_rows]] = replaced[: len(f_rows)]
-            G[slot[g_rows], g_cols] = replaced[len(f_rows) :]
-        p_filter, q = _event_terms(S, settings[anc_idx[dirty]], v, F, G)
-        thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_filter, q)
+        SN = np.empty((len(dirty), 2, d), dtype=complex)
+        filters = np.empty((len(dirty), d), dtype=complex)
+        SN[:, 0] = filters[:] = phi
+        SN[s_bad[dirty], 0] = S_bad
+        SN[:, 1] = settings[anc_idx[dirty]]
+        filters[f_bad[dirty]] = F_bad
+        overlaps = _scanner_overlaps(SN, basis_cols)
+        g_rows, g_cols = np.nonzero(g_bad[dirty])
+        if len(g_rows):
+            replaced = _complement_states(settings[g_cols], g_z)
+            overlaps[g_rows, :, g_cols] = np.einsum("ei,eki->ek", np.conj(replaced), SN[g_rows])
+        p_f, q = _event_terms(SN[:, 0], SN[:, 1], v, filters, overlaps[:, 0], overlaps[:, 1])
+        thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_f, q)
     outcomes = np.zeros(len(rows), dtype=np.intp)
     for j in range(d):
         outcomes += u >= thresholds[:, j]

@@ -128,6 +128,49 @@ def test_beam_splitter_unitary_on_random_states(n):
     assert out.n_photons == n
 
 
+def _inner(a: FockState, b: FockState) -> complex:
+    return sum(np.conj(amp) * b.amplitude(occ) for occ, amp in a.terms.items())
+
+
+def test_beam_splitter_preserves_inner_products_of_fock_superpositions():
+    # unitarity on superpositions of Fock kets, not only on the norms of
+    # single kets: <U psi|U chi> = <psi|chi>, and every output term keeps
+    # the input's photon number
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        dim = data.draw(st.integers(1, 4), label="dim")
+        ports = data.draw(st.integers(2, 3), label="ports")
+        n = data.draw(st.integers(1, 4), label="photons")
+        port_a, port_b = data.draw(st.permutations(range(ports)), label="splitter")[:2]
+        modes = ports * dim
+        occupation = st.lists(st.integers(0, modes - 1), min_size=n, max_size=n).map(
+            lambda photons: tuple(int(c) for c in np.bincount(photons, minlength=modes))
+        )
+        amplitude = st.tuples(st.floats(-1, 1), st.floats(-1, 1)).map(lambda z: complex(*z))
+
+        def superposition(label):
+            terms = data.draw(
+                st.dictionaries(occupation, amplitude, min_size=1, max_size=6).filter(
+                    lambda t: sum(abs(a) ** 2 for a in t.values()) > 1e-6
+                ),
+                label=label,
+            )
+            norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+            return FockState(ports, dim, {occ: a / norm for occ, a in terms.items()})
+
+        psi, chi = superposition("psi"), superposition("chi")
+        out_psi, out_chi = (beam_splitter(s, port_a, port_b) for s in (psi, chi))
+        assert abs(_inner(out_psi, out_chi) - _inner(psi, chi)) < 1e-12
+        assert out_psi.norm() == pytest.approx(1.0, abs=1e-12)
+        assert all(sum(occ) == n for s in (out_psi, out_chi) for occ in s.terms)
+
+    check()
+
+
 def test_double_pass_is_i_swap():
     # BS^2 maps each creation operator to i x (the swapped port's one), so
     # an n-photon state returns port-swapped with global phase i^n.

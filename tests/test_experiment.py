@@ -23,6 +23,7 @@ from symclone.experiment import (
     _event_terms,
     _fail_draws,
     _half_coal,
+    _scanner_overlaps,
     _simulate_chunk,
     estimate_probabilities,
     replicate_table,
@@ -71,11 +72,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 2
+    assert cfg.to_dict()["streamLayout"] == 3
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 3, "2", None):
+    for layout in (1, 2, 4, "3", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -224,13 +225,18 @@ def test_trial_terms_agree_with_fock_engine():
         outs = [_haar(rng, d) for _ in range(d)]
         p_coal_e, p_split_e, p_fil_e, q_e = coincidence_probabilities(s, n, v, f, outs)
         G = np.stack([o.amps for o in outs])
-        p_fil_c, q_c = _event_terms(s.amps, n.amps, v, f.amps, G)
+        p_fil_c, q_c = _event_terms(s.amps, n.amps, v, f.amps, _overlaps(G, s.amps), _overlaps(G, n.amps))
         x = (v * abs(np.vdot(s.amps, n.amps))) ** 2
         assert p_coal_e == pytest.approx(2 * _half_coal(s.amps[None], n.amps[None], v)[0], abs=1e-12)
         assert p_split_e == pytest.approx(0.5, abs=1e-12)
         assert p_fil_e == pytest.approx(p_fil_c, abs=1e-12)
         # engine weights live on the normalized pair state
         assert np.max(np.abs(q_e - q_c / (2 * (1 + x)))) < 1e-12
+
+
+def _overlaps(states, x):
+    """<g_j|x> for explicit scanner states g_j (shape (..., d, d)), per row."""
+    return np.einsum("...ji,...i->...j", np.conj(states), x)
 
 
 def _elementwise_terms(S, N, v, F, G):
@@ -262,10 +268,19 @@ def test_event_terms_match_the_elementwise_formulas():
     for d in (2, 4, 5):
         S, N, F, G = states(60, d), states(60, d), states(60, d), states(60, d, d)
         for v in (0.0, 0.6, 1.0):
-            got = _event_terms(S, N, v, F, G)
+            got = _event_terms(S, N, v, F, _overlaps(G, S), _overlaps(G, N))
             for a, b in zip(got, _elementwise_terms(S, N, v, F, G)):
                 assert np.max(np.abs(a - b)) < 1e-12
             assert np.all(got[1] >= 0.0)
+
+
+def test_scanner_overlaps_are_the_inner_products_with_the_settings():
+    rng = np.random.default_rng(15)
+    for d in (2, 4, 5):
+        SN = rng.standard_normal((30, 2, d)) + 1j * rng.standard_normal((30, 2, d))
+        cols = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        expected = (np.conj(cols.T)[None, None] * SN[:, :, None, :]).sum(axis=-1)
+        assert np.max(np.abs(_scanner_overlaps(SN, cols) - expected)) < 1e-12
 
 
 def test_batches_match_the_fock_engine_acceptance_law():
@@ -307,12 +322,106 @@ def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
     assert _stream_position(rng) == _stream_position(fresh)
 
 
+def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
+    basis = basis_four()
+    phi, v, f = basis.states[2].amps, 0.9, 0.8
+    rng = _batch_rng(21, 2, 0)
+    _simulate_chunk(phi, basis.matrix, np.full(4, 0.25), v, f, 1.0, [rng], _clean_row_table(phi, basis.matrix, v))
+    fresh = _batch_rng(21, 2, 0)
+    u = fresh.random(BATCH_TRIALS)
+    fresh.random(BATCH_TRIALS)
+    near = int(np.count_nonzero(u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)))
+    assert 0 < near < BATCH_TRIALS // 2
+    bad = fresh.random(near) >= f
+    fresh.standard_normal((int(bad.sum()), 8))
+    assert _stream_position(rng) == _stream_position(fresh)
+
+
+def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials():
+    basis = basis_logical()
+    phi, v, f = basis.states[0].amps, 0.9, 0.7
+    weights = np.full(4, 0.25)
+    rng = _batch_rng(22, 0, 0)
+    _simulate_chunk(phi, basis.matrix, weights, v, 1.0, f, [rng], _clean_row_table(phi, basis.matrix, v))
+    fresh = _batch_rng(22, 0, 0)
+    u = fresh.random(BATCH_TRIALS)
+    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), fresh.random(BATCH_TRIALS), side="right"), 3)
+    N = basis.matrix.T[anc_idx]
+    half_coal = (1.0 + v * v * np.abs(N @ np.conj(phi)) ** 2) / 8.0
+    kept = u < half_coal
+    filters = _perturbed(np.broadcast_to(phi, (int(kept.sum()), 4)), f, fresh)
+    p_filter, _ = _elementwise_terms(phi, N[kept], v, filters, basis.matrix.T)
+    passing = int(np.count_nonzero(u[kept] < half_coal[kept] * p_filter * (1.0 + 1e-9)))
+    assert 0 < passing < kept.sum()
+    bad = fresh.random((passing, 4)) >= f
+    fresh.standard_normal((int(bad.sum()), 8))
+    assert _stream_position(rng) == _stream_position(fresh)
+
+
+def test_lazy_draws_sample_the_layout_2_law():
+    # two independent samples of the degraded basis-IV bench, one from the
+    # kernel and one from a reference that draws every perturbation as
+    # layout 2 did: per input and outcome the pooled counts must agree
+    _, v, prep_f, analysis_f, weights = _TABLE_CASES["degraded-IV"]
+    basis, weights = basis_four(), np.array(weights)
+    batches = 64  # per input, so 256 per side
+    counts = np.zeros((2, 4, 4))
+    for i, phi in enumerate(basis.states):
+        args = (phi.amps, basis.matrix, weights, v, prep_f, analysis_f)
+        table = _clean_row_table(phi.amps, basis.matrix, v)
+        for first in range(0, batches, _MAX_CHUNK_BATCHES):
+            rngs = [_batch_rng(71, i, first + k) for k in range(_MAX_CHUNK_BATCHES)]
+            for hits in _simulate_chunk(*args, rngs, table):
+                counts[0, i] += np.bincount(hits, minlength=4)
+        for b in range(batches):
+            counts[1, i] += np.bincount(_layout2_batch(*args, _batch_rng(72, i, b)), minlength=4)
+    n = batches * BATCH_TRIALS
+    p = counts.sum(axis=0) / (2 * n)
+    z = (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
+    assert np.max(np.abs(z)) < 5.0
+
+
 # ------------------------------------------------- clean-row threshold table
 
 
+def _reference_hits(u, half_coal, p_filter, q):
+    """The outcomes of the accepted rows, from their cumulative thresholds."""
+    cum_q = np.cumsum(q, axis=1)
+    totals = cum_q[:, -1:]
+    thresholds = (half_coal * p_filter)[:, None] * cum_q / np.where(totals > 0.0, totals, 1.0)
+    thresholds[totals[:, 0] <= _Q_TOTAL_CUTOFF] = 0.0  # rounding residue never clicks
+    outcomes = (u[:, None] >= thresholds).sum(axis=1)
+    return outcomes[outcomes < q.shape[1]]
+
+
 def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng):
-    """Reference: a stream-layout-2 batch that evaluates p_coal/2 and
-    ``_event_terms`` on every kept row, with no clean-row table."""
+    """Reference: a stream-layout-3 batch that evaluates p_coal/2 and
+    ``_event_terms`` on every row it keeps, from explicit scanner states,
+    with no clean-row table."""
+    B = BATCH_TRIALS
+    d = len(phi)
+    u = rng.random(B)
+    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
+    near = u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
+    u, N = u[near], basis_cols.T[anc_idx[near]]
+    S = _perturbed(np.broadcast_to(phi, (len(u), d)), prep_f, rng)
+    half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
+    keep = u < half_coal
+    u, S, N, half_coal = u[keep], S[keep], N[keep], half_coal[keep]
+    filters = _perturbed(np.broadcast_to(phi, (len(u), d)), analysis_f, rng)
+    ideal = np.broadcast_to(basis_cols.T, (len(u), d, d))
+    p_filter, _ = _event_terms(S, N, v, filters, _overlaps(ideal, S), _overlaps(ideal, N))
+    passing = u < half_coal * p_filter * (1.0 + 1e-9)
+    u, S, N, filters, half_coal = (x[passing] for x in (u, S, N, filters, half_coal))
+    G = _perturbed(np.broadcast_to(basis_cols.T, (len(u), d, d)), analysis_f, rng)
+    p_filter, q = _event_terms(S, N, v, filters, _overlaps(G, S), _overlaps(G, N))
+    return _reference_hits(u, half_coal, p_filter, q)
+
+
+def _layout2_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng):
+    """Reference for the sampled law: a batch in the stream-layout-2 draw
+    order, which perturbs the signal of every trial and both analyzer arms
+    of every trial kept at p_coal/2, evaluated row by row."""
     B = BATCH_TRIALS
     d = len(phi)
     u = rng.random(B)
@@ -322,18 +431,10 @@ def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng):
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
     keep = u < half_coal
     u, S, N, half_coal = u[keep], S[keep], N[keep], half_coal[keep]
-    K = len(u)
-    filters = np.broadcast_to(phi, (K, d))
-    settings = np.broadcast_to(basis_cols.T, (K, d, d)).reshape(K * d, d)
-    F_states = _perturbed(filters, analysis_f, rng)
-    G_states = _perturbed(settings, analysis_f, rng)
-    p_filter, q = _event_terms(S, N, v, F_states, G_states.reshape(K, d, d))
-    cum_q = np.cumsum(q, axis=1)
-    totals = cum_q[:, -1:]
-    thresholds = (half_coal * p_filter)[:, None] * cum_q / np.where(totals > 0.0, totals, 1.0)
-    thresholds[totals[:, 0] <= _Q_TOTAL_CUTOFF] = 0.0  # rounding residue never clicks
-    outcomes = (u[:, None] >= thresholds).sum(axis=1)
-    return outcomes[outcomes < d]
+    filters = _perturbed(np.broadcast_to(phi, (len(u), d)), analysis_f, rng)
+    G = _perturbed(np.broadcast_to(basis_cols.T, (len(u), d, d)), analysis_f, rng)
+    p_filter, q = _event_terms(S, N, v, filters, _overlaps(G, S), _overlaps(G, N))
+    return _reference_hits(u, half_coal, p_filter, q)
 
 
 def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, analysis_f,
@@ -569,12 +670,13 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # ---------------------------------------------------- fixed-seed regression
 
 # Integer counts per input (rows) and outcome (columns), recorded when rows
-# whose scanner weights sum to rounding residue became unresolvable. A
-# change to the Monte Carlo arithmetic that keeps the draws and the accept
-# rule must leave them as they are.
+# whose scanner weights sum to rounding residue became unresolvable; basis
+# IV re-recorded at stream layout 3, which draws the perturbations in a new
+# order. A change to the Monte Carlo arithmetic that keeps the draws and the
+# accept rule must leave them as they are.
 _GOLDEN_COUNTS = {
     "I": [[1211, 268, 294, 227], [267, 1176, 272, 285], [294, 282, 1136, 288], [283, 297, 289, 1131]],
-    "IV": [[1144, 368, 251, 237], [356, 1129, 250, 265], [401, 398, 919, 282], [407, 403, 283, 907]],
+    "IV": [[1205, 331, 255, 209], [351, 1125, 258, 266], [387, 403, 898, 312], [394, 417, 287, 902]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
