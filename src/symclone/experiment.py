@@ -14,22 +14,31 @@ coincidences has been collected.
 Randomness
 ----------
 Counter-based and reproducible. Trials are processed in fixed-size batches
-(``BATCH_TRIALS``); batch ``b`` of the run for input index ``i`` draws all
-its variates from
+(``BATCH_TRIALS``). The run for input index ``i`` has one Philox key,
 
-    Generator(Philox(SeedSequence(entropy=config.seed, spawn_key=(i, b))))
+    K_i = SeedSequence(config.seed, spawn_key=(i,)).generate_state(2, np.uint64)
 
-so results are identical no matter how batches are distributed across
-workers, and two runs with the same config are count-for-count identical.
+and batch ``b`` draws all its variates from the counter block that starts
+at [0, b, 0, 0]:
 
-Within a batch of B trials the draws follow stream layout 3
+    Generator(Philox(key=K_i, counter=[0, b, 0, 0]))
+
+Philox steps the lowest counter word, so the blocks of two batches overlap
+only if a batch draws 2^64 blocks, which none comes near. Results are
+identical no matter how batches are distributed across workers, and two
+runs with the same config are count-for-count identical. A run builds no
+generator per batch: it keeps up to ``_MAX_CHUNK_BATCHES`` of them and
+moves each to the start of its next batch's stream (``_batch_streams``),
+which gives the draws of the fresh generator above.
+
+Within a batch of B trials the draws follow stream layout 4
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use,
 in this order:
 
 1. one accept uniform ``u`` per trial (B values);
-2. one ancilla uniform per trial (B values);
-3. the preparation perturbation of the signal, for the near trials only:
-   u < (1 + v^2)/8, the largest p_coal/2 of any trial;
+2. one ancilla uniform per near trial: u < (1 + v^2)/8, the largest
+   p_coal/2 of any trial (about a quarter of the trials);
+3. the preparation perturbation of the signal, for the near trials;
 4. the filter-arm perturbation, for the kept trials only: u < p_coal/2;
 5. the scanner-arm perturbation (d states per trial), for the trials that
    also pass u < p_coal/2 * p_filter.
@@ -46,15 +55,16 @@ separate coalescence, split, filter-click and outcome draws. The right-hand
 side never exceeds p_coal/2 * p_filter, which does not depend on the
 scanner, nor p_coal/2, which depends only on the signal and the ancilla;
 so a trial above one of these bounds is dropped before the draws of the
-next step, which it could never use. Steps 3 and 5 select their trials with
+next step, which it could never use. Steps 2 and 5 select their trials with
 a relative rounding margin (``_BOUND_MARGIN``). A trial whose scanner
 weights sum to at most ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner
 setting can click, and the sum is rounding residue of an exact 0 (basis IV
 leaves ~1e-33), not a click probability.
 
-At f = 1 nothing is perturbed and layout 3 draws exactly what layout 2
-drew, so such runs give the counts they gave under layout 2. With a
-fidelity below 1 the same law is sampled from a different draw order.
+A fixed seed reproduces counts only under the layout that drew them. The
+tests check that layout 4 samples the law of the draw orders of layout 3
+(an ancilla uniform for every trial) and of layout 2 (every trial
+perturbed).
 
 In a trial where no state was replaced, p_coal/2, p_filter and the d
 thresholds depend only on the ancilla index, so each run computes them once
@@ -113,7 +123,7 @@ BATCH_TRIALS = 4096
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability: on basis IV a trial whose scanner arm can give no click
@@ -123,9 +133,10 @@ STREAM_LAYOUT = 3
 # totals above 2.4e-6, so the cutoff sits far from both.
 _Q_TOTAL_CUTOFF = 1e-20
 
-# Relative margin on the bounds that select the trials to perturb (see
-# ``_simulate_chunk``): a trial's thresholds are computed by other arithmetic
-# than its bound and may exceed it by rounding, never by 1e-9.
+# Relative margin on the bounds that select the trials whose ancilla and
+# perturbations are drawn (see ``_simulate_chunk``): a trial's thresholds are
+# computed by other arithmetic than its bound and may exceed it by rounding,
+# never by 1e-9.
 _BOUND_MARGIN = 1.0 + 1e-9
 
 # Give up if this many consecutive batches yield no coincidence at all.
@@ -352,9 +363,27 @@ def _complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
     return chi
 
 
-def _batch_rng(seed: int, input_index: int, batch: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(input_index, batch))
-    return np.random.Generator(np.random.Philox(ss))
+def _batch_streams(
+    pool: list[np.random.Generator], key: np.ndarray, first: int, n: int
+) -> list[np.random.Generator]:
+    """The first ``n`` generators of ``pool`` (grown to n if shorter), moved
+    to the starts of the streams of batches ``first``, ..., ``first + n - 1``.
+
+    Batch b draws from Philox with ``key`` from counter [0, b, 0, 0], with
+    an empty buffer and no cached 32-bit half, whatever the generator drew
+    before: the same draws as a fresh ``Philox(key=key, counter=[0, b, 0, 0])``.
+    """
+    pool.extend(np.random.Generator(np.random.Philox(key=key)) for _ in range(n - len(pool)))
+    for b, rng in enumerate(pool[:n], start=first):
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, b, 0, 0], dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    return pool[:n]
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -478,6 +507,12 @@ def _clean_row_table(
     return half_coal, p_filter, _acceptance_thresholds(half_coal, p_filter, q)
 
 
+def _per_stream(rows: np.ndarray, n: int) -> np.ndarray:
+    """How many of ``rows`` (sorted trial indices of a chunk of n batches)
+    fall in each batch."""
+    return np.diff(np.searchsorted(rows, BATCH_TRIALS * np.arange(1, n + 1)), prepend=0)
+
+
 def _stream_draws(
     rngs: list[np.random.Generator], rows: np.ndarray, shape: tuple[int, ...], d: int, f: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -489,10 +524,8 @@ def _stream_draws(
     """
     if f >= 1.0:
         return np.zeros((len(rows), *shape), dtype=bool), np.empty((0, 2 * d))
-    ends = np.searchsorted(rows, BATCH_TRIALS * np.arange(1, len(rngs) + 1))
-    draws = [
-        _fail_draws((k, *shape), d, f, rng) for rng, k in zip(rngs, np.diff(ends, prepend=0))
-    ]
+    counts = _per_stream(rows, len(rngs))
+    draws = [_fail_draws((k, *shape), d, f, rng) for rng, k in zip(rngs, counts)]
     return np.concatenate([m for m, _ in draws]), np.concatenate([z for _, z in draws])
 
 
@@ -509,13 +542,13 @@ def _simulate_chunk(
     """Run BATCH_TRIALS single-shot trials per stream in ``rngs``; return,
     per batch, the outcomes of its post-selected trials in trial order.
 
-    Each batch draws from its own stream in stream layout 3 (see the module
-    docstring), exactly as if it ran alone, and each perturbation only for
-    the trials that can still click:
+    Each batch draws from its own stream in stream layout 4 (see the module
+    docstring), exactly as if it ran alone, and the ancilla and each
+    perturbation only for the trials that can still click:
 
-    1. the accept uniforms u and the ancilla uniforms of all trials;
-    2. the preparation perturbation of the near trials, u < (1 + v^2)/8
-       (the largest p_coal/2 of any trial);
+    1. the accept uniforms u of all trials;
+    2. the ancilla uniforms and then the preparation perturbations of the
+       near trials, u < (1 + v^2)/8 (the largest p_coal/2 of any trial);
     3. the filter-arm perturbation of the kept trials, u < p_coal/2 =
        (1 + v^2 |<S|N>|^2)/8;
     4. the scanner-arm perturbation of the kept trials that also pass
@@ -543,17 +576,18 @@ def _simulate_chunk(
     clean_half_coal, clean_p_filter, clean_thresholds = table
     settings = basis_cols.T  # row j: scanner setting j, also ancilla j
 
-    # per stream: accept and ancilla uniforms
-    u, anc_u = np.empty(n * B), np.empty(n * B)
+    # per stream: accept uniforms
+    u = np.empty(n * B)
     for b, rng in enumerate(rngs):
         rng.random(out=u[b * B : (b + 1) * B])
-        rng.random(out=anc_u[b * B : (b + 1) * B])
 
-    # near trials: preparation draws, then the row's own p_coal/2
+    # near trials: ancilla uniforms and preparation draws, then the row's
+    # own p_coal/2
     rows = np.flatnonzero(u < (1.0 + v * v) / 8.0 * _BOUND_MARGIN)
+    anc_u = np.concatenate([rng.random(k) for rng, k in zip(rngs, _per_stream(rows, n))])
     s_bad, s_z = _stream_draws(rngs, rows, (), d, prep_f)
     u = u[rows]
-    anc_idx = _ancilla_index(np.cumsum(weights), anc_u[rows])
+    anc_idx = _ancilla_index(np.cumsum(weights), anc_u)
     half_coal = clean_half_coal[anc_idx]
     S_bad = _complement_states(phi, s_z)
     if len(S_bad):
@@ -640,6 +674,9 @@ def run_cloning_experiment(
     weights = config.weights_for(basis.dim)
     basis_cols = basis.matrix
     table = _clean_row_table(phi.amps, basis_cols, config.v)
+    # one Philox key per input; the generators are moved from batch to batch
+    key = np.random.SeedSequence(config.seed, spawn_key=(phi_index,)).generate_state(2, np.uint64)
+    pool: list[np.random.Generator] = []
     counts = np.zeros(basis.dim, dtype=np.int64)
     collected = 0
     hits_seen = 0
@@ -647,7 +684,6 @@ def run_cloning_experiment(
     dry = 0
     while collected < config.shots:
         n = _chunk_size(config.shots - collected, hits_seen, batch)
-        rngs = [_batch_rng(config.seed, phi_index, batch + k) for k in range(n)]
         chunk = _simulate_chunk(
             phi.amps,
             basis_cols,
@@ -655,7 +691,7 @@ def run_cloning_experiment(
             config.v,
             config.prep_fidelity,
             config.analysis_fidelity,
-            rngs,
+            _batch_streams(pool, key, batch, n),
             table,
         )
         batch += n

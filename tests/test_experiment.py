@@ -1,6 +1,7 @@
 """Monte Carlo bench: trial statistics, the count-ratio estimator, RNG streams."""
 
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from symclone.experiment import (
     _Q_TOTAL_CUTOFF,
     _acceptance_thresholds,
     _ancilla_index,
-    _batch_rng,
+    _batch_streams,
     _chunk_size,
     _clean_row_table,
     _complement_states,
@@ -35,6 +36,13 @@ from symclone.hilbert import PureState, basis_four, basis_logical
 
 def _haar(rng, d):
     return PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+
+def _batch_rng(seed, input_index, batch):
+    """Reference stream of one batch (stream layout 4): a fresh Philox with
+    the input's key, from counter [0, batch, 0, 0]."""
+    key = np.random.SeedSequence(seed, spawn_key=(input_index,)).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, batch, 0, 0]))
 
 
 def _counts_table(counts: dict) -> CountsTable:
@@ -72,11 +80,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 3
+    assert cfg.to_dict()["streamLayout"] == 4
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 4, "3", None):
+    for layout in (1, 2, 3, 5, "4", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -130,6 +138,15 @@ def test_config_reports_missing_shots():
         ExperimentConfig.from_dict({})
     with pytest.raises(ValueError, match="'shots'"):
         ExperimentConfig.from_dict({"seed": 3})
+
+
+def test_config_seed_must_fit_in_64_unsigned_bits():
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            ExperimentConfig(shots=1, seed=seed)
+    # the largest seed derives its stream keys and runs
+    table = replicate_table("I", ExperimentConfig(shots=1, seed=2**64 - 1))
+    assert [sum(t.counts.values()) for t in table.tables] == [1, 1, 1, 1]
 
 
 def test_weights_dimension_check():
@@ -318,7 +335,9 @@ def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
         phi, basis.matrix, np.full(4, 0.25), 1.0, 1.0, 1.0, [rng], _clean_row_table(phi, basis.matrix, 1.0)
     )
     fresh = _batch_rng(3, 0, 0)
-    fresh.random(2 * BATCH_TRIALS)
+    near = int(np.count_nonzero(fresh.random(BATCH_TRIALS) < 0.25 * (1.0 + 1e-9)))
+    assert 0 < near < BATCH_TRIALS // 2
+    fresh.random(near)  # ancilla uniforms of the near trials only
     assert _stream_position(rng) == _stream_position(fresh)
 
 
@@ -329,9 +348,9 @@ def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
     _simulate_chunk(phi, basis.matrix, np.full(4, 0.25), v, f, 1.0, [rng], _clean_row_table(phi, basis.matrix, v))
     fresh = _batch_rng(21, 2, 0)
     u = fresh.random(BATCH_TRIALS)
-    fresh.random(BATCH_TRIALS)
     near = int(np.count_nonzero(u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)))
     assert 0 < near < BATCH_TRIALS // 2
+    fresh.random(near)  # ancilla uniforms
     bad = fresh.random(near) >= f
     fresh.standard_normal((int(bad.sum()), 8))
     assert _stream_position(rng) == _stream_position(fresh)
@@ -345,7 +364,8 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     _simulate_chunk(phi, basis.matrix, weights, v, 1.0, f, [rng], _clean_row_table(phi, basis.matrix, v))
     fresh = _batch_rng(22, 0, 0)
     u = fresh.random(BATCH_TRIALS)
-    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), fresh.random(BATCH_TRIALS), side="right"), 3)
+    u = u[u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)]
+    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), fresh.random(len(u)), side="right"), 3)
     N = basis.matrix.T[anc_idx]
     half_coal = (1.0 + v * v * np.abs(N @ np.conj(phi)) ** 2) / 8.0
     kept = u < half_coal
@@ -358,27 +378,43 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     assert _stream_position(rng) == _stream_position(fresh)
 
 
-def test_lazy_draws_sample_the_layout_2_law():
-    # two independent samples of the degraded basis-IV bench, one from the
-    # kernel and one from a reference that draws every perturbation as
-    # layout 2 did: per input and outcome the pooled counts must agree
-    _, v, prep_f, analysis_f, weights = _TABLE_CASES["degraded-IV"]
-    basis, weights = basis_four(), np.array(weights)
-    batches = 64  # per input, so 256 per side
+def _two_sample_z(case, reference, seeds, batches=64):
+    """Per input and outcome, the z-score between the pooled counts of the
+    kernel (stream seed ``seeds[0]``) and of ``reference`` run one batch at
+    a time (seed ``seeds[1]``), ``batches`` batches per input on each side."""
+    make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
+    basis = make_basis()
+    weights = np.full(4, 0.25) if weights is None else np.array(weights)
     counts = np.zeros((2, 4, 4))
     for i, phi in enumerate(basis.states):
         args = (phi.amps, basis.matrix, weights, v, prep_f, analysis_f)
         table = _clean_row_table(phi.amps, basis.matrix, v)
         for first in range(0, batches, _MAX_CHUNK_BATCHES):
-            rngs = [_batch_rng(71, i, first + k) for k in range(_MAX_CHUNK_BATCHES)]
+            rngs = [_batch_rng(seeds[0], i, first + k) for k in range(_MAX_CHUNK_BATCHES)]
             for hits in _simulate_chunk(*args, rngs, table):
                 counts[0, i] += np.bincount(hits, minlength=4)
         for b in range(batches):
-            counts[1, i] += np.bincount(_layout2_batch(*args, _batch_rng(72, i, b)), minlength=4)
+            counts[1, i] += np.bincount(reference(*args, _batch_rng(seeds[1], i, b)), minlength=4)
     n = batches * BATCH_TRIALS
     p = counts.sum(axis=0) / (2 * n)
-    z = (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
-    assert np.max(np.abs(z)) < 5.0
+    return (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
+
+
+def test_lazy_draws_sample_the_layout_2_law():
+    # two independent samples of the degraded basis-IV bench, one from the
+    # kernel and one from a reference that draws every perturbation as
+    # layout 2 did: per input and outcome the pooled counts must agree
+    assert np.max(np.abs(_two_sample_z("degraded-IV", _layout2_batch, (71, 72)))) < 5.0
+
+
+@pytest.mark.parametrize("case", ["ideal-I", "degraded-IV"])
+def test_near_trial_ancilla_draws_sample_the_layout_3_law(case):
+    # the kernel against a reference that draws an ancilla uniform for every
+    # trial, as layout 3 did
+    def layout3(*args):
+        return _per_row_batch(*args, ancilla_for_all=True)
+
+    assert np.max(np.abs(_two_sample_z(case, layout3, (73, 74)))) < 5.0
 
 
 # ------------------------------------------------- clean-row threshold table
@@ -394,16 +430,20 @@ def _reference_hits(u, half_coal, p_filter, q):
     return outcomes[outcomes < q.shape[1]]
 
 
-def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng):
-    """Reference: a stream-layout-3 batch that evaluates p_coal/2 and
+def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, ancilla_for_all=False):
+    """Reference: a stream-layout-4 batch that evaluates p_coal/2 and
     ``_event_terms`` on every row it keeps, from explicit scanner states,
-    with no clean-row table."""
+    with no clean-row table.
+
+    With ``ancilla_for_all`` it draws an ancilla uniform for every trial
+    right after the accept uniforms, in the stream-layout-3 order."""
     B = BATCH_TRIALS
     d = len(phi)
     u = rng.random(B)
-    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
     near = u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
-    u, N = u[near], basis_cols.T[anc_idx[near]]
+    anc_u = rng.random(B)[near] if ancilla_for_all else rng.random(np.count_nonzero(near))
+    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), anc_u, side="right"), d - 1)
+    u, N = u[near], basis_cols.T[anc_idx]
     S = _perturbed(np.broadcast_to(phi, (len(u), d)), prep_f, rng)
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
     keep = u < half_coal
@@ -535,6 +575,31 @@ def test_chunk_matches_single_batches(case):
                 assert _stream_position(rng) == _stream_position(alone)
 
 
+@pytest.mark.parametrize("leave", ["mid-buffer", "uint32"])
+def test_pooled_generator_moved_to_a_batch_draws_as_a_fresh_stream(leave):
+    key = np.random.SeedSequence(19, spawn_key=(2,)).generate_state(2, np.uint64)
+    pool = [np.random.Generator(np.random.Philox(key=key)) for _ in range(3)]
+    for rng in pool:
+        rng.random(5)  # an odd number of draws ends mid-buffer
+        if leave == "uint32":
+            rng.random(dtype=np.float32)  # keeps the other half of a 64-bit draw
+    state = pool[0].bit_generator.state
+    assert (state["buffer_pos"], state["has_uint32"]) == ((2, 1) if leave == "uint32" else (1, 0))
+    moved = _batch_streams(pool, key, 6, 2)
+    assert len(moved) == 2 and all(a is b for a, b in zip(moved, pool))
+    for b, rng in zip((6, 7), moved):
+        fresh = _batch_rng(19, 2, b)
+        assert _stream_position(rng) == _stream_position(fresh) == ([0, b, 0, 0], 4)
+        assert np.array_equal(rng.random(7), fresh.random(7))
+        assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+        assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
+        assert _stream_position(rng) == _stream_position(fresh)
+    # a short pool grows to the chunk
+    grown = _batch_streams(pool[:1], key, 6, 2)
+    assert grown[0] is pool[0] and grown[1] not in pool
+    assert np.array_equal(grown[1].random(7), _batch_rng(19, 2, 7).random(7))
+
+
 def test_ancilla_index_is_the_clipped_searchsorted():
     rng = np.random.default_rng(12)
     for weights in ([0.25] * 4, [0.3, 0.3, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]):
@@ -589,8 +654,13 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, forced
     # often not the last of its chunk and the rest must be dropped
     basis = experiment._NAMED_BASES[basis_name]()
     built = []
-    real_rng = experiment._batch_rng
-    monkeypatch.setattr(experiment, "_batch_rng", lambda *a: built.append(a[2]) or real_rng(*a))
+    real_streams = experiment._batch_streams
+
+    def recorded(pool, key, first, n):
+        built.extend(range(first, first + n))
+        return real_streams(pool, key, first, n)
+
+    monkeypatch.setattr(experiment, "_batch_streams", recorded)
     if forced is not None:
         monkeypatch.setattr(experiment, "_chunk_size", lambda *a: forced)
     for phi in basis.states:
@@ -614,7 +684,9 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, forced
 def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, raises, forced):
     # a stand-in kernel: batch b yields one coincidence when b is in hit_batches
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
-    monkeypatch.setattr(experiment, "_batch_rng", lambda seed, i, b: b)
+    monkeypatch.setattr(
+        experiment, "_batch_streams", lambda pool, key, first, n: list(range(first, first + n))
+    )
     monkeypatch.setattr(
         experiment, "_simulate_chunk",
         lambda *args: [np.array([0] if b in hit_batches else [], dtype=np.intp) for b in args[6]],
@@ -657,7 +729,10 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     for i, phi in enumerate(basis.states):
         table = _clean_row_table(phi.amps, basis.matrix, 0.9165)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
-        _simulate_chunk(phi.amps, basis.matrix, weights, 0.9165, 0.9, 0.9, [_batch_rng(0, i, 0)], table)
+        # two batches per input: one alone leaves ~100 residue rows (107 at
+        # seed 0), too close to the floor below
+        rngs = [_batch_rng(0, i, b) for b in range(2)]
+        _simulate_chunk(phi.amps, basis.matrix, weights, 0.9165, 0.9, 0.9, rngs, table)
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])
@@ -669,14 +744,14 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 
 # ---------------------------------------------------- fixed-seed regression
 
-# Integer counts per input (rows) and outcome (columns), recorded when rows
-# whose scanner weights sum to rounding residue became unresolvable; basis
-# IV re-recorded at stream layout 3, which draws the perturbations in a new
-# order. A change to the Monte Carlo arithmetic that keeps the draws and the
-# accept rule must leave them as they are.
+# Integer counts per input (rows) and outcome (columns), re-recorded at
+# stream layout 4, which keys each input's streams once and draws the
+# ancilla only for near trials, so both bases see new streams. A change to
+# the Monte Carlo arithmetic that keeps the draws and the accept rule must
+# leave them as they are.
 _GOLDEN_COUNTS = {
-    "I": [[1211, 268, 294, 227], [267, 1176, 272, 285], [294, 282, 1136, 288], [283, 297, 289, 1131]],
-    "IV": [[1205, 331, 255, 209], [351, 1125, 258, 266], [387, 403, 898, 312], [394, 417, 287, 902]],
+    "I": [[1116, 301, 302, 281], [285, 1136, 311, 268], [287, 260, 1138, 315], [280, 292, 282, 1146]],
+    "IV": [[1088, 394, 256, 262], [361, 1121, 265, 253], [409, 370, 893, 328], [412, 398, 279, 911]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
@@ -828,6 +903,31 @@ def test_estimator_rejects_empty_counts():
         estimate_probabilities(_counts_table({0: 0, 1: 0, 2: 0, 3: 0}), 0)
 
 
+@pytest.mark.parametrize("counts", [
+    {0: 4, 1: 1, 2: 1, 3: 1},
+    {0: 1234, 1: 17, 2: 0, 3: 305},
+    {0: 3, 1: 9},
+    {0: 70, 1: 10, 2: 10, 3: 10, 4: 0},
+    {0: 0, 1: 5, 2: 2},
+    {0: 10, 1: 0, 2: 0},
+])
+def test_estimator_stderr_is_the_propagated_binomial_error(counts):
+    # F(k) = n / (2n - k) at fixed total n; sigma = |dF/dk| sqrt(n q (1 - q))
+    # with q = k / n, dF/dk taken as an exact central difference
+    n, k = sum(counts.values()), counts[0]
+
+    def fidelity(x):
+        return Fraction(n) / (2 * n - x)
+
+    h = Fraction(1, 10**6)
+    slope = (fidelity(k + h) - fidelity(k - h)) / (2 * h)
+    q = Fraction(k, n)
+    res = estimate_probabilities(_counts_table(counts), 0)
+    assert res.fidelity == pytest.approx(float(fidelity(k)), rel=1e-15)
+    expected = abs(float(slope)) * math.sqrt(n * q * (1 - q))
+    assert res.stderr == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+
 def test_estimator_stderr_shrinks_with_counts():
     small = estimate_probabilities(_counts_table({0: 40, 1: 10, 2: 10, 3: 10}), 0)
     large = estimate_probabilities(_counts_table({0: 4000, 1: 1000, 2: 1000, 3: 1000}), 0)
@@ -844,6 +944,15 @@ def test_replicate_table_ideal_basis_one():
         assert abs(res.fidelity - 0.7) < 3 * res.stderr
     assert table.average == pytest.approx(0.7, abs=0.01)
     assert "average" in str(table)
+
+
+def test_table_average_stderr_combines_the_input_errors():
+    table = replicate_table("IV", ExperimentConfig(shots=300, v=0.8, seed=6))
+    sigmas = [r.stderr for r in table.results]
+    assert len(set(sigmas)) == 4  # distinct, so no single input's error stands in
+    expected = math.sqrt(sum(s * s for s in sigmas)) / 4
+    assert table.average_stderr == pytest.approx(expected, rel=1e-12)
+    assert table.average == pytest.approx(np.mean([r.fidelity for r in table.results]), rel=1e-15)
 
 
 def test_replicate_table_unknown_basis():
