@@ -31,13 +31,15 @@ generator per batch: it keeps up to ``_MAX_CHUNK_BATCHES`` of them and
 moves each to the start of its next batch's stream (``_batch_streams``),
 which gives the draws of the fresh generator above.
 
-Within a batch of B trials the draws follow stream layout 4
+Within a batch of B trials the draws follow stream layout 5
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use,
 in this order:
 
-1. one accept uniform ``u`` per trial (B values);
-2. one ancilla uniform per near trial: u < (1 + v^2)/8, the largest
-   p_coal/2 of any trial (about a quarter of the trials);
+1. the number K of near trials, u < p_near = (1 + v^2)/8, the largest
+   p_coal/2 of any trial: one binomial draw with B trials and probability
+   p_near (about a quarter of the trials are near);
+2. K accept uniforms ``u``, scaled to [0, p_near), then K ancilla uniforms
+   (one ``random((2, K))`` draw);
 3. the preparation perturbation of the signal, for the near trials;
 4. the filter-arm perturbation, for the kept trials only: u < p_coal/2;
 5. the scanner-arm perturbation (d states per trial), for the trials that
@@ -51,20 +53,23 @@ the pass test, in order. A trial is post-selected with outcome j when
 
 for the smallest such j (p_coal as in ``_half_coal``, p_filter and the
 scanner weights q_j as in ``_event_terms``). This has the joint law of
-separate coalescence, split, filter-click and outcome draws. The right-hand
-side never exceeds p_coal/2 * p_filter, which does not depend on the
-scanner, nor p_coal/2, which depends only on the signal and the ancilla;
-so a trial above one of these bounds is dropped before the draws of the
-next step, which it could never use. Steps 2 and 5 select their trials with
-a relative rounding margin (``_BOUND_MARGIN``). A trial whose scanner
-weights sum to at most ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner
-setting can click, and the sum is rounding residue of an exact 0 (basis IV
-leaves ~1e-33), not a click probability.
+separate coalescence, split, filter-click and outcome draws with u uniform
+on [0, 1). The right-hand side never exceeds p_coal/2 * p_filter, which
+does not depend on the scanner, nor p_coal/2, which depends only on the
+signal and the ancilla, nor p_near; so a trial above one of these bounds is
+dropped before the draws of the next step, which it could never use. A
+trial with u >= p_near draws nothing at all: the trials of a batch are
+independent, so its near trials are K ~ Binomial(B, p_near) trials whose u
+is uniform on [0, p_near). p_near and the bound of step 5 carry a relative
+rounding margin (``_BOUND_MARGIN``). A trial whose scanner weights sum to
+at most ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can
+click, and the sum is rounding residue of an exact 0 (basis IV leaves
+~1e-33), not a click probability.
 
 A fixed seed reproduces counts only under the layout that drew them. The
-tests check that layout 4 samples the law of the draw orders of layout 3
-(an ancilla uniform for every trial) and of layout 2 (every trial
-perturbed).
+tests check that layout 5 samples the law of the draw orders of layout 4
+(an accept uniform for every trial), layout 3 (an ancilla uniform for every
+trial as well) and layout 2 (every trial perturbed).
 
 In a trial where no state was replaced, p_coal/2, p_filter and the d
 thresholds depend only on the ancilla index, so each run computes them once
@@ -123,7 +128,7 @@ BATCH_TRIALS = 4096
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability: on basis IV a trial whose scanner arm can give no click
@@ -195,6 +200,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("shots", "seed"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
         if not 0.0 <= self.v <= 1.0:
@@ -507,24 +516,36 @@ def _clean_row_table(
     return half_coal, p_filter, _acceptance_thresholds(half_coal, p_filter, q)
 
 
-def _per_stream(rows: np.ndarray, n: int) -> np.ndarray:
-    """How many of ``rows`` (sorted trial indices of a chunk of n batches)
-    fall in each batch."""
-    return np.diff(np.searchsorted(rows, BATCH_TRIALS * np.arange(1, n + 1)), prepend=0)
+def _near_trials(
+    rngs: list[np.random.Generator], p_near: float, cum_weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The near trials (u < ``p_near``) of one batch per stream in ``rngs``.
+
+    Each stream draws their number K ~ Binomial(BATCH_TRIALS, p_near), then
+    K accept uniforms and K ancilla uniforms as one ``random((2, K))``.
+    Returns, over all near trials in stream order, the batch index (into
+    ``rngs``), the accept uniform u, uniform on [0, p_near), and the
+    ancilla index.
+    """
+    near = [rng.binomial(BATCH_TRIALS, p_near) for rng in rngs]
+    u, anc_u = np.concatenate([rng.random((2, k)) for rng, k in zip(rngs, near)], axis=1)
+    # u * p_near is a copy: no view keeps the (2, K) block alive in the caller
+    return np.repeat(np.arange(len(rngs)), near), u * p_near, _ancilla_index(cum_weights, anc_u)
 
 
 def _stream_draws(
     rngs: list[np.random.Generator], rows: np.ndarray, shape: tuple[int, ...], d: int, f: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One perturbation per trial in ``rows`` (sorted trial indices of the
-    chunk), of ``shape`` states each, drawn from the trial's own stream.
+    """One perturbation per trial listed in ``rows`` (each trial's batch
+    index, sorted), of ``shape`` states each, drawn from the trial's own
+    stream.
 
     Returns, over all those trials in order, the replaced-state mask (shape
     (len(rows), *shape)) and the normals of the replaced states.
     """
     if f >= 1.0:
         return np.zeros((len(rows), *shape), dtype=bool), np.empty((0, 2 * d))
-    counts = _per_stream(rows, len(rngs))
+    counts = np.bincount(rows, minlength=len(rngs))
     draws = [_fail_draws((k, *shape), d, f, rng) for rng, k in zip(rngs, counts)]
     return np.concatenate([m for m, _ in draws]), np.concatenate([z for _, z in draws])
 
@@ -540,21 +561,24 @@ def _simulate_chunk(
     table: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> list[np.ndarray]:
     """Run BATCH_TRIALS single-shot trials per stream in ``rngs``; return,
-    per batch, the outcomes of its post-selected trials in trial order.
+    per batch, the outcomes of its post-selected trials in the order of its
+    near trials.
 
-    Each batch draws from its own stream in stream layout 4 (see the module
-    docstring), exactly as if it ran alone, and the ancilla and each
-    perturbation only for the trials that can still click:
+    Each batch draws from its own stream in stream layout 5 (see the module
+    docstring), exactly as if it ran alone, and draws nothing for a trial
+    that cannot click; of the others, the ancilla and each perturbation only
+    while they can still change whether the trial is counted:
 
-    1. the accept uniforms u of all trials;
-    2. the ancilla uniforms and then the preparation perturbations of the
-       near trials, u < (1 + v^2)/8 (the largest p_coal/2 of any trial);
+    1. the number K ~ Binomial(B, p_near) of near trials, u < p_near =
+       (1 + v^2)/8 (the largest p_coal/2 of any trial), then their accept
+       uniforms u, uniform on [0, p_near), and their ancilla uniforms;
+    2. the preparation perturbations of the near trials;
     3. the filter-arm perturbation of the kept trials, u < p_coal/2 =
        (1 + v^2 |<S|N>|^2)/8;
     4. the scanner-arm perturbation of the kept trials that also pass
        u < p_coal/2 * p_filter, the largest threshold of the trial.
 
-    The two bounds that select trials before their draws (2 and 4) carry
+    The two bounds that select trials before their draws (1 and 4) carry
     the relative margin ``_BOUND_MARGIN``, so rounding never skips a trial
     that its thresholds would accept. A trial that reaches step 4 is
     accepted with outcome j for the smallest j with
@@ -570,24 +594,15 @@ def _simulate_chunk(
     overwritten. The table holds the numbers those rows would compute, so
     the draws and the outcomes are the same either way.
     """
-    B = BATCH_TRIALS
     d = len(phi)
     n = len(rngs)
     clean_half_coal, clean_p_filter, clean_thresholds = table
     settings = basis_cols.T  # row j: scanner setting j, also ancilla j
 
-    # per stream: accept uniforms
-    u = np.empty(n * B)
-    for b, rng in enumerate(rngs):
-        rng.random(out=u[b * B : (b + 1) * B])
-
-    # near trials: ancilla uniforms and preparation draws, then the row's
-    # own p_coal/2
-    rows = np.flatnonzero(u < (1.0 + v * v) / 8.0 * _BOUND_MARGIN)
-    anc_u = np.concatenate([rng.random(k) for rng, k in zip(rngs, _per_stream(rows, n))])
+    # near trials: their draws of steps 1 and 2 and the preparation draws,
+    # then the row's own p_coal/2
+    rows, u, anc_idx = _near_trials(rngs, (1.0 + v * v) / 8.0 * _BOUND_MARGIN, np.cumsum(weights))
     s_bad, s_z = _stream_draws(rngs, rows, (), d, prep_f)
-    u = u[rows]
-    anc_idx = _ancilla_index(np.cumsum(weights), anc_u)
     half_coal = clean_half_coal[anc_idx]
     S_bad = _complement_states(phi, s_z)
     if len(S_bad):
@@ -638,7 +653,7 @@ def _simulate_chunk(
     for j in range(d):
         outcomes += u >= thresholds[:, j]
     hits = np.flatnonzero(outcomes < d)
-    hit_ends = np.searchsorted(rows[hits], B * np.arange(n + 1)).tolist()
+    hit_ends = np.searchsorted(rows[hits], np.arange(n + 1)).tolist()
     outcomes = outcomes[hits]
     return [outcomes[a:b] for a, b in zip(hit_ends, hit_ends[1:])]
 

@@ -39,8 +39,8 @@ def _haar(rng, d):
 
 
 def _batch_rng(seed, input_index, batch):
-    """Reference stream of one batch (stream layout 4): a fresh Philox with
-    the input's key, from counter [0, batch, 0, 0]."""
+    """Reference stream of one batch (since stream layout 4): a fresh Philox
+    with the input's key, from counter [0, batch, 0, 0]."""
     key = np.random.SeedSequence(seed, spawn_key=(input_index,)).generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=[0, batch, 0, 0]))
 
@@ -80,11 +80,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 4
+    assert cfg.to_dict()["streamLayout"] == 5
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 5, "4", None):
+    for layout in (1, 2, 3, 4, 6, "5", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -120,6 +120,19 @@ def test_config_rejects_non_integral_shots_and_seed(data, key):
 def test_config_rejects_booleans_and_non_numbers(data, key):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"shots": 2.5}, "shots must be an integer, got 2.5"),
+    ({"shots": 10, "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"shots": True}, "shots must be an integer, got True"),
+    ({"shots": 10, "seed": False}, "seed must be an integer, got False"),
+])
+def test_config_constructor_rejects_non_integral_or_boolean_shots_and_seed(kwargs, message):
+    # such values would fail mid-run (a slice index, the seed entropy) or
+    # run and be written out as a JSON boolean
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kwargs)
 
 
 def test_config_accepts_integers_for_real_keys():
@@ -335,9 +348,9 @@ def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
         phi, basis.matrix, np.full(4, 0.25), 1.0, 1.0, 1.0, [rng], _clean_row_table(phi, basis.matrix, 1.0)
     )
     fresh = _batch_rng(3, 0, 0)
-    near = int(np.count_nonzero(fresh.random(BATCH_TRIALS) < 0.25 * (1.0 + 1e-9)))
+    near = int(fresh.binomial(BATCH_TRIALS, 0.25 * (1.0 + 1e-9)))
     assert 0 < near < BATCH_TRIALS // 2
-    fresh.random(near)  # ancilla uniforms of the near trials only
+    fresh.random((2, near))  # accept and ancilla uniforms of the near trials only
     assert _stream_position(rng) == _stream_position(fresh)
 
 
@@ -347,10 +360,9 @@ def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
     rng = _batch_rng(21, 2, 0)
     _simulate_chunk(phi, basis.matrix, np.full(4, 0.25), v, f, 1.0, [rng], _clean_row_table(phi, basis.matrix, v))
     fresh = _batch_rng(21, 2, 0)
-    u = fresh.random(BATCH_TRIALS)
-    near = int(np.count_nonzero(u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)))
+    near = int(fresh.binomial(BATCH_TRIALS, (1.0 + v * v) / 8.0 * (1.0 + 1e-9)))
     assert 0 < near < BATCH_TRIALS // 2
-    fresh.random(near)  # ancilla uniforms
+    fresh.random((2, near))  # accept and ancilla uniforms
     bad = fresh.random(near) >= f
     fresh.standard_normal((int(bad.sum()), 8))
     assert _stream_position(rng) == _stream_position(fresh)
@@ -363,9 +375,10 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     rng = _batch_rng(22, 0, 0)
     _simulate_chunk(phi, basis.matrix, weights, v, 1.0, f, [rng], _clean_row_table(phi, basis.matrix, v))
     fresh = _batch_rng(22, 0, 0)
-    u = fresh.random(BATCH_TRIALS)
-    u = u[u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)]
-    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), fresh.random(len(u)), side="right"), 3)
+    p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
+    u, anc_u = fresh.random((2, fresh.binomial(BATCH_TRIALS, p_near)))
+    u = u * p_near
+    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), anc_u, side="right"), 3)
     N = basis.matrix.T[anc_idx]
     half_coal = (1.0 + v * v * np.abs(N @ np.conj(phi)) ** 2) / 8.0
     kept = u < half_coal
@@ -412,9 +425,19 @@ def test_near_trial_ancilla_draws_sample_the_layout_3_law(case):
     # the kernel against a reference that draws an ancilla uniform for every
     # trial, as layout 3 did
     def layout3(*args):
-        return _per_row_batch(*args, ancilla_for_all=True)
+        return _per_row_batch(*args, layout=3)
 
     assert np.max(np.abs(_two_sample_z(case, layout3, (73, 74)))) < 5.0
+
+
+@pytest.mark.parametrize("case", ["ideal-I", "degraded-IV"])
+def test_binomial_near_trials_sample_the_layout_4_law(case):
+    # the kernel against a reference that draws an accept uniform for every
+    # trial and keeps the near ones, as layout 4 did
+    def layout4(*args):
+        return _per_row_batch(*args, layout=4)
+
+    assert np.max(np.abs(_two_sample_z(case, layout4, (75, 76)))) < 5.0
 
 
 # ------------------------------------------------- clean-row threshold table
@@ -430,20 +453,28 @@ def _reference_hits(u, half_coal, p_filter, q):
     return outcomes[outcomes < q.shape[1]]
 
 
-def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, ancilla_for_all=False):
-    """Reference: a stream-layout-4 batch that evaluates p_coal/2 and
-    ``_event_terms`` on every row it keeps, from explicit scanner states,
-    with no clean-row table.
+def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, layout=5):
+    """Reference: a batch that evaluates p_coal/2 and ``_event_terms`` on
+    every row it keeps, from explicit scanner states, with no clean-row
+    table.
 
-    With ``ancilla_for_all`` it draws an ancilla uniform for every trial
-    right after the accept uniforms, in the stream-layout-3 order."""
+    ``layout`` sets how the near trials are drawn: 5 (the kernel's order)
+    draws their number and then their accept and ancilla uniforms; 4 draws
+    an accept uniform for every trial, then an ancilla uniform for each near
+    one; 3 draws an ancilla uniform for every trial as well."""
     B = BATCH_TRIALS
     d = len(phi)
-    u = rng.random(B)
-    near = u < (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
-    anc_u = rng.random(B)[near] if ancilla_for_all else rng.random(np.count_nonzero(near))
+    p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
+    if layout == 5:
+        u, anc_u = rng.random((2, rng.binomial(B, p_near)))
+        u = u * p_near
+    else:
+        u = rng.random(B)
+        near = u < p_near
+        anc_u = rng.random(B)[near] if layout == 3 else rng.random(np.count_nonzero(near))
+        u = u[near]
     anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), anc_u, side="right"), d - 1)
-    u, N = u[near], basis_cols.T[anc_idx]
+    N = basis_cols.T[anc_idx]
     S = _perturbed(np.broadcast_to(phi, (len(u), d)), prep_f, rng)
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
     keep = u < half_coal
@@ -506,6 +537,23 @@ def test_table_path_matches_per_row_reference(case):
         _assert_table_path_matches_reference(
             basis, phi_index, weights, v, prep_f, analysis_f, seed=43, batches=6
         )
+
+
+@pytest.mark.parametrize("make_basis", [basis_logical, basis_four])
+def test_clean_row_thresholds_are_the_scanner_weights_over_16(make_basis):
+    # with an ideal scanner sum(q) = 2 (1 + x) p_filter, so a clean row's
+    # thresholds p_coal/2 * p_filter * cum(q)/sum(q) are cum(q)/16, with q
+    # written out term by term
+    basis = make_basis()
+    d = basis.dim
+    settings = basis.matrix.T
+    scanner = np.broadcast_to(settings, (d, d, d))
+    for phi in basis.states:
+        S = np.broadcast_to(phi.amps, (d, d))
+        for v in (0.0, 0.5, 0.9165, 1.0):
+            _, q = _elementwise_terms(S, settings, v, S, scanner)
+            thresholds = _clean_row_table(phi.amps, basis.matrix, v)[2]
+            assert np.max(np.abs(thresholds - np.cumsum(q, axis=1) / 16.0)) < 1e-15
 
 
 def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
@@ -580,16 +628,22 @@ def test_pooled_generator_moved_to_a_batch_draws_as_a_fresh_stream(leave):
     key = np.random.SeedSequence(19, spawn_key=(2,)).generate_state(2, np.uint64)
     pool = [np.random.Generator(np.random.Philox(key=key)) for _ in range(3)]
     for rng in pool:
-        rng.random(5)  # an odd number of draws ends mid-buffer
+        # a binomial with another (n, p) leaves its set-up on the generator
+        rng.binomial(BATCH_TRIALS, 0.125)
+        rng.random(4)  # with the binomial's two draws, ends mid-buffer
         if leave == "uint32":
             rng.random(dtype=np.float32)  # keeps the other half of a 64-bit draw
     state = pool[0].bit_generator.state
-    assert (state["buffer_pos"], state["has_uint32"]) == ((2, 1) if leave == "uint32" else (1, 0))
+    assert (state["buffer_pos"], state["has_uint32"]) == ((3, 1) if leave == "uint32" else (2, 0))
     moved = _batch_streams(pool, key, 6, 2)
     assert len(moved) == 2 and all(a is b for a, b in zip(moved, pool))
+    p_near = 0.25 * (1.0 + 1e-9)
     for b, rng in zip((6, 7), moved):
         fresh = _batch_rng(19, 2, b)
         assert _stream_position(rng) == _stream_position(fresh) == ([0, b, 0, 0], 4)
+        near = rng.binomial(BATCH_TRIALS, p_near)
+        assert near == fresh.binomial(BATCH_TRIALS, p_near)
+        assert np.array_equal(rng.random((2, near)), fresh.random((2, near)))
         assert np.array_equal(rng.random(7), fresh.random(7))
         assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
         assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
@@ -745,13 +799,13 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # ---------------------------------------------------- fixed-seed regression
 
 # Integer counts per input (rows) and outcome (columns), re-recorded at
-# stream layout 4, which keys each input's streams once and draws the
-# ancilla only for near trials, so both bases see new streams. A change to
-# the Monte Carlo arithmetic that keeps the draws and the accept rule must
-# leave them as they are.
+# stream layout 5, which draws the number of near trials and then only
+# their uniforms, so both bases see new draws. A change to the Monte Carlo
+# arithmetic that keeps the draws and the accept rule must leave them as
+# they are.
 _GOLDEN_COUNTS = {
-    "I": [[1116, 301, 302, 281], [285, 1136, 311, 268], [287, 260, 1138, 315], [280, 292, 282, 1146]],
-    "IV": [[1088, 394, 256, 262], [361, 1121, 265, 253], [409, 370, 893, 328], [412, 398, 279, 911]],
+    "I": [[1107, 320, 312, 261], [280, 1147, 293, 280], [266, 300, 1132, 302], [267, 325, 299, 1109]],
+    "IV": [[1081, 385, 285, 249], [347, 1118, 255, 280], [368, 427, 914, 291], [410, 410, 307, 873]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
@@ -780,6 +834,17 @@ def test_ideal_run_matches_clone_diagonal():
     # off-input outcomes are each near 0.1
     for i in (1, 2, 3):
         assert res.probs[i] == pytest.approx(0.1, abs=0.005)
+
+
+def test_stderr_covers_the_ideal_fidelity():
+    # 400 inputs (seeds 0-99 of a 2000-shot basis-I table): |F - 0.7| < 1.96
+    # sigma should hold for ~95 % of them, so the count must lie within
+    # 4 sd of Binomial(400, 0.95), 380 +- 17.4
+    inside = 0
+    for seed in range(100):
+        table = replicate_table("I", ExperimentConfig(shots=2000, seed=seed))
+        inside += sum(abs(r.fidelity - 0.7) < 1.96 * r.stderr for r in table.results)
+    assert 363 <= inside <= 397
 
 
 def test_same_seed_reproduces_counts_exactly():
