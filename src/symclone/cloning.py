@@ -43,7 +43,6 @@ from functools import cache
 
 import numpy as np
 
-from . import bosonic
 from .hilbert import DensityMatrix, PureState, fidelity_pure
 
 __all__ = [
@@ -206,6 +205,23 @@ def _stage(rho: np.ndarray, m: int, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
+def _photons(phi: PureState, n: int) -> np.ndarray:
+    """|phi^(x)n> = (a_phi^dag)^n |0> / sqrt(n!) on the n-photon basis.
+
+    Applies a_phi^dag = sum_k phi_k a_k^dag one photon at a time, as a
+    matrix built from the stage's raising table (``_stage`` itself, with the
+    dense sigma = |phi><phi|, makes d^2 scatter updates per photon).
+    """
+    d = phi.dim
+    vec = np.ones(1, dtype=complex)
+    for m in range(n):
+        up, coeff = _raising(d, m)
+        raise_phi = np.zeros((len(_fock_basis(d, m + 1)), len(vec)), dtype=complex)
+        raise_phi[up, np.arange(len(vec))] = phi.amps[:, None] * coeff
+        vec = raise_phi @ vec / math.sqrt(m + 1)
+    return vec
+
+
 def _interfere(phi: PureState, n: int, m: int, sigma: np.ndarray) -> tuple[float, DensityMatrix]:
     """Carry n photons in ``phi`` through m - n stages: (success probability, clone state).
 
@@ -214,11 +230,7 @@ def _interfere(phi: PureState, n: int, m: int, sigma: np.ndarray) -> tuple[float
     over the (m-1)-photon basis kets i.
     """
     d = phi.dim
-    start = bosonic.identical_photons(0, phi, n)
-    index = _fock_basis(d, n)
-    vec = np.zeros(len(index), dtype=complex)
-    for occ, amp in start.terms.items():
-        vec[index[occ[:d]]] = amp
+    vec = _photons(phi, n)
     rho = np.outer(vec, vec.conj())
     success = 1.0
     for photons in range(n, m):

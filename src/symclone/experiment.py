@@ -24,14 +24,11 @@ at [0, b, 0, 0]:
     Generator(Philox(key=K_i, counter=[0, b, 0, 0]))
 
 Philox steps the lowest counter word, so the blocks of two batches overlap
-only if a batch draws 2^64 blocks, which none comes near. Results are
-identical no matter how batches are distributed across workers, and two
-runs with the same config are count-for-count identical. A run builds no
-generator per batch: it keeps up to ``_MAX_CHUNK_BATCHES`` of them and
-moves each to the start of its next batch's stream (``_batch_streams``),
-which gives the draws of the fresh generator above.
+only if a batch draws 2^64 blocks, which none comes near. A run evaluates
+batches 0, 1, ... in order until ``shots`` coincidences are counted, so two
+runs with the same config are count-for-count identical.
 
-Within a batch of B trials the draws follow stream layout 5
+Within a batch of B trials the draws follow stream layout 6
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use,
 in this order:
 
@@ -66,10 +63,11 @@ at most ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can
 click, and the sum is rounding residue of an exact 0 (basis IV leaves
 ~1e-33), not a click probability.
 
-A fixed seed reproduces counts only under the layout that drew them. The
-tests check that layout 5 samples the law of the draw orders of layout 4
-(an accept uniform for every trial), layout 3 (an ancilla uniform for every
-trial as well) and layout 2 (every trial perturbed).
+A fixed seed reproduces counts only under the layout that drew them. Layout
+6 is layout 5 with B = 16384 in place of 4096 trials per batch. The tests
+check that it samples the law of layout 5 and of the draw orders of layout
+4 (an accept uniform for every trial), layout 3 (an ancilla uniform for
+every trial as well) and layout 2 (every trial perturbed).
 
 In a trial where no state was replaced, p_coal/2, p_filter and the d
 thresholds depend only on the ancilla index, so each run computes them once
@@ -79,15 +77,6 @@ take the scanner overlaps from one product with the unperturbed settings
 (``_scanner_overlaps``); a trial with replaced settings overwrites only
 their entries. The table changes which code computes the thresholds, not
 their values or the draw order.
-
-A run evaluates up to ``_MAX_CHUNK_BATCHES`` consecutive batches as one
-chunk (``_simulate_chunk``). Chunks share arithmetic, not streams: each
-batch still draws from its own stream in the order above, and only the
-thinning and the event arithmetic between the draws run once on the
-chunk's rows. Counts are taken batch by batch, in order, so the result is
-that of single batches; batches a chunk evaluated past the one that fills
-``shots`` are dropped, and chunks are sized from the hits per batch seen
-so far to make that rare.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
@@ -121,14 +110,16 @@ __all__ = [
     "write_counts_csv",
 ]
 
-# Trials per RNG stream. Fixed: changing it changes which variates feed
-# which trial and therefore the realization (not the statistics).
-BATCH_TRIALS = 4096
+# Trials per batch, each batch one RNG stream. Four 4096-trial batches
+# evaluated together ran fastest under layout 5; eight used twice the memory
+# and ran no faster. Fixed: changing it changes which variates feed which
+# trial and therefore the realization (not the statistics).
+BATCH_TRIALS = 16384
 
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability: on basis IV a trial whose scanner arm can give no click
@@ -139,19 +130,14 @@ STREAM_LAYOUT = 5
 _Q_TOTAL_CUTOFF = 1e-20
 
 # Relative margin on the bounds that select the trials whose ancilla and
-# perturbations are drawn (see ``_simulate_chunk``): a trial's thresholds are
+# perturbations are drawn (see ``_simulate_batch``): a trial's thresholds are
 # computed by other arithmetic than its bound and may exceed it by rounding,
 # never by 1e-9.
 _BOUND_MARGIN = 1.0 + 1e-9
 
-# Give up if this many consecutive batches yield no coincidence at all.
-_MAX_DRY_BATCHES = 2000
-
-# Most batches evaluated as one chunk (see ``_simulate_chunk``). Memory
-# grows with the chunk: on the degraded basis-IV bench, traced allocations
-# peak near 2.2 MB with 4-batch chunks and 4.4 MB with 8, which run no
-# faster.
-_MAX_CHUNK_BATCHES = 4
+# Give up if this many consecutive batches (8 192 000 trials) yield no
+# coincidence at all.
+_MAX_DRY_BATCHES = 500
 
 _CONFIG_KEYS = frozenset(
     {"shots", "v", "ancillaWeights", "prepFidelity", "analysisFidelity", "seed", "streamLayout"}
@@ -372,29 +358,6 @@ def _complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
     return chi
 
 
-def _batch_streams(
-    pool: list[np.random.Generator], key: np.ndarray, first: int, n: int
-) -> list[np.random.Generator]:
-    """The first ``n`` generators of ``pool`` (grown to n if shorter), moved
-    to the starts of the streams of batches ``first``, ..., ``first + n - 1``.
-
-    Batch b draws from Philox with ``key`` from counter [0, b, 0, 0], with
-    an empty buffer and no cached 32-bit half, whatever the generator drew
-    before: the same draws as a fresh ``Philox(key=key, counter=[0, b, 0, 0])``.
-    """
-    pool.extend(np.random.Generator(np.random.Philox(key=key)) for _ in range(n - len(pool)))
-    for b, rng in enumerate(pool[:n], start=first):
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([0, b, 0, 0], dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    return pool[:n]
-
-
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
@@ -504,7 +467,7 @@ def _clean_row_table(
     its numbers depend on k alone. Returns p_coal/2 and p_filter (shape
     (d,) each) and the thresholds (shape (d, d)), row k for ancilla k,
     evaluated by the same arithmetic, through the same overlap route, as
-    the replaced rows in :func:`_simulate_chunk`.
+    the replaced rows in :func:`_simulate_batch`.
     """
     d = len(phi)
     SN = np.empty((d, 2, d), dtype=complex)
@@ -517,57 +480,36 @@ def _clean_row_table(
 
 
 def _near_trials(
-    rngs: list[np.random.Generator], p_near: float, cum_weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The near trials (u < ``p_near``) of one batch per stream in ``rngs``.
-
-    Each stream draws their number K ~ Binomial(BATCH_TRIALS, p_near), then
-    K accept uniforms and K ancilla uniforms as one ``random((2, K))``.
-    Returns, over all near trials in stream order, the batch index (into
-    ``rngs``), the accept uniform u, uniform on [0, p_near), and the
-    ancilla index.
-    """
-    near = [rng.binomial(BATCH_TRIALS, p_near) for rng in rngs]
-    u, anc_u = np.concatenate([rng.random((2, k)) for rng, k in zip(rngs, near)], axis=1)
-    # u * p_near is a copy: no view keeps the (2, K) block alive in the caller
-    return np.repeat(np.arange(len(rngs)), near), u * p_near, _ancilla_index(cum_weights, anc_u)
-
-
-def _stream_draws(
-    rngs: list[np.random.Generator], rows: np.ndarray, shape: tuple[int, ...], d: int, f: float
+    rng: np.random.Generator, p_near: float, cum_weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One perturbation per trial listed in ``rows`` (each trial's batch
-    index, sorted), of ``shape`` states each, drawn from the trial's own
-    stream.
+    """The near trials (u < ``p_near``) of one batch.
 
-    Returns, over all those trials in order, the replaced-state mask (shape
-    (len(rows), *shape)) and the normals of the replaced states.
+    Draws their number K ~ Binomial(BATCH_TRIALS, p_near), then K accept
+    uniforms and K ancilla uniforms as one ``random((2, K))``. Returns the
+    accept uniforms u, uniform on [0, p_near), and the ancilla indices.
     """
-    if f >= 1.0:
-        return np.zeros((len(rows), *shape), dtype=bool), np.empty((0, 2 * d))
-    counts = np.bincount(rows, minlength=len(rngs))
-    draws = [_fail_draws((k, *shape), d, f, rng) for rng, k in zip(rngs, counts)]
-    return np.concatenate([m for m, _ in draws]), np.concatenate([z for _, z in draws])
+    u, anc_u = rng.random((2, rng.binomial(BATCH_TRIALS, p_near)))
+    # u * p_near is a copy: no view keeps the (2, K) block alive in the caller
+    return u * p_near, _ancilla_index(cum_weights, anc_u)
 
 
-def _simulate_chunk(
+def _simulate_batch(
     phi: np.ndarray,
     basis_cols: np.ndarray,
     weights: np.ndarray,
     v: float,
     prep_f: float,
     analysis_f: float,
-    rngs: list[np.random.Generator],
+    rng: np.random.Generator,
     table: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> list[np.ndarray]:
-    """Run BATCH_TRIALS single-shot trials per stream in ``rngs``; return,
-    per batch, the outcomes of its post-selected trials in the order of its
-    near trials.
+) -> np.ndarray:
+    """Run BATCH_TRIALS single-shot trials on ``rng``; return the outcomes
+    of the post-selected trials in the order of the near trials.
 
-    Each batch draws from its own stream in stream layout 5 (see the module
-    docstring), exactly as if it ran alone, and draws nothing for a trial
-    that cannot click; of the others, the ancilla and each perturbation only
-    while they can still change whether the trial is counted:
+    The batch draws in stream layout 6 (see the module docstring), and
+    draws nothing for a trial that cannot click; of the others, the
+    ancilla and each perturbation only while they can still change whether
+    the trial is counted:
 
     1. the number K ~ Binomial(B, p_near) of near trials, u < p_near =
        (1 + v^2)/8 (the largest p_coal/2 of any trial), then their accept
@@ -582,8 +524,7 @@ def _simulate_chunk(
     the relative margin ``_BOUND_MARGIN``, so rounding never skips a trial
     that its thresholds would accept. A trial that reaches step 4 is
     accepted with outcome j for the smallest j with
-    u < p_coal/2 * p_filter * cum(q)_j/sum(q). Only the arithmetic between
-    the draws runs once on the concatenated rows of all batches.
+    u < p_coal/2 * p_filter * cum(q)_j/sum(q).
 
     ``table`` is :func:`_clean_row_table` for these arguments. Rows whose
     signal was not replaced read p_coal/2 from it, rows whose signal and
@@ -595,14 +536,13 @@ def _simulate_chunk(
     the draws and the outcomes are the same either way.
     """
     d = len(phi)
-    n = len(rngs)
     clean_half_coal, clean_p_filter, clean_thresholds = table
     settings = basis_cols.T  # row j: scanner setting j, also ancilla j
 
     # near trials: their draws of steps 1 and 2 and the preparation draws,
     # then the row's own p_coal/2
-    rows, u, anc_idx = _near_trials(rngs, (1.0 + v * v) / 8.0 * _BOUND_MARGIN, np.cumsum(weights))
-    s_bad, s_z = _stream_draws(rngs, rows, (), d, prep_f)
+    u, anc_idx = _near_trials(rng, (1.0 + v * v) / 8.0 * _BOUND_MARGIN, np.cumsum(weights))
+    s_bad, s_z = _fail_draws((len(u),), d, prep_f, rng)
     half_coal = clean_half_coal[anc_idx]
     S_bad = _complement_states(phi, s_z)
     if len(S_bad):
@@ -610,10 +550,10 @@ def _simulate_chunk(
     keep = u < half_coal
     S_bad = S_bad[keep[s_bad]]
     kept = np.flatnonzero(keep)
-    rows, u, anc_idx, half_coal, s_bad = (x[kept] for x in (rows, u, anc_idx, half_coal, s_bad))
+    u, anc_idx, half_coal, s_bad = (x[kept] for x in (u, anc_idx, half_coal, s_bad))
 
     # kept trials: filter-arm draws, then the row's own p_filter
-    f_bad, f_z = _stream_draws(rngs, rows, (), d, analysis_f)
+    f_bad, f_z = _fail_draws((len(u),), d, analysis_f, rng)
     F_bad = _complement_states(phi, f_z)
     p_filter = clean_p_filter[anc_idx]
     pre = s_bad | f_bad
@@ -626,13 +566,11 @@ def _simulate_chunk(
     passing = u < half_coal * p_filter * _BOUND_MARGIN
     S_bad, F_bad = S_bad[passing[s_bad]], F_bad[passing[f_bad]]
     passed = np.flatnonzero(passing)
-    rows, u, anc_idx, half_coal, s_bad, f_bad = (
-        x[passed] for x in (rows, u, anc_idx, half_coal, s_bad, f_bad)
-    )
+    u, anc_idx, half_coal, s_bad, f_bad = (x[passed] for x in (u, anc_idx, half_coal, s_bad, f_bad))
 
     # filter-passing trials: scanner-arm draws, then the event terms of the
     # dirty rows only
-    g_bad, g_z = _stream_draws(rngs, rows, (d,), d, analysis_f)
+    g_bad, g_z = _fail_draws((len(u), d), d, analysis_f, rng)
     thresholds = clean_thresholds[anc_idx]
     dirty = np.flatnonzero(s_bad | f_bad | g_bad.any(axis=1))
     if len(dirty):
@@ -649,28 +587,10 @@ def _simulate_chunk(
             overlaps[g_rows, :, g_cols] = np.einsum("ei,eki->ek", np.conj(replaced), SN[g_rows])
         p_f, q = _event_terms(SN[:, 0], SN[:, 1], v, filters, overlaps[:, 0], overlaps[:, 1])
         thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_f, q)
-    outcomes = np.zeros(len(rows), dtype=np.intp)
+    outcomes = np.zeros(len(u), dtype=np.intp)
     for j in range(d):
         outcomes += u >= thresholds[:, j]
-    hits = np.flatnonzero(outcomes < d)
-    hit_ends = np.searchsorted(rows[hits], np.arange(n + 1)).tolist()
-    outcomes = outcomes[hits]
-    return [outcomes[a:b] for a, b in zip(hit_ends, hit_ends[1:])]
-
-
-def _chunk_size(remaining: int, hits: int, batches: int) -> int:
-    """How many batches to evaluate as the next chunk.
-
-    Up to ``_MAX_CHUNK_BATCHES``, but so few that the chunk's batches
-    before its last one are unlikely to collect the ``remaining`` hits on
-    their own: each is taken to yield well above the mean per batch seen so
-    far (``hits`` over ``batches``). The first chunk is a single batch.
-    """
-    if batches == 0:
-        return 1
-    mean = hits / batches
-    high = mean + 4.0 * math.sqrt(mean) + 1.0
-    return int(min(_MAX_CHUNK_BATCHES, 1 + (remaining - 1) // high))
+    return outcomes[outcomes < d]
 
 
 def run_cloning_experiment(
@@ -689,44 +609,34 @@ def run_cloning_experiment(
     weights = config.weights_for(basis.dim)
     basis_cols = basis.matrix
     table = _clean_row_table(phi.amps, basis_cols, config.v)
-    # one Philox key per input; the generators are moved from batch to batch
+    # one Philox key per input; batch b draws from counter [0, b, 0, 0]
     key = np.random.SeedSequence(config.seed, spawn_key=(phi_index,)).generate_state(2, np.uint64)
-    pool: list[np.random.Generator] = []
     counts = np.zeros(basis.dim, dtype=np.int64)
     collected = 0
-    hits_seen = 0
     batch = 0
     dry = 0
     while collected < config.shots:
-        n = _chunk_size(config.shots - collected, hits_seen, batch)
-        chunk = _simulate_chunk(
+        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, batch, 0, 0]))
+        hits = _simulate_batch(
             phi.amps,
             basis_cols,
             weights,
             config.v,
             config.prep_fidelity,
             config.analysis_fidelity,
-            _batch_streams(pool, key, batch, n),
+            rng,
             table,
         )
-        batch += n
-        # batches in order, as if each ran alone; any after the one that
-        # fills ``shots`` are dropped
-        for hits in chunk:
-            if collected >= config.shots:
-                break
-            hits_seen += hits.size
-            if hits.size == 0:
-                dry += 1
-                if dry >= _MAX_DRY_BATCHES:
-                    raise RuntimeError(
-                        "post-selection yield is (near) zero for this configuration"
-                    )
-            else:
-                dry = 0
-                hits = hits[: config.shots - collected]
-                counts += np.bincount(hits, minlength=basis.dim)
-                collected += hits.size
+        batch += 1
+        if hits.size == 0:
+            dry += 1
+            if dry >= _MAX_DRY_BATCHES:
+                raise RuntimeError("post-selection yield is (near) zero for this configuration")
+        else:
+            dry = 0
+            hits = hits[: config.shots - collected]
+            counts += np.bincount(hits, minlength=basis.dim)
+            collected += hits.size
     return CountsTable(
         input_label=basis.labels[phi_index],
         basis_labels=tuple(basis.labels),

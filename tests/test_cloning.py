@@ -10,6 +10,8 @@ from symclone import bosonic
 from symclone.cloning import (
     CloningOutcome,
     CloningSpec,
+    _fock_basis,
+    _photons,
     _raising,
     _stage,
     cascade_clone,
@@ -384,13 +386,26 @@ def test_engine_stage_map_equals_closed_form_stage(d, m):
     assert np.max(np.abs(engine_stage(rho, m, sigma) - _stage(rho, m, sigma))) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_start_state_matches_the_engine(d, n):
+    # the cascade's start |phi^(x)n>, raised photon by photon through the
+    # stage's table, against the engine's n photons in phi
+    phi = _haar(np.random.default_rng(10 * d + n), d)
+    index = _fock_basis(d, n)
+    vec = np.zeros(len(index), dtype=complex)
+    for occ, amp in bosonic.identical_photons(0, phi, n).terms.items():
+        vec[index[occ[:d]]] = amp
+    assert np.max(np.abs(_photons(phi, n) - vec)) < 1e-12
+
+
 def _no_engine(*args, **kwargs):
     raise AssertionError("cloning must not evolve Fock states")
 
 
 def test_cloning_makes_no_engine_evolution_call(monkeypatch):
-    monkeypatch.setattr(bosonic, "beam_splitter", _no_engine)
-    monkeypatch.setattr(bosonic, "postselect_same_port", _no_engine)
+    for name in ("beam_splitter", "postselect_same_port", "add_photon", "identical_photons"):
+        monkeypatch.setattr(bosonic, name, _no_engine)
     phi = _haar(np.random.default_rng(6), 6)
     out = cascade_clone(phi, CloningSpec(d=6, n=1, m=3))
     clone, success = _werner_clone(phi, 1, 3)

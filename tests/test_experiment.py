@@ -3,6 +3,7 @@
 import io
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,19 +14,16 @@ from symclone.experiment import (
     BATCH_TRIALS,
     CountsTable,
     ExperimentConfig,
-    _MAX_CHUNK_BATCHES,
     _Q_TOTAL_CUTOFF,
     _acceptance_thresholds,
     _ancilla_index,
-    _batch_streams,
-    _chunk_size,
     _clean_row_table,
     _complement_states,
     _event_terms,
     _fail_draws,
     _half_coal,
     _scanner_overlaps,
-    _simulate_chunk,
+    _simulate_batch,
     estimate_probabilities,
     replicate_table,
     run_cloning_experiment,
@@ -80,11 +78,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 5
+    assert cfg.to_dict()["streamLayout"] == 6
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 6, "5", None):
+    for layout in (1, 2, 3, 4, 5, 7, "6", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -327,13 +325,11 @@ def test_batches_match_the_fock_engine_acceptance_law():
             phi, ancilla, v, phi, basis.states
         )
         expected += w_k * p_coal * p_split * p_filter * q / q.sum()
-    batches = 100
+    batches = 25
     table = _clean_row_table(phi.amps, basis.matrix, v)
     counts = np.zeros(4)
     for b in range(batches):
-        hits = _simulate_chunk(
-            phi.amps, basis.matrix, weights, v, 1.0, 1.0, [_batch_rng(31, 1, b)], table
-        )[0]
+        hits = _simulate_batch(phi.amps, basis.matrix, weights, v, 1.0, 1.0, _batch_rng(31, 1, b), table)
         counts += np.bincount(hits, minlength=4)
     n = batches * BATCH_TRIALS
     z = (counts - n * expected) / np.sqrt(n * expected * (1.0 - expected))
@@ -344,8 +340,8 @@ def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
     basis = basis_logical()
     phi = basis.states[0].amps
     rng = _batch_rng(3, 0, 0)
-    _simulate_chunk(
-        phi, basis.matrix, np.full(4, 0.25), 1.0, 1.0, 1.0, [rng], _clean_row_table(phi, basis.matrix, 1.0)
+    _simulate_batch(
+        phi, basis.matrix, np.full(4, 0.25), 1.0, 1.0, 1.0, rng, _clean_row_table(phi, basis.matrix, 1.0)
     )
     fresh = _batch_rng(3, 0, 0)
     near = int(fresh.binomial(BATCH_TRIALS, 0.25 * (1.0 + 1e-9)))
@@ -358,7 +354,7 @@ def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
     basis = basis_four()
     phi, v, f = basis.states[2].amps, 0.9, 0.8
     rng = _batch_rng(21, 2, 0)
-    _simulate_chunk(phi, basis.matrix, np.full(4, 0.25), v, f, 1.0, [rng], _clean_row_table(phi, basis.matrix, v))
+    _simulate_batch(phi, basis.matrix, np.full(4, 0.25), v, f, 1.0, rng, _clean_row_table(phi, basis.matrix, v))
     fresh = _batch_rng(21, 2, 0)
     near = int(fresh.binomial(BATCH_TRIALS, (1.0 + v * v) / 8.0 * (1.0 + 1e-9)))
     assert 0 < near < BATCH_TRIALS // 2
@@ -373,7 +369,7 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     phi, v, f = basis.states[0].amps, 0.9, 0.7
     weights = np.full(4, 0.25)
     rng = _batch_rng(22, 0, 0)
-    _simulate_chunk(phi, basis.matrix, weights, v, 1.0, f, [rng], _clean_row_table(phi, basis.matrix, v))
+    _simulate_batch(phi, basis.matrix, weights, v, 1.0, f, rng, _clean_row_table(phi, basis.matrix, v))
     fresh = _batch_rng(22, 0, 0)
     p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
     u, anc_u = fresh.random((2, fresh.binomial(BATCH_TRIALS, p_near)))
@@ -391,24 +387,25 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     assert _stream_position(rng) == _stream_position(fresh)
 
 
-def _two_sample_z(case, reference, seeds, batches=64):
+def _two_sample_z(case, reference, seeds, batches=16, trials=BATCH_TRIALS):
     """Per input and outcome, the z-score between the pooled counts of the
-    kernel (stream seed ``seeds[0]``) and of ``reference`` run one batch at
-    a time (seed ``seeds[1]``), ``batches`` batches per input on each side."""
+    kernel (stream seed ``seeds[0]``), ``batches`` batches per input, and
+    of ``reference`` run one batch of ``trials`` trials at a time (seed
+    ``seeds[1]``), as many batches as pool the same number of trials."""
     make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
     basis = make_basis()
     weights = np.full(4, 0.25) if weights is None else np.array(weights)
+    n = batches * BATCH_TRIALS
+    assert n % trials == 0
     counts = np.zeros((2, 4, 4))
     for i, phi in enumerate(basis.states):
         args = (phi.amps, basis.matrix, weights, v, prep_f, analysis_f)
         table = _clean_row_table(phi.amps, basis.matrix, v)
-        for first in range(0, batches, _MAX_CHUNK_BATCHES):
-            rngs = [_batch_rng(seeds[0], i, first + k) for k in range(_MAX_CHUNK_BATCHES)]
-            for hits in _simulate_chunk(*args, rngs, table):
-                counts[0, i] += np.bincount(hits, minlength=4)
         for b in range(batches):
-            counts[1, i] += np.bincount(reference(*args, _batch_rng(seeds[1], i, b)), minlength=4)
-    n = batches * BATCH_TRIALS
+            counts[0, i] += np.bincount(_simulate_batch(*args, _batch_rng(seeds[0], i, b), table), minlength=4)
+        for b in range(n // trials):
+            hits = reference(*args, _batch_rng(seeds[1], i, b), trials=trials)
+            counts[1, i] += np.bincount(hits, minlength=4)
     p = counts.sum(axis=0) / (2 * n)
     return (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
 
@@ -424,20 +421,21 @@ def test_lazy_draws_sample_the_layout_2_law():
 def test_near_trial_ancilla_draws_sample_the_layout_3_law(case):
     # the kernel against a reference that draws an ancilla uniform for every
     # trial, as layout 3 did
-    def layout3(*args):
-        return _per_row_batch(*args, layout=3)
-
-    assert np.max(np.abs(_two_sample_z(case, layout3, (73, 74)))) < 5.0
+    assert np.max(np.abs(_two_sample_z(case, partial(_per_row_batch, layout=3), (73, 74)))) < 5.0
 
 
 @pytest.mark.parametrize("case", ["ideal-I", "degraded-IV"])
 def test_binomial_near_trials_sample_the_layout_4_law(case):
     # the kernel against a reference that draws an accept uniform for every
     # trial and keeps the near ones, as layout 4 did
-    def layout4(*args):
-        return _per_row_batch(*args, layout=4)
+    assert np.max(np.abs(_two_sample_z(case, partial(_per_row_batch, layout=4), (75, 76)))) < 5.0
 
-    assert np.max(np.abs(_two_sample_z(case, layout4, (75, 76)))) < 5.0
+
+@pytest.mark.parametrize("case", ["ideal-I", "degraded-IV"])
+def test_16384_trial_batches_sample_the_layout_5_law(case):
+    # the kernel against the same draw order on 4096-trial batches, as
+    # layout 5 drew them
+    assert np.max(np.abs(_two_sample_z(case, partial(_per_row_batch, layout=5), (77, 78), trials=4096))) < 5.0
 
 
 # ------------------------------------------------- clean-row threshold table
@@ -453,19 +451,21 @@ def _reference_hits(u, half_coal, p_filter, q):
     return outcomes[outcomes < q.shape[1]]
 
 
-def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, layout=5):
-    """Reference: a batch that evaluates p_coal/2 and ``_event_terms`` on
-    every row it keeps, from explicit scanner states, with no clean-row
-    table.
+def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, layout=6,
+                   trials=BATCH_TRIALS):
+    """Reference: a batch of ``trials`` trials that evaluates p_coal/2 and
+    ``_event_terms`` on every row it keeps, from explicit scanner states,
+    with no clean-row table.
 
-    ``layout`` sets how the near trials are drawn: 5 (the kernel's order)
-    draws their number and then their accept and ancilla uniforms; 4 draws
-    an accept uniform for every trial, then an ancilla uniform for each near
-    one; 3 draws an ancilla uniform for every trial as well."""
-    B = BATCH_TRIALS
+    ``layout`` sets how the near trials are drawn: 6 (the kernel's order)
+    and 5 (the same order, which layout 5 drew on 4096 trials) draw their
+    number and then their accept and ancilla uniforms; 4 draws an accept
+    uniform for every trial, then an ancilla uniform for each near one; 3
+    draws an ancilla uniform for every trial as well."""
+    B = trials
     d = len(phi)
     p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
-    if layout == 5:
+    if layout in (5, 6):
         u, anc_u = rng.random((2, rng.binomial(B, p_near)))
         u = u * p_near
     else:
@@ -489,11 +489,12 @@ def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, layout=
     return _reference_hits(u, half_coal, p_filter, q)
 
 
-def _layout2_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng):
-    """Reference for the sampled law: a batch in the stream-layout-2 draw
-    order, which perturbs the signal of every trial and both analyzer arms
-    of every trial kept at p_coal/2, evaluated row by row."""
-    B = BATCH_TRIALS
+def _layout2_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, trials=BATCH_TRIALS):
+    """Reference for the sampled law: a batch of ``trials`` trials in the
+    stream-layout-2 draw order, which perturbs the signal of every trial and
+    both analyzer arms of every trial kept at p_coal/2, evaluated row by
+    row."""
+    B = trials
     d = len(phi)
     u = rng.random(B)
     anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
@@ -514,7 +515,7 @@ def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, a
     table = _clean_row_table(phi, basis.matrix, v)
     for b in range(batches):
         fast, slow = _batch_rng(seed, phi_index, b), _batch_rng(seed, phi_index, b)
-        hits = _simulate_chunk(phi, basis.matrix, weights, v, prep_f, analysis_f, [fast], table)[0]
+        hits = _simulate_batch(phi, basis.matrix, weights, v, prep_f, analysis_f, fast, table)
         expected = _per_row_batch(phi, basis.matrix, weights, v, prep_f, analysis_f, slow)
         assert np.array_equal(hits, expected), (b, hits.size, expected.size)
         assert _stream_position(fast) == _stream_position(slow)
@@ -568,11 +569,11 @@ def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
     table = _clean_row_table(phi, basis.matrix, 1.0)
     monkeypatch.setattr(experiment, "_event_terms", counted)
     for b in range(5):
-        hits = _simulate_chunk(phi, basis.matrix, weights, 1.0, 1.0, 1.0, [_batch_rng(9, 1, b)], table)[0]
+        hits = _simulate_batch(phi, basis.matrix, weights, 1.0, 1.0, 1.0, _batch_rng(9, 1, b), table)
         assert hits.size > 0
     assert calls == []
     # the counter sees the rows of a noisy batch, which do need the terms
-    _simulate_chunk(phi, basis.matrix, weights, 1.0, 0.5, 1.0, [_batch_rng(9, 1, 0)], table)
+    _simulate_batch(phi, basis.matrix, weights, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0), table)
     assert len(calls) == 1 and calls[0] > 0
 
 
@@ -600,58 +601,7 @@ def test_table_path_matches_reference_on_random_configs():
     check()
 
 
-# ------------------------------------------------------------ chunked batches
-
-
-@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
-def test_chunk_matches_single_batches(case):
-    make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
-    basis = make_basis()
-    weights = np.full(4, 0.25) if weights is None else np.array(weights)
-    for phi_index in (0, 3):
-        phi = basis.states[phi_index].amps
-        table = _clean_row_table(phi, basis.matrix, v)
-        args = (phi, basis.matrix, weights, v, prep_f, analysis_f)
-        for n in range(1, _MAX_CHUNK_BATCHES + 1):
-            first = 5 * n  # chunks start at any batch
-            chunk_rngs = [_batch_rng(61, phi_index, first + k) for k in range(n)]
-            chunk = _simulate_chunk(*args, chunk_rngs, table)
-            assert len(chunk) == n
-            for k, (hits, rng) in enumerate(zip(chunk, chunk_rngs)):
-                alone = _batch_rng(61, phi_index, first + k)
-                assert np.array_equal(hits, _simulate_chunk(*args, [alone], table)[0]), (n, k)
-                assert _stream_position(rng) == _stream_position(alone)
-
-
-@pytest.mark.parametrize("leave", ["mid-buffer", "uint32"])
-def test_pooled_generator_moved_to_a_batch_draws_as_a_fresh_stream(leave):
-    key = np.random.SeedSequence(19, spawn_key=(2,)).generate_state(2, np.uint64)
-    pool = [np.random.Generator(np.random.Philox(key=key)) for _ in range(3)]
-    for rng in pool:
-        # a binomial with another (n, p) leaves its set-up on the generator
-        rng.binomial(BATCH_TRIALS, 0.125)
-        rng.random(4)  # with the binomial's two draws, ends mid-buffer
-        if leave == "uint32":
-            rng.random(dtype=np.float32)  # keeps the other half of a 64-bit draw
-    state = pool[0].bit_generator.state
-    assert (state["buffer_pos"], state["has_uint32"]) == ((3, 1) if leave == "uint32" else (2, 0))
-    moved = _batch_streams(pool, key, 6, 2)
-    assert len(moved) == 2 and all(a is b for a, b in zip(moved, pool))
-    p_near = 0.25 * (1.0 + 1e-9)
-    for b, rng in zip((6, 7), moved):
-        fresh = _batch_rng(19, 2, b)
-        assert _stream_position(rng) == _stream_position(fresh) == ([0, b, 0, 0], 4)
-        near = rng.binomial(BATCH_TRIALS, p_near)
-        assert near == fresh.binomial(BATCH_TRIALS, p_near)
-        assert np.array_equal(rng.random((2, near)), fresh.random((2, near)))
-        assert np.array_equal(rng.random(7), fresh.random(7))
-        assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
-        assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
-        assert _stream_position(rng) == _stream_position(fresh)
-    # a short pool grows to the chunk
-    grown = _batch_streams(pool[:1], key, 6, 2)
-    assert grown[0] is pool[0] and grown[1] not in pool
-    assert np.array_equal(grown[1].random(7), _batch_rng(19, 2, 7).random(7))
+# -------------------------------------------------------------- batch loop
 
 
 def test_ancilla_index_is_the_clipped_searchsorted():
@@ -663,34 +613,29 @@ def test_ancilla_index_is_the_clipped_searchsorted():
         assert np.array_equal(_ancilla_index(cum, x), expected)
 
 
-def test_chunk_size_grows_to_the_cap_and_shrinks_near_the_end():
-    assert _chunk_size(10_000, 0, 0) == 1  # nothing seen yet
-    assert _chunk_size(10_000, 900, 2) == _MAX_CHUNK_BATCHES
-    assert _chunk_size(10_000, 0, 7) == _MAX_CHUNK_BATCHES  # dry so far
-    assert _chunk_size(450, 900, 2) == 1  # one batch of ~450 hits fills it
-    mean = 400.0
-    high = mean + 4.0 * np.sqrt(mean) + 1.0
-    for remaining in range(1, 3000, 7):
-        n = _chunk_size(remaining, 4 * int(mean), 4)
-        # the chunk's batches before the last stay below ``remaining`` at a high yield
-        assert 1 <= n <= _MAX_CHUNK_BATCHES and (n - 1) * high < remaining
-
-
 def _single_batch_run(phi, basis, config):
-    """Reference: run_cloning_experiment as one batch per step, no chunks."""
+    """Reference: run_cloning_experiment as one reference stream per batch."""
     i = basis.index_of(phi)
     table = _clean_row_table(phi.amps, basis.matrix, config.v)
     weights = config.weights_for(basis.dim)
     counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
     while collected < config.shots:
         rng = _batch_rng(config.seed, i, batch)
-        hits = _simulate_chunk(phi.amps, basis.matrix, weights, config.v, config.prep_fidelity,
-                               config.analysis_fidelity, [rng], table)[0]
+        hits = _simulate_batch(phi.amps, basis.matrix, weights, config.v, config.prep_fidelity,
+                               config.analysis_fidelity, rng, table)
         hits = hits[: config.shots - collected]
         counts += np.bincount(hits, minlength=basis.dim)
         collected += hits.size
         batch += 1
     return {k: int(counts[k]) for k in range(basis.dim)}, batch
+
+
+def _fresh_batch(rng):
+    """The batch whose stream ``rng`` starts: b for a fresh generator at
+    counter [0, b, 0, 0] that has drawn nothing."""
+    counter, buffer_pos = _stream_position(rng)
+    assert counter[0] == counter[2] == counter[3] == 0 and buffer_pos == 4
+    return counter[1]
 
 
 _RUN_CASES = [
@@ -701,33 +646,39 @@ _RUN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("forced", [None, 2, 3, 4])
+@pytest.mark.parametrize("runs", [None, 2, 3, 4])
 @pytest.mark.parametrize("basis_name, config", _RUN_CASES)
-def test_run_counts_match_single_batches(monkeypatch, basis_name, config, forced):
-    # ``forced`` fixes the chunk size, so the batch that fills ``shots`` is
-    # often not the last of its chunk and the rest must be dropped
+def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
+    # the run evaluates batches 0, 1, ... in order, each on a fresh Philox
+    # built for it (so a traced count of Philox constructions counts
+    # batches), and stops at the batch that fills ``shots``; ``runs``
+    # repeats the run in one process (None: once), and each repeat must
+    # start again from batch 0 with nothing carried over from the last
     basis = experiment._NAMED_BASES[basis_name]()
-    built = []
-    real_streams = experiment._batch_streams
-
-    def recorded(pool, key, first, n):
-        built.extend(range(first, first + n))
-        return real_streams(pool, key, first, n)
-
-    monkeypatch.setattr(experiment, "_batch_streams", recorded)
-    if forced is not None:
-        monkeypatch.setattr(experiment, "_chunk_size", lambda *a: forced)
+    real_philox = np.random.Philox
     for phi in basis.states:
-        built.clear()
-        table = run_cloning_experiment(phi, basis, config)
         counts, batches = _single_batch_run(phi, basis, config)
-        assert table.counts == counts
-        assert built == list(range(len(built)))
-        # sized chunks stop at the batch that fills ``shots`` here
-        assert len(built) - batches < (1 if forced is None else forced)
+        for _ in range(runs or 1):
+            built, evaluated = [], []
+
+            def philox(*args, **kwargs):
+                built.append(kwargs["counter"])
+                return real_philox(*args, **kwargs)
+
+            def kernel(*args):
+                evaluated.append(_fresh_batch(args[6]))
+                return _simulate_batch(*args)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(np.random, "Philox", philox)
+                patched.setattr(experiment, "_simulate_batch", kernel)
+                table = run_cloning_experiment(phi, basis, config)
+            assert table.counts == counts
+            assert evaluated == list(range(batches))
+            assert built == [[0, b, 0, 0] for b in range(batches)]
 
 
-@pytest.mark.parametrize("forced", [None, 3, 4])
+@pytest.mark.parametrize("runs", [None, 3, 4])
 @pytest.mark.parametrize("hit_batches, raises", [
     ({0, 5, 10}, False),  # dry runs of 4 between hits: each hit resets the count
     ({4}, False),  # 4 dry batches first
@@ -735,25 +686,23 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, forced
     ({0, 6}, True),
     ({0, 3, 9}, True),
 ])
-def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, raises, forced):
-    # a stand-in kernel: batch b yields one coincidence when b is in hit_batches
+def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, raises, runs):
+    # a stand-in kernel: batch b yields one coincidence when b is in hit_batches;
+    # ``runs`` repeats the run in one process (None: once), and the dry count
+    # of each repeat must start again from zero
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
     monkeypatch.setattr(
-        experiment, "_batch_streams", lambda pool, key, first, n: list(range(first, first + n))
+        experiment, "_simulate_batch",
+        lambda *args: np.array([0] if _fresh_batch(args[6]) in hit_batches else [], dtype=np.intp),
     )
-    monkeypatch.setattr(
-        experiment, "_simulate_chunk",
-        lambda *args: [np.array([0] if b in hit_batches else [], dtype=np.intp) for b in args[6]],
-    )
-    if forced is not None:
-        monkeypatch.setattr(experiment, "_chunk_size", lambda *a: forced)
     basis = basis_logical()
     config = ExperimentConfig(shots=len(hit_batches))
-    if raises:
-        with pytest.raises(RuntimeError, match="yield is"):
-            run_cloning_experiment(basis.states[0], basis, config)
-    else:
-        assert run_cloning_experiment(basis.states[0], basis, config).counts[0] == len(hit_batches)
+    for _ in range(runs or 1):
+        if raises:
+            with pytest.raises(RuntimeError, match="yield is"):
+                run_cloning_experiment(basis.states[0], basis, config)
+        else:
+            assert run_cloning_experiment(basis.states[0], basis, config).counts[0] == len(hit_batches)
 
 
 # ------------------------------------------------- unresolvable scanner rows
@@ -783,10 +732,8 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     for i, phi in enumerate(basis.states):
         table = _clean_row_table(phi.amps, basis.matrix, 0.9165)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
-        # two batches per input: one alone leaves ~100 residue rows (107 at
-        # seed 0), too close to the floor below
-        rngs = [_batch_rng(0, i, b) for b in range(2)]
-        _simulate_chunk(phi.amps, basis.matrix, weights, 0.9165, 0.9, 0.9, rngs, table)
+        # one batch per input: the four leave 449 residue rows at seed 0
+        _simulate_batch(phi.amps, basis.matrix, weights, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0), table)
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])
@@ -799,13 +746,12 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # ---------------------------------------------------- fixed-seed regression
 
 # Integer counts per input (rows) and outcome (columns), re-recorded at
-# stream layout 5, which draws the number of near trials and then only
-# their uniforms, so both bases see new draws. A change to the Monte Carlo
-# arithmetic that keeps the draws and the accept rule must leave them as
-# they are.
+# stream layout 6, whose 16384-trial batches give both bases new draws. A
+# change to the Monte Carlo arithmetic that keeps the draws and the accept
+# rule must leave them as they are.
 _GOLDEN_COUNTS = {
-    "I": [[1107, 320, 312, 261], [280, 1147, 293, 280], [266, 300, 1132, 302], [267, 325, 299, 1109]],
-    "IV": [[1081, 385, 285, 249], [347, 1118, 255, 280], [368, 427, 914, 291], [410, 410, 307, 873]],
+    "I": [[1129, 293, 298, 280], [270, 1157, 302, 271], [281, 268, 1160, 291], [270, 265, 277, 1188]],
+    "IV": [[1142, 357, 243, 258], [331, 1144, 267, 258], [397, 402, 919, 282], [392, 385, 279, 944]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
@@ -1011,10 +957,20 @@ def test_replicate_table_ideal_basis_one():
     assert "average" in str(table)
 
 
-def test_table_average_stderr_combines_the_input_errors():
-    table = replicate_table("IV", ExperimentConfig(shots=300, v=0.8, seed=6))
+def test_table_average_stderr_combines_the_input_errors(monkeypatch):
+    # four hand-built count tables with distinct errors, so no single
+    # input's error stands in for the combination
+    given = iter([{0: 200, 1: 40, 2: 30, 3: 30}, {0: 50, 1: 150, 2: 60, 3: 40},
+                  {0: 70, 1: 20, 2: 190, 3: 20}, {0: 25, 1: 25, 2: 50, 3: 180}])
+
+    def hand_built(phi, basis, config):
+        i = basis.index_of(phi)
+        return CountsTable(basis.labels[i], tuple(basis.labels), i, next(given), config)
+
+    monkeypatch.setattr(experiment, "run_cloning_experiment", hand_built)
+    table = replicate_table("IV", ExperimentConfig(shots=300))
     sigmas = [r.stderr for r in table.results]
-    assert len(set(sigmas)) == 4  # distinct, so no single input's error stands in
+    assert len(set(sigmas)) == 4
     expected = math.sqrt(sum(s * s for s in sigmas)) / 4
     assert table.average_stderr == pytest.approx(expected, rel=1e-12)
     assert table.average == pytest.approx(np.mean([r.fidelity for r in table.results]), rel=1e-15)
