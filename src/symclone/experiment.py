@@ -546,7 +546,7 @@ def _simulate_batch(
     half_coal = clean_half_coal[anc_idx]
     S_bad = _complement_states(phi, s_z)
     if len(S_bad):
-        half_coal[s_bad] = _half_coal(S_bad, settings[anc_idx[s_bad]], v)
+        half_coal[s_bad] = _half_coal(S_bad, np.take(settings, anc_idx[s_bad], axis=0), v)
     keep = u < half_coal
     S_bad = S_bad[keep[s_bad]]
     kept = np.flatnonzero(keep)
@@ -562,7 +562,7 @@ def _simulate_batch(
         S[:] = filters[:] = phi
         S[s_bad[pre]] = S_bad
         filters[f_bad[pre]] = F_bad
-        p_filter[pre] = _filter_terms(S, settings[anc_idx[pre]], v, filters)[0]
+        p_filter[pre] = _filter_terms(S, np.take(settings, anc_idx[pre], axis=0), v, filters)[0]
     passing = u < half_coal * p_filter * _BOUND_MARGIN
     S_bad, F_bad = S_bad[passing[s_bad]], F_bad[passing[f_bad]]
     passed = np.flatnonzero(passing)
@@ -571,25 +571,28 @@ def _simulate_batch(
     # filter-passing trials: scanner-arm draws, then the event terms of the
     # dirty rows only
     g_bad, g_z = _fail_draws((len(u), d), d, analysis_f, rng)
-    thresholds = clean_thresholds[anc_idx]
-    dirty = np.flatnonzero(s_bad | f_bad | g_bad.any(axis=1))
+    thresholds = np.take(clean_thresholds, anc_idx, axis=0)
+    g_flat = np.flatnonzero(g_bad)  # replaced settings, row-major
+    dirty = s_bad | f_bad
+    dirty[g_flat // d] = True
+    dirty = np.flatnonzero(dirty)
     if len(dirty):
         SN = np.empty((len(dirty), 2, d), dtype=complex)
         filters = np.empty((len(dirty), d), dtype=complex)
         SN[:, 0] = filters[:] = phi
         SN[s_bad[dirty], 0] = S_bad
-        SN[:, 1] = settings[anc_idx[dirty]]
+        SN[:, 1] = np.take(settings, np.take(anc_idx, dirty), axis=0)
         filters[f_bad[dirty]] = F_bad
         overlaps = _scanner_overlaps(SN, basis_cols)
-        g_rows, g_cols = np.nonzero(g_bad[dirty])
-        if len(g_rows):
-            replaced = _complement_states(settings[g_cols], g_z)
-            overlaps[g_rows, :, g_cols] = np.einsum("ei,eki->ek", np.conj(replaced), SN[g_rows])
+        if len(g_flat):
+            g_rows, g_cols = np.searchsorted(dirty, g_flat // d), g_flat % d
+            replaced = _complement_states(np.take(settings, g_cols, axis=0), g_z)
+            overlaps[g_rows, :, g_cols] = np.einsum("ei,eki->ek", np.conj(replaced), np.take(SN, g_rows, axis=0))
         p_f, q = _event_terms(SN[:, 0], SN[:, 1], v, filters, overlaps[:, 0], overlaps[:, 1])
         thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_f, q)
     outcomes = np.zeros(len(u), dtype=np.intp)
-    for j in range(d):
-        outcomes += u >= thresholds[:, j]
+    for column in np.ascontiguousarray(thresholds.T):
+        outcomes += u >= column
     return outcomes[outcomes < d]
 
 
