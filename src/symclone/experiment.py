@@ -60,8 +60,8 @@ independent, so its near trials are K ~ Binomial(B, p_near) trials whose u
 is uniform on [0, p_near). p_near and the bound of step 5 carry a relative
 rounding margin (``_BOUND_MARGIN``). A trial whose scanner weights sum to
 at most ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can
-click, and the sum is rounding residue of an exact 0 (basis IV leaves
-~1e-33), not a click probability.
+click, and a sum that small is rounding residue of an exact 0, not a click
+probability.
 
 A fixed seed reproduces counts only under the layout that drew them. Layout
 6 is layout 5 with B = 16384 in place of 4096 trials per batch. The tests
@@ -69,14 +69,25 @@ check that it samples the law of layout 5 and of the draw orders of layout
 4 (an accept uniform for every trial), layout 3 (an ancilla uniform for
 every trial as well) and layout 2 (every trial perturbed).
 
+A trial is evaluated in the coordinates of the measurement basis U, of
+which the input, every ancilla state and every scanner setting are
+members: the input is e_p, ancilla k is e_k and scanner setting j is e_j.
+A replaced state is drawn in lab coordinates as before (2d normals) and
+rotated into basis coordinates once, where its part orthogonal to the
+target e_t is the rotated vector with component t set to zero
+(``_complement_states``). So <S|N>, <filter|N> and the overlaps with the
+unreplaced scanner settings are components of S and of the filter, and
+only a replaced setting takes an inner product. The rotation is unitary:
+every probability is the lab-coordinate one up to rounding, and the
+structural zeros of the bench (a filter or scanner setting orthogonal to a
+photon) come out exact.
+
 In a trial where no state was replaced, p_coal/2, p_filter and the d
 thresholds depend only on the ancilla index, so each run computes them once
 per input (``_clean_row_table``) and such trials read them from that table;
-only trials with a replaced state evaluate the event terms row by row. Both
-take the scanner overlaps from one product with the unperturbed settings
-(``_scanner_overlaps``); a trial with replaced settings overwrites only
-their entries. The table changes which code computes the thresholds, not
-their values or the draw order.
+only trials with a replaced state evaluate the event terms row by row, by
+the same closed forms. Neither the table nor the basis coordinates change
+the draw order, and neither changed a fixed-seed output.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
@@ -122,11 +133,12 @@ BATCH_TRIALS = 16384
 STREAM_LAYOUT = 6
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
-# click probability: on basis IV a trial whose scanner arm can give no click
-# still leaves sum(q) ~ 1e-33. Over the 7.96e5 rows that evaluate their
-# scanner weights in the degraded basis-IV bench (seeds 1-10, 5e4 shots,
-# stream layout 3), 1.54e5 residue totals stayed below 7.4e-30 and genuine
-# totals above 2.4e-6, so the cutoff sits far from both.
+# click probability. In lab coordinates a basis-IV trial whose scanner arm
+# can give no click left sum(q) ~ 1e-33: over the 7.96e5 rows that evaluate
+# their scanner weights in the degraded basis-IV bench (seeds 1-10, 5e4
+# shots, stream layout 3), 1.54e5 residue totals stayed below 7.4e-30 and
+# genuine totals above 2.4e-6, so the cutoff sits far from both. The
+# basis-coordinate kernel computes those sums as exact zeros.
 _Q_TOTAL_CUTOFF = 1e-20
 
 # Relative margin on the bounds that select the trials whose ancilla and
@@ -329,32 +341,38 @@ def _fail_draws(
     return bad, rng.standard_normal((int(np.count_nonzero(bad)), 2 * d))
 
 
-def _orthogonalized(psi: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row by row, ``chi`` minus its projection on ``psi``, and its norm."""
-    chi = chi - np.einsum("...i,...i->...", np.conj(psi), chi)[:, None] * psi
+def _complement_states(basis_cols: np.ndarray, targets, z: np.ndarray) -> np.ndarray:
+    """Per row of ``z``, a Haar-random unit vector orthogonal to basis state
+    ``targets`` (one index, or one per row) of the basis U = ``basis_cols``,
+    in the coordinates of that basis, made from the row's 2d standard normals.
+
+    The normals form the vector z[:d] + i z[d:]. Rotated once into basis
+    coordinates, w = U^dagger (z[:d] + i z[d:]), its part orthogonal to basis
+    state t is w with component t set to zero. A degenerate draw (norm below
+    1e-12, measure zero) takes instead the unit vector e_m least parallel to
+    the target, m = argmin_l |U[l, t]|, through the same rotation and
+    projection.
+    """
+    d = len(basis_cols)
+    if not len(z):
+        return np.empty((0, d), dtype=complex)
+    rows = np.arange(len(z))
+    # one real product: z @ [conj(U); i conj(U)], with that complex (2d, d)
+    # matrix viewed as (2d, 2d) reals, whose columns hold the real and
+    # imaginary part of each entry side by side as the complex view expects
+    rot = np.conj(basis_cols)
+    chi = (z @ np.concatenate((rot, 1j * rot)).view(float)).view(complex)
+    chi[rows, targets] = 0.0
     flat = chi.view(float)
-    return chi, np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-
-def _complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per row of ``z``, a Haar-random unit vector orthogonal to the
-    target ``psi`` (one state, shape (d,), or one per row, shape (n, d)),
-    made from the row's 2d standard normals."""
-    d = psi.shape[-1]
-    chi = np.empty((len(z), d), dtype=complex)
-    if not len(chi):
-        return chi
-    chi.real, chi.imag = z[:, :d], z[:, d:]
-    chi, norms = _orthogonalized(psi, chi)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     low = norms < 1e-12
     if low.any():
-        # measure-zero degenerate draws: orthogonalize the basis vector
-        # least parallel to the target instead
-        psi_low = np.broadcast_to(psi, chi.shape)[low]
-        fb = np.zeros((len(psi_low), d), dtype=complex)
-        fb[np.arange(len(fb)), np.argmin(np.abs(psi_low), axis=1)] = 1.0
-        chi[low], norms[low] = _orthogonalized(psi_low, fb)
-    chi.view(float)[:] /= norms[:, None]
+        t = np.broadcast_to(targets, rows.shape)[low]
+        fallback = np.conj(basis_cols[np.argmin(np.abs(basis_cols[:, t]), axis=0)])
+        fallback[np.arange(len(t)), t] = 0.0
+        chi[low] = fallback
+        norms[low] = np.linalg.norm(fallback, axis=1)
+    flat /= norms[:, None]
     return chi
 
 
@@ -391,8 +409,7 @@ def _event_terms(S, N_arr, v, filters, F, G):
     x = v^2 |<S|N>|^2 (its probability is :func:`_half_coal`). Writing
     c = <S|N>, A = <filter|S>, B = <filter|N> and, for scanner setting g_j,
     F_j = <g_j|S> and G_j = <g_j|N> (the scanner overlaps ``F`` and ``G``,
-    shape (..., d), from :func:`_scanner_overlaps`), tracing the temporal
-    modes at the detectors gives
+    shape (..., d)), tracing the temporal modes at the detectors gives
 
         p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
         q_j      = |A G_j|^2 + |B F_j|^2 + 2 v^2 Re(conj(A) B conj(G_j) F_j)
@@ -408,18 +425,6 @@ def _event_terms(S, N_arr, v, filters, F, G):
     b = B[..., None] * F
     q = (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
     return p_filter, q
-
-
-def _scanner_overlaps(SN: np.ndarray, basis_cols: np.ndarray) -> np.ndarray:
-    """The overlaps of each row's signal and ancilla with every unperturbed
-    scanner setting (the columns of ``basis_cols``).
-
-    ``SN`` has shape (m, 2, d): per row the signal S and the ancilla N. The
-    result has the same shape: per row F_j = <g_j|S> and G_j = <g_j|N>, as
-    one product ``SN @ conj(settings).T``.
-    """
-    m, _, d = SN.shape
-    return (SN.reshape(2 * m, d) @ np.conj(basis_cols)).reshape(m, 2, d)
 
 
 def _half_coal(S: np.ndarray, N: np.ndarray, v: float) -> np.ndarray:
@@ -456,26 +461,23 @@ def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.nd
     return scale * cum_q / np.where(resolvable, totals, 1.0)
 
 
-def _clean_row_table(
-    phi: np.ndarray, basis_cols: np.ndarray, v: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _clean_row_table(p: int, d: int, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thinning bounds, filter probabilities and acceptance thresholds of
     unperturbed trials.
 
     In a trial where no state was replaced the signal and the filter are
-    |phi>, the scanner is the basis and the ancilla is basis state k, so
-    its numbers depend on k alone. Returns p_coal/2 and p_filter (shape
-    (d,) each) and the thresholds (shape (d, d)), row k for ancilla k,
-    evaluated by the same arithmetic, through the same overlap route, as
-    the replaced rows in :func:`_simulate_batch`.
+    basis state p, the ancilla is basis state k and the scanner is the
+    basis, so its numbers depend on k alone. In basis coordinates these
+    states are unit vectors: S = filter = e_p, N = e_k, and the overlaps
+    with the scanner settings are F = S and G = N. Returns p_coal/2 and
+    p_filter (shape (d,) each) and the thresholds (shape (d, d)), row k for
+    ancilla k, evaluated by the same closed forms as the replaced rows in
+    :func:`_simulate_batch`.
     """
-    d = len(phi)
-    SN = np.empty((d, 2, d), dtype=complex)
-    SN[:, 0] = phi
-    SN[:, 1] = basis_cols.T
-    overlaps = _scanner_overlaps(SN, basis_cols)
-    half_coal = _half_coal(SN[:, 0], SN[:, 1], v)
-    p_filter, q = _event_terms(SN[:, 0], SN[:, 1], v, SN[:, 0], overlaps[:, 0], overlaps[:, 1])
+    eye = np.eye(d, dtype=complex)
+    S = np.broadcast_to(eye[p], (d, d))
+    half_coal = _half_coal(S, eye, v)
+    p_filter, q = _event_terms(S, eye, v, S, S, eye)
     return half_coal, p_filter, _acceptance_thresholds(half_coal, p_filter, q)
 
 
@@ -494,7 +496,7 @@ def _near_trials(
 
 
 def _simulate_batch(
-    phi: np.ndarray,
+    p: int,
     basis_cols: np.ndarray,
     weights: np.ndarray,
     v: float,
@@ -503,8 +505,9 @@ def _simulate_batch(
     rng: np.random.Generator,
     table: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Run BATCH_TRIALS single-shot trials on ``rng``; return the outcomes
-    of the post-selected trials in the order of the near trials.
+    """Run BATCH_TRIALS single-shot trials of input ``p`` (basis state p of
+    the basis ``basis_cols``) on ``rng``; return the outcomes of the
+    post-selected trials in the order of the near trials.
 
     The batch draws in stream layout 6 (see the module docstring), and
     draws nothing for a trial that cannot click; of the others, the
@@ -526,27 +529,32 @@ def _simulate_batch(
     accepted with outcome j for the smallest j with
     u < p_coal/2 * p_filter * cum(q)_j/sum(q).
 
+    Every state is held in the coordinates of the basis: the signal and the
+    filter are e_p, ancilla k is e_k and scanner setting j is e_j unless
+    replaced, and a replaced state comes from :func:`_complement_states`.
+    So the overlaps of a row's signal S and ancilla N with the unperturbed
+    scanner settings are S and N themselves; only a replaced setting takes
+    inner products.
+
     ``table`` is :func:`_clean_row_table` for these arguments. Rows whose
     signal was not replaced read p_coal/2 from it, rows whose signal and
     filter were not replaced read p_filter, and rows where no state was
     replaced read their thresholds; only the other ("dirty") rows evaluate
-    :func:`_event_terms`, on scanner overlaps from
-    :func:`_scanner_overlaps` with the entries of their replaced settings
-    overwritten. The table holds the numbers those rows would compute, so
-    the draws and the outcomes are the same either way.
+    :func:`_event_terms`. The table holds the numbers those rows would
+    compute, so the draws and the outcomes are the same either way.
     """
-    d = len(phi)
+    d = len(basis_cols)
     clean_half_coal, clean_p_filter, clean_thresholds = table
-    settings = basis_cols.T  # row j: scanner setting j, also ancilla j
+    eye = np.eye(d, dtype=complex)  # row k: ancilla k, also scanner setting k
 
     # near trials: their draws of steps 1 and 2 and the preparation draws,
     # then the row's own p_coal/2
     u, anc_idx = _near_trials(rng, (1.0 + v * v) / 8.0 * _BOUND_MARGIN, np.cumsum(weights))
     s_bad, s_z = _fail_draws((len(u),), d, prep_f, rng)
     half_coal = clean_half_coal[anc_idx]
-    S_bad = _complement_states(phi, s_z)
+    S_bad = _complement_states(basis_cols, p, s_z)
     if len(S_bad):
-        half_coal[s_bad] = _half_coal(S_bad, np.take(settings, anc_idx[s_bad], axis=0), v)
+        half_coal[s_bad] = _half_coal(S_bad, np.take(eye, anc_idx[s_bad], axis=0), v)
     keep = u < half_coal
     S_bad = S_bad[keep[s_bad]]
     kept = np.flatnonzero(keep)
@@ -554,15 +562,15 @@ def _simulate_batch(
 
     # kept trials: filter-arm draws, then the row's own p_filter
     f_bad, f_z = _fail_draws((len(u),), d, analysis_f, rng)
-    F_bad = _complement_states(phi, f_z)
+    F_bad = _complement_states(basis_cols, p, f_z)
     p_filter = clean_p_filter[anc_idx]
     pre = s_bad | f_bad
     if pre.any():
         S, filters = np.empty((2, np.count_nonzero(pre), d), dtype=complex)
-        S[:] = filters[:] = phi
+        S[:] = filters[:] = eye[p]
         S[s_bad[pre]] = S_bad
         filters[f_bad[pre]] = F_bad
-        p_filter[pre] = _filter_terms(S, np.take(settings, anc_idx[pre], axis=0), v, filters)[0]
+        p_filter[pre] = _filter_terms(S, np.take(eye, anc_idx[pre], axis=0), v, filters)[0]
     passing = u < half_coal * p_filter * _BOUND_MARGIN
     S_bad, F_bad = S_bad[passing[s_bad]], F_bad[passing[f_bad]]
     passed = np.flatnonzero(passing)
@@ -577,18 +585,21 @@ def _simulate_batch(
     dirty[g_flat // d] = True
     dirty = np.flatnonzero(dirty)
     if len(dirty):
-        SN = np.empty((len(dirty), 2, d), dtype=complex)
-        filters = np.empty((len(dirty), d), dtype=complex)
-        SN[:, 0] = filters[:] = phi
-        SN[s_bad[dirty], 0] = S_bad
-        SN[:, 1] = np.take(settings, np.take(anc_idx, dirty), axis=0)
+        anc = np.take(anc_idx, dirty)
+        S, filters = np.empty((2, len(dirty), d), dtype=complex)
+        S[:] = filters[:] = eye[p]
+        S[s_bad[dirty]] = S_bad
         filters[f_bad[dirty]] = F_bad
-        overlaps = _scanner_overlaps(SN, basis_cols)
+        N = np.take(eye, anc, axis=0)
+        # overlaps F_j = <g_j|S> and G_j = <g_j|N>: S and N themselves for
+        # an unperturbed setting g_j = e_j, inner products for a replaced one
+        F, G = S.copy(), N.copy()
         if len(g_flat):
             g_rows, g_cols = np.searchsorted(dirty, g_flat // d), g_flat % d
-            replaced = _complement_states(np.take(settings, g_cols, axis=0), g_z)
-            overlaps[g_rows, :, g_cols] = np.einsum("ei,eki->ek", np.conj(replaced), np.take(SN, g_rows, axis=0))
-        p_f, q = _event_terms(SN[:, 0], SN[:, 1], v, filters, overlaps[:, 0], overlaps[:, 1])
+            bra = np.conj(_complement_states(basis_cols, g_cols, g_z))
+            F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, np.take(S, g_rows, axis=0))
+            G[g_rows, g_cols] = bra[np.arange(len(g_rows)), np.take(anc, g_rows)]
+        p_f, q = _event_terms(S, N, v, filters, F, G)
         thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_f, q)
     outcomes = np.zeros(len(u), dtype=np.intp)
     for column in np.ascontiguousarray(thresholds.T):
@@ -611,7 +622,7 @@ def run_cloning_experiment(
     phi_index = basis.index_of(phi)
     weights = config.weights_for(basis.dim)
     basis_cols = basis.matrix
-    table = _clean_row_table(phi.amps, basis_cols, config.v)
+    table = _clean_row_table(phi_index, basis.dim, config.v)
     # one Philox key per input; batch b draws from counter [0, b, 0, 0]
     key = np.random.SeedSequence(config.seed, spawn_key=(phi_index,)).generate_state(2, np.uint64)
     counts = np.zeros(basis.dim, dtype=np.int64)
@@ -621,7 +632,7 @@ def run_cloning_experiment(
     while collected < config.shots:
         rng = np.random.Generator(np.random.Philox(key=key, counter=[0, batch, 0, 0]))
         hits = _simulate_batch(
-            phi.amps,
+            phi_index,
             basis_cols,
             weights,
             config.v,

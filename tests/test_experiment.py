@@ -22,18 +22,39 @@ from symclone.experiment import (
     _event_terms,
     _fail_draws,
     _half_coal,
-    _scanner_overlaps,
     _simulate_batch,
     estimate_probabilities,
     replicate_table,
     run_cloning_experiment,
     write_counts_csv,
 )
-from symclone.hilbert import PureState, basis_four, basis_logical
+from symclone.hilbert import LabeledBasis, PureState, basis_four, basis_logical
 
 
 def _haar(rng, d):
     return PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+
+def _labeled(cols):
+    d = len(cols)
+    return LabeledBasis(dim=d, states=tuple(PureState(dim=d, amps=c) for c in cols.T),
+                        labels=tuple(f"b{k}" for k in range(d)))
+
+
+def _fourier_basis():
+    """The d = 3 Fourier basis, b_k = sum_l w^(kl) e_l / sqrt(3), w = exp(2 pi i/3)."""
+    return _labeled(np.exp(2j * np.pi / 3) ** np.outer(np.arange(3), np.arange(3)) / np.sqrt(3))
+
+
+def _haar_basis():
+    """A fixed Haar-random 4 x 4 unitary (QR of a seeded complex Gaussian matrix)."""
+    q, r = np.linalg.qr(np.random.default_rng(2010).standard_normal((4, 4, 2)) @ np.array([1.0, 1j]))
+    return _labeled(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+# Bases I and IV are real, so conj(U) = U on them; the complex bases tell the
+# two apart.
+_BASES = [basis_logical, basis_four, _fourier_basis, _haar_basis]
 
 
 def _batch_rng(seed, input_index, batch):
@@ -169,20 +190,76 @@ def test_weights_dimension_check():
 # ----------------------------------------------------------- state errors
 
 
+def _orthogonalized(psi: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, ``chi`` minus its projection on ``psi``, and its norm."""
+    chi = chi - np.einsum("...i,...i->...", np.conj(psi), chi)[:, None] * psi
+    flat = chi.view(float)
+    return chi, np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _lab_complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Reference for the kernel's ``_complement_states``, in lab coordinates:
+    per row of ``z``, a Haar-random unit vector orthogonal to the target
+    ``psi`` (one state, shape (d,), or one per row, shape (n, d)), made from
+    the row's 2d standard normals z[:d] + i z[d:]."""
+    d = psi.shape[-1]
+    chi = np.empty((len(z), d), dtype=complex)
+    if not len(chi):
+        return chi
+    chi.real, chi.imag = z[:, :d], z[:, d:]
+    chi, norms = _orthogonalized(psi, chi)
+    low = norms < 1e-12
+    if low.any():
+        # measure-zero degenerate draws: orthogonalize the basis vector
+        # least parallel to the target instead
+        psi_low = np.broadcast_to(psi, chi.shape)[low]
+        fb = np.zeros((len(psi_low), d), dtype=complex)
+        fb[np.arange(len(fb)), np.argmin(np.abs(psi_low), axis=1)] = 1.0
+        chi[low], norms[low] = _orthogonalized(psi_low, fb)
+    chi.view(float)[:] /= norms[:, None]
+    return chi
+
+
 def _perturbed(targets, f, rng):
-    """``targets`` (shape (..., d)) through the kernel's perturbation: each
-    row fails with probability 1 - f and is replaced by a Haar-random unit
-    vector orthogonal to it."""
+    """Reference perturbation of ``targets`` (shape (..., d)), in lab
+    coordinates: with the kernel's draws, each row fails with probability
+    1 - f and is replaced by a Haar-random unit vector orthogonal to it."""
     bad, z = _fail_draws(targets.shape[:-1], targets.shape[-1], f, rng)
     out = np.array(targets, dtype=complex)
-    out[bad] = _complement_states(out[bad], z)
+    out[bad] = _lab_complement_states(out[bad], z)
+    return out
+
+
+def _kernel_perturbed(basis_cols, t, n, f, rng):
+    """``n`` copies of basis state ``t`` through the kernel's perturbation,
+    whose replaced states are in basis coordinates, rotated back to lab
+    coordinates."""
+    bad, z = _fail_draws((n,), len(basis_cols), f, rng)
+    out = np.tile(basis_cols[:, t], (n, 1))
+    out[bad] = _complement_states(basis_cols, t, z) @ basis_cols.T
     return out
 
 
 def test_perturbation_mean_overlap():
-    phi = basis_four().states[0].amps
-    out = _perturbed(np.broadcast_to(phi, (20_000, 4)), 0.9, np.random.default_rng(4))
+    basis = basis_four()
+    phi = basis.states[0].amps
+    out = _kernel_perturbed(basis.matrix, 0, 20_000, 0.9, np.random.default_rng(4))
     assert np.mean(np.abs(out @ np.conj(phi)) ** 2) == pytest.approx(0.9, abs=0.01)
+
+
+@pytest.mark.parametrize("make_basis", _BASES)
+def test_complement_states_are_the_lab_complements_in_basis_coordinates(make_basis):
+    # the kernel's replaced state, for one target per row and for one
+    # target for every row, is U^dagger times the lab-coordinate reference
+    U = make_basis().matrix
+    d = len(U)
+    rng = np.random.default_rng(16)
+    targets = rng.integers(0, d, 200)
+    z = rng.standard_normal((200, 2 * d))
+    lab = _lab_complement_states(U.T[targets], z)
+    assert np.max(np.abs(_complement_states(U, targets, z) - lab @ np.conj(U))) < 1e-12
+    lab = _lab_complement_states(U[:, 1], z)
+    assert np.max(np.abs(_complement_states(U, 1, z) - lab @ np.conj(U))) < 1e-12
 
 
 class _DegenerateRng:
@@ -200,6 +277,17 @@ def test_perturbation_falls_back_on_degenerate_draws():
     out = _perturbed(targets, 0.5, _DegenerateRng())
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs((np.conj(targets) * out).sum(axis=1))) < 1e-12
+    # the kernel's fallback, in basis coordinates, is U^dagger times the lab
+    # fallback (the basis vector least parallel to the target, orthogonalized)
+    for make_basis in (basis_logical, basis_four, _fourier_basis):
+        U = make_basis().matrix
+        d = len(U)
+        lab = _perturbed(U.T, 0.5, _DegenerateRng())
+        bad, z = _fail_draws((d,), d, 0.5, _DegenerateRng())
+        assert bad.all() and not z.any()
+        assert np.max(np.abs(_complement_states(U, np.arange(d), z) - lab @ np.conj(U))) < 1e-12
+        for t in range(d):
+            assert np.max(np.abs(_complement_states(U, t, z[:1]) - lab[t] @ np.conj(U))) < 1e-12
 
 
 def _stream_position(rng):
@@ -212,9 +300,10 @@ def _apply_infidelity(f, n=500):
     stream advanced only by the pass tests and the normals of the failing
     rows, that passing rows are untouched and that failing rows are
     orthogonal to the target. Returns the mask of failing rows."""
-    phi = basis_four().states[0].amps
+    basis = basis_four()
+    phi = basis.states[0].amps
     rng = _batch_rng(8, 0, 0)
-    out = _perturbed(np.broadcast_to(phi, (n, 4)), f, rng)
+    out = _kernel_perturbed(basis.matrix, 0, n, f, rng)
     fresh = _batch_rng(8, 0, 0)
     bad = np.zeros(n, dtype=bool)
     if f < 1.0:
@@ -302,15 +391,6 @@ def test_event_terms_match_the_elementwise_formulas():
             assert np.all(got[1] >= 0.0)
 
 
-def test_scanner_overlaps_are_the_inner_products_with_the_settings():
-    rng = np.random.default_rng(15)
-    for d in (2, 4, 5):
-        SN = rng.standard_normal((30, 2, d)) + 1j * rng.standard_normal((30, 2, d))
-        cols = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        expected = (np.conj(cols.T)[None, None] * SN[:, :, None, :]).sum(axis=-1)
-        assert np.max(np.abs(_scanner_overlaps(SN, cols) - expected)) < 1e-12
-
-
 def test_batches_match_the_fock_engine_acceptance_law():
     # per-trial probability of a coincidence with outcome j, summed over the
     # ancilla: sum_k w_k p_coal p_split p_filter q_j / sum(q), all taken from
@@ -326,10 +406,10 @@ def test_batches_match_the_fock_engine_acceptance_law():
         )
         expected += w_k * p_coal * p_split * p_filter * q / q.sum()
     batches = 25
-    table = _clean_row_table(phi.amps, basis.matrix, v)
+    table = _clean_row_table(1, 4, v)
     counts = np.zeros(4)
     for b in range(batches):
-        hits = _simulate_batch(phi.amps, basis.matrix, weights, v, 1.0, 1.0, _batch_rng(31, 1, b), table)
+        hits = _simulate_batch(1, basis.matrix, weights, v, 1.0, 1.0, _batch_rng(31, 1, b), table)
         counts += np.bincount(hits, minlength=4)
     n = batches * BATCH_TRIALS
     z = (counts - n * expected) / np.sqrt(n * expected * (1.0 - expected))
@@ -338,11 +418,8 @@ def test_batches_match_the_fock_engine_acceptance_law():
 
 def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
     basis = basis_logical()
-    phi = basis.states[0].amps
     rng = _batch_rng(3, 0, 0)
-    _simulate_batch(
-        phi, basis.matrix, np.full(4, 0.25), 1.0, 1.0, 1.0, rng, _clean_row_table(phi, basis.matrix, 1.0)
-    )
+    _simulate_batch(0, basis.matrix, np.full(4, 0.25), 1.0, 1.0, 1.0, rng, _clean_row_table(0, 4, 1.0))
     fresh = _batch_rng(3, 0, 0)
     near = int(fresh.binomial(BATCH_TRIALS, 0.25 * (1.0 + 1e-9)))
     assert 0 < near < BATCH_TRIALS // 2
@@ -352,9 +429,9 @@ def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
 
 def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
     basis = basis_four()
-    phi, v, f = basis.states[2].amps, 0.9, 0.8
+    v, f = 0.9, 0.8
     rng = _batch_rng(21, 2, 0)
-    _simulate_batch(phi, basis.matrix, np.full(4, 0.25), v, f, 1.0, rng, _clean_row_table(phi, basis.matrix, v))
+    _simulate_batch(2, basis.matrix, np.full(4, 0.25), v, f, 1.0, rng, _clean_row_table(2, 4, v))
     fresh = _batch_rng(21, 2, 0)
     near = int(fresh.binomial(BATCH_TRIALS, (1.0 + v * v) / 8.0 * (1.0 + 1e-9)))
     assert 0 < near < BATCH_TRIALS // 2
@@ -369,7 +446,7 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     phi, v, f = basis.states[0].amps, 0.9, 0.7
     weights = np.full(4, 0.25)
     rng = _batch_rng(22, 0, 0)
-    _simulate_batch(phi, basis.matrix, weights, v, 1.0, f, rng, _clean_row_table(phi, basis.matrix, v))
+    _simulate_batch(0, basis.matrix, weights, v, 1.0, f, rng, _clean_row_table(0, 4, v))
     fresh = _batch_rng(22, 0, 0)
     p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
     u, anc_u = fresh.random((2, fresh.binomial(BATCH_TRIALS, p_near)))
@@ -399,12 +476,12 @@ def _two_sample_z(case, reference, seeds, batches=16, trials=BATCH_TRIALS):
     assert n % trials == 0
     counts = np.zeros((2, 4, 4))
     for i, phi in enumerate(basis.states):
-        args = (phi.amps, basis.matrix, weights, v, prep_f, analysis_f)
-        table = _clean_row_table(phi.amps, basis.matrix, v)
+        args = (basis.matrix, weights, v, prep_f, analysis_f)
+        table = _clean_row_table(i, 4, v)
         for b in range(batches):
-            counts[0, i] += np.bincount(_simulate_batch(*args, _batch_rng(seeds[0], i, b), table), minlength=4)
+            counts[0, i] += np.bincount(_simulate_batch(i, *args, _batch_rng(seeds[0], i, b), table), minlength=4)
         for b in range(n // trials):
-            hits = reference(*args, _batch_rng(seeds[1], i, b), trials=trials)
+            hits = reference(phi.amps, *args, _batch_rng(seeds[1], i, b), trials=trials)
             counts[1, i] += np.bincount(hits, minlength=4)
     p = counts.sum(axis=0) / (2 * n)
     return (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
@@ -512,10 +589,10 @@ def _layout2_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, trials=
 def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, analysis_f,
                                          seed, batches):
     phi = basis.states[phi_index].amps
-    table = _clean_row_table(phi, basis.matrix, v)
+    table = _clean_row_table(phi_index, basis.dim, v)
     for b in range(batches):
         fast, slow = _batch_rng(seed, phi_index, b), _batch_rng(seed, phi_index, b)
-        hits = _simulate_batch(phi, basis.matrix, weights, v, prep_f, analysis_f, fast, table)
+        hits = _simulate_batch(phi_index, basis.matrix, weights, v, prep_f, analysis_f, fast, table)
         expected = _per_row_batch(phi, basis.matrix, weights, v, prep_f, analysis_f, slow)
         assert np.array_equal(hits, expected), (b, hits.size, expected.size)
         assert _stream_position(fast) == _stream_position(slow)
@@ -526,6 +603,8 @@ _TABLE_CASES = {
     "prep-only-IV": (basis_four, 0.95, 0.8, 1.0, (0.4, 0.2, 0.2, 0.2)),
     "analysis-only-I": (basis_logical, 0.9, 1.0, 0.7, None),
     "degraded-IV": (basis_four, 0.9165, 0.9, 0.9, (0.3, 0.3, 0.2, 0.2)),
+    "degraded-F3": (_fourier_basis, 0.9165, 0.9, 0.9, (0.4, 0.3, 0.3)),
+    "degraded-Haar4": (_haar_basis, 0.9165, 0.9, 0.9, (0.3, 0.3, 0.2, 0.2)),
 }
 
 
@@ -533,8 +612,8 @@ _TABLE_CASES = {
 def test_table_path_matches_per_row_reference(case):
     make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
     basis = make_basis()
-    weights = np.full(4, 0.25) if weights is None else np.array(weights)
-    for phi_index in range(4):
+    weights = np.full(basis.dim, 1.0 / basis.dim) if weights is None else np.array(weights)
+    for phi_index in range(basis.dim):
         _assert_table_path_matches_reference(
             basis, phi_index, weights, v, prep_f, analysis_f, seed=43, batches=6
         )
@@ -553,7 +632,7 @@ def test_clean_row_thresholds_are_the_scanner_weights_over_16(make_basis):
         S = np.broadcast_to(phi.amps, (d, d))
         for v in (0.0, 0.5, 0.9165, 1.0):
             _, q = _elementwise_terms(S, settings, v, S, scanner)
-            thresholds = _clean_row_table(phi.amps, basis.matrix, v)[2]
+            thresholds = _clean_row_table(basis.index_of(phi), d, v)[2]
             assert np.max(np.abs(thresholds - np.cumsum(q, axis=1) / 16.0)) < 1e-15
 
 
@@ -565,15 +644,15 @@ def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
         return _event_terms(*args)
 
     basis = basis_logical()
-    phi, weights = basis.states[1].amps, np.full(4, 0.25)
-    table = _clean_row_table(phi, basis.matrix, 1.0)
+    weights = np.full(4, 0.25)
+    table = _clean_row_table(1, 4, 1.0)
     monkeypatch.setattr(experiment, "_event_terms", counted)
     for b in range(5):
-        hits = _simulate_batch(phi, basis.matrix, weights, 1.0, 1.0, 1.0, _batch_rng(9, 1, b), table)
+        hits = _simulate_batch(1, basis.matrix, weights, 1.0, 1.0, 1.0, _batch_rng(9, 1, b), table)
         assert hits.size > 0
     assert calls == []
     # the counter sees the rows of a noisy batch, which do need the terms
-    _simulate_batch(phi, basis.matrix, weights, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0), table)
+    _simulate_batch(1, basis.matrix, weights, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0), table)
     assert len(calls) == 1 and calls[0] > 0
 
 
@@ -588,14 +667,18 @@ def test_table_path_matches_reference_on_random_configs():
         prep_f=fidelity,
         analysis_f=fidelity,
         raw_weights=st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any),
-        make_basis=st.sampled_from([basis_logical, basis_four]),
+        make_basis=st.sampled_from(_BASES),
         phi_index=st.integers(0, 3),
         seed=st.integers(0, 2**32),
     )
     def check(v, prep_f, analysis_f, raw_weights, make_basis, phi_index, seed):
+        basis = make_basis()
+        # a d = 3 basis takes the first three weights and any of its inputs
+        raw_weights = raw_weights[: basis.dim]
+        hypothesis.assume(any(raw_weights))
         weights = np.array(raw_weights, dtype=float) / sum(raw_weights)
         _assert_table_path_matches_reference(
-            make_basis(), phi_index, weights, v, prep_f, analysis_f, seed, batches=1
+            basis, phi_index % basis.dim, weights, v, prep_f, analysis_f, seed, batches=1
         )
 
     check()
@@ -616,12 +699,12 @@ def test_ancilla_index_is_the_clipped_searchsorted():
 def _single_batch_run(phi, basis, config):
     """Reference: run_cloning_experiment as one reference stream per batch."""
     i = basis.index_of(phi)
-    table = _clean_row_table(phi.amps, basis.matrix, config.v)
+    table = _clean_row_table(i, basis.dim, config.v)
     weights = config.weights_for(basis.dim)
     counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
     while collected < config.shots:
         rng = _batch_rng(config.seed, i, batch)
-        hits = _simulate_batch(phi.amps, basis.matrix, weights, config.v, config.prep_fidelity,
+        hits = _simulate_batch(i, basis.matrix, weights, config.v, config.prep_fidelity,
                                config.analysis_fidelity, rng, table)
         hits = hits[: config.shots - collected]
         counts += np.bincount(hits, minlength=basis.dim)
@@ -718,8 +801,10 @@ def test_rounding_residue_in_scanner_weights_never_accepts():
 
 
 def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
-    # on basis IV an analyzer error can leave sum(q) ~ 1e-33 where exact
-    # arithmetic gives 0; such rows must not be accepted
+    # on basis IV an analyzer error can leave a trial in which no scanner
+    # setting can click, sum(q) = 0 in exact arithmetic; such rows must not be
+    # accepted. Lab coordinates left rounding residue (~1e-33, below the
+    # cutoff) in its place; in the kernel's basis coordinates it is an exact 0
     basis = basis_four()
     weights = np.array([0.3, 0.3, 0.2, 0.2])
     seen = []
@@ -729,18 +814,19 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
         seen.append((q.sum(axis=1), thresholds))
         return thresholds
 
-    for i, phi in enumerate(basis.states):
-        table = _clean_row_table(phi.amps, basis.matrix, 0.9165)
+    for i in range(4):
+        table = _clean_row_table(i, 4, 0.9165)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
-        # one batch per input: the four leave 449 residue rows at seed 0
-        _simulate_batch(phi.amps, basis.matrix, weights, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0), table)
+        # one batch per input: the four leave 449 such rows at seed 0
+        _simulate_batch(i, basis.matrix, weights, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0), table)
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])
-    residue = (totals > 0.0) & (totals <= _Q_TOTAL_CUTOFF)
-    assert residue.sum() > 100
-    assert np.all(thresholds[residue] == 0.0)
-    assert np.all(thresholds[totals > _Q_TOTAL_CUTOFF][:, -1] > 0.0)
+    unresolvable = totals <= _Q_TOTAL_CUTOFF
+    assert unresolvable.sum() > 100
+    assert np.all(totals[unresolvable] == 0.0)
+    assert np.all(thresholds[unresolvable] == 0.0)
+    assert np.all(thresholds[~unresolvable][:, -1] > 0.0)
 
 
 # ---------------------------------------------------- fixed-seed regression
