@@ -204,6 +204,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {val!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
+        # a bool or a string is not a number here, as in ``from_dict``
+        for name in ("v", "prep_fidelity", "analysis_fidelity"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 0.0 <= self.v <= 1.0:
             raise ValueError(f"v must lie in [0, 1], got {self.v}")
         for name in ("prep_fidelity", "analysis_fidelity"):
@@ -213,7 +216,7 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.ancilla_weights is not None:
-            w = tuple(float(x) for x in self.ancilla_weights)
+            w = tuple(_real(x, f"ancilla_weights[{i}]") for i, x in enumerate(self.ancilla_weights))
             if not all(math.isfinite(x) for x in w):
                 raise ValueError("ancilla weights must be finite")
             if any(x < 0 for x in w):

@@ -154,6 +154,31 @@ def test_config_constructor_rejects_non_integral_or_boolean_shots_and_seed(kwarg
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"v": True}, r"'v' must be a number, got True"),
+    ({"v": "0.5"}, r"'v' must be a number, got '0.5'"),
+    ({"prep_fidelity": True}, r"'prep_fidelity' must be a number, got True"),
+    ({"analysis_fidelity": "1"}, r"'analysis_fidelity' must be a number, got '1'"),
+    ({"ancilla_weights": (True, False, False, False)}, r"'ancilla_weights\[0\]' must be a number"),
+    ({"ancilla_weights": (0.5, "0.5")}, r"'ancilla_weights\[1\]' must be a number"),
+    ({"ancilla_weights": (0.5, 0.5 + 0j)}, r"'ancilla_weights\[1\]' must be a number"),
+])
+def test_config_constructor_rejects_booleans_and_non_numbers(kwargs, message):
+    # a bool would run and be written out as a JSON boolean, where the
+    # summary schema wants a number
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(shots=1, **kwargs)
+
+
+def test_config_constructor_stores_floats():
+    cfg = ExperimentConfig(shots=1, v=1, prep_fidelity=0, analysis_fidelity=np.float32(0.5),
+                           ancilla_weights=(1, 0, 0, 0))
+    data = cfg.to_dict()
+    for value in (data["v"], data["prepFidelity"], data["analysisFidelity"], *data["ancillaWeights"]):
+        assert type(value) is float
+    assert (data["v"], data["prepFidelity"], data["analysisFidelity"]) == (1.0, 0.0, 0.5)
+
+
 def test_config_accepts_integers_for_real_keys():
     cfg = ExperimentConfig.from_dict(
         {"shots": 10, "v": 1, "prepFidelity": 0, "ancillaWeights": [1, 0, 0, 0]}
