@@ -69,7 +69,7 @@ def _seeds(text: str) -> list[int]:
     return seeds
 
 
-def commands(shots: int, seeds: list[int]) -> list[tuple[str, list[str]]]:
+def _commands(shots: int, seeds: list[int]) -> list[tuple[str, list[str]]]:
     """The matrix: (name, argv) per command, with paths relative to its directory."""
     matrix = [
         (f"{name} seed {seed}",
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         if not (tree / "src" / "symclone" / "__init__.py").is_file():
             print(f"error: no symclone source tree at {tree / 'src'}", file=sys.stderr)
             return 2
-    matrix = commands(args.shots, args.seeds)
+    matrix = _commands(args.shots, args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / str(side) for side in range(2)]
         try:
