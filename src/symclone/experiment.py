@@ -89,6 +89,15 @@ only trials with a replaced state evaluate the event terms row by row, by
 the same closed forms. Neither the table nor the basis coordinates change
 the draw order, and neither changed a fixed-seed output.
 
+Within a batch, every per-trial array (u, the ancilla index, p_coal/2 and
+the bound of step 5) is indexed by near trial until the last step. The two
+thinning steps are boolean masks over the near trials, the perturbations of
+steps 4 and 5 are drawn for as many trials as the masks hold, and the
+trials that pass both are taken out once. A replaced state is kept with the
+index of its trial, and the trials with a replaced state are gathered only
+in a batch that has one. This bookkeeping changed no draw and no fixed-seed
+output either.
+
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
 ``_half_coal`` and ``_event_terms`` (whose filter part, ``_filter_terms``,
@@ -216,7 +225,17 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.ancilla_weights is not None:
-            w = tuple(_real(x, f"ancilla_weights[{i}]") for i, x in enumerate(self.ancilla_weights))
+            # a sequence of numbers, as in ``from_dict``: iterating a number
+            # fails, a string gives characters, a mapping its keys and a set
+            # no order
+            weights = self.ancilla_weights
+            vector = isinstance(weights, np.ndarray) and weights.ndim == 1
+            if not (vector or isinstance(weights, (list, tuple))):
+                raise ValueError(
+                    "bad config value: 'ancilla_weights' must be None or a list, tuple or"
+                    f" 1-D array of numbers, got {weights!r}"
+                )
+            w = tuple(_real(x, f"ancilla_weights[{i}]") for i, x in enumerate(weights))
             if not all(math.isfinite(x) for x in w):
                 raise ValueError("ancilla weights must be finite")
             if any(x < 0 for x in w):
@@ -498,6 +517,17 @@ def _near_trials(
     return u * p_near, _ancilla_index(cum_weights, anc_u)
 
 
+def _states_of(rows, default, replaced_rows, replaced, stage):
+    """The states of the near trials ``rows`` (sorted): ``default``, except
+    that a trial of ``replaced_rows`` that is in ``stage`` (a mask over the
+    near trials) takes its row of ``replaced``. Every such trial must be in
+    ``rows``."""
+    at = np.flatnonzero(stage[replaced_rows])
+    pick = np.zeros(len(rows), dtype=np.intp)  # 0: default, i + 1: replaced[i]
+    pick[np.searchsorted(rows, replaced_rows[at])] = at + 1
+    return np.take(np.concatenate((default[None], replaced)), pick, axis=0)
+
+
 def _simulate_batch(
     p: int,
     basis_cols: np.ndarray,
@@ -545,54 +575,67 @@ def _simulate_batch(
     replaced read their thresholds; only the other ("dirty") rows evaluate
     :func:`_event_terms`. The table holds the numbers those rows would
     compute, so the draws and the outcomes are the same either way.
+
+    Rows stay in the index space of the near trials until the last step:
+    ``keep`` (step 3) and ``passing`` (step 4, which implies ``keep``) are
+    masks over the near trials, and only the passing trials' u, ancilla
+    index and thresholds are taken out. A replaced signal or filter is held
+    with the index of its near trial (``np.flatnonzero(s_bad)``,
+    ``kept[f_bad]``) and a replaced scanner setting with that of its passing
+    trial (``g_flat // d``); the rows that need them are assembled
+    (:func:`_states_of`) only when some state was replaced.
     """
     d = len(basis_cols)
     clean_half_coal, clean_p_filter, clean_thresholds = table
     eye = np.eye(d, dtype=complex)  # row k: ancilla k, also scanner setting k
 
     # near trials: their draws of steps 1 and 2 and the preparation draws,
-    # then the row's own p_coal/2
+    # then the row's own p_coal/2. Every per-trial array below is indexed by
+    # near trial until the filter-passing trials are taken out.
     u, anc_idx = _near_trials(rng, (1.0 + v * v) / 8.0 * _BOUND_MARGIN, np.cumsum(weights))
     s_bad, s_z = _fail_draws((len(u),), d, prep_f, rng)
-    half_coal = clean_half_coal[anc_idx]
+    s_rows = np.flatnonzero(s_bad)  # the trials of the replaced signals S_bad
     S_bad = _complement_states(basis_cols, p, s_z)
-    if len(S_bad):
-        half_coal[s_bad] = _half_coal(S_bad, np.take(eye, anc_idx[s_bad], axis=0), v)
+    half_coal = clean_half_coal[anc_idx]
+    if len(s_rows):
+        half_coal[s_rows] = _half_coal(S_bad, np.take(eye, anc_idx[s_rows], axis=0), v)
     keep = u < half_coal
-    S_bad = S_bad[keep[s_bad]]
     kept = np.flatnonzero(keep)
-    u, anc_idx, half_coal, s_bad = (x[kept] for x in (u, anc_idx, half_coal, s_bad))
 
-    # kept trials: filter-arm draws, then the row's own p_filter
-    f_bad, f_z = _fail_draws((len(u),), d, analysis_f, rng)
+    # kept trials: filter-arm draws, then the row's own bound of step 4,
+    # p_coal/2 * p_filter * _BOUND_MARGIN, the same product for a clean row
+    # whether read from the table or computed
+    f_bad, f_z = _fail_draws((len(kept),), d, analysis_f, rng)
+    f_rows = kept[f_bad]  # the trials of the replaced filters F_bad
     F_bad = _complement_states(basis_cols, p, f_z)
-    p_filter = clean_p_filter[anc_idx]
-    pre = s_bad | f_bad
-    if pre.any():
-        S, filters = np.empty((2, np.count_nonzero(pre), d), dtype=complex)
-        S[:] = filters[:] = eye[p]
-        S[s_bad[pre]] = S_bad
-        filters[f_bad[pre]] = F_bad
-        p_filter[pre] = _filter_terms(S, np.take(eye, anc_idx[pre], axis=0), v, filters)[0]
-    passing = u < half_coal * p_filter * _BOUND_MARGIN
-    S_bad, F_bad = S_bad[passing[s_bad]], F_bad[passing[f_bad]]
+    bound = (clean_half_coal * clean_p_filter * _BOUND_MARGIN)[anc_idx]
+    if len(s_rows) or len(f_rows):
+        pre = s_bad & keep
+        pre[f_rows] = True
+        pre = np.flatnonzero(pre)
+        S = _states_of(pre, eye[p], s_rows, S_bad, keep)
+        filters = _states_of(pre, eye[p], f_rows, F_bad, keep)
+        p_filter = _filter_terms(S, np.take(eye, anc_idx[pre], axis=0), v, filters)[0]
+        bound[pre] = half_coal[pre] * p_filter * _BOUND_MARGIN
+    # a trial dropped at step 3 stays dropped: with p_filter = 1 (ancilla =
+    # input) and p_coal/2 <= u < p_coal/2 * _BOUND_MARGIN it is below bound
+    passing = keep & (u < bound)
     passed = np.flatnonzero(passing)
-    u, anc_idx, half_coal, s_bad, f_bad = (x[passed] for x in (u, anc_idx, half_coal, s_bad, f_bad))
 
     # filter-passing trials: scanner-arm draws, then the event terms of the
-    # dirty rows only
-    g_bad, g_z = _fail_draws((len(u), d), d, analysis_f, rng)
-    thresholds = np.take(clean_thresholds, anc_idx, axis=0)
+    # dirty rows only, indexed by passing trial
+    g_bad, g_z = _fail_draws((len(passed), d), d, analysis_f, rng)
+    thresholds = np.take(clean_thresholds, anc_idx[passed], axis=0)
     g_flat = np.flatnonzero(g_bad)  # replaced settings, row-major
-    dirty = s_bad | f_bad
-    dirty[g_flat // d] = True
-    dirty = np.flatnonzero(dirty)
-    if len(dirty):
-        anc = np.take(anc_idx, dirty)
-        S, filters = np.empty((2, len(dirty), d), dtype=complex)
-        S[:] = filters[:] = eye[p]
-        S[s_bad[dirty]] = S_bad
-        filters[f_bad[dirty]] = F_bad
+    if len(s_rows) or len(f_rows) or len(g_flat):
+        dirty = s_bad[passed]
+        dirty[np.searchsorted(passed, f_rows[passing[f_rows]])] = True
+        dirty[g_flat // d] = True
+        dirty = np.flatnonzero(dirty)
+        rows = passed[dirty]
+        anc = anc_idx[rows]
+        S = _states_of(rows, eye[p], s_rows, S_bad, passing)
+        filters = _states_of(rows, eye[p], f_rows, F_bad, passing)
         N = np.take(eye, anc, axis=0)
         # overlaps F_j = <g_j|S> and G_j = <g_j|N>: S and N themselves for
         # an unperturbed setting g_j = e_j, inner products for a replaced one
@@ -603,7 +646,8 @@ def _simulate_batch(
             F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, np.take(S, g_rows, axis=0))
             G[g_rows, g_cols] = bra[np.arange(len(g_rows)), np.take(anc, g_rows)]
         p_f, q = _event_terms(S, N, v, filters, F, G)
-        thresholds[dirty] = _acceptance_thresholds(half_coal[dirty], p_f, q)
+        thresholds[dirty] = _acceptance_thresholds(half_coal[rows], p_f, q)
+    u = u[passed]
     outcomes = np.zeros(len(u), dtype=np.intp)
     for column in np.ascontiguousarray(thresholds.T):
         outcomes += u >= column

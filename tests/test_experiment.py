@@ -179,6 +179,27 @@ def test_config_constructor_stores_floats():
     assert (data["v"], data["prepFidelity"], data["analysisFidelity"]) == (1.0, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("weights", [
+    0.5, 1, np.float64(1.0), np.array(1.0), "1", "0.25,0.25,0.25,0.25",
+    {1.0: "x"}, {0.25, 0.75}, frozenset({1.0}), np.ones((1, 1)),
+], ids=["float", "int", "numpy-float", "0-d-array", "str", "csv-str", "dict", "set", "frozenset", "2-d-array"])
+def test_config_constructor_rejects_weights_that_are_not_a_sequence(weights):
+    # iterating a number fails, a string gives its characters, a mapping its
+    # keys and a set no fixed order; each is a ValueError naming the key, as
+    # ``from_dict`` gives for ``ancillaWeights``
+    with pytest.raises(ValueError, match=r"'ancilla_weights' must be None or a list, tuple or 1-D array"):
+        ExperimentConfig(shots=1, ancilla_weights=weights)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.4, 0.2, 0.2, 0.2], (0.4, 0.2, 0.2, 0.2), np.array([0.4, 0.2, 0.2, 0.2]),
+])
+def test_config_constructor_takes_weights_as_a_list_tuple_or_vector(weights):
+    cfg = ExperimentConfig(shots=1, ancilla_weights=weights)
+    assert cfg.ancilla_weights == (0.4, 0.2, 0.2, 0.2)
+    assert all(type(w) is float for w in cfg.ancilla_weights)
+
+
 def test_config_accepts_integers_for_real_keys():
     cfg = ExperimentConfig.from_dict(
         {"shots": 10, "v": 1, "prepFidelity": 0, "ancillaWeights": [1, 0, 0, 0]}
@@ -630,6 +651,7 @@ _TABLE_CASES = {
     "degraded-IV": (basis_four, 0.9165, 0.9, 0.9, (0.3, 0.3, 0.2, 0.2)),
     "degraded-F3": (_fourier_basis, 0.9165, 0.9, 0.9, (0.4, 0.3, 0.3)),
     "degraded-Haar4": (_haar_basis, 0.9165, 0.9, 0.9, (0.3, 0.3, 0.2, 0.2)),
+    "all-replaced-IV": (basis_four, 0.9, 0.0, 0.0, None),  # every row dirty
 }
 
 
@@ -659,6 +681,37 @@ def test_clean_row_thresholds_are_the_scanner_weights_over_16(make_basis):
             _, q = _elementwise_terms(S, settings, v, S, scanner)
             thresholds = _clean_row_table(basis.index_of(phi), d, v)[2]
             assert np.max(np.abs(thresholds - np.cumsum(q, axis=1) / 16.0)) < 1e-15
+
+
+def test_ideal_batch_counts_a_trial_only_below_both_thinning_bounds():
+    # a doctored table with p_filter = 2 for every ancilla and thresholds
+    # built from it, so a row's thresholds reach 2 p_coal/2 * cum(q)/sum(q),
+    # above its p_coal/2: a near trial is still counted only if
+    # u < p_coal/2 (step 3) and u < p_coal/2 * p_filter * _BOUND_MARGIN
+    # (step 4), with outcome #{thresholds <= u}
+    basis = basis_logical()
+    v = 0.9
+    weights = np.full(4, 0.25)
+    p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
+    above = 0
+    for p in range(4):
+        half_coal, p_filter, thresholds = _clean_row_table(p, 4, v)
+        thresholds = thresholds * (2.0 / p_filter)[:, None]
+        doctored = (half_coal, np.full(4, 2.0), thresholds)
+        for b in range(3):
+            rng = _batch_rng(31, p, b)
+            hits = _simulate_batch(p, basis.matrix, weights, v, 1.0, 1.0, rng, doctored)
+            fresh = _batch_rng(31, p, b)
+            u, anc_u = fresh.random((2, fresh.binomial(BATCH_TRIALS, p_near)))
+            u = u * p_near
+            anc = np.minimum(np.searchsorted(np.cumsum(weights), anc_u, side="right"), 3)
+            outcomes = (u[:, None] >= thresholds[anc]).sum(axis=1)
+            counted = (u < half_coal[anc]) & (u < half_coal[anc] * 2.0 * (1.0 + 1e-9))
+            assert np.array_equal(hits, outcomes[counted & (outcomes < 4)])
+            assert _stream_position(rng) == _stream_position(fresh)
+            above += np.count_nonzero(~counted & (outcomes < 4))
+    # the trials the step-3 bound drops would have clicked
+    assert above > 1000
 
 
 def test_ideal_batch_never_evaluates_event_terms(monkeypatch):

@@ -17,8 +17,8 @@ def test_same_output_finds_a_tree_identical_to_itself():
     result = _same_output("--against", str(ROOT), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 6 and all(line.startswith("identical  ") for line in lines[:5])
-    assert lines[-1] == "5/5 commands identical"
+    assert len(lines) == 7 and all(line.startswith("identical  ") for line in lines[:6])
+    assert lines[-1] == "6/6 commands identical"
 
 
 def test_same_output_needs_a_source_tree(tmp_path):

@@ -4,8 +4,9 @@
 
 Runs a fixed matrix of ``symclone`` commands on this checkout's ``src/`` and
 on ``DIR/src`` and compares every output byte for byte: per seed,
-``experiment`` on basis I, on the degraded basis-IV bench and on basis IV
-with ``--v 0.8 --analysis-fid 0.5`` (standard output, CSV and JSON), and
+``experiment`` on basis I, on the degraded basis-IV bench, on basis IV with
+``--v 0.8 --analysis-fid 0.5`` and on the prep-only basis-IV bench, where
+only the signal is ever replaced (standard output, CSV and JSON), and
 once ``cascade --json`` and ``clone --json`` (standard output). It prints
 ``identical`` or ``different`` per command and exits with 0 when every
 output is identical, 1 when one differs and 2 when a tree cannot run.
@@ -36,6 +37,8 @@ _EXPERIMENTS = {
     "experiment IV degraded": ["--basis", "IV", "--v", "0.9165", "--prep-fid", "0.9",
                                "--analysis-fid", "0.9", "--ancilla-weights", "0.3,0.3,0.2,0.2"],
     "experiment IV v=0.8 analysis-fid=0.5": ["--basis", "IV", "--v", "0.8", "--analysis-fid", "0.5"],
+    "experiment IV prep-fid=0.8": ["--basis", "IV", "--v", "0.95", "--prep-fid", "0.8",
+                                   "--ancilla-weights", "0.4,0.2,0.2,0.2"],
 }
 _ONCE = {
     "cascade --json": ["cascade", "--json"],
