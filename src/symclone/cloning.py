@@ -9,14 +9,14 @@ ancilla-matches-input branch carries relative weight 2/(d+1) (fidelity 1)
 and the d-1 orthogonal branches carry total weight (d-1)/(d+1) (fidelity
 1/2), giving the optimal 1 -> 2 average fidelity 1/2 + 1/(d+1).
 
-The density-operator routes (:func:`clone_oracle`, :func:`cascade_clone`)
-carry the photons in port 0 as one density operator rho on the m-photon
-symmetric subspace, of dimension C(m+d-1, m). A stage m -> m+1 meets them
-with one ancilla photon a_k^dag on port 1. The balanced splitter sends each
-creation operator to (a_0^dag + i a_1^dag)/sqrt2 or (i a_0^dag + a_1^dag)/sqrt2,
-so keeping only the term with every photon in one output port multiplies
-the (m+1)-photon creation product by a phase and 2^(-(m+1)/2). The Kraus
-operator of that outcome is
+Derivation. The cascade (:func:`cascade_clone`, and :func:`clone_oracle`
+as its one-stage case) carries the photons in port 0 as a state rho on the
+m-photon symmetric subspace, of dimension C(m+d-1, m). A stage m -> m+1
+meets them with one ancilla photon a_k^dag on port 1. The balanced splitter
+sends each creation operator to (a_0^dag + i a_1^dag)/sqrt2 or
+(i a_0^dag + a_1^dag)/sqrt2, so keeping only the term with every photon in
+one output port multiplies the (m+1)-photon creation product by a phase and
+2^(-(m+1)/2). The Kraus operator of that outcome is
 
     K[port, k] = phase(port, m) 2^(-(m+1)/2) a_k^dag,
 
@@ -25,12 +25,28 @@ ports contribute equally, so a stage is Werner's symmetric-subspace cloner
 
     rho' = 2^(-m) sum_{k, l} sigma_kl a_k^dag rho a_l,
 
-with sigma the ancilla's density matrix (I_d/d for the fully mixed
-ancilla). The trace of rho' is the stage's coalescence probability, and
-the success probability is the product of the stage traces. The tests
-rebuild each K[port, k] with the second-quantized engine in
-:mod:`symclone.bosonic`, one basis ket at a time, and check it against this
-closed form.
+with sigma the ancilla's density matrix. The trace of rho' is the stage's
+coalescence probability, and the success probability is the product of the
+stage traces. The clone state is the single-photon reduction
+<a_l^dag a_k> / M of the final M-photon rho.
+
+Basis coordinates. The ancilla is fully mixed, sigma = I_d/d, which is
+diag(w) with w = 1/d in every basis. So the cascade works in a basis U whose
+column 0 is phi (a Householder reflection). There the N-photon start
+|phi^(x)N> is the single occupation (N, 0, ..., 0), and since
+a_k^dag |n><n| a_k = (n_k + 1) |n + e_k><n + e_k|, each stage keeps rho
+diagonal in the occupations n:
+
+    rho'(n + e_k) += w_k (n_k + 1) rho(n) / 2^m.
+
+The cascade therefore carries rho as a vector of C(m+d-1, m)
+probabilities, one per occupation. The clone is diagonal in U as well:
+U diag(c) U^dag with c_k = sum_n n_k rho(n) / M.
+
+The tests rebuild each K[port, k] with the second-quantized engine in
+:mod:`symclone.bosonic`, one basis ket at a time, check the vector stage
+against it on diagonal states, and run the dense stage in the lab basis as
+an independent cascade.
 """
 
 from __future__ import annotations
@@ -56,8 +72,8 @@ __all__ = [
     "DEFAULT_CASCADE_CAP",
 ]
 
-# Guard on M, which sets the C(M+d-1, M) dimension of the density operator
-# the cascade carries through its Kraus stages.
+# Guard on M, which sets the length C(M+d-1, M) of the occupation vector
+# the cascade carries through its stages.
 DEFAULT_CASCADE_CAP = 6
 
 
@@ -172,80 +188,76 @@ def _fock_basis(d: int, m: int) -> dict[tuple[int, ...], int]:
 
 @cache
 def _raising(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """a_k^dag on the m-photon basis: |n> -> coeff[k, n] |up[k, n]>."""
+    """a_k^dag on the m-photon basis: |n> -> sqrt(factor[k, n]) |up[k, n]>, factor = n_k + 1.
+
+    ``factor`` holds the integers n_k + 1 as floats.
+    """
     source = _fock_basis(d, m)
     target = _fock_basis(d, m + 1)
     up = np.empty((d, len(source)), dtype=np.intp)
-    coeff = np.empty((d, len(source)))
+    factor = np.empty((d, len(source)))
     for col, occ in enumerate(source):
         for k in range(d):
             raised = list(occ)
             raised[k] += 1
             up[k, col] = target[tuple(raised)]
-            coeff[k, col] = math.sqrt(raised[k])
+            factor[k, col] = raised[k]
     up.setflags(write=False)
-    coeff.setflags(write=False)
-    return up, coeff
+    factor.setflags(write=False)
+    return up, factor
 
 
-def _stage(rho: np.ndarray, m: int, sigma: np.ndarray) -> np.ndarray:
-    """Interfere the m port-0 photons in ``rho`` with one ancilla photon and keep coalescence.
+def _first_column_basis(phi: PureState) -> np.ndarray:
+    """A unitary U whose column 0 is phi: a phased Householder reflection.
 
-    ``sigma`` is the ancilla's d x d density matrix. Returns the
-    unnormalized (m+1)-photon rho' = 2^(-m) sum_{k,l} sigma_kl a_k^dag rho a_l
-    (see the module docstring); for unit-trace rho its trace is the
-    coalescence probability, both output ports counted.
+    With theta = arg phi_0 and w = e_0 + e^(-i theta) phi,
+    U = -e^(i theta) (I - 2 w w^dag / |w|^2). Since e^(-i theta) phi_0 = |phi_0|,
+    |w|^2 = 2 (1 + |phi_0|) >= 2: nothing cancels, even for phi near e_0.
     """
-    d = len(sigma)
-    up, coeff = _raising(d, m)
-    out = np.zeros((len(_fock_basis(d, m + 1)),) * 2, dtype=complex)
-    for k, l in zip(*np.nonzero(sigma)):
-        weight = sigma[k, l] / 2**m
-        out[np.ix_(up[k], up[l])] += weight * (coeff[k][:, None] * rho * coeff[l])
-    return out
+    phase = np.exp(1j * np.angle(phi.amps[0]))
+    w = phi.amps / phase
+    w[0] += 1.0
+    reflection = np.eye(phi.dim) - np.outer(w, w.conj()) * (2 / np.vdot(w, w).real)
+    return -phase * reflection
 
 
-def _photons(phi: PureState, n: int) -> np.ndarray:
-    """|phi^(x)n> = (a_phi^dag)^n |0> / sqrt(n!) on the n-photon basis.
+def _stage(rho: np.ndarray, m: int, weights: np.ndarray) -> np.ndarray:
+    """One stage in basis coordinates: m port-0 photons meet an ancilla photon and coalesce.
 
-    Applies a_phi^dag = sum_k phi_k a_k^dag one photon at a time, as a
-    matrix built from the stage's raising table (``_stage`` itself, with the
-    dense sigma = |phi><phi|, makes d^2 scatter updates per photon).
+    ``rho`` holds the probability of each m-photon occupation, and
+    ``weights`` the ancilla's diagonal density matrix in the same basis.
+    Returns the unnormalized (m+1)-photon vector with
+    rho'(n + e_k) += w_k (n_k + 1) rho(n) / 2^m over every n and k (see the
+    module docstring); for unit-sum rho its sum is the coalescence
+    probability, both output ports counted.
     """
-    d = phi.dim
-    vec = np.ones(1, dtype=complex)
-    for m in range(n):
-        up, coeff = _raising(d, m)
-        raise_phi = np.zeros((len(_fock_basis(d, m + 1)), len(vec)), dtype=complex)
-        raise_phi[up, np.arange(len(vec))] = phi.amps[:, None] * coeff
-        vec = raise_phi @ vec / math.sqrt(m + 1)
-    return vec
+    d = len(weights)
+    up, factor = _raising(d, m)
+    raised = weights[:, None] * factor * rho
+    return np.bincount(up.ravel(), raised.ravel(), len(_fock_basis(d, m + 1))) / 2**m
 
 
-def _interfere(phi: PureState, n: int, m: int, sigma: np.ndarray) -> tuple[float, DensityMatrix]:
-    """Carry n photons in ``phi`` through m - n stages: (success probability, clone state).
+def _interfere(d: int, n: int, m: int, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Carry n photons in basis state 0 through m - n stages: (success probability, c).
 
-    The clone state is the single-photon reduction <a_l^dag a_k> / m of the
-    final m-photon rho, i.e. sum_i sqrt(i_k + 1) sqrt(i_l + 1) rho[i + e_k, i + e_l] / m
-    over the (m-1)-photon basis kets i.
+    c_k = sum_n n_k rho(n) / m is the clone's diagonal in the same basis,
+    summed as sum_i (i_k + 1) rho(i + e_k) / m over the (m-1)-photon kets i.
     """
-    d = phi.dim
-    vec = _photons(phi, n)
-    rho = np.outer(vec, vec.conj())
+    start = _fock_basis(d, n)
+    rho = np.zeros(len(start))
+    rho[start[(n,) + (0,) * (d - 1)]] = 1.0
     success = 1.0
     for photons in range(n, m):
-        rho = _stage(rho, photons, sigma)
-        prob = float(np.real(np.trace(rho)))
+        rho = _stage(rho, photons, weights)
+        prob = float(rho.sum())
         success *= prob
         rho /= prob
-    up, coeff = _raising(d, m - 1)
-    weights = coeff[:, None, :] * coeff[None, :, :]
-    clone = np.sum(weights * rho[up[:, None, :], up[None, :, :]], axis=-1) / m
-    return success, DensityMatrix(dim=d, mat=(clone + clone.conj().T) / 2)
+    up, factor = _raising(d, m - 1)
+    return success, np.sum(factor * rho[up], axis=1) / m
 
 
 def clone_oracle(phi: PureState, d: int) -> CloningOutcome:
-    """1 -> 2 outcome of the one-stage cascade: one closed-form Kraus stage.
+    """1 -> 2 outcome of the one-stage cascade: one stage in the basis adapted to phi.
 
     An independent route to :func:`clone_analytic`, with which it agrees to
     machine precision.
@@ -263,28 +275,32 @@ def cascade_clone(
     Starts with N photons in phi on one port; each stage interferes the
     accumulated photons with one fresh fully mixed ancilla photon and keeps
     only total coalescence into a common output port (partial-coalescence
-    outcomes count as failures). The photons are carried as one density
-    operator on the symmetric subspace, of dimension C(m+d-1, m) after m
-    photons, through the closed-form Kraus stage of the module docstring. The
-    success probability is the product of the stage traces; the clone state
-    is the single-photon reduction of the final M-photon density operator.
-    The ancilla enters only through its density matrix I_d/d. A success
-    probability below the smallest normal float is an error, not a result.
+    outcomes count as failures). The photons are carried in a basis U whose
+    column 0 is phi, where their state stays diagonal: a vector of
+    C(m+d-1, m) occupation probabilities after m photons, moved by the stage
+    of the module docstring. The success probability is the product of the
+    stage sums; the clone state is U diag(c) U^dag, with c_k the mean
+    occupation of level k per photon. The ancilla enters only through its
+    density matrix I_d/d. A success probability below the smallest normal
+    float is an error, not a result.
     """
     if phi.dim != spec.d:
         raise ValueError(f"dimension mismatch: spec.d={spec.d} but phi.dim={phi.dim}")
     d = spec.d
     if spec.m > cap:
         raise ValueError(
-            f"M={spec.m} exceeds the cap {cap}; the cascade's density operator would have "
-            f"dimension C(M+d-1, M) = {math.comb(spec.m + d - 1, spec.m)}. Raise `cap` "
+            f"M={spec.m} exceeds the cap {cap}; the cascade's occupation vector would have "
+            f"length C(M+d-1, M) = {math.comb(spec.m + d - 1, spec.m)}. Raise `cap` "
             "explicitly to allow it"
         )
-    success, clone = _interfere(phi, spec.n, spec.m, np.eye(d, dtype=complex) / d)
+    success, c = _interfere(d, spec.n, spec.m, np.full(d, 1.0 / d))
     if success < sys.float_info.min:
         raise ValueError(
             f"the cascade's success probability underflows the float range at M={spec.m}, d={d}"
         )
+    basis = _first_column_basis(phi)
+    mat = (basis * c) @ basis.conj().T
+    clone = DensityMatrix(dim=d, mat=(mat + mat.conj().T) / 2)
     return CloningOutcome(
         input_state=phi,
         clone_state=clone,

@@ -1,9 +1,13 @@
-"""Second-quantized engine routes the cloning and Monte Carlo tests check against.
+"""Reference routes the cloning and Monte Carlo tests check against.
 
-These rebuild, one Fock state at a time, what :mod:`symclone.cloning` and
-the Monte Carlo event terms of :mod:`symclone.experiment` compute in closed
-form, so every cloning and coincidence number has an independent check that
-runs through :mod:`symclone.bosonic` alone.
+The engine routes rebuild, one Fock state at a time, what
+:mod:`symclone.cloning` and the Monte Carlo event terms of
+:mod:`symclone.experiment` compute in closed form, so every cloning and
+coincidence number has an independent check that runs through
+:mod:`symclone.bosonic` alone. The lab-coordinate cascade carries the dense
+density operator through the closed-form Kraus stage in the computational
+basis, for any ancilla sigma, where :mod:`symclone.cloning` carries a
+diagonal vector in a basis adapted to the input.
 """
 
 import math
@@ -12,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from symclone import bosonic
-from symclone.cloning import _fock_basis
+from symclone.cloning import _fock_basis, _raising
 from symclone.hilbert import DensityMatrix, LabeledBasis, PureState, basis_state
 
 
@@ -54,6 +58,60 @@ def engine_stage(rho: np.ndarray, m: int, sigma: np.ndarray) -> np.ndarray:
         for k in range(d)
         for l in range(d)
     )
+
+
+def lab_stage(rho: np.ndarray, m: int, sigma: np.ndarray) -> np.ndarray:
+    """Dense closed-form stage rho' = 2^(-m) sum_{k,l} sigma_kl a_k^dag rho a_l.
+
+    One scatter update per nonzero sigma_kl on the computational basis's
+    m-photon symmetric subspace.
+    """
+    d = len(sigma)
+    up, factor = _raising(d, m)
+    coeff = np.sqrt(factor)
+    out = np.zeros((len(_fock_basis(d, m + 1)),) * 2, dtype=complex)
+    for k, l in zip(*np.nonzero(sigma)):
+        weight = sigma[k, l] / 2**m
+        out[np.ix_(up[k], up[l])] += weight * (coeff[k][:, None] * rho * coeff[l])
+    return out
+
+
+def lab_photons(phi: PureState, n: int) -> np.ndarray:
+    """|phi^(x)n> = (a_phi^dag)^n |0> / sqrt(n!) on the computational n-photon basis.
+
+    Applies a_phi^dag = sum_k phi_k a_k^dag one photon at a time, as a
+    matrix built from the stage's raising table.
+    """
+    d = phi.dim
+    vec = np.ones(1, dtype=complex)
+    for m in range(n):
+        up, factor = _raising(d, m)
+        raise_phi = np.zeros((len(_fock_basis(d, m + 1)), len(vec)), dtype=complex)
+        raise_phi[up, np.arange(len(vec))] = phi.amps[:, None] * np.sqrt(factor)
+        vec = raise_phi @ vec / math.sqrt(m + 1)
+    return vec
+
+
+def lab_cascade(phi: PureState, n: int, m: int, sigma: np.ndarray) -> tuple[float, np.ndarray]:
+    """Dense cascade of n photons in ``phi`` through m - n stages: (success, clone matrix).
+
+    The clone is the single-photon reduction <a_l^dag a_k> / m of the final
+    m-photon rho, i.e. sum_i sqrt(i_k + 1) sqrt(i_l + 1) rho[i + e_k, i + e_l] / m
+    over the (m-1)-photon basis kets i.
+    """
+    vec = lab_photons(phi, n)
+    rho = np.outer(vec, vec.conj())
+    success = 1.0
+    for photons in range(n, m):
+        rho = lab_stage(rho, photons, sigma)
+        prob = float(np.real(np.trace(rho)))
+        success *= prob
+        rho /= prob
+    up, factor = _raising(phi.dim, m - 1)
+    coeff = np.sqrt(factor)
+    weights = coeff[:, None, :] * coeff[None, :, :]
+    clone = np.sum(weights * rho[up[:, None, :], up[None, :, :]], axis=-1) / m
+    return success, clone
 
 
 def mixed_ancilla_branches(

@@ -5,13 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from _engine_reference import engine_stage, engine_stage_operators, mixed_ancilla_branches
+from _engine_reference import (
+    engine_stage,
+    engine_stage_operators,
+    lab_cascade,
+    lab_photons,
+    lab_stage,
+    mixed_ancilla_branches,
+)
 from symclone import bosonic
 from symclone.cloning import (
     CloningOutcome,
     CloningSpec,
+    _first_column_basis,
     _fock_basis,
-    _photons,
     _raising,
     _stage,
     cascade_clone,
@@ -283,6 +290,15 @@ def test_cascade_one_to_ten_matches_werner_cloner():
     assert out.fidelity == pytest.approx(f_clon(1, 10, 4), abs=1e-12)
 
 
+@pytest.mark.parametrize("d,m", [(5, 6), (8, 7), (16, 4)])
+def test_cascade_matches_werner_cloner_in_high_dimension(d, m):
+    phi = _haar(np.random.default_rng(d * m), d)
+    out = cascade_clone(phi, CloningSpec(d=d, n=1, m=m), cap=m)
+    clone, success = _werner_clone(phi, 1, m)
+    assert np.max(np.abs(out.clone_state.mat - clone)) < 1e-12
+    assert abs(out.success_prob / success - 1) < 1e-12
+
+
 def _branch_enumeration(
     phi: PureState, n: int, m: int, ancillas: LabeledBasis | None = None
 ) -> tuple[np.ndarray, float]:
@@ -310,11 +326,21 @@ def test_cascade_fidelity_is_independent_of_the_input_state():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
+    @st.composite
+    def cases(draw):
+        d = draw(st.integers(2, 5))
+        m = draw(st.integers(2, 4))
+        n = draw(st.integers(1, m - 1))
+        parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d, max_size=2 * d))
+        return d, n, m, parts
+
+    # phi = e^(i pi/4) e_0 with a 1e-12 tail: a Householder vector
+    # e_0 - e^(-i theta) phi would cancel to ~1e-12 here
+    @hypothesis.example(case=(2, 1, 2, [1.0, 1e-12, 1.0, 0.0]))
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(data=st.data(), d=st.integers(2, 5), m=st.integers(2, 4))
-    def check(data, d, m):
-        n = data.draw(st.integers(1, m - 1), label="n")
-        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d, max_size=2 * d))
+    @hypothesis.given(case=cases())
+    def check(case):
+        d, n, m, parts = case
         amps = np.array(parts[:d]) + 1j * np.array(parts[d:])
         hypothesis.assume(np.linalg.norm(amps) > 1e-3)
         out = cascade_clone(PureState.normalized(amps), CloningSpec(d=d, n=n, m=m))
@@ -349,9 +375,9 @@ def test_cascade_is_ancilla_basis_independent():
 
 def _creation_matrix(d: int, m: int, k: int) -> np.ndarray:
     """Dense a_k^dag from the m-photon to the (m+1)-photon symmetric basis."""
-    up, coeff = _raising(d, m)
+    up, factor = _raising(d, m)
     mat = np.zeros((math.comb(m + d, m + 1), up.shape[1]))
-    mat[up[k], np.arange(up.shape[1])] = coeff[k]
+    mat[up[k], np.arange(up.shape[1])] = np.sqrt(factor[k])
     return mat
 
 
@@ -383,7 +409,22 @@ def test_engine_stage_map_equals_closed_form_stage(d, m):
     rng = np.random.default_rng(100 * d + m)
     rho = _random_hermitian(rng, math.comb(m + d - 1, m))
     sigma = _random_hermitian(rng, d)
-    assert np.max(np.abs(engine_stage(rho, m, sigma) - _stage(rho, m, sigma))) < 1e-12
+    assert np.max(np.abs(engine_stage(rho, m, sigma) - lab_stage(rho, m, sigma))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_vector_stage_is_the_engine_stage_on_diagonal_states(d, m):
+    # a diagonal rho and a diagonal sigma stay diagonal, and the diagonal is
+    # what the cascade's vector stage carries
+    rng = np.random.default_rng(1000 * d + m)
+    rho = rng.random(math.comb(m + d - 1, m))
+    rho /= rho.sum()
+    weights = rng.random(d)
+    weights /= weights.sum()
+    engine = engine_stage(np.diag(rho).astype(complex), m, np.diag(weights).astype(complex))
+    assert not np.any(engine - np.diag(np.diag(engine)))
+    assert np.max(np.abs(_stage(rho, m, weights) - np.diag(engine))) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -396,7 +437,48 @@ def test_start_state_matches_the_engine(d, n):
     vec = np.zeros(len(index), dtype=complex)
     for occ, amp in bosonic.identical_photons(0, phi, n).terms.items():
         vec[index[occ[:d]]] = amp
-    assert np.max(np.abs(_photons(phi, n) - vec)) < 1e-12
+    assert np.max(np.abs(lab_photons(phi, n) - vec)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("n,m", [(1, m) for m in range(2, 7)] + [(2, m) for m in range(3, 7)])
+def test_vector_cascade_matches_the_lab_cascade(d, n, m):
+    # the dense rho in the computational basis, started from |phi^(x)n>,
+    # against the vector in the basis adapted to phi
+    phi = _haar(np.random.default_rng(100 * d + 10 * n + m), d)
+    out = cascade_clone(phi, CloningSpec(d=d, n=n, m=m))
+    success, clone = lab_cascade(phi, n, m, np.eye(d, dtype=complex) / d)
+    assert np.max(np.abs(out.clone_state.mat - clone)) < 1e-12
+    assert abs(out.success_prob / success - 1) < 1e-12
+
+
+def _first_column_cases() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(17)
+    tail = np.zeros(4, dtype=complex)
+    tail[1:] = 1e-12 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    return {
+        "e0": basis_state(4, 0).amps,
+        "-e0": -basis_state(4, 0).amps,
+        "i e0": 1j * basis_state(4, 0).amps,
+        "phi0=0": np.array([0, 0.6, 0.8j, 0]),
+        "e3": basis_state(4, 3).amps,
+        "e0 with a 1e-12 tail": basis_state(4, 0).amps + tail,
+        "-i e0 with a 1e-12 tail": -1j * basis_state(4, 0).amps + tail,
+        "haar d=2": _haar(rng, 2).amps,
+        "haar d=4": _haar(rng, 4).amps,
+        "haar d=16": _haar(rng, 16).amps,
+    }
+
+
+_FIRST_COLUMN_CASES = _first_column_cases()
+
+
+@pytest.mark.parametrize("amps", _FIRST_COLUMN_CASES.values(), ids=_FIRST_COLUMN_CASES.keys())
+def test_first_column_basis_is_unitary_with_phi_first(amps):
+    phi = PureState.normalized(amps)
+    basis = _first_column_basis(phi)
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(phi.dim))) < 1e-14
+    assert np.max(np.abs(basis[:, 0] - phi.amps)) < 1e-14
 
 
 def _no_engine(*args, **kwargs):

@@ -7,9 +7,12 @@ on ``DIR/src`` and compares every output byte for byte: per seed,
 ``experiment`` on basis I, on the degraded basis-IV bench, on basis IV with
 ``--v 0.8 --analysis-fid 0.5`` and on the prep-only basis-IV bench, where
 only the signal is ever replaced (standard output, CSV and JSON), and
-once ``cascade --json`` and ``clone --json`` (standard output). It prints
-``identical`` or ``different`` per command and exits with 0 when every
-output is identical, 1 when one differs and 2 when a tree cannot run.
+once three ``cascade --json`` runs, one ``cascade`` text run and
+``clone --json`` (standard output). It prints ``identical`` or
+``different`` per command, and for a differing JSON file whose two sides
+hold the same keys, lengths and non-numeric values, the largest absolute
+difference over its numbers. It exits with 0 when every output is
+identical, 1 when one differs and 2 when a tree cannot run.
 
 Another revision's tree comes from git:
 
@@ -42,6 +45,10 @@ _EXPERIMENTS = {
 }
 _ONCE = {
     "cascade --json": ["cascade", "--json"],
+    "cascade --json 2->6 IV:2": ["cascade", "--json", "--n", "2", "--m", "6", "--input", "IV:2"],
+    "cascade --json 1->8 d=2 amplitudes": ["cascade", "--json", "--m", "8", "--cap", "8",
+                                           "--input", "0.6,0.8j"],
+    "cascade 2->6 IV:2": ["cascade", "--n", "2", "--m", "6", "--input", "IV:2"],
     "clone --json": ["clone", "--json"],
 }
 
@@ -96,6 +103,30 @@ def _outputs(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def _numbers(a, b) -> list[float] | None:
+    """|x - y| over the numeric leaves of two JSON values, or None if their shapes differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        parts = [_numbers(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [_numbers(x, y) for x, y in zip(a, b)]
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return [abs(a - b)]
+    else:
+        return [] if type(a) is type(b) and a == b else None
+    return None if None in parts else [x for part in parts for x in part]
+
+
+def _difference(mine: bytes | None, theirs: bytes | None) -> str:
+    """': largest difference D over N numbers' for two same-shaped JSON texts, else ''."""
+    try:
+        diffs = _numbers(json.loads(mine), json.loads(theirs))
+    except (TypeError, ValueError):
+        return ""
+    if not diffs:
+        return ""
+    return f": largest difference {max(diffs):.3g} over {len(diffs)} numbers"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, type=Path,
@@ -122,8 +153,9 @@ def main(argv=None) -> int:
             mine, theirs = (_outputs(out / str(i)) for out in outs)
             differs = sorted(f for f in mine.keys() | theirs.keys() if mine.get(f) != theirs.get(f))
             different += bool(differs)
+            files = ", ".join(f + _difference(mine.get(f), theirs.get(f)) for f in differs)
             print(f"{'different' if differs else 'identical'}  {name}"
-                  + (f"  ({', '.join(differs)})" if differs else ""))
+                  + (f"  ({files})" if differs else ""))
     print(f"{len(matrix) - different}/{len(matrix)} commands identical")
     return 1 if different else 0
 
