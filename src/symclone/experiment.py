@@ -75,35 +75,49 @@ members: the input is e_p, ancilla k is e_k and scanner setting j is e_j.
 A replaced state is drawn in lab coordinates as before (2d normals) and
 rotated into basis coordinates once, where its part orthogonal to the
 target e_t is the rotated vector with component t set to zero
-(``_complement_states``). So <S|N>, <filter|N> and the overlaps with the
-unreplaced scanner settings are components of S and of the filter, and
-only a replaced setting takes an inner product. The rotation is unitary:
-every probability is the lab-coordinate one up to rounding, and the
-structural zeros of the bench (a filter or scanner setting orthogonal to a
-photon) come out exact.
+(``_complement_states``). The rotation is unitary: every probability is
+the lab-coordinate one up to rounding, and the structural zeros of the
+bench (a filter or scanner setting orthogonal to a photon) come out exact.
 
-In a trial where no state was replaced, p_coal/2, p_filter and the d
-thresholds depend only on the ancilla index, so each run computes them once
-per input (``_clean_row_table``) and such trials read them from that table;
-only trials with a replaced state evaluate the event terms row by row, by
-the same closed forms. Neither the table nor the basis coordinates change
+The ancilla is never replaced, so a trial carries it as its index k, and
+each overlap with it is a component: <S|N> = conj(S_k), <filter|N> =
+conj(filter_k), and <g_j|N> is 1 for j = k and 0 otherwise for an
+unreplaced scanner setting, component k of a replaced one. These gathers
+are exact, as were the products with 0 and 1 they replace. The overlaps of
+S with the unreplaced scanner settings are its components, and only a
+replaced setting takes an inner product.
+
+In a trial where no state was replaced, p_coal/2, the filter terms, the
+bound of step 5 and the d thresholds depend only on the ancilla index, so
+each run computes them once per input (``_clean_row_table``, with the
+cumulative ancilla weights and p_near) and such trials read them from that
+table; only trials with a replaced state evaluate the closed forms row by
+row, each term once. Neither the table nor the basis coordinates change
 the draw order, and neither changed a fixed-seed output.
 
 Within a batch, every per-trial array (u, the ancilla index, p_coal/2 and
-the bound of step 5) is indexed by near trial until the last step. The two
-thinning steps are boolean masks over the near trials, the perturbations of
-steps 4 and 5 are drawn for as many trials as the masks hold, and the
-trials that pass both are taken out once. A replaced state is kept with the
-index of its trial, and the trials with a replaced state are gathered only
-in a batch that has one. This bookkeeping changed no draw and no fixed-seed
-output either.
+the bound of step 5) is indexed by near trial until the last step. A trial
+passes both thinning steps exactly when u < min(p_coal/2, p_coal/2 *
+p_filter * margin), one comparison; a batch that can replace a state also
+forms the mask of the first step, to draw the filter-arm perturbation for
+as many trials as it holds. The trials that pass both are taken out once.
+A perturbation returns the indices of the states it replaced, so a batch
+with f = 1 builds and scans no mask of them, and a replaced state is kept
+with the index of its trial. A batch that can replace a state holds its
+signals and filters in one stack [e_p, replaced signals, replaced filters]
+with one row index per near trial for each. The trials that pass are
+counted in one pass: outcome j is the number of the trial's thresholds at
+or below u. This bookkeeping changed no draw and no fixed-seed output
+either.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
-``_half_coal`` and ``_event_terms`` (whose filter part, ``_filter_terms``,
-also runs alone where the scanner is not yet drawn). The tests check both
-against the second-quantized engine of :mod:`symclone.bosonic`, which a
-run never calls.
+``_half_coal``, ``_filter_terms`` (the filter arm, which a trial with a
+replaced signal or filter evaluates once, for the bound of step 5, and
+reuses for its thresholds) and ``_event_terms`` (the scanner weights).
+The tests check them against the second-quantized engine of
+:mod:`symclone.bosonic`, which a run never calls, and against the same
+forms written as products with the unit vector e_k.
 """
 
 from __future__ import annotations
@@ -112,6 +126,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -353,14 +368,15 @@ def _fail_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The draws of one perturbation of ``lead`` states of dimension d.
 
-    Returns the mask of the replaced states (shape ``lead``) and 2d standard
-    normals per replaced state, in C order. Draws nothing when f >= 1;
-    otherwise one pass uniform per state, then the normals.
+    Returns the row-major (flat) indices of the replaced states in an array
+    of shape ``lead``, ascending, and 2d standard normals per replaced state
+    in the same order. Draws nothing when f >= 1; otherwise one pass uniform
+    per state, then the normals.
     """
     if f >= 1.0:
-        return np.zeros(lead, dtype=bool), np.empty((0, 2 * d))
-    bad = rng.random(lead) >= f
-    return bad, rng.standard_normal((int(np.count_nonzero(bad)), 2 * d))
+        return np.empty(0, dtype=np.intp), np.empty((0, 2 * d))
+    bad = np.flatnonzero(rng.random(lead) >= f)
+    return bad, rng.standard_normal((len(bad), 2 * d))
 
 
 def _complement_states(basis_cols: np.ndarray, targets, z: np.ndarray) -> np.ndarray:
@@ -402,72 +418,88 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _filter_terms(S, N_arr, v, filters):
-    """The filter-arm click probability of a coalesced-and-split pair and
-    its filter amplitudes (broadcasts over leading axes).
-
-    With c = <S|N>, x = v^2 |c|^2, A = <filter|S> and B = <filter|N>:
-
-        p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
-
-    Returns ``(p_filter, A, B)``; :func:`_event_terms` gives the derivation.
-    """
-    c = np.einsum("...i,...i->...", np.conj(S), N_arr)
-    x = (v * v) * _abs2(c)
-    conj_filters = np.conj(filters)
-    A = np.einsum("...i,...i->...", conj_filters, S)
-    B = np.einsum("...i,...i->...", conj_filters, N_arr)
-    p_filter = (
-        _abs2(A) + _abs2(B) + 2.0 * v * v * np.real(np.conj(A) * B * np.conj(c))
-    ) / (2.0 * (1.0 + x))
-    return p_filter, A, B
-
-
-def _event_terms(S, N_arr, v, filters, F, G):
-    """Closed-form analyzer quantities for one trial (broadcasts over leading axes).
-
-    With u = S (x) e0 and a = N (x) (v e0 + w e1) the coalesced pair,
-    split across the two detection arms, is (|u,a> + |a,u>) / sqrt(2(1+x)),
-    x = v^2 |<S|N>|^2 (its probability is :func:`_half_coal`). Writing
-    c = <S|N>, A = <filter|S>, B = <filter|N> and, for scanner setting g_j,
-    F_j = <g_j|S> and G_j = <g_j|N> (the scanner overlaps ``F`` and ``G``,
-    shape (..., d)), tracing the temporal modes at the detectors gives
-
-        p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
-        q_j      = |A G_j|^2 + |B F_j|^2 + 2 v^2 Re(conj(A) B conj(G_j) F_j)
-
-    and returns ``(p_filter, q)``. q_j are relative scanner-click weights
-    (normalized by the caller). The tests recompute all of this, and
-    p_coal, through the second-quantized engine of :mod:`symclone.bosonic`;
-    the two routes must agree.
-    """
-    p_filter, A, B = _filter_terms(S, N_arr, v, filters)
-    # q_j = |a|^2 + |b|^2 + 2 v^2 Re(conj(a) b) with a = A G_j, b = B F_j
-    a = A[..., None] * G
-    b = B[..., None] * F
-    q = (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
-    return p_filter, q
-
-
-def _half_coal(S: np.ndarray, N: np.ndarray, v: float) -> np.ndarray:
+def _half_coal(S: np.ndarray, k: np.ndarray, v: float) -> np.ndarray:
     """p_coal/2 per row: the coalesced-and-split probability, which bounds
     every acceptance threshold of the row.
 
     The pair coalesces into the monitored port of the first splitter with
     p_coal = (1 + x)/4, x = v^2 |<S|N>|^2, and the second splitter sends
     one photon to each arm with probability 1/2, so p_coal/2 = (1 + x)/8.
+    ``S`` holds one signal per row in basis coordinates and ``k`` the row's
+    ancilla index: N = e_k, so <S|N> = conj(S_k).
     """
-    return (1.0 + (v * v) * _abs2(np.einsum("bi,bi->b", np.conj(S), N))) / 8.0
+    return (1.0 + (v * v) * _abs2(S[np.arange(len(S)), k])) / 8.0
+
+
+def _filter_terms(S: np.ndarray, k: np.ndarray, v: float, filters: np.ndarray):
+    """The filter-arm click probability of a coalesced-and-split pair and
+    its filter amplitudes, per row.
+
+    ``S`` and ``filters`` hold one signal and one filter state per row in
+    basis coordinates, and ``k`` the row's ancilla index, N = e_k. With
+    c = <S|N> = conj(S_k), x = v^2 |c|^2, A = <filter|S> and
+    B = <filter|N> = conj(filter_k):
+
+        p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
+
+    Returns ``(p_filter, A, B)``; :func:`_event_terms` gives the derivation.
+    """
+    rows = np.arange(len(S))
+    S_k = S[rows, k]  # conj(c)
+    B = np.conj(filters[rows, k])
+    A = np.einsum("ij,ij->i", np.conj(filters), S)
+    p_filter = (
+        _abs2(A) + _abs2(B) + 2.0 * v * v * np.real(np.conj(A) * B * S_k)
+    ) / (2.0 * (1.0 + (v * v) * _abs2(S_k)))
+    return p_filter, A, B
+
+
+def _event_terms(A: np.ndarray, B: np.ndarray, v: float, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The scanner-click weights q_j of a filter-passing pair, per row.
+
+    With u = S (x) e0 and a = N (x) (v e0 + w e1) the coalesced pair,
+    split across the two detection arms, is (|u,a> + |a,u>) / sqrt(2(1+x)),
+    x = v^2 |<S|N>|^2 (its probability is :func:`_half_coal`). Writing
+    c = <S|N>, A = <filter|S>, B = <filter|N> and, for scanner setting g_j,
+    F_j = <g_j|S> and G_j = <g_j|N> (the scanner overlaps ``F`` and ``G``,
+    shape (rows, d)), tracing the temporal modes at the detectors gives
+
+        p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
+        q_j      = |A G_j|^2 + |B F_j|^2 + 2 v^2 Re(conj(A) B conj(G_j) F_j)
+
+    p_filter and the amplitudes A and B come from :func:`_filter_terms`;
+    this returns q, the relative scanner-click weights (normalized by the
+    caller). With N = e_k, G_j is 1 for j = k and 0 otherwise when g_j is the
+    unperturbed setting e_j, and a component of the setting otherwise. The
+    tests recompute all of this, and p_coal, through the second-quantized
+    engine of :mod:`symclone.bosonic`; the two routes must agree.
+    """
+    # q_j = |a|^2 + |b|^2 + 2 v^2 Re(conj(a) b) with a = A G_j, b = B F_j
+    a = A[:, None] * G
+    b = B[:, None] * F
+    return (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
+
+
+def _scanner_bound(half_coal: np.ndarray, p_filter: np.ndarray) -> np.ndarray:
+    """The bound of step 4 of :func:`_simulate_batch` per row,
+    min(p_coal/2, p_coal/2 * p_filter * ``_BOUND_MARGIN``): a trial is kept
+    at step 3 and passes step 4 if and only if u lies below it.
+
+    The minimum matters where p_filter = 1 (ancilla = input): a trial with
+    p_coal/2 <= u < p_coal/2 * _BOUND_MARGIN was dropped at step 3 and
+    stays dropped.
+    """
+    return np.minimum(half_coal, half_coal * p_filter * _BOUND_MARGIN)
 
 
 def _ancilla_index(cum_weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The ancilla index drawn by each uniform x: the number of cumulative
     weights but the last that are <= x, which is
     min(searchsorted(cum_weights, x, side="right"), d - 1)."""
-    idx = np.zeros(len(x), dtype=np.intp)
-    for c in cum_weights[:-1]:
-        idx += x >= c
-    return idx
+    # summed in the smallest unsigned type that holds d, then widened: a
+    # sum of bools straight into intp is a mixed-type loop at twice the cost
+    small = np.min_scalar_type(len(cum_weights))
+    return (x >= cum_weights[:-1, None]).sum(axis=0, dtype=small).astype(np.intp)
 
 
 def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -483,24 +515,53 @@ def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.nd
     return scale * cum_q / np.where(resolvable, totals, 1.0)
 
 
-def _clean_row_table(p: int, d: int, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thinning bounds, filter probabilities and acceptance thresholds of
-    unperturbed trials.
+class _CleanRows(NamedTuple):
+    """The constants of one input's batches (see :func:`_clean_row_table`);
+    every per-ancilla array is indexed by the ancilla index k."""
+
+    cum_weights: np.ndarray  # cumulative ancilla weights
+    p_near: float  # (1 + v^2)/8 * _BOUND_MARGIN, the bound of the near trials
+    half_coal: np.ndarray  # p_coal/2 of an unperturbed trial
+    p_filter: np.ndarray  # its p_filter, A and B (_filter_terms)
+    A: np.ndarray
+    B: np.ndarray
+    bound: np.ndarray  # its bound for the scanner draws (_scanner_bound)
+    thresholds: np.ndarray  # shape (d, d), column k: its d acceptance thresholds
+
+
+def _clean_row_table(p: int, weights: np.ndarray, v: float) -> _CleanRows:
+    """The constants of the batches of input ``p`` with ancilla weights
+    ``weights`` and overlap v, computed once per input.
 
     In a trial where no state was replaced the signal and the filter are
     basis state p, the ancilla is basis state k and the scanner is the
     basis, so its numbers depend on k alone. In basis coordinates these
     states are unit vectors: S = filter = e_p, N = e_k, and the overlaps
-    with the scanner settings are F = S and G = N. Returns p_coal/2 and
-    p_filter (shape (d,) each) and the thresholds (shape (d, d)), row k for
-    ancilla k, evaluated by the same closed forms as the replaced rows in
-    :func:`_simulate_batch`.
+    with the scanner settings are F = S and G = N. The table holds their
+    p_coal/2, filter terms, bound for the scanner draws and thresholds,
+    evaluated by the same closed forms as the rows with a replaced state in
+    :func:`_simulate_batch`. The thresholds are stored transposed, one
+    column per ancilla, so that a batch gathers them into one row per
+    outcome without copying a transpose.
     """
-    eye = np.eye(d, dtype=complex)
-    S = np.broadcast_to(eye[p], (d, d))
-    half_coal = _half_coal(S, eye, v)
-    p_filter, q = _event_terms(S, eye, v, S, S, eye)
-    return half_coal, p_filter, _acceptance_thresholds(half_coal, p_filter, q)
+    d = len(weights)
+    k = np.arange(d)
+    S = np.zeros((d, d), dtype=complex)
+    S[:, p] = 1.0
+    half_coal = _half_coal(S, k, v)
+    p_filter, A, B = _filter_terms(S, k, v, S)
+    q = _event_terms(A, B, v, S, np.eye(d, dtype=complex))  # F = S and G = N
+    thresholds = _acceptance_thresholds(half_coal, p_filter, q)
+    return _CleanRows(
+        cum_weights=np.cumsum(weights),
+        p_near=(1.0 + v * v) / 8.0 * _BOUND_MARGIN,
+        half_coal=half_coal,
+        p_filter=p_filter,
+        A=A,
+        B=B,
+        bound=_scanner_bound(half_coal, p_filter),
+        thresholds=np.ascontiguousarray(thresholds.T),
+    )
 
 
 def _near_trials(
@@ -517,26 +578,14 @@ def _near_trials(
     return u * p_near, _ancilla_index(cum_weights, anc_u)
 
 
-def _states_of(rows, default, replaced_rows, replaced, stage):
-    """The states of the near trials ``rows`` (sorted): ``default``, except
-    that a trial of ``replaced_rows`` that is in ``stage`` (a mask over the
-    near trials) takes its row of ``replaced``. Every such trial must be in
-    ``rows``."""
-    at = np.flatnonzero(stage[replaced_rows])
-    pick = np.zeros(len(rows), dtype=np.intp)  # 0: default, i + 1: replaced[i]
-    pick[np.searchsorted(rows, replaced_rows[at])] = at + 1
-    return np.take(np.concatenate((default[None], replaced)), pick, axis=0)
-
-
 def _simulate_batch(
     p: int,
     basis_cols: np.ndarray,
-    weights: np.ndarray,
+    table: _CleanRows,
     v: float,
     prep_f: float,
     analysis_f: float,
     rng: np.random.Generator,
-    table: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Run BATCH_TRIALS single-shot trials of input ``p`` (basis state p of
     the basis ``basis_cols``) on ``rng``; return the outcomes of the
@@ -560,97 +609,106 @@ def _simulate_batch(
     the relative margin ``_BOUND_MARGIN``, so rounding never skips a trial
     that its thresholds would accept. A trial that reaches step 4 is
     accepted with outcome j for the smallest j with
-    u < p_coal/2 * p_filter * cum(q)_j/sum(q).
+    u < p_coal/2 * p_filter * cum(q)_j/sum(q), that is with j the number of
+    its thresholds at or below u.
 
-    Every state is held in the coordinates of the basis: the signal and the
-    filter are e_p, ancilla k is e_k and scanner setting j is e_j unless
-    replaced, and a replaced state comes from :func:`_complement_states`.
-    So the overlaps of a row's signal S and ancilla N with the unperturbed
-    scanner settings are S and N themselves; only a replaced setting takes
-    inner products.
+    ``table`` is :func:`_clean_row_table` for these arguments. Every state
+    is held in the coordinates of the basis, where the ancilla of a trial
+    is e_k and never replaced: a trial carries k, its ancilla index, and
+    every product with N is a gather of component k (:func:`_half_coal`,
+    :func:`_filter_terms`). A row reads from the table each number that no
+    replaced state changes: p_coal/2 unless its signal was replaced, p_filter
+    and the step-4 bound unless its signal or filter was, and its
+    thresholds unless some state was. The table holds the numbers those
+    rows would compute, so the draws and the outcomes are the same either
+    way.
 
-    ``table`` is :func:`_clean_row_table` for these arguments. Rows whose
-    signal was not replaced read p_coal/2 from it, rows whose signal and
-    filter were not replaced read p_filter, and rows where no state was
-    replaced read their thresholds; only the other ("dirty") rows evaluate
-    :func:`_event_terms`. The table holds the numbers those rows would
-    compute, so the draws and the outcomes are the same either way.
-
-    Rows stay in the index space of the near trials until the last step:
-    ``keep`` (step 3) and ``passing`` (step 4, which implies ``keep``) are
-    masks over the near trials, and only the passing trials' u, ancilla
-    index and thresholds are taken out. A replaced signal or filter is held
-    with the index of its near trial (``np.flatnonzero(s_bad)``,
-    ``kept[f_bad]``) and a replaced scanner setting with that of its passing
-    trial (``g_flat // d``); the rows that need them are assembled
-    (:func:`_states_of`) only when some state was replaced.
+    Rows stay in the index space of the near trials until the last step.
+    ``passing`` is the mask of the trials below their :func:`_scanner_bound`,
+    min(p_coal/2, p_coal/2 * p_filter * _BOUND_MARGIN), which takes steps 3
+    and 4 in one comparison; only a batch that can replace a state (some
+    f < 1) also forms ``keep``, the mask of step 3, to size and place its
+    filter-arm draws. A perturbation gives the indices of its replaced
+    states (:func:`_fail_draws`), so a batch with f = 1 scans no mask of
+    them. A batch that can replace a state holds the signal and filter
+    states in one stack [e_p, S_bad, F_bad], with the row of each near
+    trial's signal and filter in ``s_pick`` and ``f_pick``. The rows with a
+    replaced signal or filter evaluate :func:`_filter_terms` once, for their
+    bound of step 4, and reuse it for their thresholds, which every row with
+    a replaced state evaluates through :func:`_event_terms`. The passing
+    trials are counted in one comparison against their thresholds, gathered
+    one row per outcome and one column per trial.
     """
     d = len(basis_cols)
-    clean_half_coal, clean_p_filter, clean_thresholds = table
-    eye = np.eye(d, dtype=complex)  # row k: ancilla k, also scanner setting k
 
     # near trials: their draws of steps 1 and 2 and the preparation draws,
-    # then the row's own p_coal/2. Every per-trial array below is indexed by
-    # near trial until the filter-passing trials are taken out.
-    u, anc_idx = _near_trials(rng, (1.0 + v * v) / 8.0 * _BOUND_MARGIN, np.cumsum(weights))
-    s_bad, s_z = _fail_draws((len(u),), d, prep_f, rng)
-    s_rows = np.flatnonzero(s_bad)  # the trials of the replaced signals S_bad
-    S_bad = _complement_states(basis_cols, p, s_z)
-    half_coal = clean_half_coal[anc_idx]
-    if len(s_rows):
-        half_coal[s_rows] = _half_coal(S_bad, np.take(eye, anc_idx[s_rows], axis=0), v)
-    keep = u < half_coal
-    kept = np.flatnonzero(keep)
-
-    # kept trials: filter-arm draws, then the row's own bound of step 4,
-    # p_coal/2 * p_filter * _BOUND_MARGIN, the same product for a clean row
-    # whether read from the table or computed
-    f_bad, f_z = _fail_draws((len(kept),), d, analysis_f, rng)
-    f_rows = kept[f_bad]  # the trials of the replaced filters F_bad
-    F_bad = _complement_states(basis_cols, p, f_z)
-    bound = (clean_half_coal * clean_p_filter * _BOUND_MARGIN)[anc_idx]
-    if len(s_rows) or len(f_rows):
-        pre = s_bad & keep
+    # then the row's bound of step 4 (:func:`_scanner_bound`) from the table.
+    # Every per-trial array below is indexed by near trial until the
+    # filter-passing trials are taken out.
+    u, anc_idx = _near_trials(rng, table.p_near, table.cum_weights)
+    s_rows, s_z = _fail_draws((len(u),), d, prep_f, rng)  # the trials of S_bad
+    bound = table.bound[anc_idx]
+    noisy = prep_f < 1.0 or analysis_f < 1.0  # the batch can replace a state
+    if noisy:
+        # the row's own p_coal/2 and the kept trials, then their filter-arm
+        # draws, then the bound of each row with a replaced signal or filter
+        S_bad = _complement_states(basis_cols, p, s_z)
+        half_coal = table.half_coal[anc_idx]
+        half_coal[s_rows] = _half_coal(S_bad, anc_idx[s_rows], v)
+        keep = u < half_coal
+        f_idx, f_z = _fail_draws((np.count_nonzero(keep),), d, analysis_f, rng)
+        f_rows = np.flatnonzero(keep)[f_idx] if len(f_idx) else f_idx  # the trials of F_bad
+        stack = np.zeros((1 + len(s_rows) + len(f_rows), d), dtype=complex)
+        stack[0, p] = 1.0
+        stack[1 : 1 + len(s_rows)] = S_bad
+        stack[1 + len(s_rows) :] = _complement_states(basis_cols, p, f_z)
+        s_pick = np.zeros(len(u), dtype=np.intp)
+        s_pick[s_rows] = np.arange(1, 1 + len(s_rows))
+        f_pick = np.zeros(len(u), dtype=np.intp)
+        f_pick[f_rows] = np.arange(1 + len(s_rows), len(stack))
+        pre = np.zeros(len(u), dtype=bool)
+        pre[s_rows] = keep[s_rows]
         pre[f_rows] = True
-        pre = np.flatnonzero(pre)
-        S = _states_of(pre, eye[p], s_rows, S_bad, keep)
-        filters = _states_of(pre, eye[p], f_rows, F_bad, keep)
-        p_filter = _filter_terms(S, np.take(eye, anc_idx[pre], axis=0), v, filters)[0]
-        bound[pre] = half_coal[pre] * p_filter * _BOUND_MARGIN
-    # a trial dropped at step 3 stays dropped: with p_filter = 1 (ancilla =
-    # input) and p_coal/2 <= u < p_coal/2 * _BOUND_MARGIN it is below bound
-    passing = keep & (u < bound)
+        pre = np.flatnonzero(pre)  # the kept trials with a replaced signal or filter
+        pre_terms = _filter_terms(stack[s_pick[pre]], anc_idx[pre], v, stack[f_pick[pre]])
+        # a trial with a replaced signal that was dropped at step 3 has
+        # u >= its own p_coal/2, so that bound keeps it dropped
+        bound[s_rows] = half_coal[s_rows]
+        bound[pre] = _scanner_bound(half_coal[pre], pre_terms[0])
+    passing = u < bound
     passed = np.flatnonzero(passing)
 
-    # filter-passing trials: scanner-arm draws, then the event terms of the
-    # dirty rows only, indexed by passing trial
-    g_bad, g_z = _fail_draws((len(passed), d), d, analysis_f, rng)
-    thresholds = np.take(clean_thresholds, anc_idx[passed], axis=0)
-    g_flat = np.flatnonzero(g_bad)  # replaced settings, row-major
-    if len(s_rows) or len(f_rows) or len(g_flat):
-        dirty = s_bad[passed]
-        dirty[np.searchsorted(passed, f_rows[passing[f_rows]])] = True
+    # filter-passing trials: scanner-arm draws, then the thresholds, column
+    # by passing trial; the rows with a replaced state ("dirty") evaluate
+    # their scanner weights
+    g_flat, g_z = _fail_draws((len(passed), d), d, analysis_f, rng)  # replaced settings
+    thresholds = np.take(table.thresholds, anc_idx[passed], axis=1)
+    if noisy:
+        in_pre = passing[pre]
+        dirty = np.zeros(len(passed), dtype=bool)
+        dirty[np.searchsorted(passed, pre[in_pre])] = True
         dirty[g_flat // d] = True
         dirty = np.flatnonzero(dirty)
         rows = passed[dirty]
         anc = anc_idx[rows]
-        S = _states_of(rows, eye[p], s_rows, S_bad, passing)
-        filters = _states_of(rows, eye[p], f_rows, F_bad, passing)
-        N = np.take(eye, anc, axis=0)
-        # overlaps F_j = <g_j|S> and G_j = <g_j|N>: S and N themselves for
-        # an unperturbed setting g_j = e_j, inner products for a replaced one
-        F, G = S.copy(), N.copy()
+        p_f, A, B = table.p_filter[anc], table.A[anc], table.B[anc]
+        at = np.searchsorted(rows, pre[in_pre])
+        p_f[at], A[at], B[at] = (x[in_pre] for x in pre_terms)
+        # overlaps F_j = <g_j|S> and G_j = <g_j|N> = delta_jk for an
+        # unperturbed setting g_j = e_j; inner products for a replaced one
+        F = stack[s_pick[rows]]
+        G = np.zeros((len(rows), d), dtype=complex)
+        G[np.arange(len(rows)), anc] = 1.0
         if len(g_flat):
             g_rows, g_cols = np.searchsorted(dirty, g_flat // d), g_flat % d
             bra = np.conj(_complement_states(basis_cols, g_cols, g_z))
-            F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, np.take(S, g_rows, axis=0))
-            G[g_rows, g_cols] = bra[np.arange(len(g_rows)), np.take(anc, g_rows)]
-        p_f, q = _event_terms(S, N, v, filters, F, G)
-        thresholds[dirty] = _acceptance_thresholds(half_coal[rows], p_f, q)
-    u = u[passed]
-    outcomes = np.zeros(len(u), dtype=np.intp)
-    for column in np.ascontiguousarray(thresholds.T):
-        outcomes += u >= column
+            # F holds S until here: the right-hand side is taken before any
+            # entry of F is replaced
+            F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, F[g_rows])
+            G[g_rows, g_cols] = bra[np.arange(len(g_rows)), anc[g_rows]]
+        q = _event_terms(A, B, v, F, G)
+        thresholds[:, dirty] = _acceptance_thresholds(half_coal[rows], p_f, q).T
+    outcomes = (u[passed] >= thresholds).sum(axis=0)
     return outcomes[outcomes < d]
 
 
@@ -667,9 +725,8 @@ def run_cloning_experiment(
     stream layout).
     """
     phi_index = basis.index_of(phi)
-    weights = config.weights_for(basis.dim)
     basis_cols = basis.matrix
-    table = _clean_row_table(phi_index, basis.dim, config.v)
+    table = _clean_row_table(phi_index, config.weights_for(basis.dim), config.v)
     # one Philox key per input; batch b draws from counter [0, b, 0, 0]
     key = np.random.SeedSequence(config.seed, spawn_key=(phi_index,)).generate_state(2, np.uint64)
     counts = np.zeros(basis.dim, dtype=np.int64)
@@ -681,12 +738,11 @@ def run_cloning_experiment(
         hits = _simulate_batch(
             phi_index,
             basis_cols,
-            weights,
+            table,
             config.v,
             config.prep_fidelity,
             config.analysis_fidelity,
             rng,
-            table,
         )
         batch += 1
         if hits.size == 0:

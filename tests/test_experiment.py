@@ -15,19 +15,23 @@ from symclone.experiment import (
     CountsTable,
     ExperimentConfig,
     _Q_TOTAL_CUTOFF,
+    _abs2,
     _acceptance_thresholds,
     _ancilla_index,
     _clean_row_table,
     _complement_states,
     _event_terms,
     _fail_draws,
+    _filter_terms,
     _half_coal,
+    _scanner_bound,
     _simulate_batch,
     estimate_probabilities,
     replicate_table,
     run_cloning_experiment,
     write_counts_csv,
 )
+from symclone.cloning import _first_column_basis
 from symclone.hilbert import LabeledBasis, PureState, basis_four, basis_logical
 
 
@@ -41,9 +45,13 @@ def _labeled(cols):
                         labels=tuple(f"b{k}" for k in range(d)))
 
 
+def _fourier(d):
+    """The Fourier basis of dimension d, b_k = sum_l w^(kl) e_l / sqrt(d), w = exp(2 pi i/d)."""
+    return _labeled(np.exp(2j * np.pi / d) ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d))
+
+
 def _fourier_basis():
-    """The d = 3 Fourier basis, b_k = sum_l w^(kl) e_l / sqrt(3), w = exp(2 pi i/3)."""
-    return _labeled(np.exp(2j * np.pi / 3) ** np.outer(np.arange(3), np.arange(3)) / np.sqrt(3))
+    return _fourier(3)
 
 
 def _haar_basis():
@@ -55,6 +63,26 @@ def _haar_basis():
 # Bases I and IV are real, so conj(U) = U on them; the complex bases tell the
 # two apart.
 _BASES = [basis_logical, basis_four, _fourier_basis, _haar_basis]
+
+
+def _basis_with_column(x, k):
+    """A unitary whose column k is the unit vector ``x``: the Householder
+    basis of :func:`symclone.cloning._first_column_basis` with its column 0
+    moved to k."""
+    return np.roll(_first_column_basis(PureState(dim=len(x), amps=x)), k, axis=1)
+
+
+def _in_basis(U, x):
+    """States ``x`` (lab coordinates, one per row) in the coordinates of the
+    basis U: U^dagger x."""
+    return x @ np.conj(U)
+
+
+def _terms(S, k, v, filters, F, G):
+    """p_filter and the scanner weights q through the kernel's closed forms:
+    ``_filter_terms``, then ``_event_terms`` on its amplitudes."""
+    p_filter, A, B = _filter_terms(S, k, v, filters)
+    return p_filter, _event_terms(A, B, v, F, G)
 
 
 def _batch_rng(seed, input_index, batch):
@@ -270,9 +298,11 @@ def _perturbed(targets, f, rng):
     """Reference perturbation of ``targets`` (shape (..., d)), in lab
     coordinates: with the kernel's draws, each row fails with probability
     1 - f and is replaced by a Haar-random unit vector orthogonal to it."""
-    bad, z = _fail_draws(targets.shape[:-1], targets.shape[-1], f, rng)
-    out = np.array(targets, dtype=complex)
-    out[bad] = _lab_complement_states(out[bad], z)
+    d = targets.shape[-1]
+    bad, z = _fail_draws(targets.shape[:-1], d, f, rng)
+    out = np.array(targets, dtype=complex, order="C")
+    rows = out.reshape(-1, d)  # a view, since out is C-ordered: bad holds row-major indices
+    rows[bad] = _lab_complement_states(rows[bad], z)
     return out
 
 
@@ -330,7 +360,7 @@ def test_perturbation_falls_back_on_degenerate_draws():
         d = len(U)
         lab = _perturbed(U.T, 0.5, _DegenerateRng())
         bad, z = _fail_draws((d,), d, 0.5, _DegenerateRng())
-        assert bad.all() and not z.any()
+        assert np.array_equal(bad, np.arange(d)) and not z.any()
         assert np.max(np.abs(_complement_states(U, np.arange(d), z) - lab @ np.conj(U))) < 1e-12
         for t in range(d):
             assert np.max(np.abs(_complement_states(U, t, z[:1]) - lab[t] @ np.conj(U))) < 1e-12
@@ -361,6 +391,21 @@ def _apply_infidelity(f, n=500):
     return bad
 
 
+@pytest.mark.parametrize("f", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("lead", [(500,), (120, 4)])
+def test_fail_draws_give_the_replaced_states_as_row_major_indices(lead, f):
+    # against the mask the draws make: one pass uniform per state, then 2d
+    # normals per failing state; f = 1 draws nothing
+    rng, fresh = _batch_rng(5, 0, 0), _batch_rng(5, 0, 0)
+    idx, z = _fail_draws(lead, 4, f, rng)
+    bad = fresh.random(lead) >= f if f < 1.0 else np.zeros(lead, dtype=bool)
+    normals = fresh.standard_normal((int(bad.sum()), 8)) if f < 1.0 else np.empty((0, 8))
+    assert idx.dtype == np.intp and np.array_equal(idx, np.flatnonzero(bad))
+    assert np.array_equal(np.unravel_index(idx, lead), np.nonzero(bad))
+    assert np.array_equal(z, normals)
+    assert _stream_position(rng) == _stream_position(fresh)
+
+
 def test_perturbation_draws_normals_only_for_failing_rows():
     bad = _apply_infidelity(0.7)
     assert 0 < bad.sum() < bad.size
@@ -381,20 +426,30 @@ def test_apply_infidelity_fully_randomized_is_orthogonal():
 
 def test_trial_terms_agree_with_fock_engine():
     rng = np.random.default_rng(6)
-    for _ in range(8):
+    for i in range(8):
         d = int(rng.choice([2, 3, 4]))
         v = float(rng.uniform(0, 1))
         s, n, f = _haar(rng, d), _haar(rng, d), _haar(rng, d)
         outs = [_haar(rng, d) for _ in range(d)]
         p_coal_e, p_split_e, p_fil_e, q_e = coincidence_probabilities(s, n, v, f, outs)
-        G = np.stack([o.amps for o in outs])
-        p_fil_c, q_c = _event_terms(s.amps, n.amps, v, f.amps, _overlaps(G, s.amps), _overlaps(G, n.amps))
+        # the closed forms in the coordinates of a basis whose column k is
+        # the ancilla, which is then e_k
+        k = i % d
+        U = _basis_with_column(n.amps, k)
+        S, filt, bras = (_in_basis(U, x) for x in (s.amps[None], f.amps[None], np.stack([o.amps for o in outs])))
+        F, G = _overlaps(bras, S), np.conj(bras[:, k])[None]
+        p_fil_c, q_c = _terms(S, [k], v, filt, F, G)
         x = (v * abs(np.vdot(s.amps, n.amps))) ** 2
-        assert p_coal_e == pytest.approx(2 * _half_coal(s.amps[None], n.amps[None], v)[0], abs=1e-12)
+        assert p_coal_e == pytest.approx(2 * _half_coal(S, [k], v)[0], abs=1e-12)
         assert p_split_e == pytest.approx(0.5, abs=1e-12)
-        assert p_fil_e == pytest.approx(p_fil_c, abs=1e-12)
+        assert p_fil_e == pytest.approx(p_fil_c[0], abs=1e-12)
         # engine weights live on the normalized pair state
-        assert np.max(np.abs(q_e - q_c / (2 * (1 + x)))) < 1e-12
+        assert np.max(np.abs(q_e - q_c[0] / (2 * (1 + x)))) < 1e-12
+
+
+def _haar_rows(rng, n, d):
+    z = rng.standard_normal((n, d, 2)) @ np.array([1.0, 1j])
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def _overlaps(states, x):
@@ -430,11 +485,60 @@ def test_event_terms_match_the_elementwise_formulas():
 
     for d in (2, 4, 5):
         S, N, F, G = states(60, d), states(60, d), states(60, d), states(60, d, d)
+        # per row, the coordinates of a basis whose column k is that row's N
+        k = np.arange(60) % d
+        U = [_basis_with_column(n, kr) for n, kr in zip(N, k)]
+        Sb, Fb = (np.stack([_in_basis(u, x) for u, x in zip(U, X)]) for X in (S, F))
+        bras = np.stack([_in_basis(u, g) for u, g in zip(U, G)])
         for v in (0.0, 0.6, 1.0):
-            got = _event_terms(S, N, v, F, _overlaps(G, S), _overlaps(G, N))
+            got = _terms(Sb, k, v, Fb, _overlaps(bras, Sb), np.conj(bras[np.arange(60), :, k]))
             for a, b in zip(got, _elementwise_terms(S, N, v, F, G)):
                 assert np.max(np.abs(a - b)) < 1e-12
             assert np.all(got[1] >= 0.0)
+
+
+def _unit_vector_terms(S, k, v, filters, bras, replaced):
+    """The closed forms with the ancilla as the unit vector N = e_k, each
+    overlap with N a product summed over components: p_coal/2, p_filter, A,
+    B and q. Scanner setting j of a row is its row of ``bras`` (conjugated
+    settings) where ``replaced`` and e_j elsewhere."""
+    d = S.shape[1]
+    N = np.eye(d, dtype=complex)[k]
+    settings = np.where(replaced[..., None], np.conj(bras), np.eye(d, dtype=complex))
+    c = np.einsum("...i,...i->...", np.conj(S), N)
+    x = (v * v) * _abs2(c)
+    A = np.einsum("...i,...i->...", np.conj(filters), S)
+    B = np.einsum("...i,...i->...", np.conj(filters), N)
+    p_filter = (_abs2(A) + _abs2(B) + 2.0 * v * v * np.real(np.conj(A) * B * np.conj(c))) / (2.0 * (1.0 + x))
+    a = A[:, None] * np.einsum("...ji,...i->...j", np.conj(settings), N)
+    b = B[:, None] * np.einsum("...ji,...i->...j", np.conj(settings), S)
+    q = (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
+    return (1.0 + x) / 8.0, p_filter, A, B, q
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_index_closed_forms_equal_the_unit_vector_products_exactly(d):
+    # with the ancilla e_k, each overlap with it is a component (a gather),
+    # and the products with 0 and 1 that it replaces are exact: bit for bit
+    # the same numbers, for every k, on Haar signals, filters and settings
+    rng = np.random.default_rng(40 + d)
+    n = 30 * d
+    S, filters = _haar_rows(rng, n, d), _haar_rows(rng, n, d)
+    bras = np.conj(_haar_rows(rng, n * d, d)).reshape(n, d, d)
+    replaced = rng.random((n, d)) < 0.5
+    k = np.arange(n) % d
+    rows = np.arange(n)
+    # the kernel's scanner overlaps: F_j = S_j and G_j = delta_jk for an
+    # unperturbed setting, bra_j . S and bra_j[k] for a replaced one
+    F = np.where(replaced, np.einsum("eji,ei->ej", bras, S), S)
+    G = np.where(replaced, bras[rows, :, k], np.eye(d)[k])
+    for v in (0.0, 0.6, 1.0):
+        half_coal, p_filter, A, B, q = _unit_vector_terms(S, k, v, filters, bras, replaced)
+        assert np.array_equal(_half_coal(S, k, v), half_coal)
+        got = _filter_terms(S, k, v, filters)
+        for a, b in zip(got, (p_filter, A, B)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(_event_terms(got[1], got[2], v, F, G), q)
 
 
 def test_batches_match_the_fock_engine_acceptance_law():
@@ -452,10 +556,10 @@ def test_batches_match_the_fock_engine_acceptance_law():
         )
         expected += w_k * p_coal * p_split * p_filter * q / q.sum()
     batches = 25
-    table = _clean_row_table(1, 4, v)
+    table = _clean_row_table(1, weights, v)
     counts = np.zeros(4)
     for b in range(batches):
-        hits = _simulate_batch(1, basis.matrix, weights, v, 1.0, 1.0, _batch_rng(31, 1, b), table)
+        hits = _simulate_batch(1, basis.matrix, table, v, 1.0, 1.0, _batch_rng(31, 1, b))
         counts += np.bincount(hits, minlength=4)
     n = batches * BATCH_TRIALS
     z = (counts - n * expected) / np.sqrt(n * expected * (1.0 - expected))
@@ -465,7 +569,7 @@ def test_batches_match_the_fock_engine_acceptance_law():
 def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
     basis = basis_logical()
     rng = _batch_rng(3, 0, 0)
-    _simulate_batch(0, basis.matrix, np.full(4, 0.25), 1.0, 1.0, 1.0, rng, _clean_row_table(0, 4, 1.0))
+    _simulate_batch(0, basis.matrix, _clean_row_table(0, np.full(4, 0.25), 1.0), 1.0, 1.0, 1.0, rng)
     fresh = _batch_rng(3, 0, 0)
     near = int(fresh.binomial(BATCH_TRIALS, 0.25 * (1.0 + 1e-9)))
     assert 0 < near < BATCH_TRIALS // 2
@@ -477,7 +581,7 @@ def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
     basis = basis_four()
     v, f = 0.9, 0.8
     rng = _batch_rng(21, 2, 0)
-    _simulate_batch(2, basis.matrix, np.full(4, 0.25), v, f, 1.0, rng, _clean_row_table(2, 4, v))
+    _simulate_batch(2, basis.matrix, _clean_row_table(2, np.full(4, 0.25), v), v, f, 1.0, rng)
     fresh = _batch_rng(21, 2, 0)
     near = int(fresh.binomial(BATCH_TRIALS, (1.0 + v * v) / 8.0 * (1.0 + 1e-9)))
     assert 0 < near < BATCH_TRIALS // 2
@@ -492,7 +596,7 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     phi, v, f = basis.states[0].amps, 0.9, 0.7
     weights = np.full(4, 0.25)
     rng = _batch_rng(22, 0, 0)
-    _simulate_batch(0, basis.matrix, weights, v, 1.0, f, rng, _clean_row_table(0, 4, v))
+    _simulate_batch(0, basis.matrix, _clean_row_table(0, weights, v), v, 1.0, f, rng)
     fresh = _batch_rng(22, 0, 0)
     p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
     u, anc_u = fresh.random((2, fresh.binomial(BATCH_TRIALS, p_near)))
@@ -522,12 +626,13 @@ def _two_sample_z(case, reference, seeds, batches=16, trials=BATCH_TRIALS):
     assert n % trials == 0
     counts = np.zeros((2, 4, 4))
     for i, phi in enumerate(basis.states):
-        args = (basis.matrix, weights, v, prep_f, analysis_f)
-        table = _clean_row_table(i, 4, v)
+        table = _clean_row_table(i, weights, v)
         for b in range(batches):
-            counts[0, i] += np.bincount(_simulate_batch(i, *args, _batch_rng(seeds[0], i, b), table), minlength=4)
+            hits = _simulate_batch(i, basis.matrix, table, v, prep_f, analysis_f, _batch_rng(seeds[0], i, b))
+            counts[0, i] += np.bincount(hits, minlength=4)
         for b in range(n // trials):
-            hits = reference(phi.amps, *args, _batch_rng(seeds[1], i, b), trials=trials)
+            hits = reference(phi.amps, basis.matrix, weights, v, prep_f, analysis_f,
+                             _batch_rng(seeds[1], i, b), trials=trials)
             counts[1, i] += np.bincount(hits, minlength=4)
     p = counts.sum(axis=0) / (2 * n)
     return (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
@@ -577,8 +682,10 @@ def _reference_hits(u, half_coal, p_filter, q):
 def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, layout=6,
                    trials=BATCH_TRIALS):
     """Reference: a batch of ``trials`` trials that evaluates p_coal/2 and
-    ``_event_terms`` on every row it keeps, from explicit scanner states,
-    with no clean-row table.
+    the filter and scanner terms on every row it keeps, from explicit
+    scanner states, with no clean-row table. The closed forms take the
+    signal and filter states in the coordinates of the measurement basis,
+    whose column k is ancilla k.
 
     ``layout`` sets how the near trials are drawn: 6 (the kernel's order)
     and 5 (the same order, which layout 5 drew on 4096 trials) draw their
@@ -601,14 +708,14 @@ def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, layout=
     S = _perturbed(np.broadcast_to(phi, (len(u), d)), prep_f, rng)
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
     keep = u < half_coal
-    u, S, N, half_coal = u[keep], S[keep], N[keep], half_coal[keep]
+    u, S, N, anc_idx, half_coal = u[keep], S[keep], N[keep], anc_idx[keep], half_coal[keep]
     filters = _perturbed(np.broadcast_to(phi, (len(u), d)), analysis_f, rng)
-    ideal = np.broadcast_to(basis_cols.T, (len(u), d, d))
-    p_filter, _ = _event_terms(S, N, v, filters, _overlaps(ideal, S), _overlaps(ideal, N))
+    p_filter = _filter_terms(_in_basis(basis_cols, S), anc_idx, v, _in_basis(basis_cols, filters))[0]
     passing = u < half_coal * p_filter * (1.0 + 1e-9)
-    u, S, N, filters, half_coal = (x[passing] for x in (u, S, N, filters, half_coal))
+    u, S, N, anc_idx, filters, half_coal = (x[passing] for x in (u, S, N, anc_idx, filters, half_coal))
     G = _perturbed(np.broadcast_to(basis_cols.T, (len(u), d, d)), analysis_f, rng)
-    p_filter, q = _event_terms(S, N, v, filters, _overlaps(G, S), _overlaps(G, N))
+    p_filter, q = _terms(_in_basis(basis_cols, S), anc_idx, v, _in_basis(basis_cols, filters),
+                         _overlaps(G, S), _overlaps(G, N))
     return _reference_hits(u, half_coal, p_filter, q)
 
 
@@ -625,20 +732,21 @@ def _layout2_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, trials=
     S = _perturbed(np.broadcast_to(phi, (B, d)), prep_f, rng)
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
     keep = u < half_coal
-    u, S, N, half_coal = u[keep], S[keep], N[keep], half_coal[keep]
+    u, S, N, anc_idx, half_coal = u[keep], S[keep], N[keep], anc_idx[keep], half_coal[keep]
     filters = _perturbed(np.broadcast_to(phi, (len(u), d)), analysis_f, rng)
     G = _perturbed(np.broadcast_to(basis_cols.T, (len(u), d, d)), analysis_f, rng)
-    p_filter, q = _event_terms(S, N, v, filters, _overlaps(G, S), _overlaps(G, N))
+    p_filter, q = _terms(_in_basis(basis_cols, S), anc_idx, v, _in_basis(basis_cols, filters),
+                         _overlaps(G, S), _overlaps(G, N))
     return _reference_hits(u, half_coal, p_filter, q)
 
 
 def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, analysis_f,
                                          seed, batches):
     phi = basis.states[phi_index].amps
-    table = _clean_row_table(phi_index, basis.dim, v)
+    table = _clean_row_table(phi_index, weights, v)
     for b in range(batches):
         fast, slow = _batch_rng(seed, phi_index, b), _batch_rng(seed, phi_index, b)
-        hits = _simulate_batch(phi_index, basis.matrix, weights, v, prep_f, analysis_f, fast, table)
+        hits = _simulate_batch(phi_index, basis.matrix, table, v, prep_f, analysis_f, fast)
         expected = _per_row_batch(phi, basis.matrix, weights, v, prep_f, analysis_f, slow)
         assert np.array_equal(hits, expected), (b, hits.size, expected.size)
         assert _stream_position(fast) == _stream_position(slow)
@@ -679,7 +787,8 @@ def test_clean_row_thresholds_are_the_scanner_weights_over_16(make_basis):
         S = np.broadcast_to(phi.amps, (d, d))
         for v in (0.0, 0.5, 0.9165, 1.0):
             _, q = _elementwise_terms(S, settings, v, S, scanner)
-            thresholds = _clean_row_table(basis.index_of(phi), d, v)[2]
+            # column k of the table holds the thresholds of ancilla k
+            thresholds = _clean_row_table(basis.index_of(phi), np.full(d, 1.0 / d), v).thresholds.T
             assert np.max(np.abs(thresholds - np.cumsum(q, axis=1) / 16.0)) < 1e-15
 
 
@@ -695,12 +804,14 @@ def test_ideal_batch_counts_a_trial_only_below_both_thinning_bounds():
     p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
     above = 0
     for p in range(4):
-        half_coal, p_filter, thresholds = _clean_row_table(p, 4, v)
-        thresholds = thresholds * (2.0 / p_filter)[:, None]
-        doctored = (half_coal, np.full(4, 2.0), thresholds)
+        table = _clean_row_table(p, weights, v)
+        half_coal = table.half_coal
+        thresholds = table.thresholds.T * (2.0 / table.p_filter)[:, None]
+        doctored = table._replace(p_filter=np.full(4, 2.0), bound=_scanner_bound(half_coal, np.full(4, 2.0)),
+                                  thresholds=np.ascontiguousarray(thresholds.T))
         for b in range(3):
             rng = _batch_rng(31, p, b)
-            hits = _simulate_batch(p, basis.matrix, weights, v, 1.0, 1.0, rng, doctored)
+            hits = _simulate_batch(p, basis.matrix, doctored, v, 1.0, 1.0, rng)
             fresh = _batch_rng(31, p, b)
             u, anc_u = fresh.random((2, fresh.binomial(BATCH_TRIALS, p_near)))
             u = u * p_near
@@ -723,14 +834,14 @@ def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
 
     basis = basis_logical()
     weights = np.full(4, 0.25)
-    table = _clean_row_table(1, 4, 1.0)
+    table = _clean_row_table(1, weights, 1.0)
     monkeypatch.setattr(experiment, "_event_terms", counted)
     for b in range(5):
-        hits = _simulate_batch(1, basis.matrix, weights, 1.0, 1.0, 1.0, _batch_rng(9, 1, b), table)
+        hits = _simulate_batch(1, basis.matrix, table, 1.0, 1.0, 1.0, _batch_rng(9, 1, b))
         assert hits.size > 0
     assert calls == []
     # the counter sees the rows of a noisy batch, which do need the terms
-    _simulate_batch(1, basis.matrix, weights, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0), table)
+    _simulate_batch(1, basis.matrix, table, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0))
     assert len(calls) == 1 and calls[0] > 0
 
 
@@ -777,13 +888,12 @@ def test_ancilla_index_is_the_clipped_searchsorted():
 def _single_batch_run(phi, basis, config):
     """Reference: run_cloning_experiment as one reference stream per batch."""
     i = basis.index_of(phi)
-    table = _clean_row_table(i, basis.dim, config.v)
-    weights = config.weights_for(basis.dim)
+    table = _clean_row_table(i, config.weights_for(basis.dim), config.v)
     counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
     while collected < config.shots:
         rng = _batch_rng(config.seed, i, batch)
-        hits = _simulate_batch(i, basis.matrix, weights, config.v, config.prep_fidelity,
-                               config.analysis_fidelity, rng, table)
+        hits = _simulate_batch(i, basis.matrix, table, config.v, config.prep_fidelity,
+                               config.analysis_fidelity, rng)
         hits = hits[: config.shots - collected]
         counts += np.bincount(hits, minlength=basis.dim)
         collected += hits.size
@@ -893,10 +1003,10 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
         return thresholds
 
     for i in range(4):
-        table = _clean_row_table(i, 4, 0.9165)
+        table = _clean_row_table(i, weights, 0.9165)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
         # one batch per input: the four leave 449 such rows at seed 0
-        _simulate_batch(i, basis.matrix, weights, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0), table)
+        _simulate_batch(i, basis.matrix, table, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0))
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])
@@ -944,6 +1054,20 @@ def test_ideal_run_matches_clone_diagonal():
     # off-input outcomes are each near 0.1
     for i in (1, 2, 3):
         assert res.probs[i] == pytest.approx(0.1, abs=0.005)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_ideal_run_reaches_the_optimal_fidelity_at_any_dimension(d):
+    # the 1 -> 2 optimum (d + 3)/(2 (d + 1)) = 1/2 + 1/(d + 1), within 4 sigma
+    # (k = 4 fixed beforehand), on the computational and the Fourier basis;
+    # at f = 1 a trial depends only on basis indices, so the two bases give
+    # the same counts
+    cfg = ExperimentConfig(shots=40_000, seed=11)
+    tables = [run_cloning_experiment(basis.states[0], basis, cfg)
+              for basis in (_labeled(np.eye(d, dtype=complex)), _fourier(d))]
+    assert tables[0].counts == tables[1].counts
+    res = estimate_probabilities(tables[0], 0)
+    assert abs(res.fidelity - (d + 3) / (2 * (d + 1))) < 4 * res.stderr
 
 
 def test_stderr_covers_the_ideal_fidelity():

@@ -23,8 +23,8 @@ def test_same_output_finds_a_tree_identical_to_itself():
     result = _same_output("--against", str(ROOT), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 10 and all(line.startswith("identical  ") for line in lines[:9])
-    assert lines[-1] == "9/9 commands identical"
+    assert len(lines) == 12 and all(line.startswith("identical  ") for line in lines[:11])
+    assert lines[-1] == "11/11 commands identical"
 
 
 def test_same_output_states_the_largest_json_difference(tmp_path):
@@ -36,12 +36,12 @@ def test_same_output_states_the_largest_json_difference(tmp_path):
     result = _same_output("--against", str(tmp_path), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert all(line.startswith("identical  ") for line in lines[:4])
-    assert lines[4] == ("different  cascade --json  "
+    assert all(line.startswith("identical  ") for line in lines[:6])
+    assert lines[6] == ("different  cascade --json  "
                         "(stdout: largest difference 0.25 over 40 numbers)")
-    assert lines[7] == "different  cascade 2->6 IV:2  (stdout)"
-    assert lines[8] == "identical  clone --json"
-    assert lines[-1] == "5/9 commands identical"
+    assert lines[9] == "different  cascade 2->6 IV:2  (stdout)"
+    assert lines[10] == "identical  clone --json"
+    assert lines[-1] == "7/11 commands identical"
 
 
 def test_difference_report_needs_two_json_values_of_one_shape():

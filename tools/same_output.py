@@ -5,13 +5,14 @@
 Runs a fixed matrix of ``symclone`` commands on this checkout's ``src/`` and
 on ``DIR/src`` and compares every output byte for byte: per seed,
 ``experiment`` on basis I, on the degraded basis-IV bench, on basis IV with
-``--v 0.8 --analysis-fid 0.5`` and on the prep-only basis-IV bench, where
-only the signal is ever replaced (standard output, CSV and JSON), and
-once three ``cascade --json`` runs, one ``cascade`` text run and
-``clone --json`` (standard output). It prints ``identical`` or
-``different`` per command, and for a differing JSON file whose two sides
-hold the same keys, lengths and non-numeric values, the largest absolute
-difference over its numbers. It exits with 0 when every output is
+``--v 0.8 --analysis-fid 0.5``, on the prep-only basis-IV bench, where
+only the signal is ever replaced, on basis IV with ``--prep-fid 0
+--analysis-fid 0``, where every state is replaced, and on basis I with
+``--analysis-fid 0.7`` alone (standard output, CSV and JSON), and once
+three ``cascade --json`` runs, one ``cascade`` text run and ``clone --json``
+(standard output). It prints ``identical`` or ``different`` per command,
+and for a differing JSON file whose two sides hold the same keys, lengths
+and non-numeric values, the largest absolute difference over its numbers. It exits with 0 when every output is
 identical, 1 when one differs and 2 when a tree cannot run.
 
 Another revision's tree comes from git:
@@ -42,6 +43,9 @@ _EXPERIMENTS = {
     "experiment IV v=0.8 analysis-fid=0.5": ["--basis", "IV", "--v", "0.8", "--analysis-fid", "0.5"],
     "experiment IV prep-fid=0.8": ["--basis", "IV", "--v", "0.95", "--prep-fid", "0.8",
                                    "--ancilla-weights", "0.4,0.2,0.2,0.2"],
+    "experiment IV all replaced": ["--basis", "IV", "--v", "0.9", "--prep-fid", "0",
+                                   "--analysis-fid", "0"],
+    "experiment I analysis-fid=0.7": ["--basis", "I", "--v", "0.9", "--analysis-fid", "0.7"],
 }
 _ONCE = {
     "cascade --json": ["cascade", "--json"],
