@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -334,9 +335,10 @@ class DistinguishabilityModel:
         """Convenience constructor taking nanometers."""
         return cls(v=1.0, wavelength=wavelength_nm * 1e-9, bandwidth=bandwidth_nm * 1e-9)
 
-    @property
+    @cached_property
     def coherence_time(self) -> float:
-        """tau_c in seconds; requires spectral parameters."""
+        """tau_c in seconds; requires spectral parameters. Computed once per
+        model: ``v_of_delay`` reads it for every delay of a curve."""
         if self.wavelength is None:
             raise ValueError("no spectral parameters set")
         # a float product overflows to inf where ``**`` raises; a square that

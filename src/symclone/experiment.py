@@ -28,23 +28,36 @@ only if a batch draws 2^64 blocks, which none comes near. A run evaluates
 batches 0, 1, ... in order until ``shots`` coincidences are counted, so two
 runs with the same config are count-for-count identical.
 
-Within a batch of B trials the draws follow stream layout 6
+The batch that fills ``shots`` usually yields more coincidences than are
+still needed. Its hits are grouped by ancilla, not in trial order, so the
+run keeps a uniformly random subset of them of the size it needs, with one
+``multivariate_hypergeometric`` draw on its outcome counts, from the same
+batch's generator after the batch's own draws. This is exact: the trials are
+independent, so the first r hits in trial order would be a uniformly random
+r-subset of the batch's hits as well.
+
+Within a batch of B trials the draws follow stream layout 7
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use,
 in this order:
 
 1. the number K of near trials, u < p_near = (1 + v^2)/8, the largest
    p_coal/2 of any trial: one binomial draw with B trials and probability
    p_near (about a quarter of the trials are near);
-2. K accept uniforms ``u``, scaled to [0, p_near), then K ancilla uniforms
-   (one ``random((2, K))`` draw);
+2. the number of near trials with each ancilla, n ~ Multinomial(K, w) for
+   the ancilla weights w (one ``multinomial`` draw), then K accept uniforms
+   ``u``, scaled to [0, p_near);
 3. the preparation perturbation of the signal, for the near trials;
 4. the filter-arm perturbation, for the kept trials only: u < p_coal/2;
 5. the scanner-arm perturbation (d states per trial), for the trials that
    also pass u < p_coal/2 * p_filter.
 
-A perturbation with fidelity f = 1 draws nothing; otherwise it draws one
-pass uniform per state, then 2d standard normals for each state that fails
-the pass test, in order. A trial is post-selected with outcome j when
+The trials of a batch are independent, so only how many near trials have
+each ancilla matters, not which: a batch holds them grouped by ancilla, the
+n_0 trials with ancilla 0 first. A perturbation of n states with fidelity
+f = 1 draws nothing; otherwise it draws the number k ~ Binomial(n, 1 - f) of
+states it replaces, then which k of them (a sample without replacement),
+then 2(d - 1) standard normals for each replaced state, in order: the law of
+n independent pass tests. A trial is post-selected with outcome j when
 
     u < p_coal * 1/2 * p_filter * (q_0 + ... + q_j) / (q_0 + ... + q_{d-1})
 
@@ -55,29 +68,33 @@ on [0, 1). The right-hand side never exceeds p_coal/2 * p_filter, which
 does not depend on the scanner, nor p_coal/2, which depends only on the
 signal and the ancilla, nor p_near; so a trial above one of these bounds is
 dropped before the draws of the next step, which it could never use. A
-trial with u >= p_near draws nothing at all: the trials of a batch are
-independent, so its near trials are K ~ Binomial(B, p_near) trials whose u
-is uniform on [0, p_near). p_near and the bound of step 5 carry a relative
-rounding margin (``_BOUND_MARGIN``). A trial whose scanner weights sum to
-at most ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can
-click, and a sum that small is rounding residue of an exact 0, not a click
-probability.
+trial with u >= p_near draws nothing at all: its near trials are
+K ~ Binomial(B, p_near) trials whose u is uniform on [0, p_near). p_near
+and the bound of step 5 carry a relative rounding margin
+(``_BOUND_MARGIN``). A trial whose scanner weights sum to at most
+``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can click, and a
+sum that small is rounding residue of an exact 0, not a click probability.
 
 A fixed seed reproduces counts only under the layout that drew them. Layout
-6 is layout 5 with B = 16384 in place of 4096 trials per batch. The tests
-check that it samples the law of layout 5 and of the draw orders of layout
-4 (an accept uniform for every trial), layout 3 (an ancilla uniform for
-every trial as well) and layout 2 (every trial perturbed).
+7 samples the model of layout 6, which drew an ancilla uniform per near
+trial, a pass uniform per state that could be replaced and 2d normals per
+replaced state, rotated from lab coordinates, and kept the first hits of
+the last batch in trial order. The tests check that it samples the law of
+layout 6 and of the draw orders of layout 5 (4096-trial batches), layout 4
+(an accept uniform for every trial), layout 3 (an ancilla uniform for every
+trial as well) and layout 2 (every trial perturbed).
 
 A trial is evaluated in the coordinates of the measurement basis U, of
 which the input, every ancilla state and every scanner setting are
 members: the input is e_p, ancilla k is e_k and scanner setting j is e_j.
-A replaced state is drawn in lab coordinates as before (2d normals) and
-rotated into basis coordinates once, where its part orthogonal to the
-target e_t is the rotated vector with component t set to zero
-(``_complement_states``). The rotation is unitary: every probability is
-the lab-coordinate one up to rounding, and the structural zeros of the
-bench (a filter or scanner setting orthogonal to a photon) come out exact.
+A replaced state is drawn in these coordinates: its 2(d - 1) normals fill
+its components other than the target e_t (``_complement_states``). The
+complex Gaussian law on the complement of e_t is invariant under its
+unitaries, so the state is Haar-random on that complement whatever the
+basis, and the kernel never sees U: the counts depend on the basis only
+through the indices of the input, the ancillas and the outcomes. The
+structural zeros of the bench (a filter or scanner setting orthogonal to a
+photon) come out exact.
 
 The ancilla is never replaced, so a trial carries it as its index k, and
 each overlap with it is a component: <S|N> = conj(S_k), <filter|N> =
@@ -90,10 +107,9 @@ replaced setting takes an inner product.
 In a trial where no state was replaced, p_coal/2, the filter terms, the
 bound of step 5 and the d thresholds depend only on the ancilla index, so
 each run computes them once per input (``_clean_row_table``, with the
-cumulative ancilla weights and p_near) and such trials read them from that
-table; only trials with a replaced state evaluate the closed forms row by
-row, each term once. Neither the table nor the basis coordinates change
-the draw order, and neither changed a fixed-seed output.
+ancilla weights and p_near) and such trials read them from that table; only
+trials with a replaced state evaluate the closed forms row by row, each
+term once.
 
 Within a batch, every per-trial array (u, the ancilla index, p_coal/2 and
 the bound of step 5) is indexed by near trial until the last step. A trial
@@ -107,8 +123,7 @@ with the index of its trial. A batch that can replace a state holds its
 signals and filters in one stack [e_p, replaced signals, replaced filters]
 with one row index per near trial for each. The trials that pass are
 counted in one pass: outcome j is the number of the trial's thresholds at
-or below u. This bookkeeping changed no draw and no fixed-seed output
-either.
+or below u.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
@@ -154,7 +169,7 @@ BATCH_TRIALS = 16384
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 6
+STREAM_LAYOUT = 7
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -369,48 +384,41 @@ def _fail_draws(
     """The draws of one perturbation of ``lead`` states of dimension d.
 
     Returns the row-major (flat) indices of the replaced states in an array
-    of shape ``lead``, ascending, and 2d standard normals per replaced state
-    in the same order. Draws nothing when f >= 1; otherwise one pass uniform
-    per state, then the normals.
+    of shape ``lead``, ascending, and 2(d - 1) standard normals per replaced
+    state in the same order. Draws nothing when f >= 1; otherwise the number
+    k ~ Binomial(n, 1 - f) of replaced states among the n of ``lead``, then
+    which k of them, as a sample without replacement, then the normals. That
+    is the law of n independent pass tests with probability f, drawn with k
+    indices in place of n uniforms.
     """
     if f >= 1.0:
-        return np.empty(0, dtype=np.intp), np.empty((0, 2 * d))
-    bad = np.flatnonzero(rng.random(lead) >= f)
-    return bad, rng.standard_normal((len(bad), 2 * d))
+        return np.empty(0, dtype=np.intp), np.empty((0, 2 * d - 2))
+    n = math.prod(lead)
+    bad = np.sort(rng.choice(n, rng.binomial(n, 1.0 - f), replace=False, shuffle=False))
+    return bad, rng.standard_normal((len(bad), 2 * d - 2))
 
 
-def _complement_states(basis_cols: np.ndarray, targets, z: np.ndarray) -> np.ndarray:
+def _complement_states(targets, z: np.ndarray) -> np.ndarray:
     """Per row of ``z``, a Haar-random unit vector orthogonal to basis state
-    ``targets`` (one index, or one per row) of the basis U = ``basis_cols``,
-    in the coordinates of that basis, made from the row's 2d standard normals.
+    ``targets`` (one index, or one per row), in basis coordinates, made from
+    the row's 2(d - 1) standard normals.
 
-    The normals form the vector z[:d] + i z[d:]. Rotated once into basis
-    coordinates, w = U^dagger (z[:d] + i z[d:]), its part orthogonal to basis
-    state t is w with component t set to zero. A degenerate draw (norm below
-    1e-12, measure zero) takes instead the unit vector e_m least parallel to
-    the target, m = argmin_l |U[l, t]|, through the same rotation and
-    projection.
+    The normals, taken in pairs as real and imaginary part, fill the d - 1
+    components other than the target t in order, and the vector is
+    normalized. A standard complex Gaussian vector on the complement of e_t
+    is invariant under the unitaries of that complement, so its direction is
+    Haar-random there in any basis of it: no rotation is needed. A
+    degenerate draw (norm below 1e-12, measure zero) takes instead the first
+    basis vector other than e_t.
     """
-    d = len(basis_cols)
-    if not len(z):
-        return np.empty((0, d), dtype=complex)
-    rows = np.arange(len(z))
-    # one real product: z @ [conj(U); i conj(U)], with that complex (2d, d)
-    # matrix viewed as (2d, 2d) reals, whose columns hold the real and
-    # imaginary part of each entry side by side as the complex view expects
-    rot = np.conj(basis_cols)
-    chi = (z @ np.concatenate((rot, 1j * rot)).view(float)).view(complex)
-    chi[rows, targets] = 0.0
-    flat = chi.view(float)
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    d = z.shape[1] // 2 + 1
+    t = np.broadcast_to(targets, (len(z),))
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     low = norms < 1e-12
-    if low.any():
-        t = np.broadcast_to(targets, rows.shape)[low]
-        fallback = np.conj(basis_cols[np.argmin(np.abs(basis_cols[:, t]), axis=0)])
-        fallback[np.arange(len(t)), t] = 0.0
-        chi[low] = fallback
-        norms[low] = np.linalg.norm(fallback, axis=1)
-    flat /= norms[:, None]
+    norms[low] = np.inf  # the degenerate rows come out zero, then take the fallback
+    chi = np.zeros((len(z), d), dtype=complex)
+    chi[np.arange(d) != t[:, None]] = (z / norms[:, None]).view(complex).ravel()
+    chi[np.flatnonzero(low), (t[low] == 0).astype(np.intp)] = 1.0
     return chi
 
 
@@ -492,16 +500,6 @@ def _scanner_bound(half_coal: np.ndarray, p_filter: np.ndarray) -> np.ndarray:
     return np.minimum(half_coal, half_coal * p_filter * _BOUND_MARGIN)
 
 
-def _ancilla_index(cum_weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The ancilla index drawn by each uniform x: the number of cumulative
-    weights but the last that are <= x, which is
-    min(searchsorted(cum_weights, x, side="right"), d - 1)."""
-    # summed in the smallest unsigned type that holds d, then widened: a
-    # sum of bools straight into intp is a mixed-type loop at twice the cost
-    small = np.min_scalar_type(len(cum_weights))
-    return (x >= cum_weights[:-1, None]).sum(axis=0, dtype=small).astype(np.intp)
-
-
 def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per row, the d cumulative thresholds p_coal/2 * p_filter * cum(q)_j/sum(q).
 
@@ -519,7 +517,7 @@ class _CleanRows(NamedTuple):
     """The constants of one input's batches (see :func:`_clean_row_table`);
     every per-ancilla array is indexed by the ancilla index k."""
 
-    cum_weights: np.ndarray  # cumulative ancilla weights
+    weights: np.ndarray  # ancilla weights, normalized, trailing zeros dropped (_near_trials)
     p_near: float  # (1 + v^2)/8 * _BOUND_MARGIN, the bound of the near trials
     half_coal: np.ndarray  # p_coal/2 of an unperturbed trial
     p_filter: np.ndarray  # its p_filter, A and B (_filter_terms)
@@ -553,7 +551,9 @@ def _clean_row_table(p: int, weights: np.ndarray, v: float) -> _CleanRows:
     q = _event_terms(A, B, v, S, np.eye(d, dtype=complex))  # F = S and G = N
     thresholds = _acceptance_thresholds(half_coal, p_filter, q)
     return _CleanRows(
-        cum_weights=np.cumsum(weights),
+        # sum exactly 1 to rounding, as ``rng.multinomial`` requires, and end in
+        # a nonzero weight: the last weight takes the rest of the unit sum
+        weights=np.trim_zeros(weights / weights.sum(), "b"),
         p_near=(1.0 + v * v) / 8.0 * _BOUND_MARGIN,
         half_coal=half_coal,
         p_filter=p_filter,
@@ -565,40 +565,44 @@ def _clean_row_table(p: int, weights: np.ndarray, v: float) -> _CleanRows:
 
 
 def _near_trials(
-    rng: np.random.Generator, p_near: float, cum_weights: np.ndarray
+    rng: np.random.Generator, p_near: float, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The near trials (u < ``p_near``) of one batch.
 
-    Draws their number K ~ Binomial(BATCH_TRIALS, p_near), then K accept
-    uniforms and K ancilla uniforms as one ``random((2, K))``. Returns the
-    accept uniforms u, uniform on [0, p_near), and the ancilla indices.
+    Draws their number K ~ Binomial(BATCH_TRIALS, p_near), then the number
+    of them with each ancilla, n ~ Multinomial(K, weights), then K accept
+    uniforms. Returns the accept uniforms u, uniform on [0, p_near), and the
+    ancilla index of each near trial; the trials are grouped by ancilla, n_0
+    trials with ancilla 0 first. The trials are independent, so which of
+    them has which ancilla does not matter, only how many.
     """
-    u, anc_u = rng.random((2, rng.binomial(BATCH_TRIALS, p_near)))
-    # u * p_near is a copy: no view keeps the (2, K) block alive in the caller
-    return u * p_near, _ancilla_index(cum_weights, anc_u)
+    n = rng.multinomial(rng.binomial(BATCH_TRIALS, p_near), weights)
+    u = rng.random(n.sum())
+    u *= p_near
+    return u, np.repeat(np.arange(len(weights)), n)
 
 
 def _simulate_batch(
     p: int,
-    basis_cols: np.ndarray,
     table: _CleanRows,
     v: float,
     prep_f: float,
     analysis_f: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Run BATCH_TRIALS single-shot trials of input ``p`` (basis state p of
-    the basis ``basis_cols``) on ``rng``; return the outcomes of the
-    post-selected trials in the order of the near trials.
+    """Run BATCH_TRIALS single-shot trials of input ``p``, basis state p of
+    the measurement basis, on ``rng``; return the outcomes of the
+    post-selected trials, grouped by ancilla as the near trials are.
 
-    The batch draws in stream layout 6 (see the module docstring), and
+    The batch draws in stream layout 7 (see the module docstring), and
     draws nothing for a trial that cannot click; of the others, the
-    ancilla and each perturbation only while they can still change whether
-    the trial is counted:
+    perturbations only while they can still change whether the trial is
+    counted:
 
     1. the number K ~ Binomial(B, p_near) of near trials, u < p_near =
-       (1 + v^2)/8 (the largest p_coal/2 of any trial), then their accept
-       uniforms u, uniform on [0, p_near), and their ancilla uniforms;
+       (1 + v^2)/8 (the largest p_coal/2 of any trial), then how many of
+       them have each ancilla, n ~ Multinomial(K, weights), then their
+       accept uniforms u, uniform on [0, p_near);
     2. the preparation perturbations of the near trials;
     3. the filter-arm perturbation of the kept trials, u < p_coal/2 =
        (1 + v^2 |<S|N>|^2)/8;
@@ -613,15 +617,15 @@ def _simulate_batch(
     its thresholds at or below u.
 
     ``table`` is :func:`_clean_row_table` for these arguments. Every state
-    is held in the coordinates of the basis, where the ancilla of a trial
-    is e_k and never replaced: a trial carries k, its ancilla index, and
-    every product with N is a gather of component k (:func:`_half_coal`,
-    :func:`_filter_terms`). A row reads from the table each number that no
-    replaced state changes: p_coal/2 unless its signal was replaced, p_filter
-    and the step-4 bound unless its signal or filter was, and its
-    thresholds unless some state was. The table holds the numbers those
-    rows would compute, so the draws and the outcomes are the same either
-    way.
+    is held in the coordinates of the measurement basis, where the ancilla
+    of a trial is e_k and never replaced: a trial carries k, its ancilla
+    index, and every product with N is a gather of component k
+    (:func:`_half_coal`, :func:`_filter_terms`). A replaced state is drawn
+    in these coordinates (:func:`_complement_states`), so the batch never
+    sees the basis itself. A row reads from the table each number that no
+    replaced state changes: p_coal/2 unless its signal was replaced,
+    p_filter and the step-4 bound unless its signal or filter was, and its
+    thresholds unless some state was.
 
     Rows stay in the index space of the near trials until the last step.
     ``passing`` is the mask of the trials below their :func:`_scanner_bound`,
@@ -639,20 +643,20 @@ def _simulate_batch(
     trials are counted in one comparison against their thresholds, gathered
     one row per outcome and one column per trial.
     """
-    d = len(basis_cols)
+    d = len(table.half_coal)
 
     # near trials: their draws of steps 1 and 2 and the preparation draws,
     # then the row's bound of step 4 (:func:`_scanner_bound`) from the table.
     # Every per-trial array below is indexed by near trial until the
     # filter-passing trials are taken out.
-    u, anc_idx = _near_trials(rng, table.p_near, table.cum_weights)
+    u, anc_idx = _near_trials(rng, table.p_near, table.weights)
     s_rows, s_z = _fail_draws((len(u),), d, prep_f, rng)  # the trials of S_bad
     bound = table.bound[anc_idx]
     noisy = prep_f < 1.0 or analysis_f < 1.0  # the batch can replace a state
     if noisy:
         # the row's own p_coal/2 and the kept trials, then their filter-arm
         # draws, then the bound of each row with a replaced signal or filter
-        S_bad = _complement_states(basis_cols, p, s_z)
+        S_bad = _complement_states(p, s_z)
         half_coal = table.half_coal[anc_idx]
         half_coal[s_rows] = _half_coal(S_bad, anc_idx[s_rows], v)
         keep = u < half_coal
@@ -661,7 +665,7 @@ def _simulate_batch(
         stack = np.zeros((1 + len(s_rows) + len(f_rows), d), dtype=complex)
         stack[0, p] = 1.0
         stack[1 : 1 + len(s_rows)] = S_bad
-        stack[1 + len(s_rows) :] = _complement_states(basis_cols, p, f_z)
+        stack[1 + len(s_rows) :] = _complement_states(p, f_z)
         s_pick = np.zeros(len(u), dtype=np.intp)
         s_pick[s_rows] = np.arange(1, 1 + len(s_rows))
         f_pick = np.zeros(len(u), dtype=np.intp)
@@ -701,7 +705,7 @@ def _simulate_batch(
         G[np.arange(len(rows)), anc] = 1.0
         if len(g_flat):
             g_rows, g_cols = np.searchsorted(dirty, g_flat // d), g_flat % d
-            bra = np.conj(_complement_states(basis_cols, g_cols, g_z))
+            bra = np.conj(_complement_states(g_cols, g_z))
             # F holds S until here: the right-hand side is taken before any
             # entry of F is replaced
             F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, F[g_rows])
@@ -725,7 +729,6 @@ def run_cloning_experiment(
     stream layout).
     """
     phi_index = basis.index_of(phi)
-    basis_cols = basis.matrix
     table = _clean_row_table(phi_index, config.weights_for(basis.dim), config.v)
     # one Philox key per input; batch b draws from counter [0, b, 0, 0]
     key = np.random.SeedSequence(config.seed, spawn_key=(phi_index,)).generate_state(2, np.uint64)
@@ -737,7 +740,6 @@ def run_cloning_experiment(
         rng = np.random.Generator(np.random.Philox(key=key, counter=[0, batch, 0, 0]))
         hits = _simulate_batch(
             phi_index,
-            basis_cols,
             table,
             config.v,
             config.prep_fidelity,
@@ -749,11 +751,17 @@ def run_cloning_experiment(
             dry += 1
             if dry >= _MAX_DRY_BATCHES:
                 raise RuntimeError("post-selection yield is (near) zero for this configuration")
-        else:
-            dry = 0
-            hits = hits[: config.shots - collected]
-            counts += np.bincount(hits, minlength=basis.dim)
-            collected += hits.size
+            continue
+        dry = 0
+        need = config.shots - collected
+        batch_counts = np.bincount(hits, minlength=basis.dim)
+        if hits.size > need:
+            # the hits are grouped by ancilla, not in trial order: keep a
+            # uniformly random ``need`` of them, as the first ``need`` in
+            # trial order of independent trials would be
+            batch_counts = rng.multivariate_hypergeometric(batch_counts, need)
+        counts += batch_counts
+        collected += min(hits.size, need)
     return CountsTable(
         input_label=basis.labels[phi_index],
         basis_labels=tuple(basis.labels),

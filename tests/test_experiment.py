@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -17,7 +18,6 @@ from symclone.experiment import (
     _Q_TOTAL_CUTOFF,
     _abs2,
     _acceptance_thresholds,
-    _ancilla_index,
     _clean_row_table,
     _complement_states,
     _event_terms,
@@ -54,9 +54,9 @@ def _fourier_basis():
     return _fourier(3)
 
 
-def _haar_basis():
-    """A fixed Haar-random 4 x 4 unitary (QR of a seeded complex Gaussian matrix)."""
-    q, r = np.linalg.qr(np.random.default_rng(2010).standard_normal((4, 4, 2)) @ np.array([1.0, 1j]))
+def _haar_basis(d=4):
+    """A fixed Haar-random d x d unitary (QR of a seeded complex Gaussian matrix)."""
+    q, r = np.linalg.qr(np.random.default_rng(2010).standard_normal((d, d, 2)) @ np.array([1.0, 1j]))
     return _labeled(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
@@ -127,11 +127,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 6
+    assert cfg.to_dict()["streamLayout"] == 7
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 5, 7, "6", None):
+    for layout in (1, 2, 3, 4, 5, 6, 8, "7", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -272,10 +272,10 @@ def _orthogonalized(psi: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _lab_complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Reference for the kernel's ``_complement_states``, in lab coordinates:
-    per row of ``z``, a Haar-random unit vector orthogonal to the target
-    ``psi`` (one state, shape (d,), or one per row, shape (n, d)), made from
-    the row's 2d standard normals z[:d] + i z[d:]."""
+    """Replaced states as layouts 2 to 6 drew them, in lab coordinates: per
+    row of ``z``, a Haar-random unit vector orthogonal to the target ``psi``
+    (one state, shape (d,), or one per row, shape (n, d)), made from the
+    row's 2d standard normals z[:d] + i z[d:]."""
     d = psi.shape[-1]
     chi = np.empty((len(z), d), dtype=complex)
     if not len(chi):
@@ -295,24 +295,58 @@ def _lab_complement_states(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _perturbed(targets, f, rng):
-    """Reference perturbation of ``targets`` (shape (..., d)), in lab
-    coordinates: with the kernel's draws, each row fails with probability
-    1 - f and is replaced by a Haar-random unit vector orthogonal to it."""
+    """Reference perturbation of ``targets`` (shape (..., d)) in the draw
+    order of layouts 2 to 6, in lab coordinates: one pass uniform per row,
+    then 2d normals per failing row, which is replaced by a Haar-random unit
+    vector orthogonal to it."""
     d = targets.shape[-1]
-    bad, z = _fail_draws(targets.shape[:-1], d, f, rng)
     out = np.array(targets, dtype=complex, order="C")
+    if f >= 1.0:
+        return out
+    bad = np.flatnonzero(rng.random(targets.shape[:-1]) >= f)
+    z = rng.standard_normal((len(bad), 2 * d))
     rows = out.reshape(-1, d)  # a view, since out is C-ordered: bad holds row-major indices
     rows[bad] = _lab_complement_states(rows[bad], z)
     return out
 
 
+def _basis_complement(t, z):
+    """Reference for the kernel's ``_complement_states``, in basis
+    coordinates: per row, component j + (j >= t) holds the row's normal pair
+    j, z[2j] + i z[2j + 1], for j < d - 1, and the row is normalized; a row
+    of zero normals gives e_0, or e_1 for t = 0."""
+    d = z.shape[1] // 2 + 1
+    t = np.broadcast_to(t, (len(z),))
+    rows = np.arange(len(z))
+    norms = np.linalg.norm(z, axis=1)
+    chi = np.zeros((len(z), d), dtype=complex)
+    for j in range(d - 1):
+        chi[rows, j + (j >= t)] = (z[:, 2 * j] + 1j * z[:, 2 * j + 1]) / np.where(norms > 0, norms, 1.0)
+    chi[rows[norms == 0], (t[norms == 0] == 0).astype(int)] = 1.0
+    return chi
+
+
+def _basis_perturbed(basis_cols, t, lead, f, rng):
+    """Reference perturbation in the draw order of layout 7, in lab
+    coordinates: basis states ``t`` of the basis U = ``basis_cols`` (one
+    index, or an array that broadcasts to ``lead``) through the kernel's
+    draws, each replaced state U chi with chi from
+    :func:`_basis_complement`."""
+    d = len(basis_cols)
+    t = np.broadcast_to(t, lead).reshape(-1)
+    bad, z = _fail_draws(lead, d, f, rng)
+    chi = np.eye(d, dtype=complex)[t]
+    chi[bad] = _basis_complement(t[bad], z)
+    return (chi @ basis_cols.T).reshape(*lead, d)
+
+
 def _kernel_perturbed(basis_cols, t, n, f, rng):
     """``n`` copies of basis state ``t`` through the kernel's perturbation,
-    whose replaced states are in basis coordinates, rotated back to lab
+    whose replaced states are in basis coordinates, rotated to lab
     coordinates."""
     bad, z = _fail_draws((n,), len(basis_cols), f, rng)
     out = np.tile(basis_cols[:, t], (n, 1))
-    out[bad] = _complement_states(basis_cols, t, z) @ basis_cols.T
+    out[bad] = _complement_states(t, z) @ basis_cols.T
     return out
 
 
@@ -323,19 +357,47 @@ def test_perturbation_mean_overlap():
     assert np.mean(np.abs(out @ np.conj(phi)) ** 2) == pytest.approx(0.9, abs=0.01)
 
 
+def _moment_z(x, y):
+    """Two-sample z-score of the means of ``x`` and ``y``."""
+    return (x.mean() - y.mean()) / np.sqrt(x.var() / len(x) + y.var() / len(y))
+
+
 @pytest.mark.parametrize("make_basis", _BASES)
 def test_complement_states_are_the_lab_complements_in_basis_coordinates(make_basis):
-    # the kernel's replaced state, for one target per row and for one
-    # target for every row, is U^dagger times the lab-coordinate reference
+    # the kernel's replaced states, rotated to lab coordinates by U, against
+    # layout 6's lab-coordinate complements of the same targets from other
+    # normals: both unit vectors orthogonal to the target, with the same
+    # law, checked through the first two moments of |<a|x>|^2 for fixed
+    # test vectors a (|z| < 5, fixed beforehand)
     U = make_basis().matrix
     d = len(U)
     rng = np.random.default_rng(16)
-    targets = rng.integers(0, d, 200)
-    z = rng.standard_normal((200, 2 * d))
-    lab = _lab_complement_states(U.T[targets], z)
-    assert np.max(np.abs(_complement_states(U, targets, z) - lab @ np.conj(U))) < 1e-12
-    lab = _lab_complement_states(U[:, 1], z)
-    assert np.max(np.abs(_complement_states(U, 1, z) - lab @ np.conj(U))) < 1e-12
+    n = 20_000
+    probes = _haar_rows(rng, 3, d)
+    for targets in (rng.integers(0, d, n), 1):
+        psi = np.broadcast_to(U.T[targets], (n, d))
+        kernel = _complement_states(targets, rng.standard_normal((n, 2 * d - 2))) @ U.T
+        lab = _lab_complement_states(psi, rng.standard_normal((n, 2 * d)))
+        for x in (kernel, lab):
+            assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) < 1e-12
+            assert np.max(np.abs(np.einsum("ei,ei->e", np.conj(psi), x))) < 1e-12
+        for a in probes:
+            k2, l2 = (np.abs(x @ np.conj(a)) ** 2 for x in (kernel, lab))
+            assert abs(_moment_z(k2, l2)) < 5.0
+            assert abs(_moment_z(k2 * k2, l2 * l2)) < 5.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_complement_states_fill_the_other_components_in_order(d):
+    # against the reference, one target per row and one target for every row
+    rng = np.random.default_rng(30 + d)
+    z = rng.standard_normal((300, 2 * d - 2))
+    targets = rng.integers(0, d, 300)
+    assert np.max(np.abs(_complement_states(targets, z) - _basis_complement(targets, z))) < 1e-15
+    for t in range(d):
+        chi = _complement_states(t, z)
+        assert not chi[:, t].any()
+        assert np.max(np.abs(chi - _basis_complement(t, z))) < 1e-15
 
 
 class _DegenerateRng:
@@ -343,6 +405,12 @@ class _DegenerateRng:
 
     def random(self, n):
         return np.ones(n)
+
+    def binomial(self, n, p):
+        return n
+
+    def choice(self, n, k, replace, shuffle):
+        return np.arange(k)
 
     def standard_normal(self, shape):
         return np.zeros(shape)
@@ -353,17 +421,15 @@ def test_perturbation_falls_back_on_degenerate_draws():
     out = _perturbed(targets, 0.5, _DegenerateRng())
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs((np.conj(targets) * out).sum(axis=1))) < 1e-12
-    # the kernel's fallback, in basis coordinates, is U^dagger times the lab
-    # fallback (the basis vector least parallel to the target, orthogonalized)
-    for make_basis in (basis_logical, basis_four, _fourier_basis):
-        U = make_basis().matrix
-        d = len(U)
-        lab = _perturbed(U.T, 0.5, _DegenerateRng())
+    # the kernel's fallback is one fixed unit vector orthogonal to the target:
+    # e_0, or e_1 for target 0, for one target per row and for one target
+    for d in (2, 3, 4):
         bad, z = _fail_draws((d,), d, 0.5, _DegenerateRng())
-        assert np.array_equal(bad, np.arange(d)) and not z.any()
-        assert np.max(np.abs(_complement_states(U, np.arange(d), z) - lab @ np.conj(U))) < 1e-12
+        assert np.array_equal(bad, np.arange(d)) and z.shape == (d, 2 * d - 2) and not z.any()
+        fallback = np.eye(d)[[1] + [0] * (d - 1)]
+        assert np.array_equal(_complement_states(np.arange(d), z), fallback)
         for t in range(d):
-            assert np.max(np.abs(_complement_states(U, t, z[:1]) - lab[t] @ np.conj(U))) < 1e-12
+            assert np.array_equal(_complement_states(t, z[:1]), fallback[t : t + 1])
 
 
 def _stream_position(rng):
@@ -371,20 +437,29 @@ def _stream_position(rng):
     return state["state"]["counter"].tolist(), state["buffer_pos"]
 
 
+def _replay_fail_draws(rng, n, f):
+    """The mask of the replaced states among ``n`` states of dimension 4
+    that :func:`_fail_draws` draws at fidelity f, replayed on ``rng``: their
+    number, which ones, then their normals."""
+    bad = np.zeros(n, dtype=bool)
+    if f < 1.0:
+        k = rng.binomial(n, 1.0 - f)
+        bad[rng.choice(n, k, replace=False, shuffle=False)] = True
+        rng.standard_normal((k, 6))
+    return bad
+
+
 def _apply_infidelity(f, n=500):
     """Perturb ``n`` copies of a target at fidelity ``f``; check that the
-    stream advanced only by the pass tests and the normals of the failing
-    rows, that passing rows are untouched and that failing rows are
-    orthogonal to the target. Returns the mask of failing rows."""
+    stream advanced only by the draws of the replaced rows, that the other
+    rows are untouched and that replaced rows are orthogonal to the target.
+    Returns the mask of replaced rows."""
     basis = basis_four()
     phi = basis.states[0].amps
     rng = _batch_rng(8, 0, 0)
     out = _kernel_perturbed(basis.matrix, 0, n, f, rng)
     fresh = _batch_rng(8, 0, 0)
-    bad = np.zeros(n, dtype=bool)
-    if f < 1.0:
-        bad = fresh.random(n) >= f
-        fresh.standard_normal((int(bad.sum()), 8))
+    bad = _replay_fail_draws(fresh, n, f)
     assert _stream_position(rng) == _stream_position(fresh)
     assert np.all(out[~bad] == phi)
     assert np.max(np.abs(out[bad] @ np.conj(phi)), initial=0.0) < 1e-12
@@ -394,16 +469,38 @@ def _apply_infidelity(f, n=500):
 @pytest.mark.parametrize("f", [0.0, 0.7, 1.0])
 @pytest.mark.parametrize("lead", [(500,), (120, 4)])
 def test_fail_draws_give_the_replaced_states_as_row_major_indices(lead, f):
-    # against the mask the draws make: one pass uniform per state, then 2d
-    # normals per failing state; f = 1 draws nothing
+    # against the draws replayed: the number k of replaced states, which k of
+    # them, then 2(d - 1) normals per replaced state; f = 1 draws nothing
     rng, fresh = _batch_rng(5, 0, 0), _batch_rng(5, 0, 0)
     idx, z = _fail_draws(lead, 4, f, rng)
-    bad = fresh.random(lead) >= f if f < 1.0 else np.zeros(lead, dtype=bool)
-    normals = fresh.standard_normal((int(bad.sum()), 8)) if f < 1.0 else np.empty((0, 8))
+    n = math.prod(lead)
+    if f < 1.0:
+        k = fresh.binomial(n, 1.0 - f)
+        picked = fresh.choice(n, k, replace=False, shuffle=False)
+        normals = fresh.standard_normal((k, 6))
+    else:
+        picked, normals = np.empty(0, dtype=np.intp), np.empty((0, 6))
+    bad = np.zeros(lead, dtype=bool)
+    bad.flat[picked] = True
     assert idx.dtype == np.intp and np.array_equal(idx, np.flatnonzero(bad))
     assert np.array_equal(np.unravel_index(idx, lead), np.nonzero(bad))
     assert np.array_equal(z, normals)
     assert _stream_position(rng) == _stream_position(fresh)
+
+
+def test_fail_draws_replace_each_state_independently():
+    # the law of independent pass tests: over 4000 perturbations of 5
+    # states at f = 0.7, each of the 32 replaced-state patterns against its
+    # probability 0.3^k 0.7^(5 - k) (|z| < 5, fixed beforehand)
+    rng = np.random.default_rng(19)
+    runs, n, f = 4000, 5, 0.7
+    patterns = np.zeros(2**n)
+    for _ in range(runs):
+        idx, _ = _fail_draws((n,), 3, f, rng)
+        patterns[np.sum(2**idx)] += 1
+    k = np.array([bin(m).count("1") for m in range(2**n)])
+    p = (1.0 - f) ** k * f ** (n - k)
+    assert np.max(np.abs((patterns - runs * p) / np.sqrt(runs * p * (1.0 - p)))) < 5.0
 
 
 def test_perturbation_draws_normals_only_for_failing_rows():
@@ -559,35 +656,38 @@ def test_batches_match_the_fock_engine_acceptance_law():
     table = _clean_row_table(1, weights, v)
     counts = np.zeros(4)
     for b in range(batches):
-        hits = _simulate_batch(1, basis.matrix, table, v, 1.0, 1.0, _batch_rng(31, 1, b))
+        hits = _simulate_batch(1, table, v, 1.0, 1.0, _batch_rng(31, 1, b))
         counts += np.bincount(hits, minlength=4)
     n = batches * BATCH_TRIALS
     z = (counts - n * expected) / np.sqrt(n * expected * (1.0 - expected))
     assert np.max(np.abs(z)) < 5.0
 
 
-def test_ideal_batch_draws_only_accept_and_ancilla_uniforms():
-    basis = basis_logical()
+def _replay_near_trials(rng, p_near, weights):
+    """The near trials of a batch replayed on ``rng``: their number, their
+    ancilla counts, then their accept uniforms. Returns u and the ancilla
+    index of each near trial, grouped by ancilla."""
+    n = rng.multinomial(rng.binomial(BATCH_TRIALS, p_near), weights)
+    return rng.random(n.sum()) * p_near, np.repeat(np.arange(len(weights)), n)
+
+
+def test_ideal_batch_draws_only_its_ancilla_counts_and_accept_uniforms():
     rng = _batch_rng(3, 0, 0)
-    _simulate_batch(0, basis.matrix, _clean_row_table(0, np.full(4, 0.25), 1.0), 1.0, 1.0, 1.0, rng)
+    _simulate_batch(0, _clean_row_table(0, np.full(4, 0.25), 1.0), 1.0, 1.0, 1.0, rng)
     fresh = _batch_rng(3, 0, 0)
-    near = int(fresh.binomial(BATCH_TRIALS, 0.25 * (1.0 + 1e-9)))
-    assert 0 < near < BATCH_TRIALS // 2
-    fresh.random((2, near))  # accept and ancilla uniforms of the near trials only
+    u, _ = _replay_near_trials(fresh, 0.25 * (1.0 + 1e-9), np.full(4, 0.25))
+    assert 0 < len(u) < BATCH_TRIALS // 2
     assert _stream_position(rng) == _stream_position(fresh)
 
 
 def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
-    basis = basis_four()
     v, f = 0.9, 0.8
     rng = _batch_rng(21, 2, 0)
-    _simulate_batch(2, basis.matrix, _clean_row_table(2, np.full(4, 0.25), v), v, f, 1.0, rng)
+    _simulate_batch(2, _clean_row_table(2, np.full(4, 0.25), v), v, f, 1.0, rng)
     fresh = _batch_rng(21, 2, 0)
-    near = int(fresh.binomial(BATCH_TRIALS, (1.0 + v * v) / 8.0 * (1.0 + 1e-9)))
-    assert 0 < near < BATCH_TRIALS // 2
-    fresh.random((2, near))  # accept and ancilla uniforms
-    bad = fresh.random(near) >= f
-    fresh.standard_normal((int(bad.sum()), 8))
+    u, _ = _replay_near_trials(fresh, (1.0 + v * v) / 8.0 * (1.0 + 1e-9), np.full(4, 0.25))
+    assert 0 < len(u) < BATCH_TRIALS // 2
+    _replay_fail_draws(fresh, len(u), f)
     assert _stream_position(rng) == _stream_position(fresh)
 
 
@@ -596,21 +696,17 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     phi, v, f = basis.states[0].amps, 0.9, 0.7
     weights = np.full(4, 0.25)
     rng = _batch_rng(22, 0, 0)
-    _simulate_batch(0, basis.matrix, _clean_row_table(0, weights, v), v, 1.0, f, rng)
+    _simulate_batch(0, _clean_row_table(0, weights, v), v, 1.0, f, rng)
     fresh = _batch_rng(22, 0, 0)
-    p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
-    u, anc_u = fresh.random((2, fresh.binomial(BATCH_TRIALS, p_near)))
-    u = u * p_near
-    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), anc_u, side="right"), 3)
+    u, anc_idx = _replay_near_trials(fresh, (1.0 + v * v) / 8.0 * (1.0 + 1e-9), weights)
     N = basis.matrix.T[anc_idx]
     half_coal = (1.0 + v * v * np.abs(N @ np.conj(phi)) ** 2) / 8.0
     kept = u < half_coal
-    filters = _perturbed(np.broadcast_to(phi, (int(kept.sum()), 4)), f, fresh)
+    filters = _basis_perturbed(basis.matrix, 0, (int(kept.sum()),), f, fresh)
     p_filter, _ = _elementwise_terms(phi, N[kept], v, filters, basis.matrix.T)
     passing = int(np.count_nonzero(u[kept] < half_coal[kept] * p_filter * (1.0 + 1e-9)))
     assert 0 < passing < kept.sum()
-    bad = fresh.random((passing, 4)) >= f
-    fresh.standard_normal((int(bad.sum()), 8))
+    _replay_fail_draws(fresh, 4 * passing, f)
     assert _stream_position(rng) == _stream_position(fresh)
 
 
@@ -625,13 +721,13 @@ def _two_sample_z(case, reference, seeds, batches=16, trials=BATCH_TRIALS):
     n = batches * BATCH_TRIALS
     assert n % trials == 0
     counts = np.zeros((2, 4, 4))
-    for i, phi in enumerate(basis.states):
+    for i in range(4):
         table = _clean_row_table(i, weights, v)
         for b in range(batches):
-            hits = _simulate_batch(i, basis.matrix, table, v, prep_f, analysis_f, _batch_rng(seeds[0], i, b))
+            hits = _simulate_batch(i, table, v, prep_f, analysis_f, _batch_rng(seeds[0], i, b))
             counts[0, i] += np.bincount(hits, minlength=4)
         for b in range(n // trials):
-            hits = reference(phi.amps, basis.matrix, weights, v, prep_f, analysis_f,
+            hits = reference(i, basis.matrix, weights, v, prep_f, analysis_f,
                              _batch_rng(seeds[1], i, b), trials=trials)
             counts[1, i] += np.bincount(hits, minlength=4)
     p = counts.sum(axis=0) / (2 * n)
@@ -666,6 +762,14 @@ def test_16384_trial_batches_sample_the_layout_5_law(case):
     assert np.max(np.abs(_two_sample_z(case, partial(_per_row_batch, layout=5), (77, 78), trials=4096))) < 5.0
 
 
+@pytest.mark.parametrize("case", ["ideal-I", "degraded-IV"])
+def test_ancilla_counts_and_indexed_replacements_sample_the_layout_6_law(case):
+    # the kernel against a reference that draws an ancilla uniform per near
+    # trial, a pass uniform per state and 2d normals per replaced state,
+    # rotated from lab coordinates, as layout 6 did
+    assert np.max(np.abs(_two_sample_z(case, partial(_per_row_batch, layout=6), (79, 80)))) < 5.0
+
+
 # ------------------------------------------------- clean-row threshold table
 
 
@@ -679,53 +783,68 @@ def _reference_hits(u, half_coal, p_filter, q):
     return outcomes[outcomes < q.shape[1]]
 
 
-def _per_row_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, layout=6,
+def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng, layout=7,
                    trials=BATCH_TRIALS):
-    """Reference: a batch of ``trials`` trials that evaluates p_coal/2 and
-    the filter and scanner terms on every row it keeps, from explicit
-    scanner states, with no clean-row table. The closed forms take the
-    signal and filter states in the coordinates of the measurement basis,
-    whose column k is ancilla k.
+    """Reference: a batch of ``trials`` trials of input ``p`` that evaluates
+    p_coal/2 and the filter and scanner terms on every row it keeps, from
+    explicit scanner states in lab coordinates, with no clean-row table. The
+    closed forms take the signal and filter states in the coordinates of
+    the measurement basis, whose column k is ancilla k.
 
-    ``layout`` sets how the near trials are drawn: 6 (the kernel's order)
-    and 5 (the same order, which layout 5 drew on 4096 trials) draw their
-    number and then their accept and ancilla uniforms; 4 draws an accept
-    uniform for every trial, then an ancilla uniform for each near one; 3
-    draws an ancilla uniform for every trial as well."""
+    ``layout`` sets how the near trials and the perturbations are drawn: 7
+    (the kernel's order) draws the number of near trials, their ancilla
+    counts and their accept uniforms, and perturbs with the kernel's draws
+    (:func:`_basis_perturbed`); 6 and 5 (the same order, which layout 5 drew
+    on 4096 trials) draw the number, then the accept and ancilla uniforms;
+    4 draws an accept uniform for every trial, then an ancilla uniform for
+    each near one; 3 draws an ancilla uniform for every trial as well.
+    Layouts 3 to 6 perturb as :func:`_perturbed`."""
     B = trials
-    d = len(phi)
+    d = len(basis_cols)
     p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
-    if layout in (5, 6):
-        u, anc_u = rng.random((2, rng.binomial(B, p_near)))
-        u = u * p_near
+    if layout == 7:
+        # the kernel's weights: normalized, trailing zeros dropped
+        u, anc_idx = _replay_near_trials(rng, p_near, np.trim_zeros(weights / weights.sum(), "b"))
     else:
-        u = rng.random(B)
-        near = u < p_near
-        anc_u = rng.random(B)[near] if layout == 3 else rng.random(np.count_nonzero(near))
-        u = u[near]
-    anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), anc_u, side="right"), d - 1)
+        if layout in (5, 6):
+            u, anc_u = rng.random((2, rng.binomial(B, p_near)))
+            u = u * p_near
+        else:
+            u = rng.random(B)
+            near = u < p_near
+            anc_u = rng.random(B)[near] if layout == 3 else rng.random(np.count_nonzero(near))
+            u = u[near]
+        anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), anc_u, side="right"), d - 1)
+
+    def perturbed(t, lead, f):
+        # basis states t (an index, or one per state) in lab coordinates
+        if layout == 7:
+            return _basis_perturbed(basis_cols, t, lead, f, rng)
+        return _perturbed(np.broadcast_to(basis_cols.T[t], (*lead, d)), f, rng)
+
     N = basis_cols.T[anc_idx]
-    S = _perturbed(np.broadcast_to(phi, (len(u), d)), prep_f, rng)
+    S = perturbed(p, (len(u),), prep_f)
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
     keep = u < half_coal
     u, S, N, anc_idx, half_coal = u[keep], S[keep], N[keep], anc_idx[keep], half_coal[keep]
-    filters = _perturbed(np.broadcast_to(phi, (len(u), d)), analysis_f, rng)
+    filters = perturbed(p, (len(u),), analysis_f)
     p_filter = _filter_terms(_in_basis(basis_cols, S), anc_idx, v, _in_basis(basis_cols, filters))[0]
     passing = u < half_coal * p_filter * (1.0 + 1e-9)
     u, S, N, anc_idx, filters, half_coal = (x[passing] for x in (u, S, N, anc_idx, filters, half_coal))
-    G = _perturbed(np.broadcast_to(basis_cols.T, (len(u), d, d)), analysis_f, rng)
+    G = perturbed(np.arange(d), (len(u), d), analysis_f)
     p_filter, q = _terms(_in_basis(basis_cols, S), anc_idx, v, _in_basis(basis_cols, filters),
                          _overlaps(G, S), _overlaps(G, N))
     return _reference_hits(u, half_coal, p_filter, q)
 
 
-def _layout2_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, trials=BATCH_TRIALS):
-    """Reference for the sampled law: a batch of ``trials`` trials in the
-    stream-layout-2 draw order, which perturbs the signal of every trial and
-    both analyzer arms of every trial kept at p_coal/2, evaluated row by
-    row."""
+def _layout2_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng, trials=BATCH_TRIALS):
+    """Reference for the sampled law: a batch of ``trials`` trials of input
+    ``p`` in the stream-layout-2 draw order, which perturbs the signal of
+    every trial and both analyzer arms of every trial kept at p_coal/2,
+    evaluated row by row."""
     B = trials
-    d = len(phi)
+    d = len(basis_cols)
+    phi = basis_cols[:, p]
     u = rng.random(B)
     anc_idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(B), side="right"), d - 1)
     N = basis_cols.T[anc_idx]
@@ -742,12 +861,11 @@ def _layout2_batch(phi, basis_cols, weights, v, prep_f, analysis_f, rng, trials=
 
 def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, analysis_f,
                                          seed, batches):
-    phi = basis.states[phi_index].amps
     table = _clean_row_table(phi_index, weights, v)
     for b in range(batches):
         fast, slow = _batch_rng(seed, phi_index, b), _batch_rng(seed, phi_index, b)
-        hits = _simulate_batch(phi_index, basis.matrix, table, v, prep_f, analysis_f, fast)
-        expected = _per_row_batch(phi, basis.matrix, weights, v, prep_f, analysis_f, slow)
+        hits = _simulate_batch(phi_index, table, v, prep_f, analysis_f, fast)
+        expected = _per_row_batch(phi_index, basis.matrix, weights, v, prep_f, analysis_f, slow)
         assert np.array_equal(hits, expected), (b, hits.size, expected.size)
         assert _stream_position(fast) == _stream_position(slow)
 
@@ -811,11 +929,9 @@ def test_ideal_batch_counts_a_trial_only_below_both_thinning_bounds():
                                   thresholds=np.ascontiguousarray(thresholds.T))
         for b in range(3):
             rng = _batch_rng(31, p, b)
-            hits = _simulate_batch(p, basis.matrix, doctored, v, 1.0, 1.0, rng)
+            hits = _simulate_batch(p, doctored, v, 1.0, 1.0, rng)
             fresh = _batch_rng(31, p, b)
-            u, anc_u = fresh.random((2, fresh.binomial(BATCH_TRIALS, p_near)))
-            u = u * p_near
-            anc = np.minimum(np.searchsorted(np.cumsum(weights), anc_u, side="right"), 3)
+            u, anc = _replay_near_trials(fresh, p_near, weights)
             outcomes = (u[:, None] >= thresholds[anc]).sum(axis=1)
             counted = (u < half_coal[anc]) & (u < half_coal[anc] * 2.0 * (1.0 + 1e-9))
             assert np.array_equal(hits, outcomes[counted & (outcomes < 4)])
@@ -837,11 +953,11 @@ def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
     table = _clean_row_table(1, weights, 1.0)
     monkeypatch.setattr(experiment, "_event_terms", counted)
     for b in range(5):
-        hits = _simulate_batch(1, basis.matrix, table, 1.0, 1.0, 1.0, _batch_rng(9, 1, b))
+        hits = _simulate_batch(1, table, 1.0, 1.0, 1.0, _batch_rng(9, 1, b))
         assert hits.size > 0
     assert calls == []
     # the counter sees the rows of a noisy batch, which do need the terms
-    _simulate_batch(1, basis.matrix, table, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0))
+    _simulate_batch(1, table, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0))
     assert len(calls) == 1 and calls[0] > 0
 
 
@@ -876,27 +992,48 @@ def test_table_path_matches_reference_on_random_configs():
 # -------------------------------------------------------------- batch loop
 
 
-def test_ancilla_index_is_the_clipped_searchsorted():
-    rng = np.random.default_rng(12)
-    for weights in ([0.25] * 4, [0.3, 0.3, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]):
-        cum = np.cumsum(weights)
-        x = np.concatenate([rng.random(1000), cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-        expected = np.minimum(np.searchsorted(cum, x, side="right"), 3)
-        assert np.array_equal(_ancilla_index(cum, x), expected)
+@pytest.mark.parametrize("weights", [
+    (1.0 + 0.9e-12, 0.0, 0.0, 0.0),  # one weight above 1
+    (1.0 - 0.9e-12, 0.0, 0.0, 0.0),
+    (0.25, 0.25, 0.25, 0.25 + 0.9e-12),
+    (0.3, 0.3, 0.4 - 0.9e-12, 0.0),  # a zero last weight below a sum under 1
+    (0.5, 0.5, 0.0, 0.0),
+    (0.0, 0.5, 0.0, 0.5),
+    (0.0, 0.0, 0.0, 1.0),
+])
+def test_edge_ancilla_weights_run_through_the_multinomial(weights):
+    # every weight vector the constructor accepts runs: the table's weights
+    # sum to 1 to rounding and end in a nonzero weight, which takes what the
+    # others leave, so an ancilla of weight zero has probability exactly 0
+    config = ExperimentConfig(shots=500, seed=6, ancilla_weights=weights)
+    basis = basis_logical()
+    table = _clean_row_table(0, config.weights_for(4), config.v)
+    assert table.weights[-1] > 0 and abs(table.weights.sum() - 1.0) < 1e-15
+    zero = [k for k, w in enumerate(weights) if w == 0.0]
+    for b in range(20):
+        _, anc = experiment._near_trials(_batch_rng(6, 0, b), table.p_near, table.weights)
+        assert not np.isin(anc, zero).any()
+    table = run_cloning_experiment(basis.states[0], basis, config)
+    assert sum(table.counts.values()) == 500
 
 
 def _single_batch_run(phi, basis, config):
-    """Reference: run_cloning_experiment as one reference stream per batch."""
+    """Reference: run_cloning_experiment as one reference stream per batch,
+    keeping a ``multivariate_hypergeometric`` sample of the outcome counts
+    of the batch that fills ``shots``, drawn on its stream after the
+    batch."""
     i = basis.index_of(phi)
     table = _clean_row_table(i, config.weights_for(basis.dim), config.v)
     counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
     while collected < config.shots:
         rng = _batch_rng(config.seed, i, batch)
-        hits = _simulate_batch(i, basis.matrix, table, config.v, config.prep_fidelity,
+        hits = _simulate_batch(i, table, config.v, config.prep_fidelity,
                                config.analysis_fidelity, rng)
-        hits = hits[: config.shots - collected]
-        counts += np.bincount(hits, minlength=basis.dim)
-        collected += hits.size
+        batch_counts = np.bincount(hits, minlength=basis.dim)
+        if collected + hits.size > config.shots:
+            batch_counts = rng.multivariate_hypergeometric(batch_counts, config.shots - collected)
+        counts += batch_counts
+        collected += int(batch_counts.sum())
         batch += 1
     return {k: int(counts[k]) for k in range(basis.dim)}, batch
 
@@ -937,7 +1074,7 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
                 return real_philox(*args, **kwargs)
 
             def kernel(*args):
-                evaluated.append(_fresh_batch(args[6]))
+                evaluated.append(_fresh_batch(args[5]))
                 return _simulate_batch(*args)
 
             with monkeypatch.context() as patched:
@@ -947,6 +1084,51 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
             assert table.counts == counts
             assert evaluated == list(range(batches))
             assert built == [[0, b, 0, 0] for b in range(batches)]
+
+
+@pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
+def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, shots):
+    # a stand-in kernel gives every batch the same 17 outcomes, grouped by
+    # outcome; the run adds every full batch and, of the batch that fills
+    # ``shots``, a multivariate_hypergeometric sample of its counts drawn
+    # from that batch's stream
+    outcomes = np.repeat(np.arange(4), [5, 3, 2, 7])
+    monkeypatch.setattr(experiment, "_simulate_batch", lambda *args: outcomes.copy())
+    basis = basis_logical()
+    config = ExperimentConfig(shots=shots, seed=12)
+    for i, phi in enumerate(basis.states):
+        full, need = divmod(shots, 17)
+        expected = full * np.bincount(outcomes)
+        if need:
+            expected += _batch_rng(12, i, full).multivariate_hypergeometric(np.bincount(outcomes), need)
+        counts = run_cloning_experiment(phi, basis, config).counts
+        assert [counts[k] for k in range(4)] == expected.tolist()
+        assert sum(counts.values()) == shots
+
+
+def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
+    # 30-shot degraded basis-IV tables, one subsample of one batch each,
+    # pooled over seeds 0-199, against the pooled outcomes of whole batches
+    # (seed 1000, 8 per input): per input and outcome |z| < 5, fixed
+    # beforehand. Keeping the first 30 hits as the kernel returns them,
+    # grouped by ancilla, would count only ancilla-0 trials
+    config = _GOLDEN_CONFIGS["IV"]
+    basis = basis_four()
+    tables = np.zeros((4, 4))
+    batches = np.zeros((4, 4))
+    for i, phi in enumerate(basis.states):
+        for seed in range(200):
+            counts = run_cloning_experiment(phi, basis, replace(config, shots=30, seed=seed)).counts
+            tables[i] += [counts[k] for k in range(4)]
+        table = _clean_row_table(i, config.weights_for(4), config.v)
+        for b in range(8):
+            hits = _simulate_batch(i, table, config.v, config.prep_fidelity,
+                                   config.analysis_fidelity, _batch_rng(1000, i, b))
+            batches[i] += np.bincount(hits, minlength=4)
+    n1, n2 = tables.sum(axis=1, keepdims=True), batches.sum(axis=1, keepdims=True)
+    p = (tables + batches) / (n1 + n2)
+    z = (tables / n1 - batches / n2) / np.sqrt(p * (1.0 - p) * (1.0 / n1 + 1.0 / n2))
+    assert np.max(np.abs(z)) < 5.0
 
 
 @pytest.mark.parametrize("runs", [None, 3, 4])
@@ -964,7 +1146,7 @@ def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, ra
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
     monkeypatch.setattr(
         experiment, "_simulate_batch",
-        lambda *args: np.array([0] if _fresh_batch(args[6]) in hit_batches else [], dtype=np.intp),
+        lambda *args: np.array([0] if _fresh_batch(args[5]) in hit_batches else [], dtype=np.intp),
     )
     basis = basis_logical()
     config = ExperimentConfig(shots=len(hit_batches))
@@ -1005,8 +1187,8 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     for i in range(4):
         table = _clean_row_table(i, weights, 0.9165)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
-        # one batch per input: the four leave 449 such rows at seed 0
-        _simulate_batch(i, basis.matrix, table, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0))
+        # one batch per input: the four leave 456 such rows at seed 0
+        _simulate_batch(i, table, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0))
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])
@@ -1020,12 +1202,13 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # ---------------------------------------------------- fixed-seed regression
 
 # Integer counts per input (rows) and outcome (columns), re-recorded at
-# stream layout 6, whose 16384-trial batches give both bases new draws. A
-# change to the Monte Carlo arithmetic that keeps the draws and the accept
-# rule must leave them as they are.
+# stream layout 7, which draws the ancillas as counts and the replaced
+# states by count and position in basis coordinates. A change to the Monte
+# Carlo arithmetic that keeps the draws and the accept rule must leave them
+# as they are.
 _GOLDEN_COUNTS = {
-    "I": [[1129, 293, 298, 280], [270, 1157, 302, 271], [281, 268, 1160, 291], [270, 265, 277, 1188]],
-    "IV": [[1142, 357, 243, 258], [331, 1144, 267, 258], [397, 402, 919, 282], [392, 385, 279, 944]],
+    "I": [[1137, 286, 285, 292], [276, 1175, 278, 271], [292, 278, 1155, 275], [298, 272, 270, 1160]],
+    "IV": [[1115, 359, 278, 248], [359, 1141, 230, 270], [417, 407, 866, 310], [394, 383, 286, 937]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
@@ -1068,6 +1251,19 @@ def test_ideal_run_reaches_the_optimal_fidelity_at_any_dimension(d):
     assert tables[0].counts == tables[1].counts
     res = estimate_probabilities(tables[0], 0)
     assert abs(res.fidelity - (d + 3) / (2 * (d + 1))) < 4 * res.stderr
+
+
+@pytest.mark.parametrize("d, weights", [(3, (0.5, 0.3, 0.2)), (4, (0.4, 0.3, 0.2, 0.1))])
+def test_counts_do_not_depend_on_the_basis_at_any_fidelity(d, weights):
+    # the kernel draws replaced states in basis coordinates and never sees
+    # the basis, so a degraded bench gives identical counts on the
+    # computational, the Fourier and a Haar basis, input by input
+    config = ExperimentConfig(shots=2000, v=0.9, prep_fidelity=0.8, analysis_fidelity=0.7,
+                              ancilla_weights=weights, seed=8)
+    bases = [_labeled(np.eye(d, dtype=complex)), _fourier(d), _haar_basis(d)]
+    for i in range(d):
+        tables = [run_cloning_experiment(basis.states[i], basis, config) for basis in bases]
+        assert tables[0].counts == tables[1].counts == tables[2].counts
 
 
 def test_stderr_covers_the_ideal_fidelity():

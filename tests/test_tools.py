@@ -23,8 +23,8 @@ def test_same_output_finds_a_tree_identical_to_itself():
     result = _same_output("--against", str(ROOT), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 12 and all(line.startswith("identical  ") for line in lines[:11])
-    assert lines[-1] == "11/11 commands identical"
+    assert len(lines) == 13 and all(line.startswith("identical  ") for line in lines[:12])
+    assert lines[-1] == "12/12 commands identical"
 
 
 def test_same_output_states_the_largest_json_difference(tmp_path):
@@ -41,7 +41,8 @@ def test_same_output_states_the_largest_json_difference(tmp_path):
                         "(stdout: largest difference 0.25 over 40 numbers)")
     assert lines[9] == "different  cascade 2->6 IV:2  (stdout)"
     assert lines[10] == "identical  clone --json"
-    assert lines[-1] == "7/11 commands identical"
+    assert lines[11] == "identical  hom"
+    assert lines[-1] == "8/12 commands identical"
 
 
 def test_difference_report_needs_two_json_values_of_one_shape():

@@ -9,10 +9,11 @@ on ``DIR/src`` and compares every output byte for byte: per seed,
 only the signal is ever replaced, on basis IV with ``--prep-fid 0
 --analysis-fid 0``, where every state is replaced, and on basis I with
 ``--analysis-fid 0.7`` alone (standard output, CSV and JSON), and once
-three ``cascade --json`` runs, one ``cascade`` text run and ``clone --json``
-(standard output). It prints ``identical`` or ``different`` per command,
-and for a differing JSON file whose two sides hold the same keys, lengths
-and non-numeric values, the largest absolute difference over its numbers. It exits with 0 when every output is
+three ``cascade --json`` runs, one ``cascade`` text run, ``clone --json``
+and the default ``hom`` curve (standard output). It prints ``identical``
+or ``different`` per command, and for a differing JSON file whose two sides
+hold the same keys, lengths and non-numeric values, the largest absolute
+difference over its numbers. It exits with 0 when every output is
 identical, 1 when one differs and 2 when a tree cannot run.
 
 Another revision's tree comes from git:
@@ -54,6 +55,7 @@ _ONCE = {
                                            "--input", "0.6,0.8j"],
     "cascade 2->6 IV:2": ["cascade", "--n", "2", "--m", "6", "--input", "IV:2"],
     "clone --json": ["clone", "--json"],
+    "hom": ["hom"],
 }
 
 # Runs in the tree's own interpreter: argv[1] is the output directory,
