@@ -415,10 +415,13 @@ def _complement_states(targets, z: np.ndarray) -> np.ndarray:
     t = np.broadcast_to(targets, (len(z),))
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     low = norms < 1e-12
-    norms[low] = np.inf  # the degenerate rows come out zero, then take the fallback
+    degenerate = low.any()
+    if degenerate:
+        norms[low] = np.inf  # these rows come out zero, then take the fallback
     chi = np.zeros((len(z), d), dtype=complex)
     chi[np.arange(d) != t[:, None]] = (z / norms[:, None]).view(complex).ravel()
-    chi[np.flatnonzero(low), (t[low] == 0).astype(np.intp)] = 1.0
+    if degenerate:
+        chi[low, (t[low] == 0).astype(np.intp)] = 1.0
     return chi
 
 
