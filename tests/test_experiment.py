@@ -326,34 +326,25 @@ def _basis_complement(t, z):
     return chi
 
 
-def _basis_perturbed(basis_cols, t, lead, f, rng):
+def _basis_perturbed(basis_cols, t, lead, f, rng, complement=_basis_complement):
     """Reference perturbation in the draw order of layout 7, in lab
     coordinates: basis states ``t`` of the basis U = ``basis_cols`` (one
     index, or an array that broadcasts to ``lead``) through the kernel's
-    draws, each replaced state U chi with chi from
-    :func:`_basis_complement`."""
+    draws, each replaced state U chi with chi from ``complement``, the
+    reference :func:`_basis_complement` or the kernel's
+    ``_complement_states``."""
     d = len(basis_cols)
     t = np.broadcast_to(t, lead).reshape(-1)
     bad, z = _fail_draws(lead, d, f, rng)
     chi = np.eye(d, dtype=complex)[t]
-    chi[bad] = _basis_complement(t[bad], z)
+    chi[bad] = complement(t[bad], z)
     return (chi @ basis_cols.T).reshape(*lead, d)
-
-
-def _kernel_perturbed(basis_cols, t, n, f, rng):
-    """``n`` copies of basis state ``t`` through the kernel's perturbation,
-    whose replaced states are in basis coordinates, rotated to lab
-    coordinates."""
-    bad, z = _fail_draws((n,), len(basis_cols), f, rng)
-    out = np.tile(basis_cols[:, t], (n, 1))
-    out[bad] = _complement_states(t, z) @ basis_cols.T
-    return out
 
 
 def test_perturbation_mean_overlap():
     basis = basis_four()
     phi = basis.states[0].amps
-    out = _kernel_perturbed(basis.matrix, 0, 20_000, 0.9, np.random.default_rng(4))
+    out = _basis_perturbed(basis.matrix, 0, (20_000,), 0.9, np.random.default_rng(4), _complement_states)
     assert np.mean(np.abs(out @ np.conj(phi)) ** 2) == pytest.approx(0.9, abs=0.01)
 
 
@@ -457,7 +448,7 @@ def _apply_infidelity(f, n=500):
     basis = basis_four()
     phi = basis.states[0].amps
     rng = _batch_rng(8, 0, 0)
-    out = _kernel_perturbed(basis.matrix, 0, n, f, rng)
+    out = _basis_perturbed(basis.matrix, 0, (n,), f, rng, _complement_states)
     fresh = _batch_rng(8, 0, 0)
     bad = _replay_fail_draws(fresh, n, f)
     assert _stream_position(rng) == _stream_position(fresh)
