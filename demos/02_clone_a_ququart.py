@@ -3,10 +3,9 @@
 
 The channel mixes the signal photon with a fully mixed ancilla photon on a
 balanced beam splitter and keeps coalesced pairs. Run both routes: the
-closed-form clone state and the one-stage cascade, which carries the
-photons' occupation probabilities in a basis whose first vector is the
-input; they agree to machine precision, for separable and spin-orbit
-entangled inputs alike.
+closed-form clone state and the one-stage cascade, which carries only the
+distribution of the number of photons in the input's level; they agree to
+machine precision, for separable and spin-orbit entangled inputs alike.
 """
 
 import numpy as np

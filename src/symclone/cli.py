@@ -153,7 +153,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=None, help="internal dimension (default: inferred)")
     p.add_argument("--input", default="I:1", help="state spec: BASIS:index or amplitudes")
     p.add_argument("--cap", type=int, default=DEFAULT_CASCADE_CAP,
-                   help="largest allowed M (guards Fock-space growth)")
+                   help="largest allowed M (default: %(default)s)")
     p.add_argument("--json", action="store_true", help="full-precision JSON output")
 
     return parser

@@ -6,18 +6,66 @@ The engine routes rebuild, one Fock state at a time, what
 coincidence number has an independent check that runs through
 :mod:`symclone.bosonic` alone. The lab-coordinate cascade carries the dense
 density operator through the closed-form Kraus stage in the computational
-basis, for any ancilla sigma, where :mod:`symclone.cloning` carries a
-diagonal vector in a basis adapted to the input.
+basis, for any ancilla sigma, where :mod:`symclone.cloning` carries only
+the distribution of the input level's occupation. The Fock tables index the
+m-photon symmetric subspace for both.
 """
 
+import itertools
 import math
 from functools import cache
 
 import numpy as np
 
 from symclone import bosonic
-from symclone.cloning import _fock_basis, _raising
 from symclone.hilbert import DensityMatrix, LabeledBasis, PureState, basis_state
+
+
+@cache
+def fock_basis(d: int, m: int) -> dict[tuple[int, ...], int]:
+    """Position of each m-photon occupation of d levels: the symmetric-subspace basis."""
+    index = {}
+    for levels in itertools.combinations_with_replacement(range(d), m):
+        occ = [0] * d
+        for k in levels:
+            occ[k] += 1
+        index[tuple(occ)] = len(index)
+    return index
+
+
+@cache
+def raising(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_k^dag on the m-photon basis: |n> -> sqrt(factor[k, n]) |up[k, n]>, factor = n_k + 1.
+
+    ``factor`` holds the integers n_k + 1 as floats.
+    """
+    source = fock_basis(d, m)
+    target = fock_basis(d, m + 1)
+    up = np.empty((d, len(source)), dtype=np.intp)
+    factor = np.empty((d, len(source)))
+    for col, occ in enumerate(source):
+        for k in range(d):
+            raised = list(occ)
+            raised[k] += 1
+            up[k, col] = target[tuple(raised)]
+            factor[k, col] = raised[k]
+    up.setflags(write=False)
+    factor.setflags(write=False)
+    return up, factor
+
+
+def first_column_basis(phi: PureState) -> np.ndarray:
+    """A unitary U whose column 0 is phi: a phased Householder reflection.
+
+    With theta = arg phi_0 and w = e_0 + e^(-i theta) phi,
+    U = -e^(i theta) (I - 2 w w^dag / |w|^2). Since e^(-i theta) phi_0 = |phi_0|,
+    |w|^2 = 2 (1 + |phi_0|) >= 2: nothing cancels, even for phi near e_0.
+    """
+    phase = np.exp(1j * np.angle(phi.amps[0]))
+    w = phi.amps / phase
+    w[0] += 1.0
+    reflection = np.eye(phi.dim) - np.outer(w, w.conj()) * (2 / np.vdot(w, w).real)
+    return -phase * reflection
 
 
 @cache
@@ -30,8 +78,8 @@ def engine_stage_operators(d: int, m: int) -> np.ndarray:
     Returns a read-only array of shape (2, d, C(m+d, m+1), C(m+d-1, m)),
     cached per (d, m).
     """
-    source = _fock_basis(d, m)
-    target = _fock_basis(d, m + 1)
+    source = fock_basis(d, m)
+    target = fock_basis(d, m + 1)
     kraus = np.zeros((2, d, len(target), len(source)), dtype=complex)
     empty_port = (0,) * d
     for k in range(d):
@@ -67,9 +115,9 @@ def lab_stage(rho: np.ndarray, m: int, sigma: np.ndarray) -> np.ndarray:
     m-photon symmetric subspace.
     """
     d = len(sigma)
-    up, factor = _raising(d, m)
+    up, factor = raising(d, m)
     coeff = np.sqrt(factor)
-    out = np.zeros((len(_fock_basis(d, m + 1)),) * 2, dtype=complex)
+    out = np.zeros((len(fock_basis(d, m + 1)),) * 2, dtype=complex)
     for k, l in zip(*np.nonzero(sigma)):
         weight = sigma[k, l] / 2**m
         out[np.ix_(up[k], up[l])] += weight * (coeff[k][:, None] * rho * coeff[l])
@@ -80,13 +128,13 @@ def lab_photons(phi: PureState, n: int) -> np.ndarray:
     """|phi^(x)n> = (a_phi^dag)^n |0> / sqrt(n!) on the computational n-photon basis.
 
     Applies a_phi^dag = sum_k phi_k a_k^dag one photon at a time, as a
-    matrix built from the stage's raising table.
+    matrix built from the raising table.
     """
     d = phi.dim
     vec = np.ones(1, dtype=complex)
     for m in range(n):
-        up, factor = _raising(d, m)
-        raise_phi = np.zeros((len(_fock_basis(d, m + 1)), len(vec)), dtype=complex)
+        up, factor = raising(d, m)
+        raise_phi = np.zeros((len(fock_basis(d, m + 1)), len(vec)), dtype=complex)
         raise_phi[up, np.arange(len(vec))] = phi.amps[:, None] * np.sqrt(factor)
         vec = raise_phi @ vec / math.sqrt(m + 1)
     return vec
@@ -107,7 +155,7 @@ def lab_cascade(phi: PureState, n: int, m: int, sigma: np.ndarray) -> tuple[floa
         prob = float(np.real(np.trace(rho)))
         success *= prob
         rho /= prob
-    up, factor = _raising(phi.dim, m - 1)
+    up, factor = raising(phi.dim, m - 1)
     coeff = np.sqrt(factor)
     weights = coeff[:, None, :] * coeff[None, :, :]
     clone = np.sum(weights * rho[up[:, None, :], up[None, :, :]], axis=-1) / m

@@ -251,6 +251,18 @@ def test_cascade_success_probability_underflow_is_one_usage_error(m, capsys):
     ]
 
 
+def test_cascade_far_past_the_underflow_stops_at_the_first_underflowing_stage(capsys):
+    # the success first underflows at M = 49 for d = 4; the loop must stop
+    # there and not run the other ~1e5 stages
+    argv = ["cascade", "--m", "100000", "--cap", "100000"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the cascade's success probability underflows the float range at M=100000, d=4"
+    ]
+
+
 # --------------------------------------------------------------- experiment
 
 

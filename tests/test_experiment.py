@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from _engine_reference import coincidence_probabilities
+from _engine_reference import coincidence_probabilities, first_column_basis
 from symclone import experiment
 from symclone.experiment import (
     BATCH_TRIALS,
@@ -31,7 +31,6 @@ from symclone.experiment import (
     run_cloning_experiment,
     write_counts_csv,
 )
-from symclone.cloning import _first_column_basis
 from symclone.hilbert import LabeledBasis, PureState, basis_four, basis_logical
 
 
@@ -67,9 +66,9 @@ _BASES = [basis_logical, basis_four, _fourier_basis, _haar_basis]
 
 def _basis_with_column(x, k):
     """A unitary whose column k is the unit vector ``x``: the Householder
-    basis of :func:`symclone.cloning._first_column_basis` with its column 0
+    basis of :func:`_engine_reference.first_column_basis` with its column 0
     moved to k."""
-    return np.roll(_first_column_basis(PureState(dim=len(x), amps=x)), k, axis=1)
+    return np.roll(first_column_basis(PureState(dim=len(x), amps=x)), k, axis=1)
 
 
 def _in_basis(U, x):

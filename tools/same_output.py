@@ -9,8 +9,9 @@ on ``DIR/src`` and compares every output byte for byte: per seed,
 only the signal is ever replaced, on basis IV with ``--prep-fid 0
 --analysis-fid 0``, where every state is replaced, and on basis I with
 ``--analysis-fid 0.7`` alone (standard output, CSV and JSON), and once
-three ``cascade --json`` runs, one ``cascade`` text run, ``clone --json``
-and the default ``hom`` curve (standard output). It prints ``identical``
+four ``cascade --json`` runs (the last 1 -> 10 at d = 8), one ``cascade``
+text run, ``clone --json``, ``clone --mode oracle --json`` and the default
+``hom`` curve (standard output). It prints ``identical``
 or ``different`` per command, and for a differing JSON file whose two sides
 hold the same keys, lengths and non-numeric values, the largest absolute
 difference over its numbers. It exits with 0 when every output is
@@ -53,8 +54,12 @@ _ONCE = {
     "cascade --json 2->6 IV:2": ["cascade", "--json", "--n", "2", "--m", "6", "--input", "IV:2"],
     "cascade --json 1->8 d=2 amplitudes": ["cascade", "--json", "--m", "8", "--cap", "8",
                                            "--input", "0.6,0.8j"],
+    "cascade --json 1->10 d=8 amplitudes": ["cascade", "--json", "--n", "1", "--m", "10",
+                                            "--cap", "10", "--input",
+                                            "0.5,0.5j,-0.4,-0.4j,0.3,0.2j,-0.2,0.1"],
     "cascade 2->6 IV:2": ["cascade", "--n", "2", "--m", "6", "--input", "IV:2"],
     "clone --json": ["clone", "--json"],
+    "clone --mode oracle --json IV:3": ["clone", "--mode", "oracle", "--json", "--input", "IV:3"],
     "hom": ["hom"],
 }
 
