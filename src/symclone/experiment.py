@@ -13,20 +13,22 @@ coincidences has been collected.
 
 Randomness
 ----------
-Counter-based and reproducible. Trials are processed in fixed-size batches
-(``BATCH_TRIALS``). The run for input index ``i`` has one Philox key,
+Reproducible, with one stream window per batch. Trials are processed in
+fixed-size batches (``BATCH_TRIALS``). The run for input index ``i`` has one
+PCG64 bit generator,
 
-    K_i = SeedSequence(config.seed, spawn_key=(i,)).generate_state(2, np.uint64)
+    PCG64(SeedSequence(config.seed, spawn_key=(i,)))
 
-and batch ``b`` draws all its variates from the counter block that starts
-at [0, b, 0, 0]:
+built once, and batch ``b`` draws all its variates from that generator's
+start state advanced by b * 2^64 outputs:
 
-    Generator(Philox(key=K_i, counter=[0, b, 0, 0]))
+    bit_generator.state = start; bit_generator.advance(b << 64)
 
-Philox steps the lowest counter word, so the blocks of two batches overlap
-only if a batch draws 2^64 blocks, which none comes near. A run evaluates
-batches 0, 1, ... in order until ``shots`` coincidences are counted, so two
-runs with the same config are count-for-count identical.
+A batch draws far fewer than 2^64 64-bit outputs, so the windows of two
+batches never overlap, and PCG64's period of 2^128 holds 2^64 of them. A
+run evaluates batches 0, 1, ... in order until ``shots`` coincidences are
+counted, so two runs with the same config are count-for-count identical.
+The run records the number of batches it evaluated in its ``CountsTable``.
 
 The batch that fills ``shots`` usually yields more coincidences than are
 still needed. Its hits are grouped by ancilla, not in trial order, so the
@@ -36,7 +38,7 @@ batch's generator after the batch's own draws. This is exact: the trials are
 independent, so the first r hits in trial order would be a uniformly random
 r-subset of the batch's hits as well.
 
-Within a batch of B trials the draws follow stream layout 7
+Within a batch of B trials the draws follow stream layout 8
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use,
 in this order:
 
@@ -76,13 +78,18 @@ and the bound of step 5 carry a relative rounding margin
 sum that small is rounding residue of an exact 0, not a click probability.
 
 A fixed seed reproduces counts only under the layout that drew them. Layout
-7 samples the model of layout 6, which drew an ancilla uniform per near
-trial, a pass uniform per state that could be replaced and 2d normals per
-replaced state, rotated from lab coordinates, and kept the first hits of
-the last batch in trial order. The tests check that it samples the law of
-layout 6 and of the draw orders of layout 5 (4096-trial batches), layout 4
-(an accept uniform for every trial), layout 3 (an ancilla uniform for every
-trial as well) and layout 2 (every trial perturbed).
+8 draws layout 7's variates in layout 7's order; only the bit generator
+changed: layout 7 built a fresh ``Philox(key=K_i, counter=[0, b, 0, 0])``
+per batch, with K_i = SeedSequence(seed, spawn_key=(i,)).generate_state(2,
+np.uint64). The tests check that layout 8 samples the law of layout 7's
+streams. Layout 7 sampled the model of layout 6, which drew an ancilla
+uniform per near trial, a pass uniform per state that could be replaced and
+2d normals per replaced state, rotated from lab coordinates, and kept the
+first hits of the last batch in trial order. The tests check the kernel
+against the law of layout 6 and of the draw orders of layout 5 (4096-trial
+batches), layout 4 (an accept uniform for every trial), layout 3 (an
+ancilla uniform for every trial as well) and layout 2 (every trial
+perturbed).
 
 A trial is evaluated in the coordinates of the measurement basis U, of
 which the input, every ancilla state and every scanner setting are
@@ -169,7 +176,7 @@ BATCH_TRIALS = 16384
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 7
+STREAM_LAYOUT = 8
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -329,21 +336,30 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Coincidence counts N_{phi,i} for one input state."""
+    """Coincidence counts N_{phi,i} for one input state, and the number of
+    batches of ``BATCH_TRIALS`` trials the run evaluated to collect them
+    (0 for counts that no run produced)."""
 
     input_label: str
     basis_labels: tuple[str, ...]
     phi_index: int
     counts: dict[int, int]
     config: ExperimentConfig
+    batches: int = 0
 
     def __post_init__(self):
         if any(n < 0 for n in self.counts.values()):
             raise ValueError("counts must be nonnegative")
+        if self.batches < 0:
+            raise ValueError("batches must be nonnegative")
 
     @property
     def dim(self) -> int:
         return len(self.counts)
+
+    @property
+    def trials(self) -> int:
+        return self.batches * BATCH_TRIALS
 
     def to_dict(self) -> dict:
         return {
@@ -351,6 +367,8 @@ class CountsTable:
             "basis": " / ".join(self.basis_labels),
             "phiIndex": self.phi_index,
             "counts": {str(i): int(self.counts[i]) for i in sorted(self.counts)},
+            "batches": self.batches,
+            "trials": self.trials,
             "config": self.config.to_dict(),
         }
 
@@ -597,7 +615,7 @@ def _simulate_batch(
     the measurement basis, on ``rng``; return the outcomes of the
     post-selected trials, grouped by ancilla as the near trials are.
 
-    The batch draws in stream layout 7 (see the module docstring), and
+    The batch draws in stream layout 8 (see the module docstring), and
     draws nothing for a trial that cannot click; of the others, the
     perturbations only while they can still change whether the trial is
     counted:
@@ -733,14 +751,17 @@ def run_cloning_experiment(
     """
     phi_index = basis.index_of(phi)
     table = _clean_row_table(phi_index, config.weights_for(basis.dim), config.v)
-    # one Philox key per input; batch b draws from counter [0, b, 0, 0]
-    key = np.random.SeedSequence(config.seed, spawn_key=(phi_index,)).generate_state(2, np.uint64)
+    # one PCG64 per input; batch b draws from its start state advanced by b * 2^64
+    bit_generator = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(phi_index,)))
+    start = bit_generator.state
+    rng = np.random.Generator(bit_generator)
     counts = np.zeros(basis.dim, dtype=np.int64)
     collected = 0
     batch = 0
     dry = 0
     while collected < config.shots:
-        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, batch, 0, 0]))
+        bit_generator.state = start
+        bit_generator.advance(batch << 64)
         hits = _simulate_batch(
             phi_index,
             table,
@@ -771,6 +792,7 @@ def run_cloning_experiment(
         phi_index=phi_index,
         counts={i: int(counts[i]) for i in range(basis.dim)},
         config=config,
+        batches=batch,
     )
 
 

@@ -1,10 +1,13 @@
 """Monte Carlo bench: trial statistics, the count-ratio estimator, RNG streams."""
 
 import io
+import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from _engine_reference import coincidence_probabilities, first_column_basis
 from symclone import experiment
 from symclone.experiment import (
     BATCH_TRIALS,
+    STREAM_LAYOUT,
     CountsTable,
     ExperimentConfig,
     _Q_TOTAL_CUTOFF,
@@ -85,7 +89,15 @@ def _terms(S, k, v, filters, F, G):
 
 
 def _batch_rng(seed, input_index, batch):
-    """Reference stream of one batch (since stream layout 4): a fresh Philox
+    """Reference stream of one batch (since stream layout 8): the input's
+    PCG64 advanced from its start state by batch * 2^64 outputs."""
+    bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(input_index,)))
+    bit_generator.advance(batch << 64)
+    return np.random.Generator(bit_generator)
+
+
+def _layout7_rng(seed, input_index, batch):
+    """The stream of one batch under stream layouts 4 to 7: a fresh Philox
     with the input's key, from counter [0, batch, 0, 0]."""
     key = np.random.SeedSequence(seed, spawn_key=(input_index,)).generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=[0, batch, 0, 0]))
@@ -126,13 +138,26 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 7
+    assert cfg.to_dict()["streamLayout"] == 8
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 5, 6, 8, "7", None):
+    for layout in (1, 2, 3, 4, 5, 6, 7, 9, "8", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
+
+
+def test_stream_layout_agrees_in_the_schema_the_readme_and_the_config():
+    # the layout is written by hand in three places besides STREAM_LAYOUT
+    schema = json.loads(
+        (Path(experiment.__file__).parent / "schemas" / "experiment_summary.schema.json").read_text()
+    )
+    config_schema = schema["properties"]["counts"]["items"]["properties"]["config"]
+    assert config_schema["properties"]["streamLayout"] == {"const": STREAM_LAYOUT}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"`streamLayout`\s+\(must\s+be\s+(\d+)\)", readme) == [str(STREAM_LAYOUT)]
+    cfg = ExperimentConfig.from_dict({"shots": 1, "streamLayout": STREAM_LAYOUT})
+    assert cfg.to_dict()["streamLayout"] == STREAM_LAYOUT
 
 
 @pytest.mark.parametrize("data, key", [
@@ -423,8 +448,7 @@ def test_perturbation_falls_back_on_degenerate_draws():
 
 
 def _stream_position(rng):
-    state = rng.bit_generator.state
-    return state["state"]["counter"].tolist(), state["buffer_pos"]
+    return rng.bit_generator.state
 
 
 def _replay_fail_draws(rng, n, f):
@@ -1007,16 +1031,16 @@ def test_edge_ancilla_weights_run_through_the_multinomial(weights):
     assert sum(table.counts.values()) == 500
 
 
-def _single_batch_run(phi, basis, config):
-    """Reference: run_cloning_experiment as one reference stream per batch,
-    keeping a ``multivariate_hypergeometric`` sample of the outcome counts
-    of the batch that fills ``shots``, drawn on its stream after the
-    batch."""
+def _single_batch_run(phi, basis, config, streams=_batch_rng):
+    """Reference: run_cloning_experiment as one reference stream per batch
+    (``streams(seed, input_index, batch)``), keeping a
+    ``multivariate_hypergeometric`` sample of the outcome counts of the
+    batch that fills ``shots``, drawn on its stream after the batch."""
     i = basis.index_of(phi)
     table = _clean_row_table(i, config.weights_for(basis.dim), config.v)
     counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
     while collected < config.shots:
-        rng = _batch_rng(config.seed, i, batch)
+        rng = streams(config.seed, i, batch)
         hits = _simulate_batch(i, table, config.v, config.prep_fidelity,
                                config.analysis_fidelity, rng)
         batch_counts = np.bincount(hits, minlength=basis.dim)
@@ -1028,12 +1052,15 @@ def _single_batch_run(phi, basis, config):
     return {k: int(counts[k]) for k in range(basis.dim)}, batch
 
 
-def _fresh_batch(rng):
-    """The batch whose stream ``rng`` starts: b for a fresh generator at
-    counter [0, b, 0, 0] that has drawn nothing."""
-    counter, buffer_pos = _stream_position(rng)
-    assert counter[0] == counter[2] == counter[3] == 0 and buffer_pos == 4
-    return counter[1]
+def _fresh_batch(rng, seed, input_index):
+    """The batch whose stream ``rng`` starts: b for a generator at the
+    input's start state advanced by b * 2^64 outputs that has drawn
+    nothing since (b < 64)."""
+    position = _stream_position(rng)
+    for b in range(64):
+        if _stream_position(_batch_rng(seed, input_index, b)) == position:
+            return b
+    raise AssertionError(f"not the start of a batch window: {position}")
 
 
 _RUN_CASES = [
@@ -1047,41 +1074,55 @@ _RUN_CASES = [
 @pytest.mark.parametrize("runs", [None, 2, 3, 4])
 @pytest.mark.parametrize("basis_name, config", _RUN_CASES)
 def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
-    # the run evaluates batches 0, 1, ... in order, each on a fresh Philox
-    # built for it (so a traced count of Philox constructions counts
-    # batches), and stops at the batch that fills ``shots``; ``runs``
-    # repeats the run in one process (None: once), and each repeat must
-    # start again from batch 0 with nothing carried over from the last
+    # the run evaluates batches 0, 1, ... in order, batch b on the input's
+    # PCG64 at its start state advanced by b * 2^64 outputs, stops at the
+    # batch that fills ``shots`` and records how many kernel calls it made;
+    # ``runs`` repeats the run in one process (None: once), and each repeat
+    # must start again from batch 0 with nothing carried over from the last
     basis = experiment._NAMED_BASES[basis_name]()
-    real_philox = np.random.Philox
-    for phi in basis.states:
+    for i, phi in enumerate(basis.states):
         counts, batches = _single_batch_run(phi, basis, config)
         for _ in range(runs or 1):
-            built, evaluated = [], []
-
-            def philox(*args, **kwargs):
-                built.append(kwargs["counter"])
-                return real_philox(*args, **kwargs)
+            evaluated = []
 
             def kernel(*args):
-                evaluated.append(_fresh_batch(args[5]))
+                evaluated.append(_fresh_batch(args[5], config.seed, i))
                 return _simulate_batch(*args)
 
             with monkeypatch.context() as patched:
-                patched.setattr(np.random, "Philox", philox)
                 patched.setattr(experiment, "_simulate_batch", kernel)
                 table = run_cloning_experiment(phi, basis, config)
             assert table.counts == counts
             assert evaluated == list(range(batches))
-            assert built == [[0, b, 0, 0] for b in range(batches)]
+            record = table.to_dict()
+            assert record["batches"] == table.batches == batches
+            assert record["trials"] == table.trials == batches * BATCH_TRIALS
+
+
+@pytest.mark.parametrize("basis_name", ["I", "IV"])
+def test_positioned_pcg64_runs_sample_the_layout_7_law(basis_name):
+    # whole runs of the ideal basis-I and the degraded basis-IV bench at
+    # 25 000 shots per input (seed 81) against the same runs on layout 7's
+    # fresh Philox per batch (seed 82): per input and outcome the counts
+    # must agree (|z| < 5, fixed beforehand)
+    config = replace(_GOLDEN_CONFIGS[basis_name], shots=25000, seed=81)
+    basis = experiment._NAMED_BASES[basis_name]()
+    counts = np.zeros((2, 4, 4))
+    for i, phi in enumerate(basis.states):
+        counts[0, i] = [run_cloning_experiment(phi, basis, config).counts[k] for k in range(4)]
+        reference, _ = _single_batch_run(phi, basis, replace(config, seed=82), streams=_layout7_rng)
+        counts[1, i] = [reference[k] for k in range(4)]
+    n = config.shots
+    p = counts.sum(axis=0) / (2 * n)
+    assert np.max(np.abs((counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p)))) < 5.0
 
 
 @pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
 def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, shots):
     # a stand-in kernel gives every batch the same 17 outcomes, grouped by
-    # outcome; the run adds every full batch and, of the batch that fills
-    # ``shots``, a multivariate_hypergeometric sample of its counts drawn
-    # from that batch's stream
+    # outcome and drawing nothing; the run adds every full batch and, of the
+    # batch that fills ``shots``, a multivariate_hypergeometric sample of its
+    # counts drawn from the start of that batch's window
     outcomes = np.repeat(np.arange(4), [5, 3, 2, 7])
     monkeypatch.setattr(experiment, "_simulate_batch", lambda *args: outcomes.copy())
     basis = basis_logical()
@@ -1091,9 +1132,10 @@ def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, s
         expected = full * np.bincount(outcomes)
         if need:
             expected += _batch_rng(12, i, full).multivariate_hypergeometric(np.bincount(outcomes), need)
-        counts = run_cloning_experiment(phi, basis, config).counts
-        assert [counts[k] for k in range(4)] == expected.tolist()
-        assert sum(counts.values()) == shots
+        table = run_cloning_experiment(phi, basis, config)
+        assert [table.counts[k] for k in range(4)] == expected.tolist()
+        assert sum(table.counts.values()) == shots
+        assert table.batches == full + (need > 0)
 
 
 def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
@@ -1136,7 +1178,7 @@ def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, ra
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
     monkeypatch.setattr(
         experiment, "_simulate_batch",
-        lambda *args: np.array([0] if _fresh_batch(args[5]) in hit_batches else [], dtype=np.intp),
+        lambda *args: np.array([0] if _fresh_batch(args[5], 0, 0) in hit_batches else [], dtype=np.intp),
     )
     basis = basis_logical()
     config = ExperimentConfig(shots=len(hit_batches))
@@ -1145,7 +1187,9 @@ def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, ra
             with pytest.raises(RuntimeError, match="yield is"):
                 run_cloning_experiment(basis.states[0], basis, config)
         else:
-            assert run_cloning_experiment(basis.states[0], basis, config).counts[0] == len(hit_batches)
+            table = run_cloning_experiment(basis.states[0], basis, config)
+            assert table.counts[0] == len(hit_batches)
+            assert table.batches == max(hit_batches) + 1  # the dry batches count too
 
 
 # ------------------------------------------------- unresolvable scanner rows
@@ -1177,7 +1221,7 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     for i in range(4):
         table = _clean_row_table(i, weights, 0.9165)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
-        # one batch per input: the four leave 456 such rows at seed 0
+        # one batch per input: the four leave 423 such rows at seed 0
         _simulate_batch(i, table, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0))
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
@@ -1192,13 +1236,12 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # ---------------------------------------------------- fixed-seed regression
 
 # Integer counts per input (rows) and outcome (columns), re-recorded at
-# stream layout 7, which draws the ancillas as counts and the replaced
-# states by count and position in basis coordinates. A change to the Monte
-# Carlo arithmetic that keeps the draws and the accept rule must leave them
-# as they are.
+# stream layout 8, which draws layout 7's variates from one PCG64 per input,
+# advanced by 2^64 outputs per batch. A change to the Monte Carlo arithmetic
+# that keeps the draws and the accept rule must leave them as they are.
 _GOLDEN_COUNTS = {
-    "I": [[1137, 286, 285, 292], [276, 1175, 278, 271], [292, 278, 1155, 275], [298, 272, 270, 1160]],
-    "IV": [[1115, 359, 278, 248], [359, 1141, 230, 270], [417, 407, 866, 310], [394, 383, 286, 937]],
+    "I": [[1199, 258, 263, 280], [275, 1171, 276, 278], [266, 264, 1168, 302], [283, 268, 273, 1176]],
+    "IV": [[1142, 337, 265, 256], [346, 1131, 262, 261], [400, 377, 910, 313], [398, 402, 295, 905]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
