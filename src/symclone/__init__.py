@@ -2,6 +2,10 @@
 symmetrization, with an exact few-photon engine and a Monte Carlo bench.
 """
 
+# set before the submodules are imported: the Monte Carlo records it in its
+# JSON summary
+__version__ = "0.1.0"
+
 from .hilbert import (
     DensityMatrix,
     LabeledBasis,
@@ -43,5 +47,3 @@ from .experiment import (
     run_cloning_experiment,
     write_counts_csv,
 )
-
-__version__ = "0.1.0"

@@ -38,7 +38,7 @@ batch's generator after the batch's own draws. This is exact: the trials are
 independent, so the first r hits in trial order would be a uniformly random
 r-subset of the batch's hits as well.
 
-Within a batch of B trials the draws follow stream layout 8
+Within a batch of B trials the draws follow stream layout 9
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use,
 in this order:
 
@@ -78,18 +78,20 @@ and the bound of step 5 carry a relative rounding margin
 sum that small is rounding residue of an exact 0, not a click probability.
 
 A fixed seed reproduces counts only under the layout that drew them. Layout
-8 draws layout 7's variates in layout 7's order; only the bit generator
-changed: layout 7 built a fresh ``Philox(key=K_i, counter=[0, b, 0, 0])``
-per batch, with K_i = SeedSequence(seed, spawn_key=(i,)).generate_state(2,
-np.uint64). The tests check that layout 8 samples the law of layout 7's
-streams. Layout 7 sampled the model of layout 6, which drew an ancilla
-uniform per near trial, a pass uniform per state that could be replaced and
-2d normals per replaced state, rotated from lab coordinates, and kept the
-first hits of the last batch in trial order. The tests check the kernel
-against the law of layout 6 and of the draw orders of layout 5 (4096-trial
-batches), layout 4 (an accept uniform for every trial), layout 3 (an
-ancilla uniform for every trial as well) and layout 2 (every trial
-perturbed).
+9 draws layout 8's variates in layout 8's order; only the batch size
+changed, from 16384 trials to 32768. The tests check that layout 9 samples
+the law of layout 8's runs. Layout 8 drew layout 7's variates in layout 7's
+order; only the bit generator changed: layout 7 built a fresh
+``Philox(key=K_i, counter=[0, b, 0, 0])`` per batch, with K_i =
+SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64). Layout 8
+sampled the law of layout 7's streams. Layout 7 sampled the model of layout
+6, which drew an ancilla uniform per near trial, a pass uniform per state
+that could be replaced and 2d normals per replaced state, rotated from lab
+coordinates, and kept the first hits of the last batch in trial order. The
+tests check the kernel against the law of layout 6 and of the draw orders
+of layout 5 (4096-trial batches), layout 4 (an accept uniform for every
+trial), layout 3 (an ancilla uniform for every trial as well) and layout 2
+(every trial perturbed).
 
 A trial is evaluated in the coordinates of the measurement basis U, of
 which the input, every ancilla state and every scanner setting are
@@ -152,6 +154,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .hilbert import LabeledBasis, PureState, basis_four, basis_logical
 
 __all__ = [
@@ -167,16 +170,21 @@ __all__ = [
     "write_counts_csv",
 ]
 
-# Trials per batch, each batch one RNG stream. Four 4096-trial batches
-# evaluated together ran fastest under layout 5; eight used twice the memory
-# and ran no faster. Fixed: changing it changes which variates feed which
-# trial and therefore the realization (not the statistics).
-BATCH_TRIALS = 16384
+# Trials per batch, each batch one stream window. A batch pays fixed costs,
+# the stream's reset and advance and the overhead of each numpy call, so
+# 32768 trials halve the batches of 16384 and their share of those costs. On
+# 2 cores, 10 alternated runs per side of ``perfbench/run.py --seconds 8``
+# read ``wall_rel`` 21.1 -> 18.3 on the ideal basis-I table (lower in 10/10)
+# and 131.7 -> 116.3 on the degraded basis-IV bench (9/10); in process,
+# 65536 ran slower than 32768 on the ideal table. Fixed: changing it changes
+# which variates feed which trial and therefore the realization (not the
+# statistics).
+BATCH_TRIALS = 32768
 
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 8
+STREAM_LAYOUT = 9
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -193,9 +201,9 @@ _Q_TOTAL_CUTOFF = 1e-20
 # never by 1e-9.
 _BOUND_MARGIN = 1.0 + 1e-9
 
-# Give up if this many consecutive batches (8 192 000 trials) yield no
-# coincidence at all.
-_MAX_DRY_BATCHES = 500
+# Give up if this many consecutive batches, 8 192 000 trials whatever the
+# batch size, yield no coincidence at all.
+_MAX_DRY_BATCHES = 8_192_000 // BATCH_TRIALS
 
 _CONFIG_KEYS = frozenset(
     {"shots", "v", "ancillaWeights", "prepFidelity", "analysisFidelity", "seed", "streamLayout"}
@@ -615,7 +623,7 @@ def _simulate_batch(
     the measurement basis, on ``rng``; return the outcomes of the
     post-selected trials, grouped by ancilla as the near trials are.
 
-    The batch draws in stream layout 8 (see the module docstring), and
+    The batch draws in stream layout 9 (see the module docstring), and
     draws nothing for a trial that cannot click; of the others, the
     perturbations only while they can still change whether the trial is
     counted:
@@ -839,12 +847,17 @@ class FidelityTable:
     average_stderr: float
 
     def to_dict(self) -> dict:
+        """The JSON summary. It records this package's version and numpy's:
+        a fixed seed reproduces counts only under the stream layout and the
+        numpy ``Generator`` that drew them."""
         return {
             "basis": self.basis_name,
             "inputs": list(self.input_labels),
             "results": [r.to_dict() for r in self.results],
             "counts": [t.to_dict() for t in self.tables],
             "average": {"fidelity": self.average, "stderr": self.average_stderr},
+            "version": __version__,
+            "numpyVersion": np.__version__,
         }
 
     def __str__(self) -> str:

@@ -16,6 +16,7 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_JSONSCHEMA = False
 
+import symclone
 from symclone import cli
 from symclone.cli import EXIT_OK, EXIT_USAGE, HOM_MAX_STEPS, main, parse_state_spec
 from symclone.hilbert import basis_four
@@ -298,6 +299,18 @@ def test_experiment_summary_schema(experiment_run):
     for res in payload["results"]:
         assert sum(res["probs"]) == pytest.approx(1.0, abs=1e-9)
         assert abs(res["fidelity"] - 0.7) < 4 * res["stderr"]
+
+
+def test_experiment_summary_records_the_versions(experiment_run):
+    # a fixed seed reproduces counts only under the numpy Generator that drew
+    # them, so the summary names it beside the package version; the schema
+    # requires both
+    payload = json.loads((experiment_run / "experiment_I.json").read_text())
+    assert payload["version"] == symclone.__version__
+    assert payload["numpyVersion"] == np.__version__
+    schema = _load_schemas()["experiment_summary"]
+    assert {"version", "numpyVersion"} <= set(schema["required"])
+    assert schema["properties"]["version"] == schema["properties"]["numpyVersion"] == {"type": "string"}
 
 
 def test_experiment_is_byte_deterministic(tmp_path, capsys):

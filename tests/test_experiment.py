@@ -89,7 +89,7 @@ def _terms(S, k, v, filters, F, G):
 
 
 def _batch_rng(seed, input_index, batch):
-    """Reference stream of one batch (since stream layout 8): the input's
+    """Reference stream of one batch (stream layouts 8 and 9): the input's
     PCG64 advanced from its start state by batch * 2^64 outputs."""
     bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(input_index,)))
     bit_generator.advance(batch << 64)
@@ -138,17 +138,18 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 8
+    assert cfg.to_dict()["streamLayout"] == 9
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 5, 6, 7, 9, "8", None):
+    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 10, "9", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
 
 def test_stream_layout_agrees_in_the_schema_the_readme_and_the_config():
-    # the layout is written by hand in three places besides STREAM_LAYOUT
+    # the layout is written by hand in three places besides STREAM_LAYOUT,
+    # and the batch size in three places of the README besides BATCH_TRIALS
     schema = json.loads(
         (Path(experiment.__file__).parent / "schemas" / "experiment_summary.schema.json").read_text()
     )
@@ -156,6 +157,9 @@ def test_stream_layout_agrees_in_the_schema_the_readme_and_the_config():
     assert config_schema["properties"]["streamLayout"] == {"const": STREAM_LAYOUT}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert re.findall(r"`streamLayout`\s+\(must\s+be\s+(\d+)\)", readme) == [str(STREAM_LAYOUT)]
+    for pattern in (r"fixed\s+(\d+)-trial\s+batches", r"batches\s+×\s+(\d+)",
+                    r"Binomial\((\d+),\s+p_near\)"):
+        assert re.findall(pattern, readme) == [str(BATCH_TRIALS)], pattern
     cfg = ExperimentConfig.from_dict({"shots": 1, "streamLayout": STREAM_LAYOUT})
     assert cfg.to_dict()["streamLayout"] == STREAM_LAYOUT
 
@@ -480,8 +484,14 @@ def _apply_infidelity(f, n=500):
     return bad
 
 
-@pytest.mark.parametrize("f", [0.0, 0.7, 1.0])
-@pytest.mark.parametrize("lead", [(500,), (120, 4)])
+@pytest.mark.parametrize("lead, f", [
+    *(pytest.param(lead, f, id=f"lead{i}-{f}")
+      for i, lead in enumerate([(500,), (120, 4)]) for f in (0.0, 0.7, 1.0)),
+    # k > n/20 of n > 10 000 states: numpy samples them by a partial shuffle,
+    # not by Floyd's algorithm, as a degraded scanner perturbation does
+    pytest.param((3000, 4), 0.9, id="lead2-0.9"),
+    pytest.param((3000, 4), 0.0, id="lead2-0.0"),
+])
 def test_fail_draws_give_the_replaced_states_as_row_major_indices(lead, f):
     # against the draws replayed: the number k of replaced states, which k of
     # them, then 2(d - 1) normals per replaced state; f = 1 draws nothing
@@ -770,7 +780,7 @@ def test_binomial_near_trials_sample_the_layout_4_law(case):
 
 
 @pytest.mark.parametrize("case", ["ideal-I", "degraded-IV"])
-def test_16384_trial_batches_sample_the_layout_5_law(case):
+def test_full_batches_sample_the_layout_5_law(case):
     # the kernel against the same draw order on 4096-trial batches, as
     # layout 5 drew them
     assert np.max(np.abs(_two_sample_z(case, partial(_per_row_batch, layout=5), (77, 78), trials=4096))) < 5.0
@@ -1099,22 +1109,46 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
             assert record["trials"] == table.trials == batches * BATCH_TRIALS
 
 
-@pytest.mark.parametrize("basis_name", ["I", "IV"])
-def test_positioned_pcg64_runs_sample_the_layout_7_law(basis_name):
-    # whole runs of the ideal basis-I and the degraded basis-IV bench at
-    # 25 000 shots per input (seed 81) against the same runs on layout 7's
-    # fresh Philox per batch (seed 82): per input and outcome the counts
-    # must agree (|z| < 5, fixed beforehand)
-    config = replace(_GOLDEN_CONFIGS[basis_name], shots=25000, seed=81)
+def _whole_run_z(basis_name, seeds, reference):
+    """Per input and outcome, the z-score between the counts of whole runs
+    of ``_GOLDEN_CONFIGS[basis_name]`` at 25 000 shots per input (seed
+    ``seeds[0]``) and those of ``reference(phi, basis, config)`` on the same
+    config at seed ``seeds[1]``."""
+    config = replace(_GOLDEN_CONFIGS[basis_name], shots=25000, seed=seeds[0])
     basis = experiment._NAMED_BASES[basis_name]()
     counts = np.zeros((2, 4, 4))
     for i, phi in enumerate(basis.states):
         counts[0, i] = [run_cloning_experiment(phi, basis, config).counts[k] for k in range(4)]
-        reference, _ = _single_batch_run(phi, basis, replace(config, seed=82), streams=_layout7_rng)
-        counts[1, i] = [reference[k] for k in range(4)]
+        reference_counts = reference(phi, basis, replace(config, seed=seeds[1]))
+        counts[1, i] = [reference_counts[k] for k in range(4)]
     n = config.shots
     p = counts.sum(axis=0) / (2 * n)
-    assert np.max(np.abs((counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p)))) < 5.0
+    return (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
+
+
+@pytest.mark.parametrize("basis_name", ["I", "IV"])
+def test_positioned_pcg64_runs_sample_the_layout_7_law(basis_name):
+    # whole runs of the ideal basis-I and the degraded basis-IV bench (seed
+    # 81) against the same runs on layout 7's fresh Philox per batch (seed
+    # 82): per input and outcome the counts must agree (|z| < 5, fixed
+    # beforehand)
+    def layout7(phi, basis, config):
+        return _single_batch_run(phi, basis, config, streams=_layout7_rng)[0]
+
+    assert np.max(np.abs(_whole_run_z(basis_name, (81, 82), layout7))) < 5.0
+
+
+@pytest.mark.parametrize("basis_name", ["I", "IV"])
+def test_doubled_batches_sample_the_layout_8_law(monkeypatch, basis_name):
+    # whole runs of the ideal basis-I and the degraded basis-IV bench (seed
+    # 91) against the same runs on layout 8's 16384-trial batches (seed 92):
+    # per input and outcome the counts must agree (|z| < 5, fixed beforehand)
+    def layout8(phi, basis, config):
+        with monkeypatch.context() as patched:
+            patched.setattr(experiment, "BATCH_TRIALS", 16384)
+            return run_cloning_experiment(phi, basis, config).counts
+
+    assert np.max(np.abs(_whole_run_z(basis_name, (91, 92), layout8))) < 5.0
 
 
 @pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
@@ -1192,6 +1226,11 @@ def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, ra
             assert table.batches == max(hit_batches) + 1  # the dry batches count too
 
 
+def test_dry_batch_guard_gives_up_after_8192000_trials():
+    # the budget is a number of trials, not of batches, whatever the batch size
+    assert experiment._MAX_DRY_BATCHES * BATCH_TRIALS == 8_192_000
+
+
 # ------------------------------------------------- unresolvable scanner rows
 
 
@@ -1221,7 +1260,7 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     for i in range(4):
         table = _clean_row_table(i, weights, 0.9165)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
-        # one batch per input: the four leave 423 such rows at seed 0
+        # one batch per input: the four leave 854 such rows at seed 0
         _simulate_batch(i, table, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0))
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
@@ -1236,12 +1275,13 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # ---------------------------------------------------- fixed-seed regression
 
 # Integer counts per input (rows) and outcome (columns), re-recorded at
-# stream layout 8, which draws layout 7's variates from one PCG64 per input,
-# advanced by 2^64 outputs per batch. A change to the Monte Carlo arithmetic
-# that keeps the draws and the accept rule must leave them as they are.
+# stream layout 9, which draws layout 8's variates, from one PCG64 per input
+# advanced by 2^64 outputs per batch, over 32768-trial batches. A change to
+# the Monte Carlo arithmetic that keeps the draws and the accept rule must
+# leave them as they are.
 _GOLDEN_COUNTS = {
-    "I": [[1199, 258, 263, 280], [275, 1171, 276, 278], [266, 264, 1168, 302], [283, 268, 273, 1176]],
-    "IV": [[1142, 337, 265, 256], [346, 1131, 262, 261], [400, 377, 910, 313], [398, 402, 295, 905]],
+    "I": [[1137, 264, 287, 312], [270, 1157, 297, 276], [263, 282, 1170, 285], [293, 266, 277, 1164]],
+    "IV": [[1147, 332, 260, 261], [354, 1133, 270, 243], [377, 414, 915, 294], [417, 392, 304, 887]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
