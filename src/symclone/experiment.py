@@ -79,19 +79,14 @@ sum that small is rounding residue of an exact 0, not a click probability.
 
 A fixed seed reproduces counts only under the layout that drew them. Layout
 9 draws layout 8's variates in layout 8's order; only the batch size
-changed, from 16384 trials to 32768. The tests check that layout 9 samples
-the law of layout 8's runs. Layout 8 drew layout 7's variates in layout 7's
-order; only the bit generator changed: layout 7 built a fresh
-``Philox(key=K_i, counter=[0, b, 0, 0])`` per batch, with K_i =
-SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64). Layout 8
-sampled the law of layout 7's streams. Layout 7 sampled the model of layout
-6, which drew an ancilla uniform per near trial, a pass uniform per state
-that could be replaced and 2d normals per replaced state, rotated from lab
-coordinates, and kept the first hits of the last batch in trial order. The
-tests check the kernel against the law of layout 6 and of the draw orders
-of layout 5 (4096-trial batches), layout 4 (an accept uniform for every
-trial), layout 3 (an ancilla uniform for every trial as well) and layout 2
-(every trial perturbed).
+changed, from 16384 trials to 32768. Layout 8 drew layout 7's variates from
+one PCG64 per input, where layout 7 built a fresh Philox per batch. The
+tests check layout 9 against the exact outcome law of each configuration
+with an ideal analyzer, built from the second-quantized engine, per pooled
+batch and per whole run; against a reference that perturbs every trial as
+layout 2 did, the law reference under analysis noise, where no closed form
+exists; against whole runs of layout 8; and bit for bit against a per-row
+reference batch in the kernel's own draw order.
 
 A trial is evaluated in the coordinates of the measurement basis U, of
 which the input, every ancilla state and every scanner setting are

@@ -8,7 +8,9 @@ coincidence number has an independent check that runs through
 density operator through the closed-form Kraus stage in the computational
 basis, for any ancilla sigma, where :mod:`symclone.cloning` carries only
 the distribution of the input level's occupation. The Fock tables index the
-m-photon symmetric subspace for both.
+m-photon symmetric subspace for both. The outcome law of a Monte Carlo run,
+built from the engine's coincidence probabilities, is the exact law its
+counts sample when the analyzer is ideal.
 """
 
 import itertools
@@ -242,3 +244,40 @@ def coincidence_probabilities(
         ]
     )
     return float(p_coal), float(p_split), p_filter, q
+
+
+def outcome_law(basis: LabeledBasis, p: int, config) -> np.ndarray:
+    """Exact per-trial law of a Monte Carlo run of input ``p`` of ``basis``
+    under ``config`` (an ``ExperimentConfig``), built by the engine.
+
+    Returns P, unnormalized: P_j is the probability that one trial is a
+    coincidence with outcome j, so sum(P) is the yield per trial and P/sum(P)
+    the law of a run's counts. With an ideal analyzer a trial with signal S
+    and ancilla N is accepted with outcome j with probability
+    L_j(S, N) = p_coal p_split p_filter q_j / sum(q), all four from
+    :func:`coincidence_probabilities` with the filter b_p and the basis as
+    scanner. L_j is linear in |S><S|, and a signal replaced at preparation
+    fidelity f averages to (I - |b_p><b_p|)/(d - 1), so
+
+        P_j = sum_k w_k [f L_j(b_p, b_k) + (1 - f)/(d - 1) sum_{t != p} L_j(b_t, b_k)]
+
+    for the ancilla weights w. A noisy analyzer divides by sum(q) over
+    replaced settings, which is not linear, so ``analysis_fidelity < 1`` has
+    no closed form and raises ``ValueError``.
+    """
+    if config.analysis_fidelity < 1.0:
+        raise ValueError("the outcome law has no closed form for analysis_fidelity < 1")
+    d, f = basis.dim, config.prep_fidelity
+    states = basis.states
+    signals = [(f, p)]  # (share, index t of the signal b_t)
+    if f < 1.0:
+        signals += [((1.0 - f) / (d - 1), t) for t in range(d) if t != p]
+    law = np.zeros(d)
+    for w_k, ancilla in zip(config.weights_for(d), states):
+        for share, t in signals:
+            p_coal, p_split, p_filter, q = coincidence_probabilities(
+                states[t], ancilla, config.v, states[p], states
+            )
+            if q.sum() > 0.0:  # else no scanner setting can click
+                law += w_k * share * p_coal * p_split * p_filter * q / q.sum()
+    return law

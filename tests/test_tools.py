@@ -1,10 +1,13 @@
 """Tools: ``tools/same_output.py`` compares the CLI output of two source trees."""
 
+import argparse
 import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SAME_OUTPUT = ROOT / "tools" / "same_output.py"
@@ -63,3 +66,20 @@ def test_same_output_needs_a_source_tree(tmp_path):
     result = _same_output("--against", str(tmp_path))
     assert result.returncode == 2
     assert result.stderr.startswith("error: no symclone source tree")
+
+
+def test_seeds_reject_a_part_that_names_no_seed():
+    assert same_output._seeds("0-2,5,7-7") == [0, 1, 2, 5, 7]
+    # "5-3" is reversed, an empty range, which once compared no experiment
+    # command at all and still reported every command identical
+    for text, part in [("5-3", "5-3"), ("0-9,", ""), ("1,,2", ""), ("3-", "3-"), ("-3", "-3"),
+                       ("x", "x")]:
+        with pytest.raises(argparse.ArgumentTypeError, match=f"bad seed range {part!r}"):
+            same_output._seeds(text)
+
+
+def test_same_output_rejects_a_reversed_seed_range():
+    result = _same_output("--against", str(ROOT), "--seeds", "5-3")
+    assert result.returncode == 2
+    assert "argument --seeds: bad seed range '5-3'" in result.stderr
+    assert result.stdout == ""

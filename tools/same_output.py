@@ -82,11 +82,15 @@ for i, (name, argv) in enumerate(json.loads(sys.argv[2])):
 
 
 def _seeds(text: str) -> list[int]:
-    """``0-9,17`` -> [0, 1, ..., 9, 17]."""
+    """``0-9,17`` -> [0, 1, ..., 9, 17]. A part that names no seed, such as
+    an empty or a reversed range, is an argparse error that quotes it."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, sep, hi = part.partition("-")
+        hi = hi if sep else lo
+        if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+            raise argparse.ArgumentTypeError(f"bad seed range {part!r}: expected N or LO-HI with LO <= HI")
+        seeds.extend(range(int(lo), int(hi) + 1))
     return seeds
 
 
