@@ -13,19 +13,11 @@ from symclone import ExperimentConfig, replicate_table
 SHOTS = 50_000
 
 
-def show(table):
-    print(table)
-    print("  p(i|phi):")
-    for label, res in zip(table.input_labels, table.results):
-        row = "  ".join(f"{p:.4f}" for p in res.probs)
-        print(f"    {label:>20s}   {row}")
-    print()
-
-
 def main():
     print(f"ideal bench, logical basis, {SHOTS} coincidences per input")
     ideal = replicate_table("I", ExperimentConfig(shots=SHOTS, seed=7))
-    show(ideal)
+    print(ideal)
+    print()
 
     print("degraded bench, entangled basis:")
     print("  overlap v = 0.9165 (enhancement R = 1.84), ancilla weights")
@@ -39,7 +31,8 @@ def main():
         seed=7,
     )
     degraded = replicate_table("IV", degraded_config)
-    show(degraded)
+    print(degraded)
+    print()
 
     drop = ideal.average - degraded.average
     print(f"average fidelity drop from imperfections: {drop:.4f}")

@@ -7,6 +7,7 @@ symmetrization, with an exact few-photon engine and a Monte Carlo bench.
 __version__ = "0.1.0"
 
 from .hilbert import (
+    BASIS_NAMES,
     DensityMatrix,
     LabeledBasis,
     PureState,
@@ -15,6 +16,7 @@ from .hilbert import (
     basis_logical,
     basis_state,
     fidelity_pure,
+    named_basis,
 )
 from .bosonic import (
     DistinguishabilityModel,

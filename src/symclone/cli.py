@@ -28,7 +28,7 @@ from .cloning import (
     f_clon,
     f_est,
 )
-from .hilbert import PureState
+from .hilbert import BASIS_NAMES, PureState, named_basis
 
 __all__ = ["main"]
 
@@ -69,9 +69,9 @@ def parse_state_spec(spec: str, d: int | None) -> tuple[PureState, str]:
     1e-6. Returns the state and a display label.
     """
     spec = spec.strip()
-    if ":" in spec and spec.split(":", 1)[0] in experiment._NAMED_BASES:
-        name, _, idx_text = spec.partition(":")
-        basis = experiment._NAMED_BASES[name]()
+    name, colon, idx_text = spec.partition(":")
+    if colon and name in BASIS_NAMES:
+        basis = named_basis(name)
         try:
             idx = int(idx_text)
         except ValueError:
@@ -136,7 +136,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
 
     p = sub.add_parser("experiment", help="coincidence-count run over a full basis")
-    p.add_argument("--basis", choices=list(experiment._NAMED_BASES), default="I")
+    p.add_argument("--basis", choices=BASIS_NAMES, default="I")
     p.add_argument("--shots", type=int, default=None, help="post-selected coincidences per input")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--v", type=float, default=None, help="wavepacket overlap at the splitter")
@@ -261,12 +261,7 @@ def _cmd_experiment(args) -> int:
         experiment.write_counts_csv(table.tables, fh)
     with open(json_path, "w") as fh:
         fh.write(summary)
-    print(str(table))
-    print()
-    print("p(i|phi) matrix (rows = inputs, columns = outcomes):")
-    for label, res in zip(table.input_labels, table.results):
-        row = "  ".join(f"{p:.4f}" for p in res.probs)
-        print(f"  {label:>20s}   {row}")
+    print(table)
     print()
     print(f"counts  -> {csv_path}")
     print(f"summary -> {json_path}")

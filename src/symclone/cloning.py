@@ -144,10 +144,7 @@ def f_clon(n: int, m: int, d: int) -> float:
 
     Always exceeds f_est(n, d) and tends to it as m -> infinity.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if not 1 <= n < m:
-        raise ValueError(f"need 1 <= N < M, got N={n}, M={m}")
+    CloningSpec(d=d, n=n, m=m)  # raises for d < 2 or unless 1 <= N < M
     return (m - n + n * (m + d)) / (m * (n + d))
 
 

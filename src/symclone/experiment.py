@@ -77,10 +77,8 @@ and the bound of step 5 carry a relative rounding margin
 ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can click, and a
 sum that small is rounding residue of an exact 0, not a click probability.
 
-A fixed seed reproduces counts only under the layout that drew them. Layout
-9 draws layout 8's variates in layout 8's order; only the batch size
-changed, from 16384 trials to 32768. Layout 8 drew layout 7's variates from
-one PCG64 per input, where layout 7 built a fresh Philox per batch. The
+A fixed seed reproduces counts only under the layout that drew them;
+CHANGES.md records what each layout changed from the one before. The
 tests check layout 9 against the exact outcome law of each configuration
 with an ideal analyzer, built from the second-quantized engine, per pooled
 batch and per whole run; against a reference that perturbs every trial as
@@ -119,15 +117,15 @@ Within a batch, every per-trial array (u, the ancilla index, p_coal/2 and
 the bound of step 5) is indexed by near trial until the last step. A trial
 passes both thinning steps exactly when u < min(p_coal/2, p_coal/2 *
 p_filter * margin), one comparison; a batch that can replace a state also
-forms the mask of the first step, to draw the filter-arm perturbation for
-as many trials as it holds. The trials that pass both are taken out once.
-A perturbation returns the indices of the states it replaced, so a batch
-with f = 1 builds and scans no mask of them, and a replaced state is kept
-with the index of its trial. A batch that can replace a state holds its
-signals and filters in one stack [e_p, replaced signals, replaced filters]
-with one row index per near trial for each. The trials that pass are
-counted in one pass: outcome j is the number of the trial's thresholds at
-or below u.
+forms the mask of the trials kept for step 4, to draw the filter-arm
+perturbation for as many trials as it holds. The trials that pass both are
+taken out once. A perturbation returns the indices of the states it
+replaced, so a batch with f = 1 builds and scans no mask of them, and a
+replaced state is kept with the index of its trial. A batch that can
+replace a state holds its signals and filters in one stack [e_p, replaced
+signals, replaced filters] with one row index per near trial for each. The
+trials that pass are counted in one pass: outcome j is the number of the
+trial's thresholds at or below u.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
@@ -150,7 +148,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .hilbert import LabeledBasis, PureState, basis_four, basis_logical
+from .hilbert import LabeledBasis, PureState, named_basis
 
 __all__ = [
     "BATCH_TRIALS",
@@ -351,6 +349,8 @@ class CountsTable:
     batches: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.phi_index < len(self.counts):
+            raise ValueError(f"phi index {self.phi_index} out of range")
         if any(n < 0 for n in self.counts.values()):
             raise ValueError("counts must be nonnegative")
         if self.batches < 0:
@@ -513,12 +513,12 @@ def _event_terms(A: np.ndarray, B: np.ndarray, v: float, F: np.ndarray, G: np.nd
 
 
 def _scanner_bound(half_coal: np.ndarray, p_filter: np.ndarray) -> np.ndarray:
-    """The bound of step 4 of :func:`_simulate_batch` per row,
+    """The bound of step 5 of :func:`_simulate_batch` per row,
     min(p_coal/2, p_coal/2 * p_filter * ``_BOUND_MARGIN``): a trial is kept
-    at step 3 and passes step 4 if and only if u lies below it.
+    for step 4 and passes on to step 5 if and only if u lies below it.
 
     The minimum matters where p_filter = 1 (ancilla = input): a trial with
-    p_coal/2 <= u < p_coal/2 * _BOUND_MARGIN was dropped at step 3 and
+    p_coal/2 <= u < p_coal/2 * _BOUND_MARGIN was dropped before step 4 and
     stays dropped.
     """
     return np.minimum(half_coal, half_coal * p_filter * _BOUND_MARGIN)
@@ -624,18 +624,18 @@ def _simulate_batch(
     counted:
 
     1. the number K ~ Binomial(B, p_near) of near trials, u < p_near =
-       (1 + v^2)/8 (the largest p_coal/2 of any trial), then how many of
-       them have each ancilla, n ~ Multinomial(K, weights), then their
-       accept uniforms u, uniform on [0, p_near);
-    2. the preparation perturbations of the near trials;
-    3. the filter-arm perturbation of the kept trials, u < p_coal/2 =
+       (1 + v^2)/8 (the largest p_coal/2 of any trial);
+    2. how many of them have each ancilla, n ~ Multinomial(K, weights),
+       then their accept uniforms u, uniform on [0, p_near);
+    3. the preparation perturbations of the near trials;
+    4. the filter-arm perturbation of the kept trials, u < p_coal/2 =
        (1 + v^2 |<S|N>|^2)/8;
-    4. the scanner-arm perturbation of the kept trials that also pass
+    5. the scanner-arm perturbation of the kept trials that also pass
        u < p_coal/2 * p_filter, the largest threshold of the trial.
 
-    The two bounds that select trials before their draws (1 and 4) carry
+    The two bounds that select trials before their draws (1 and 5) carry
     the relative margin ``_BOUND_MARGIN``, so rounding never skips a trial
-    that its thresholds would accept. A trial that reaches step 4 is
+    that its thresholds would accept. A trial that reaches step 5 is
     accepted with outcome j for the smallest j with
     u < p_coal/2 * p_filter * cum(q)_j/sum(q), that is with j the number of
     its thresholds at or below u.
@@ -648,29 +648,30 @@ def _simulate_batch(
     in these coordinates (:func:`_complement_states`), so the batch never
     sees the basis itself. A row reads from the table each number that no
     replaced state changes: p_coal/2 unless its signal was replaced,
-    p_filter and the step-4 bound unless its signal or filter was, and its
+    p_filter and the step-5 bound unless its signal or filter was, and its
     thresholds unless some state was.
 
     Rows stay in the index space of the near trials until the last step.
     ``passing`` is the mask of the trials below their :func:`_scanner_bound`,
-    min(p_coal/2, p_coal/2 * p_filter * _BOUND_MARGIN), which takes steps 3
-    and 4 in one comparison; only a batch that can replace a state (some
-    f < 1) also forms ``keep``, the mask of step 3, to size and place its
-    filter-arm draws. A perturbation gives the indices of its replaced
-    states (:func:`_fail_draws`), so a batch with f = 1 scans no mask of
-    them. A batch that can replace a state holds the signal and filter
-    states in one stack [e_p, S_bad, F_bad], with the row of each near
-    trial's signal and filter in ``s_pick`` and ``f_pick``. The rows with a
-    replaced signal or filter evaluate :func:`_filter_terms` once, for their
-    bound of step 4, and reuse it for their thresholds, which every row with
-    a replaced state evaluates through :func:`_event_terms`. The passing
-    trials are counted in one comparison against their thresholds, gathered
-    one row per outcome and one column per trial.
+    min(p_coal/2, p_coal/2 * p_filter * _BOUND_MARGIN), which takes the
+    bounds of steps 4 and 5 in one comparison; only a batch that can
+    replace a state (some f < 1) also forms ``keep``, the mask of step 4,
+    to size and place its filter-arm draws. A perturbation gives the
+    indices of its replaced states (:func:`_fail_draws`), so a batch with
+    f = 1 scans no mask of them. A batch that can replace a state holds the
+    signal and filter states in one stack [e_p, S_bad, F_bad], with the row
+    of each near trial's signal and filter in ``s_pick`` and ``f_pick``.
+    The rows with a replaced signal or filter evaluate :func:`_filter_terms`
+    once, for their bound of step 5, and reuse it for their thresholds,
+    which every row with a replaced state evaluates through
+    :func:`_event_terms`. The passing trials are counted in one comparison
+    against their thresholds, gathered one row per outcome and one column
+    per trial.
     """
     d = len(table.half_coal)
 
-    # near trials: their draws of steps 1 and 2 and the preparation draws,
-    # then the row's bound of step 4 (:func:`_scanner_bound`) from the table.
+    # near trials: their draws of steps 1 to 3, then the row's bound of
+    # step 5 (:func:`_scanner_bound`) from the table.
     # Every per-trial array below is indexed by near trial until the
     # filter-passing trials are taken out.
     u, anc_idx = _near_trials(rng, table.p_near, table.weights)
@@ -699,7 +700,7 @@ def _simulate_batch(
         pre[f_rows] = True
         pre = np.flatnonzero(pre)  # the kept trials with a replaced signal or filter
         pre_terms = _filter_terms(stack[s_pick[pre]], anc_idx[pre], v, stack[f_pick[pre]])
-        # a trial with a replaced signal that was dropped at step 3 has
+        # a trial with a replaced signal that was dropped before step 4 has
         # u >= its own p_coal/2, so that bound keeps it dropped
         bound[s_rows] = half_coal[s_rows]
         bound[pre] = _scanner_bound(half_coal[pre], pre_terms[0])
@@ -799,8 +800,8 @@ def run_cloning_experiment(
     )
 
 
-def estimate_probabilities(table: CountsTable, phi_index: int) -> EstimationResult:
-    """Count-ratio estimator for p(i|phi).
+def estimate_probabilities(table: CountsTable) -> EstimationResult:
+    """Count-ratio estimator for p(i|phi), phi the table's input.
 
     With S = sum of the off-input counts and the normalization
     N = N_{phi,phi} + 2 S (the factor 2 accounts for the coincidences the
@@ -813,8 +814,7 @@ def estimate_probabilities(table: CountsTable, phi_index: int) -> EstimationResu
     N_{phi,phi} at fixed total coincidences.
     """
     d = table.dim
-    if not 0 <= phi_index < d:
-        raise ValueError(f"phi index {phi_index} out of range")
+    phi_index = table.phi_index
     counts = np.array([table.counts[i] for i in range(d)], dtype=float)
     n_tot = counts.sum()
     if n_tot <= 0:
@@ -856,16 +856,17 @@ class FidelityTable:
         }
 
     def __str__(self) -> str:
+        """The fidelities with their average, then the p(i|phi) matrix."""
         lines = [f"basis {self.basis_name}: cloning fidelities"]
         for label, res in zip(self.input_labels, self.results):
             lines.append(f"  {label:>20s}   {res.fidelity:.4f} +- {res.stderr:.4f}")
         lines.append(
             f"  {'average':>20s}   {self.average:.4f} +- {self.average_stderr:.4f}"
         )
+        lines += ["", "p(i|phi) matrix (rows = inputs, columns = outcomes):"]
+        for label, res in zip(self.input_labels, self.results):
+            lines.append(f"  {label:>20s}   " + "  ".join(f"{p:.4f}" for p in res.probs))
         return "\n".join(lines)
-
-
-_NAMED_BASES = {"I": basis_logical, "IV": basis_four}
 
 
 def replicate_table(basis_name: str, config: ExperimentConfig) -> FidelityTable:
@@ -874,16 +875,13 @@ def replicate_table(basis_name: str, config: ExperimentConfig) -> FidelityTable:
     Each input uses its own RNG stream family derived from the one config
     seed, so the whole table is reproducible from a single integer.
     """
-    try:
-        basis = _NAMED_BASES[basis_name]()
-    except KeyError:
-        raise ValueError(f"unknown basis {basis_name!r}; expected one of I, IV") from None
+    basis = named_basis(basis_name)
     tables = []
     results = []
     for phi in basis.states:
         table = run_cloning_experiment(phi, basis, config)
         tables.append(table)
-        results.append(estimate_probabilities(table, table.phi_index))
+        results.append(estimate_probabilities(table))
     fidelities = [r.fidelity for r in results]
     avg = float(np.mean(fidelities))
     avg_err = float(math.sqrt(sum(r.stderr**2 for r in results)) / len(results))

@@ -24,6 +24,8 @@ __all__ = [
     "basis_computational",
     "basis_logical",
     "basis_four",
+    "BASIS_NAMES",
+    "named_basis",
     "fidelity_pure",
 ]
 
@@ -212,6 +214,18 @@ def basis_four() -> LabeledBasis:
     )
     states = tuple(PureState(dim=4, amps=np.array(v, dtype=complex)) for v in vectors)
     return LabeledBasis(dim=4, states=states, labels=labels)
+
+
+_NAMED = {"I": basis_logical, "IV": basis_four}
+#: The bench bases by name, as the CLI and ``replicate_table`` take them.
+BASIS_NAMES = tuple(_NAMED)
+
+
+def named_basis(name: str) -> LabeledBasis:
+    """The bench basis called ``name``, one of ``BASIS_NAMES``."""
+    if name not in _NAMED:
+        raise ValueError(f"unknown basis {name!r}; expected one of {', '.join(BASIS_NAMES)}")
+    return _NAMED[name]()
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:

@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +21,8 @@ except ImportError:  # pragma: no cover
     HAVE_JSONSCHEMA = False
 
 import symclone
-from symclone import cli
-from symclone.cli import EXIT_OK, EXIT_USAGE, HOM_MAX_STEPS, main, parse_state_spec
+from symclone import cli, experiment
+from symclone.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, HOM_MAX_STEPS, main, parse_state_spec
 from symclone.hilbert import basis_four
 
 
@@ -120,6 +124,16 @@ def test_clone_qubit_amplitudes(capsys):
     assert json.loads(capsys.readouterr().out)["fidelity"] == pytest.approx(5 / 6, abs=1e-12)
 
 
+def test_clone_text_output(capsys):
+    assert main(["clone"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "input            I:1  (d=4, mode=analytic)",
+        "fidelity         0.7",
+        "success prob     0.625",
+        "clone state diag 0.7, 0.1, 0.1, 0.1",
+    ]
+
+
 def test_clone_bad_spec(capsys):
     assert main(["clone", "--input", "V:1"]) == EXIT_USAGE
 
@@ -130,6 +144,21 @@ def test_amplitudes_below_the_norm_bound_are_one_usage_error(spec, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: the norm of the state amplitudes is below 1e-12"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["clone", "--input", "IV:1", "--d", "2"], "basis IV lives in d=4, not d=2"),
+    (["hom", "--input", "I:1", "--ancilla", "1,0"], "signal and ancilla dimensions differ"),
+    (["experiment", "--shots", "100", "--ancilla-weights", "abc"],
+     "cannot parse ancilla weights 'abc'"),
+])
+def test_inconsistent_input_is_one_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYMCLONE_OUT_DIR", str(tmp_path))
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["clone", "cascade"])
@@ -345,6 +374,7 @@ def test_experiment_config_file_with_flag_override(tmp_path, capsys):
     ('{"shots": 1e400}', "bad config value"),
     ('{"shots": 100, "v": true}', "'v' must be a number, got True"),
     ('{"shots": 100, "ancillaWeights": []}', "'ancillaWeights' must be null or a non-empty list"),
+    ('{"shots": 100, "ancillaWeights": [-0.5, 0.5, 0.5, 0.5]}', "ancilla weights must be nonnegative"),
 ])
 def test_experiment_bad_config_file_is_usage_error(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
@@ -378,6 +408,21 @@ def test_experiment_env_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SYMCLONE_OUT_DIR", str(tmp_path))
     assert main(["experiment", "--basis", "I", "--shots", "500", "--seed", "2"]) == EXIT_OK
     assert (tmp_path / "experiment_I.csv").exists()
+
+
+def test_experiment_runtime_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a kernel that never yields a coincidence: the run gives up after the
+    # dry-batch budget, a runtime failure, and writes nothing
+    monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 3)
+    monkeypatch.setattr(experiment, "_simulate_batch", lambda *args: np.zeros(0, dtype=np.intp))
+    out_dir = tmp_path / "runs"
+    assert main(["experiment", "--shots", "100", "--out-dir", str(out_dir)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: post-selection yield is (near) zero for this configuration"
+    ]
+    assert not out_dir.exists()
 
 
 def test_experiment_bad_weights(capsys):
@@ -433,3 +478,18 @@ def test_unknown_flag_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["teleport"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("module", ["symclone", "symclone.cli"])
+def test_python_m_runs_the_cli(module):
+    paths = [str(Path(symclone.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-m", module, "formulas"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == EXIT_OK
+    assert result.stderr == ""
+    assert result.stdout.splitlines() == [
+        "f_est(N=1, d=4)          = 0.4",
+        "f_clon(N=1, M=2, d=4)    = 0.7",
+        "cloning advantage          = 0.3",
+    ]

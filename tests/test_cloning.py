@@ -1,6 +1,7 @@
 """Cloning formulas, the symmetrization channel, and the cascade driver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,12 +81,12 @@ def test_cloning_fidelity_reaches_estimation_limit():
 
 
 def test_cloning_fidelity_rejects_bad_args():
-    with pytest.raises(ValueError):
-        f_clon(2, 1, 4)
-    with pytest.raises(ValueError):
-        f_clon(1, 2, 1)
-    with pytest.raises(ValueError):
-        f_clon(2, 2, 4)
+    # f_clon applies CloningSpec's N -> M rules, with the same messages
+    for n, m, d in [(2, 1, 4), (1, 2, 1), (2, 2, 4), (0, 2, 4), (2, 2, 1)]:
+        with pytest.raises(ValueError) as spec_error:
+            CloningSpec(d=d, n=n, m=m)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(spec_error.value))}$"):
+            f_clon(n, m, d)
 
 
 def test_cloning_always_beats_estimation():
@@ -128,6 +129,14 @@ def test_outcome_rejects_inconsistent_fidelity():
     rho = DensityMatrix(2, np.diag([5 / 6, 1 / 6]).astype(complex))
     with pytest.raises(ValueError):
         CloningOutcome(input_state=phi, clone_state=rho, fidelity=0.9, success_prob=0.75)
+
+
+@pytest.mark.parametrize("success_prob", [0.0, -0.5, 1.5])
+def test_outcome_rejects_a_success_probability_outside_the_unit_interval(success_prob):
+    phi = basis_state(2, 0)
+    rho = DensityMatrix(2, np.diag([5 / 6, 1 / 6]).astype(complex))
+    with pytest.raises(ValueError, match=r"success probability out of \(0, 1\]"):
+        CloningOutcome(input_state=phi, clone_state=rho, fidelity=5 / 6, success_prob=success_prob)
 
 
 # ----------------------------------------------------------------- oracle
@@ -197,6 +206,11 @@ def test_cascade_spec_validation():
         CloningSpec(d=4, n=2, m=2)
     with pytest.raises(ValueError):
         CloningSpec(d=1, n=1, m=2)
+
+
+def test_cascade_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: spec.d=3 but phi.dim=4$"):
+        cascade_clone(basis_state(4, 0), CloningSpec(d=3, n=1, m=2))
 
 
 def test_single_stage_cascade_reproduces_oracle_exactly():

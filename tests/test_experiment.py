@@ -17,6 +17,7 @@ from symclone.experiment import (
     BATCH_TRIALS,
     STREAM_LAYOUT,
     CountsTable,
+    EstimationResult,
     ExperimentConfig,
     _Q_TOTAL_CUTOFF,
     _abs2,
@@ -34,7 +35,7 @@ from symclone.experiment import (
     run_cloning_experiment,
     write_counts_csv,
 )
-from symclone.hilbert import LabeledBasis, PureState, basis_four, basis_logical
+from symclone.hilbert import LabeledBasis, PureState, basis_four, basis_logical, named_basis
 
 
 def _haar(rng, d):
@@ -183,6 +184,8 @@ def test_config_rejects_non_integral_shots_and_seed(data, key):
     ({"shots": 10, "ancillaWeights": []}, r"'ancillaWeights' must be null or a non-empty list"),
     ({"shots": 10, "ancillaWeights": ""}, r"'ancillaWeights' must be null or a non-empty list"),
     ({"shots": 10, "ancillaWeights": {}}, r"'ancillaWeights' must be null or a non-empty list"),
+    # an integer past the float range
+    ({"shots": 10, "v": 10**400}, r"^bad config value: int too large to convert to float$"),
 ])
 def test_config_rejects_booleans_and_non_numbers(data, key):
     with pytest.raises(ValueError, match=key):
@@ -1041,7 +1044,7 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
     # batch that fills ``shots`` and records how many kernel calls it made;
     # ``runs`` repeats the run in one process (None: once), and each repeat
     # must start again from batch 0 with nothing carried over from the last
-    basis = experiment._NAMED_BASES[basis_name]()
+    basis = named_basis(basis_name)
     for i, phi in enumerate(basis.states):
         counts, batches = _single_batch_run(phi, basis, config)
         for _ in range(runs or 1):
@@ -1067,7 +1070,7 @@ def _whole_run_z(basis_name, seeds, reference):
     ``seeds[0]``) and those of ``reference(phi, basis, config)`` on the same
     config at seed ``seeds[1]``."""
     config = replace(_GOLDEN_CONFIGS[basis_name], shots=25000, seed=seeds[0])
-    basis = experiment._NAMED_BASES[basis_name]()
+    basis = named_basis(basis_name)
     counts = np.zeros((2, 4, 4))
     for i, phi in enumerate(basis.states):
         counts[0, i] = [run_cloning_experiment(phi, basis, config).counts[k] for k in range(4)]
@@ -1245,7 +1248,7 @@ def test_ideal_run_matches_clone_diagonal():
     cfg = ExperimentConfig(shots=100_000, seed=7)
     table = run_cloning_experiment(basis.states[0], basis, cfg)
     assert sum(table.counts.values()) == cfg.shots
-    res = estimate_probabilities(table, 0)
+    res = estimate_probabilities(table)
     assert abs(res.fidelity - 0.7) < 3 * res.stderr
     # off-input outcomes are each near 0.1
     for i in (1, 2, 3):
@@ -1262,7 +1265,7 @@ def test_ideal_run_reaches_the_optimal_fidelity_at_any_dimension(d):
     bases = (_labeled(np.eye(d, dtype=complex)), _fourier(d))
     tables = [run_cloning_experiment(basis.states[0], basis, cfg) for basis in bases]
     assert tables[0].counts == tables[1].counts
-    res = estimate_probabilities(tables[0], 0)
+    res = estimate_probabilities(tables[0])
     assert abs(res.fidelity - (d + 3) / (2 * (d + 1))) < 4 * res.stderr
     # the exact law of the counts (|z| < 5, fixed beforehand), and the
     # estimator on it gives the optimum itself
@@ -1327,14 +1330,14 @@ def test_distinguishable_photons_lose_the_interference_boost():
     # (2 + 3) / (2 + 2*3) = 0.625 for d = 4
     basis = basis_logical()
     cfg = ExperimentConfig(shots=60_000, v=0.0, seed=13)
-    res = estimate_probabilities(run_cloning_experiment(basis.states[0], basis, cfg), 0)
+    res = estimate_probabilities(run_cloning_experiment(basis.states[0], basis, cfg))
     assert abs(res.fidelity - 0.625) < 3 * res.stderr
 
 
 def test_matched_ancilla_always_clones_perfectly():
     basis = basis_logical()
     cfg = ExperimentConfig(shots=4000, ancilla_weights=(1.0, 0.0, 0.0, 0.0), seed=17)
-    res = estimate_probabilities(run_cloning_experiment(basis.states[0], basis, cfg), 0)
+    res = estimate_probabilities(run_cloning_experiment(basis.states[0], basis, cfg))
     assert res.fidelity == 1.0
 
 
@@ -1343,13 +1346,13 @@ def test_fidelity_is_monotone_in_v_and_prep():
     fid_v = []
     for v in (0.0, 0.5, 1.0):
         cfg = ExperimentConfig(shots=30_000, v=v, seed=5)
-        fid_v.append(estimate_probabilities(run_cloning_experiment(basis.states[0], basis, cfg), 0).fidelity)
+        fid_v.append(estimate_probabilities(run_cloning_experiment(basis.states[0], basis, cfg)).fidelity)
     # expectation gaps are ~0.04, far above the ~0.001 Monte Carlo error
     assert fid_v[0] < fid_v[1] < fid_v[2]
     fid_p = []
     for prep in (0.7, 1.0):
         cfg = ExperimentConfig(shots=30_000, prep_fidelity=prep, seed=5)
-        fid_p.append(estimate_probabilities(run_cloning_experiment(basis.states[0], basis, cfg), 0).fidelity)
+        fid_p.append(estimate_probabilities(run_cloning_experiment(basis.states[0], basis, cfg)).fidelity)
     assert fid_p[0] < fid_p[1]
 
 
@@ -1364,19 +1367,19 @@ def test_run_requires_phi_in_basis():
 
 
 def test_estimator_on_clone_ratio_counts():
-    res = estimate_probabilities(_counts_table({0: 4, 1: 1, 2: 1, 3: 1}), 0)
+    res = estimate_probabilities(_counts_table({0: 4, 1: 1, 2: 1, 3: 1}))
     assert np.allclose(res.probs, [0.7, 0.1, 0.1, 0.1], atol=1e-15)
     assert res.fidelity == pytest.approx(0.7, abs=1e-15)
 
 
 def test_estimator_single_matched_count():
-    res = estimate_probabilities(_counts_table({0: 1, 1: 0, 2: 0, 3: 0}), 0)
+    res = estimate_probabilities(_counts_table({0: 1, 1: 0, 2: 0, 3: 0}))
     assert res.fidelity == 1.0
 
 
 def test_estimator_single_orthogonal_count():
     # one orthogonal-pair coincidence means exactly one clone matched
-    res = estimate_probabilities(_counts_table({0: 0, 1: 1, 2: 0, 3: 0}), 0)
+    res = estimate_probabilities(_counts_table({0: 0, 1: 1, 2: 0, 3: 0}))
     assert res.fidelity == pytest.approx(0.5, abs=1e-15)
 
 
@@ -1393,7 +1396,7 @@ def test_estimator_probabilities_sum_to_one_exactly():
         norm = k + 2 * s
         total = Fraction(k + s, norm) + sum(Fraction(counts[i], norm) for i in (1, 2, 3))
         assert total == 1
-        res = estimate_probabilities(_counts_table(counts), 0)
+        res = estimate_probabilities(_counts_table(counts))
         assert float(res.probs.sum()) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -1420,8 +1423,8 @@ def test_estimator_is_unchanged_by_relabelling_the_outcomes():
         table = CountsTable(labels[phi_index], labels, phi_index, dict(enumerate(counts)), config)
         relabelled = CountsTable(labels[phi_index], tuple(moved), perm[phi_index],
                                  {perm[i]: n for i, n in enumerate(counts)}, config)
-        before = estimate_probabilities(table, table.phi_index)
-        after = estimate_probabilities(relabelled, relabelled.phi_index)
+        before = estimate_probabilities(table)
+        after = estimate_probabilities(relabelled)
         assert np.array_equal(after.probs[perm], before.probs)
         assert after.fidelity == before.fidelity
         assert after.stderr == before.stderr
@@ -1431,7 +1434,7 @@ def test_estimator_is_unchanged_by_relabelling_the_outcomes():
 
 def test_estimator_rejects_empty_counts():
     with pytest.raises(ValueError):
-        estimate_probabilities(_counts_table({0: 0, 1: 0, 2: 0, 3: 0}), 0)
+        estimate_probabilities(_counts_table({0: 0, 1: 0, 2: 0, 3: 0}))
 
 
 @pytest.mark.parametrize("counts", [
@@ -1453,15 +1456,15 @@ def test_estimator_stderr_is_the_propagated_binomial_error(counts):
     h = Fraction(1, 10**6)
     slope = (fidelity(k + h) - fidelity(k - h)) / (2 * h)
     q = Fraction(k, n)
-    res = estimate_probabilities(_counts_table(counts), 0)
+    res = estimate_probabilities(_counts_table(counts))
     assert res.fidelity == pytest.approx(float(fidelity(k)), rel=1e-15)
     expected = abs(float(slope)) * math.sqrt(n * q * (1 - q))
     assert res.stderr == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
 def test_estimator_stderr_shrinks_with_counts():
-    small = estimate_probabilities(_counts_table({0: 40, 1: 10, 2: 10, 3: 10}), 0)
-    large = estimate_probabilities(_counts_table({0: 4000, 1: 1000, 2: 1000, 3: 1000}), 0)
+    small = estimate_probabilities(_counts_table({0: 40, 1: 10, 2: 10, 3: 10}))
+    large = estimate_probabilities(_counts_table({0: 4000, 1: 1000, 2: 1000, 3: 1000}))
     assert large.stderr < small.stderr / 5
 
 
@@ -1474,7 +1477,18 @@ def test_replicate_table_ideal_basis_one():
     for res in table.results:
         assert abs(res.fidelity - 0.7) < 3 * res.stderr
     assert table.average == pytest.approx(0.7, abs=0.01)
-    assert "average" in str(table)
+    lines = str(table).splitlines()
+    assert lines[0] == "basis I: cloning fidelities"
+    assert lines[5].split()[0] == "average"
+    assert lines[6:8] == ["", "p(i|phi) matrix (rows = inputs, columns = outcomes):"]
+    assert len(lines) == 12
+    for line, label, res in zip(lines[8:], table.input_labels, table.results):
+        assert line == f"  {label:>20s}   " + "  ".join(f"{p:.4f}" for p in res.probs)
+
+
+def test_replicate_table_rejects_an_unknown_basis_name():
+    with pytest.raises(ValueError, match=r"^unknown basis 'II'; expected one of I, IV$"):
+        replicate_table("II", ExperimentConfig(shots=10))
 
 
 def test_table_average_stderr_combines_the_input_errors(monkeypatch):
@@ -1521,6 +1535,24 @@ def test_counts_keep_basis_labels_that_contain_the_separator():
     assert buf.getvalue().splitlines()[1:] == ["c,a / b,3", "c,c,5", "c,d / e / f,7"]
     # the JSON summary keeps its " / "-joined string
     assert table.to_dict()["basis"] == "a / b / c / d / e / f"
+
+
+@pytest.mark.parametrize("phi_index, counts, batches, message", [
+    (0, {0: 3, 1: -1}, 0, "counts must be nonnegative"),
+    (0, {0: 3, 1: 1}, -1, "batches must be nonnegative"),
+    # the estimator reads the input's count at this index
+    (2, {0: 3, 1: 1}, 0, "phi index 2 out of range"),
+    (-1, {0: 3, 1: 1}, 0, "phi index -1 out of range"),
+])
+def test_counts_table_rejects_bad_entries(phi_index, counts, batches, message):
+    with pytest.raises(ValueError, match=message):
+        CountsTable(input_label="s0", basis_labels=("s0", "s1"), phi_index=phi_index,
+                    counts=counts, config=ExperimentConfig(shots=3), batches=batches)
+
+
+def test_estimation_result_rejects_probabilities_that_do_not_sum_to_one():
+    with pytest.raises(ValueError, match="probabilities sum to .*, not 1"):
+        EstimationResult(probs=np.array([0.7, 0.2]), fidelity=0.7, stderr=0.01)
 
 
 def test_counts_table_records_the_basis_labels():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symclone.hilbert import (
+    BASIS_NAMES,
     DensityMatrix,
     LabeledBasis,
     PureState,
@@ -12,6 +13,7 @@ from symclone.hilbert import (
     basis_logical,
     basis_state,
     fidelity_pure,
+    named_basis,
 )
 
 RT2 = 1 / np.sqrt(2)
@@ -117,6 +119,21 @@ def test_logical_basis_states_and_labels():
     assert np.allclose(b.states[0].amps, [1, 0, 0, 0])
     assert b.labels == ("R,+2", "R,-2", "L,+2", "L,-2")
     assert b.labels[3] == "L,-2"
+
+
+def test_named_bases_are_the_bench_bases():
+    assert BASIS_NAMES == ("I", "IV")
+    for name, make in zip(BASIS_NAMES, (basis_logical, basis_four)):
+        basis, expected = named_basis(name), make()
+        assert basis.labels == expected.labels
+        assert np.array_equal(basis.matrix, expected.matrix)
+
+
+@pytest.mark.parametrize("name", ["II", "i", "", "I:1"])
+def test_unknown_basis_name_is_an_error_that_lists_the_names(name):
+    with pytest.raises(ValueError) as caught:
+        named_basis(name)
+    assert str(caught.value) == f"unknown basis {name!r}; expected one of I, IV"
 
 
 def test_logical_basis_orthonormal():

@@ -26,8 +26,8 @@ def test_same_output_finds_a_tree_identical_to_itself():
     result = _same_output("--against", str(ROOT), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 15 and all(line.startswith("identical  ") for line in lines[:14])
-    assert lines[-1] == "14/14 commands identical"
+    assert len(lines) == 16 and all(line.startswith("identical  ") for line in lines[:15])
+    assert lines[-1] == "15/15 commands identical"
 
 
 def test_same_output_states_the_largest_json_difference(tmp_path):
@@ -45,10 +45,11 @@ def test_same_output_states_the_largest_json_difference(tmp_path):
     assert lines[9] == ("different  cascade --json 1->10 d=8 amplitudes  "
                         "(stdout: largest difference 0.25 over 136 numbers)")
     assert lines[10] == "different  cascade 2->6 IV:2  (stdout)"
-    assert lines[11] == "identical  clone --json"
-    assert lines[12] == "identical  clone --mode oracle --json IV:3"
-    assert lines[13] == "identical  hom"
-    assert lines[-1] == "9/14 commands identical"
+    assert lines[11] == "identical  clone"
+    assert lines[12] == "identical  clone --json"
+    assert lines[13] == "identical  clone --mode oracle --json IV:3"
+    assert lines[14] == "identical  hom"
+    assert lines[-1] == "10/15 commands identical"
 
 
 def test_difference_report_needs_two_json_values_of_one_shape():

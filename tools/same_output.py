@@ -10,11 +10,11 @@ only the signal is ever replaced, on basis IV with ``--prep-fid 0
 --analysis-fid 0``, where every state is replaced, and on basis I with
 ``--analysis-fid 0.7`` alone (standard output, CSV and JSON), and once
 four ``cascade --json`` runs (the last 1 -> 10 at d = 8), one ``cascade``
-text run, ``clone --json``, ``clone --mode oracle --json`` and the default
-``hom`` curve (standard output). It prints ``identical``
-or ``different`` per command, and for a differing JSON file whose two sides
-hold the same keys, lengths and non-numeric values, the largest absolute
-difference over its numbers. It exits with 0 when every output is
+text run, one ``clone`` text run, ``clone --json``, ``clone --mode oracle
+--json`` and the default ``hom`` curve (standard output). It prints
+``identical`` or ``different`` per command, and for a differing JSON file
+whose two sides hold the same keys, lengths and non-numeric values, the
+largest absolute difference over its numbers. It exits with 0 when every output is
 identical, 1 when one differs and 2 when a tree cannot run.
 
 Another revision's tree comes from git:
@@ -58,6 +58,7 @@ _ONCE = {
                                             "--cap", "10", "--input",
                                             "0.5,0.5j,-0.4,-0.4j,0.3,0.2j,-0.2,0.1"],
     "cascade 2->6 IV:2": ["cascade", "--n", "2", "--m", "6", "--input", "IV:2"],
+    "clone": ["clone"],
     "clone --json": ["clone", "--json"],
     "clone --mode oracle --json IV:3": ["clone", "--mode", "oracle", "--json", "--input", "IV:3"],
     "hom": ["hom"],
