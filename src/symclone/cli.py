@@ -299,11 +299,13 @@ _HANDLERS = {
     "cascade": _cmd_cascade,
 }
 
+# Built once, at import: each ``parse_args`` call fills a fresh namespace.
+_PARSER = _build_parser()
+
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,16 +38,19 @@ batch's generator after the batch's own draws. This is exact: the trials are
 independent, so the first r hits in trial order would be a uniformly random
 r-subset of the batch's hits as well.
 
-Within a batch of B trials the draws follow stream layout 9
+Within a batch of B trials the draws follow stream layout 10
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use,
 in this order:
 
-1. the number K of near trials, u < p_near = (1 + v^2)/8, the largest
-   p_coal/2 of any trial: one binomial draw with B trials and probability
-   p_near (about a quarter of the trials are near);
-2. the number of near trials with each ancilla, n ~ Multinomial(K, w) for
-   the ancilla weights w (one ``multinomial`` draw), then K accept uniforms
-   ``u``, scaled to [0, p_near);
+1. the number of near trials with each ancilla k, those with u below the
+   reach r_k of k, the largest u at which such a trial can still be kept
+   (``_clean_row_table``): one ``multinomial`` draw of B trials over the
+   d + 1 cells w_k r_k, for the ancilla weights w, and the rest of 1, the
+   trials that draw nothing. The reach is p_near = (1 + v^2)/8, the
+   largest p_coal/2 of any trial, if the signal can be replaced; else the
+   clean p_coal/2 of ancilla k, if a filter or scanner setting can be; else
+   the clean bound of step 5, 1/16 for every k != p at v = 1;
+2. one accept uniform ``u`` per near trial, scaled to [0, r_k);
 3. the preparation perturbation of the signal, for the near trials;
 4. the filter-arm perturbation, for the kept trials only: u < p_coal/2;
 5. the scanner-arm perturbation (d states per trial), for the trials that
@@ -70,20 +73,21 @@ on [0, 1). The right-hand side never exceeds p_coal/2 * p_filter, which
 does not depend on the scanner, nor p_coal/2, which depends only on the
 signal and the ancilla, nor p_near; so a trial above one of these bounds is
 dropped before the draws of the next step, which it could never use. A
-trial with u >= p_near draws nothing at all: its near trials are
-K ~ Binomial(B, p_near) trials whose u is uniform on [0, p_near). p_near
-and the bound of step 5 carry a relative rounding margin
+trial with u >= r_k draws nothing at all: with ancilla k, it could never be
+kept. So the near trials with ancilla k are Binomial(B, w_k r_k) trials,
+jointly multinomial, whose u is uniform on [0, r_k). p_near and the bound
+of step 5 carry a relative rounding margin
 (``_BOUND_MARGIN``). A trial whose scanner weights sum to at most
 ``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can click, and a
 sum that small is rounding residue of an exact 0, not a click probability.
 
 A fixed seed reproduces counts only under the layout that drew them;
 CHANGES.md records what each layout changed from the one before. The
-tests check layout 9 against the exact outcome law of each configuration
+tests check layout 10 against the exact outcome law of each configuration
 with an ideal analyzer, built from the second-quantized engine, per pooled
 batch and per whole run; against a reference that perturbs every trial as
 layout 2 did, the law reference under analysis noise, where no closed form
-exists; against whole runs of layout 8; and bit for bit against a per-row
+exists; against whole runs of layout 9; and bit for bit against a per-row
 reference batch in the kernel's own draw order.
 
 A trial is evaluated in the coordinates of the measurement basis U, of
@@ -109,9 +113,9 @@ replaced setting takes an inner product.
 In a trial where no state was replaced, p_coal/2, the filter terms, the
 bound of step 5 and the d thresholds depend only on the ancilla index, so
 each run computes them once per input (``_clean_row_table``, with the
-ancilla weights and p_near) and such trials read them from that table; only
-trials with a replaced state evaluate the closed forms row by row, each
-term once.
+reach of each ancilla and the cells of the near-trial draw) and such
+trials read them from that table; only trials with a replaced state
+evaluate the closed forms row by row, each term once.
 
 Within a batch, every per-trial array (u, the ancilla index, p_coal/2 and
 the bound of step 5) is indexed by near trial until the last step. A trial
@@ -177,7 +181,7 @@ BATCH_TRIALS = 32768
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 9
+STREAM_LAYOUT = 10
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -387,7 +391,7 @@ class EstimationResult:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -541,8 +545,8 @@ class _CleanRows(NamedTuple):
     """The constants of one input's batches (see :func:`_clean_row_table`);
     every per-ancilla array is indexed by the ancilla index k."""
 
-    weights: np.ndarray  # ancilla weights, normalized, trailing zeros dropped (_near_trials)
-    p_near: float  # (1 + v^2)/8 * _BOUND_MARGIN, the bound of the near trials
+    cells: np.ndarray  # w_k * reach_k per ancilla, then the rest of 1 (_near_trials)
+    reach: np.ndarray  # the largest u at which a trial can still be kept
     half_coal: np.ndarray  # p_coal/2 of an unperturbed trial
     p_filter: np.ndarray  # its p_filter, A and B (_filter_terms)
     A: np.ndarray
@@ -551,9 +555,12 @@ class _CleanRows(NamedTuple):
     thresholds: np.ndarray  # shape (d, d), column k: its d acceptance thresholds
 
 
-def _clean_row_table(p: int, weights: np.ndarray, v: float) -> _CleanRows:
+def _clean_row_table(
+    p: int, weights: np.ndarray, v: float, prep_f: float, analysis_f: float
+) -> _CleanRows:
     """The constants of the batches of input ``p`` with ancilla weights
-    ``weights`` and overlap v, computed once per input.
+    ``weights``, overlap v and fidelities ``prep_f`` and ``analysis_f``,
+    computed once per input.
 
     In a trial where no state was replaced the signal and the filter are
     basis state p, the ancilla is basis state k and the scanner is the
@@ -565,6 +572,12 @@ def _clean_row_table(p: int, weights: np.ndarray, v: float) -> _CleanRows:
     :func:`_simulate_batch`. The thresholds are stored transposed, one
     column per ancilla, so that a batch gathers them into one row per
     outcome without copying a transpose.
+
+    The reach r_k of ancilla k is the largest u at which a trial with that
+    ancilla can still be kept: p_near = (1 + v^2)/8 * ``_BOUND_MARGIN`` if
+    the signal can be replaced; else the clean p_coal/2 if a filter or
+    scanner setting can be; else the clean bound of step 5. The near trials
+    of a batch (:func:`_near_trials`) are drawn below it.
     """
     d = len(weights)
     k = np.arange(d)
@@ -574,36 +587,47 @@ def _clean_row_table(p: int, weights: np.ndarray, v: float) -> _CleanRows:
     p_filter, A, B = _filter_terms(S, k, v, S)
     q = _event_terms(A, B, v, S, np.eye(d, dtype=complex))  # F = S and G = N
     thresholds = _acceptance_thresholds(half_coal, p_filter, q)
+    bound = _scanner_bound(half_coal, p_filter)
+    if prep_f < 1.0:
+        reach = np.full(d, (1.0 + v * v) / 8.0 * _BOUND_MARGIN)
+    else:
+        reach = half_coal if analysis_f < 1.0 else bound
+    near = weights / weights.sum() * reach
     return _CleanRows(
-        # sum exactly 1 to rounding, as ``rng.multinomial`` requires, and end in
-        # a nonzero weight: the last weight takes the rest of the unit sum
-        weights=np.trim_zeros(weights / weights.sum(), "b"),
-        p_near=(1.0 + v * v) / 8.0 * _BOUND_MARGIN,
+        # the last cell, the trials that draw nothing, takes the rest of the
+        # unit sum, as ``rng.multinomial`` does with its last probability
+        cells=np.append(near, 1.0 - near.sum()),
+        reach=reach,
         half_coal=half_coal,
         p_filter=p_filter,
         A=A,
         B=B,
-        bound=_scanner_bound(half_coal, p_filter),
+        bound=bound,
         thresholds=np.ascontiguousarray(thresholds.T),
     )
 
 
 def _near_trials(
-    rng: np.random.Generator, p_near: float, weights: np.ndarray
+    rng: np.random.Generator, cells: np.ndarray, reach: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The near trials (u < ``p_near``) of one batch.
+    """The near trials of one batch: the trials with ancilla k and u below
+    its reach r_k.
 
-    Draws their number K ~ Binomial(BATCH_TRIALS, p_near), then the number
-    of them with each ancilla, n ~ Multinomial(K, weights), then K accept
-    uniforms. Returns the accept uniforms u, uniform on [0, p_near), and the
-    ancilla index of each near trial; the trials are grouped by ancilla, n_0
-    trials with ancilla 0 first. The trials are independent, so which of
-    them has which ancilla does not matter, only how many.
+    Draws the number of near trials with each ancilla and the number of the
+    others as one ``multinomial`` draw of BATCH_TRIALS over the d + 1
+    ``cells``, w_k r_k for ancilla k and the rest of 1 last, then one
+    accept uniform per near trial, scaled to [0, r_k). Returns the accept
+    uniforms u and the ancilla index of each near trial; the trials are
+    grouped by ancilla, n_0 trials with ancilla 0 first. The trials are
+    independent, so which of them has which ancilla does not matter, only
+    how many. A trial with u >= r_k could never be kept, so it draws
+    nothing.
     """
-    n = rng.multinomial(rng.binomial(BATCH_TRIALS, p_near), weights)
-    u = rng.random(n.sum())
-    u *= p_near
-    return u, np.repeat(np.arange(len(weights)), n)
+    n = rng.multinomial(BATCH_TRIALS, cells)[:-1]
+    anc_idx = np.repeat(np.arange(len(n)), n)
+    u = rng.random(len(anc_idx))
+    u *= reach[anc_idx]
+    return u, anc_idx
 
 
 def _simulate_batch(
@@ -618,24 +642,25 @@ def _simulate_batch(
     the measurement basis, on ``rng``; return the outcomes of the
     post-selected trials, grouped by ancilla as the near trials are.
 
-    The batch draws in stream layout 9 (see the module docstring), and
+    The batch draws in stream layout 10 (see the module docstring), and
     draws nothing for a trial that cannot click; of the others, the
     perturbations only while they can still change whether the trial is
     counted:
 
-    1. the number K ~ Binomial(B, p_near) of near trials, u < p_near =
-       (1 + v^2)/8 (the largest p_coal/2 of any trial);
-    2. how many of them have each ancilla, n ~ Multinomial(K, weights),
-       then their accept uniforms u, uniform on [0, p_near);
+    1. how many near trials have each ancilla k, those with u below the
+       reach r_k of k (:func:`_clean_row_table`), one multinomial draw;
+    2. their accept uniforms u, uniform on [0, r_k);
     3. the preparation perturbations of the near trials;
     4. the filter-arm perturbation of the kept trials, u < p_coal/2 =
        (1 + v^2 |<S|N>|^2)/8;
     5. the scanner-arm perturbation of the kept trials that also pass
        u < p_coal/2 * p_filter, the largest threshold of the trial.
 
-    The two bounds that select trials before their draws (1 and 5) carry
-    the relative margin ``_BOUND_MARGIN``, so rounding never skips a trial
-    that its thresholds would accept. A trial that reaches step 5 is
+    The bounds that select trials before their draws, p_near and the bound
+    of step 5 (also the reach at f = 1), carry the relative margin
+    ``_BOUND_MARGIN``, so rounding never skips a trial that its thresholds
+    would accept; the clean p_coal/2, the reach with analysis noise alone,
+    is the bound of step 4 itself. A trial that reaches step 5 is
     accepted with outcome j for the smallest j with
     u < p_coal/2 * p_filter * cum(q)_j/sum(q), that is with j the number of
     its thresholds at or below u.
@@ -674,7 +699,7 @@ def _simulate_batch(
     # step 5 (:func:`_scanner_bound`) from the table.
     # Every per-trial array below is indexed by near trial until the
     # filter-passing trials are taken out.
-    u, anc_idx = _near_trials(rng, table.p_near, table.weights)
+    u, anc_idx = _near_trials(rng, table.cells, table.reach)
     s_rows, s_z = _fail_draws((len(u),), d, prep_f, rng)  # the trials of S_bad
     bound = table.bound[anc_idx]
     noisy = prep_f < 1.0 or analysis_f < 1.0  # the batch can replace a state
@@ -738,6 +763,7 @@ def _simulate_batch(
         q = _event_terms(A, B, v, F, G)
         thresholds[:, dirty] = _acceptance_thresholds(half_coal[rows], p_f, q).T
     outcomes = (u[passed] >= thresholds).sum(axis=0)
+    # outcomes per trial, not per-outcome counts: the array pins glibc's heap top into the next batch
     return outcomes[outcomes < d]
 
 
@@ -754,7 +780,13 @@ def run_cloning_experiment(
     stream layout).
     """
     phi_index = basis.index_of(phi)
-    table = _clean_row_table(phi_index, config.weights_for(basis.dim), config.v)
+    table = _clean_row_table(
+        phi_index,
+        config.weights_for(basis.dim),
+        config.v,
+        config.prep_fidelity,
+        config.analysis_fidelity,
+    )
     # one PCG64 per input; batch b draws from its start state advanced by b * 2^64
     bit_generator = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(phi_index,)))
     start = bit_generator.state

@@ -493,3 +493,35 @@ def test_python_m_runs_the_cli(module):
         "f_clon(N=1, M=2, d=4)    = 0.7",
         "cloning advantage          = 0.3",
     ]
+
+
+def test_the_parser_built_at_import_keeps_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # four commands in one process, through the one parser: each output,
+    # exit code and written file must equal those of the same command in a
+    # fresh interpreter, so no config file, flag value or subcommand of a
+    # call reaches the next
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"shots": 400, "seed": 5, "v": 0.9, "analysisFidelity": 0.8,
+                                  "ancillaWeights": [0.4, 0.2, 0.2, 0.2]}))
+    paths = [str(Path(symclone.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    commands = [
+        ["experiment", "--config", str(config), "--shots", "50"],
+        ["experiment", "--shots", "50"],
+        ["cascade", "--m", "8", "--cap", "8"],
+        ["cascade"],
+    ]
+    for i, argv in enumerate(commands):
+        here, fresh_dir = tmp_path / f"in-process-{i}", tmp_path / f"fresh-{i}"
+        here.mkdir()
+        fresh_dir.mkdir()
+        monkeypatch.chdir(here)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "symclone", *argv], cwd=fresh_dir,
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == EXIT_OK and out, argv
+        files = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (here, fresh_dir)]
+        assert files[0] == files[1], argv

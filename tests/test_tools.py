@@ -26,16 +26,27 @@ def test_same_output_finds_a_tree_identical_to_itself():
     result = _same_output("--against", str(ROOT), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 16 and all(line.startswith("identical  ") for line in lines[:15])
-    assert lines[-1] == "15/15 commands identical"
+    assert len(lines) == 27 and all(line.startswith("identical  ") for line in lines[:26])
+    assert lines[15] == "identical  symclone --help"
+    assert lines[21] == "identical  formulas --n 2 --m 1 (usage error)"
+    assert lines[-1] == "26/26 commands identical"
 
 
 def test_same_output_states_the_largest_json_difference(tmp_path):
-    # a tree whose f_clon is off by 0.25 changes only the cascade outputs
+    # a tree whose f_clon is off by 0.25 changes only the cascade outputs,
+    # and one help text and one error message of its CLI change the standard
+    # output of ``formulas --help`` and the standard error of a usage error
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cloning = tmp_path / "src" / "symclone" / "cloning.py"
     cloning.write_text(cloning.read_text() + "\n\n_f_clon = f_clon\n\n\n"
                        "def f_clon(n, m, d):\n    return _f_clon(n, m, d) + 0.25\n")
+    cli = tmp_path / "src" / "symclone" / "cli.py"
+    text = cli.read_text()
+    for old, new in [('help="input copies N"', 'help="copies N"'),
+                     ("need an increasing delay range", "need a rising delay range")]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cli.write_text(text)
     result = _same_output("--against", str(tmp_path), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
@@ -49,7 +60,12 @@ def test_same_output_states_the_largest_json_difference(tmp_path):
     assert lines[12] == "identical  clone --json"
     assert lines[13] == "identical  clone --mode oracle --json IV:3"
     assert lines[14] == "identical  hom"
-    assert lines[-1] == "10/15 commands identical"
+    assert lines[15] == "identical  symclone --help"
+    assert lines[16] == "different  formulas --help  (stdout)"
+    assert all(line.startswith("identical  ") for line in lines[17:23])
+    assert lines[23] == "different  hom --steps 1 (usage error)  (stderr)"
+    assert all(line.startswith("identical  ") for line in lines[24:26])
+    assert lines[-1] == "19/26 commands identical"
 
 
 def test_difference_report_needs_two_json_values_of_one_shape():

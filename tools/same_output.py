@@ -11,11 +11,13 @@ only the signal is ever replaced, on basis IV with ``--prep-fid 0
 ``--analysis-fid 0.7`` alone (standard output, CSV and JSON), and once
 four ``cascade --json`` runs (the last 1 -> 10 at d = 8), one ``cascade``
 text run, one ``clone`` text run, ``clone --json``, ``clone --mode oracle
---json`` and the default ``hom`` curve (standard output). It prints
+--json`` and the default ``hom`` curve, then ``--help`` of ``symclone`` and
+of each subcommand and one usage error per subcommand. Every command's
+standard output, standard error and exit code are compared. It prints
 ``identical`` or ``different`` per command, and for a differing JSON file
 whose two sides hold the same keys, lengths and non-numeric values, the
-largest absolute difference over its numbers. It exits with 0 when every output is
-identical, 1 when one differs and 2 when a tree cannot run.
+largest absolute difference over its numbers. It exits with 0 when every
+output is identical, 1 when one differs and 2 when a tree cannot run.
 
 Another revision's tree comes from git:
 
@@ -62,23 +64,36 @@ _ONCE = {
     "clone --json": ["clone", "--json"],
     "clone --mode oracle --json IV:3": ["clone", "--mode", "oracle", "--json", "--input", "IV:3"],
     "hom": ["hom"],
+    "symclone --help": ["--help"],
+    **{f"{command} --help": [command, "--help"]
+       for command in ("formulas", "clone", "hom", "experiment", "cascade")},
+    "formulas --n 2 --m 1 (usage error)": ["formulas", "--n", "2", "--m", "1"],
+    "clone --input I:9 (usage error)": ["clone", "--input", "I:9"],
+    "hom --steps 1 (usage error)": ["hom", "--steps", "1"],
+    "experiment --basis X (usage error)": ["experiment", "--basis", "X"],
+    "cascade --m 9 (usage error)": ["cascade", "--m", "9"],
 }
 
 # Runs in the tree's own interpreter: argv[1] is the output directory,
 # argv[2] a JSON list of [name, argv]. Each command writes its standard
-# output, and any files it writes, into a directory of its own.
+# output, its standard error, its exit code (``--help`` exits through
+# SystemExit) and any files it writes into a directory of its own.
 _WORKER = """
 import contextlib, json, os, sys
 from symclone import cli
 out = os.path.abspath(sys.argv[1])
-for i, (name, argv) in enumerate(json.loads(sys.argv[2])):
+for i, (_, argv) in enumerate(json.loads(sys.argv[2])):
     here = os.path.join(out, str(i))
     os.makedirs(here)
     os.chdir(here)
-    with open("stdout", "w") as fh, contextlib.redirect_stdout(fh):
-        code = cli.main(argv)
-    if code:
-        sys.exit(f"{name}: exit code {code}")
+    with open("stdout", "w") as fh, open("stderr", "w") as eh, \\
+            contextlib.redirect_stdout(fh), contextlib.redirect_stderr(eh):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    with open("exit", "w") as fh:
+        fh.write(f"{code}\\n")
 """
 
 
