@@ -24,7 +24,6 @@ from .cloning import (
     CloningSpec,
     cascade_clone,
     clone_analytic,
-    clone_oracle,
     f_clon,
     f_est,
 )
@@ -61,12 +60,12 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False)
 
 
-def parse_state_spec(spec: str, d: int | None) -> tuple[PureState, str]:
+def parse_state_spec(spec: str) -> tuple[PureState, str]:
     """Parse ``BASIS:index`` (e.g. I:1, IV:3; 1-based) or raw amplitudes.
 
     Raw amplitudes are comma-separated Python complex literals and are
-    normalized on parse, with a warning if the norm is off by more than
-    1e-6. Returns the state and a display label.
+    normalized on parse (``PureState.normalized``), with a warning if the
+    norm is off by more than 1e-6. Returns the state and a display label.
     """
     spec = spec.strip()
     name, colon, idx_text = spec.partition(":")
@@ -78,24 +77,13 @@ def parse_state_spec(spec: str, d: int | None) -> tuple[PureState, str]:
             raise _UsageError(f"bad basis index in {spec!r}") from None
         if not 1 <= idx <= basis.dim:
             raise _UsageError(f"basis index must be 1..{basis.dim}, got {idx}")
-        if d is not None and d != basis.dim:
-            raise _UsageError(f"basis {name} lives in d={basis.dim}, not d={d}")
         return basis.states[idx - 1], f"{name}:{idx}"
     try:
         amps = np.array([complex(tok.strip()) for tok in spec.split(",")])
     except ValueError:
         raise _UsageError(f"cannot parse state spec {spec!r}") from None
-    if d is not None and len(amps) != d:
-        raise _UsageError(f"{len(amps)} amplitudes given but d={d}")
-    if not np.all(np.isfinite(amps)):
-        raise _UsageError("amplitudes must be finite")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amps))
-    if math.isinf(norm):
-        raise _UsageError("the norm of the state amplitudes overflows")
-    if norm < 1e-12:
-        raise _UsageError("the norm of the state amplitudes is below 1e-12")
     state = PureState.normalized(amps)
+    norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         print(f"warning: normalizing input state (norm was {_fmt(norm)})", file=sys.stderr)
     return state, spec
@@ -120,8 +108,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("clone", help="1 -> 2 cloning of one input state")
     p.add_argument("--input", default="I:1", help="state spec: BASIS:index or amplitudes")
-    p.add_argument("--d", type=int, default=None, help="internal dimension (default: inferred)")
-    p.add_argument("--mode", choices=["analytic", "oracle"], default="analytic")
     p.add_argument("--json", action="store_true", help="full-precision JSON output")
 
     p = sub.add_parser("hom", help="coalescence enhancement versus path delay (CSV)")
@@ -150,7 +136,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cascade", help="N -> M cloning through a beam-splitter chain")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--d", type=int, default=None, help="internal dimension (default: inferred)")
     p.add_argument("--input", default="I:1", help="state spec: BASIS:index or amplitudes")
     p.add_argument("--cap", type=int, default=DEFAULT_CASCADE_CAP,
                    help="largest allowed M (default: %(default)s)")
@@ -180,19 +165,15 @@ def _cmd_formulas(args) -> int:
 
 
 def _cmd_clone(args) -> int:
-    phi, label = parse_state_spec(args.input, args.d)
-    if args.mode == "oracle":
-        outcome = clone_oracle(phi, phi.dim)
-    else:
-        outcome = clone_analytic(phi)
+    phi, label = parse_state_spec(args.input)
+    outcome = clone_analytic(phi)
     payload = outcome.to_dict()
     payload["input"] = label
-    payload["mode"] = args.mode
     if args.json:
         print(_json(payload))
     else:
         diag = np.real(np.diag(outcome.clone_state.mat))
-        print(f"input            {label}  (d={phi.dim}, mode={args.mode})")
+        print(f"input            {label}  (d={phi.dim})")
         print(f"fidelity         {_fmt(outcome.fidelity)}")
         print(f"success prob     {_fmt(outcome.success_prob)}")
         print(f"clone state diag {', '.join(_fmt(x) for x in diag)}")
@@ -208,9 +189,9 @@ def _cmd_hom(args) -> int:
         raise _UsageError("the delay range is too wide to represent")
     if args.steps > HOM_MAX_STEPS:
         raise _UsageError(f"--steps must be at most {HOM_MAX_STEPS}, got {args.steps}")
-    signal, _ = parse_state_spec(args.input, None)
+    signal, _ = parse_state_spec(args.input)
     ancilla, _ = (
-        parse_state_spec(args.ancilla, None) if args.ancilla else (signal, args.input)
+        parse_state_spec(args.ancilla) if args.ancilla else (signal, args.input)
     )
     if ancilla.dim != signal.dim:
         raise _UsageError("signal and ancilla dimensions differ")
@@ -269,7 +250,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    phi, label = parse_state_spec(args.input, args.d)
+    phi, label = parse_state_spec(args.input)
     spec = CloningSpec(d=phi.dim, n=args.n, m=args.m)
     outcome = cascade_clone(phi, spec, cap=args.cap)
     formula = f_clon(args.n, args.m, phi.dim)
@@ -306,21 +287,11 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        # bad argument values are usage errors; anything else is runtime
-        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_RUNTIME
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        # bad argument values are usage errors; I/O and run failures are runtime
+        return EXIT_RUNTIME if isinstance(exc, (OSError, RuntimeError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

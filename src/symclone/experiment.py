@@ -146,7 +146,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -341,28 +341,34 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Coincidence counts N_{phi,i} for one input state, and the number of
-    batches of ``BATCH_TRIALS`` trials the run evaluated to collect them
-    (0 for counts that no run produced)."""
+    """Coincidence counts N_{phi,i} for one input state, one per basis label
+    in outcome order, and the number of batches of ``BATCH_TRIALS`` trials
+    the run evaluated to collect them (0 for counts that no run produced).
+    ``counts`` is given as a list or a tuple of ints and kept as a tuple."""
 
-    input_label: str
     basis_labels: tuple[str, ...]
     phi_index: int
-    counts: dict[int, int]
+    counts: tuple[int, ...]
     config: ExperimentConfig
     batches: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.phi_index < len(self.counts):
+        if not isinstance(self.counts, (list, tuple)):
+            raise TypeError(f"counts must be a list or a tuple, got {type(self.counts).__name__}")
+        counts = tuple(self.counts)
+        if len(counts) != len(self.basis_labels):
+            raise ValueError(f"{len(counts)} counts for {len(self.basis_labels)} basis labels")
+        if not 0 <= self.phi_index < len(counts):
             raise ValueError(f"phi index {self.phi_index} out of range")
-        if any(n < 0 for n in self.counts.values()):
+        if any(n < 0 for n in counts):
             raise ValueError("counts must be nonnegative")
         if self.batches < 0:
             raise ValueError("batches must be nonnegative")
+        object.__setattr__(self, "counts", counts)
 
     @property
-    def dim(self) -> int:
-        return len(self.counts)
+    def input_label(self) -> str:
+        return self.basis_labels[self.phi_index]
 
     @property
     def trials(self) -> int:
@@ -373,7 +379,7 @@ class CountsTable:
             "input": self.input_label,
             "basis": " / ".join(self.basis_labels),
             "phiIndex": self.phi_index,
-            "counts": {str(i): int(self.counts[i]) for i in sorted(self.counts)},
+            "counts": {str(i): int(n) for i, n in enumerate(self.counts)},
             "batches": self.batches,
             "trials": self.trials,
             "config": self.config.to_dict(),
@@ -390,8 +396,9 @@ class EstimationResult:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails this test too
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -823,10 +830,9 @@ def run_cloning_experiment(
         counts += batch_counts
         collected += min(hits.size, need)
     return CountsTable(
-        input_label=basis.labels[phi_index],
         basis_labels=tuple(basis.labels),
         phi_index=phi_index,
-        counts={i: int(counts[i]) for i in range(basis.dim)},
+        counts=counts.tolist(),
         config=config,
         batches=batch,
     )
@@ -845,9 +851,8 @@ def estimate_probabilities(table: CountsTable) -> EstimationResult:
     The standard error propagates the binomial fluctuation of
     N_{phi,phi} at fixed total coincidences.
     """
-    d = table.dim
     phi_index = table.phi_index
-    counts = np.array([table.counts[i] for i in range(d)], dtype=float)
+    counts = np.array(table.counts, dtype=float)
     n_tot = counts.sum()
     if n_tot <= 0:
         raise ValueError("counts are all zero")
@@ -864,14 +869,31 @@ def estimate_probabilities(table: CountsTable) -> EstimationResult:
 
 @dataclass(frozen=True)
 class FidelityTable:
-    """Cloning fidelities for every input of one basis, plus their average."""
+    """Cloning fidelities for every input of one basis, plus their average.
+
+    ``results`` holds ``estimate_probabilities`` of each table, computed
+    once on construction.
+    """
 
     basis_name: str
-    input_labels: tuple[str, ...]
     tables: tuple[CountsTable, ...]
-    results: tuple[EstimationResult, ...]
-    average: float
-    average_stderr: float
+    results: tuple[EstimationResult, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tables", tuple(self.tables))
+        object.__setattr__(self, "results", tuple(map(estimate_probabilities, self.tables)))
+
+    @property
+    def input_labels(self) -> tuple[str, ...]:
+        return tuple(t.input_label for t in self.tables)
+
+    @property
+    def average(self) -> float:
+        return float(np.mean([r.fidelity for r in self.results]))
+
+    @property
+    def average_stderr(self) -> float:
+        return float(math.sqrt(sum(r.stderr**2 for r in self.results)) / len(self.results))
 
     def to_dict(self) -> dict:
         """The JSON summary. It records this package's version and numpy's:
@@ -902,29 +924,15 @@ class FidelityTable:
 
 
 def replicate_table(basis_name: str, config: ExperimentConfig) -> FidelityTable:
-    """Run the full four-input fidelity table for basis I or IV.
+    """Run the fidelity table over every input of the basis ``basis_name``,
+    one of ``hilbert.BASIS_NAMES``.
 
     Each input uses its own RNG stream family derived from the one config
     seed, so the whole table is reproducible from a single integer.
     """
     basis = named_basis(basis_name)
-    tables = []
-    results = []
-    for phi in basis.states:
-        table = run_cloning_experiment(phi, basis, config)
-        tables.append(table)
-        results.append(estimate_probabilities(table))
-    fidelities = [r.fidelity for r in results]
-    avg = float(np.mean(fidelities))
-    avg_err = float(math.sqrt(sum(r.stderr**2 for r in results)) / len(results))
-    return FidelityTable(
-        basis_name=basis_name,
-        input_labels=tuple(t.input_label for t in tables),
-        tables=tuple(tables),
-        results=tuple(results),
-        average=avg,
-        average_stderr=avg_err,
-    )
+    return FidelityTable(basis_name, [run_cloning_experiment(phi, basis, config)
+                                      for phi in basis.states])
 
 
 def write_counts_csv(tables, fileobj) -> None:
@@ -932,5 +940,5 @@ def write_counts_csv(tables, fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["input", "outcome", "count"])
     for table in tables:
-        for i in sorted(table.counts):
-            writer.writerow([table.input_label, table.basis_labels[i], table.counts[i]])
+        for label, count in zip(table.basis_labels, table.counts):
+            writer.writerow([table.input_label, label, count])

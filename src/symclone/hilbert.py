@@ -69,13 +69,17 @@ class PureState:
 
     @classmethod
     def normalized(cls, amps) -> "PureState":
-        """Build a state from un-normalized amplitudes (rejects the zero vector)."""
+        """Build a state from un-normalized amplitudes, which must be finite,
+        with a norm that neither overflows nor falls below 1e-12."""
         amps = np.asarray(amps, dtype=complex)
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
+        if np.isinf(norm):
+            raise ValueError("the norm of the state amplitudes overflows")
         if norm < 1e-12:
-            raise ValueError("cannot normalize the zero vector")
+            raise ValueError("the norm of the state amplitudes is below 1e-12")
         return cls(dim=len(amps), amps=amps / norm)
 
 

@@ -51,23 +51,23 @@ needs_jsonschema = pytest.mark.skipif(not HAVE_JSONSCHEMA, reason="jsonschema mi
 
 
 def test_parse_basis_specs():
-    state, label = parse_state_spec("I:1", 4)
+    state, label = parse_state_spec("I:1")
     assert np.allclose(state.amps, [1, 0, 0, 0])
     assert label == "I:1"
-    state, _ = parse_state_spec("IV:3", None)
+    state, _ = parse_state_spec("IV:3")
     assert np.allclose(state.amps, basis_four().states[2].amps)
 
 
 def test_parse_amplitude_spec():
-    state, _ = parse_state_spec("1,0", 2)
+    state, _ = parse_state_spec("1,0")
     assert np.allclose(state.amps, [1, 0])
-    state, _ = parse_state_spec("1+1j, 1-1j", None)
+    state, _ = parse_state_spec("1+1j, 1-1j")
     assert state.dim == 2
     assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parse_normalizes_with_warning(capsys):
-    state, _ = parse_state_spec("2,0", 2)
+    state, _ = parse_state_spec("2,0")
     assert np.allclose(state.amps, [1, 0])
     assert "normalizing" in capsys.readouterr().err
 
@@ -75,9 +75,12 @@ def test_parse_normalizes_with_warning(capsys):
 def test_parse_errors():
     from symclone.cli import _UsageError
 
-    for bad, d in [("I:9", 4), ("I:x", 4), ("nonsense", None), ("0,0", 2), ("1,0", 4)]:
+    for bad in ["I:9", "I:x", "nonsense"]:
         with pytest.raises(_UsageError):
-            parse_state_spec(bad, d)
+            parse_state_spec(bad)
+    # amplitudes that parse are checked by PureState.normalized
+    with pytest.raises(ValueError, match="below 1e-12"):
+        parse_state_spec("0,0")
 
 
 # ------------------------------------------------------------------ formulas
@@ -106,28 +109,27 @@ def test_formulas_rejects_m_not_above_n(capsys):
 
 
 @needs_jsonschema
-@pytest.mark.parametrize("mode", ["analytic", "oracle"])
-def test_clone_logical_input(mode, capsys):
-    assert main(["clone", "--input", "I:1", "--d", "4", "--mode", mode, "--json"]) == EXIT_OK
+def test_clone_logical_input(capsys):
+    assert main(["clone", "--input", "I:1", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     _validator("cloning_outcome").validate(payload)
     assert payload["fidelity"] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_clone_entangled_input(capsys):
-    assert main(["clone", "--input", "IV:1", "--mode", "oracle", "--json"]) == EXIT_OK
+    assert main(["clone", "--input", "IV:1", "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["fidelity"] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_clone_qubit_amplitudes(capsys):
-    assert main(["clone", "--input", "1,0", "--d", "2", "--mode", "oracle", "--json"]) == EXIT_OK
+    assert main(["clone", "--input", "1,0", "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["fidelity"] == pytest.approx(5 / 6, abs=1e-12)
 
 
 def test_clone_text_output(capsys):
     assert main(["clone"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == [
-        "input            I:1  (d=4, mode=analytic)",
+        "input            I:1  (d=4)",
         "fidelity         0.7",
         "success prob     0.625",
         "clone state diag 0.7, 0.1, 0.1, 0.1",
@@ -147,10 +149,13 @@ def test_amplitudes_below_the_norm_bound_are_one_usage_error(spec, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["clone", "--input", "IV:1", "--d", "2"], "basis IV lives in d=4, not d=2"),
+    # the dimension is the state's own: no option repeats it
+    (["cascade", "--input", "IV:1", "--d", "4"], "unrecognized arguments: --d 4"),
     (["hom", "--input", "I:1", "--ancilla", "1,0"], "signal and ancilla dimensions differ"),
     (["experiment", "--shots", "100", "--ancilla-weights", "abc"],
      "cannot parse ancilla weights 'abc'"),
+    # the one-stage route is ``cascade --m 2``, not a mode of ``clone``
+    (["clone", "--mode", "oracle"], "unrecognized arguments: --mode oracle"),
 ])
 def test_inconsistent_input_is_one_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SYMCLONE_OUT_DIR", str(tmp_path))
@@ -233,8 +238,7 @@ def test_hom_to_file(tmp_path, capsys):
 
 @needs_jsonschema
 def test_cascade_matches_formula(capsys):
-    assert main(["cascade", "--n", "1", "--m", "3", "--d", "4",
-                 "--input", "I:1", "--json"]) == EXIT_OK
+    assert main(["cascade", "--n", "1", "--m", "3", "--input", "I:1", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     _validator("cloning_outcome").validate(payload)
     assert payload["fidelity"] == pytest.approx(0.6, abs=1e-9)

@@ -19,6 +19,7 @@ from symclone.experiment import (
     CountsTable,
     EstimationResult,
     ExperimentConfig,
+    FidelityTable,
     _Q_TOTAL_CUTOFF,
     _abs2,
     _acceptance_thresholds,
@@ -97,14 +98,13 @@ def _batch_rng(seed, input_index, batch):
     return np.random.Generator(bit_generator)
 
 
-def _counts_table(counts: dict) -> CountsTable:
+def _counts_table(counts: tuple) -> CountsTable:
     labels = tuple(f"s{i}" for i in range(len(counts)))
     return CountsTable(
-        input_label="s0",
         basis_labels=labels,
         phi_index=0,
         counts=counts,
-        config=ExperimentConfig(shots=max(1, sum(counts.values()))),
+        config=ExperimentConfig(shots=max(1, sum(counts))),
     )
 
 
@@ -276,7 +276,7 @@ def test_config_seed_must_fit_in_64_unsigned_bits():
             ExperimentConfig(shots=1, seed=seed)
     # the largest seed derives its stream keys and runs
     table = replicate_table("I", ExperimentConfig(shots=1, seed=2**64 - 1))
-    assert [sum(t.counts.values()) for t in table.tables] == [1, 1, 1, 1]
+    assert [sum(t.counts) for t in table.tables] == [1, 1, 1, 1]
 
 
 def test_weights_dimension_check():
@@ -1073,7 +1073,7 @@ def test_edge_ancilla_weights_run_through_the_multinomial(weights):
         _, anc = _near_trials(_batch_rng(6, 0, b), table.cells, table.reach)
         assert not np.isin(anc, zero).any()
     table = run_cloning_experiment(basis.states[0], basis, config)
-    assert sum(table.counts.values()) == 500
+    assert sum(table.counts) == 500
 
 
 def _single_batch_run(phi, basis, config):
@@ -1095,7 +1095,7 @@ def _single_batch_run(phi, basis, config):
         counts += batch_counts
         collected += int(batch_counts.sum())
         batch += 1
-    return {k: int(counts[k]) for k in range(basis.dim)}, batch
+    return tuple(counts.tolist()), batch
 
 
 def _fresh_batch(rng, seed, input_index):
@@ -1210,7 +1210,7 @@ def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, s
             expected += _batch_rng(12, i, full).multivariate_hypergeometric(np.bincount(outcomes), need)
         table = run_cloning_experiment(phi, basis, config)
         assert [table.counts[k] for k in range(4)] == expected.tolist()
-        assert sum(table.counts.values()) == shots
+        assert sum(table.counts) == shots
         assert table.batches == full + (need > 0)
 
 
@@ -1347,7 +1347,7 @@ def test_ideal_run_matches_clone_diagonal():
     basis = basis_logical()
     cfg = ExperimentConfig(shots=100_000, seed=7)
     table = run_cloning_experiment(basis.states[0], basis, cfg)
-    assert sum(table.counts.values()) == cfg.shots
+    assert sum(table.counts) == cfg.shots
     res = estimate_probabilities(table)
     assert abs(res.fidelity - 0.7) < 3 * res.stderr
     # off-input outcomes are each near 0.1
@@ -1467,19 +1467,19 @@ def test_run_requires_phi_in_basis():
 
 
 def test_estimator_on_clone_ratio_counts():
-    res = estimate_probabilities(_counts_table({0: 4, 1: 1, 2: 1, 3: 1}))
+    res = estimate_probabilities(_counts_table((4, 1, 1, 1)))
     assert np.allclose(res.probs, [0.7, 0.1, 0.1, 0.1], atol=1e-15)
     assert res.fidelity == pytest.approx(0.7, abs=1e-15)
 
 
 def test_estimator_single_matched_count():
-    res = estimate_probabilities(_counts_table({0: 1, 1: 0, 2: 0, 3: 0}))
+    res = estimate_probabilities(_counts_table((1, 0, 0, 0)))
     assert res.fidelity == 1.0
 
 
 def test_estimator_single_orthogonal_count():
     # one orthogonal-pair coincidence means exactly one clone matched
-    res = estimate_probabilities(_counts_table({0: 0, 1: 1, 2: 0, 3: 0}))
+    res = estimate_probabilities(_counts_table((0, 1, 0, 0)))
     assert res.fidelity == pytest.approx(0.5, abs=1e-15)
 
 
@@ -1488,11 +1488,11 @@ def test_estimator_probabilities_sum_to_one_exactly():
     # carries the final rounding of each division
     rng = np.random.default_rng(23)
     for _ in range(20):
-        counts = {i: int(rng.integers(0, 50)) for i in range(4)}
-        if sum(counts.values()) == 0:
+        counts = [int(rng.integers(0, 50)) for _ in range(4)]
+        if sum(counts) == 0:
             counts[0] = 1
         k = counts[0]
-        s = sum(counts.values()) - k
+        s = sum(counts) - k
         norm = k + 2 * s
         total = Fraction(k + s, norm) + sum(Fraction(counts[i], norm) for i in (1, 2, 3))
         assert total == 1
@@ -1520,9 +1520,11 @@ def test_estimator_is_unchanged_by_relabelling_the_outcomes():
         for i in range(d):
             moved[perm[i]] = labels[i]
         config = ExperimentConfig(shots=sum(counts))
-        table = CountsTable(labels[phi_index], labels, phi_index, dict(enumerate(counts)), config)
-        relabelled = CountsTable(labels[phi_index], tuple(moved), perm[phi_index],
-                                 {perm[i]: n for i, n in enumerate(counts)}, config)
+        moved_counts = [0] * d
+        for i, n in enumerate(counts):
+            moved_counts[perm[i]] = n
+        table = CountsTable(labels, phi_index, counts, config)
+        relabelled = CountsTable(tuple(moved), perm[phi_index], moved_counts, config)
         before = estimate_probabilities(table)
         after = estimate_probabilities(relabelled)
         assert np.array_equal(after.probs[perm], before.probs)
@@ -1534,21 +1536,21 @@ def test_estimator_is_unchanged_by_relabelling_the_outcomes():
 
 def test_estimator_rejects_empty_counts():
     with pytest.raises(ValueError):
-        estimate_probabilities(_counts_table({0: 0, 1: 0, 2: 0, 3: 0}))
+        estimate_probabilities(_counts_table((0, 0, 0, 0)))
 
 
 @pytest.mark.parametrize("counts", [
-    {0: 4, 1: 1, 2: 1, 3: 1},
-    {0: 1234, 1: 17, 2: 0, 3: 305},
-    {0: 3, 1: 9},
-    {0: 70, 1: 10, 2: 10, 3: 10, 4: 0},
-    {0: 0, 1: 5, 2: 2},
-    {0: 10, 1: 0, 2: 0},
+    (4, 1, 1, 1),
+    (1234, 17, 0, 305),
+    (3, 9),
+    (70, 10, 10, 10, 0),
+    (0, 5, 2),
+    (10, 0, 0),
 ])
 def test_estimator_stderr_is_the_propagated_binomial_error(counts):
     # F(k) = n / (2n - k) at fixed total n; sigma = |dF/dk| sqrt(n q (1 - q))
     # with q = k / n, dF/dk taken as an exact central difference
-    n, k = sum(counts.values()), counts[0]
+    n, k = sum(counts), counts[0]
 
     def fidelity(x):
         return Fraction(n) / (2 * n - x)
@@ -1563,8 +1565,8 @@ def test_estimator_stderr_is_the_propagated_binomial_error(counts):
 
 
 def test_estimator_stderr_shrinks_with_counts():
-    small = estimate_probabilities(_counts_table({0: 40, 1: 10, 2: 10, 3: 10}))
-    large = estimate_probabilities(_counts_table({0: 4000, 1: 1000, 2: 1000, 3: 1000}))
+    small = estimate_probabilities(_counts_table((40, 10, 10, 10)))
+    large = estimate_probabilities(_counts_table((4000, 1000, 1000, 1000)))
     assert large.stderr < small.stderr / 5
 
 
@@ -1594,12 +1596,10 @@ def test_replicate_table_rejects_an_unknown_basis_name():
 def test_table_average_stderr_combines_the_input_errors(monkeypatch):
     # four hand-built count tables with distinct errors, so no single
     # input's error stands in for the combination
-    given = iter([{0: 200, 1: 40, 2: 30, 3: 30}, {0: 50, 1: 150, 2: 60, 3: 40},
-                  {0: 70, 1: 20, 2: 190, 3: 20}, {0: 25, 1: 25, 2: 50, 3: 180}])
+    given = iter([(200, 40, 30, 30), (50, 150, 60, 40), (70, 20, 190, 20), (25, 25, 50, 180)])
 
     def hand_built(phi, basis, config):
-        i = basis.index_of(phi)
-        return CountsTable(basis.labels[i], tuple(basis.labels), i, next(given), config)
+        return CountsTable(tuple(basis.labels), basis.index_of(phi), next(given), config)
 
     monkeypatch.setattr(experiment, "run_cloning_experiment", hand_built)
     table = replicate_table("IV", ExperimentConfig(shots=300))
@@ -1610,9 +1610,23 @@ def test_table_average_stderr_combines_the_input_errors(monkeypatch):
     assert table.average == pytest.approx(np.mean([r.fidelity for r in table.results]), rel=1e-15)
 
 
-def test_replicate_table_unknown_basis():
-    with pytest.raises(ValueError):
-        replicate_table("II", ExperimentConfig(shots=100))
+def test_fidelity_table_estimates_each_table_once_on_construction(monkeypatch):
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return estimate_probabilities(table)
+
+    monkeypatch.setattr(experiment, "estimate_probabilities", counted)
+    tables = [_counts_table((4, 1, 1, 1)), _counts_table((40, 10, 10, 10))]
+    table = FidelityTable("I", tables)
+    str(table), table.to_dict(), table.average, table.average_stderr
+    assert calls == tables
+    assert table.tables == tuple(tables) and table.input_labels == ("s0", "s0")
+    assert table.average == pytest.approx(0.7, abs=1e-15)
+    # an all-zero counts table cannot make a record
+    with pytest.raises(ValueError, match="counts are all zero"):
+        FidelityTable("I", [_counts_table((0, 0, 0, 0))])
 
 
 def test_counts_csv_format():
@@ -1628,8 +1642,8 @@ def test_counts_csv_format():
 
 def test_counts_keep_basis_labels_that_contain_the_separator():
     labels = ("a / b", "c", "d / e / f")
-    table = CountsTable(input_label="c", basis_labels=labels, phi_index=1,
-                        counts={0: 3, 1: 5, 2: 7}, config=ExperimentConfig(shots=15))
+    table = CountsTable(basis_labels=labels, phi_index=1, counts=(3, 5, 7),
+                        config=ExperimentConfig(shots=15))
     buf = io.StringIO()
     write_counts_csv([table], buf)
     assert buf.getvalue().splitlines()[1:] == ["c,a / b,3", "c,c,5", "c,d / e / f,7"]
@@ -1638,16 +1652,28 @@ def test_counts_keep_basis_labels_that_contain_the_separator():
 
 
 @pytest.mark.parametrize("phi_index, counts, batches, message", [
-    (0, {0: 3, 1: -1}, 0, "counts must be nonnegative"),
-    (0, {0: 3, 1: 1}, -1, "batches must be nonnegative"),
+    (0, (3, -1), 0, "counts must be nonnegative"),
+    (0, (3, 1), -1, "batches must be nonnegative"),
     # the estimator reads the input's count at this index
-    (2, {0: 3, 1: 1}, 0, "phi index 2 out of range"),
-    (-1, {0: 3, 1: 1}, 0, "phi index -1 out of range"),
+    (2, (3, 1), 0, "phi index 2 out of range"),
+    (-1, (3, 1), 0, "phi index -1 out of range"),
+    # one count per basis label: the CSV and the estimator read them in pairs
+    (0, (3, 1, 2), 0, "3 counts for 2 basis labels"),
+    (0, (3,), 0, "1 counts for 2 basis labels"),
 ])
 def test_counts_table_rejects_bad_entries(phi_index, counts, batches, message):
     with pytest.raises(ValueError, match=message):
-        CountsTable(input_label="s0", basis_labels=("s0", "s1"), phi_index=phi_index,
+        CountsTable(basis_labels=("s0", "s1"), phi_index=phi_index,
                     counts=counts, config=ExperimentConfig(shots=3), batches=batches)
+
+
+def test_counts_table_keeps_its_counts_as_a_tuple_in_outcome_order():
+    table = CountsTable(("s0", "s1", "s2"), 2, [4, 0, 9], ExperimentConfig(shots=13))
+    assert table.counts == (4, 0, 9)
+    assert table.input_label == "s2"
+    # a mapping names its outcomes by key, which the table cannot check
+    with pytest.raises(TypeError, match="counts must be a list or a tuple, got dict"):
+        CountsTable(("s0", "s1"), 0, {1: 3, 2: 4}, ExperimentConfig(shots=7))
 
 
 def test_estimation_result_rejects_probabilities_that_do_not_sum_to_one():
@@ -1655,6 +1681,9 @@ def test_estimation_result_rejects_probabilities_that_do_not_sum_to_one():
     with pytest.raises(ValueError) as excinfo:
         EstimationResult(probs=np.array([0.7, 0.2]), fidelity=0.7, stderr=0.01)
     assert str(excinfo.value) == "probabilities sum to 0.8999999999999999, not 1"
+    # a NaN sum is not within 1e-9 of 1 either
+    with pytest.raises(ValueError, match=r"^probabilities sum to nan, not 1$"):
+        EstimationResult(probs=np.array([np.nan, np.nan]), fidelity=np.nan, stderr=0.0)
 
 
 def test_counts_table_records_the_basis_labels():

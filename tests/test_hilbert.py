@@ -1,5 +1,7 @@
 """Hilbert-space primitives: state validation, bench bases, fidelities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,17 @@ def test_pure_state_requires_dim_at_least_two():
 def test_pure_state_normalized_constructor():
     s = PureState.normalized([3.0, 4.0])
     assert np.allclose(s.amps, [0.6, 0.8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the norm of the state amplitudes is below 1e-12$"):
         PureState.normalized([0.0, 0.0])
+
+
+def test_pure_state_normalized_rejects_a_norm_that_overflows():
+    # finite amplitudes whose squares pass the float range: one ValueError,
+    # with no numpy overflow warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the norm of the state amplitudes overflows$"):
+            PureState.normalized([1e300, 1e300])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])

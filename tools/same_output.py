@@ -10,14 +10,15 @@ only the signal is ever replaced, on basis IV with ``--prep-fid 0
 --analysis-fid 0``, where every state is replaced, and on basis I with
 ``--analysis-fid 0.7`` alone (standard output, CSV and JSON), and once
 four ``cascade --json`` runs (the last 1 -> 10 at d = 8), one ``cascade``
-text run, one ``clone`` text run, ``clone --json``, ``clone --mode oracle
---json`` and the default ``hom`` curve, then ``--help`` of ``symclone`` and
-of each subcommand and one usage error per subcommand. Every command's
-standard output, standard error and exit code are compared. It prints
-``identical`` or ``different`` per command, and for a differing JSON file
-whose two sides hold the same keys, lengths and non-numeric values, the
-largest absolute difference over its numbers. It exits with 0 when every
-output is identical, 1 when one differs and 2 when a tree cannot run.
+text run, one ``clone`` text run, ``clone --json``, the one-stage
+``cascade --json --m 2`` on IV:3 and the default ``hom`` curve, then
+``--help`` of ``symclone`` and of each subcommand and one usage error per
+subcommand. Every command's standard output, standard error and exit code
+are compared. It prints ``identical`` or ``different`` per command, and
+for a differing JSON file whose two sides hold the same keys, lengths and
+non-numeric values, the largest absolute difference over its numbers. It
+exits with 0 when every output is identical, 1 when one differs and 2 when
+a tree cannot run.
 
 Another revision's tree comes from git:
 
@@ -62,7 +63,7 @@ _ONCE = {
     "cascade 2->6 IV:2": ["cascade", "--n", "2", "--m", "6", "--input", "IV:2"],
     "clone": ["clone"],
     "clone --json": ["clone", "--json"],
-    "clone --mode oracle --json IV:3": ["clone", "--mode", "oracle", "--json", "--input", "IV:3"],
+    "cascade --json 1->2 IV:3": ["cascade", "--json", "--m", "2", "--input", "IV:3"],
     "hom": ["hom"],
     "symclone --help": ["--help"],
     **{f"{command} --help": [command, "--help"]
