@@ -1,9 +1,13 @@
-"""Command-line front-end: closed-form fidelities, oracle cloning runs,
-HOM curves, coincidence-count experiments, and beam-splitter cascades.
+"""Command-line front-end of symclone: closed-form fidelities, the cloned
+state of one input, HOM curves, coincidence-count experiments and
+beam-splitter cascades.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. Errors go to
-stderr as a single line with an ``error:`` prefix. Floating output is
-printed with 6 significant digits; ``--json`` switches to full precision.
+stderr as a single line with an ``error:`` prefix. A reader that closes
+standard output early (``symclone clone --json | head -1``) is no error:
+the rest of the output is dropped, nothing is printed on stderr and the
+exit code is 0. Floating output is printed with 6 significant digits;
+``--json`` switches to full precision.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ def _parse_weights(text: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="symclone", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="symclone", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("formulas", help="closed-form estimation and cloning fidelities")
@@ -287,7 +291,17 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output: send what is left to the null
+        # device, so that the flush at exit cannot fail again (the "Note on
+        # SIGPIPE" of Python's signal module documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (_UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # bad argument values are usage errors; I/O and run failures are runtime

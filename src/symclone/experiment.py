@@ -31,63 +31,84 @@ counted, so two runs with the same config are count-for-count identical.
 The run records the number of batches it evaluated in its ``CountsTable``.
 
 The batch that fills ``shots`` usually yields more coincidences than are
-still needed. Its hits are grouped by ancilla, not in trial order, so the
-run keeps a uniformly random subset of them of the size it needs, with one
-``multivariate_hypergeometric`` draw on its outcome counts, from the same
-batch's generator after the batch's own draws. This is exact: the trials are
-independent, so the first r hits in trial order would be a uniformly random
-r-subset of the batch's hits as well.
+still needed. A batch returns its counts per outcome, not its hits in trial
+order, so the run keeps a uniformly random subset of them of the size it
+needs, with one ``multivariate_hypergeometric`` draw on those counts, from
+the same batch's generator after the batch's own draws. This is exact: the
+trials are independent, so the first r hits in trial order would be a
+uniformly random r-subset of the batch's hits as well.
 
-Within a batch of B trials the draws follow stream layout 10
-(``STREAM_LAYOUT``), which draws only the variates a trial can still use,
-in this order:
-
-1. the number of near trials with each ancilla k, those with u below the
-   reach r_k of k, the largest u at which such a trial can still be kept
-   (``_clean_row_table``): one ``multinomial`` draw of B trials over the
-   d + 1 cells w_k r_k, for the ancilla weights w, and the rest of 1, the
-   trials that draw nothing. The reach is p_near = (1 + v^2)/8, the
-   largest p_coal/2 of any trial, if the signal can be replaced; else the
-   clean p_coal/2 of ancilla k, if a filter or scanner setting can be; else
-   the clean bound of step 5, 1/16 for every k != p at v = 1;
-2. one accept uniform ``u`` per near trial, scaled to [0, r_k);
-3. the preparation perturbation of the signal, for the near trials;
-4. the filter-arm perturbation, for the kept trials only: u < p_coal/2;
-5. the scanner-arm perturbation (d states per trial), for the trials that
-   also pass u < p_coal/2 * p_filter.
-
-The trials of a batch are independent, so only how many near trials have
-each ancilla matters, not which: a batch holds them grouped by ancilla, the
-n_0 trials with ancilla 0 first. A perturbation of n states with fidelity
-f = 1 draws nothing; otherwise it draws the number k ~ Binomial(n, 1 - f) of
-states it replaces, then which k of them (a sample without replacement),
-then 2(d - 1) standard normals for each replaced state, in order: the law of
-n independent pass tests. A trial is post-selected with outcome j when
+A trial is post-selected with outcome j when
 
     u < p_coal * 1/2 * p_filter * (q_0 + ... + q_j) / (q_0 + ... + q_{d-1})
 
-for the smallest such j (p_coal as in ``_half_coal``, p_filter and the
-scanner weights q_j as in ``_event_terms``). This has the joint law of
-separate coalescence, split, filter-click and outcome draws with u uniform
-on [0, 1). The right-hand side never exceeds p_coal/2 * p_filter, which
-does not depend on the scanner, nor p_coal/2, which depends only on the
-signal and the ancilla, nor p_near; so a trial above one of these bounds is
-dropped before the draws of the next step, which it could never use. A
-trial with u >= r_k draws nothing at all: with ancilla k, it could never be
-kept. So the near trials with ancilla k are Binomial(B, w_k r_k) trials,
-jointly multinomial, whose u is uniform on [0, r_k). p_near and the bound
-of step 5 carry a relative rounding margin
-(``_BOUND_MARGIN``). A trial whose scanner weights sum to at most
-``_Q_TOTAL_CUTOFF`` is never accepted: no scanner setting can click, and a
-sum that small is rounding residue of an exact 0, not a click probability.
+for the smallest such j, with u uniform on [0, 1) (p_coal as in
+``_half_coal``, p_filter and the scanner weights q_j as in
+``_event_terms``). This has the joint law of separate coalescence, split,
+filter-click and outcome draws. The signal, the filter and each of the d
+scanner settings are replaced independently, the signal with probability
+1 - f_p and the others with 1 - f_a, for the preparation and analysis
+fidelities f_p and f_a; the ancilla k has probability w_k and is never
+replaced. The right-hand side never exceeds p_coal/2 * p_filter, which does
+not depend on the scanner, nor p_coal/2, which depends only on the signal
+and the ancilla, nor p_near = (1 + v^2)/8, the largest p_coal/2 of any
+trial. A trial whose scanner weights sum to at most ``_Q_TOTAL_CUTOFF`` is
+never accepted: no scanner setting can click, and a sum that small is
+rounding residue of an exact 0, not a click probability.
+
+Within a batch of B trials the draws follow stream layout 11
+(``STREAM_LAYOUT``), which draws only the variates a trial can still use.
+In a trial where no state was replaced (a "clean" trial) p_coal/2,
+p_filter, the bound b_k = min(p_coal/2, p_coal/2 * p_filter) of step 5
+below and the d thresholds t_{k,j} depend on the ancilla index alone, so
+each run computes them once per input (``_clean_row_table``). Each trial
+falls in one cell of one ``multinomial`` draw of B trials:
+
+- A_k, ancilla k, the signal replaced and u < p_near:
+  w_k (1 - f_p) p_near;
+- C_k, the signal kept, the filter replaced and u < b_k:
+  w_k f_p (1 - f_a) b_k. With a clean signal a replaced filter is
+  orthogonal to it, so its p_filter never exceeds the clean one, and no
+  such trial with u >= b_k can be kept;
+- E_{i,k}, signal and filter kept, u < b_k and scanner setting i the first
+  one replaced: w_k f_p f_a b_k f_a^i (1 - f_a);
+- O_j, a clean trial counted with outcome j: the sum over k of
+  w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}), t_{k,-1} = 0;
+- the rest of 1, the trials that can never be counted.
+
+The O cells are the batch's counts of its clean trials, so an ideal batch
+(f_p = f_a = 1, every other cell empty) is that one draw. The trials of
+the A, C and E cells, the "near" trials, are walked; their draws, in this
+order:
+
+1. the multinomial draw over the cells;
+2. one accept uniform ``u`` per near trial, uniform on [0, p_near) for an
+   A trial and on [0, b_k) for a C or E trial;
+3. the replaced signal of each A trial;
+4. the filter-arm perturbation of the A trials kept, u < p_coal/2, then the
+   replaced filter of each C trial;
+5. the scanner-arm perturbation of the A and C trials that also pass
+   u < p_coal/2 * p_filter, and of the settings after the first replaced
+   one of each E trial, then that first replaced setting.
+
+The trials of a batch are independent, so only how many fall in each cell
+matters, not which: a batch holds its near trials grouped by cell, and a
+trial outside every near cell draws nothing at all. A perturbation of n
+states with fidelity f = 1 draws nothing; otherwise it draws the number
+k ~ Binomial(n, 1 - f) of states it replaces, then which k of them (a
+sample without replacement), then 2(d - 1) standard normals for each
+replaced state, in order: the law of n independent pass tests. A state
+that is replaced for certain (the signal of an A trial, the filter of a C
+trial, setting i of an E trial) draws only its normals. p_near and b_k
+carry a relative rounding margin (``_BOUND_MARGIN``).
 
 A fixed seed reproduces counts only under the layout that drew them;
 CHANGES.md records what each layout changed from the one before. The
-tests check layout 10 against the exact outcome law of each configuration
+tests check layout 11 against the exact outcome law of each configuration
 with an ideal analyzer, built from the second-quantized engine, per pooled
 batch and per whole run; against a reference that perturbs every trial as
 layout 2 did, the law reference under analysis noise, where no closed form
-exists; against whole runs of layout 9; and bit for bit against a per-row
+exists; against whole runs of layout 10; and bit for bit against a per-row
 reference batch in the kernel's own draw order.
 
 A trial is evaluated in the coordinates of the measurement basis U, of
@@ -100,7 +121,8 @@ unitaries, so the state is Haar-random on that complement whatever the
 basis, and the kernel never sees U: the counts depend on the basis only
 through the indices of the input, the ancillas and the outcomes. The
 structural zeros of the bench (a filter or scanner setting orthogonal to a
-photon) come out exact.
+photon) come out exact, so a cell that cannot hold a trial has probability
+exactly 0.
 
 The ancilla is never replaced, so a trial carries it as its index k, and
 each overlap with it is a component: <S|N> = conj(S_k), <filter|N> =
@@ -110,32 +132,20 @@ are exact, as were the products with 0 and 1 they replace. The overlaps of
 S with the unreplaced scanner settings are its components, and only a
 replaced setting takes an inner product.
 
-In a trial where no state was replaced, p_coal/2, the filter terms, the
-bound of step 5 and the d thresholds depend only on the ancilla index, so
-each run computes them once per input (``_clean_row_table``, with the
-reach of each ancilla and the cells of the near-trial draw) and such
-trials read them from that table; only trials with a replaced state
-evaluate the closed forms row by row, each term once.
-
-Within a batch, every per-trial array (u, the ancilla index, p_coal/2 and
-the bound of step 5) is indexed by near trial until the last step. A trial
-passes both thinning steps exactly when u < min(p_coal/2, p_coal/2 *
-p_filter * margin), one comparison; a batch that can replace a state also
-forms the mask of the trials kept for step 4, to draw the filter-arm
-perturbation for as many trials as it holds. The trials that pass both are
-taken out once. A perturbation returns the indices of the states it
-replaced, so a batch with f = 1 builds and scans no mask of them, and a
-replaced state is kept with the index of its trial. A batch that can
-replace a state holds its signals and filters in one stack [e_p, replaced
-signals, replaced filters] with one row index per near trial for each. The
-trials that pass are counted in one pass: outcome j is the number of the
-trial's thresholds at or below u.
+A near trial reads from the table each number that no replaced state
+changes: p_coal/2 unless its signal was replaced, and the filter terms of
+an E trial. A trial passes both thinning steps exactly when
+u < min(p_coal/2, p_coal/2 * p_filter * margin), one comparison. A
+perturbation returns the indices of the states it replaced, and a replaced
+state is kept with the index of its trial. The near trials that reach
+step 5 are counted in one pass: outcome j is the number of the trial's
+thresholds at or below u.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
-``_half_coal``, ``_filter_terms`` (the filter arm, which a trial with a
-replaced signal or filter evaluates once, for the bound of step 5, and
-reuses for its thresholds) and ``_event_terms`` (the scanner weights).
+``_half_coal``, ``_filter_terms`` (the filter arm, which an A or C trial
+evaluates once, for the bound of step 5, and reuses for its thresholds)
+and ``_event_terms`` (the scanner weights), which also give the table.
 The tests check them against the second-quantized engine of
 :mod:`symclone.bosonic`, which a run never calls, and against the same
 forms written as products with the unit vector e_k.
@@ -181,7 +191,7 @@ BATCH_TRIALS = 32768
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 10
+STREAM_LAYOUT = 11
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -517,10 +527,17 @@ def _event_terms(A: np.ndarray, B: np.ndarray, v: float, F: np.ndarray, G: np.nd
     tests recompute all of this, and p_coal, through the second-quantized
     engine of :mod:`symclone.bosonic`; the two routes must agree.
     """
-    # q_j = |a|^2 + |b|^2 + 2 v^2 Re(conj(a) b) with a = A G_j, b = B F_j
+    # q_j = |a|^2 + |b|^2 + 2 v^2 Re(conj(a) b) with a = A G_j, b = B F_j,
+    # as v^2 |a + b|^2 + (1 - v^2) (|a|^2 + |b|^2), summed in place
     a = A[:, None] * G
     b = B[:, None] * F
-    return (v * v) * _abs2(a + b) + (1.0 - v * v) * (_abs2(a) + _abs2(b))
+    rest = _abs2(a) + _abs2(b)
+    rest *= 1.0 - v * v
+    a += b
+    q = _abs2(a)
+    q *= v * v
+    q += rest
+    return q
 
 
 def _scanner_bound(half_coal: np.ndarray, p_filter: np.ndarray) -> np.ndarray:
@@ -552,14 +569,12 @@ class _CleanRows(NamedTuple):
     """The constants of one input's batches (see :func:`_clean_row_table`);
     every per-ancilla array is indexed by the ancilla index k."""
 
-    cells: np.ndarray  # w_k * reach_k per ancilla, then the rest of 1 (_near_trials)
-    reach: np.ndarray  # the largest u at which a trial can still be kept
-    half_coal: np.ndarray  # p_coal/2 of an unperturbed trial
-    p_filter: np.ndarray  # its p_filter, A and B (_filter_terms)
+    cells: np.ndarray  # the multinomial cells of a batch: near cells, outcome cells, the rest
+    reach: np.ndarray  # per near cell, the bound below which its accept uniform is drawn
+    half_coal: np.ndarray  # p_coal/2 of a trial with a clean signal
+    p_filter: np.ndarray  # p_filter, A and B of a trial with a clean signal and filter
     A: np.ndarray
     B: np.ndarray
-    bound: np.ndarray  # its bound for the scanner draws (_scanner_bound)
-    thresholds: np.ndarray  # shape (d, d), column k: its d acceptance thresholds
 
 
 def _clean_row_table(
@@ -574,17 +589,30 @@ def _clean_row_table(
     basis, so its numbers depend on k alone. In basis coordinates these
     states are unit vectors: S = filter = e_p, N = e_k, and the overlaps
     with the scanner settings are F = S and G = N. The table holds their
-    p_coal/2, filter terms, bound for the scanner draws and thresholds,
-    evaluated by the same closed forms as the rows with a replaced state in
-    :func:`_simulate_batch`. The thresholds are stored transposed, one
-    column per ancilla, so that a batch gathers them into one row per
-    outcome without copying a transpose.
+    p_coal/2 and filter terms, evaluated by the same closed forms as the
+    near trials in :func:`_simulate_batch`.
 
-    The reach r_k of ancilla k is the largest u at which a trial with that
-    ancilla can still be kept: p_near = (1 + v^2)/8 * ``_BOUND_MARGIN`` if
-    the signal can be replaced; else the clean p_coal/2 if a filter or
-    scanner setting can be; else the clean bound of step 5. The near trials
-    of a batch (:func:`_near_trials`) are drawn below it.
+    ``cells`` are the cells of a batch's one ``multinomial`` draw, for the
+    weights w_k normalized, f_p = ``prep_f``, f_a = ``analysis_f``, the
+    clean bound b_k of step 5 (:func:`_scanner_bound`) and p_near =
+    (1 + v^2)/8 * ``_BOUND_MARGIN``, the largest p_coal/2 of any trial.
+    First the near cells, c = kind * d + k for ancilla k:
+
+    - kind 0, A_k, the signal replaced and u < p_near:
+      w_k (1 - f_p) p_near;
+    - kind 1, C_k, the signal kept, the filter replaced and u < b_k:
+      w_k f_p (1 - f_a) b_k. A replaced filter is orthogonal to the
+      signal e_p, so its p_filter, |filter_k|^2/2 <= 1/2 for k != p and 0
+      for k = p, never exceeds the clean one, and no such trial with
+      u >= b_k can be kept;
+    - kind 2 + i, E_{i,k}, signal and filter kept, u < b_k, and scanner
+      setting i the first one replaced: w_k f_p f_a b_k f_a^i (1 - f_a);
+
+    then O_j, the trials in which no state was replaced counted with
+    outcome j: the sum over k of w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}),
+    for the clean thresholds t_{k,j} (:func:`_acceptance_thresholds`, at
+    most b_k, t_{k,-1} = 0); then the rest of 1, the trials that can never
+    be counted. ``reach`` holds the bound of each near cell, p_near or b_k.
     """
     d = len(weights)
     k = np.arange(d)
@@ -593,185 +621,183 @@ def _clean_row_table(
     half_coal = _half_coal(S, k, v)
     p_filter, A, B = _filter_terms(S, k, v, S)
     q = _event_terms(A, B, v, S, np.eye(d, dtype=complex))  # F = S and G = N
-    thresholds = _acceptance_thresholds(half_coal, p_filter, q)
     bound = _scanner_bound(half_coal, p_filter)
-    if prep_f < 1.0:
-        reach = np.full(d, (1.0 + v * v) / 8.0 * _BOUND_MARGIN)
-    else:
-        reach = half_coal if analysis_f < 1.0 else bound
-    near = weights / weights.sum() * reach
+    # a clean trial, as a near one, is counted only below its bound of step 5
+    thresholds = np.minimum(_acceptance_thresholds(half_coal, p_filter, q), bound[:, None])
+    w = weights / weights.sum()
+    p_near = (1.0 + v * v) / 8.0 * _BOUND_MARGIN
+    clean = w * prep_f * analysis_f  # signal and filter kept
+    near = np.concatenate([
+        w * (1.0 - prep_f) * p_near,
+        w * prep_f * (1.0 - analysis_f) * bound,
+        np.outer(analysis_f ** k * (1.0 - analysis_f), clean * bound).ravel(),
+    ])
+    outcomes = clean * analysis_f**d @ np.diff(thresholds, axis=1, prepend=0.0)
     return _CleanRows(
-        # the last cell, the trials that draw nothing, takes the rest of the
-        # unit sum, as ``rng.multinomial`` does with its last probability
-        cells=np.append(near, 1.0 - near.sum()),
-        reach=reach,
+        # the last cell takes the rest of the unit sum, as ``rng.multinomial``
+        # does with its last probability
+        cells=np.concatenate([near, outcomes, [1.0 - near.sum() - outcomes.sum()]]),
+        reach=np.concatenate([np.full(d, p_near), np.tile(bound, d + 1)]),
         half_coal=half_coal,
         p_filter=p_filter,
         A=A,
         B=B,
-        bound=bound,
-        thresholds=np.ascontiguousarray(thresholds.T),
     )
 
 
-def _near_trials(
-    rng: np.random.Generator, cells: np.ndarray, reach: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The near trials of one batch: the trials with ancilla k and u below
-    its reach r_k.
+def _signal_and_filter_arms(
+    p: int, table: _CleanRows, v: float, analysis_f: float, u: np.ndarray, anc: np.ndarray,
+    n_a: int, n_c: int, rng: np.random.Generator,
+):
+    """Steps 3 and 4 of :func:`_simulate_batch` for its A trials, the first
+    ``n_a`` near trials, and its C trials, the next ``n_c``.
 
-    Draws the number of near trials with each ancilla and the number of the
-    others as one ``multinomial`` draw of BATCH_TRIALS over the d + 1
-    ``cells``, w_k r_k for ancilla k and the rest of 1 last, then one
-    accept uniform per near trial, scaled to [0, r_k). Returns the accept
-    uniforms u and the ancilla index of each near trial; the trials are
-    grouped by ancilla, n_0 trials with ancilla 0 first. The trials are
-    independent, so which of them has which ancilla does not matter, only
-    how many. A trial with u >= r_k could never be kept, so it draws
-    nothing.
+    Draws the replaced signal of each A trial, the filter-arm perturbation
+    of the A trials kept (u < their own p_coal/2), then the replaced filter
+    of each C trial. Returns the indices of the A and C trials below their
+    bound of step 5, with their signals, p_coal/2 and filter terms
+    (:func:`_filter_terms`).
     """
-    n = rng.multinomial(BATCH_TRIALS, cells)[:-1]
-    anc_idx = np.repeat(np.arange(len(n)), n)
-    u = rng.random(len(anc_idx))
-    u *= reach[anc_idx]
-    return u, anc_idx
+    d = len(table.half_coal)
+    S_bad = _complement_states(p, rng.standard_normal((n_a, 2 * d - 2)))
+    half_coal = _half_coal(S_bad, anc[:n_a], v)
+    kept = np.flatnonzero(u[:n_a] < half_coal)
+    f_idx, f_z = _fail_draws((len(kept),), d, analysis_f, rng)
+    pre = np.concatenate([kept, np.arange(n_a, n_a + n_c)])
+    S = np.zeros((len(pre), d), dtype=complex)
+    S[:, p] = 1.0
+    S[: len(kept)] = S_bad[kept]
+    filters = np.zeros_like(S)
+    filters[:, p] = 1.0
+    f_rows = np.concatenate([f_idx, np.arange(len(kept), len(pre))])
+    f_z = np.concatenate([f_z, rng.standard_normal((n_c, 2 * d - 2))])
+    filters[f_rows] = _complement_states(p, f_z)
+    half_coal = np.concatenate([half_coal[kept], table.half_coal[anc[n_a : n_a + n_c]]])
+    p_filter, A, B = _filter_terms(S, anc[pre], v, filters)
+    passing = np.flatnonzero(u[pre] < _scanner_bound(half_coal, p_filter))
+    return pre[passing], S[passing], half_coal[passing], p_filter[passing], A[passing], B[passing]
+
+
+def _scanner_overlaps(
+    p: int, S: np.ndarray, anc: np.ndarray, first: np.ndarray, analysis_f: float,
+    rng: np.random.Generator,
+):
+    """Step 5 of :func:`_simulate_batch`: the scanner-arm draws and the
+    overlaps F_j = <g_j|S> and G_j = <g_j|N> of the trials that reach it.
+
+    ``S`` holds the signals of the first ``len(S)`` trials; the others, the
+    E trials, have the signal e_p. ``anc`` is each trial's ancilla index
+    and ``first`` its first replaced scanner setting, -1 for none. Every
+    setting after it is replaced with probability 1 - ``analysis_f``, then
+    the setting ``first`` of each E trial is. For an unperturbed setting
+    g_j = e_j, F_j = S_j and G_j = delta_jk; a replaced one takes inner
+    products.
+    """
+    d = S.shape[1]
+    F = np.zeros((len(first), d), dtype=complex)
+    F[: len(S)] = S
+    F[len(S) :, p] = 1.0
+    G = np.zeros_like(F)
+    G[np.arange(len(G)), anc] = 1.0
+    free = np.flatnonzero(np.arange(d) > first[:, None])
+    g_idx, g_z = _fail_draws((len(free),), d, analysis_f, rng)
+    forced = np.arange(len(S), len(F))
+    g_rows, g_cols = np.divmod(np.concatenate([free[g_idx], forced * d + first[forced]]), d)
+    g_z = np.concatenate([g_z, rng.standard_normal((len(forced), 2 * d - 2))])
+    bra = np.conj(_complement_states(g_cols, g_z))
+    # F holds S until here: the right-hand side is taken before any entry of
+    # F is replaced
+    F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, F[g_rows])
+    G[g_rows, g_cols] = bra[np.arange(len(g_rows)), anc[g_rows]]
+    return F, G
 
 
 def _simulate_batch(
     p: int,
     table: _CleanRows,
     v: float,
-    prep_f: float,
     analysis_f: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Run BATCH_TRIALS single-shot trials of input ``p``, basis state p of
-    the measurement basis, on ``rng``; return the outcomes of the
-    post-selected trials, grouped by ancilla as the near trials are.
+    the measurement basis, on ``rng``; return the number of post-selected
+    trials with each outcome. ``table`` is :func:`_clean_row_table` of
+    input p, overlap v and the run's fidelities, and ``analysis_f`` the
+    analysis fidelity, which the filter-arm and scanner-arm perturbations
+    draw with.
 
-    The batch draws in stream layout 10 (see the module docstring), and
-    draws nothing for a trial that cannot click; of the others, the
-    perturbations only while they can still change whether the trial is
-    counted:
+    The batch draws in stream layout 11 (see the module docstring):
 
-    1. how many near trials have each ancilla k, those with u below the
-       reach r_k of k (:func:`_clean_row_table`), one multinomial draw;
-    2. their accept uniforms u, uniform on [0, r_k);
-    3. the preparation perturbations of the near trials;
-    4. the filter-arm perturbation of the kept trials, u < p_coal/2 =
-       (1 + v^2 |<S|N>|^2)/8;
-    5. the scanner-arm perturbation of the kept trials that also pass
-       u < p_coal/2 * p_filter, the largest threshold of the trial.
+    1. how many trials fall in each cell of ``table`` (:func:`_clean_row_table`),
+       one multinomial draw: the outcome cells add to the counts as they
+       are, and only the trials of a near cell, those with a replaced state
+       and u below the cell's reach, draw more;
+    2. the accept uniforms u of the near trials, uniform on [0, reach);
+    3. the replaced signals of the A trials;
+    4. the filter-arm perturbation of the A trials kept, u < p_coal/2 =
+       (1 + v^2 |<S|N>|^2)/8, then the replaced filters of the C trials
+       (:func:`_signal_and_filter_arms`);
+    5. the scanner-arm perturbation of the A and C trials that also pass
+       u < p_coal/2 * p_filter, the largest threshold of the trial, and of
+       the settings after the first replaced one of the E trials; then the
+       first replaced setting of each E trial (:func:`_scanner_overlaps`).
 
-    The bounds that select trials before their draws, p_near and the bound
-    of step 5 (also the reach at f = 1), carry the relative margin
-    ``_BOUND_MARGIN``, so rounding never skips a trial that its thresholds
-    would accept; the clean p_coal/2, the reach with analysis noise alone,
-    is the bound of step 4 itself. A trial that reaches step 5 is
-    accepted with outcome j for the smallest j with
+    Step 5's bound, :func:`_scanner_bound`, is
+    min(p_coal/2, p_coal/2 * p_filter * _BOUND_MARGIN), which takes the
+    bounds of steps 4 and 5 in one comparison. A trial that reaches step 5
+    is accepted with outcome j for the smallest j with
     u < p_coal/2 * p_filter * cum(q)_j/sum(q), that is with j the number of
     its thresholds at or below u.
 
-    ``table`` is :func:`_clean_row_table` for these arguments. Every state
-    is held in the coordinates of the measurement basis, where the ancilla
-    of a trial is e_k and never replaced: a trial carries k, its ancilla
-    index, and every product with N is a gather of component k
+    Every state is held in the coordinates of the measurement basis, where
+    the ancilla of a trial is e_k and never replaced: a trial carries k,
+    its ancilla index, and every product with N is a gather of component k
     (:func:`_half_coal`, :func:`_filter_terms`). A replaced state is drawn
     in these coordinates (:func:`_complement_states`), so the batch never
-    sees the basis itself. A row reads from the table each number that no
-    replaced state changes: p_coal/2 unless its signal was replaced,
-    p_filter and the step-5 bound unless its signal or filter was, and its
-    thresholds unless some state was.
-
-    Rows stay in the index space of the near trials until the last step.
-    ``passing`` is the mask of the trials below their :func:`_scanner_bound`,
-    min(p_coal/2, p_coal/2 * p_filter * _BOUND_MARGIN), which takes the
-    bounds of steps 4 and 5 in one comparison; only a batch that can
-    replace a state (some f < 1) also forms ``keep``, the mask of step 4,
-    to size and place its filter-arm draws. A perturbation gives the
-    indices of its replaced states (:func:`_fail_draws`), so a batch with
-    f = 1 scans no mask of them. A batch that can replace a state holds the
-    signal and filter states in one stack [e_p, S_bad, F_bad], with the row
-    of each near trial's signal and filter in ``s_pick`` and ``f_pick``.
-    The rows with a replaced signal or filter evaluate :func:`_filter_terms`
-    once, for their bound of step 5, and reuse it for their thresholds,
-    which every row with a replaced state evaluates through
-    :func:`_event_terms`. The passing trials are counted in one comparison
-    against their thresholds, gathered one row per outcome and one column
-    per trial.
+    sees the basis itself. The A and C trials evaluate
+    :func:`_filter_terms` once, for their bound of step 5, and reuse it for
+    their thresholds; an E trial reads its p_coal/2 and filter terms from
+    the table. Every trial that reaches step 5 evaluates its scanner
+    weights through :func:`_event_terms`.
     """
     d = len(table.half_coal)
-
-    # near trials: their draws of steps 1 to 3, then the row's bound of
-    # step 5 (:func:`_scanner_bound`) from the table.
-    # Every per-trial array below is indexed by near trial until the
-    # filter-passing trials are taken out.
-    u, anc_idx = _near_trials(rng, table.cells, table.reach)
-    s_rows, s_z = _fail_draws((len(u),), d, prep_f, rng)  # the trials of S_bad
-    bound = table.bound[anc_idx]
-    noisy = prep_f < 1.0 or analysis_f < 1.0  # the batch can replace a state
-    if noisy:
-        # the row's own p_coal/2 and the kept trials, then their filter-arm
-        # draws, then the bound of each row with a replaced signal or filter
-        S_bad = _complement_states(p, s_z)
-        half_coal = table.half_coal[anc_idx]
-        half_coal[s_rows] = _half_coal(S_bad, anc_idx[s_rows], v)
-        keep = u < half_coal
-        f_idx, f_z = _fail_draws((np.count_nonzero(keep),), d, analysis_f, rng)
-        f_rows = np.flatnonzero(keep)[f_idx] if len(f_idx) else f_idx  # the trials of F_bad
-        stack = np.zeros((1 + len(s_rows) + len(f_rows), d), dtype=complex)
-        stack[0, p] = 1.0
-        stack[1 : 1 + len(s_rows)] = S_bad
-        stack[1 + len(s_rows) :] = _complement_states(p, f_z)
-        s_pick = np.zeros(len(u), dtype=np.intp)
-        s_pick[s_rows] = np.arange(1, 1 + len(s_rows))
-        f_pick = np.zeros(len(u), dtype=np.intp)
-        f_pick[f_rows] = np.arange(1 + len(s_rows), len(stack))
-        pre = np.zeros(len(u), dtype=bool)
-        pre[s_rows] = keep[s_rows]
-        pre[f_rows] = True
-        pre = np.flatnonzero(pre)  # the kept trials with a replaced signal or filter
-        pre_terms = _filter_terms(stack[s_pick[pre]], anc_idx[pre], v, stack[f_pick[pre]])
-        # a trial with a replaced signal that was dropped before step 4 has
-        # u >= its own p_coal/2, so that bound keeps it dropped
-        bound[s_rows] = half_coal[s_rows]
-        bound[pre] = _scanner_bound(half_coal[pre], pre_terms[0])
-    passing = u < bound
-    passed = np.flatnonzero(passing)
-
-    # filter-passing trials: scanner-arm draws, then the thresholds, column
-    # by passing trial; the rows with a replaced state ("dirty") evaluate
-    # their scanner weights
-    g_flat, g_z = _fail_draws((len(passed), d), d, analysis_f, rng)  # replaced settings
-    thresholds = np.take(table.thresholds, anc_idx[passed], axis=1)
-    if noisy:
-        in_pre = passing[pre]
-        dirty = np.zeros(len(passed), dtype=bool)
-        dirty[np.searchsorted(passed, pre[in_pre])] = True
-        dirty[g_flat // d] = True
-        dirty = np.flatnonzero(dirty)
-        rows = passed[dirty]
-        anc = anc_idx[rows]
-        p_f, A, B = table.p_filter[anc], table.A[anc], table.B[anc]
-        at = np.searchsorted(rows, pre[in_pre])
-        p_f[at], A[at], B[at] = (x[in_pre] for x in pre_terms)
-        # overlaps F_j = <g_j|S> and G_j = <g_j|N> = delta_jk for an
-        # unperturbed setting g_j = e_j; inner products for a replaced one
-        F = stack[s_pick[rows]]
-        G = np.zeros((len(rows), d), dtype=complex)
-        G[np.arange(len(rows)), anc] = 1.0
-        if len(g_flat):
-            g_rows, g_cols = np.searchsorted(dirty, g_flat // d), g_flat % d
-            bra = np.conj(_complement_states(g_cols, g_z))
-            # F holds S until here: the right-hand side is taken before any
-            # entry of F is replaced
-            F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, F[g_rows])
-            G[g_rows, g_cols] = bra[np.arange(len(g_rows)), anc[g_rows]]
-        q = _event_terms(A, B, v, F, G)
-        thresholds[:, dirty] = _acceptance_thresholds(half_coal[rows], p_f, q).T
-    outcomes = (u[passed] >= thresholds).sum(axis=0)
-    # outcomes per trial, not per-outcome counts: the array pins glibc's heap top into the next batch
-    return outcomes[outcomes < d]
+    n = rng.multinomial(BATCH_TRIALS, table.cells)
+    counts = n[-1 - d : -1]
+    near = n[: len(table.reach)]
+    cell = np.repeat(np.arange(len(near)), near)  # grouped by cell: A, C, then E trials
+    if not len(cell):
+        return counts
+    u = rng.random(len(cell))
+    u *= table.reach[cell]
+    anc = cell % d
+    n_a, n_c = near[:d].sum(), near[d : 2 * d].sum()
+    # steps 3-4 and the draws of step 5 run in functions of their own, so
+    # their arrays are freed before the next step allocates. Written as one
+    # function, a degraded basis-IV batch peaked at ~0.95 MB of arrays in
+    # place of ~0.59 MB, glibc trimmed the heap top after each batch and the
+    # next one faulted it back: 7 467 minor faults per 5e4-shot table
+    # against 0 (4 499 against 0 once a 300 KB array had raised glibc's trim
+    # threshold), and slower tables
+    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(
+        p, table, v, analysis_f, u, anc, n_a, n_c, rng
+    )
+    # the E trials follow the A and C trials that pass, with their terms
+    # read from the table
+    e_rows = np.arange(n_a + n_c, len(cell))
+    e_anc = anc[e_rows]
+    first = np.concatenate([np.full(len(rows), -1), cell[e_rows] // d - 2])
+    rows = np.concatenate([rows, e_rows])
+    F, G = _scanner_overlaps(p, S, anc[rows], first, analysis_f, rng)
+    q = _event_terms(
+        np.concatenate([A, table.A[e_anc]]), np.concatenate([B, table.B[e_anc]]), v, F, G
+    )
+    thresholds = _acceptance_thresholds(
+        np.concatenate([half_coal, table.half_coal[e_anc]]),
+        np.concatenate([p_filter, table.p_filter[e_anc]]),
+        q,
+    )
+    counts += np.bincount((u[rows, None] >= thresholds).sum(axis=1), minlength=d + 1)[:d]
+    return counts
 
 
 def run_cloning_experiment(
@@ -805,30 +831,28 @@ def run_cloning_experiment(
     while collected < config.shots:
         bit_generator.state = start
         bit_generator.advance(batch << 64)
-        hits = _simulate_batch(
+        batch_counts = _simulate_batch(
             phi_index,
             table,
             config.v,
-            config.prep_fidelity,
             config.analysis_fidelity,
             rng,
         )
         batch += 1
-        if hits.size == 0:
+        hits = int(batch_counts.sum())
+        if hits == 0:
             dry += 1
             if dry >= _MAX_DRY_BATCHES:
                 raise RuntimeError("post-selection yield is (near) zero for this configuration")
             continue
         dry = 0
         need = config.shots - collected
-        batch_counts = np.bincount(hits, minlength=basis.dim)
-        if hits.size > need:
-            # the hits are grouped by ancilla, not in trial order: keep a
-            # uniformly random ``need`` of them, as the first ``need`` in
-            # trial order of independent trials would be
+        if hits > need:
+            # keep a uniformly random ``need`` of the batch's hits, as the
+            # first ``need`` in trial order of independent trials would be
             batch_counts = rng.multivariate_hypergeometric(batch_counts, need)
         counts += batch_counts
-        collected += min(hits.size, need)
+        collected += min(hits, need)
     return CountsTable(
         basis_labels=tuple(basis.labels),
         phi_index=phi_index,

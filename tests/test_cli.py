@@ -227,6 +227,31 @@ def test_hom_help_states_the_steps_bound(capsys):
     assert f"2..{HOM_MAX_STEPS}" in capsys.readouterr().out
 
 
+def test_help_opens_with_one_whole_sentence(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    description = capsys.readouterr().out.split("\n\n")[1]
+    assert description.split() == cli.__doc__.split("\n\n")[0].split()
+    assert description.rstrip().endswith(".") and description.count(".") == 1
+
+
+@pytest.mark.parametrize("argv", [["clone", "--json"], ["hom", "--steps", "100000"]])
+def test_a_closed_stdout_is_no_error(argv):
+    # the read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails whatever the timing: at the flush of a
+    # short output, inside the handler for a long one
+    paths = [str(Path(symclone.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "symclone", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+
+
 def test_hom_to_file(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     assert main(["hom", "--steps", "5", "--output", str(out)]) == EXIT_OK

@@ -29,8 +29,9 @@ from symclone.experiment import (
     _fail_draws,
     _filter_terms,
     _half_coal,
-    _near_trials,
     _scanner_bound,
+    _scanner_overlaps,
+    _signal_and_filter_arms,
     _simulate_batch,
     estimate_probabilities,
     replicate_table,
@@ -132,11 +133,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 10
+    assert cfg.to_dict()["streamLayout"] == 11
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, "10", None):
+    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, "11", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -693,71 +694,84 @@ def test_batches_and_runs_sample_the_exact_outcome_law(case):
         table = _clean_row_table(i, config.weights_for(d), v, prep_f, 1.0)
         pooled = np.zeros(d)
         for b in range(16):
-            hits = _simulate_batch(i, table, v, prep_f, 1.0, _batch_rng(pooled_seed, i, b))
-            pooled += np.bincount(hits, minlength=d)
+            pooled += _simulate_batch(i, table, v, 1.0, _batch_rng(pooled_seed, i, b))
         assert np.max(np.abs(_one_sample_z(pooled, 16 * BATCH_TRIALS, law))) < 5.0
         counts = run_cloning_experiment(phi, basis, config).counts
         counts = np.array([counts[k] for k in range(d)])
         assert np.max(np.abs(_one_sample_z(counts, config.shots, law / law.sum()))) < 5.0
 
 
-def _replay_near_trials(rng, reach, weights):
-    """The near trials of a batch replayed on ``rng``: how many trials have
-    each ancilla k and u below its ``reach`` r_k, and how many do not, as one
-    multinomial draw over the cells w_k r_k and the rest of 1, then their
-    accept uniforms on [0, r_k). Returns u and the ancilla index of each
-    near trial, grouped by ancilla."""
-    near = weights / weights.sum() * reach
-    n = rng.multinomial(BATCH_TRIALS, [*near, 1.0 - near.sum()])[:-1]
-    anc_idx = np.repeat(np.arange(len(weights)), n)
-    return rng.random(len(anc_idx)) * reach[anc_idx], anc_idx
+class _CallLog:
+    """A stream that records the name of each method called on it and
+    forwards the call to ``rng``."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
 
 
-def test_ideal_batch_draws_only_its_ancilla_counts_and_accept_uniforms():
-    # at v = 1 a trial with the input's ancilla reaches p_coal/2 = 1/4, any
-    # other 1/16 (its bound of step 5, with the margin): 7/64 of a batch,
-    # where a reach of p_near for every ancilla drew a quarter
-    rng = _batch_rng(3, 0, 0)
-    _simulate_batch(0, _clean_row_table(0, np.full(4, 0.25), 1.0, 1.0, 1.0), 1.0, 1.0, 1.0, rng)
+def test_ideal_batch_draws_one_multinomial_and_nothing_else():
+    # with f = 1 no state can be replaced, so every near cell is empty and a
+    # batch is one multinomial draw, whose outcome cells are its counts. At
+    # v = 1 a trial with the input's ancilla is counted below p_coal/2 = 1/4,
+    # any other below its bound of step 5, 1/16: 7/64 of a batch
+    table = _clean_row_table(0, np.full(4, 0.25), 1.0, 1.0, 1.0)
+    assert not table.cells[:24].any()
+    assert table.cells[24:28].sum() == pytest.approx(7 / 64, rel=1e-12)
+    rng = _CallLog(_batch_rng(3, 0, 0))
+    counts = _simulate_batch(0, table, 1.0, 1.0, rng)
+    assert rng.calls == ["multinomial"]
     fresh = _batch_rng(3, 0, 0)
-    reach = np.array([0.25] + 3 * [0.0625 * (1.0 + 1e-9)])
-    u, _ = _replay_near_trials(fresh, reach, np.full(4, 0.25))
-    assert 0 < len(u) < BATCH_TRIALS // 8
-    assert _stream_position(rng) == _stream_position(fresh)
+    assert np.array_equal(counts, fresh.multinomial(BATCH_TRIALS, table.cells)[24:28])
+    assert _stream_position(rng.rng) == _stream_position(fresh)
 
 
 def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
-    # a signal that can be replaced may reach p_coal/2 = p_near with any ancilla
+    # with an ideal analyzer only the A cells, a replaced signal below
+    # p_near, hold near trials: (1 - f) p_near of a batch draws its accept
+    # uniform and its signal's normals, and nothing else draws
     v, f = 0.9, 0.8
+    table = _clean_row_table(2, np.full(4, 0.25), v, f, 1.0)
     rng = _batch_rng(21, 2, 0)
-    _simulate_batch(2, _clean_row_table(2, np.full(4, 0.25), v, f, 1.0), v, f, 1.0, rng)
+    _simulate_batch(2, table, v, 1.0, rng)
     fresh = _batch_rng(21, 2, 0)
-    u, _ = _replay_near_trials(fresh, np.full(4, (1.0 + v * v) / 8.0 * (1.0 + 1e-9)), np.full(4, 0.25))
-    assert 0 < len(u) < BATCH_TRIALS // 2
-    _replay_fail_draws(fresh, len(u), f)
+    n = fresh.multinomial(BATCH_TRIALS, table.cells)
+    n_a = n[:4].sum()
+    assert 0 < n_a < BATCH_TRIALS // 16 and not n[4:24].any()
+    fresh.random(n_a)
+    fresh.standard_normal((n_a, 6))
     assert _stream_position(rng) == _stream_position(fresh)
 
 
 def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials():
-    # with a clean signal a trial reaches its own p_coal/2, so every near
-    # trial is kept for the filter-arm draws
+    # with a clean signal there are no A trials; a C trial draws its
+    # replaced filter, and its scanner settings only if it passes its own
+    # bound of step 5; an E trial draws the settings after its first
+    # replaced one, then that one
     basis = basis_logical()
     phi, v, f = basis.states[0].amps, 0.9, 0.7
-    weights = np.full(4, 0.25)
+    table = _clean_row_table(0, np.full(4, 0.25), v, 1.0, f)
     rng = _batch_rng(22, 0, 0)
-    _simulate_batch(0, _clean_row_table(0, weights, v, 1.0, f), v, 1.0, f, rng)
+    _simulate_batch(0, table, v, f, rng)
     fresh = _batch_rng(22, 0, 0)
-    reach = (1.0 + v * v * np.abs(basis.matrix.T @ np.conj(phi)) ** 2) / 8.0
-    u, anc_idx = _replay_near_trials(fresh, reach, weights)
-    N = basis.matrix.T[anc_idx]
+    n = fresh.multinomial(BATCH_TRIALS, table.cells)[:24]
+    cell = np.repeat(np.arange(24), n)
+    kind, anc = np.divmod(cell, 4)
+    assert not n[:4].any()
+    u = fresh.random(len(cell)) * table.reach[cell]
+    c = kind == 1
+    N = basis.matrix.T[anc[c]]
+    filters = _basis_complement(0, fresh.standard_normal((int(c.sum()), 6))) @ basis.matrix.T
+    p_filter, _ = _elementwise_terms(phi, N, v, filters, basis.matrix.T)
     half_coal = (1.0 + v * v * np.abs(N @ np.conj(phi)) ** 2) / 8.0
-    kept = u < half_coal
-    assert kept.all()
-    filters = _basis_perturbed(basis.matrix, 0, (int(kept.sum()),), f, fresh)
-    p_filter, _ = _elementwise_terms(phi, N[kept], v, filters, basis.matrix.T)
-    passing = int(np.count_nonzero(u[kept] < half_coal[kept] * p_filter * (1.0 + 1e-9)))
-    assert 0 < passing < kept.sum()
-    _replay_fail_draws(fresh, 4 * passing, f)
+    passing = int(np.count_nonzero(u[c] < half_coal * p_filter * (1.0 + 1e-9)))
+    assert 0 < passing < c.sum()
+    first = kind[kind >= 2] - 2
+    _replay_fail_draws(fresh, 4 * passing + int(np.sum(3 - first)), f)
+    fresh.standard_normal((len(first), 6))
     assert _stream_position(rng) == _stream_position(fresh)
 
 
@@ -773,8 +787,7 @@ def _two_sample_z(case, reference, seeds, batches=16):
     for i in range(4):
         table = _clean_row_table(i, weights, v, prep_f, analysis_f)
         for b in range(batches):
-            hits = _simulate_batch(i, table, v, prep_f, analysis_f, _batch_rng(seeds[0], i, b))
-            counts[0, i] += np.bincount(hits, minlength=4)
+            counts[0, i] += _simulate_batch(i, table, v, analysis_f, _batch_rng(seeds[0], i, b))
             hits = reference(i, basis.matrix, weights, v, prep_f, analysis_f, _batch_rng(seeds[1], i, b))
             counts[1, i] += np.bincount(hits, minlength=4)
     p = counts.sum(axis=0) / (2 * n)
@@ -783,8 +796,8 @@ def _two_sample_z(case, reference, seeds, batches=16):
 
 def test_lazy_draws_sample_the_layout_2_law():
     # two independent samples of the degraded basis-IV bench, and of basis I
-    # with analysis noise alone, whose near trials reach only their clean
-    # p_coal/2: one from the kernel and one from a reference that draws
+    # with analysis noise alone, where only the analyzer states are ever
+    # replaced: one from the kernel and one from a reference that draws
     # every perturbation as layout 2 did, for every trial below 1. Per input
     # and outcome the pooled counts must agree. With analysis noise the law
     # has no closed form, so this is its reference
@@ -807,16 +820,93 @@ def _reference_hits(u, half_coal, p_filter, q):
 
 def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
     """Reference: a batch of input ``p`` in the kernel's draw order that
-    evaluates p_coal/2 and the filter and scanner terms on every row it
-    keeps, from explicit scanner states in lab coordinates, with no
-    clean-row table. The closed forms take the signal and filter states in
-    the coordinates of the measurement basis, whose column k is ancilla k.
-    It draws the near trials below the reach of their ancilla, evaluated on
-    the clean trial of each ancilla, and perturbs with the kernel's draws
-    (:func:`_basis_perturbed`)."""
+    builds its cells from the clean trial of each ancilla, written out term
+    by term, and evaluates p_coal/2 and the filter and scanner terms on
+    every near trial, from explicit states in lab coordinates, with no
+    clean-row table; returns its counts per outcome. The closed forms take
+    the signal and filter states in the coordinates of the measurement
+    basis, whose column k is ancilla k. A trial passes step 5's bounds as
+    two comparisons, u below p_coal/2 and u below
+    p_coal/2 * p_filter * (1 + 1e-9)."""
     d = len(basis_cols)
-    # the reach of ancilla k: p_near if the signal can be replaced, else the
-    # clean p_coal/2 if an analyzer state can be, else the clean step-5 bound
+    phi = basis_cols[:, p]
+    settings = basis_cols.T
+    margin = 1.0 + 1e-9
+    # the clean trial of each ancilla: its bound b_k of step 5 and its
+    # thresholds, capped at b_k. In basis coordinates, where a structural
+    # zero of the bench is an exact 0 as in the kernel: a cell of
+    # probability 0 draws nothing, one of 1e-33 draws
+    eye = np.eye(d, dtype=complex)
+    S = np.broadcast_to(eye[p], (d, d))
+    clean_coal = (1.0 + (v * v) * np.abs(eye[:, p]) ** 2) / 8.0
+    clean_filter, q = _elementwise_terms(S, eye, v, S, np.broadcast_to(eye, (d, d, d)))
+    bound = np.minimum(clean_coal, clean_coal * clean_filter * margin)
+    thresholds = (clean_coal * clean_filter)[:, None] * np.cumsum(q, axis=1) / q.sum(axis=1, keepdims=True)
+    thresholds = np.minimum(thresholds, bound[:, None])
+    # the cells: A_k, C_k, E_{i,k} (i-major), O_j, the rest
+    w = weights / weights.sum()
+    p_near = (1.0 + v * v) / 8.0 * margin
+    near = [w * (1.0 - prep_f) * p_near, w * prep_f * (1.0 - analysis_f) * bound]
+    near += [w * prep_f * analysis_f * bound * analysis_f**i * (1.0 - analysis_f) for i in range(d)]
+    near = np.concatenate(near)
+    clean = w * prep_f * analysis_f ** (d + 1) @ np.diff(thresholds, axis=1, prepend=0.0)
+    n = rng.multinomial(BATCH_TRIALS, [*near, *clean, 1.0 - near.sum() - clean.sum()])
+    counts = n[len(near) : len(near) + d].copy()
+    kind, anc = np.divmod(np.repeat(np.arange(len(near)), n[: len(near)]), d)
+    if not len(anc):
+        return counts
+    u = rng.random(len(anc)) * np.where(kind == 0, p_near, bound[anc])
+    N = settings[anc]
+    # step 3: the A trials' signals; p_coal/2 of every trial
+    S = np.array(np.broadcast_to(phi, (len(anc), d)))
+    a_rows = np.flatnonzero(kind == 0)
+    S[a_rows] = _basis_complement(p, rng.standard_normal((len(a_rows), 2 * d - 2))) @ settings
+    half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
+    # step 4: the filters of the A trials kept, then of the C trials
+    filters = np.array(np.broadcast_to(phi, (len(anc), d)))
+    kept = a_rows[u[a_rows] < half_coal[a_rows]]
+    filters[kept] = _basis_perturbed(basis_cols, p, (len(kept),), analysis_f, rng)
+    c_rows = np.flatnonzero(kind == 1)
+    filters[c_rows] = _basis_complement(p, rng.standard_normal((len(c_rows), 2 * d - 2))) @ settings
+    p_filter = _filter_terms(_in_basis(basis_cols, S), anc, v, _in_basis(basis_cols, filters))[0]
+    rows = np.flatnonzero((u < half_coal) & (u < half_coal * p_filter * margin))
+    # step 5: each scanner setting after the trial's first replaced one
+    # (none for an A or C trial), then that one of each E trial
+    first = np.where(kind[rows] >= 2, kind[rows] - 2, -1)
+    free = np.arange(d) > first[:, None]
+    G = np.array(np.broadcast_to(settings, (len(rows), d, d)))
+    G[free] = _basis_perturbed(basis_cols, np.nonzero(free)[1], (int(free.sum()),), analysis_f, rng)
+    e = np.flatnonzero(first >= 0)
+    z = rng.standard_normal((len(e), 2 * d - 2))
+    G[e, first[e]] = _basis_complement(first[e], z) @ settings
+    u, S, N, anc, filters, half_coal = (x[rows] for x in (u, S, N, anc, filters, half_coal))
+    p_filter, q = _terms(_in_basis(basis_cols, S), anc, v, _in_basis(basis_cols, filters),
+                         _overlaps(G, S), _overlaps(G, N))
+    return counts + np.bincount(_reference_hits(u, half_coal, p_filter, q), minlength=d)
+
+
+def _layout10_near_trials(rng, reach, weights):
+    """The near trials of a layout-10 batch drawn on ``rng``: how many
+    trials have each ancilla k and u below its ``reach`` r_k, and how many
+    do not, as one multinomial draw over the cells w_k r_k and the rest of
+    1, then their accept uniforms on [0, r_k). Returns u and the ancilla
+    index of each near trial, grouped by ancilla."""
+    near = weights / weights.sum() * reach
+    n = rng.multinomial(BATCH_TRIALS, [*near, 1.0 - near.sum()])[:-1]
+    anc_idx = np.repeat(np.arange(len(weights)), n)
+    return rng.random(len(anc_idx)) * reach[anc_idx], anc_idx
+
+
+def _layout10_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
+    """Reference for the sampled law: a batch of input ``p`` as stream
+    layout 10 drew it, evaluated row by row from explicit states in lab
+    coordinates. It draws every trial below the reach of its ancilla
+    (p_near if the signal can be replaced, else the clean p_coal/2 if an
+    analyzer state can be, else the clean step-5 bound), then the signal
+    perturbation of every such trial, the filter-arm perturbation of those
+    below their p_coal/2 and the scanner-arm perturbation of those below
+    their filter bound. Returns the outcomes of the accepted trials."""
+    d = len(basis_cols)
     clean_coal = (1.0 + (v * v) * np.abs(basis_cols.T @ np.conj(basis_cols[:, p])) ** 2) / 8.0
     clean = _in_basis(basis_cols, np.broadcast_to(basis_cols[:, p], (d, d)))
     clean_filter = _filter_terms(clean, np.arange(d), v, clean)[0]
@@ -826,7 +916,7 @@ def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
         reach = clean_coal
     else:
         reach = np.minimum(clean_coal, clean_coal * clean_filter * (1.0 + 1e-9))
-    u, anc_idx = _replay_near_trials(rng, reach, weights)
+    u, anc_idx = _layout10_near_trials(rng, reach, weights)
     N = basis_cols.T[anc_idx]
     S = _basis_perturbed(basis_cols, p, (len(u),), prep_f, rng)
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
@@ -869,9 +959,9 @@ def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, a
     table = _clean_row_table(phi_index, weights, v, prep_f, analysis_f)
     for b in range(batches):
         fast, slow = _batch_rng(seed, phi_index, b), _batch_rng(seed, phi_index, b)
-        hits = _simulate_batch(phi_index, table, v, prep_f, analysis_f, fast)
+        counts = _simulate_batch(phi_index, table, v, analysis_f, fast)
         expected = _per_row_batch(phi_index, basis.matrix, weights, v, prep_f, analysis_f, slow)
-        assert np.array_equal(hits, expected), (b, hits.size, expected.size)
+        assert np.array_equal(counts, expected), (b, counts, expected)
         assert _stream_position(fast) == _stream_position(slow)
 
 
@@ -899,57 +989,81 @@ def test_table_path_matches_per_row_reference(case):
 
 @pytest.mark.parametrize("case", sorted(_TABLE_CASES))
 def test_near_trials_reach_as_far_as_a_trial_can_be_kept(monkeypatch, case):
-    # the reach r_k is the bound at which the kernel drops a trial with
-    # ancilla k when no earlier bound can move: p_near, where layout 9 drew
-    # every near trial, if the signal can be replaced; else the clean
-    # p_coal/2 of step 4; else the clean bound of step 5. So it drops no
-    # trial that a later step keeps, and wastes none: with analysis noise
-    # alone every near trial is kept at step 4, and at f = 1 every near
-    # trial passes step 5. The sizes of the perturbations show which trials
-    # a step holds
+    # the reach of a near cell is the bound at which the kernel drops its
+    # trials when no earlier bound can move: p_near for an A trial, whose
+    # signal is replaced; the clean bound b_k of step 5 for a C trial, whose
+    # replaced filter never raises p_filter above the clean one, and for an
+    # E trial, whose signal and filter are clean. So every near trial lies
+    # below its reach, every C trial is kept at step 4, every E trial
+    # reaches the scanner draws of step 5, and a batch that can replace no
+    # state walks no trial
     make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
-    basis = make_basis()
-    d = basis.dim
+    d = make_basis().dim
     weights = np.full(d, 1.0 / d) if weights is None else np.array(weights)
-    near, leads = [], []
+    arms, scanners = [], []
 
-    def near_trials(*args):
-        near.append(_near_trials(*args))
-        return near[-1]
+    def signal_and_filter_arms(p, table, v, analysis_f, u, anc, n_a, n_c, rng):
+        arms.append((u.copy(), anc.copy(), n_a, n_c))
+        return _signal_and_filter_arms(p, table, v, analysis_f, u, anc, n_a, n_c, rng)
 
-    def fail_draws(lead, *args):
-        leads.append(lead)
-        return _fail_draws(lead, *args)
+    def scanner_overlaps(p, S, anc, first, analysis_f, rng):
+        scanners.append((len(S), first.copy()))
+        return _scanner_overlaps(p, S, anc, first, analysis_f, rng)
 
-    monkeypatch.setattr(experiment, "_near_trials", near_trials)
-    monkeypatch.setattr(experiment, "_fail_draws", fail_draws)
+    monkeypatch.setattr(experiment, "_signal_and_filter_arms", signal_and_filter_arms)
+    monkeypatch.setattr(experiment, "_scanner_overlaps", scanner_overlaps)
+    p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
     for p in range(d):
         table = _clean_row_table(p, weights, v, prep_f, analysis_f)
-        if prep_f < 1.0:
-            assert np.all(table.reach == (1.0 + v * v) / 8.0 * (1.0 + 1e-9))
-        elif analysis_f < 1.0:
-            assert np.array_equal(table.reach, table.half_coal)
-        else:
-            assert np.array_equal(table.reach, table.bound)
+        bound = _scanner_bound(table.half_coal, table.p_filter)
+        assert np.array_equal(table.reach, np.concatenate([np.full(d, p_near), np.tile(bound, d + 1)]))
         for b in range(3):
-            near.clear()
-            leads.clear()
-            _simulate_batch(p, table, v, prep_f, analysis_f, _batch_rng(47, p, b))
-            (u, anc), = near
-            assert len(u) > 0 and np.all(u < table.reach[anc])
-            # the signal's perturbation covers every near trial
-            assert leads[0] == (len(u),)
-            if prep_f == 1.0 and analysis_f < 1.0:
-                assert leads[1] == (len(u),)  # the filter arm's: every trial kept
+            arms.clear()
+            scanners.clear()
+            _simulate_batch(p, table, v, analysis_f, _batch_rng(47, p, b))
             if prep_f == analysis_f == 1.0:
-                assert leads[1] == (len(u), d)  # the scanner's: every trial passing
+                assert arms == scanners == []
+                continue
+            (u, anc, n_a, n_c), = arms
+            assert len(u) > 0 and np.all(u < np.where(np.arange(len(u)) < n_a, p_near, bound[anc]))
+            assert np.all(u[n_a : n_a + n_c] < table.half_coal[anc[n_a : n_a + n_c]])
+            (passed, first), = scanners
+            assert len(first) - passed == len(u) - n_a - n_c
+            assert np.all((first[passed:] >= 0) & (first[passed:] < d))
+
+
+def test_a_replaced_filter_never_raises_p_filter_above_the_clean_one():
+    # the reach of a C cell, the clean bound b_k of step 5, rests on this:
+    # with the signal e_p a replaced filter is orthogonal to it, so
+    # A = <filter|e_p> = 0 and p_filter = |filter_k|^2/2 <= 1/2 for k != p
+    # and 0 for k = p, never above the clean p_filter of ancilla k (1/2 and
+    # 1); to rounding, far inside the margin of b_k
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(d=st.integers(2, 8), v=st.floats(0.0, 1.0), data=st.data(),
+                      seed=st.integers(0, 2**32))
+    def check(d, v, data, seed):
+        p, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        filters = _complement_states(p, np.random.default_rng(seed).standard_normal((64, 2 * d - 2)))
+        S = np.zeros((64, d), dtype=complex)
+        S[:, p] = 1.0
+        p_filter, A, _ = _filter_terms(S, np.full(64, k), v, filters)
+        clean = _clean_row_table(p, np.full(d, 1.0 / d), v, 1.0, 1.0).p_filter[k]
+        assert not A.any()
+        assert np.all(p_filter <= clean * (1.0 + 1e-12))
+        assert k != p or not p_filter.any()
+
+    check()
 
 
 @pytest.mark.parametrize("make_basis", [basis_logical, basis_four])
 def test_clean_row_thresholds_are_the_scanner_weights_over_16(make_basis):
     # with an ideal scanner sum(q) = 2 (1 + x) p_filter, so a clean row's
     # thresholds p_coal/2 * p_filter * cum(q)/sum(q) are cum(q)/16, with q
-    # written out term by term
+    # written out term by term; a table whose weight is all on ancilla k
+    # holds their steps in its outcome cells
     basis = make_basis()
     d = basis.dim
     settings = basis.matrix.T
@@ -958,43 +1072,10 @@ def test_clean_row_thresholds_are_the_scanner_weights_over_16(make_basis):
         S = np.broadcast_to(phi.amps, (d, d))
         for v in (0.0, 0.5, 0.9165, 1.0):
             _, q = _elementwise_terms(S, settings, v, S, scanner)
-            # column k of the table holds the thresholds of ancilla k
-            table = _clean_row_table(basis.index_of(phi), np.full(d, 1.0 / d), v, 1.0, 1.0)
-            thresholds = table.thresholds.T
-            assert np.max(np.abs(thresholds - np.cumsum(q, axis=1) / 16.0)) < 1e-15
-
-
-def test_ideal_batch_counts_a_trial_only_below_both_thinning_bounds():
-    # a doctored table with p_filter = 2 for every ancilla and thresholds
-    # built from it, so a row's thresholds reach 2 p_coal/2 * cum(q)/sum(q),
-    # above its p_coal/2: a near trial is still counted only if
-    # u < p_coal/2 (step 3) and u < p_coal/2 * p_filter * _BOUND_MARGIN
-    # (step 4), with outcome #{thresholds <= u}. The table is that of a
-    # signal that can be replaced, whose near trials reach p_near with every
-    # ancilla, run with f = 1
-    basis = basis_logical()
-    v = 0.9
-    weights = np.full(4, 0.25)
-    p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
-    above = 0
-    for p in range(4):
-        table = _clean_row_table(p, weights, v, 0.5, 1.0)
-        half_coal = table.half_coal
-        thresholds = table.thresholds.T * (2.0 / table.p_filter)[:, None]
-        doctored = table._replace(p_filter=np.full(4, 2.0), bound=_scanner_bound(half_coal, np.full(4, 2.0)),
-                                  thresholds=np.ascontiguousarray(thresholds.T))
-        for b in range(3):
-            rng = _batch_rng(31, p, b)
-            hits = _simulate_batch(p, doctored, v, 1.0, 1.0, rng)
-            fresh = _batch_rng(31, p, b)
-            u, anc = _replay_near_trials(fresh, np.full(4, p_near), weights)
-            outcomes = (u[:, None] >= thresholds[anc]).sum(axis=1)
-            counted = (u < half_coal[anc]) & (u < half_coal[anc] * 2.0 * (1.0 + 1e-9))
-            assert np.array_equal(hits, outcomes[counted & (outcomes < 4)])
-            assert _stream_position(rng) == _stream_position(fresh)
-            above += np.count_nonzero(~counted & (outcomes < 4))
-    # the trials the step-3 bound drops would have clicked
-    assert above > 1000
+            for k in range(d):
+                table = _clean_row_table(basis.index_of(phi), np.eye(d)[k], v, 1.0, 1.0)
+                thresholds = np.cumsum(table.cells[-1 - d : -1])
+                assert np.max(np.abs(thresholds - np.cumsum(q[k]) / 16.0)) < 1e-15
 
 
 def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
@@ -1004,17 +1085,16 @@ def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
         calls.append(len(args[0]))
         return _event_terms(*args)
 
-    basis = basis_logical()
     weights = np.full(4, 0.25)
     table = _clean_row_table(1, weights, 1.0, 1.0, 1.0)
     noisy = _clean_row_table(1, weights, 1.0, 0.5, 1.0)
     monkeypatch.setattr(experiment, "_event_terms", counted)
     for b in range(5):
-        hits = _simulate_batch(1, table, 1.0, 1.0, 1.0, _batch_rng(9, 1, b))
-        assert hits.size > 0
+        counts = _simulate_batch(1, table, 1.0, 1.0, _batch_rng(9, 1, b))
+        assert counts.sum() > 0
     assert calls == []
     # the counter sees the rows of a noisy batch, which do need the terms
-    _simulate_batch(1, noisy, 1.0, 0.5, 1.0, _batch_rng(9, 1, 0))
+    _simulate_batch(1, noisy, 1.0, 1.0, _batch_rng(9, 1, 0))
     assert len(calls) == 1 and calls[0] > 0
 
 
@@ -1059,19 +1139,28 @@ def test_table_path_matches_reference_on_random_configs():
     (0.0, 0.0, 0.0, 1.0),
 ])
 def test_edge_ancilla_weights_run_through_the_multinomial(weights):
-    # every weight vector the constructor accepts runs: the cells of the
-    # near-trial draw sum to 1 to rounding, the last cell, the trials that
-    # draw nothing, taking what the others leave, so an ancilla of weight
-    # zero has probability exactly 0
+    # every weight vector the constructor accepts runs: the cells of a
+    # batch's draw sum to 1 to rounding, the last cell, the trials that are
+    # never counted, taking what the others leave, so every near cell of an
+    # ancilla of weight zero has probability exactly 0 and no near trial
+    # has that ancilla
     config = ExperimentConfig(shots=500, seed=6, ancilla_weights=weights)
     basis = basis_logical()
-    table = _clean_row_table(0, config.weights_for(4), config.v, 1.0, 1.0)
+    table = _clean_row_table(0, config.weights_for(4), config.v, 0.9, 0.9)
     assert table.cells[-1] > 0 and abs(table.cells.sum() - 1.0) < 1e-15
     zero = [k for k, w in enumerate(weights) if w == 0.0]
-    assert np.all(table.cells[zero] == 0.0)
-    for b in range(20):
-        _, anc = _near_trials(_batch_rng(6, 0, b), table.cells, table.reach)
-        assert not np.isin(anc, zero).any()
+    assert np.all(table.cells[:24].reshape(6, 4)[:, zero] == 0.0)
+    arms = []
+
+    def signal_and_filter_arms(p, table, v, analysis_f, u, anc, *args):
+        arms.append(anc.copy())
+        return _signal_and_filter_arms(p, table, v, analysis_f, u, anc, *args)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(experiment, "_signal_and_filter_arms", signal_and_filter_arms)
+        for b in range(20):
+            _simulate_batch(0, table, config.v, 0.9, _batch_rng(6, 0, b))
+    assert len(arms) == 20 and not np.isin(np.concatenate(arms), zero).any()
     table = run_cloning_experiment(basis.states[0], basis, config)
     assert sum(table.counts) == 500
 
@@ -1087,10 +1176,8 @@ def _single_batch_run(phi, basis, config):
     counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
     while collected < config.shots:
         rng = _batch_rng(config.seed, i, batch)
-        hits = _simulate_batch(i, table, config.v, config.prep_fidelity,
-                               config.analysis_fidelity, rng)
-        batch_counts = np.bincount(hits, minlength=basis.dim)
-        if collected + hits.size > config.shots:
+        batch_counts = _simulate_batch(i, table, config.v, config.analysis_fidelity, rng)
+        if collected + batch_counts.sum() > config.shots:
             batch_counts = rng.multivariate_hypergeometric(batch_counts, config.shots - collected)
         counts += batch_counts
         collected += int(batch_counts.sum())
@@ -1132,7 +1219,7 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
             evaluated = []
 
             def kernel(*args):
-                evaluated.append(_fresh_batch(args[5], config.seed, i))
+                evaluated.append(_fresh_batch(args[4], config.seed, i))
                 return _simulate_batch(*args)
 
             with monkeypatch.context() as patched:
@@ -1162,52 +1249,45 @@ def _whole_run_z(basis_name, seeds, reference):
     return (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
 
 
-def _layout9_near_trials(config):
-    """Layout 9's near trials for ``config``, a stand-in for
-    ``_near_trials``: their number K ~ Binomial(BATCH_TRIALS, p_near), then
-    their ancilla counts n ~ Multinomial(K, weights), then K accept uniforms
-    on [0, p_near), with p_near = (1 + v^2)/8 * (1 + 1e-9) whatever the
-    ancilla."""
-    p_near = (1.0 + config.v * config.v) / 8.0 * (1.0 + 1e-9)
-    weights = config.weights_for(4)
-    weights = np.trim_zeros(weights / weights.sum(), "b")
+def _layout10_run(phi, basis, config):
+    """The counts of a whole run of ``config`` whose batches are layout
+    10's (:func:`_layout10_batch`) in place of the kernel's."""
+    weights = config.weights_for(basis.dim)
 
-    def near_trials(rng, cells, reach):
-        n = rng.multinomial(rng.binomial(BATCH_TRIALS, p_near), weights)
-        return rng.random(n.sum()) * p_near, np.repeat(np.arange(len(weights)), n)
+    def layout10(p, table, v, analysis_f, rng):
+        hits = _layout10_batch(p, basis.matrix, weights, v, config.prep_fidelity, analysis_f, rng)
+        return np.bincount(hits, minlength=basis.dim)
 
-    return near_trials
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(experiment, "_simulate_batch", layout10)
+        return run_cloning_experiment(phi, basis, config).counts
 
 
 @pytest.mark.parametrize("basis_name", ["I", "IV"])
-def test_per_ancilla_reach_samples_the_layout_9_law(monkeypatch, basis_name):
+def test_outcome_cells_sample_the_layout_10_law(basis_name):
     # whole runs of the ideal basis-I and the degraded basis-IV bench (seed
-    # 93) against the same runs with layout 9's near trials, drawn below
-    # p_near for every ancilla (seed 94): per input and outcome the counts
-    # must agree (|z| < 5, fixed beforehand)
-    def layout9(phi, basis, config):
-        with monkeypatch.context() as patched:
-            patched.setattr(experiment, "_near_trials", _layout9_near_trials(config))
-            return run_cloning_experiment(phi, basis, config).counts
-
-    assert np.max(np.abs(_whole_run_z(basis_name, (93, 94), layout9))) < 5.0
+    # 95) against the same runs with layout 10's batches, which draw an
+    # accept uniform for every trial below the reach of its ancilla and
+    # walk each of them (seed 96): per input and outcome the counts must
+    # agree (|z| < 5, fixed beforehand)
+    assert np.max(np.abs(_whole_run_z(basis_name, (95, 96), _layout10_run))) < 5.0
 
 
 @pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
 def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, shots):
-    # a stand-in kernel gives every batch the same 17 outcomes, grouped by
+    # a stand-in kernel gives every batch the same 17 hits, counted per
     # outcome and drawing nothing; the run adds every full batch and, of the
     # batch that fills ``shots``, a multivariate_hypergeometric sample of its
     # counts drawn from the start of that batch's window
-    outcomes = np.repeat(np.arange(4), [5, 3, 2, 7])
-    monkeypatch.setattr(experiment, "_simulate_batch", lambda *args: outcomes.copy())
+    hits = np.array([5, 3, 2, 7])
+    monkeypatch.setattr(experiment, "_simulate_batch", lambda *args: hits.copy())
     basis = basis_logical()
     config = ExperimentConfig(shots=shots, seed=12)
     for i, phi in enumerate(basis.states):
         full, need = divmod(shots, 17)
-        expected = full * np.bincount(outcomes)
+        expected = full * hits
         if need:
-            expected += _batch_rng(12, i, full).multivariate_hypergeometric(np.bincount(outcomes), need)
+            expected += _batch_rng(12, i, full).multivariate_hypergeometric(hits, need)
         table = run_cloning_experiment(phi, basis, config)
         assert [table.counts[k] for k in range(4)] == expected.tolist()
         assert sum(table.counts) == shots
@@ -1218,8 +1298,8 @@ def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
     # 30-shot degraded basis-IV tables, one subsample of one batch each,
     # pooled over seeds 0-199, against the pooled outcomes of whole batches
     # (seed 1000, 8 per input): per input and outcome |z| < 5, fixed
-    # beforehand. Keeping the first 30 hits as the kernel returns them,
-    # grouped by ancilla, would count only ancilla-0 trials
+    # beforehand. Keeping the first 30 hits in outcome order would count
+    # only outcome-0 trials
     config = _GOLDEN_CONFIGS["IV"]
     basis = basis_four()
     tables = np.zeros((4, 4))
@@ -1231,9 +1311,8 @@ def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
         table = _clean_row_table(i, config.weights_for(4), config.v, config.prep_fidelity,
                                  config.analysis_fidelity)
         for b in range(8):
-            hits = _simulate_batch(i, table, config.v, config.prep_fidelity,
-                                   config.analysis_fidelity, _batch_rng(1000, i, b))
-            batches[i] += np.bincount(hits, minlength=4)
+            batches[i] += _simulate_batch(i, table, config.v, config.analysis_fidelity,
+                                          _batch_rng(1000, i, b))
     n1, n2 = tables.sum(axis=1, keepdims=True), batches.sum(axis=1, keepdims=True)
     p = (tables + batches) / (n1 + n2)
     z = (tables / n1 - batches / n2) / np.sqrt(p * (1.0 - p) * (1.0 / n1 + 1.0 / n2))
@@ -1255,7 +1334,7 @@ def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, ra
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
     monkeypatch.setattr(
         experiment, "_simulate_batch",
-        lambda *args: np.array([0] if _fresh_batch(args[5], 0, 0) in hit_batches else [], dtype=np.intp),
+        lambda *args: np.array([_fresh_batch(args[4], 0, 0) in hit_batches, 0, 0, 0], dtype=np.int64),
     )
     basis = basis_logical()
     config = ExperimentConfig(shots=len(hit_batches))
@@ -1303,8 +1382,8 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     for i in range(4):
         table = _clean_row_table(i, weights, 0.9165, 0.9, 0.9)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
-        # one batch per input: the four leave 854 such rows at seed 0
-        _simulate_batch(i, table, 0.9165, 0.9, 0.9, _batch_rng(0, i, 0))
+        # one batch per input: the four leave 833 such rows at seed 0
+        _simulate_batch(i, table, 0.9165, 0.9, _batch_rng(0, i, 0))
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])
@@ -1318,13 +1397,14 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # ---------------------------------------------------- fixed-seed regression
 
 # Integer counts per input (rows) and outcome (columns), re-recorded at
-# stream layout 10, which draws the near trials of a batch below the reach
-# of their ancilla, from one PCG64 per input advanced by 2^64 outputs per
-# batch, over 32768-trial batches. A change to the Monte Carlo arithmetic
-# that keeps the draws and the accept rule must leave them as they are.
+# stream layout 11, which draws the clean trials of a batch as outcome
+# counts and walks only the trials with a replaced state, from one PCG64
+# per input advanced by 2^64 outputs per batch, over 32768-trial batches.
+# A change to the Monte Carlo arithmetic that keeps the draws and the
+# accept rule must leave them as they are.
 _GOLDEN_COUNTS = {
-    "I": [[1178, 274, 278, 270], [294, 1155, 292, 259], [293, 306, 1116, 285], [292, 292, 280, 1136]],
-    "IV": [[1130, 346, 272, 252], [363, 1114, 256, 267], [379, 422, 911, 288], [421, 385, 296, 898]],
+    "I": [[1204, 257, 277, 262], [296, 1174, 271, 259], [302, 293, 1133, 272], [282, 321, 278, 1119]],
+    "IV": [[1108, 364, 272, 256], [376, 1104, 278, 242], [399, 384, 904, 313], [419, 394, 290, 897]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
