@@ -372,10 +372,9 @@ def _two_photon_input(
     return add_photon(state, 1, ancilla)
 
 
-def coalescence_enhancement(
-    psi_s: PureState, psi_a: PureState, model: DistinguishabilityModel
-) -> float:
-    """Same-port coincidence-rate enhancement R relative to distinguishable photons.
+def coalescence_enhancement(psi_s: PureState, psi_a: PureState, v: float) -> float:
+    """Same-port coincidence-rate enhancement R relative to distinguishable
+    photons, for the wavepacket overlap v of the two photons.
 
     Computed by evolving the two-photon state through the beam splitter and
     post-selecting coalescence; for fully distinguishable photons that
@@ -384,7 +383,9 @@ def coalescence_enhancement(
     """
     if psi_s.dim != psi_a.dim:
         raise ValueError(f"dimension mismatch: {psi_s.dim} vs {psi_a.dim}")
-    state = beam_splitter(_two_photon_input(psi_s, psi_a, model.v), 0, 1)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"overlap v must lie in [0, 1], got {v}")
+    state = beam_splitter(_two_photon_input(psi_s, psi_a, v), 0, 1)
     p0, _ = postselect_same_port(state, 0)
     p1, _ = postselect_same_port(state, 1)
     return (p0 + p1) / 0.5
@@ -408,6 +409,6 @@ def hom_curve(
     taus = [float(tau) for tau in delays]
     # raises for a model without spectral parameters, before any engine work
     v2 = [model.v_of_delay(tau) ** 2 for tau in taus]
-    r_one = coalescence_enhancement(psi_s, psi_a, DistinguishabilityModel(v=1.0))
-    r_zero = coalescence_enhancement(psi_s, psi_a, DistinguishabilityModel(v=0.0))
+    r_one = coalescence_enhancement(psi_s, psi_a, 1.0)
+    r_zero = coalescence_enhancement(psi_s, psi_a, 0.0)
     return [(tau, w * r_one + (1.0 - w) * r_zero) for tau, w in zip(taus, v2)]

@@ -76,10 +76,13 @@ falls in one cell of one ``multinomial`` draw of B trials:
   w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}), t_{k,-1} = 0;
 - the rest of 1, the trials that can never be counted.
 
-The O cells are the batch's counts of its clean trials, so an ideal batch
-(f_p = f_a = 1, every other cell empty) is that one draw. The trials of
-the A, C and E cells, the "near" trials, are walked; their draws, in this
-order:
+The table of an input holds these cells with the input index, v and f_a
+that the walk below reads, so it is a batch's whole law: a batch takes the
+table and its stream and nothing else, and cannot pair the cells with
+other values. The O cells are the batch's counts of its clean trials, so
+an ideal batch (f_p = f_a = 1, every other cell empty) is that one draw.
+The trials of the A, C and E cells, the "near" trials, are walked; their
+draws, in this order:
 
 1. the multinomial draw over the cells;
 2. one accept uniform ``u`` per near trial, uniform on [0, p_near) for an
@@ -421,21 +424,19 @@ class EstimationResult:
 
 
 def _fail_draws(
-    lead: tuple[int, ...], d: int, f: float, rng: np.random.Generator
+    n: int, d: int, f: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one perturbation of ``lead`` states of dimension d.
+    """The draws of one perturbation of n states of dimension d.
 
-    Returns the row-major (flat) indices of the replaced states in an array
-    of shape ``lead``, ascending, and 2(d - 1) standard normals per replaced
-    state in the same order. Draws nothing when f >= 1; otherwise the number
-    k ~ Binomial(n, 1 - f) of replaced states among the n of ``lead``, then
-    which k of them, as a sample without replacement, then the normals. That
-    is the law of n independent pass tests with probability f, drawn with k
-    indices in place of n uniforms.
+    Returns the indices of the replaced states among the n, ascending, and
+    2(d - 1) standard normals per replaced state in the same order. Draws
+    nothing when f >= 1; otherwise the number k ~ Binomial(n, 1 - f) of
+    replaced states, then which k of them, as a sample without replacement,
+    then the normals. That is the law of n independent pass tests with
+    probability f, drawn with k indices in place of n uniforms.
     """
     if f >= 1.0:
         return np.empty(0, dtype=np.intp), np.empty((0, 2 * d - 2))
-    n = math.prod(lead)
     bad = np.sort(rng.choice(n, rng.binomial(n, 1.0 - f), replace=False, shuffle=False))
     return bad, rng.standard_normal((len(bad), 2 * d - 2))
 
@@ -566,9 +567,13 @@ def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.nd
 
 
 class _CleanRows(NamedTuple):
-    """The constants of one input's batches (see :func:`_clean_row_table`);
-    every per-ancilla array is indexed by the ancilla index k."""
+    """The constants of one input's batches (see :func:`_clean_row_table`),
+    a batch's whole law. Every per-ancilla array is indexed by the ancilla
+    index k."""
 
+    p: int  # the input, basis state p of the measurement basis
+    v: float  # the overlap at the first splitter
+    analysis_f: float  # the fidelity of the filter-arm and scanner-arm perturbations
     cells: np.ndarray  # the multinomial cells of a batch: near cells, outcome cells, the rest
     reach: np.ndarray  # per near cell, the bound below which its accept uniform is drawn
     half_coal: np.ndarray  # p_coal/2 of a trial with a clean signal
@@ -582,7 +587,9 @@ def _clean_row_table(
 ) -> _CleanRows:
     """The constants of the batches of input ``p`` with ancilla weights
     ``weights``, overlap v and fidelities ``prep_f`` and ``analysis_f``,
-    computed once per input.
+    computed once per input. It keeps p, v and ``analysis_f`` as well, the
+    values that :func:`_simulate_batch` reads besides the cells; ``prep_f``
+    acts through the cells alone.
 
     In a trial where no state was replaced the signal and the filter are
     basis state p, the ancilla is basis state k and the scanner is the
@@ -634,6 +641,9 @@ def _clean_row_table(
     ])
     outcomes = clean * analysis_f**d @ np.diff(thresholds, axis=1, prepend=0.0)
     return _CleanRows(
+        p=p,
+        v=v,
+        analysis_f=analysis_f,
         # the last cell takes the rest of the unit sum, as ``rng.multinomial``
         # does with its last probability
         cells=np.concatenate([near, outcomes, [1.0 - near.sum() - outcomes.sum()]]),
@@ -646,8 +656,8 @@ def _clean_row_table(
 
 
 def _signal_and_filter_arms(
-    p: int, table: _CleanRows, v: float, analysis_f: float, u: np.ndarray, anc: np.ndarray,
-    n_a: int, n_c: int, rng: np.random.Generator,
+    table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, n_c: int,
+    rng: np.random.Generator,
 ):
     """Steps 3 and 4 of :func:`_simulate_batch` for its A trials, the first
     ``n_a`` near trials, and its C trials, the next ``n_c``.
@@ -658,11 +668,11 @@ def _signal_and_filter_arms(
     bound of step 5, with their signals, p_coal/2 and filter terms
     (:func:`_filter_terms`).
     """
-    d = len(table.half_coal)
+    p, v, d = table.p, table.v, len(table.half_coal)
     S_bad = _complement_states(p, rng.standard_normal((n_a, 2 * d - 2)))
     half_coal = _half_coal(S_bad, anc[:n_a], v)
     kept = np.flatnonzero(u[:n_a] < half_coal)
-    f_idx, f_z = _fail_draws((len(kept),), d, analysis_f, rng)
+    f_idx, f_z = _fail_draws(len(kept), d, table.analysis_f, rng)
     pre = np.concatenate([kept, np.arange(n_a, n_a + n_c)])
     S = np.zeros((len(pre), d), dtype=complex)
     S[:, p] = 1.0
@@ -679,7 +689,7 @@ def _signal_and_filter_arms(
 
 
 def _scanner_overlaps(
-    p: int, S: np.ndarray, anc: np.ndarray, first: np.ndarray, analysis_f: float,
+    table: _CleanRows, S: np.ndarray, anc: np.ndarray, first: np.ndarray,
     rng: np.random.Generator,
 ):
     """Step 5 of :func:`_simulate_batch`: the scanner-arm draws and the
@@ -688,19 +698,19 @@ def _scanner_overlaps(
     ``S`` holds the signals of the first ``len(S)`` trials; the others, the
     E trials, have the signal e_p. ``anc`` is each trial's ancilla index
     and ``first`` its first replaced scanner setting, -1 for none. Every
-    setting after it is replaced with probability 1 - ``analysis_f``, then
-    the setting ``first`` of each E trial is. For an unperturbed setting
-    g_j = e_j, F_j = S_j and G_j = delta_jk; a replaced one takes inner
-    products.
+    setting after it is replaced with probability 1 - f_a, for the table's
+    analysis fidelity f_a, then the setting ``first`` of each E trial is.
+    For an unperturbed setting g_j = e_j, F_j = S_j and G_j = delta_jk; a
+    replaced one takes inner products.
     """
     d = S.shape[1]
     F = np.zeros((len(first), d), dtype=complex)
     F[: len(S)] = S
-    F[len(S) :, p] = 1.0
+    F[len(S) :, table.p] = 1.0
     G = np.zeros_like(F)
     G[np.arange(len(G)), anc] = 1.0
     free = np.flatnonzero(np.arange(d) > first[:, None])
-    g_idx, g_z = _fail_draws((len(free),), d, analysis_f, rng)
+    g_idx, g_z = _fail_draws(len(free), d, table.analysis_f, rng)
     forced = np.arange(len(S), len(F))
     g_rows, g_cols = np.divmod(np.concatenate([free[g_idx], forced * d + first[forced]]), d)
     g_z = np.concatenate([g_z, rng.standard_normal((len(forced), 2 * d - 2))])
@@ -712,19 +722,14 @@ def _scanner_overlaps(
     return F, G
 
 
-def _simulate_batch(
-    p: int,
-    table: _CleanRows,
-    v: float,
-    analysis_f: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run BATCH_TRIALS single-shot trials of input ``p``, basis state p of
-    the measurement basis, on ``rng``; return the number of post-selected
-    trials with each outcome. ``table`` is :func:`_clean_row_table` of
-    input p, overlap v and the run's fidelities, and ``analysis_f`` the
-    analysis fidelity, which the filter-arm and scanner-arm perturbations
-    draw with.
+def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
+    """Run BATCH_TRIALS single-shot trials on ``rng``; return the number of
+    post-selected trials with each outcome. ``table`` is
+    :func:`_clean_row_table` of the input, the overlap v, the ancilla
+    weights and the run's fidelities, and it is the batch's whole law: the
+    input index p, v and the analysis fidelity f_a, which the filter-arm
+    and scanner-arm perturbations draw with, are read from it, so a batch
+    cannot be run under values other than those its cells were built for.
 
     The batch draws in stream layout 11 (see the module docstring):
 
@@ -778,18 +783,16 @@ def _simulate_batch(
     # next one faulted it back: 7 467 minor faults per 5e4-shot table
     # against 0 (4 499 against 0 once a 300 KB array had raised glibc's trim
     # threshold), and slower tables
-    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(
-        p, table, v, analysis_f, u, anc, n_a, n_c, rng
-    )
+    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(table, u, anc, n_a, n_c, rng)
     # the E trials follow the A and C trials that pass, with their terms
     # read from the table
     e_rows = np.arange(n_a + n_c, len(cell))
     e_anc = anc[e_rows]
     first = np.concatenate([np.full(len(rows), -1), cell[e_rows] // d - 2])
     rows = np.concatenate([rows, e_rows])
-    F, G = _scanner_overlaps(p, S, anc[rows], first, analysis_f, rng)
+    F, G = _scanner_overlaps(table, S, anc[rows], first, rng)
     q = _event_terms(
-        np.concatenate([A, table.A[e_anc]]), np.concatenate([B, table.B[e_anc]]), v, F, G
+        np.concatenate([A, table.A[e_anc]]), np.concatenate([B, table.B[e_anc]]), table.v, F, G
     )
     thresholds = _acceptance_thresholds(
         np.concatenate([half_coal, table.half_coal[e_anc]]),
@@ -831,13 +834,7 @@ def run_cloning_experiment(
     while collected < config.shots:
         bit_generator.state = start
         bit_generator.advance(batch << 64)
-        batch_counts = _simulate_batch(
-            phi_index,
-            table,
-            config.v,
-            config.analysis_fidelity,
-            rng,
-        )
+        batch_counts = _simulate_batch(table, rng)
         batch += 1
         hits = int(batch_counts.sum())
         if hits == 0:

@@ -13,7 +13,6 @@ import pytest
 
 from _engine_reference import mixed_ancilla_branches
 from symclone.bosonic import (
-    DistinguishabilityModel,
     FockState,
     beam_splitter,
     coalescence_enhancement,
@@ -90,13 +89,11 @@ def test_criterion_4_hom_enhancement():
     with criterion(4, "HOM enhancement"):
         logical = basis_logical().states[3]  # |L,-2>
         entangled = basis_four().states[0]
-        ideal = DistinguishabilityModel(v=1.0)
-        assert abs(coalescence_enhancement(logical, logical, ideal) - 2.0) < 1e-12
-        assert abs(coalescence_enhancement(entangled, entangled, ideal) - 2.0) < 1e-12
-        degraded = DistinguishabilityModel(v=0.9165)
-        assert abs(coalescence_enhancement(entangled, entangled, degraded) - 1.84) <= 0.005
+        assert abs(coalescence_enhancement(logical, logical, 1.0) - 2.0) < 1e-12
+        assert abs(coalescence_enhancement(entangled, entangled, 1.0) - 2.0) < 1e-12
+        assert abs(coalescence_enhancement(entangled, entangled, 0.9165) - 1.84) <= 0.005
         b = basis_logical()
-        r_orth = coalescence_enhancement(b.states[0], b.states[1], ideal)
+        r_orth = coalescence_enhancement(b.states[0], b.states[1], 1.0)
         assert abs(r_orth - 1.0) < 1e-12  # exact up to float rounding
 
 

@@ -330,19 +330,19 @@ def test_v_of_delay_invariants():
 
 def test_enhancement_of_identical_photons():
     psi = basis_logical().states[3]
-    r = coalescence_enhancement(psi, psi, DistinguishabilityModel(v=1.0))
+    r = coalescence_enhancement(psi, psi, 1.0)
     assert r == pytest.approx(2.0, abs=1e-12)
 
 
 def test_enhancement_at_partial_overlap():
     psi = basis_four().states[0]
-    r = coalescence_enhancement(psi, psi, DistinguishabilityModel(v=0.9165))
+    r = coalescence_enhancement(psi, psi, 0.9165)
     assert r == pytest.approx(1.84, abs=0.005)
 
 
 def test_enhancement_of_orthogonal_photons():
     b = basis_logical()
-    r = coalescence_enhancement(b.states[0], b.states[1], DistinguishabilityModel(v=0.7))
+    r = coalescence_enhancement(b.states[0], b.states[1], 0.7)
     assert r == pytest.approx(1.0, abs=1e-12)
 
 
@@ -354,9 +354,16 @@ def test_enhancement_matches_overlap_law():
         s = PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
         a = PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
         v = float(rng.uniform(0, 1))
-        r = coalescence_enhancement(s, a, DistinguishabilityModel(v=v))
+        r = coalescence_enhancement(s, a, v)
         expected = 1.0 + (v * abs(np.vdot(a.amps, s.amps))) ** 2
         assert r == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("v", [-0.1, 1.2, math.nan])
+def test_enhancement_rejects_an_overlap_outside_the_unit_interval(v):
+    psi = basis_four().states[0]
+    with pytest.raises(ValueError, match=r"overlap v must lie in \[0, 1\]"):
+        coalescence_enhancement(psi, psi, v)
 
 
 def test_enhancement_depends_only_on_total_overlap():
@@ -368,9 +375,8 @@ def test_enhancement_depends_only_on_total_overlap():
     sep = basis_logical()
     ent_partner = PureState(4, c * ent.states[0].amps + s * ent.states[1].amps)
     sep_partner = PureState(4, c * sep.states[0].amps + s * sep.states[1].amps)
-    model = DistinguishabilityModel(v=0.83)
-    r_ent = coalescence_enhancement(ent.states[0], ent_partner, model)
-    r_sep = coalescence_enhancement(sep.states[0], sep_partner, model)
+    r_ent = coalescence_enhancement(ent.states[0], ent_partner, 0.83)
+    r_sep = coalescence_enhancement(sep.states[0], sep_partner, 0.83)
     assert r_ent == pytest.approx(r_sep, abs=1e-12)
 
 
@@ -393,15 +399,8 @@ def test_hom_curve_shape():
 
 def _per_delay_reference(psi_s, psi_a, delays, model):
     """One full engine run per delay: the HOM curve before its v^2 decomposition."""
-    out = []
-    for tau in delays:
-        m = DistinguishabilityModel(
-            v=model.v_of_delay(float(tau)),
-            wavelength=model.wavelength,
-            bandwidth=model.bandwidth,
-        )
-        out.append((float(tau), coalescence_enhancement(psi_s, psi_a, m)))
-    return out
+    return [(float(tau), coalescence_enhancement(psi_s, psi_a, model.v_of_delay(float(tau))))
+            for tau in delays]
 
 
 def _random_ket(rng, d):
@@ -461,7 +460,7 @@ def test_hom_curve_peak_carries_the_zero_delay_overlap():
         expected = 1.0 + 0.9**2 * abs(np.vdot(psi_a.amps, psi.amps)) ** 2
         assert tau == 0.0
         assert r == pytest.approx(expected, abs=1e-12)
-        assert r == pytest.approx(coalescence_enhancement(psi, psi_a, model), abs=1e-12)
+        assert r == pytest.approx(coalescence_enhancement(psi, psi_a, model.v), abs=1e-12)
 
 
 def _counting(monkeypatch, name):

@@ -17,7 +17,7 @@ from _engine_reference import (
     mixed_ancilla_branches,
     raising,
 )
-from symclone import bosonic
+from symclone import bosonic, cloning
 from symclone.cloning import (
     CloningOutcome,
     CloningSpec,
@@ -35,6 +35,7 @@ from symclone.hilbert import (
     basis_computational,
     basis_four,
     basis_state,
+    fidelity_pure,
 )
 
 
@@ -124,19 +125,39 @@ def test_outcome_serialization_keys():
     assert data["d"] == 4 and data["N"] == 1 and data["M"] == 2
 
 
-def test_outcome_rejects_inconsistent_fidelity():
-    phi = basis_state(2, 0)
-    rho = DensityMatrix(2, np.diag([5 / 6, 1 / 6]).astype(complex))
-    with pytest.raises(ValueError):
-        CloningOutcome(input_state=phi, clone_state=rho, fidelity=0.9, success_prob=0.75)
-
-
 @pytest.mark.parametrize("success_prob", [0.0, -0.5, 1.5])
 def test_outcome_rejects_a_success_probability_outside_the_unit_interval(success_prob):
-    phi = basis_state(2, 0)
-    rho = DensityMatrix(2, np.diag([5 / 6, 1 / 6]).astype(complex))
     with pytest.raises(ValueError, match=r"success probability out of \(0, 1\]"):
-        CloningOutcome(input_state=phi, clone_state=rho, fidelity=5 / 6, success_prob=success_prob)
+        CloningOutcome(input_state=basis_state(2, 0), fidelity=5 / 6, success_prob=success_prob)
+
+
+@pytest.mark.parametrize("fidelity", [math.nan, -0.1, 1.1])
+def test_outcome_rejects_a_fidelity_outside_the_unit_interval(fidelity):
+    # outside [0, 1] the derived clone state would not be a density matrix
+    with pytest.raises(ValueError, match=r"fidelity out of \[0, 1\]"):
+        CloningOutcome(input_state=basis_state(2, 0), fidelity=fidelity, success_prob=0.75)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(clone_analytic, id="analytic"),
+    pytest.param(lambda phi: cascade_clone(phi, CloningSpec(d=4, n=2, m=6)), id="cascade"),
+])
+def test_outcome_builds_its_clone_state_once_when_first_read(monkeypatch, make):
+    # the clone state is derived from F: no DensityMatrix is built until it
+    # is read, then exactly one, however often it is read, and its
+    # <phi|rho|phi> is F
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return DensityMatrix(*args, **kwargs)
+
+    monkeypatch.setattr(cloning, "DensityMatrix", counted)
+    out = make(basis_four().states[1])
+    assert built == []
+    rho = out.clone_state
+    assert out.clone_state is rho and len(built) == 1
+    assert fidelity_pure(rho, out.input_state) == pytest.approx(out.fidelity, abs=1e-12)
 
 
 # ----------------------------------------------------------------- oracle
@@ -194,7 +215,7 @@ def test_matched_ancilla_branch_weight(d):
 
 
 def test_oracle_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: spec.d=2 but phi.dim=4$"):
         clone_oracle(basis_state(4, 0), 2)
 
 

@@ -360,7 +360,7 @@ def _basis_perturbed(basis_cols, t, lead, f, rng, complement=_basis_complement):
     ``_complement_states``."""
     d = len(basis_cols)
     t = np.broadcast_to(t, lead).reshape(-1)
-    bad, z = _fail_draws(lead, d, f, rng)
+    bad, z = _fail_draws(math.prod(lead), d, f, rng)
     chi = np.eye(d, dtype=complex)[t]
     chi[bad] = complement(t[bad], z)
     return (chi @ basis_cols.T).reshape(*lead, d)
@@ -440,7 +440,7 @@ def test_perturbation_falls_back_on_degenerate_draws():
     # the kernel's fallback is one fixed unit vector orthogonal to the target:
     # e_0, or e_1 for target 0, for one target per row and for one target
     for d in (2, 3, 4):
-        bad, z = _fail_draws((d,), d, 0.5, _DegenerateRng())
+        bad, z = _fail_draws(d, d, 0.5, _DegenerateRng())
         assert np.array_equal(bad, np.arange(d)) and z.shape == (d, 2 * d - 2) and not z.any()
         fallback = np.eye(d)[[1] + [0] * (d - 1)]
         assert np.array_equal(_complement_states(np.arange(d), z), fallback)
@@ -481,30 +481,30 @@ def _apply_infidelity(f, n=500):
     return bad
 
 
-@pytest.mark.parametrize("lead, f", [
-    *(pytest.param(lead, f, id=f"lead{i}-{f}")
-      for i, lead in enumerate([(500,), (120, 4)]) for f in (0.0, 0.7, 1.0)),
+@pytest.mark.parametrize("n, f", [
+    *(pytest.param(n, f, id=f"lead{i}-{f}")
+      for i, n in enumerate([500, 480]) for f in (0.0, 0.7, 1.0)),
     # k > n/20 of n > 10 000 states: numpy samples them by a partial shuffle,
     # not by Floyd's algorithm, as a degraded scanner perturbation does
-    pytest.param((3000, 4), 0.9, id="lead2-0.9"),
-    pytest.param((3000, 4), 0.0, id="lead2-0.0"),
+    pytest.param(12_000, 0.9, id="lead2-0.9"),
+    pytest.param(12_000, 0.0, id="lead2-0.0"),
 ])
-def test_fail_draws_give_the_replaced_states_as_row_major_indices(lead, f):
+def test_fail_draws_give_the_replaced_states_as_row_major_indices(n, f):
     # against the draws replayed: the number k of replaced states, which k of
-    # them, then 2(d - 1) normals per replaced state; f = 1 draws nothing
+    # them, then 2(d - 1) normals per replaced state; f = 1 draws nothing.
+    # A caller that perturbs an array of states passes their count and reads
+    # the indices as row-major (flat) ones
     rng, fresh = _batch_rng(5, 0, 0), _batch_rng(5, 0, 0)
-    idx, z = _fail_draws(lead, 4, f, rng)
-    n = math.prod(lead)
+    idx, z = _fail_draws(n, 4, f, rng)
     if f < 1.0:
         k = fresh.binomial(n, 1.0 - f)
         picked = fresh.choice(n, k, replace=False, shuffle=False)
         normals = fresh.standard_normal((k, 6))
     else:
         picked, normals = np.empty(0, dtype=np.intp), np.empty((0, 6))
-    bad = np.zeros(lead, dtype=bool)
-    bad.flat[picked] = True
+    bad = np.zeros(n, dtype=bool)
+    bad[picked] = True
     assert idx.dtype == np.intp and np.array_equal(idx, np.flatnonzero(bad))
-    assert np.array_equal(np.unravel_index(idx, lead), np.nonzero(bad))
     assert np.array_equal(z, normals)
     assert _stream_position(rng) == _stream_position(fresh)
 
@@ -517,7 +517,7 @@ def test_fail_draws_replace_each_state_independently():
     runs, n, f = 4000, 5, 0.7
     patterns = np.zeros(2**n)
     for _ in range(runs):
-        idx, _ = _fail_draws((n,), 3, f, rng)
+        idx, _ = _fail_draws(n, 3, f, rng)
         patterns[np.sum(2**idx)] += 1
     k = np.array([bin(m).count("1") for m in range(2**n)])
     p = (1.0 - f) ** k * f ** (n - k)
@@ -694,7 +694,7 @@ def test_batches_and_runs_sample_the_exact_outcome_law(case):
         table = _clean_row_table(i, config.weights_for(d), v, prep_f, 1.0)
         pooled = np.zeros(d)
         for b in range(16):
-            pooled += _simulate_batch(i, table, v, 1.0, _batch_rng(pooled_seed, i, b))
+            pooled += _simulate_batch(table, _batch_rng(pooled_seed, i, b))
         assert np.max(np.abs(_one_sample_z(pooled, 16 * BATCH_TRIALS, law))) < 5.0
         counts = run_cloning_experiment(phi, basis, config).counts
         counts = np.array([counts[k] for k in range(d)])
@@ -722,7 +722,7 @@ def test_ideal_batch_draws_one_multinomial_and_nothing_else():
     assert not table.cells[:24].any()
     assert table.cells[24:28].sum() == pytest.approx(7 / 64, rel=1e-12)
     rng = _CallLog(_batch_rng(3, 0, 0))
-    counts = _simulate_batch(0, table, 1.0, 1.0, rng)
+    counts = _simulate_batch(table, rng)
     assert rng.calls == ["multinomial"]
     fresh = _batch_rng(3, 0, 0)
     assert np.array_equal(counts, fresh.multinomial(BATCH_TRIALS, table.cells)[24:28])
@@ -736,7 +736,7 @@ def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
     v, f = 0.9, 0.8
     table = _clean_row_table(2, np.full(4, 0.25), v, f, 1.0)
     rng = _batch_rng(21, 2, 0)
-    _simulate_batch(2, table, v, 1.0, rng)
+    _simulate_batch(table, rng)
     fresh = _batch_rng(21, 2, 0)
     n = fresh.multinomial(BATCH_TRIALS, table.cells)
     n_a = n[:4].sum()
@@ -755,7 +755,7 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     phi, v, f = basis.states[0].amps, 0.9, 0.7
     table = _clean_row_table(0, np.full(4, 0.25), v, 1.0, f)
     rng = _batch_rng(22, 0, 0)
-    _simulate_batch(0, table, v, f, rng)
+    _simulate_batch(table, rng)
     fresh = _batch_rng(22, 0, 0)
     n = fresh.multinomial(BATCH_TRIALS, table.cells)[:24]
     cell = np.repeat(np.arange(24), n)
@@ -787,7 +787,7 @@ def _two_sample_z(case, reference, seeds, batches=16):
     for i in range(4):
         table = _clean_row_table(i, weights, v, prep_f, analysis_f)
         for b in range(batches):
-            counts[0, i] += _simulate_batch(i, table, v, analysis_f, _batch_rng(seeds[0], i, b))
+            counts[0, i] += _simulate_batch(table, _batch_rng(seeds[0], i, b))
             hits = reference(i, basis.matrix, weights, v, prep_f, analysis_f, _batch_rng(seeds[1], i, b))
             counts[1, i] += np.bincount(hits, minlength=4)
     p = counts.sum(axis=0) / (2 * n)
@@ -959,7 +959,7 @@ def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, a
     table = _clean_row_table(phi_index, weights, v, prep_f, analysis_f)
     for b in range(batches):
         fast, slow = _batch_rng(seed, phi_index, b), _batch_rng(seed, phi_index, b)
-        counts = _simulate_batch(phi_index, table, v, analysis_f, fast)
+        counts = _simulate_batch(table, fast)
         expected = _per_row_batch(phi_index, basis.matrix, weights, v, prep_f, analysis_f, slow)
         assert np.array_equal(counts, expected), (b, counts, expected)
         assert _stream_position(fast) == _stream_position(slow)
@@ -1002,13 +1002,13 @@ def test_near_trials_reach_as_far_as_a_trial_can_be_kept(monkeypatch, case):
     weights = np.full(d, 1.0 / d) if weights is None else np.array(weights)
     arms, scanners = [], []
 
-    def signal_and_filter_arms(p, table, v, analysis_f, u, anc, n_a, n_c, rng):
+    def signal_and_filter_arms(table, u, anc, n_a, n_c, rng):
         arms.append((u.copy(), anc.copy(), n_a, n_c))
-        return _signal_and_filter_arms(p, table, v, analysis_f, u, anc, n_a, n_c, rng)
+        return _signal_and_filter_arms(table, u, anc, n_a, n_c, rng)
 
-    def scanner_overlaps(p, S, anc, first, analysis_f, rng):
+    def scanner_overlaps(table, S, anc, first, rng):
         scanners.append((len(S), first.copy()))
-        return _scanner_overlaps(p, S, anc, first, analysis_f, rng)
+        return _scanner_overlaps(table, S, anc, first, rng)
 
     monkeypatch.setattr(experiment, "_signal_and_filter_arms", signal_and_filter_arms)
     monkeypatch.setattr(experiment, "_scanner_overlaps", scanner_overlaps)
@@ -1020,7 +1020,7 @@ def test_near_trials_reach_as_far_as_a_trial_can_be_kept(monkeypatch, case):
         for b in range(3):
             arms.clear()
             scanners.clear()
-            _simulate_batch(p, table, v, analysis_f, _batch_rng(47, p, b))
+            _simulate_batch(table, _batch_rng(47, p, b))
             if prep_f == analysis_f == 1.0:
                 assert arms == scanners == []
                 continue
@@ -1090,11 +1090,11 @@ def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
     noisy = _clean_row_table(1, weights, 1.0, 0.5, 1.0)
     monkeypatch.setattr(experiment, "_event_terms", counted)
     for b in range(5):
-        counts = _simulate_batch(1, table, 1.0, 1.0, _batch_rng(9, 1, b))
+        counts = _simulate_batch(table, _batch_rng(9, 1, b))
         assert counts.sum() > 0
     assert calls == []
     # the counter sees the rows of a noisy batch, which do need the terms
-    _simulate_batch(1, noisy, 1.0, 1.0, _batch_rng(9, 1, 0))
+    _simulate_batch(noisy, _batch_rng(9, 1, 0))
     assert len(calls) == 1 and calls[0] > 0
 
 
@@ -1152,14 +1152,14 @@ def test_edge_ancilla_weights_run_through_the_multinomial(weights):
     assert np.all(table.cells[:24].reshape(6, 4)[:, zero] == 0.0)
     arms = []
 
-    def signal_and_filter_arms(p, table, v, analysis_f, u, anc, *args):
+    def signal_and_filter_arms(table, u, anc, *args):
         arms.append(anc.copy())
-        return _signal_and_filter_arms(p, table, v, analysis_f, u, anc, *args)
+        return _signal_and_filter_arms(table, u, anc, *args)
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(experiment, "_signal_and_filter_arms", signal_and_filter_arms)
         for b in range(20):
-            _simulate_batch(0, table, config.v, 0.9, _batch_rng(6, 0, b))
+            _simulate_batch(table, _batch_rng(6, 0, b))
     assert len(arms) == 20 and not np.isin(np.concatenate(arms), zero).any()
     table = run_cloning_experiment(basis.states[0], basis, config)
     assert sum(table.counts) == 500
@@ -1176,7 +1176,7 @@ def _single_batch_run(phi, basis, config):
     counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
     while collected < config.shots:
         rng = _batch_rng(config.seed, i, batch)
-        batch_counts = _simulate_batch(i, table, config.v, config.analysis_fidelity, rng)
+        batch_counts = _simulate_batch(table, rng)
         if collected + batch_counts.sum() > config.shots:
             batch_counts = rng.multivariate_hypergeometric(batch_counts, config.shots - collected)
         counts += batch_counts
@@ -1218,9 +1218,9 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
         for _ in range(runs or 1):
             evaluated = []
 
-            def kernel(*args):
-                evaluated.append(_fresh_batch(args[4], config.seed, i))
-                return _simulate_batch(*args)
+            def kernel(table, rng):
+                evaluated.append(_fresh_batch(rng, config.seed, i))
+                return _simulate_batch(table, rng)
 
             with monkeypatch.context() as patched:
                 patched.setattr(experiment, "_simulate_batch", kernel)
@@ -1254,8 +1254,9 @@ def _layout10_run(phi, basis, config):
     10's (:func:`_layout10_batch`) in place of the kernel's."""
     weights = config.weights_for(basis.dim)
 
-    def layout10(p, table, v, analysis_f, rng):
-        hits = _layout10_batch(p, basis.matrix, weights, v, config.prep_fidelity, analysis_f, rng)
+    def layout10(table, rng):
+        hits = _layout10_batch(table.p, basis.matrix, weights, table.v, config.prep_fidelity,
+                               table.analysis_f, rng)
         return np.bincount(hits, minlength=basis.dim)
 
     with pytest.MonkeyPatch.context() as patched:
@@ -1280,7 +1281,7 @@ def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, s
     # batch that fills ``shots``, a multivariate_hypergeometric sample of its
     # counts drawn from the start of that batch's window
     hits = np.array([5, 3, 2, 7])
-    monkeypatch.setattr(experiment, "_simulate_batch", lambda *args: hits.copy())
+    monkeypatch.setattr(experiment, "_simulate_batch", lambda table, rng: hits.copy())
     basis = basis_logical()
     config = ExperimentConfig(shots=shots, seed=12)
     for i, phi in enumerate(basis.states):
@@ -1311,8 +1312,7 @@ def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
         table = _clean_row_table(i, config.weights_for(4), config.v, config.prep_fidelity,
                                  config.analysis_fidelity)
         for b in range(8):
-            batches[i] += _simulate_batch(i, table, config.v, config.analysis_fidelity,
-                                          _batch_rng(1000, i, b))
+            batches[i] += _simulate_batch(table, _batch_rng(1000, i, b))
     n1, n2 = tables.sum(axis=1, keepdims=True), batches.sum(axis=1, keepdims=True)
     p = (tables + batches) / (n1 + n2)
     z = (tables / n1 - batches / n2) / np.sqrt(p * (1.0 - p) * (1.0 / n1 + 1.0 / n2))
@@ -1334,7 +1334,7 @@ def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, ra
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
     monkeypatch.setattr(
         experiment, "_simulate_batch",
-        lambda *args: np.array([_fresh_batch(args[4], 0, 0) in hit_batches, 0, 0, 0], dtype=np.int64),
+        lambda table, rng: np.array([_fresh_batch(rng, 0, 0) in hit_batches, 0, 0, 0], dtype=np.int64),
     )
     basis = basis_logical()
     config = ExperimentConfig(shots=len(hit_batches))
@@ -1383,7 +1383,7 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
         table = _clean_row_table(i, weights, 0.9165, 0.9, 0.9)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
         # one batch per input: the four leave 833 such rows at seed 0
-        _simulate_batch(i, table, 0.9165, 0.9, _batch_rng(0, i, 0))
+        _simulate_batch(table, _batch_rng(0, i, 0))
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])

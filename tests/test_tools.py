@@ -26,15 +26,15 @@ def test_same_output_finds_a_tree_identical_to_itself():
     result = _same_output("--against", str(ROOT), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 27 and all(line.startswith("identical  ") for line in lines[:26])
+    assert len(lines) == 29 and all(line.startswith("identical  ") for line in lines[:28])
     assert lines[15] == "identical  symclone --help"
     assert lines[21] == "identical  formulas --n 2 --m 1 (usage error)"
-    assert lines[-1] == "26/26 commands identical"
+    assert lines[-1] == "28/28 commands identical"
 
 
 def test_same_output_states_the_largest_json_difference(tmp_path):
-    # a tree whose f_clon is off by 0.25 changes only the cascade outputs,
-    # and one help text and one error message of its CLI change the standard
+    # a tree whose f_clon is off by 0.25 changes the cascade outputs and the
+    # clone outputs, whose fidelity is f_clon(1, 2, d), and one help text and one error message of its CLI change the standard
     # output of ``formulas --help`` and the standard error of a usage error
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cloning = tmp_path / "src" / "symclone" / "cloning.py"
@@ -56,8 +56,9 @@ def test_same_output_states_the_largest_json_difference(tmp_path):
     assert lines[9] == ("different  cascade --json 1->10 d=8 amplitudes  "
                         "(stdout: largest difference 0.25 over 136 numbers)")
     assert lines[10] == "different  cascade 2->6 IV:2  (stdout)"
-    assert lines[11] == "identical  clone"
-    assert lines[12] == "identical  clone --json"
+    assert lines[11] == "different  clone  (stdout)"
+    assert lines[12] == ("different  clone --json  "
+                         "(stdout: largest difference 0.25 over 38 numbers)")
     assert lines[13] == ("different  cascade --json 1->2 IV:3  "
                          "(stdout: largest difference 0.25 over 40 numbers)")
     assert lines[14] == "identical  hom"
@@ -66,7 +67,10 @@ def test_same_output_states_the_largest_json_difference(tmp_path):
     assert all(line.startswith("identical  ") for line in lines[17:23])
     assert lines[23] == "different  hom --steps 1 (usage error)  (stderr)"
     assert all(line.startswith("identical  ") for line in lines[24:26])
-    assert lines[-1] == "18/26 commands identical"
+    assert lines[26] == ("different  clone --json d=3 amplitudes  "
+                         "(stdout: largest difference 0.25 over 24 numbers)")
+    assert lines[27] == "different  clone IV:2  (stdout)"
+    assert lines[-1] == "16/28 commands identical"
 
 
 def test_difference_report_needs_two_json_values_of_one_shape():

@@ -12,8 +12,10 @@ only the signal is ever replaced, on basis IV with ``--prep-fid 0
 four ``cascade --json`` runs (the last 1 -> 10 at d = 8), one ``cascade``
 text run, one ``clone`` text run, ``clone --json``, the one-stage
 ``cascade --json --m 2`` on IV:3 and the default ``hom`` curve, then
-``--help`` of ``symclone`` and of each subcommand and one usage error per
-subcommand. Every command's standard output, standard error and exit code
+``--help`` of ``symclone`` and of each subcommand, one usage error per
+subcommand, and last ``clone --json --input 0.6,0.8j,0`` (d = 3
+amplitudes) and ``clone --input IV:2``, clone states away from the default
+input. Every command's standard output, standard error and exit code
 are compared. It prints ``identical`` or ``different`` per command, and
 for a differing JSON file whose two sides hold the same keys, lengths and
 non-numeric values, the largest absolute difference over its numbers. It
@@ -73,6 +75,8 @@ _ONCE = {
     "hom --steps 1 (usage error)": ["hom", "--steps", "1"],
     "experiment --basis X (usage error)": ["experiment", "--basis", "X"],
     "cascade --m 9 (usage error)": ["cascade", "--m", "9"],
+    "clone --json d=3 amplitudes": ["clone", "--json", "--input", "0.6,0.8j,0"],
+    "clone IV:2": ["clone", "--input", "IV:2"],
 }
 
 # Runs in the tree's own interpreter: argv[1] is the output directory,
