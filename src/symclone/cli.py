@@ -216,8 +216,12 @@ def _cmd_hom(args) -> int:
 def _experiment_config(args) -> experiment.ExperimentConfig:
     data = {"shots": 10_000, "seed": 0}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        # JSON is UTF-8 text; a file that is not is a usage error that names it
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise _UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise _UsageError(f"config file {args.config} must hold a JSON object")
         data.update(loaded)

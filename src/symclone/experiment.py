@@ -56,22 +56,33 @@ trial. A trial whose scanner weights sum to at most ``_Q_TOTAL_CUTOFF`` is
 never accepted: no scanner setting can click, and a sum that small is
 rounding residue of an exact 0, not a click probability.
 
-Within a batch of B trials the draws follow stream layout 11
+Within a batch of B trials the draws follow stream layout 12
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use.
 In a trial where no state was replaced (a "clean" trial) p_coal/2,
 p_filter, the bound b_k = min(p_coal/2, p_coal/2 * p_filter) of step 5
 below and the d thresholds t_{k,j} depend on the ancilla index alone, so
-each run computes them once per input (``_clean_row_table``). Each trial
-falls in one cell of one ``multinomial`` draw of B trials:
+each run computes them once per input (``_clean_row_table``). A trial
+with a replaced state can be counted only below a reach r that depends on
+which states were replaced and on whether k is the input's index p, the
+largest bound of step 5 such a trial can have. A replaced state is
+orthogonal to its target, so a replaced signal S has S_p = 0 and
+<e_p|S> = 0: with k = p its p_coal/2 is 1/8 and its p_filter at most 1/2,
+so r = 1/16. Each trial falls in one cell of one ``multinomial`` draw of B
+trials:
 
-- A_k, ancilla k, the signal replaced and u < p_near:
-  w_k (1 - f_p) p_near;
-- C_k, the signal kept, the filter replaced and u < b_k:
-  w_k f_p (1 - f_a) b_k. With a clean signal a replaced filter is
-  orthogonal to it, so its p_filter never exceeds the clean one, and no
-  such trial with u >= b_k can be kept;
-- E_{i,k}, signal and filter kept, u < b_k and scanner setting i the first
-  one replaced: w_k f_p f_a b_k f_a^i (1 - f_a);
+- A_k, ancilla k, the signal replaced, the filter kept and u < r:
+  w_k (1 - f_p) f_a r, r = 1/16 for k = p and 0 otherwise, where the
+  filter e_p is orthogonal to both photons and never clicks;
+- A'_k, signal and filter replaced and u < r: w_k (1 - f_p) (1 - f_a) r,
+  r = 1/16 for k = p and p_near otherwise;
+- C_k, the signal kept, the filter replaced and u < r: w_k f_p (1 - f_a) r.
+  With a clean signal a replaced filter is orthogonal to it, so its
+  p_filter never exceeds the clean one: r = b_k for k != p, and r = 0 for
+  k = p, where the filter is orthogonal to both photons;
+- E_{i,k}, signal and filter kept, u < b_k and, with the scanner settings
+  taken in the order that puts setting k last, setting i of that order the
+  first one replaced: w_k f_p f_a b_k f_a^i (1 - f_a), i < d - 1. A trial
+  whose only replaced setting is k has every q_j = 0 and is never counted;
 - O_j, a clean trial counted with outcome j: the sum over k of
   w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}), t_{k,-1} = 0;
 - the rest of 1, the trials that can never be counted.
@@ -81,18 +92,18 @@ that the walk below reads, so it is a batch's whole law: a batch takes the
 table and its stream and nothing else, and cannot pair the cells with
 other values. The O cells are the batch's counts of its clean trials, so
 an ideal batch (f_p = f_a = 1, every other cell empty) is that one draw.
-The trials of the A, C and E cells, the "near" trials, are walked; their
-draws, in this order:
+The trials of the A, A', C and E cells, the "near" trials, are walked;
+their draws, in this order:
 
 1. the multinomial draw over the cells;
-2. one accept uniform ``u`` per near trial, uniform on [0, p_near) for an
-   A trial and on [0, b_k) for a C or E trial;
-3. the replaced signal of each A trial;
-4. the filter-arm perturbation of the A trials kept, u < p_coal/2, then the
-   replaced filter of each C trial;
-5. the scanner-arm perturbation of the A and C trials that also pass
+2. one accept uniform ``u`` per near trial, uniform on [0, r) for the
+   reach r of its cell;
+3. the replaced signal of each A and A' trial;
+4. the replaced filter of each A' trial kept, u < p_coal/2, then of each
+   C trial;
+5. the scanner-arm perturbation of the A, A' and C trials that also pass
    u < p_coal/2 * p_filter, and of the settings after the first replaced
-   one of each E trial, then that first replaced setting.
+   one of each E trial in its order, then that first replaced setting.
 
 The trials of a batch are independent, so only how many fall in each cell
 matters, not which: a batch holds its near trials grouped by cell, and a
@@ -101,17 +112,19 @@ states with fidelity f = 1 draws nothing; otherwise it draws the number
 k ~ Binomial(n, 1 - f) of states it replaces, then which k of them (a
 sample without replacement), then 2(d - 1) standard normals for each
 replaced state, in order: the law of n independent pass tests. A state
-that is replaced for certain (the signal of an A trial, the filter of a C
-trial, setting i of an E trial) draws only its normals. p_near and b_k
-carry a relative rounding margin (``_BOUND_MARGIN``).
+that is replaced for certain (the signal of an A or A' trial, the filter
+of an A' or C trial, the first replaced setting of an E trial) draws only
+its normals. The reaches carry a relative rounding margin
+(``_BOUND_MARGIN``), so each lies above every threshold a trial of its
+cell can have, rounding included.
 
 A fixed seed reproduces counts only under the layout that drew them;
 CHANGES.md records what each layout changed from the one before. The
-tests check layout 11 against the exact outcome law of each configuration
+tests check layout 12 against the exact outcome law of each configuration
 with an ideal analyzer, built from the second-quantized engine, per pooled
 batch and per whole run; against a reference that perturbs every trial as
 layout 2 did, the law reference under analysis noise, where no closed form
-exists; against whole runs of layout 10; and bit for bit against a per-row
+exists; against whole runs of layout 11; and bit for bit against a per-row
 reference batch in the kernel's own draw order.
 
 A trial is evaluated in the coordinates of the measurement basis U, of
@@ -146,9 +159,10 @@ thresholds at or below u.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
-``_half_coal``, ``_filter_terms`` (the filter arm, which an A or C trial
-evaluates once, for the bound of step 5, and reuses for its thresholds)
-and ``_event_terms`` (the scanner weights), which also give the table.
+``_half_coal``, ``_filter_terms`` (the filter arm, which an A, A' or C
+trial evaluates once, for the bound of step 5, and reuses for its
+thresholds) and ``_event_terms`` (the scanner weights), which also give
+the table.
 The tests check them against the second-quantized engine of
 :mod:`symclone.bosonic`, which a run never calls, and against the same
 forms written as products with the unit vector e_k.
@@ -194,7 +208,7 @@ BATCH_TRIALS = 32768
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 11
+STREAM_LAYOUT = 12
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -236,6 +250,11 @@ def _integral(data: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not a number here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _real(value, key: str) -> float:
     """A config number as a float; a bool or a non-number is an error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -264,7 +283,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("shots", "seed"):
             val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+            if not _is_integer(val):
                 raise ValueError(f"{name} must be an integer, got {val!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
@@ -357,7 +376,11 @@ class CountsTable:
     """Coincidence counts N_{phi,i} for one input state, one per basis label
     in outcome order, and the number of batches of ``BATCH_TRIALS`` trials
     the run evaluated to collect them (0 for counts that no run produced).
-    ``counts`` is given as a list or a tuple of ints and kept as a tuple."""
+    ``counts`` is given as a list or a tuple of integers and kept as a
+    tuple of ints. A bool or a float, even 2.0, is not an integer here, as
+    for ``ExperimentConfig.shots``: the CSV, the JSON and the estimator
+    would read it differently, and the estimator indexes the counts with
+    ``phi_index``."""
 
     basis_labels: tuple[str, ...]
     phi_index: int
@@ -371,13 +394,17 @@ class CountsTable:
         counts = tuple(self.counts)
         if len(counts) != len(self.basis_labels):
             raise ValueError(f"{len(counts)} counts for {len(self.basis_labels)} basis labels")
+        if not _is_integer(self.phi_index):
+            raise ValueError(f"phi index must be an integer, got {self.phi_index!r}")
         if not 0 <= self.phi_index < len(counts):
             raise ValueError(f"phi index {self.phi_index} out of range")
-        if any(n < 0 for n in counts):
-            raise ValueError("counts must be nonnegative")
-        if self.batches < 0:
-            raise ValueError("batches must be nonnegative")
-        object.__setattr__(self, "counts", counts)
+        for name, values in (("counts", counts), ("batches", (self.batches,))):
+            for n in values:
+                if not _is_integer(n):
+                    raise ValueError(f"{name} must be integers, got {n!r}")
+                if n < 0:
+                    raise ValueError(f"{name} must be nonnegative")
+        object.__setattr__(self, "counts", tuple(map(int, counts)))
 
     @property
     def input_label(self) -> str:
@@ -392,7 +419,7 @@ class CountsTable:
             "input": self.input_label,
             "basis": " / ".join(self.basis_labels),
             "phiIndex": self.phi_index,
-            "counts": {str(i): int(n) for i, n in enumerate(self.counts)},
+            "counts": {str(i): n for i, n in enumerate(self.counts)},
             "batches": self.batches,
             "trials": self.trials,
             "config": self.config.to_dict(),
@@ -600,26 +627,38 @@ def _clean_row_table(
     near trials in :func:`_simulate_batch`.
 
     ``cells`` are the cells of a batch's one ``multinomial`` draw, for the
-    weights w_k normalized, f_p = ``prep_f``, f_a = ``analysis_f``, the
-    clean bound b_k of step 5 (:func:`_scanner_bound`) and p_near =
-    (1 + v^2)/8 * ``_BOUND_MARGIN``, the largest p_coal/2 of any trial.
-    First the near cells, c = kind * d + k for ancilla k:
+    weights w_k normalized, f_p = ``prep_f`` and f_a = ``analysis_f``. A
+    near cell holds the trials of its kind with u below its reach r, the
+    largest bound of step 5 (:func:`_scanner_bound`) that a trial of the
+    kind can reach, with ``_BOUND_MARGIN``; a kind whose trials can never
+    be counted has r = 0. A replaced state is orthogonal to its target, so
+    a replaced signal S has A = <e_p|S> = 0 and S_p = 0: with k = p its
+    p_coal/2 is 1/8 and its p_filter is 1/2 with the filter kept (B = 1)
+    and at most 1/2 with it replaced (B = 0), a bound of at most 1/16. With
+    b_k the clean bound of step 5 and p_near = (1 + v^2)/8, the largest
+    p_coal/2 of any trial, the near cells are, c = kind * d + k for
+    ancilla k:
 
-    - kind 0, A_k, the signal replaced and u < p_near:
-      w_k (1 - f_p) p_near;
-    - kind 1, C_k, the signal kept, the filter replaced and u < b_k:
-      w_k f_p (1 - f_a) b_k. A replaced filter is orthogonal to the
-      signal e_p, so its p_filter, |filter_k|^2/2 <= 1/2 for k != p and 0
-      for k = p, never exceeds the clean one, and no such trial with
-      u >= b_k can be kept;
-    - kind 2 + i, E_{i,k}, signal and filter kept, u < b_k, and scanner
-      setting i the first one replaced: w_k f_p f_a b_k f_a^i (1 - f_a);
+    - kind 0, A_k, the signal replaced and the filter kept:
+      w_k (1 - f_p) f_a r, r = 1/16 for k = p; for k != p also B = 0, so
+      p_filter = 0 and r = 0;
+    - kind 1, A'_k, signal and filter replaced: w_k (1 - f_p) (1 - f_a) r,
+      r = 1/16 for k = p and p_near otherwise;
+    - kind 2, C_k, the signal kept and the filter replaced:
+      w_k f_p (1 - f_a) r. The filter is orthogonal to the signal e_p, so
+      p_filter = |filter_k|^2/2 never exceeds the clean one: r = b_k for
+      k != p, and r = 0 for k = p, where A = B = 0;
+    - kind 3 + i, E_{i,k}, signal and filter kept, and with the scanner
+      settings taken in the order that puts setting k last, setting i of
+      that order the first one replaced: w_k f_p f_a b_k f_a^i (1 - f_a)
+      for i < d - 1, r = b_k. A trial whose only replaced setting is k has
+      every q_j = 0 (no setting can click) and is never counted;
 
     then O_j, the trials in which no state was replaced counted with
     outcome j: the sum over k of w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}),
     for the clean thresholds t_{k,j} (:func:`_acceptance_thresholds`, at
     most b_k, t_{k,-1} = 0); then the rest of 1, the trials that can never
-    be counted. ``reach`` holds the bound of each near cell, p_near or b_k.
+    be counted. ``reach`` holds r per near cell.
     """
     d = len(weights)
     k = np.arange(d)
@@ -633,13 +672,15 @@ def _clean_row_table(
     thresholds = np.minimum(_acceptance_thresholds(half_coal, p_filter, q), bound[:, None])
     w = weights / weights.sum()
     p_near = (1.0 + v * v) / 8.0 * _BOUND_MARGIN
-    clean = w * prep_f * analysis_f  # signal and filter kept
-    near = np.concatenate([
-        w * (1.0 - prep_f) * p_near,
-        w * prep_f * (1.0 - analysis_f) * bound,
-        np.outer(analysis_f ** k * (1.0 - analysis_f), clean * bound).ravel(),
-    ])
-    outcomes = clean * analysis_f**d @ np.diff(thresholds, axis=1, prepend=0.0)
+    reach = np.concatenate([np.zeros(d), np.full(d, p_near), np.tile(bound, d)])
+    # with the ancilla e_p: a replaced signal's bound, and a dead C cell
+    reach[[p, d + p, 2 * d + p]] = _BOUND_MARGIN / 16.0, _BOUND_MARGIN / 16.0, 0.0
+    # per kind, the probability of its replacements: A, A', C, then E_i
+    kept, replaced = analysis_f, 1.0 - analysis_f
+    kinds = [(1.0 - prep_f) * kept, (1.0 - prep_f) * replaced, prep_f * replaced]
+    kinds += [prep_f * kept ** (i + 1) * replaced for i in range(d - 1)]
+    near = reach * np.outer(kinds, w).ravel()
+    outcomes = w * (prep_f * kept ** (d + 1)) @ np.diff(thresholds, axis=1, prepend=0.0)
     return _CleanRows(
         p=p,
         v=v,
@@ -647,7 +688,7 @@ def _clean_row_table(
         # the last cell takes the rest of the unit sum, as ``rng.multinomial``
         # does with its last probability
         cells=np.concatenate([near, outcomes, [1.0 - near.sum() - outcomes.sum()]]),
-        reach=np.concatenate([np.full(d, p_near), np.tile(bound, d + 1)]),
+        reach=reach,
         half_coal=half_coal,
         p_filter=p_filter,
         A=A,
@@ -656,33 +697,32 @@ def _clean_row_table(
 
 
 def _signal_and_filter_arms(
-    table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, n_c: int,
+    table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, n_af: int, n_c: int,
     rng: np.random.Generator,
 ):
     """Steps 3 and 4 of :func:`_simulate_batch` for its A trials, the first
-    ``n_a`` near trials, and its C trials, the next ``n_c``.
+    ``n_a`` near trials, its A' trials, the next ``n_af``, and its C trials,
+    the next ``n_c``.
 
-    Draws the replaced signal of each A trial, the filter-arm perturbation
-    of the A trials kept (u < their own p_coal/2), then the replaced filter
-    of each C trial. Returns the indices of the A and C trials below their
-    bound of step 5, with their signals, p_coal/2 and filter terms
-    (:func:`_filter_terms`).
+    Draws the replaced signal of each A and A' trial, then the replaced
+    filter of each A' trial kept (u < its own p_coal/2) and of each C trial.
+    Returns the indices of the A, A' and C trials below their bound of step
+    5, with their signals, p_coal/2 and filter terms (:func:`_filter_terms`).
     """
     p, v, d = table.p, table.v, len(table.half_coal)
-    S_bad = _complement_states(p, rng.standard_normal((n_a, 2 * d - 2)))
-    half_coal = _half_coal(S_bad, anc[:n_a], v)
-    kept = np.flatnonzero(u[:n_a] < half_coal)
-    f_idx, f_z = _fail_draws(len(kept), d, table.analysis_f, rng)
-    pre = np.concatenate([kept, np.arange(n_a, n_a + n_c)])
+    n_s = n_a + n_af  # the trials with a replaced signal
+    S_bad = _complement_states(p, rng.standard_normal((n_s, 2 * d - 2)))
+    half_coal = _half_coal(S_bad, anc[:n_s], v)
+    kept = np.flatnonzero(u[:n_s] < half_coal)
+    pre = np.concatenate([kept, np.arange(n_s, n_s + n_c)])
     S = np.zeros((len(pre), d), dtype=complex)
     S[:, p] = 1.0
     S[: len(kept)] = S_bad[kept]
     filters = np.zeros_like(S)
     filters[:, p] = 1.0
-    f_rows = np.concatenate([f_idx, np.arange(len(kept), len(pre))])
-    f_z = np.concatenate([f_z, rng.standard_normal((n_c, 2 * d - 2))])
-    filters[f_rows] = _complement_states(p, f_z)
-    half_coal = np.concatenate([half_coal[kept], table.half_coal[anc[n_a : n_a + n_c]]])
+    f_rows = np.flatnonzero(pre >= n_a)  # the A' trials kept, then the C trials
+    filters[f_rows] = _complement_states(p, rng.standard_normal((len(f_rows), 2 * d - 2)))
+    half_coal = np.concatenate([half_coal[kept], table.half_coal[anc[n_s : n_s + n_c]]])
     p_filter, A, B = _filter_terms(S, anc[pre], v, filters)
     passing = np.flatnonzero(u[pre] < _scanner_bound(half_coal, p_filter))
     return pre[passing], S[passing], half_coal[passing], p_filter[passing], A[passing], B[passing]
@@ -696,12 +736,14 @@ def _scanner_overlaps(
     overlaps F_j = <g_j|S> and G_j = <g_j|N> of the trials that reach it.
 
     ``S`` holds the signals of the first ``len(S)`` trials; the others, the
-    E trials, have the signal e_p. ``anc`` is each trial's ancilla index
-    and ``first`` its first replaced scanner setting, -1 for none. Every
-    setting after it is replaced with probability 1 - f_a, for the table's
-    analysis fidelity f_a, then the setting ``first`` of each E trial is.
-    For an unperturbed setting g_j = e_j, F_j = S_j and G_j = delta_jk; a
-    replaced one takes inner products.
+    E trials, have the signal e_p. ``anc`` is each trial's ancilla index k
+    and ``first`` its first replaced scanner setting, -1 for none, in the
+    order of the settings that puts setting k last. Every setting after it
+    in that order, the settings j > ``first`` and setting k, is replaced
+    with probability 1 - f_a, for the table's analysis fidelity f_a, then
+    the setting ``first`` of each E trial is. For an unperturbed setting
+    g_j = e_j, F_j = S_j and G_j = delta_jk; a replaced one takes inner
+    products.
     """
     d = S.shape[1]
     F = np.zeros((len(first), d), dtype=complex)
@@ -709,7 +751,8 @@ def _scanner_overlaps(
     F[len(S) :, table.p] = 1.0
     G = np.zeros_like(F)
     G[np.arange(len(G)), anc] = 1.0
-    free = np.flatnonzero(np.arange(d) > first[:, None])
+    j = np.arange(d)
+    free = np.flatnonzero((j > first[:, None]) | (j == anc[:, None]))
     g_idx, g_z = _fail_draws(len(free), d, table.analysis_f, rng)
     forced = np.arange(len(S), len(F))
     g_rows, g_cols = np.divmod(np.concatenate([free[g_idx], forced * d + first[forced]]), d)
@@ -727,25 +770,26 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     post-selected trials with each outcome. ``table`` is
     :func:`_clean_row_table` of the input, the overlap v, the ancilla
     weights and the run's fidelities, and it is the batch's whole law: the
-    input index p, v and the analysis fidelity f_a, which the filter-arm
-    and scanner-arm perturbations draw with, are read from it, so a batch
-    cannot be run under values other than those its cells were built for.
+    input index p, v and the analysis fidelity f_a, which the scanner-arm
+    perturbation draws with, are read from it, so a batch cannot be run
+    under values other than those its cells were built for.
 
-    The batch draws in stream layout 11 (see the module docstring):
+    The batch draws in stream layout 12 (see the module docstring):
 
     1. how many trials fall in each cell of ``table`` (:func:`_clean_row_table`),
        one multinomial draw: the outcome cells add to the counts as they
        are, and only the trials of a near cell, those with a replaced state
        and u below the cell's reach, draw more;
     2. the accept uniforms u of the near trials, uniform on [0, reach);
-    3. the replaced signals of the A trials;
-    4. the filter-arm perturbation of the A trials kept, u < p_coal/2 =
-       (1 + v^2 |<S|N>|^2)/8, then the replaced filters of the C trials
+    3. the replaced signals of the A and A' trials;
+    4. the replaced filters of the A' trials kept, u < p_coal/2 =
+       (1 + v^2 |<S|N>|^2)/8, then of the C trials
        (:func:`_signal_and_filter_arms`);
-    5. the scanner-arm perturbation of the A and C trials that also pass
-       u < p_coal/2 * p_filter, the largest threshold of the trial, and of
-       the settings after the first replaced one of the E trials; then the
-       first replaced setting of each E trial (:func:`_scanner_overlaps`).
+    5. the scanner-arm perturbation of the A, A' and C trials that also
+       pass u < p_coal/2 * p_filter, the largest threshold of the trial,
+       and of the settings after the first replaced one of the E trials,
+       in the order that puts the ancilla's setting k last; then the first
+       replaced setting of each E trial (:func:`_scanner_overlaps`).
 
     Step 5's bound, :func:`_scanner_bound`, is
     min(p_coal/2, p_coal/2 * p_filter * _BOUND_MARGIN), which takes the
@@ -759,7 +803,7 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     its ancilla index, and every product with N is a gather of component k
     (:func:`_half_coal`, :func:`_filter_terms`). A replaced state is drawn
     in these coordinates (:func:`_complement_states`), so the batch never
-    sees the basis itself. The A and C trials evaluate
+    sees the basis itself. The A, A' and C trials evaluate
     :func:`_filter_terms` once, for their bound of step 5, and reuse it for
     their thresholds; an E trial reads its p_coal/2 and filter terms from
     the table. Every trial that reaches step 5 evaluates its scanner
@@ -769,13 +813,13 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     n = rng.multinomial(BATCH_TRIALS, table.cells)
     counts = n[-1 - d : -1]
     near = n[: len(table.reach)]
-    cell = np.repeat(np.arange(len(near)), near)  # grouped by cell: A, C, then E trials
+    cell = np.repeat(np.arange(len(near)), near)  # grouped by cell: A, A', C, then E trials
     if not len(cell):
         return counts
     u = rng.random(len(cell))
     u *= table.reach[cell]
     anc = cell % d
-    n_a, n_c = near[:d].sum(), near[d : 2 * d].sum()
+    n_a, n_af, n_c = near[: 3 * d].reshape(3, d).sum(axis=1)
     # steps 3-4 and the draws of step 5 run in functions of their own, so
     # their arrays are freed before the next step allocates. Written as one
     # function, a degraded basis-IV batch peaked at ~0.95 MB of arrays in
@@ -783,12 +827,18 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     # next one faulted it back: 7 467 minor faults per 5e4-shot table
     # against 0 (4 499 against 0 once a 300 KB array had raised glibc's trim
     # threshold), and slower tables
-    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(table, u, anc, n_a, n_c, rng)
-    # the E trials follow the A and C trials that pass, with their terms
+    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(
+        table, u, anc, n_a, n_af, n_c, rng
+    )
+    # the E trials follow the A, A' and C trials that pass, with their terms
     # read from the table
-    e_rows = np.arange(n_a + n_c, len(cell))
+    e_rows = np.arange(n_a + n_af + n_c, len(cell))
     e_anc = anc[e_rows]
-    first = np.concatenate([np.full(len(rows), -1), cell[e_rows] // d - 2])
+    # position i of the order that puts setting k last is setting i below
+    # k and setting i + 1 from k on
+    first = cell[e_rows] // d - 3
+    first += first >= e_anc
+    first = np.concatenate([np.full(len(rows), -1), first])
     rows = np.concatenate([rows, e_rows])
     F, G = _scanner_overlaps(table, S, anc[rows], first, rng)
     q = _event_terms(

@@ -433,6 +433,24 @@ def test_experiment_config_integers_are_checked(tmp_path, capsys, content, messa
     assert not (tmp_path / "experiment_I.csv").exists()
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"shots": 100, bad}', "Expecting property name enclosed in double quotes: line 1 column 16 (char 15)"),
+    (b'{"shots": 100, "v": 0.9\xff}', "'utf-8' codec can't decode byte 0xff in position 23"),
+], ids=["malformed", "not-utf-8"])
+def test_experiment_config_file_that_is_not_json_is_named(tmp_path, capsys, content, reason):
+    # malformed JSON and bytes that are not UTF-8: one error line that names
+    # the file, and the usage exit code
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    code = main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config file {cfg} is not valid JSON: {reason}")
+    assert not (tmp_path / "experiment_I.csv").exists()
+
+
 def test_experiment_env_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SYMCLONE_OUT_DIR", str(tmp_path))
     assert main(["experiment", "--basis", "I", "--shots", "500", "--seed", "2"]) == EXIT_OK

@@ -133,11 +133,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 11
+    assert cfg.to_dict()["streamLayout"] == 12
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, "11", None):
+    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, "12", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -730,9 +730,10 @@ def test_ideal_batch_draws_one_multinomial_and_nothing_else():
 
 
 def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
-    # with an ideal analyzer only the A cells, a replaced signal below
-    # p_near, hold near trials: (1 - f) p_near of a batch draws its accept
-    # uniform and its signal's normals, and nothing else draws
+    # with an ideal analyzer only the A cell of the input's ancilla, a
+    # replaced signal below 1/16, holds near trials: (1 - f) w_2/16 of a
+    # batch draws its accept uniform and its signal's normals, and nothing
+    # else draws
     v, f = 0.9, 0.8
     table = _clean_row_table(2, np.full(4, 0.25), v, f, 1.0)
     rng = _batch_rng(21, 2, 0)
@@ -747,10 +748,12 @@ def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
 
 
 def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials():
-    # with a clean signal there are no A trials; a C trial draws its
-    # replaced filter, and its scanner settings only if it passes its own
-    # bound of step 5; an E trial draws the settings after its first
-    # replaced one, then that one
+    # with a clean signal there are no A or A' trials, and no C trial with
+    # the input's ancilla, whose replaced filter can never click; a C trial
+    # draws its replaced filter, and its scanner settings only if it passes
+    # its own bound of step 5; an E trial draws the settings after its
+    # first replaced one in the order that puts its ancilla's setting last,
+    # then that one
     basis = basis_logical()
     phi, v, f = basis.states[0].amps, 0.9, 0.7
     table = _clean_row_table(0, np.full(4, 0.25), v, 1.0, f)
@@ -760,16 +763,16 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     n = fresh.multinomial(BATCH_TRIALS, table.cells)[:24]
     cell = np.repeat(np.arange(24), n)
     kind, anc = np.divmod(cell, 4)
-    assert not n[:4].any()
+    assert not n[:9].any()
     u = fresh.random(len(cell)) * table.reach[cell]
-    c = kind == 1
+    c = kind == 2
     N = basis.matrix.T[anc[c]]
     filters = _basis_complement(0, fresh.standard_normal((int(c.sum()), 6))) @ basis.matrix.T
     p_filter, _ = _elementwise_terms(phi, N, v, filters, basis.matrix.T)
     half_coal = (1.0 + v * v * np.abs(N @ np.conj(phi)) ** 2) / 8.0
     passing = int(np.count_nonzero(u[c] < half_coal * p_filter * (1.0 + 1e-9)))
     assert 0 < passing < c.sum()
-    first = kind[kind >= 2] - 2
+    first = kind[kind >= 3] - 3  # the position of the first replaced setting
     _replay_fail_draws(fresh, 4 * passing + int(np.sum(3 - first)), f)
     fresh.standard_normal((len(first), 6))
     assert _stream_position(rng) == _stream_position(fresh)
@@ -818,31 +821,109 @@ def _reference_hits(u, half_coal, p_filter, q):
     return outcomes[outcomes < q.shape[1]]
 
 
-def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
-    """Reference: a batch of input ``p`` in the kernel's draw order that
-    builds its cells from the clean trial of each ancilla, written out term
-    by term, and evaluates p_coal/2 and the filter and scanner terms on
-    every near trial, from explicit states in lab coordinates, with no
-    clean-row table; returns its counts per outcome. The closed forms take
-    the signal and filter states in the coordinates of the measurement
-    basis, whose column k is ancilla k. A trial passes step 5's bounds as
-    two comparisons, u below p_coal/2 and u below
-    p_coal/2 * p_filter * (1 + 1e-9)."""
-    d = len(basis_cols)
-    phi = basis_cols[:, p]
-    settings = basis_cols.T
-    margin = 1.0 + 1e-9
-    # the clean trial of each ancilla: its bound b_k of step 5 and its
-    # thresholds, capped at b_k. In basis coordinates, where a structural
-    # zero of the bench is an exact 0 as in the kernel: a cell of
-    # probability 0 draws nothing, one of 1e-33 draws
+def _clean_reference(p, d, v):
+    """The clean trial of each ancilla of input ``p``, written out term by
+    term: its bound b_k of step 5 and its thresholds, capped at b_k. In
+    basis coordinates, where a structural zero of the bench is an exact 0 as
+    in the kernel: a cell of probability 0 draws nothing, one of 1e-33
+    draws."""
     eye = np.eye(d, dtype=complex)
     S = np.broadcast_to(eye[p], (d, d))
     clean_coal = (1.0 + (v * v) * np.abs(eye[:, p]) ** 2) / 8.0
     clean_filter, q = _elementwise_terms(S, eye, v, S, np.broadcast_to(eye, (d, d, d)))
-    bound = np.minimum(clean_coal, clean_coal * clean_filter * margin)
+    bound = np.minimum(clean_coal, clean_coal * clean_filter * (1.0 + 1e-9))
     thresholds = (clean_coal * clean_filter)[:, None] * np.cumsum(q, axis=1) / q.sum(axis=1, keepdims=True)
-    thresholds = np.minimum(thresholds, bound[:, None])
+    return bound, np.minimum(thresholds, bound[:, None])
+
+
+def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
+    """Reference: a batch of input ``p`` in the kernel's draw order (stream
+    layout 12) that builds its cells from the clean trial of each ancilla
+    and the reach of each kind of near trial, written out term by term, and
+    evaluates p_coal/2 and the filter and scanner terms on every near
+    trial, from explicit states in lab coordinates, with no clean-row table;
+    returns its counts per outcome. The closed forms take the signal and
+    filter states in the coordinates of the measurement basis, whose column
+    k is ancilla k. A trial passes step 5's bounds as two comparisons, u
+    below p_coal/2 and u below p_coal/2 * p_filter * (1 + 1e-9)."""
+    d = len(basis_cols)
+    phi = basis_cols[:, p]
+    settings = basis_cols.T
+    margin = 1.0 + 1e-9
+    bound, thresholds = _clean_reference(p, d, v)
+    # the reach of each kind, per ancilla: a replaced signal S is orthogonal
+    # to e_p, so with the ancilla e_p, p_coal/2 = 1/8 and p_filter <= 1/2;
+    # with another ancilla and the filter e_p kept, <e_p|S> = <e_p|N> = 0
+    # and the filter never clicks, nor does a replaced filter on the signal
+    # e_p and the ancilla e_p
+    at_p = np.arange(d) == p
+    p_near = (1.0 + v * v) / 8.0 * margin
+    reach = np.concatenate([
+        np.where(at_p, margin / 16.0, 0.0),  # A_k: signal replaced, filter kept
+        np.where(at_p, margin / 16.0, p_near),  # A'_k: both replaced
+        np.where(at_p, 0.0, bound),  # C_k: filter replaced
+        np.tile(bound, d - 1),  # E_{i,k} (i-major): setting i of the k-last order first replaced
+    ])
+    # the cells: the near cells, O_j, the rest
+    w = weights / weights.sum()
+    near = [w * (1.0 - prep_f) * analysis_f, w * (1.0 - prep_f) * (1.0 - analysis_f),
+            w * prep_f * (1.0 - analysis_f)]
+    near += [w * prep_f * analysis_f * analysis_f**i * (1.0 - analysis_f) for i in range(d - 1)]
+    near = np.concatenate(near) * reach
+    clean = w * prep_f * analysis_f ** (d + 1) @ np.diff(thresholds, axis=1, prepend=0.0)
+    n = rng.multinomial(BATCH_TRIALS, [*near, *clean, 1.0 - near.sum() - clean.sum()])
+    counts = n[len(near) : len(near) + d].copy()
+    cell = np.repeat(np.arange(len(near)), n[: len(near)])
+    kind, anc = np.divmod(cell, d)
+    if not len(anc):
+        return counts
+    u = rng.random(len(anc)) * reach[cell]
+    N = settings[anc]
+    # step 3: the signals of the A and A' trials; p_coal/2 of every trial
+    S = np.array(np.broadcast_to(phi, (len(anc), d)))
+    s_rows = np.flatnonzero(kind <= 1)
+    S[s_rows] = _basis_complement(p, rng.standard_normal((len(s_rows), 2 * d - 2))) @ settings
+    half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
+    # step 4: the filters of the A' trials kept, then of the C trials
+    filters = np.array(np.broadcast_to(phi, (len(anc), d)))
+    f_rows = np.flatnonzero(((kind == 1) & (u < half_coal)) | (kind == 2))
+    filters[f_rows] = _basis_complement(p, rng.standard_normal((len(f_rows), 2 * d - 2))) @ settings
+    p_filter = _filter_terms(_in_basis(basis_cols, S), anc, v, _in_basis(basis_cols, filters))[0]
+    rows = np.flatnonzero((u < half_coal) & (u < half_coal * p_filter * margin))
+    # step 5: each scanner setting after the trial's first replaced one in
+    # the order that puts setting k last (every setting for an A, A' or C
+    # trial), then that one of each E trial
+    k = anc[rows][:, None]
+    j = np.arange(d)
+    position = np.where(j == k, d - 1, j - (j > k))
+    i = np.where(kind[rows] >= 3, kind[rows] - 3, -1)[:, None]
+    free = position > i
+    G = np.array(np.broadcast_to(settings, (len(rows), d, d)))
+    G[free] = _basis_perturbed(basis_cols, np.nonzero(free)[1], (int(free.sum()),), analysis_f, rng)
+    e = np.flatnonzero(i[:, 0] >= 0)
+    first = np.argmax(position[e] == i[e], axis=1)
+    z = rng.standard_normal((len(e), 2 * d - 2))
+    G[e, first] = _basis_complement(first, z) @ settings
+    u, S, N, anc, filters, half_coal = (x[rows] for x in (u, S, N, anc, filters, half_coal))
+    p_filter, q = _terms(_in_basis(basis_cols, S), anc, v, _in_basis(basis_cols, filters),
+                         _overlaps(G, S), _overlaps(G, N))
+    return counts + np.bincount(_reference_hits(u, half_coal, p_filter, q), minlength=d)
+
+
+def _layout11_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
+    """Reference for the sampled law: a batch of input ``p`` as stream
+    layout 11 drew it, evaluated row by row from explicit states in lab
+    coordinates; returns its counts per outcome. Its near cells hold every
+    trial with a replaced state below a reach that depends on the kind of
+    replacement alone: A_k, a replaced signal below p_near, whose filter-arm
+    perturbation is drawn if u < p_coal/2; C_k, a replaced filter below
+    b_k; and E_{i,k}, setting i the first replaced one in the order
+    0, ..., d - 1, below b_k."""
+    d = len(basis_cols)
+    phi = basis_cols[:, p]
+    settings = basis_cols.T
+    margin = 1.0 + 1e-9
+    bound, thresholds = _clean_reference(p, d, v)
     # the cells: A_k, C_k, E_{i,k} (i-major), O_j, the rest
     w = weights / weights.sum()
     p_near = (1.0 + v * v) / 8.0 * margin
@@ -883,53 +964,6 @@ def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
     p_filter, q = _terms(_in_basis(basis_cols, S), anc, v, _in_basis(basis_cols, filters),
                          _overlaps(G, S), _overlaps(G, N))
     return counts + np.bincount(_reference_hits(u, half_coal, p_filter, q), minlength=d)
-
-
-def _layout10_near_trials(rng, reach, weights):
-    """The near trials of a layout-10 batch drawn on ``rng``: how many
-    trials have each ancilla k and u below its ``reach`` r_k, and how many
-    do not, as one multinomial draw over the cells w_k r_k and the rest of
-    1, then their accept uniforms on [0, r_k). Returns u and the ancilla
-    index of each near trial, grouped by ancilla."""
-    near = weights / weights.sum() * reach
-    n = rng.multinomial(BATCH_TRIALS, [*near, 1.0 - near.sum()])[:-1]
-    anc_idx = np.repeat(np.arange(len(weights)), n)
-    return rng.random(len(anc_idx)) * reach[anc_idx], anc_idx
-
-
-def _layout10_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
-    """Reference for the sampled law: a batch of input ``p`` as stream
-    layout 10 drew it, evaluated row by row from explicit states in lab
-    coordinates. It draws every trial below the reach of its ancilla
-    (p_near if the signal can be replaced, else the clean p_coal/2 if an
-    analyzer state can be, else the clean step-5 bound), then the signal
-    perturbation of every such trial, the filter-arm perturbation of those
-    below their p_coal/2 and the scanner-arm perturbation of those below
-    their filter bound. Returns the outcomes of the accepted trials."""
-    d = len(basis_cols)
-    clean_coal = (1.0 + (v * v) * np.abs(basis_cols.T @ np.conj(basis_cols[:, p])) ** 2) / 8.0
-    clean = _in_basis(basis_cols, np.broadcast_to(basis_cols[:, p], (d, d)))
-    clean_filter = _filter_terms(clean, np.arange(d), v, clean)[0]
-    if prep_f < 1.0:
-        reach = np.full(d, (1.0 + v * v) / 8.0 * (1.0 + 1e-9))
-    elif analysis_f < 1.0:
-        reach = clean_coal
-    else:
-        reach = np.minimum(clean_coal, clean_coal * clean_filter * (1.0 + 1e-9))
-    u, anc_idx = _layout10_near_trials(rng, reach, weights)
-    N = basis_cols.T[anc_idx]
-    S = _basis_perturbed(basis_cols, p, (len(u),), prep_f, rng)
-    half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
-    keep = u < half_coal
-    u, S, N, anc_idx, half_coal = u[keep], S[keep], N[keep], anc_idx[keep], half_coal[keep]
-    filters = _basis_perturbed(basis_cols, p, (len(u),), analysis_f, rng)
-    p_filter = _filter_terms(_in_basis(basis_cols, S), anc_idx, v, _in_basis(basis_cols, filters))[0]
-    passing = u < half_coal * p_filter * (1.0 + 1e-9)
-    u, S, N, anc_idx, filters, half_coal = (x[passing] for x in (u, S, N, anc_idx, filters, half_coal))
-    G = _basis_perturbed(basis_cols, np.arange(d), (len(u), d), analysis_f, rng)
-    p_filter, q = _terms(_in_basis(basis_cols, S), anc_idx, v, _in_basis(basis_cols, filters),
-                         _overlaps(G, S), _overlaps(G, N))
-    return _reference_hits(u, half_coal, p_filter, q)
 
 
 def _layout2_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
@@ -989,34 +1023,44 @@ def test_table_path_matches_per_row_reference(case):
 
 @pytest.mark.parametrize("case", sorted(_TABLE_CASES))
 def test_near_trials_reach_as_far_as_a_trial_can_be_kept(monkeypatch, case):
-    # the reach of a near cell is the bound at which the kernel drops its
-    # trials when no earlier bound can move: p_near for an A trial, whose
-    # signal is replaced; the clean bound b_k of step 5 for a C trial, whose
-    # replaced filter never raises p_filter above the clean one, and for an
-    # E trial, whose signal and filter are clean. So every near trial lies
-    # below its reach, every C trial is kept at step 4, every E trial
-    # reaches the scanner draws of step 5, and a batch that can replace no
-    # state walks no trial
+    # the reach of a near cell is the largest bound of step 5 that a trial
+    # of its kind can reach: with the input's ancilla k = p, 1/16 for a
+    # replaced signal, whose p_coal/2 is 1/8 and p_filter at most 1/2, and 0
+    # for a C trial; with k != p, 0 for a replaced signal behind a kept
+    # filter, p_near for a replaced signal and filter, and the clean bound
+    # b_k of step 5 for a C trial, whose replaced filter never raises
+    # p_filter above the clean one; b_k for an E trial, whose signal and
+    # filter are clean. So every near trial lies below its reach, every A
+    # trial passes to step 5, every C trial is kept at step 4, every E
+    # trial reaches the scanner draws of step 5 with a first replaced
+    # setting other than k, and a batch that can replace no state walks no
+    # trial
     make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
     d = make_basis().dim
     weights = np.full(d, 1.0 / d) if weights is None else np.array(weights)
     arms, scanners = [], []
 
-    def signal_and_filter_arms(table, u, anc, n_a, n_c, rng):
-        arms.append((u.copy(), anc.copy(), n_a, n_c))
-        return _signal_and_filter_arms(table, u, anc, n_a, n_c, rng)
+    def signal_and_filter_arms(table, u, anc, n_a, n_af, n_c, rng):
+        out = _signal_and_filter_arms(table, u, anc, n_a, n_af, n_c, rng)
+        arms.append((u.copy(), anc.copy(), n_a, n_af, n_c, out[0]))
+        return out
 
     def scanner_overlaps(table, S, anc, first, rng):
-        scanners.append((len(S), first.copy()))
+        scanners.append((len(S), anc.copy(), first.copy()))
         return _scanner_overlaps(table, S, anc, first, rng)
 
     monkeypatch.setattr(experiment, "_signal_and_filter_arms", signal_and_filter_arms)
     monkeypatch.setattr(experiment, "_scanner_overlaps", scanner_overlaps)
     p_near = (1.0 + v * v) / 8.0 * (1.0 + 1e-9)
+    low = (1.0 + 1e-9) / 16.0
     for p in range(d):
         table = _clean_row_table(p, weights, v, prep_f, analysis_f)
         bound = _scanner_bound(table.half_coal, table.p_filter)
-        assert np.array_equal(table.reach, np.concatenate([np.full(d, p_near), np.tile(bound, d + 1)]))
+        at_p = np.arange(d) == p
+        assert np.array_equal(table.reach, np.concatenate([
+            np.where(at_p, low, 0.0), np.where(at_p, low, p_near), np.where(at_p, 0.0, bound),
+            np.tile(bound, d - 1),
+        ]))
         for b in range(3):
             arms.clear()
             scanners.clear()
@@ -1024,20 +1068,36 @@ def test_near_trials_reach_as_far_as_a_trial_can_be_kept(monkeypatch, case):
             if prep_f == analysis_f == 1.0:
                 assert arms == scanners == []
                 continue
-            (u, anc, n_a, n_c), = arms
-            assert len(u) > 0 and np.all(u < np.where(np.arange(len(u)) < n_a, p_near, bound[anc]))
-            assert np.all(u[n_a : n_a + n_c] < table.half_coal[anc[n_a : n_a + n_c]])
-            (passed, first), = scanners
-            assert len(first) - passed == len(u) - n_a - n_c
-            assert np.all((first[passed:] >= 0) & (first[passed:] < d))
+            (u, anc, n_a, n_af, n_c, passed), = arms
+            n_s = n_a + n_af
+            assert len(u) > 0
+            assert np.all(anc[:n_a] == p) and np.all(u[:n_a] < low)
+            assert np.all(u[n_a:n_s] < np.where(anc[n_a:n_s] == p, low, p_near))
+            assert np.all(anc[n_s : n_s + n_c] != p)
+            assert np.all(u[n_s:] < bound[anc[n_s:]])
+            assert np.all(u[n_s : n_s + n_c] < table.half_coal[anc[n_s : n_s + n_c]])
+            assert np.isin(np.arange(n_a), passed).all()
+            (n_passed, e_anc, first), = scanners
+            assert n_passed == len(passed) and len(first) - n_passed == len(u) - n_s - n_c
+            e_first, e_anc = first[n_passed:], e_anc[n_passed:]
+            assert np.all((e_first >= 0) & (e_first < d) & (e_first != e_anc))
 
 
 def test_a_replaced_filter_never_raises_p_filter_above_the_clean_one():
-    # the reach of a C cell, the clean bound b_k of step 5, rests on this:
-    # with the signal e_p a replaced filter is orthogonal to it, so
-    # A = <filter|e_p> = 0 and p_filter = |filter_k|^2/2 <= 1/2 for k != p
-    # and 0 for k = p, never above the clean p_filter of ancilla k (1/2 and
-    # 1); to rounding, far inside the margin of b_k
+    # the reaches rest on the structural zeros of the bench: a replaced
+    # state is orthogonal to its target. With the signal e_p a replaced
+    # filter has A = <filter|e_p> = 0 and p_filter = |filter_k|^2/2 <= 1/2
+    # for k != p and 0 for k = p, never above the clean p_filter of ancilla
+    # k (1/2 and 1), so a C trial stays below the clean bound b_k. A
+    # replaced signal S has S_p = 0 and A = 0 behind the kept filter e_p:
+    # with k != p also B = 0, so p_filter = 0; with k = p, p_coal/2 = 1/8
+    # and p_filter <= 1/2, a bound at or below the reach 1/16 of its cells,
+    # with the filter kept or replaced. A clean trial whose only replaced
+    # scanner setting is k has every q_j = 0. The zeros are exact; a trial's
+    # largest threshold, p_coal/2 * p_filter, lies at or below the reach of
+    # its cell to rounding far inside the reach's margin (the trial's bound
+    # of step 5 carries that margin itself, so it may pass the reach by an
+    # ulp, where no threshold lies)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -1046,14 +1106,32 @@ def test_a_replaced_filter_never_raises_p_filter_above_the_clean_one():
                       seed=st.integers(0, 2**32))
     def check(d, v, data, seed):
         p, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
-        filters = _complement_states(p, np.random.default_rng(seed).standard_normal((64, 2 * d - 2)))
+        rng = np.random.default_rng(seed)
+        filters = _complement_states(p, rng.standard_normal((64, 2 * d - 2)))
         S = np.zeros((64, d), dtype=complex)
         S[:, p] = 1.0
-        p_filter, A, _ = _filter_terms(S, np.full(64, k), v, filters)
-        clean = _clean_row_table(p, np.full(d, 1.0 / d), v, 1.0, 1.0).p_filter[k]
+        anc = np.full(64, k)
+        table = _clean_row_table(p, np.full(d, 1.0 / d), v, 1.0, 1.0)
+        reach = table.reach.reshape(-1, d)[:, k]  # per kind: A, A', C, then E
+        # C: the signal kept, the filter replaced
+        p_filter, A, _ = _filter_terms(S, anc, v, filters)
         assert not A.any()
-        assert np.all(p_filter <= clean * (1.0 + 1e-12))
+        assert np.all(p_filter <= table.p_filter[k] * (1.0 + 1e-12))
         assert k != p or not p_filter.any()
+        assert np.all(table.half_coal[anc] * p_filter <= reach[2])
+        # A and A': the signal replaced, the filter kept (S holds e_p) or replaced
+        signals = _complement_states(p, rng.standard_normal((64, 2 * d - 2)))
+        half_coal = _half_coal(signals, anc, v)
+        assert k != p or np.all(half_coal == 1.0 / 8.0)
+        for kind, kept in ((0, True), (1, False)):
+            p_filter = _filter_terms(signals, anc, v, S if kept else filters)[0]
+            assert not kept or k == p or not p_filter.any()
+            assert np.all(half_coal * p_filter <= reach[kind])
+        # E: signal and filter kept and only setting k replaced, drawn by
+        # the kernel's scanner arm at f_a = 1, which replaces only the first
+        F, G = _scanner_overlaps(table, np.empty((0, d)), anc, anc, rng)
+        q = _event_terms(table.A[anc], table.B[anc], v, F, G)
+        assert not q.sum(axis=1).any()
 
     check()
 
@@ -1249,29 +1327,29 @@ def _whole_run_z(basis_name, seeds, reference):
     return (counts[0] - counts[1]) / np.sqrt(2 * n * p * (1.0 - p))
 
 
-def _layout10_run(phi, basis, config):
+def _layout11_run(phi, basis, config):
     """The counts of a whole run of ``config`` whose batches are layout
-    10's (:func:`_layout10_batch`) in place of the kernel's."""
+    11's (:func:`_layout11_batch`) in place of the kernel's."""
     weights = config.weights_for(basis.dim)
 
-    def layout10(table, rng):
-        hits = _layout10_batch(table.p, basis.matrix, weights, table.v, config.prep_fidelity,
+    def layout11(table, rng):
+        return _layout11_batch(table.p, basis.matrix, weights, table.v, config.prep_fidelity,
                                table.analysis_f, rng)
-        return np.bincount(hits, minlength=basis.dim)
 
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(experiment, "_simulate_batch", layout10)
+        patched.setattr(experiment, "_simulate_batch", layout11)
         return run_cloning_experiment(phi, basis, config).counts
 
 
 @pytest.mark.parametrize("basis_name", ["I", "IV"])
-def test_outcome_cells_sample_the_layout_10_law(basis_name):
+def test_whole_runs_sample_the_layout_11_law(basis_name):
     # whole runs of the ideal basis-I and the degraded basis-IV bench (seed
-    # 95) against the same runs with layout 10's batches, which draw an
-    # accept uniform for every trial below the reach of its ancilla and
-    # walk each of them (seed 96): per input and outcome the counts must
-    # agree (|z| < 5, fixed beforehand)
-    assert np.max(np.abs(_whole_run_z(basis_name, (95, 96), _layout10_run))) < 5.0
+    # 95) against the same runs with layout 11's batches, which walk every
+    # trial with a replaced state below a reach that ignores which ancilla
+    # it has, so they also walk the trials that can never be counted (seed
+    # 96): per input and outcome the counts must agree (|z| < 5, fixed
+    # beforehand)
+    assert np.max(np.abs(_whole_run_z(basis_name, (95, 96), _layout11_run))) < 5.0
 
 
 @pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
@@ -1382,8 +1460,11 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     for i in range(4):
         table = _clean_row_table(i, weights, 0.9165, 0.9, 0.9)
         monkeypatch.setattr(experiment, "_acceptance_thresholds", recorded)
-        # one batch per input: the four leave 833 such rows at seed 0
-        _simulate_batch(table, _batch_rng(0, i, 0))
+        # ten batches per input: the 40 leave 136 such rows at seed 0 (a
+        # trial whose only replaced scanner setting is its ancilla's, the
+        # most common such trial, is never walked)
+        for b in range(10):
+            _simulate_batch(table, _batch_rng(0, i, b))
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])
@@ -1396,15 +1477,17 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 
 # ---------------------------------------------------- fixed-seed regression
 
-# Integer counts per input (rows) and outcome (columns), re-recorded at
-# stream layout 11, which draws the clean trials of a batch as outcome
-# counts and walks only the trials with a replaced state, from one PCG64
-# per input advanced by 2^64 outputs per batch, over 32768-trial batches.
-# A change to the Monte Carlo arithmetic that keeps the draws and the
-# accept rule must leave them as they are.
+# Integer counts per input (rows) and outcome (columns), from one PCG64 per
+# input advanced by 2^64 outputs per batch, over 32768-trial batches. "I"
+# was recorded at stream layout 11, which draws the clean trials of a batch
+# as outcome counts and walks only the trials with a replaced state; layout
+# 12 draws an ideal batch as layout 11 did, so it stands. "IV" was
+# re-recorded at layout 12, whose near cells hold only the trials that can
+# still be counted. A change to the Monte Carlo arithmetic that keeps the
+# draws and the accept rule must leave them as they are.
 _GOLDEN_COUNTS = {
     "I": [[1204, 257, 277, 262], [296, 1174, 271, 259], [302, 293, 1133, 272], [282, 321, 278, 1119]],
-    "IV": [[1108, 364, 272, 256], [376, 1104, 278, 242], [399, 384, 904, 313], [419, 394, 290, 897]],
+    "IV": [[1081, 394, 273, 252], [354, 1123, 262, 261], [377, 403, 921, 299], [393, 429, 276, 902]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
@@ -1740,6 +1823,16 @@ def test_counts_keep_basis_labels_that_contain_the_separator():
     # one count per basis label: the CSV and the estimator read them in pairs
     (0, (3, 1, 2), 0, "3 counts for 2 basis labels"),
     (0, (3,), 0, "1 counts for 2 basis labels"),
+    # the CSV would write 2.5, the JSON 2 and the estimator read 2.5
+    (0, (2.5, 0.5), 0, r"^counts must be integers, got 2\.5$"),
+    (0, (2.0, 1), 0, r"^counts must be integers, got 2\.0$"),
+    (0, (3, float("nan")), 0, r"^counts must be integers, got nan$"),
+    (0, (True, 1), 0, r"^counts must be integers, got True$"),
+    (0, (3, 1), 1.5, r"^batches must be integers, got 1\.5$"),
+    (0, (3, 1), True, r"^batches must be integers, got True$"),
+    # numpy reads True as a mask, not as index 1
+    (True, (3, 1), 0, r"^phi index must be an integer, got True$"),
+    (1.0, (3, 1), 0, r"^phi index must be an integer, got 1\.0$"),
 ])
 def test_counts_table_rejects_bad_entries(phi_index, counts, batches, message):
     with pytest.raises(ValueError, match=message):
@@ -1751,6 +1844,9 @@ def test_counts_table_keeps_its_counts_as_a_tuple_in_outcome_order():
     table = CountsTable(("s0", "s1", "s2"), 2, [4, 0, 9], ExperimentConfig(shots=13))
     assert table.counts == (4, 0, 9)
     assert table.input_label == "s2"
+    # numpy integers are integers, kept as ints
+    table = CountsTable(("s0", "s1"), 0, list(np.array([4, 9])), ExperimentConfig(shots=13))
+    assert table.counts == (4, 9) and all(type(n) is int for n in table.counts)
     # a mapping names its outcomes by key, which the table cannot check
     with pytest.raises(TypeError, match="counts must be a list or a tuple, got dict"):
         CountsTable(("s0", "s1"), 0, {1: 3, 2: 4}, ExperimentConfig(shots=7))
