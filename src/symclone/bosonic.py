@@ -301,46 +301,37 @@ def reduced_single_photon(state: FockState, port: int) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class DistinguishabilityModel:
-    """Scalar wavepacket-overlap model of photon distinguishability.
+    """Scalar wavepacket-overlap model of photon distinguishability versus
+    relative path delay.
 
-    ``v`` is the temporal-mode overlap of the two photons at zero path
-    delay (1 = fully indistinguishable). When ``wavelength`` and
-    ``bandwidth`` are set (meters; bandwidth is the FWHM of a Gaussian
-    intensity spectrum), ``v_of_delay`` gives the overlap as a function of
+    ``wavelength`` and ``bandwidth`` are in meters; bandwidth is the FWHM of
+    a Gaussian intensity spectrum. The photons are fully indistinguishable
+    at zero delay, and ``v_of_delay`` gives their overlap as a function of
     the relative delay in seconds:
 
-        v(tau) = v exp(-(tau / tau_c)^2),   tau_c = sqrt(2) / sigma_omega,
+        v(tau) = exp(-(tau / tau_c)^2),   tau_c = sqrt(2) / sigma_omega,
 
     with sigma_omega the std of the angular-frequency intensity spectrum.
     """
 
-    v: float = 1.0
-    wavelength: float | None = None
-    bandwidth: float | None = None
+    wavelength: float
+    bandwidth: float
 
     def __post_init__(self):
-        if not 0.0 <= self.v <= 1.0:
-            raise ValueError(f"overlap v must lie in [0, 1], got {self.v}")
-        if (self.wavelength is None) != (self.bandwidth is None):
-            raise ValueError("wavelength and bandwidth must be given together")
-        if self.wavelength is not None and not (
-            0 < self.wavelength < math.inf and 0 < self.bandwidth < math.inf
-        ):
+        if not (0 < self.wavelength < math.inf and 0 < self.bandwidth < math.inf):
             raise ValueError("wavelength and bandwidth must be positive and finite")
-        if self.wavelength is not None and not 0.0 < self.coherence_time < math.inf:
+        if not 0.0 < self.coherence_time < math.inf:
             raise ValueError("wavelength and bandwidth give no finite, nonzero coherence time")
 
     @classmethod
     def from_spectrum(cls, wavelength_nm: float, bandwidth_nm: float) -> "DistinguishabilityModel":
         """Convenience constructor taking nanometers."""
-        return cls(v=1.0, wavelength=wavelength_nm * 1e-9, bandwidth=bandwidth_nm * 1e-9)
+        return cls(wavelength=wavelength_nm * 1e-9, bandwidth=bandwidth_nm * 1e-9)
 
     @cached_property
     def coherence_time(self) -> float:
-        """tau_c in seconds; requires spectral parameters. Computed once per
-        model: ``v_of_delay`` reads it for every delay of a curve."""
-        if self.wavelength is None:
-            raise ValueError("no spectral parameters set")
+        """tau_c in seconds. Computed once per model: ``v_of_delay`` reads it
+        for every delay of a curve."""
         # a float product overflows to inf where ``**`` raises; a square that
         # underflows to 0 means an unbounded spectral width
         square = self.wavelength * self.wavelength
@@ -349,9 +340,9 @@ class DistinguishabilityModel:
         return math.sqrt(2) / sigma_omega if sigma_omega > 0 else math.inf
 
     def v_of_delay(self, tau: float) -> float:
-        """Gaussian overlap-vs-delay law; v(0) = ``v``, even, nonincreasing in |tau|."""
+        """Gaussian overlap-vs-delay law; v(0) = 1, even, nonincreasing in |tau|."""
         r = tau / self.coherence_time
-        return self.v * math.exp(-(r * r))  # an overflowing r * r gives overlap 0
+        return math.exp(-(r * r))  # an overflowing r * r gives overlap 0
 
 
 def _two_photon_input(
@@ -399,15 +390,14 @@ def hom_curve(
 ) -> list[tuple[float, float]]:
     """Sample the coalescence enhancement versus relative path delay.
 
-    ``delays`` are in seconds; the model must carry spectral parameters.
-    Returns (tau, R) pairs with R(0) maximal and R -> 1 far off the peak.
+    ``delays`` are in seconds. Returns (tau, R) pairs with R(0) maximal and
+    R -> 1 far off the peak.
 
     The delay only sets the overlap v(tau), and R is exactly
     v^2 R(1) + (1 - v^2) R(0) (see the module docstring), so the engine
     runs twice, at v = 1 and v = 0, whatever the number of delays.
     """
     taus = [float(tau) for tau in delays]
-    # raises for a model without spectral parameters, before any engine work
     v2 = [model.v_of_delay(tau) ** 2 for tau in taus]
     r_one = coalescence_enhancement(psi_s, psi_a, 1.0)
     r_zero = coalescence_enhancement(psi_s, psi_a, 0.0)

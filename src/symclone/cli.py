@@ -214,7 +214,7 @@ def _cmd_hom(args) -> int:
 
 
 def _experiment_config(args) -> experiment.ExperimentConfig:
-    data = {"shots": 10_000, "seed": 0}
+    data = {"shots": 10_000}
     if args.config:
         # JSON is UTF-8 text; a file that is not is a usage error that names it
         try:

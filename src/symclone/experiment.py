@@ -229,19 +229,23 @@ _BOUND_MARGIN = 1.0 + 1e-9
 # batch size, yield no coincidence at all.
 _MAX_DRY_BATCHES = 8_192_000 // BATCH_TRIALS
 
-_CONFIG_KEYS = frozenset(
-    {"shots", "v", "ancillaWeights", "prepFidelity", "analysisFidelity", "seed", "streamLayout"}
-)
+# Each field of ``ExperimentConfig`` and its key, in ``to_dict`` order. The
+# key names the value in ``to_dict``, in config files, in the JSON summary and
+# in every error message.
+_KEYS = {
+    "shots": "shots",
+    "v": "v",
+    "ancilla_weights": "ancillaWeights",
+    "prep_fidelity": "prepFidelity",
+    "analysis_fidelity": "analysisFidelity",
+    "seed": "seed",
+}
 
 
-def _integral(data: dict, key: str, default: int | None = None) -> int:
-    """``data[key]`` as an int; a bool or a number with a fraction is an
-    error, and so is a missing key without a default."""
-    if key not in data:
-        if default is None:
-            raise ValueError(f"missing config key {key!r}")
-        return default
-    value = data[key]
+def _integer(value, key: str) -> int:
+    """A config integer as an int: an int, a numpy integer or an integral
+    float such as 3.0 (JSON may write an integer that way); a bool, a
+    number with a fraction or a non-number is an error."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     )
@@ -256,10 +260,14 @@ def _is_integer(value) -> bool:
 
 
 def _real(value, key: str) -> float:
-    """A config number as a float; a bool or a non-number is an error."""
+    """A config number as a float; a bool, a non-number or an integer past
+    the float range is an error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"bad config value: {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"bad config value: {key!r} must be a number in the float range") from None
 
 
 @dataclass(frozen=True)
@@ -271,6 +279,12 @@ class ExperimentConfig:
     (None = uniform) describe imperfect randomization of the ancilla over
     the measurement basis; prep/analysis fidelities model state-level
     preparation and analyzer errors.
+
+    The constructor is the one place where a value is checked and
+    converted; ``from_dict`` only maps keys to fields. ``shots`` and
+    ``seed`` are kept as ints, the fidelities, v and each weight as floats,
+    and the weights as a tuple; an error names the value by its ``to_dict``
+    key.
     """
 
     shots: int
@@ -281,35 +295,26 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("shots", "seed"):
-            val = getattr(self, name)
-            if not _is_integer(val):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
+        object.__setattr__(self, "shots", _integer(self.shots, "shots"))
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
-        # a bool or a string is not a number here, as in ``from_dict``
         for name in ("v", "prep_fidelity", "analysis_fidelity"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not 0.0 <= self.v <= 1.0:
-            raise ValueError(f"v must lie in [0, 1], got {self.v}")
-        for name in ("prep_fidelity", "analysis_fidelity"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.ancilla_weights is not None:
-            # a sequence of numbers, as in ``from_dict``: iterating a number
-            # fails, a string gives characters, a mapping its keys and a set
-            # no order
-            weights = self.ancilla_weights
+            value = _real(getattr(self, name), _KEYS[name])
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{_KEYS[name]} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, value)
+        weights = self.ancilla_weights
+        if weights is not None:
+            # iterating a number fails, a string gives characters, a mapping
+            # its keys and a set no order
+            key = _KEYS["ancilla_weights"]
             vector = isinstance(weights, np.ndarray) and weights.ndim == 1
-            if not (vector or isinstance(weights, (list, tuple))):
+            if not (vector or isinstance(weights, (list, tuple))) or len(weights) == 0:
                 raise ValueError(
-                    "bad config value: 'ancilla_weights' must be None or a list, tuple or"
+                    f"bad config value: {key!r} must be null or a non-empty list, tuple or"
                     f" 1-D array of numbers, got {weights!r}"
                 )
-            w = tuple(_real(x, f"ancilla_weights[{i}]") for i, x in enumerate(weights))
+            w = tuple(_real(x, f"{key}[{i}]") for i, x in enumerate(weights))
             if not all(math.isfinite(x) for x in w):
                 raise ValueError("ancilla weights must be finite")
             if any(x < 0 for x in w):
@@ -317,6 +322,9 @@ class ExperimentConfig:
             if abs(sum(w) - 1.0) > 1e-12:
                 raise ValueError(f"ancilla weights must sum to 1, got {sum(w)!r}")
             object.__setattr__(self, "ancilla_weights", w)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 unsigned bits")
 
     def weights_for(self, d: int) -> np.ndarray:
         if self.ancilla_weights is None:
@@ -328,19 +336,17 @@ class ExperimentConfig:
         return np.asarray(self.ancilla_weights)
 
     def to_dict(self) -> dict:
-        return {
-            "shots": self.shots,
-            "v": self.v,
-            "ancillaWeights": list(self.ancilla_weights) if self.ancilla_weights else None,
-            "prepFidelity": self.prep_fidelity,
-            "analysisFidelity": self.analysis_fidelity,
-            "seed": self.seed,
-            "streamLayout": STREAM_LAYOUT,
-        }
+        data = {key: getattr(self, name) for name, key in _KEYS.items()}
+        if self.ancilla_weights is not None:
+            data[_KEYS["ancilla_weights"]] = list(self.ancilla_weights)
+        data["streamLayout"] = STREAM_LAYOUT
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = sorted(set(data) - _CONFIG_KEYS)
+        """The config of a ``to_dict`` dict or a config file. A missing key
+        takes the field's default, and the constructor checks every value."""
+        unknown = sorted(set(data) - {*_KEYS.values(), "streamLayout"})
         if unknown:
             raise ValueError("unknown config key " + ", ".join(map(repr, unknown)))
         layout = data.get("streamLayout", STREAM_LAYOUT)
@@ -348,27 +354,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"streamLayout {layout!r} is not supported; this version draws layout {STREAM_LAYOUT}"
             )
-        weights = data.get("ancillaWeights")  # missing or null: uniform
-        if weights is not None and (not isinstance(weights, (list, tuple)) or not weights):
-            raise ValueError(
-                "bad config value: 'ancillaWeights' must be null or a non-empty list"
-                f" of numbers, got {weights!r}"
-            )
-        try:
-            return cls(
-                shots=_integral(data, "shots"),
-                v=_real(data.get("v", 1.0), "v"),
-                ancilla_weights=(
-                    tuple(_real(w, f"ancillaWeights[{i}]") for i, w in enumerate(weights))
-                    if weights is not None
-                    else None
-                ),
-                prep_fidelity=_real(data.get("prepFidelity", 1.0), "prepFidelity"),
-                analysis_fidelity=_real(data.get("analysisFidelity", 1.0), "analysisFidelity"),
-                seed=_integral(data, "seed", 0),
-            )
-        except (TypeError, OverflowError) as exc:  # e.g. an integer past the float range
-            raise ValueError(f"bad config value: {exc}") from None
+        if "shots" not in data:
+            raise ValueError("missing config key 'shots'")
+        return cls(**{name: data[key] for name, key in _KEYS.items() if key in data})
 
 
 @dataclass(frozen=True)
@@ -377,10 +365,9 @@ class CountsTable:
     in outcome order, and the number of batches of ``BATCH_TRIALS`` trials
     the run evaluated to collect them (0 for counts that no run produced).
     ``counts`` is given as a list or a tuple of integers and kept as a
-    tuple of ints. A bool or a float, even 2.0, is not an integer here, as
-    for ``ExperimentConfig.shots``: the CSV, the JSON and the estimator
-    would read it differently, and the estimator indexes the counts with
-    ``phi_index``."""
+    tuple of ints. A bool or a float, even 2.0, is not an integer here: the
+    CSV, the JSON and the estimator would read it differently, and the
+    estimator indexes the counts with ``phi_index``."""
 
     basis_labels: tuple[str, ...]
     phi_index: int

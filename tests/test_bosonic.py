@@ -288,10 +288,12 @@ def test_both_split_photons_carry_the_same_reduced_state():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        DistinguishabilityModel(v=1.2)
-    with pytest.raises(ValueError):
-        DistinguishabilityModel(v=1.0, wavelength=795e-9)  # bandwidth missing
+    with pytest.raises(TypeError):
+        DistinguishabilityModel(wavelength=795e-9)  # bandwidth missing
+    for wavelength, bandwidth in ((795e-9, 0.0), (-795e-9, 4.5e-9), (795e-9, math.inf),
+                                  (math.nan, 4.5e-9)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DistinguishabilityModel(wavelength=wavelength, bandwidth=bandwidth)
 
 
 @pytest.mark.parametrize("wavelength, bandwidth", [
@@ -427,6 +429,14 @@ def test_hom_curve_matches_per_delay_engine_runs_on_random_states():
                 hom_curve(psi_s, psi_a, _BENCH_DELAYS, _BENCH_MODEL),
                 _per_delay_reference(psi_s, psi_a, _BENCH_DELAYS, _BENCH_MODEL),
             )
+    # another spectrum: 810 nm, 3 nm
+    rng = np.random.default_rng(8)
+    model = DistinguishabilityModel.from_spectrum(810.0, 3.0)
+    s, a = _random_ket(rng, 4), _random_ket(rng, 4)
+    _assert_curves_match(
+        hom_curve(s, a, _BENCH_DELAYS, model),
+        _per_delay_reference(s, a, _BENCH_DELAYS, model),
+    )
 
 
 def test_hom_curve_matches_per_delay_engine_runs_on_unequal_bench_pairs():
@@ -438,29 +448,6 @@ def test_hom_curve_matches_per_delay_engine_runs_on_unequal_bench_pairs():
                 hom_curve(psi_s, psi_a, delays, _BENCH_MODEL),
                 _per_delay_reference(psi_s, psi_a, delays, _BENCH_MODEL),
             )
-
-
-def test_hom_curve_matches_per_delay_engine_runs_below_full_overlap():
-    rng = np.random.default_rng(8)
-    model = DistinguishabilityModel(v=0.7, wavelength=810e-9, bandwidth=3e-9)
-    s, a = _random_ket(rng, 4), _random_ket(rng, 4)
-    _assert_curves_match(
-        hom_curve(s, a, _BENCH_DELAYS, model),
-        _per_delay_reference(s, a, _BENCH_DELAYS, model),
-    )
-
-
-def test_hom_curve_peak_carries_the_zero_delay_overlap():
-    model = DistinguishabilityModel(v=0.9, wavelength=795e-9, bandwidth=4.5e-9)
-    assert model.v_of_delay(0.0) == 0.9
-    psi = basis_four().states[0]
-    partner = PureState(4, np.cos(0.4) * psi.amps + np.sin(0.4) * basis_four().states[1].amps)
-    for psi_a in (psi, partner):
-        [(tau, r)] = hom_curve(psi, psi_a, [0.0], model)
-        expected = 1.0 + 0.9**2 * abs(np.vdot(psi_a.amps, psi.amps)) ** 2
-        assert tau == 0.0
-        assert r == pytest.approx(expected, abs=1e-12)
-        assert r == pytest.approx(coalescence_enhancement(psi, psi_a, model.v), abs=1e-12)
 
 
 def _counting(monkeypatch, name):
@@ -488,15 +475,6 @@ def test_hom_curve_of_no_delays_is_empty():
     psi = basis_four().states[0]
     assert hom_curve(psi, psi, [], _BENCH_MODEL) == []
     assert hom_curve(psi, psi, np.array([]), _BENCH_MODEL) == []
-
-
-def test_hom_curve_without_spectral_parameters_fails_before_the_engine(monkeypatch):
-    enhancement_calls = _counting(monkeypatch, "coalescence_enhancement")
-    splitter_calls = _counting(monkeypatch, "beam_splitter")
-    psi = basis_four().states[0]
-    with pytest.raises(ValueError, match="spectral"):
-        hom_curve(psi, psi, [0.0, 1e-13], DistinguishabilityModel(v=0.8))
-    assert enhancement_calls == [] and splitter_calls == []
 
 
 def test_cli_hom_matches_per_delay_engine_runs(capsys):

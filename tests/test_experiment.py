@@ -159,6 +159,23 @@ def test_stream_layout_agrees_in_the_schema_the_readme_and_the_config():
     assert cfg.to_dict()["streamLayout"] == STREAM_LAYOUT
 
 
+# the constructor's field for each ``to_dict`` key
+_FIELD_OF_KEY = {"shots": "shots", "v": "v", "ancillaWeights": "ancilla_weights",
+                 "prepFidelity": "prep_fidelity", "analysisFidelity": "analysis_fidelity",
+                 "seed": "seed"}
+
+
+def _error_of_both_entries(data: dict) -> str:
+    """The message of the ValueError that ``from_dict(data)`` raises; the
+    constructor, given the same values, raises the same message."""
+    with pytest.raises(ValueError) as from_dict:
+        ExperimentConfig.from_dict(data)
+    with pytest.raises(ValueError) as constructor:
+        ExperimentConfig(**{_FIELD_OF_KEY[key]: value for key, value in data.items()})
+    assert str(constructor.value) == str(from_dict.value)
+    return str(from_dict.value)
+
+
 @pytest.mark.parametrize("data, key", [
     ({"shots": 2.9, "seed": 1}, "'shots'"),
     ({"shots": 10, "seed": 1.7}, "'seed'"),
@@ -166,10 +183,13 @@ def test_stream_layout_agrees_in_the_schema_the_readme_and_the_config():
     ({"shots": 10, "seed": False}, "'seed'"),
     ({"shots": "10"}, "'shots'"),
     ({"shots": float("nan")}, "'shots'"),
+    ({"shots": 2.5}, "'shots' must be an integer, got 2.5"),
+    ({"shots": 10, "seed": 1.5}, "'seed' must be an integer, got 1.5"),
 ])
 def test_config_rejects_non_integral_shots_and_seed(data, key):
-    with pytest.raises(ValueError, match=key):
-        ExperimentConfig.from_dict(data)
+    # such values would fail mid-run (a slice index, the seed entropy) or
+    # run and be written out as a JSON boolean
+    assert re.search(key, _error_of_both_entries(data))
 
 
 @pytest.mark.parametrize("data, key", [
@@ -187,40 +207,19 @@ def test_config_rejects_non_integral_shots_and_seed(data, key):
     ({"shots": 10, "ancillaWeights": ""}, r"'ancillaWeights' must be null or a non-empty list"),
     ({"shots": 10, "ancillaWeights": {}}, r"'ancillaWeights' must be null or a non-empty list"),
     # an integer past the float range
-    ({"shots": 10, "v": 10**400}, r"^bad config value: int too large to convert to float$"),
+    ({"shots": 10, "v": 10**400}, r"^bad config value: 'v' must be a number in the float range$"),
+    ({"shots": 1, "ancillaWeights": [10**400, 0]},
+     r"^bad config value: 'ancillaWeights\[0\]' must be a number in the float range$"),
+    ({"shots": 1, "prepFidelity": True}, r"'prepFidelity' must be a number, got True"),
+    ({"shots": 1, "analysisFidelity": "1"}, r"'analysisFidelity' must be a number, got '1'"),
+    ({"shots": 1, "ancillaWeights": (True, False, False, False)}, r"'ancillaWeights\[0\]' must be a number"),
+    ({"shots": 1, "ancillaWeights": (0.5, "0.5")}, r"'ancillaWeights\[1\]' must be a number"),
+    ({"shots": 1, "ancillaWeights": (0.5, 0.5 + 0j)}, r"'ancillaWeights\[1\]' must be a number"),
 ])
 def test_config_rejects_booleans_and_non_numbers(data, key):
-    with pytest.raises(ValueError, match=key):
-        ExperimentConfig.from_dict(data)
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"shots": 2.5}, "shots must be an integer, got 2.5"),
-    ({"shots": 10, "seed": 1.5}, "seed must be an integer, got 1.5"),
-    ({"shots": True}, "shots must be an integer, got True"),
-    ({"shots": 10, "seed": False}, "seed must be an integer, got False"),
-])
-def test_config_constructor_rejects_non_integral_or_boolean_shots_and_seed(kwargs, message):
-    # such values would fail mid-run (a slice index, the seed entropy) or
-    # run and be written out as a JSON boolean
-    with pytest.raises(ValueError, match=message):
-        ExperimentConfig(**kwargs)
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"v": True}, r"'v' must be a number, got True"),
-    ({"v": "0.5"}, r"'v' must be a number, got '0.5'"),
-    ({"prep_fidelity": True}, r"'prep_fidelity' must be a number, got True"),
-    ({"analysis_fidelity": "1"}, r"'analysis_fidelity' must be a number, got '1'"),
-    ({"ancilla_weights": (True, False, False, False)}, r"'ancilla_weights\[0\]' must be a number"),
-    ({"ancilla_weights": (0.5, "0.5")}, r"'ancilla_weights\[1\]' must be a number"),
-    ({"ancilla_weights": (0.5, 0.5 + 0j)}, r"'ancilla_weights\[1\]' must be a number"),
-])
-def test_config_constructor_rejects_booleans_and_non_numbers(kwargs, message):
     # a bool would run and be written out as a JSON boolean, where the
     # summary schema wants a number
-    with pytest.raises(ValueError, match=message):
-        ExperimentConfig(shots=1, **kwargs)
+    assert re.search(key, _error_of_both_entries(data))
 
 
 def test_config_constructor_stores_floats():
@@ -238,10 +237,10 @@ def test_config_constructor_stores_floats():
 ], ids=["float", "int", "numpy-float", "0-d-array", "str", "csv-str", "dict", "set", "frozenset", "2-d-array"])
 def test_config_constructor_rejects_weights_that_are_not_a_sequence(weights):
     # iterating a number fails, a string gives its characters, a mapping its
-    # keys and a set no fixed order; each is a ValueError naming the key, as
-    # ``from_dict`` gives for ``ancillaWeights``
-    with pytest.raises(ValueError, match=r"'ancilla_weights' must be None or a list, tuple or 1-D array"):
-        ExperimentConfig(shots=1, ancilla_weights=weights)
+    # keys and a set no fixed order; each is a ValueError naming the key,
+    # and ``from_dict`` gives the same
+    message = _error_of_both_entries({"shots": 1, "ancillaWeights": weights})
+    assert re.search(r"'ancillaWeights' must be null or a non-empty list, tuple or 1-D array", message)
 
 
 @pytest.mark.parametrize("weights", [
@@ -261,7 +260,17 @@ def test_config_accepts_integers_for_real_keys():
 
 
 def test_config_accepts_integral_floats():
-    assert ExperimentConfig.from_dict({"shots": 3.0, "seed": 2.0}) == ExperimentConfig(shots=3, seed=2)
+    for cfg in (ExperimentConfig.from_dict({"shots": 3.0, "seed": 2.0}),
+                ExperimentConfig(shots=3.0, seed=np.float64(2.0))):
+        assert cfg == ExperimentConfig(shots=3, seed=2)
+        assert type(cfg.shots) is int and type(cfg.seed) is int
+
+
+def test_config_keeps_numpy_integers_as_ints_for_the_summary():
+    cfg = ExperimentConfig(shots=np.int64(5), seed=np.uint64(3))
+    assert type(cfg.shots) is int and type(cfg.seed) is int
+    summary = json.loads(json.dumps(replicate_table("I", cfg).to_dict()))
+    assert {(t["config"]["shots"], t["config"]["seed"]) for t in summary["counts"]} == {(5, 3)}
 
 
 def test_config_reports_missing_shots():

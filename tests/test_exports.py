@@ -1,5 +1,6 @@
 """Public names: every ``__all__`` entry exists, and the package re-exports
-only names its source modules list in ``__all__``."""
+only names its source modules list in ``__all__``. The package version is
+the one ``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -47,3 +48,12 @@ def test_package_reexports_only_names_in_the_source_all():
         if name not in importlib.import_module(f"symclone.{source}").__all__
     ]
     assert stale == []
+
+
+def test_version_agrees_in_pyproject_and_the_package():
+    # the version is written by hand in both places; the JSON summary
+    # records the package's
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == symclone.__version__
