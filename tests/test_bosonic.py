@@ -429,14 +429,6 @@ def test_hom_curve_matches_per_delay_engine_runs_on_random_states():
                 hom_curve(psi_s, psi_a, _BENCH_DELAYS, _BENCH_MODEL),
                 _per_delay_reference(psi_s, psi_a, _BENCH_DELAYS, _BENCH_MODEL),
             )
-    # another spectrum: 810 nm, 3 nm
-    rng = np.random.default_rng(8)
-    model = DistinguishabilityModel.from_spectrum(810.0, 3.0)
-    s, a = _random_ket(rng, 4), _random_ket(rng, 4)
-    _assert_curves_match(
-        hom_curve(s, a, _BENCH_DELAYS, model),
-        _per_delay_reference(s, a, _BENCH_DELAYS, model),
-    )
 
 
 def test_hom_curve_matches_per_delay_engine_runs_on_unequal_bench_pairs():
@@ -448,6 +440,18 @@ def test_hom_curve_matches_per_delay_engine_runs_on_unequal_bench_pairs():
                 hom_curve(psi_s, psi_a, delays, _BENCH_MODEL),
                 _per_delay_reference(psi_s, psi_a, delays, _BENCH_MODEL),
             )
+
+
+def test_hom_curve_matches_per_delay_engine_runs_below_full_overlap():
+    rng = np.random.default_rng(8)
+    model = DistinguishabilityModel.from_spectrum(810.0, 3.0)
+    # off the peak the delays take the overlap strictly between 0 and 1
+    assert any(0.0 < model.v_of_delay(tau) < 1.0 for tau in _BENCH_DELAYS)
+    s, a = _random_ket(rng, 4), _random_ket(rng, 4)
+    _assert_curves_match(
+        hom_curve(s, a, _BENCH_DELAYS, model),
+        _per_delay_reference(s, a, _BENCH_DELAYS, model),
+    )
 
 
 def _counting(monkeypatch, name):

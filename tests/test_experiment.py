@@ -176,6 +176,12 @@ def _error_of_both_entries(data: dict) -> str:
     return str(from_dict.value)
 
 
+def _keys_of_fields(kwargs: dict) -> dict:
+    """Constructor keyword arguments keyed as ``from_dict`` reads them."""
+    key_of_field = {field: key for key, field in _FIELD_OF_KEY.items()}
+    return {key_of_field[field]: value for field, value in kwargs.items()}
+
+
 @pytest.mark.parametrize("data, key", [
     ({"shots": 2.9, "seed": 1}, "'shots'"),
     ({"shots": 10, "seed": 1.7}, "'seed'"),
@@ -183,13 +189,21 @@ def _error_of_both_entries(data: dict) -> str:
     ({"shots": 10, "seed": False}, "'seed'"),
     ({"shots": "10"}, "'shots'"),
     ({"shots": float("nan")}, "'shots'"),
-    ({"shots": 2.5}, "'shots' must be an integer, got 2.5"),
-    ({"shots": 10, "seed": 1.5}, "'seed' must be an integer, got 1.5"),
 ])
 def test_config_rejects_non_integral_shots_and_seed(data, key):
+    assert re.search(key, _error_of_both_entries(data))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"shots": 2.5}, "'shots' must be an integer, got 2.5"),
+    ({"shots": 10, "seed": 1.5}, "'seed' must be an integer, got 1.5"),
+    ({"shots": True}, "'shots' must be an integer, got True"),
+    ({"shots": 10, "seed": False}, "'seed' must be an integer, got False"),
+])
+def test_config_constructor_rejects_non_integral_or_boolean_shots_and_seed(kwargs, message):
     # such values would fail mid-run (a slice index, the seed entropy) or
     # run and be written out as a JSON boolean
-    assert re.search(key, _error_of_both_entries(data))
+    assert re.search(message, _error_of_both_entries(_keys_of_fields(kwargs)))
 
 
 @pytest.mark.parametrize("data, key", [
@@ -210,16 +224,24 @@ def test_config_rejects_non_integral_shots_and_seed(data, key):
     ({"shots": 10, "v": 10**400}, r"^bad config value: 'v' must be a number in the float range$"),
     ({"shots": 1, "ancillaWeights": [10**400, 0]},
      r"^bad config value: 'ancillaWeights\[0\]' must be a number in the float range$"),
-    ({"shots": 1, "prepFidelity": True}, r"'prepFidelity' must be a number, got True"),
-    ({"shots": 1, "analysisFidelity": "1"}, r"'analysisFidelity' must be a number, got '1'"),
-    ({"shots": 1, "ancillaWeights": (True, False, False, False)}, r"'ancillaWeights\[0\]' must be a number"),
-    ({"shots": 1, "ancillaWeights": (0.5, "0.5")}, r"'ancillaWeights\[1\]' must be a number"),
-    ({"shots": 1, "ancillaWeights": (0.5, 0.5 + 0j)}, r"'ancillaWeights\[1\]' must be a number"),
 ])
 def test_config_rejects_booleans_and_non_numbers(data, key):
+    assert re.search(key, _error_of_both_entries(data))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"v": True}, r"'v' must be a number, got True"),
+    ({"v": "0.5"}, r"'v' must be a number, got '0.5'"),
+    ({"prep_fidelity": True}, r"'prepFidelity' must be a number, got True"),
+    ({"analysis_fidelity": "1"}, r"'analysisFidelity' must be a number, got '1'"),
+    ({"ancilla_weights": (True, False, False, False)}, r"'ancillaWeights\[0\]' must be a number"),
+    ({"ancilla_weights": (0.5, "0.5")}, r"'ancillaWeights\[1\]' must be a number"),
+    ({"ancilla_weights": (0.5, 0.5 + 0j)}, r"'ancillaWeights\[1\]' must be a number"),
+])
+def test_config_constructor_rejects_booleans_and_non_numbers(kwargs, message):
     # a bool would run and be written out as a JSON boolean, where the
     # summary schema wants a number
-    assert re.search(key, _error_of_both_entries(data))
+    assert re.search(message, _error_of_both_entries(_keys_of_fields({"shots": 1, **kwargs})))
 
 
 def test_config_constructor_stores_floats():
