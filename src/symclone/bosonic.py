@@ -19,6 +19,10 @@ Conventions
 
   Any convention with |r| = |t| = 1/sqrt2 yields the same post-selection
   probabilities; this one is fixed so amplitudes are reproducible.
+* One routine creates a photon in a superposition of modes, sum_j c_j
+  a_j^dag, on a sparse map. ``add_photon`` calls it with its internal
+  state; the beam splitter takes the photons of its two ports out of each
+  term and calls it once per photon, with the image of that photon's mode.
 * Partial distinguishability is a scalar wavepacket overlap v: the second
   photon is split into a v-weighted copy of the first photon's temporal
   mode and a sqrt(1 - v^2)-weighted orthogonal temporal mode. This
@@ -39,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import DensityMatrix, PureState
+from .hilbert import STRUCT_TOL, DensityMatrix, PureState
 
 __all__ = [
     "FockState",
@@ -58,7 +62,6 @@ __all__ = [
 # expansions generate exact zeros (HOM cancellations) that would otherwise
 # clutter the sparse map.
 _PRUNE_TOL = 1e-14
-_NORM_TOL = 1e-12
 
 _SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -89,7 +92,7 @@ class FockState:
             raise ValueError(f"mixed photon numbers in one state: {sorted(photon_counts)}")
         if terms:
             norm_sq = sum(abs(a) ** 2 for a in terms.values())
-            if abs(norm_sq - 1.0) > _NORM_TOL:
+            if abs(norm_sq - 1.0) > STRUCT_TOL:
                 raise ValueError(f"state is not normalized: |amp|^2 sums to {norm_sq!r}")
         self.ports = ports
         self.dim = dim
@@ -120,6 +123,21 @@ def _pruned(raw: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], comple
     return {occ: amp for occ, amp in raw.items() if abs(amp) > _PRUNE_TOL}
 
 
+def _create(
+    terms: dict[tuple[int, ...], complex], modes: list[tuple[int, complex]]
+) -> dict[tuple[int, ...], complex]:
+    """Apply sum_j c_j a_j^dag, for the (mode j, c_j) pairs of ``modes``, to
+    the sparse map ``terms``; the result is not renormalized."""
+    out: dict[tuple[int, ...], complex] = {}
+    for occ, amp in terms.items():
+        for mode, c in modes:
+            new_occ = list(occ)
+            new_occ[mode] += 1
+            key = tuple(new_occ)
+            out[key] = out.get(key, 0j) + amp * c * math.sqrt(new_occ[mode])
+    return out
+
+
 def single_photon(port: int, psi: PureState, ports: int = 2) -> FockState:
     """One photon in spatial ``port`` carrying the internal state ``psi``."""
     return add_photon(FockState.vacuum(ports, psi.dim), port, psi)
@@ -146,51 +164,23 @@ def add_photon(state: FockState, port: int, psi: PureState) -> FockState:
         raise ValueError(f"port {port} out of range for {state.ports} ports")
     if psi.dim != state.dim:
         raise ValueError(f"internal dimension mismatch: {psi.dim} vs {state.dim}")
-    raw: dict[tuple[int, ...], complex] = {}
     base = port * state.dim
-    for occ, amp in state.terms.items():
-        for k, c in enumerate(psi.amps):
-            if abs(c) <= _PRUNE_TOL:
-                continue
-            mode = base + k
-            new_occ = list(occ)
-            new_occ[mode] += 1
-            contrib = amp * c * math.sqrt(new_occ[mode])
-            key = tuple(new_occ)
-            raw[key] = raw.get(key, 0j) + contrib
-    raw = _pruned(raw)
+    modes = [(base + k, c) for k, c in enumerate(psi.amps) if abs(c) > _PRUNE_TOL]
+    raw = _pruned(_create(state.terms, modes))
     norm = math.sqrt(sum(abs(a) ** 2 for a in raw.values()))
     if norm == 0.0:
         raise ValueError("creation operator annihilated the state")
     return FockState(state.ports, state.dim, {k: v / norm for k, v in raw.items()})
 
 
-def _bs_level_polynomial(p: int, q: int) -> dict[tuple[int, int], complex]:
-    """Expand (x + iy)^p (ix + y)^q into monomials {(j_x, j_y): coeff}.
-
-    x, y stand for the output-port creation operators of one internal level;
-    the overall 2^(-(p+q)/2) prefactor is included.
-    """
-    poly: dict[tuple[int, int], complex] = {}
-    scale = 2.0 ** (-(p + q) / 2.0)
-    for r in range(p + 1):
-        for s in range(q + 1):
-            coeff = (
-                math.comb(p, r)
-                * math.comb(q, s)
-                * (1j) ** ((p - r) + s)
-                * scale
-            )
-            key = (r + s, (p - r) + (q - s))
-            poly[key] = poly.get(key, 0j) + coeff
-    return poly
-
-
 def beam_splitter(state: FockState, port_a: int, port_b: int) -> FockState:
     """Evolve through a 50/50 beam splitter joining ``port_a`` and ``port_b``.
 
-    Acts identically on every internal level; unitary, so the norm and
-    total photon number are preserved.
+    Each term prod_j (a_j^dag)^(n_j) / sqrt(n_j!) |0> loses the photons of
+    the two joined ports, and its amplitude is divided by sqrt(prod n_j!)
+    over their modes; each of those photons is then created again, in the
+    splitter's image of its mode. Acts identically on every internal level;
+    unitary, so the norm and total photon number are preserved.
     """
     if port_a == port_b:
         raise ValueError("beam splitter needs two distinct ports")
@@ -198,38 +188,25 @@ def beam_splitter(state: FockState, port_a: int, port_b: int) -> FockState:
         if not 0 <= p < state.ports:
             raise ValueError(f"port {p} out of range for {state.ports} ports")
     d = state.dim
+    r = 1 / math.sqrt(2)
+    images: dict[int, list[tuple[int, complex]]] = {}
+    for k in range(d):
+        a, b = port_a * d + k, port_b * d + k
+        images[a] = [(a, r), (b, 1j * r)]
+        images[b] = [(a, 1j * r), (b, r)]
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.terms.items():
-        # Per-level expansion; levels act on disjoint output modes, so the
-        # term's image is the cartesian product of the level expansions.
-        options: list[list[tuple[int, int, int, complex]]] = []  # (level, ja, jb, coeff)
-        prefactor = amp
-        for k in range(d):
-            p = occ[port_a * d + k]
-            q = occ[port_b * d + k]
-            if p == 0 and q == 0:
-                continue
-            prefactor /= math.sqrt(math.factorial(p) * math.factorial(q))
-            poly = _bs_level_polynomial(p, q)
-            options.append([(k, ja, jb, c) for (ja, jb), c in poly.items()])
-        partial = [(list(occ), prefactor)]
-        for choices in options:
-            nxt = []
-            for occ_acc, coeff_acc in partial:
-                for k, ja, jb, c in choices:
-                    new_occ = list(occ_acc)
-                    new_occ[port_a * d + k] = ja
-                    new_occ[port_b * d + k] = jb
-                    nxt.append((new_occ, coeff_acc * c))
-            partial = nxt
-        for occ_out, coeff in partial:
-            # restore ladder-operator normalization of the output ket
-            fact = 1.0
-            for k in range(d):
-                fact *= math.factorial(occ_out[port_a * d + k])
-                fact *= math.factorial(occ_out[port_b * d + k])
-            key = tuple(occ_out)
-            out[key] = out.get(key, 0j) + coeff * math.sqrt(fact)
+        rest = list(occ)
+        weight = 1
+        for mode in images:
+            rest[mode] = 0
+            weight *= math.factorial(occ[mode])
+        image = {tuple(rest): amp / math.sqrt(weight)}
+        for mode, image_modes in images.items():
+            for _ in range(occ[mode]):
+                image = _create(image, image_modes)
+        for key, a in image.items():
+            out[key] = out.get(key, 0j) + a
     return FockState(state.ports, state.dim, _pruned(out))
 
 
@@ -271,26 +248,20 @@ def reduced_single_photon(state: FockState, port: int) -> DensityMatrix:
         raise ValueError(f"port {port} out of range for {state.ports} ports")
     d = state.dim
     base = port * d
-    # lowered[k] holds a_k |state> as a sparse map
-    lowered: list[dict[tuple[int, ...], complex]] = [dict() for _ in range(d)]
+    # row k of ``lowered`` holds a_k |state>, one column per occupation reached
+    columns: dict[tuple[int, ...], int] = {}
+    rows, cols, values = [], [], []
     for occ, amp in state.terms.items():
         for k in range(d):
             n_k = occ[base + k]
-            if n_k == 0:
-                continue
-            new_occ = list(occ)
-            new_occ[base + k] -= 1
-            key = tuple(new_occ)
-            lowered[k][key] = lowered[k].get(key, 0j) + amp * math.sqrt(n_k)
-    rho = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            acc = 0j
-            small, big = (lowered[l], lowered[k]) if len(lowered[l]) < len(lowered[k]) else (lowered[k], lowered[l])
-            for key in small:
-                if key in big:
-                    acc += np.conj(lowered[l][key]) * lowered[k][key]
-            rho[k, l] = acc
+            if n_k:
+                key = occ[: base + k] + (n_k - 1,) + occ[base + k + 1 :]
+                rows.append(k)
+                cols.append(columns.setdefault(key, len(columns)))
+                values.append(amp * math.sqrt(n_k))
+    lowered = np.zeros((d, len(columns)), dtype=complex)
+    lowered[rows, cols] = values
+    rho = lowered @ lowered.conj().T
     trace = float(np.real(np.trace(rho)))
     if trace < 1e-12:
         raise ValueError(f"no photons in port {port}")

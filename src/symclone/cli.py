@@ -214,27 +214,26 @@ def _cmd_hom(args) -> int:
 
 
 def _experiment_config(args) -> experiment.ExperimentConfig:
-    data = {"shots": 10_000}
+    data = {}
     if args.config:
         # JSON is UTF-8 text; a file that is not is a usage error that names it
         try:
             with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise _UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
+        if not isinstance(data, dict):
             raise _UsageError(f"config file {args.config} must hold a JSON object")
-        data.update(loaded)
-    overrides = {
+    weights = args.ancilla_weights
+    flags = {  # each flag's value by config field; a given flag wins over the file
         "shots": args.shots,
         "v": args.v,
-        "prepFidelity": args.prep_fid,
-        "analysisFidelity": args.analysis_fid,
+        "prep_fidelity": args.prep_fid,
+        "analysis_fidelity": args.analysis_fid,
         "seed": args.seed,
+        "ancilla_weights": None if weights is None else _parse_weights(weights),
     }
-    if args.ancilla_weights is not None:
-        overrides["ancillaWeights"] = list(_parse_weights(args.ancilla_weights))
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    data.update({experiment._KEYS[name]: value for name, value in flags.items() if value is not None})
     return experiment.ExperimentConfig.from_dict(data)
 
 

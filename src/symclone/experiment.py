@@ -243,12 +243,14 @@ _KEYS = {
 
 
 def _integer(value, key: str) -> int:
-    """A config integer as an int: an int, a numpy integer or an integral
-    float such as 3.0 (JSON may write an integer that way); a bool, a
-    number with a fraction or a non-number is an error."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer()
-    )
+    """A config integer as an int: an int, a numpy integer, an integral
+    Fraction or an integral float such as 3.0 (JSON may write an integer
+    that way); a bool, a number with a fraction or a non-number is an
+    error."""
+    if isinstance(value, numbers.Rational):  # exact: a Fraction may be past the float range
+        integral = int(value) == value
+    else:
+        integral = isinstance(value, numbers.Real) and float(value).is_integer()
     if isinstance(value, bool) or not integral:
         raise ValueError(f"bad config value: {key!r} must be an integer, got {value!r}")
     return int(value)
@@ -287,7 +289,7 @@ class ExperimentConfig:
     key.
     """
 
-    shots: int
+    shots: int = 10_000
     v: float = 1.0
     ancilla_weights: tuple[float, ...] | None = None
     prep_fidelity: float = 1.0
@@ -354,8 +356,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"streamLayout {layout!r} is not supported; this version draws layout {STREAM_LAYOUT}"
             )
-        if "shots" not in data:
-            raise ValueError("missing config key 'shots'")
         return cls(**{name: data[key] for name, key in _KEYS.items() if key in data})
 
 

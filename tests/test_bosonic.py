@@ -1,5 +1,6 @@
 """Second-quantized engine: beam splitter algebra, post-selection, HOM."""
 
+import itertools
 import math
 
 import numpy as np
@@ -101,6 +102,38 @@ def test_orthogonal_photons_keep_half_coincidence():
     assert out.amplitude((0, 1, 1, 0)) == pytest.approx(-0.5, abs=1e-15)
     coincidence = abs(out.amplitude((1, 0, 0, 1))) ** 2 + abs(out.amplitude((0, 1, 1, 0))) ** 2
     assert coincidence == pytest.approx(0.5, abs=1e-12)
+
+
+def _bs_level_amplitude(p: int, q: int, ja: int, jb: int) -> complex:
+    """<ja, jb| BS |p, q> on one internal level, from the monomials of
+    (x + iy)^p (ix + y)^q / 2^((p+q)/2), x and y the output creation operators."""
+    if ja + jb != p + q:
+        return 0j
+    poly = sum(math.comb(p, r) * math.comb(q, ja - r) * 1j ** (p - 2 * r + ja)
+               for r in range(max(0, ja - q), min(p, ja) + 1))
+    ladder = math.sqrt(math.factorial(ja) * math.factorial(jb) / (math.factorial(p) * math.factorial(q)))
+    return 2 ** (-(p + q) / 2) * ladder * poly
+
+
+def test_beam_splitter_amplitudes_match_the_closed_form():
+    # every amplitude, the terms with photons in both output ports included:
+    # one level with up to 6 photons, then two levels with up to 4
+    for p in range(7):
+        for q in range(7 - p):
+            out = beam_splitter(FockState(2, 1, {(p, q): 1.0}), 0, 1)
+            for ja in range(p + q + 1):
+                expected = _bs_level_amplitude(p, q, ja, p + q - ja)
+                assert out.amplitude((ja, p + q - ja)) == pytest.approx(expected, abs=1e-14), (p, q, ja)
+            assert set(out.terms) <= {(ja, p + q - ja) for ja in range(p + q + 1)}
+    for p0, p1, q0, q1 in itertools.product(range(5), repeat=4):
+        n0, n1 = p0 + q0, p1 + q1
+        if not (n0 and n1 and n0 + n1 <= 4):
+            continue
+        out = beam_splitter(FockState(2, 2, {(p0, p1, q0, q1): 1.0}), 0, 1)
+        for ja0, ja1 in itertools.product(range(n0 + 1), range(n1 + 1)):
+            expected = _bs_level_amplitude(p0, q0, ja0, n0 - ja0) * _bs_level_amplitude(p1, q1, ja1, n1 - ja1)
+            occ = (ja0, ja1, n0 - ja0, n1 - ja1)
+            assert out.amplitude(occ) == pytest.approx(expected, abs=1e-14), (p0, p1, q0, q1, occ)
 
 
 def test_beam_splitter_rejects_bad_ports():

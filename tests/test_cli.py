@@ -382,17 +382,28 @@ def test_experiment_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_experiment_config_file_with_flag_override(tmp_path, capsys):
+    in_file = {"shots": 300, "v": 0.9, "prepFidelity": 0.95, "analysisFidelity": 0.9,
+               "seed": 5, "ancillaWeights": [0.25, 0.25, 0.25, 0.25]}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"shots": 1000, "seed": 5, "v": 0.9}))
-    code = main([
-        "experiment", "--basis", "I", "--config", str(cfg),
-        "--shots", "800", "--out-dir", str(tmp_path),
-    ])
-    assert code == EXIT_OK
-    payload = json.loads((tmp_path / "experiment_I.json").read_text())
-    config = payload["counts"][0]["config"]
-    assert config["shots"] == 800  # flag wins
-    assert config["v"] == 0.9  # file value kept
+    cfg.write_text(json.dumps(in_file))
+    for flag, value, key, expected in [
+        ("--shots", "800", "shots", 800),
+        ("--v", "0.7", "v", 0.7),
+        ("--prep-fid", "0.8", "prepFidelity", 0.8),
+        ("--analysis-fid", "0.6", "analysisFidelity", 0.6),
+        ("--seed", "9", "seed", 9),
+        ("--ancilla-weights", "0.4,0.2,0.2,0.2", "ancillaWeights", [0.4, 0.2, 0.2, 0.2]),
+    ]:
+        code = main([
+            "experiment", "--basis", "I", "--config", str(cfg),
+            flag, value, "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        payload = json.loads((tmp_path / "experiment_I.json").read_text())
+        config = payload["counts"][0]["config"]
+        assert config[key] == expected, flag  # flag wins
+        kept = {k: v for k, v in in_file.items() if k != key}
+        assert {k: config[k] for k in kept} == kept, flag  # the file's other values kept
 
 
 @pytest.mark.parametrize("content, message", [

@@ -199,6 +199,10 @@ def test_config_rejects_non_integral_shots_and_seed(data, key):
     ({"shots": 10, "seed": 1.5}, "'seed' must be an integer, got 1.5"),
     ({"shots": True}, "'shots' must be an integer, got True"),
     ({"shots": 10, "seed": False}, "'seed' must be an integer, got False"),
+    # past the float range: integrality is decided without a float
+    ({"shots": Fraction(10**400, 3)}, "'shots' must be an integer"),
+    ({"shots": 10, "seed": Fraction(10**400, 3)}, "'seed' must be an integer"),
+    ({"shots": 10, "seed": Fraction(10**400)}, "^seed must fit in 64 unsigned bits$"),
 ])
 def test_config_constructor_rejects_non_integral_or_boolean_shots_and_seed(kwargs, message):
     # such values would fail mid-run (a slice index, the seed entropy) or
@@ -295,11 +299,9 @@ def test_config_keeps_numpy_integers_as_ints_for_the_summary():
     assert {(t["config"]["shots"], t["config"]["seed"]) for t in summary["counts"]} == {(5, 3)}
 
 
-def test_config_reports_missing_shots():
-    with pytest.raises(ValueError, match="missing config key 'shots'"):
-        ExperimentConfig.from_dict({})
-    with pytest.raises(ValueError, match="'shots'"):
-        ExperimentConfig.from_dict({"seed": 3})
+def test_config_shots_default_to_10_000_in_both_entries():
+    assert ExperimentConfig().shots == 10_000
+    assert ExperimentConfig.from_dict({"seed": 3}) == ExperimentConfig(shots=10_000, seed=3)
 
 
 def test_config_seed_must_fit_in_64_unsigned_bits():

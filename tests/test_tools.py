@@ -26,10 +26,10 @@ def test_same_output_finds_a_tree_identical_to_itself():
     result = _same_output("--against", str(ROOT), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 29 and all(line.startswith("identical  ") for line in lines[:28])
+    assert len(lines) == 30 and all(line.startswith("identical  ") for line in lines[:29])
     assert lines[15] == "identical  symclone --help"
     assert lines[21] == "identical  formulas --n 2 --m 1 (usage error)"
-    assert lines[-1] == "28/28 commands identical"
+    assert lines[-1] == "29/29 commands identical"
 
 
 def test_same_output_states_the_largest_json_difference(tmp_path):
@@ -70,7 +70,8 @@ def test_same_output_states_the_largest_json_difference(tmp_path):
     assert lines[26] == ("different  clone --json d=3 amplitudes  "
                          "(stdout: largest difference 0.25 over 24 numbers)")
     assert lines[27] == "different  clone IV:2  (stdout)"
-    assert lines[-1] == "16/28 commands identical"
+    assert lines[28] == "identical  hom IV:1 ancilla I:1"
+    assert lines[-1] == "17/29 commands identical"
 
 
 def test_difference_report_needs_two_json_values_of_one_shape():

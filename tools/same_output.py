@@ -15,7 +15,8 @@ text run, one ``clone`` text run, ``clone --json``, the one-stage
 ``--help`` of ``symclone`` and of each subcommand, one usage error per
 subcommand, and last ``clone --json --input 0.6,0.8j,0`` (d = 3
 amplitudes) and ``clone --input IV:2``, clone states away from the default
-input. Every command's standard output, standard error and exit code
+input, and ``hom --input IV:1 --ancilla I:1``, a curve whose two states
+overlap only in part. Every command's standard output, standard error and exit code
 are compared. It prints ``identical`` or ``different`` per command, and
 for a differing JSON file whose two sides hold the same keys, lengths and
 non-numeric values, the largest absolute difference over its numbers. It
@@ -77,6 +78,7 @@ _ONCE = {
     "cascade --m 9 (usage error)": ["cascade", "--m", "9"],
     "clone --json d=3 amplitudes": ["clone", "--json", "--input", "0.6,0.8j,0"],
     "clone IV:2": ["clone", "--input", "IV:2"],
+    "hom IV:1 ancilla I:1": ["hom", "--input", "IV:1", "--ancilla", "I:1"],
 }
 
 # Runs in the tree's own interpreter: argv[1] is the output directory,
