@@ -56,7 +56,7 @@ trial. A trial whose scanner weights sum to at most ``_Q_TOTAL_CUTOFF`` is
 never accepted: no scanner setting can click, and a sum that small is
 rounding residue of an exact 0, not a click probability.
 
-Within a batch of B trials the draws follow stream layout 12
+Within a batch of B trials the draws follow stream layout 13
 (``STREAM_LAYOUT``), which draws only the variates a trial can still use.
 In a trial where no state was replaced (a "clean" trial) p_coal/2,
 p_filter, the bound b_k = min(p_coal/2, p_coal/2 * p_filter) of step 5
@@ -82,7 +82,10 @@ trials:
 - E_{i,k}, signal and filter kept, u < b_k and, with the scanner settings
   taken in the order that puts setting k last, setting i of that order the
   first one replaced: w_k f_p f_a b_k f_a^i (1 - f_a), i < d - 1. A trial
-  whose only replaced setting is k has every q_j = 0 and is never counted;
+  whose only replaced setting is k has every q_j = 0 and is never counted.
+  An E trial has S = filter = e_p and N = e_k, so its scanner weights are
+  q_j = c X_j, X_j = |<e_k|g_j>|^2, for a factor c that cancels in
+  cum(q)/sum(q) (below);
 - O_j, a clean trial counted with outcome j: the sum over k of
   w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}), t_{k,-1} = 0;
 - the rest of 1, the trials that can never be counted.
@@ -102,8 +105,10 @@ their draws, in this order:
 4. the replaced filter of each A' trial kept, u < p_coal/2, then of each
    C trial;
 5. the scanner-arm perturbation of the A, A' and C trials that also pass
-   u < p_coal/2 * p_filter, and of the settings after the first replaced
-   one of each E trial in its order, then that first replaced setting.
+   u < p_coal/2 * p_filter; then, of the E trials, which settings after the
+   first replaced one in its order are replaced, one uniform per replaced
+   setting other than k, in the order of the replaced settings, and one per
+   trial for that first replaced setting.
 
 The trials of a batch are independent, so only how many fall in each cell
 matters, not which: a batch holds its near trials grouped by cell, and a
@@ -113,19 +118,30 @@ k ~ Binomial(n, 1 - f) of states it replaces, then which k of them (a
 sample without replacement), then 2(d - 1) standard normals for each
 replaced state, in order: the law of n independent pass tests. A state
 that is replaced for certain (the signal of an A or A' trial, the filter
-of an A' or C trial, the first replaced setting of an E trial) draws only
-its normals. The reaches carry a relative rounding margin
-(``_BOUND_MARGIN``), so each lies above every threshold a trial of its
-cell can have, rounding included.
+of an A' or C trial) draws only its normals. The reaches carry a relative
+rounding margin (``_BOUND_MARGIN``), so each lies above every threshold a
+trial of its cell can have, rounding included.
+
+An E trial reads each scanner setting only through X_j. An unreplaced
+setting k gives X = 1 and an unreplaced other setting 0; a replaced setting
+k is orthogonal to e_k and gives 0. A replaced setting j != k is
+Haar-random on the complement of e_j, so X_j is a Beta(1, d - 2) variate,
+drawn from one uniform U as X = 1 - U^(1/(d - 2)), and X = 1 at d = 2,
+where no uniform is drawn (``_e_trial_weights``). So an E trial draws no
+normal, builds no state and evaluates no ``_event_terms``; its thresholds
+are p_coal/2 * p_filter * cum(X)_j/sum(X) with p_coal/2 and p_filter of
+the table.
 
 A fixed seed reproduces counts only under the layout that drew them;
 CHANGES.md records what each layout changed from the one before. The
-tests check layout 12 against the exact outcome law of each configuration
+tests check layout 13 against the exact outcome law of each configuration
 with an ideal analyzer, built from the second-quantized engine, per pooled
 batch and per whole run; against a reference that perturbs every trial as
 layout 2 did, the law reference under analysis noise, where no closed form
-exists; against whole runs of layout 11; and bit for bit against a per-row
-reference batch in the kernel's own draw order.
+exists; against whole runs of layout 12; and bit for bit against a per-row
+reference batch in the kernel's own draw order, which builds each scanner
+setting of an E trial in full from its X and evaluates the full closed
+forms. The law of X and q_j = c X_j are checked on their own.
 
 A trial is evaluated in the coordinates of the measurement basis U, of
 which the input, every ancilla state and every scanner setting are
@@ -149,8 +165,8 @@ S with the unreplaced scanner settings are its components, and only a
 replaced setting takes an inner product.
 
 A near trial reads from the table each number that no replaced state
-changes: p_coal/2 unless its signal was replaced, and the filter terms of
-an E trial. A trial passes both thinning steps exactly when
+changes: p_coal/2 unless its signal was replaced, and p_filter of an E
+trial. A trial passes both thinning steps exactly when
 u < min(p_coal/2, p_coal/2 * p_filter * margin), one comparison. A
 perturbation returns the indices of the states it replaced, and a replaced
 state is kept with the index of its trial. The near trials that reach
@@ -161,8 +177,8 @@ The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
 ``_half_coal``, ``_filter_terms`` (the filter arm, which an A, A' or C
 trial evaluates once, for the bound of step 5, and reuses for its
-thresholds) and ``_event_terms`` (the scanner weights), which also give
-the table.
+thresholds) and ``_event_terms`` (the scanner weights of the A, A' and C
+trials), which also give the table.
 The tests check them against the second-quantized engine of
 :mod:`symclone.bosonic`, which a run never calls, and against the same
 forms written as products with the unit vector e_k.
@@ -208,7 +224,7 @@ BATCH_TRIALS = 32768
 # Order and use of the variates within a batch (see the module docstring).
 # Recorded in every config dict: a fixed seed reproduces counts only under
 # the layout that drew them.
-STREAM_LAYOUT = 12
+STREAM_LAYOUT = 13
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -437,21 +453,25 @@ class EstimationResult:
         }
 
 
+def _replaced(n: int, f: float, rng: np.random.Generator) -> np.ndarray:
+    """The indices, ascending, of the states that one perturbation of n
+    states with fidelity f replaces. Draws nothing when f >= 1; otherwise
+    the number k ~ Binomial(n, 1 - f) of replaced states, then which k of
+    them, as a sample without replacement. That is the law of n independent
+    pass tests with probability f, drawn with k indices in place of n
+    uniforms."""
+    if f >= 1.0:
+        return np.empty(0, dtype=np.intp)
+    return np.sort(rng.choice(n, rng.binomial(n, 1.0 - f), replace=False, shuffle=False))
+
+
 def _fail_draws(
     n: int, d: int, f: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one perturbation of n states of dimension d.
-
-    Returns the indices of the replaced states among the n, ascending, and
-    2(d - 1) standard normals per replaced state in the same order. Draws
-    nothing when f >= 1; otherwise the number k ~ Binomial(n, 1 - f) of
-    replaced states, then which k of them, as a sample without replacement,
-    then the normals. That is the law of n independent pass tests with
-    probability f, drawn with k indices in place of n uniforms.
-    """
-    if f >= 1.0:
-        return np.empty(0, dtype=np.intp), np.empty((0, 2 * d - 2))
-    bad = np.sort(rng.choice(n, rng.binomial(n, 1.0 - f), replace=False, shuffle=False))
+    """The draws of one perturbation of n states of dimension d: the
+    indices of the replaced states (:func:`_replaced`), then 2(d - 1)
+    standard normals per replaced state in the same order."""
+    bad = _replaced(n, f, rng)
     return bad, rng.standard_normal((len(bad), 2 * d - 2))
 
 
@@ -591,9 +611,7 @@ class _CleanRows(NamedTuple):
     cells: np.ndarray  # the multinomial cells of a batch: near cells, outcome cells, the rest
     reach: np.ndarray  # per near cell, the bound below which its accept uniform is drawn
     half_coal: np.ndarray  # p_coal/2 of a trial with a clean signal
-    p_filter: np.ndarray  # p_filter, A and B of a trial with a clean signal and filter
-    A: np.ndarray
-    B: np.ndarray
+    p_filter: np.ndarray  # p_filter of a trial with a clean signal and filter
 
 
 def _clean_row_table(
@@ -610,7 +628,7 @@ def _clean_row_table(
     basis, so its numbers depend on k alone. In basis coordinates these
     states are unit vectors: S = filter = e_p, N = e_k, and the overlaps
     with the scanner settings are F = S and G = N. The table holds their
-    p_coal/2 and filter terms, evaluated by the same closed forms as the
+    p_coal/2 and p_filter, evaluated by the same closed forms as the
     near trials in :func:`_simulate_batch`.
 
     ``cells`` are the cells of a batch's one ``multinomial`` draw, for the
@@ -678,8 +696,6 @@ def _clean_row_table(
         reach=reach,
         half_coal=half_coal,
         p_filter=p_filter,
-        A=A,
-        B=B,
     )
 
 
@@ -715,41 +731,62 @@ def _signal_and_filter_arms(
     return pre[passing], S[passing], half_coal[passing], p_filter[passing], A[passing], B[passing]
 
 
-def _scanner_overlaps(
-    table: _CleanRows, S: np.ndarray, anc: np.ndarray, first: np.ndarray,
-    rng: np.random.Generator,
-):
-    """Step 5 of :func:`_simulate_batch`: the scanner-arm draws and the
-    overlaps F_j = <g_j|S> and G_j = <g_j|N> of the trials that reach it.
+def _scanner_overlaps(table: _CleanRows, S: np.ndarray, anc: np.ndarray, rng: np.random.Generator):
+    """Step 5 of :func:`_simulate_batch` for the A, A' and C trials that
+    reach it: the scanner-arm draws and the overlaps F_j = <g_j|S> and
+    G_j = <g_j|N>.
 
-    ``S`` holds the signals of the first ``len(S)`` trials; the others, the
-    E trials, have the signal e_p. ``anc`` is each trial's ancilla index k
-    and ``first`` its first replaced scanner setting, -1 for none, in the
-    order of the settings that puts setting k last. Every setting after it
-    in that order, the settings j > ``first`` and setting k, is replaced
-    with probability 1 - f_a, for the table's analysis fidelity f_a, then
-    the setting ``first`` of each E trial is. For an unperturbed setting
+    ``S`` holds the trials' signals and ``anc`` their ancilla indices k.
+    Every setting is replaced with probability 1 - f_a, for the table's
+    analysis fidelity f_a (:func:`_fail_draws`). For an unperturbed setting
     g_j = e_j, F_j = S_j and G_j = delta_jk; a replaced one takes inner
     products.
     """
     d = S.shape[1]
-    F = np.zeros((len(first), d), dtype=complex)
-    F[: len(S)] = S
-    F[len(S) :, table.p] = 1.0
+    F = S.copy()
     G = np.zeros_like(F)
     G[np.arange(len(G)), anc] = 1.0
-    j = np.arange(d)
-    free = np.flatnonzero((j > first[:, None]) | (j == anc[:, None]))
-    g_idx, g_z = _fail_draws(len(free), d, table.analysis_f, rng)
-    forced = np.arange(len(S), len(F))
-    g_rows, g_cols = np.divmod(np.concatenate([free[g_idx], forced * d + first[forced]]), d)
-    g_z = np.concatenate([g_z, rng.standard_normal((len(forced), 2 * d - 2))])
+    g_idx, g_z = _fail_draws(F.size, d, table.analysis_f, rng)
+    g_rows, g_cols = np.divmod(g_idx, d)
     bra = np.conj(_complement_states(g_cols, g_z))
-    # F holds S until here: the right-hand side is taken before any entry of
-    # F is replaced
-    F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, F[g_rows])
+    F[g_rows, g_cols] = np.einsum("ei,ei->e", bra, S[g_rows])
     G[g_rows, g_cols] = bra[np.arange(len(g_rows)), anc[g_rows]]
     return F, G
+
+
+def _e_trial_weights(table: _CleanRows, anc: np.ndarray, first: np.ndarray, rng: np.random.Generator):
+    """Step 5 of :func:`_simulate_batch` for its E trials: the scanner-arm
+    draws and the scanner weights, up to a factor per trial.
+
+    ``anc`` is each trial's ancilla index k and ``first`` its first
+    replaced scanner setting, in the order of the settings that puts
+    setting k last. Every setting after it in that order, the settings
+    j > ``first`` and setting k, is replaced with probability 1 - f_a
+    (:func:`_replaced`), for the table's analysis fidelity f_a. Then one
+    uniform U is drawn per replaced setting j != k, in the order of the
+    replaced settings, and one per trial for its setting ``first``.
+
+    In an E trial S = filter = e_p and N = e_k, so A = 1, B = delta_pk and
+    :func:`_event_terms` gives q_j = c |g_j[k]|^2 with c = 2 + 2 v^2 for
+    k = p and 1 otherwise, a factor that cancels in cum(q)/sum(q). So this
+    returns X_j = |g_j[k]|^2: 1 for an unreplaced setting k and 0 for an
+    unreplaced setting j != k or a replaced setting k, which is orthogonal
+    to e_k. A replaced setting j != k is Haar-random on the complement of
+    e_j, so X_j is a Beta(1, d - 2) variate, X = 1 - U^(1/(d - 2)); at
+    d = 2, X = 1 and no uniform is drawn.
+    """
+    d = len(table.half_coal)
+    j = np.arange(d)
+    free = np.flatnonzero((j > first[:, None]) | (j == anc[:, None]))
+    rows, cols = np.divmod(free[_replaced(len(free), table.analysis_f, rng)], d)
+    x = np.zeros((len(anc), d))
+    x[np.arange(len(anc)), anc] = 1.0
+    x[rows, cols] = 0.0  # a replaced setting k is orthogonal to e_k
+    other = cols != anc[rows]
+    rows = np.concatenate([rows[other], np.arange(len(anc))])
+    cols = np.concatenate([cols[other], first])
+    x[rows, cols] = 1.0 if d == 2 else 1.0 - rng.random(len(rows)) ** (1.0 / (d - 2))
+    return x
 
 
 def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
@@ -761,7 +798,7 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     perturbation draws with, are read from it, so a batch cannot be run
     under values other than those its cells were built for.
 
-    The batch draws in stream layout 12 (see the module docstring):
+    The batch draws in stream layout 13 (see the module docstring):
 
     1. how many trials fall in each cell of ``table`` (:func:`_clean_row_table`),
        one multinomial draw: the outcome cells add to the counts as they
@@ -773,10 +810,11 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
        (1 + v^2 |<S|N>|^2)/8, then of the C trials
        (:func:`_signal_and_filter_arms`);
     5. the scanner-arm perturbation of the A, A' and C trials that also
-       pass u < p_coal/2 * p_filter, the largest threshold of the trial,
-       and of the settings after the first replaced one of the E trials,
-       in the order that puts the ancilla's setting k last; then the first
-       replaced setting of each E trial (:func:`_scanner_overlaps`).
+       pass u < p_coal/2 * p_filter, the largest threshold of the trial
+       (:func:`_scanner_overlaps`); then the scanner arm of the E trials,
+       whose settings after the first replaced one, in the order that puts
+       the ancilla's setting k last, may be replaced, and that first one
+       is (:func:`_e_trial_weights`).
 
     Step 5's bound, :func:`_scanner_bound`, is
     min(p_coal/2, p_coal/2 * p_filter * _BOUND_MARGIN), which takes the
@@ -792,9 +830,10 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     in these coordinates (:func:`_complement_states`), so the batch never
     sees the basis itself. The A, A' and C trials evaluate
     :func:`_filter_terms` once, for their bound of step 5, and reuse it for
-    their thresholds; an E trial reads its p_coal/2 and filter terms from
-    the table. Every trial that reaches step 5 evaluates its scanner
-    weights through :func:`_event_terms`.
+    their thresholds, and their scanner weights through
+    :func:`_event_terms`; an E trial reads its p_coal/2 and p_filter from
+    the table and its scanner weights, up to a factor, from one number per
+    setting.
     """
     d = len(table.half_coal)
     n = rng.multinomial(BATCH_TRIALS, table.cells)
@@ -817,6 +856,8 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(
         table, u, anc, n_a, n_af, n_c, rng
     )
+    F, G = _scanner_overlaps(table, S, anc[rows], rng)
+    q = _event_terms(A, B, table.v, F, G)
     # the E trials follow the A, A' and C trials that pass, with their terms
     # read from the table
     e_rows = np.arange(n_a + n_af + n_c, len(cell))
@@ -825,12 +866,8 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     # k and setting i + 1 from k on
     first = cell[e_rows] // d - 3
     first += first >= e_anc
-    first = np.concatenate([np.full(len(rows), -1), first])
+    q = np.concatenate([q, _e_trial_weights(table, e_anc, first, rng)])
     rows = np.concatenate([rows, e_rows])
-    F, G = _scanner_overlaps(table, S, anc[rows], first, rng)
-    q = _event_terms(
-        np.concatenate([A, table.A[e_anc]]), np.concatenate([B, table.B[e_anc]]), table.v, F, G
-    )
     thresholds = _acceptance_thresholds(
         np.concatenate([half_coal, table.half_coal[e_anc]]),
         np.concatenate([p_filter, table.p_filter[e_anc]]),
