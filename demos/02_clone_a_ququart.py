@@ -10,17 +10,29 @@ machine precision, for separable and spin-orbit entangled inputs alike.
 
 import numpy as np
 
-from symclone import PureState, basis_four, basis_logical, clone_analytic, clone_oracle
+from symclone import (
+    CloningSpec,
+    PureState,
+    basis_four,
+    basis_logical,
+    cascade_clone,
+    clone_analytic,
+)
+
+
+def clone(phi):
+    """The one-stage cascade: one photon, one ancilla, one beam splitter, 1 -> 2."""
+    return cascade_clone(phi, CloningSpec(d=phi.dim, n=1, m=2))
 
 
 def show(label, phi):
-    oracle = clone_oracle(phi, phi.dim)
+    cascade = clone(phi)
     analytic = clone_analytic(phi)
-    gap = np.max(np.abs(oracle.clone_state.mat - analytic.clone_state.mat))
+    gap = np.max(np.abs(cascade.clone_state.mat - analytic.clone_state.mat))
     print(f"{label}")
-    print(f"  fidelity      {oracle.fidelity:.12f}")
-    print(f"  success prob  {oracle.success_prob:.6f}")
-    print(f"  |oracle - analytic|_max = {gap:.2e}")
+    print(f"  fidelity      {cascade.fidelity:.12f}")
+    print(f"  success prob  {cascade.success_prob:.6f}")
+    print(f"  |cascade - analytic|_max = {gap:.2e}")
 
 
 def main():
@@ -43,7 +55,7 @@ def main():
 
     print()
     phi = logical.states[0]
-    rho = clone_oracle(phi, 4).clone_state.mat
+    rho = clone(phi).clone_state.mat
     print("clone density matrix for input |R,+2>, logical coordinates:")
     with np.printoptions(precision=3, suppress=True):
         print(np.real(rho))

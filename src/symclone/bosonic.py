@@ -123,6 +123,11 @@ def _pruned(raw: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], comple
     return {occ: amp for occ, amp in raw.items() if abs(amp) > _PRUNE_TOL}
 
 
+def _check_port(state: FockState, port: int) -> None:
+    if not 0 <= port < state.ports:
+        raise ValueError(f"port {port} out of range for {state.ports} ports")
+
+
 def _create(
     terms: dict[tuple[int, ...], complex], modes: list[tuple[int, complex]]
 ) -> dict[tuple[int, ...], complex]:
@@ -160,8 +165,7 @@ def add_photon(state: FockState, port: int, psi: PureState) -> FockState:
     already in ``port``-modes overlapping psi; for an empty port this is a
     plain tensor product.
     """
-    if not 0 <= port < state.ports:
-        raise ValueError(f"port {port} out of range for {state.ports} ports")
+    _check_port(state, port)
     if psi.dim != state.dim:
         raise ValueError(f"internal dimension mismatch: {psi.dim} vs {state.dim}")
     base = port * state.dim
@@ -184,9 +188,8 @@ def beam_splitter(state: FockState, port_a: int, port_b: int) -> FockState:
     """
     if port_a == port_b:
         raise ValueError("beam splitter needs two distinct ports")
-    for p in (port_a, port_b):
-        if not 0 <= p < state.ports:
-            raise ValueError(f"port {p} out of range for {state.ports} ports")
+    _check_port(state, port_a)
+    _check_port(state, port_b)
     d = state.dim
     r = 1 / math.sqrt(2)
     images: dict[int, list[tuple[int, complex]]] = {}
@@ -216,8 +219,7 @@ def postselect_same_port(state: FockState, port: int) -> tuple[float, FockState]
     Returns ``(prob, conditional)``. ``prob`` is the squared norm of that
     component; when it vanishes the conditional is the empty-state marker.
     """
-    if not 0 <= port < state.ports:
-        raise ValueError(f"port {port} out of range for {state.ports} ports")
+    _check_port(state, port)
     d = state.dim
     lo, hi = port * d, (port + 1) * d
     kept = {
@@ -244,8 +246,7 @@ def reduced_single_photon(state: FockState, port: int) -> DensityMatrix:
     """
     if state.is_empty:
         raise ValueError("cannot reduce the empty state")
-    if not 0 <= port < state.ports:
-        raise ValueError(f"port {port} out of range for {state.ports} ports")
+    _check_port(state, port)
     d = state.dim
     base = port * d
     # row k of ``lowered`` holds a_k |state>, one column per occupation reached

@@ -66,9 +66,9 @@ with a replaced state can be counted only below a reach r that depends on
 which states were replaced and on whether k is the input's index p, the
 largest bound of step 5 such a trial can have. A replaced state is
 orthogonal to its target, so a replaced signal S has S_p = 0 and
-<e_p|S> = 0: with k = p its p_coal/2 is 1/8 and its p_filter at most 1/2,
-so r = 1/16. Each trial falls in one cell of one ``multinomial`` draw of B
-trials:
+<e_p|S> = 0: with k = p its p_coal/2 is 1/8 and its p_filter is 1/2 with
+the filter kept and at most 1/2 with it replaced, so r = 1/16. Each trial
+falls in one cell of one ``multinomial`` draw of B trials:
 
 - A_k, ancilla k, the signal replaced, the filter kept and u < r:
   w_k (1 - f_p) f_a r, r = 1/16 for k = p and 0 otherwise, where the
@@ -77,8 +77,9 @@ trials:
   r = 1/16 for k = p and p_near otherwise;
 - C_k, the signal kept, the filter replaced and u < r: w_k f_p (1 - f_a) r.
   With a clean signal a replaced filter is orthogonal to it, so its
-  p_filter never exceeds the clean one: r = b_k for k != p, and r = 0 for
-  k = p, where the filter is orthogonal to both photons;
+  p_filter = |filter_k|^2/2 never exceeds the clean one: r = b_k for
+  k != p, and r = 0 for k = p, where the filter is orthogonal to both
+  photons;
 - E_{i,k}, signal and filter kept, u < b_k and, with the scanner settings
   taken in the order that puts setting k last, setting i of that order the
   first one replaced: w_k f_p f_a b_k f_a^i (1 - f_a), i < d - 1. A trial
@@ -87,16 +88,18 @@ trials:
   q_j = c X_j, X_j = |<e_k|g_j>|^2, for a factor c that cancels in
   cum(q)/sum(q) (below);
 - O_j, a clean trial counted with outcome j: the sum over k of
-  w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}), t_{k,-1} = 0;
+  w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}), for the clean thresholds
+  t_{k,j}, each at most b_k, and t_{k,-1} = 0;
 - the rest of 1, the trials that can never be counted.
 
 The table of an input holds these cells with the input index, v and f_a
 that the walk below reads, so it is a batch's whole law: a batch takes the
 table and its stream and nothing else, and cannot pair the cells with
 other values. The O cells are the batch's counts of its clean trials, so
-an ideal batch (f_p = f_a = 1, every other cell empty) is that one draw.
-The trials of the A, A', C and E cells, the "near" trials, are walked;
-their draws, in this order:
+an ideal batch (f_p = f_a = 1, every other cell empty) is that one draw;
+at v = 1 with uniform ancilla weights, 7/64 of its trials land in the O
+cells. The trials of the A, A', C and E cells, the "near" trials, are
+walked; their draws, in this order:
 
 1. the multinomial draw over the cells;
 2. one accept uniform ``u`` per near trial, uniform on [0, r) for the
@@ -133,15 +136,28 @@ are p_coal/2 * p_filter * cum(X)_j/sum(X) with p_coal/2 and p_filter of
 the table.
 
 A fixed seed reproduces counts only under the layout that drew them;
-CHANGES.md records what each layout changed from the one before. The
-tests check layout 13 against the exact outcome law of each configuration
-with an ideal analyzer, built from the second-quantized engine, per pooled
-batch and per whole run; against a reference that perturbs every trial as
-layout 2 did, the law reference under analysis noise, where no closed form
-exists; against whole runs of layout 12; and bit for bit against a per-row
-reference batch in the kernel's own draw order, which builds each scanner
-setting of an E trial in full from its X and evaluates the full closed
-forms. The law of X and q_j = c X_j are checked on their own.
+CHANGES.md records what each layout changed from the one before. The tests
+check layout 13 against
+
+- the exact outcome law of each configuration with an ideal analyzer,
+  which ``outcome_law`` builds from the second-quantized engine, averaging
+  a replaced signal exactly: per trial over pooled batches and per whole
+  run, on ideal basis I, on prep-only basis IV, and with uneven ancilla
+  weights on a Fourier d = 3 and a Haar d = 4 basis;
+- a reference that perturbs every trial as layout 2 did, in a two-sample
+  test on the degraded basis-IV bench and on basis I with analysis noise
+  alone: with analysis noise the law has no closed form, so this is its
+  reference;
+- whole runs of layout 12, whose batch the tests keep, in a two-sample
+  test;
+- a per-row reference batch in the kernel's own draw order, bit for bit.
+  It builds each scanner setting of an E trial in full from its X and
+  evaluates the full closed forms, so it checks the shortcut trial by
+  trial;
+- the shortcut's own math: the drawn X against |<e_k|g>|^2 of replaced
+  states at d = 3, 4, 8 and 32 (first two moments and binned counts), and
+  the scanner weights of an E trial against c X_j at d = 5 for every input
+  and ancilla.
 
 A trial is evaluated in the coordinates of the measurement basis U, of
 which the input, every ancilla state and every scanner setting are
@@ -235,8 +251,8 @@ STREAM_LAYOUT = 13
 # basis-coordinate kernel computes those sums as exact zeros.
 _Q_TOTAL_CUTOFF = 1e-20
 
-# Relative margin on the bounds that select the trials whose ancilla and
-# perturbations are drawn (see ``_simulate_batch``): a trial's thresholds are
+# Relative margin on the bounds that select the trials whose perturbations
+# are drawn (the reaches of the module docstring): a trial's thresholds are
 # computed by other arithmetic than its bound and may exceed it by rounding,
 # never by 1e-9.
 _BOUND_MARGIN = 1.0 + 1e-9
@@ -576,7 +592,7 @@ def _event_terms(A: np.ndarray, B: np.ndarray, v: float, F: np.ndarray, G: np.nd
 
 
 def _scanner_bound(half_coal: np.ndarray, p_filter: np.ndarray) -> np.ndarray:
-    """The bound of step 5 of :func:`_simulate_batch` per row,
+    """The bound of draw step 5 of the module docstring per row,
     min(p_coal/2, p_coal/2 * p_filter * ``_BOUND_MARGIN``): a trial is kept
     for step 4 and passes on to step 5 if and only if u lies below it.
 
@@ -619,9 +635,10 @@ def _clean_row_table(
 ) -> _CleanRows:
     """The constants of the batches of input ``p`` with ancilla weights
     ``weights``, overlap v and fidelities ``prep_f`` and ``analysis_f``,
-    computed once per input. It keeps p, v and ``analysis_f`` as well, the
-    values that :func:`_simulate_batch` reads besides the cells; ``prep_f``
-    acts through the cells alone.
+    computed once per input: the cells of stream layout 13 and their
+    reaches (see the module docstring). It keeps p, v and ``analysis_f`` as
+    well, the values that :func:`_simulate_batch` reads besides the cells;
+    ``prep_f`` acts through the cells alone.
 
     In a trial where no state was replaced the signal and the filter are
     basis state p, the ancilla is basis state k and the scanner is the
@@ -631,39 +648,13 @@ def _clean_row_table(
     p_coal/2 and p_filter, evaluated by the same closed forms as the
     near trials in :func:`_simulate_batch`.
 
-    ``cells`` are the cells of a batch's one ``multinomial`` draw, for the
-    weights w_k normalized, f_p = ``prep_f`` and f_a = ``analysis_f``. A
-    near cell holds the trials of its kind with u below its reach r, the
-    largest bound of step 5 (:func:`_scanner_bound`) that a trial of the
-    kind can reach, with ``_BOUND_MARGIN``; a kind whose trials can never
-    be counted has r = 0. A replaced state is orthogonal to its target, so
-    a replaced signal S has A = <e_p|S> = 0 and S_p = 0: with k = p its
-    p_coal/2 is 1/8 and its p_filter is 1/2 with the filter kept (B = 1)
-    and at most 1/2 with it replaced (B = 0), a bound of at most 1/16. With
-    b_k the clean bound of step 5 and p_near = (1 + v^2)/8, the largest
-    p_coal/2 of any trial, the near cells are, c = kind * d + k for
-    ancilla k:
-
-    - kind 0, A_k, the signal replaced and the filter kept:
-      w_k (1 - f_p) f_a r, r = 1/16 for k = p; for k != p also B = 0, so
-      p_filter = 0 and r = 0;
-    - kind 1, A'_k, signal and filter replaced: w_k (1 - f_p) (1 - f_a) r,
-      r = 1/16 for k = p and p_near otherwise;
-    - kind 2, C_k, the signal kept and the filter replaced:
-      w_k f_p (1 - f_a) r. The filter is orthogonal to the signal e_p, so
-      p_filter = |filter_k|^2/2 never exceeds the clean one: r = b_k for
-      k != p, and r = 0 for k = p, where A = B = 0;
-    - kind 3 + i, E_{i,k}, signal and filter kept, and with the scanner
-      settings taken in the order that puts setting k last, setting i of
-      that order the first one replaced: w_k f_p f_a b_k f_a^i (1 - f_a)
-      for i < d - 1, r = b_k. A trial whose only replaced setting is k has
-      every q_j = 0 (no setting can click) and is never counted;
-
-    then O_j, the trials in which no state was replaced counted with
-    outcome j: the sum over k of w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}),
-    for the clean thresholds t_{k,j} (:func:`_acceptance_thresholds`, at
-    most b_k, t_{k,-1} = 0); then the rest of 1, the trials that can never
-    be counted. ``reach`` holds r per near cell.
+    ``cells`` are the probabilities of a batch's one ``multinomial`` draw,
+    for the weights w_k normalized, f_p = ``prep_f`` and f_a =
+    ``analysis_f``: first the near cells, cell c = kind * d + k for ancilla
+    k, with kind 0 for A_k, 1 for A'_k, 2 for C_k and 3 + i for E_{i,k};
+    then the outcome cells O_j; then the rest of 1. ``reach`` holds the
+    reach r of each near cell, with ``_BOUND_MARGIN``, and r = 0 for a
+    cell whose trials can never be counted.
     """
     d = len(weights)
     k = np.arange(d)
@@ -703,12 +694,11 @@ def _signal_and_filter_arms(
     table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, n_af: int, n_c: int,
     rng: np.random.Generator,
 ):
-    """Steps 3 and 4 of :func:`_simulate_batch` for its A trials, the first
-    ``n_a`` near trials, its A' trials, the next ``n_af``, and its C trials,
-    the next ``n_c``.
+    """Draw steps 3 and 4 of the module docstring for the A trials of a
+    batch, its first ``n_a`` near trials, its A' trials, the next ``n_af``,
+    and its C trials, the next ``n_c``; ``u`` and ``anc`` hold the accept
+    uniforms and the ancilla indices of the batch's near trials.
 
-    Draws the replaced signal of each A and A' trial, then the replaced
-    filter of each A' trial kept (u < its own p_coal/2) and of each C trial.
     Returns the indices of the A, A' and C trials below their bound of step
     5, with their signals, p_coal/2 and filter terms (:func:`_filter_terms`).
     """
@@ -732,15 +722,10 @@ def _signal_and_filter_arms(
 
 
 def _scanner_overlaps(table: _CleanRows, S: np.ndarray, anc: np.ndarray, rng: np.random.Generator):
-    """Step 5 of :func:`_simulate_batch` for the A, A' and C trials that
-    reach it: the scanner-arm draws and the overlaps F_j = <g_j|S> and
-    G_j = <g_j|N>.
-
-    ``S`` holds the trials' signals and ``anc`` their ancilla indices k.
-    Every setting is replaced with probability 1 - f_a, for the table's
-    analysis fidelity f_a (:func:`_fail_draws`). For an unperturbed setting
-    g_j = e_j, F_j = S_j and G_j = delta_jk; a replaced one takes inner
-    products.
+    """Draw step 5 of the module docstring for the A, A' and C trials that
+    reach it: ``S`` holds their signals and ``anc`` their ancilla indices
+    k. Returns the scanner overlaps F_j = <g_j|S> and G_j = <g_j|N>, one
+    row per trial.
     """
     d = S.shape[1]
     F = S.copy()
@@ -755,25 +740,17 @@ def _scanner_overlaps(table: _CleanRows, S: np.ndarray, anc: np.ndarray, rng: np
 
 
 def _e_trial_weights(table: _CleanRows, anc: np.ndarray, first: np.ndarray, rng: np.random.Generator):
-    """Step 5 of :func:`_simulate_batch` for its E trials: the scanner-arm
-    draws and the scanner weights, up to a factor per trial.
+    """Draw step 5 of the module docstring for the E trials of a batch, by
+    its E-trial shortcut: returns X_j = |g_j[k]|^2, one row of d settings
+    per trial. ``anc`` is each trial's ancilla index k and ``first`` its
+    first replaced scanner setting, in the order of the settings that puts
+    setting k last, so the settings that may still be replaced are
+    j > ``first`` and k.
 
-    ``anc`` is each trial's ancilla index k and ``first`` its first
-    replaced scanner setting, in the order of the settings that puts
-    setting k last. Every setting after it in that order, the settings
-    j > ``first`` and setting k, is replaced with probability 1 - f_a
-    (:func:`_replaced`), for the table's analysis fidelity f_a. Then one
-    uniform U is drawn per replaced setting j != k, in the order of the
-    replaced settings, and one per trial for its setting ``first``.
-
-    In an E trial S = filter = e_p and N = e_k, so A = 1, B = delta_pk and
-    :func:`_event_terms` gives q_j = c |g_j[k]|^2 with c = 2 + 2 v^2 for
-    k = p and 1 otherwise, a factor that cancels in cum(q)/sum(q). So this
-    returns X_j = |g_j[k]|^2: 1 for an unreplaced setting k and 0 for an
-    unreplaced setting j != k or a replaced setting k, which is orthogonal
-    to e_k. A replaced setting j != k is Haar-random on the complement of
-    e_j, so X_j is a Beta(1, d - 2) variate, X = 1 - U^(1/(d - 2)); at
-    d = 2, X = 1 and no uniform is drawn.
+    X is the trial's scanner weights up to a factor: in an E trial A = 1
+    and B = delta_pk, and :func:`_event_terms` gives q_j = c X_j with
+    c = 2 + 2 v^2 for k = p and 1 otherwise, which cancels in
+    cum(q)/sum(q).
     """
     d = len(table.half_coal)
     j = np.arange(d)
@@ -798,42 +775,11 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     perturbation draws with, are read from it, so a batch cannot be run
     under values other than those its cells were built for.
 
-    The batch draws in stream layout 13 (see the module docstring):
-
-    1. how many trials fall in each cell of ``table`` (:func:`_clean_row_table`),
-       one multinomial draw: the outcome cells add to the counts as they
-       are, and only the trials of a near cell, those with a replaced state
-       and u below the cell's reach, draw more;
-    2. the accept uniforms u of the near trials, uniform on [0, reach);
-    3. the replaced signals of the A and A' trials;
-    4. the replaced filters of the A' trials kept, u < p_coal/2 =
-       (1 + v^2 |<S|N>|^2)/8, then of the C trials
-       (:func:`_signal_and_filter_arms`);
-    5. the scanner-arm perturbation of the A, A' and C trials that also
-       pass u < p_coal/2 * p_filter, the largest threshold of the trial
-       (:func:`_scanner_overlaps`); then the scanner arm of the E trials,
-       whose settings after the first replaced one, in the order that puts
-       the ancilla's setting k last, may be replaced, and that first one
-       is (:func:`_e_trial_weights`).
-
-    Step 5's bound, :func:`_scanner_bound`, is
-    min(p_coal/2, p_coal/2 * p_filter * _BOUND_MARGIN), which takes the
-    bounds of steps 4 and 5 in one comparison. A trial that reaches step 5
-    is accepted with outcome j for the smallest j with
-    u < p_coal/2 * p_filter * cum(q)_j/sum(q), that is with j the number of
-    its thresholds at or below u.
-
-    Every state is held in the coordinates of the measurement basis, where
-    the ancilla of a trial is e_k and never replaced: a trial carries k,
-    its ancilla index, and every product with N is a gather of component k
-    (:func:`_half_coal`, :func:`_filter_terms`). A replaced state is drawn
-    in these coordinates (:func:`_complement_states`), so the batch never
-    sees the basis itself. The A, A' and C trials evaluate
-    :func:`_filter_terms` once, for their bound of step 5, and reuse it for
-    their thresholds, and their scanner weights through
-    :func:`_event_terms`; an E trial reads its p_coal/2 and p_filter from
-    the table and its scanner weights, up to a factor, from one number per
-    setting.
+    The batch draws in stream layout 13 (see the module docstring): steps 1
+    and 2 here, steps 3 and 4 in :func:`_signal_and_filter_arms`, and step 5
+    in :func:`_scanner_overlaps` for the A, A' and C trials that reach it,
+    whose scanner weights then come from :func:`_event_terms`, and in
+    :func:`_e_trial_weights` for the E trials.
     """
     d = len(table.half_coal)
     n = rng.multinomial(BATCH_TRIALS, table.cells)

@@ -10,7 +10,8 @@ basis, for any ancilla sigma, where :mod:`symclone.cloning` carries only
 the distribution of the input level's occupation. The Fock tables index the
 m-photon symmetric subspace for both. The outcome law of a Monte Carlo run,
 built from the engine's coincidence probabilities, is the exact law its
-counts sample when the analyzer is ideal.
+counts sample when the analyzer is ideal. ``haar_state`` draws the
+Haar-random input states the test modules share.
 """
 
 import itertools
@@ -21,6 +22,12 @@ import numpy as np
 
 from symclone import bosonic
 from symclone.hilbert import DensityMatrix, LabeledBasis, PureState, basis_state
+
+
+def haar_state(rng: np.random.Generator, d: int) -> PureState:
+    """A Haar-random state of dimension d from 2d standard normals of ``rng``:
+    d real parts, then d imaginary parts."""
+    return PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
 
 
 @cache

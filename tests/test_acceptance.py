@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from _engine_reference import mixed_ancilla_branches
+from _engine_reference import haar_state, mixed_ancilla_branches
 from symclone.bosonic import (
     FockState,
     beam_splitter,
@@ -27,7 +27,6 @@ from symclone.cloning import (
 )
 from symclone.experiment import ExperimentConfig, replicate_table, run_cloning_experiment
 from symclone.hilbert import (
-    PureState,
     basis_computational,
     basis_four,
     basis_logical,
@@ -43,10 +42,6 @@ def criterion(num: int, title: str):
         print(f"criterion {num} [{title}]: FAIL")
         raise
     print(f"criterion {num} [{title}]: PASS")
-
-
-def _haar(rng, d):
-    return PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +60,7 @@ def test_criterion_2_oracle_reproduces_clone_matrix():
     with criterion(2, "oracle vs analytic clone state"):
         rng = np.random.default_rng(2024)
         bench_states = list(basis_logical().states) + list(basis_four().states)
-        probes = bench_states + [_haar(rng, 4) for _ in range(20)]
+        probes = bench_states + [haar_state(rng, 4) for _ in range(20)]
         for phi in probes:
             rho = clone_oracle(phi, 4).clone_state.mat
             assert np.max(np.abs(rho - clone_analytic(phi).clone_state.mat)) < 1e-12
@@ -182,5 +177,5 @@ def test_criterion_8d_oracle_universality():
         for d in (2, 3, 4, 5):
             target = 0.5 + 1 / (d + 1)
             for _ in range(6):
-                out = clone_oracle(_haar(rng, d), d)
+                out = clone_oracle(haar_state(rng, d), d)
                 assert abs(out.fidelity - target) < 1e-12

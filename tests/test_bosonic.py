@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from _engine_reference import haar_state
 from symclone import bosonic
 from symclone.bosonic import (
     DistinguishabilityModel,
@@ -142,6 +143,20 @@ def test_beam_splitter_rejects_bad_ports():
         beam_splitter(state, 0, 0)
     with pytest.raises(ValueError):
         beam_splitter(state, 0, 5)
+
+
+@pytest.mark.parametrize("call, port", [
+    (lambda state, port: add_photon(state, port, basis_state(4, 1)), 2),
+    (lambda state, port: add_photon(state, port, basis_state(4, 1)), -1),
+    (lambda state, port: beam_splitter(state, port, 1), 3),
+    (lambda state, port: beam_splitter(state, 0, port), -1),
+    (postselect_same_port, 2),
+    (reduced_single_photon, -1),
+], ids=["add_photon", "add_photon-negative", "beam_splitter-a", "beam_splitter-b",
+        "postselect_same_port", "reduced_single_photon"])
+def test_engine_rejects_a_port_out_of_range(call, port):
+    with pytest.raises(ValueError, match=rf"^port {port} out of range for 2 ports$"):
+        call(_pair(0, 0), port)
 
 
 def _random_state(rng, ports, dim, n) -> FockState:
@@ -298,8 +313,8 @@ def test_both_split_photons_carry_the_same_reduced_state():
     # split a coalesced pair across two arms; each arm's photon has the
     # same reduced state by exchange symmetry
     rng = np.random.default_rng(8)
-    psi = PureState.normalized(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    anc = PureState.normalized(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    psi = haar_state(rng, 4)
+    anc = haar_state(rng, 4)
     state = FockState.vacuum(3, 4)
     state = add_photon(add_photon(state, 0, psi), 1, anc)
     state = beam_splitter(state, 0, 1)
@@ -386,8 +401,8 @@ def test_enhancement_matches_overlap_law():
     rng = np.random.default_rng(21)
     for _ in range(6):
         d = int(rng.choice([2, 3, 4]))
-        s = PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        a = PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        s = haar_state(rng, d)
+        a = haar_state(rng, d)
         v = float(rng.uniform(0, 1))
         r = coalescence_enhancement(s, a, v)
         expected = 1.0 + (v * abs(np.vdot(a.amps, s.amps))) ** 2
@@ -438,10 +453,6 @@ def _per_delay_reference(psi_s, psi_a, delays, model):
             for tau in delays]
 
 
-def _random_ket(rng, d):
-    return PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-
-
 def _assert_curves_match(curve, reference):
     assert len(curve) == len(reference)
     for (tau, r), (tau_ref, r_ref) in zip(curve, reference):
@@ -456,7 +467,7 @@ _BENCH_DELAYS = np.linspace(-1000.0, 1000.0, 81) * 1e-15
 def test_hom_curve_matches_per_delay_engine_runs_on_random_states():
     rng = np.random.default_rng(5)
     for d in range(2, 6):
-        s, a = _random_ket(rng, d), _random_ket(rng, d)
+        s, a = haar_state(rng, d), haar_state(rng, d)
         for psi_s, psi_a in ((s, s), (s, a), (a, s)):
             _assert_curves_match(
                 hom_curve(psi_s, psi_a, _BENCH_DELAYS, _BENCH_MODEL),
@@ -480,7 +491,7 @@ def test_hom_curve_matches_per_delay_engine_runs_below_full_overlap():
     model = DistinguishabilityModel.from_spectrum(810.0, 3.0)
     # off the peak the delays take the overlap strictly between 0 and 1
     assert any(0.0 < model.v_of_delay(tau) < 1.0 for tau in _BENCH_DELAYS)
-    s, a = _random_ket(rng, 4), _random_ket(rng, 4)
+    s, a = haar_state(rng, 4), haar_state(rng, 4)
     _assert_curves_match(
         hom_curve(s, a, _BENCH_DELAYS, model),
         _per_delay_reference(s, a, _BENCH_DELAYS, model),

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _engine_reference import coincidence_probabilities, first_column_basis, outcome_law
+from _engine_reference import coincidence_probabilities, first_column_basis, haar_state, outcome_law
 from symclone import experiment
 from symclone.experiment import (
     BATCH_TRIALS,
@@ -41,10 +41,6 @@ from symclone.experiment import (
     write_counts_csv,
 )
 from symclone.hilbert import LabeledBasis, PureState, basis_four, basis_logical, named_basis
-
-
-def _haar(rng, d):
-    return PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
 
 
 def _labeled(cols):
@@ -145,17 +141,18 @@ def test_config_records_the_stream_layout():
 
 
 def test_stream_layout_agrees_in_the_schema_the_readme_and_the_config():
-    # the layout is written by hand in three places besides STREAM_LAYOUT,
-    # and the batch size in three places of the README besides BATCH_TRIALS
+    # besides STREAM_LAYOUT, the layout is written by hand in the schema and
+    # in two places of the README; besides BATCH_TRIALS, the batch size is
+    # written in two places of the README
     schema = json.loads(
         (Path(experiment.__file__).parent / "schemas" / "experiment_summary.schema.json").read_text()
     )
     config_schema = schema["properties"]["counts"]["items"]["properties"]["config"]
     assert config_schema["properties"]["streamLayout"] == {"const": STREAM_LAYOUT}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert re.findall(r"`streamLayout`\s+\(must\s+be\s+(\d+)\)", readme) == [str(STREAM_LAYOUT)]
-    for pattern in (r"fixed\s+(\d+)-trial\s+batches", r"batches\s+×\s+(\d+)",
-                    r"Multinomial\((\d+),\s+\(w_0"):
+    for pattern in (r"`streamLayout`\s+\(must\s+be\s+(\d+)\)", r"is\s+stream\s+layout\s+(\d+),"):
+        assert re.findall(pattern, readme) == [str(STREAM_LAYOUT)], pattern
+    for pattern in (r"fixed\s+(\d+)-trial\s+batches", r"batches\s+×\s+(\d+)"):
         assert re.findall(pattern, readme) == [str(BATCH_TRIALS)], pattern
     cfg = ExperimentConfig.from_dict({"shots": 1, "streamLayout": STREAM_LAYOUT})
     assert cfg.to_dict()["streamLayout"] == STREAM_LAYOUT
@@ -582,8 +579,8 @@ def test_trial_terms_agree_with_fock_engine():
     for i in range(8):
         d = int(rng.choice([2, 3, 4]))
         v = float(rng.uniform(0, 1))
-        s, n, f = _haar(rng, d), _haar(rng, d), _haar(rng, d)
-        outs = [_haar(rng, d) for _ in range(d)]
+        s, n, f = haar_state(rng, d), haar_state(rng, d), haar_state(rng, d)
+        outs = [haar_state(rng, d) for _ in range(d)]
         p_coal_e, p_split_e, p_fil_e, q_e = coincidence_probabilities(s, n, v, f, outs)
         # the closed forms in the coordinates of a basis whose column k is
         # the ancilla, which is then e_k

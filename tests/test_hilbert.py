@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _engine_reference import haar_state
 from symclone.hilbert import (
     BASIS_NAMES,
     DensityMatrix,
@@ -239,7 +240,7 @@ def test_fidelity_against_clone_diagonal():
 
 def test_fidelity_of_mixed_state_is_one_over_d():
     rng = np.random.default_rng(9)
-    psi = PureState.normalized(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    psi = haar_state(rng, 4)
     assert fidelity_pure(_mixed(4), psi) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -251,7 +252,7 @@ def test_fidelity_of_projector_is_one():
 
 def test_fidelity_is_global_phase_invariant():
     rng = np.random.default_rng(11)
-    psi = PureState.normalized(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    psi = haar_state(rng, 4)
     rho = _mixed(4)
     phased = PureState(4, psi.amps * np.exp(1.234j))
     assert fidelity_pure(rho, psi) == pytest.approx(fidelity_pure(rho, phased), abs=1e-14)

@@ -1,16 +1,21 @@
-"""Tools: ``tools/same_output.py`` compares the CLI output of two source trees."""
+"""Tools: ``tools/same_output.py`` compares the CLI output of two source trees
+and checks it against the recorded digests."""
 
 import argparse
 import importlib.util
+import json
+import platform
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SAME_OUTPUT = ROOT / "tools" / "same_output.py"
+DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
 
 _spec = importlib.util.spec_from_file_location("same_output", SAME_OUTPUT)
 same_output = importlib.util.module_from_spec(_spec)
@@ -106,3 +111,37 @@ def test_same_output_rejects_a_reversed_seed_range():
     assert result.returncode == 2
     assert "argument --seeds: bad seed range '5-3'" in result.stderr
     assert result.stdout == ""
+
+
+def test_cli_output_matches_the_recorded_digests():
+    # every output of the command matrix at seed 0 and 2000 shots, byte for
+    # byte; a numpy release may change its Generator streams (NEP 19), so
+    # the message names the numpy that recorded the digests and this one
+    recorded = json.loads(DIGESTS.read_text())
+    assert (recorded["shots"], recorded["seeds"]) == (same_output.DIGEST_SHOTS,
+                                                      same_output.DIGEST_SEEDS)
+    running = same_output.digests()
+    expected = recorded["digests"]
+    differing = [f"{name} ({', '.join(files)})" for name in sorted(expected.keys() | running.keys())
+                 if (files := same_output._differing(running.get(name, {}), expected.get(name, {})))]
+    assert not differing, (
+        f"CLI output differs from {DIGESTS.name} in {len(differing)} of {len(expected)} commands: "
+        + "; ".join(differing)
+        + f". Recorded under numpy {recorded['numpy']} (Python {recorded['python']}), running under"
+        f" numpy {np.__version__} (Python {platform.python_version()}). To see the difference, run"
+        " tools/same_output.py --against a tree of the parent revision; after a change of output"
+        " on purpose, run tools/same_output.py --record tests/data/cli_digests.json."
+    )
+
+
+def test_record_writes_the_digests_of_this_checkout(tmp_path):
+    result = _same_output("--record", str(tmp_path / "digests.json"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"recorded 29 commands in {tmp_path / 'digests.json'}\n"
+    written = json.loads((tmp_path / "digests.json").read_text())
+    assert written["digests"] == json.loads(DIGESTS.read_text())["digests"]
+    assert written["numpy"] == np.__version__
+    result = _same_output("--record", str(tmp_path / "other.json"), "--shots", "10")
+    assert result.returncode == 2
+    assert "--shots and --seeds go with --against" in result.stderr
+    assert not (tmp_path / "other.json").exists()

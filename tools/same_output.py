@@ -1,28 +1,19 @@
 """Check that two source trees give byte-identical CLI output.
 
     python tools/same_output.py --against DIR [--shots N] [--seeds 0-9,17]
+    python tools/same_output.py --record tests/data/cli_digests.json
 
-Runs a fixed matrix of ``symclone`` commands on this checkout's ``src/`` and
-on ``DIR/src`` and compares every output byte for byte: per seed,
-``experiment`` on basis I, on the degraded basis-IV bench, on basis IV with
-``--v 0.8 --analysis-fid 0.5``, on the prep-only basis-IV bench, where
-only the signal is ever replaced, on basis IV with ``--prep-fid 0
---analysis-fid 0``, where every state is replaced, and on basis I with
-``--analysis-fid 0.7`` alone (standard output, CSV and JSON), and once
-four ``cascade --json`` runs (the last 1 -> 10 at d = 8), one ``cascade``
-text run, one ``clone`` text run, ``clone --json``, the one-stage
-``cascade --json --m 2`` on IV:3 and the default ``hom`` curve, then
-``--help`` of ``symclone`` and of each subcommand, one usage error per
-subcommand, and last ``clone --json --input 0.6,0.8j,0`` (d = 3
-amplitudes) and ``clone --input IV:2``, clone states away from the default
-input, and ``hom --input IV:1 --ancilla I:1``, a curve whose two states
-overlap only in part. Every command's standard output, standard error and exit code
-are compared. It prints ``identical`` or ``different`` per command, and
-for a differing JSON file whose two sides hold the same keys, lengths and
-non-numeric values, the largest absolute difference over its numbers. It
-exits with 0 when every output is identical, 1 when one differs and 2 when
-a tree cannot run.
+Runs a fixed matrix of ``symclone`` commands: each command of
+``_EXPERIMENTS`` once per seed, then each command of ``_ONCE`` once. A
+command's outputs are its standard output, its standard error, its exit
+code and the files it writes.
 
+``--against`` runs the matrix on this checkout's ``src/`` and on
+``DIR/src`` and compares every output byte for byte. It prints
+``identical`` or ``different`` per command, and for a differing JSON file
+whose two sides hold the same keys, lengths and non-numeric values, the
+largest absolute difference over its numbers. It exits with 0 when every
+output is identical, 1 when one differs and 2 when a tree cannot run.
 Another revision's tree comes from git:
 
     mkdir -p ../parent && git archive HEAD~1 src | tar -x -C ../parent
@@ -30,17 +21,27 @@ Another revision's tree comes from git:
 
 Each tree runs in its own interpreter with one BLAS thread and imports only
 its own ``src/``.
+
+``--record FILE`` runs the matrix at seed 0 and 2000 shots in this
+interpreter, on this checkout's ``src/``, and writes the sha256 of every
+output to FILE, with the numpy and Python versions that ran it. The test
+suite re-runs that matrix and compares the digests, so a change that
+alters any output on purpose records the file again.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,27 +82,48 @@ _ONCE = {
     "hom IV:1 ancilla I:1": ["hom", "--input", "IV:1", "--ancilla", "I:1"],
 }
 
-# Runs in the tree's own interpreter: argv[1] is the output directory,
-# argv[2] a JSON list of [name, argv]. Each command writes its standard
-# output, its standard error, its exit code (``--help`` exits through
-# SystemExit) and any files it writes into a directory of its own.
-_WORKER = """
-import contextlib, json, os, sys
-from symclone import cli
-out = os.path.abspath(sys.argv[1])
-for i, (_, argv) in enumerate(json.loads(sys.argv[2])):
-    here = os.path.join(out, str(i))
-    os.makedirs(here)
-    os.chdir(here)
-    with open("stdout", "w") as fh, open("stderr", "w") as eh, \\
-            contextlib.redirect_stdout(fh), contextlib.redirect_stderr(eh):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    with open("exit", "w") as fh:
-        fh.write(f"{code}\\n")
+# The size of the recorded digests: small enough for the test suite.
+DIGEST_SHOTS = 2000
+DIGEST_SEEDS = [0]
+
+# Set for every run: one BLAS thread, and the width argparse wraps help
+# texts at, which otherwise follows the terminal. A run in this interpreter,
+# which has loaded its BLAS already, gets only the width.
+_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+        "COLUMNS": "80"}
+
+# Runs in the other tree's interpreter: argv[1] is the output directory,
+# argv[2] a JSON list of [name, argv].
+_WORKER = f"""
+import json, runpy, sys
+runpy.run_path({str(Path(__file__).resolve())!r})["_write_outputs"](sys.argv[1], json.loads(sys.argv[2]))
 """
+
+
+def _write_outputs(out, matrix) -> None:
+    """Run each (name, argv) of ``matrix`` through ``symclone.cli.main`` in
+    this interpreter, in directory ``out/<position>``, which then holds the
+    command's standard output, its standard error, its exit code (``--help``
+    exits through SystemExit) and any files it writes."""
+    from symclone import cli
+
+    out = os.path.abspath(out)
+    cwd = os.getcwd()
+    try:
+        for i, (_, argv) in enumerate(matrix):
+            here = os.path.join(out, str(i))
+            os.makedirs(here)
+            os.chdir(here)
+            with open("stdout", "w") as fh, open("stderr", "w") as eh, \
+                    contextlib.redirect_stdout(fh), contextlib.redirect_stderr(eh):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            with open("exit", "w") as fh:
+                fh.write(f"{code}\n")
+    finally:
+        os.chdir(cwd)
 
 
 def _seeds(text: str) -> list[int]:
@@ -129,8 +151,7 @@ def _commands(shots: int, seeds: list[int]) -> list[tuple[str, list[str]]]:
 
 
 def _run(tree: Path, matrix, out: Path) -> None:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = {**os.environ, **_ENV, "PYTHONPATH": str(tree / "src")}
     result = subprocess.run([sys.executable, "-c", _WORKER, str(out), json.dumps(matrix)],
                             env=env, capture_output=True, text=True)
     if result.returncode:
@@ -139,6 +160,24 @@ def _run(tree: Path, matrix, out: Path) -> None:
 
 def _outputs(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def digests() -> dict[str, dict[str, str]]:
+    """The sha256 of every output of the matrix at ``DIGEST_SHOTS`` and
+    ``DIGEST_SEEDS``, per command name and output file, run in this
+    interpreter on the ``symclone`` it imports."""
+    matrix = _commands(DIGEST_SHOTS, DIGEST_SEEDS)
+    with mock.patch.dict(os.environ, _ENV), tempfile.TemporaryDirectory() as tmp:
+        _write_outputs(tmp, matrix)
+        return {name: {file: hashlib.sha256(data).hexdigest()
+                       for file, data in _outputs(Path(tmp) / str(i)).items()}
+                for i, (name, _) in enumerate(matrix)}
+
+
+def _differing(mine: dict, theirs: dict) -> list[str]:
+    """The output files, sorted, that two runs of one command do not share
+    with equal contents (or digests)."""
+    return sorted(f for f in mine.keys() | theirs.keys() if mine.get(f) != theirs.get(f))
 
 
 def _numbers(a, b) -> list[float] | None:
@@ -167,17 +206,33 @@ def _difference(mine: bytes | None, theirs: bytes | None) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", required=True, type=Path,
-                        help="root of the other tree (it must hold src/symclone)")
-    parser.add_argument("--shots", type=int, default=10_000)
-    parser.add_argument("--seeds", type=_seeds, default=[0], help="e.g. 0-9 or 3,5,11-12")
+    side = parser.add_mutually_exclusive_group(required=True)
+    side.add_argument("--against", type=Path,
+                      help="root of the other tree (it must hold src/symclone)")
+    side.add_argument("--record", type=Path, metavar="FILE",
+                      help="write the digests of this checkout's outputs to FILE")
+    parser.add_argument("--shots", type=int, help="shots per experiment for --against (default 10000)")
+    parser.add_argument("--seeds", type=_seeds, help="seeds for --against, e.g. 0-9 or 3,5,11-12 (default 0)")
     args = parser.parse_args(argv)
+    if args.record:
+        if args.shots is not None or args.seeds is not None:
+            parser.error(f"--record runs at {DIGEST_SHOTS} shots and seeds {DIGEST_SEEDS};"
+                         " --shots and --seeds go with --against")
+        sys.path.insert(0, str(ROOT / "src"))
+        import numpy
+
+        record = {"numpy": numpy.__version__, "python": platform.python_version(),
+                  "shots": DIGEST_SHOTS, "seeds": DIGEST_SEEDS, "digests": digests()}
+        args.record.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"recorded {len(record['digests'])} commands in {args.record}")
+        return 0
     trees = (ROOT, args.against.resolve())
     for tree in trees:
         if not (tree / "src" / "symclone" / "__init__.py").is_file():
             print(f"error: no symclone source tree at {tree / 'src'}", file=sys.stderr)
             return 2
-    matrix = _commands(args.shots, args.seeds)
+    matrix = _commands(10_000 if args.shots is None else args.shots,
+                       [0] if args.seeds is None else args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / str(side) for side in range(2)]
         try:
@@ -189,7 +244,7 @@ def main(argv=None) -> int:
         different = 0
         for i, (name, _) in enumerate(matrix):
             mine, theirs = (_outputs(out / str(i)) for out in outs)
-            differs = sorted(f for f in mine.keys() | theirs.keys() if mine.get(f) != theirs.get(f))
+            differs = _differing(mine, theirs)
             different += bool(differs)
             files = ", ".join(f + _difference(mine.get(f), theirs.get(f)) for f in differs)
             print(f"{'different' if differs else 'identical'}  {name}"
