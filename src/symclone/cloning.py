@@ -68,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import DensityMatrix, PureState
+from .hilbert import DensityMatrix, PureState, _is_integer
 
 __all__ = [
     "CloningSpec",
@@ -87,15 +87,25 @@ __all__ = [
 DEFAULT_CASCADE_CAP = 6
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an int or a numpy integer; a bool, a float such
+    as 2.0 or a non-number is an error that names ``name``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CloningSpec:
-    """An N -> M cloning task for internal dimension d."""
+    """An N -> M cloning task for internal dimension d, each kept as an int."""
 
     d: int
     n: int
     m: int
 
     def __post_init__(self):
+        for name in ("d", "n", "m"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
         if not 1 <= self.n < self.m:
@@ -145,6 +155,7 @@ class CloningOutcome:
 
 def f_est(n: int, d: int) -> float:
     """Optimal mean fidelity for estimating a d-dim state from n copies: (n+1)/(n+d)."""
+    n, d = _integer(n, "n"), _integer(d, "d")
     if n < 1:
         raise ValueError(f"need at least one copy, got {n}")
     if d < 2:
@@ -157,7 +168,7 @@ def f_clon(n: int, m: int, d: int) -> float:
 
     Always exceeds f_est(n, d) and tends to it as m -> infinity.
     """
-    CloningSpec(d=d, n=n, m=m)  # raises for d < 2 or unless 1 <= N < M
+    CloningSpec(d=d, n=n, m=m)  # raises for a non-integer, for d < 2 or unless 1 <= N < M
     return (m - n + n * (m + d)) / (m * (n + d))
 
 

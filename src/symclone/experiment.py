@@ -13,28 +13,22 @@ coincidences has been collected.
 
 Randomness
 ----------
-Reproducible, with one stream window per batch. Trials are processed in
-fixed-size batches (``BATCH_TRIALS``). The run for input index ``i`` has one
-PCG64 bit generator,
+Reproducible, with one stream per input drawn in order. Trials are
+processed in fixed-size batches (``BATCH_TRIALS``). The run for input index
+``i`` draws every variate from one generator,
 
-    PCG64(SeedSequence(config.seed, spawn_key=(i,)))
+    Generator(PCG64(SeedSequence(config.seed, spawn_key=(i,))))
 
-built once, and batch ``b`` draws all its variates from that generator's
-start state advanced by b * 2^64 outputs:
-
-    bit_generator.state = start; bit_generator.advance(b << 64)
-
-A batch draws far fewer than 2^64 64-bit outputs, so the windows of two
-batches never overlap, and PCG64's period of 2^128 holds 2^64 of them. A
-run evaluates batches 0, 1, ... in order until ``shots`` coincidences are
-counted, so two runs with the same config are count-for-count identical.
-The run records the number of batches it evaluated in its ``CountsTable``.
+built when the run starts. Batches 0, 1, ... draw from it in order, each
+where the one before it stopped, until ``shots`` coincidences are counted,
+so two runs with the same config are count-for-count identical. The run
+records the number of batches it evaluated in its ``CountsTable``.
 
 The batch that fills ``shots`` usually yields more coincidences than are
 still needed. A batch returns its counts per outcome, not its hits in trial
 order, so the run keeps a uniformly random subset of them of the size it
 needs, with one ``multivariate_hypergeometric`` draw on those counts, from
-the same batch's generator after the batch's own draws. This is exact: the
+the input's generator after the batch's own draws. This is exact: the
 trials are independent, so the first r hits in trial order would be a
 uniformly random r-subset of the batch's hits as well.
 
@@ -56,8 +50,9 @@ trial. A trial whose scanner weights sum to at most ``_Q_TOTAL_CUTOFF`` is
 never accepted: no scanner setting can click, and a sum that small is
 rounding residue of an exact 0, not a click probability.
 
-Within a batch of B trials the draws follow stream layout 13
-(``STREAM_LAYOUT``), which draws only the variates a trial can still use.
+The draws of a run follow stream layout 14 (``STREAM_LAYOUT``): its
+batches in order, then that sample. Within a batch of B trials the layout
+draws only the variates a trial can still use.
 In a trial where no state was replaced (a "clean" trial) p_coal/2,
 p_filter, the bound b_k = min(p_coal/2, p_coal/2 * p_filter) of step 5
 below and the d thresholds t_{k,j} depend on the ancilla index alone, so
@@ -119,7 +114,8 @@ trial outside every near cell draws nothing at all. A perturbation of n
 states with fidelity f = 1 draws nothing; otherwise it draws the number
 k ~ Binomial(n, 1 - f) of states it replaces, then which k of them (a
 sample without replacement), then 2(d - 1) standard normals for each
-replaced state, in order: the law of n independent pass tests. A state
+replaced state, in order: the law of n independent pass tests with
+probability f, drawn with k indices in place of n uniforms. A state
 that is replaced for certain (the signal of an A or A' trial, the filter
 of an A' or C trial) draws only its normals. The reaches carry a relative
 rounding margin (``_BOUND_MARGIN``), so each lies above every threshold a
@@ -137,7 +133,7 @@ the table.
 
 A fixed seed reproduces counts only under the layout that drew them;
 CHANGES.md records what each layout changed from the one before. The tests
-check layout 13 against
+check layout 14 against
 
 - the exact outcome law of each configuration with an ideal analyzer,
   which ``outcome_law`` builds from the second-quantized engine, averaging
@@ -211,7 +207,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .hilbert import LabeledBasis, PureState, named_basis
+from .hilbert import LabeledBasis, PureState, _is_integer, named_basis
 
 __all__ = [
     "BATCH_TRIALS",
@@ -226,9 +222,8 @@ __all__ = [
     "write_counts_csv",
 ]
 
-# Trials per batch, each batch one stream window. A batch pays fixed costs,
-# the stream's reset and advance and the overhead of each numpy call, so
-# 32768 trials halve the batches of 16384 and their share of those costs. On
+# Trials per batch. A batch pays a fixed cost, the overhead of each numpy
+# call, so 32768 trials halve the batches of 16384 and their share of it. On
 # 2 cores, 10 alternated runs per side of ``perfbench/run.py --seconds 8``
 # read ``wall_rel`` 21.1 -> 18.3 on the ideal basis-I table (lower in 10/10)
 # and 131.7 -> 116.3 on the degraded basis-IV bench (9/10); in process,
@@ -237,10 +232,11 @@ __all__ = [
 # statistics).
 BATCH_TRIALS = 32768
 
-# Order and use of the variates within a batch (see the module docstring).
-# Recorded in every config dict: a fixed seed reproduces counts only under
-# the layout that drew them.
-STREAM_LAYOUT = 13
+# The order of the draws in a run and their use: the batches in order, each
+# as the module docstring states, then the sample of the batch that fills
+# ``shots``. Recorded in every config dict: a fixed seed reproduces counts
+# only under the layout that drew them.
+STREAM_LAYOUT = 14
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -286,11 +282,6 @@ def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ValueError(f"bad config value: {key!r} must be an integer, got {value!r}")
     return int(value)
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is not a number here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _real(value, key: str) -> float:
@@ -471,11 +462,8 @@ class EstimationResult:
 
 def _replaced(n: int, f: float, rng: np.random.Generator) -> np.ndarray:
     """The indices, ascending, of the states that one perturbation of n
-    states with fidelity f replaces. Draws nothing when f >= 1; otherwise
-    the number k ~ Binomial(n, 1 - f) of replaced states, then which k of
-    them, as a sample without replacement. That is the law of n independent
-    pass tests with probability f, drawn with k indices in place of n
-    uniforms."""
+    states with fidelity f replaces, drawn from ``rng`` by the law that the
+    module docstring states."""
     if f >= 1.0:
         return np.empty(0, dtype=np.intp)
     return np.sort(rng.choice(n, rng.binomial(n, 1.0 - f), replace=False, shuffle=False))
@@ -484,9 +472,10 @@ def _replaced(n: int, f: float, rng: np.random.Generator) -> np.ndarray:
 def _fail_draws(
     n: int, d: int, f: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one perturbation of n states of dimension d: the
-    indices of the replaced states (:func:`_replaced`), then 2(d - 1)
-    standard normals per replaced state in the same order."""
+    """The draws of one perturbation of n states of dimension d with
+    fidelity f, by the law that the module docstring states: the indices of
+    the replaced states (:func:`_replaced`) and their normals, one row of
+    2(d - 1) per replaced state in the same order."""
     bad = _replaced(n, f, rng)
     return bad, rng.standard_normal((len(bad), 2 * d - 2))
 
@@ -564,16 +553,16 @@ def _event_terms(A: np.ndarray, B: np.ndarray, v: float, F: np.ndarray, G: np.nd
     With u = S (x) e0 and a = N (x) (v e0 + w e1) the coalesced pair,
     split across the two detection arms, is (|u,a> + |a,u>) / sqrt(2(1+x)),
     x = v^2 |<S|N>|^2 (its probability is :func:`_half_coal`). Writing
-    c = <S|N>, A = <filter|S>, B = <filter|N> and, for scanner setting g_j,
+    A = <filter|S>, B = <filter|N> and, for scanner setting g_j,
     F_j = <g_j|S> and G_j = <g_j|N> (the scanner overlaps ``F`` and ``G``,
-    shape (rows, d)), tracing the temporal modes at the detectors gives
+    shape (rows, d)), tracing the temporal modes at the detectors gives the
+    filter-click probability p_filter of :func:`_filter_terms` and
 
-        p_filter = (|A|^2 + |B|^2 + 2 v^2 Re(conj(A) B conj(c))) / (2 (1+x))
-        q_j      = |A G_j|^2 + |B F_j|^2 + 2 v^2 Re(conj(A) B conj(G_j) F_j)
+        q_j = |A G_j|^2 + |B F_j|^2 + 2 v^2 Re(conj(A) B conj(G_j) F_j)
 
-    p_filter and the amplitudes A and B come from :func:`_filter_terms`;
-    this returns q, the relative scanner-click weights (normalized by the
-    caller). With N = e_k, G_j is 1 for j = k and 0 otherwise when g_j is the
+    The amplitudes A and B come from :func:`_filter_terms`; this returns q,
+    the relative scanner-click weights (normalized by the caller). With
+    N = e_k, G_j is 1 for j = k and 0 otherwise when g_j is the
     unperturbed setting e_j, and a component of the setting otherwise. The
     tests recompute all of this, and p_coal, through the second-quantized
     engine of :mod:`symclone.bosonic`; the two routes must agree.
@@ -635,7 +624,7 @@ def _clean_row_table(
 ) -> _CleanRows:
     """The constants of the batches of input ``p`` with ancilla weights
     ``weights``, overlap v and fidelities ``prep_f`` and ``analysis_f``,
-    computed once per input: the cells of stream layout 13 and their
+    computed once per input: the cells of the stream layout and their
     reaches (see the module docstring). It keeps p, v and ``analysis_f`` as
     well, the values that :func:`_simulate_batch` reads besides the cells;
     ``prep_f`` acts through the cells alone.
@@ -775,7 +764,7 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     perturbation draws with, are read from it, so a batch cannot be run
     under values other than those its cells were built for.
 
-    The batch draws in stream layout 13 (see the module docstring): steps 1
+    The batch draws in the stream layout (see the module docstring): steps 1
     and 2 here, steps 3 and 4 in :func:`_signal_and_filter_arms`, and step 5
     in :func:`_scanner_overlaps` for the A, A' and C trials that reach it,
     whose scanner weights then come from :func:`_event_terms`, and in
@@ -843,17 +832,14 @@ def run_cloning_experiment(
         config.prep_fidelity,
         config.analysis_fidelity,
     )
-    # one PCG64 per input; batch b draws from its start state advanced by b * 2^64
-    bit_generator = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(phi_index,)))
-    start = bit_generator.state
-    rng = np.random.Generator(bit_generator)
+    # one stream per input: the batches, then the closing sample, draw from it in order
+    seed = np.random.SeedSequence(config.seed, spawn_key=(phi_index,))
+    rng = np.random.Generator(np.random.PCG64(seed))
     counts = np.zeros(basis.dim, dtype=np.int64)
     collected = 0
     batch = 0
     dry = 0
     while collected < config.shots:
-        bit_generator.state = start
-        bit_generator.advance(batch << 64)
         batch_counts = _simulate_batch(table, rng)
         batch += 1
         hits = int(batch_counts.sum())
@@ -912,8 +898,8 @@ def estimate_probabilities(table: CountsTable) -> EstimationResult:
 class FidelityTable:
     """Cloning fidelities for every input of one basis, plus their average.
 
-    ``results`` holds ``estimate_probabilities`` of each table, computed
-    once on construction.
+    ``tables`` holds at least one table. ``results`` holds
+    ``estimate_probabilities`` of each table, computed once on construction.
     """
 
     basis_name: str
@@ -922,6 +908,8 @@ class FidelityTable:
 
     def __post_init__(self):
         object.__setattr__(self, "tables", tuple(self.tables))
+        if not self.tables:
+            raise ValueError("a fidelity table needs at least one counts table")
         object.__setattr__(self, "results", tuple(map(estimate_probabilities, self.tables)))
 
     @property
@@ -968,8 +956,8 @@ def replicate_table(basis_name: str, config: ExperimentConfig) -> FidelityTable:
     """Run the fidelity table over every input of the basis ``basis_name``,
     one of ``hilbert.BASIS_NAMES``.
 
-    Each input uses its own RNG stream family derived from the one config
-    seed, so the whole table is reproducible from a single integer.
+    Each input draws from its own stream derived from the one config seed,
+    so the whole table is reproducible from a single integer.
     """
     basis = named_basis(basis_name)
     return FidelityTable(basis_name, [run_cloning_experiment(phi, basis, config)

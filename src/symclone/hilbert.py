@@ -10,6 +10,7 @@ know about photons.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,11 @@ _MATRIX_TOL = 1e-9
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not a number here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

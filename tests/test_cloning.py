@@ -87,6 +87,27 @@ def test_cloning_fidelity_rejects_bad_args():
             f_clon(n, m, d)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", 4.0), ("d", True), ("n", 1.5), ("n", True), ("m", 2.5), ("m", "3"), ("m", None),
+])
+def test_formulas_and_spec_reject_a_count_that_is_not_an_integer(field, value):
+    # a photon count or a dimension is an integer: the formulas would give
+    # a number for 2.5 and the cascade a bare TypeError. A numpy integer is
+    # an integer and is kept as an int
+    valid = {"d": 4, "n": 1, "m": 3}
+    args = {**valid, field: value}
+    message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        CloningSpec(**args)
+    with pytest.raises(ValueError, match=message):
+        f_clon(args["n"], args["m"], args["d"])
+    if field != "m":
+        with pytest.raises(ValueError, match=message):
+            f_est(args["n"], args["d"])
+    spec = CloningSpec(**{**valid, field: np.int64(valid[field])})
+    assert type(getattr(spec, field)) is int and spec == CloningSpec(**valid)
+
+
 def test_cloning_advantage_grows_with_dimension():
     gaps = [f_clon(1, 2, d) - f_est(1, d) for d in range(2, 101)]
     assert all(a < b for a, b in zip(gaps, gaps[1:]))

@@ -89,12 +89,20 @@ def _terms(S, k, v, filters, F, G):
     return p_filter, _event_terms(A, B, v, F, G)
 
 
+def _input_rng(seed, input_index):
+    """The generator of a run of input ``input_index`` at ``seed``, at its
+    start state."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(input_index,))))
+
+
 def _batch_rng(seed, input_index, batch):
-    """Reference stream of one batch (stream layouts 8 and 9): the input's
-    PCG64 advanced from its start state by batch * 2^64 outputs."""
-    bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(input_index,)))
-    bit_generator.advance(batch << 64)
-    return np.random.Generator(bit_generator)
+    """An independent stream per (seed, input, batch), for the tests that
+    pool batches: the input's PCG64 advanced from its start state by
+    batch * 2^64 outputs, far more than a batch draws. Batch 0 is the
+    start of the input's run."""
+    rng = _input_rng(seed, input_index)
+    rng.bit_generator.advance(batch << 64)
+    return rng
 
 
 def _counts_table(counts: tuple) -> CountsTable:
@@ -131,11 +139,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 13
+    assert cfg.to_dict()["streamLayout"] == 14
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, "13", None):
+    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, "14", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -930,7 +938,7 @@ def _clean_reference(p, d, v):
 
 def _reference_near_trials(p, basis_cols, weights, v, prep_f, analysis_f, rng):
     """Steps 1-4 of a reference batch of input ``p`` in the draw order of
-    stream layouts 12 and 13, which build the cells from the clean trial of
+    stream layouts 12 to 14, which build the cells from the clean trial of
     each ancilla and the reach of each kind of near trial, written out term
     by term, and evaluate p_coal/2 and the filter terms on every near trial
     from explicit states in lab coordinates, with no clean-row table. The
@@ -1019,9 +1027,10 @@ def _settings_with_weight(j, k, x, settings):
 
 def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
     """Reference: a batch of input ``p`` in the kernel's draw order (stream
-    layout 13), with steps 1-4 of :func:`_reference_near_trials`; returns its
-    counts per outcome. Step 5 replaces every scanner setting of each A, A'
-    and C trial with probability 1 - f_a by a Haar state orthogonal to it.
+    layouts 13 and 14), with steps 1-4 of :func:`_reference_near_trials`;
+    returns its counts per outcome. Step 5 replaces every scanner setting
+    of each A, A' and C trial with probability 1 - f_a by a Haar state
+    orthogonal to it.
     Then, for the E trials, it draws which settings after the first
     replaced one in the order that puts setting k last are replaced, one
     uniform U per replaced setting j != k and one per trial for that first
@@ -1371,34 +1380,24 @@ def test_edge_ancilla_weights_run_through_the_multinomial(weights):
 
 
 def _single_batch_run(phi, basis, config):
-    """Reference: run_cloning_experiment as one reference stream per batch
-    (:func:`_batch_rng`), keeping a ``multivariate_hypergeometric`` sample
-    of the outcome counts of the batch that fills ``shots``, drawn on its
-    stream after the batch."""
+    """Reference: run_cloning_experiment replayed on one generator at the
+    input's start state (:func:`_input_rng`), batch after batch, keeping a
+    ``multivariate_hypergeometric`` sample of the outcome counts of the
+    batch that fills ``shots``, drawn after the batch. Returns the counts
+    and the stream state at the start of each batch."""
     i = basis.index_of(phi)
     table = _clean_row_table(i, config.weights_for(basis.dim), config.v, config.prep_fidelity,
                              config.analysis_fidelity)
-    counts, collected, batch = np.zeros(basis.dim, dtype=np.int64), 0, 0
+    rng = _input_rng(config.seed, i)
+    counts, collected, starts = np.zeros(basis.dim, dtype=np.int64), 0, []
     while collected < config.shots:
-        rng = _batch_rng(config.seed, i, batch)
+        starts.append(_stream_position(rng))
         batch_counts = _simulate_batch(table, rng)
         if collected + batch_counts.sum() > config.shots:
             batch_counts = rng.multivariate_hypergeometric(batch_counts, config.shots - collected)
         counts += batch_counts
         collected += int(batch_counts.sum())
-        batch += 1
-    return tuple(counts.tolist()), batch
-
-
-def _fresh_batch(rng, seed, input_index):
-    """The batch whose stream ``rng`` starts: b for a generator at the
-    input's start state advanced by b * 2^64 outputs that has drawn
-    nothing since (b < 64)."""
-    position = _stream_position(rng)
-    for b in range(64):
-        if _stream_position(_batch_rng(seed, input_index, b)) == position:
-            return b
-    raise AssertionError(f"not the start of a batch window: {position}")
+    return tuple(counts.tolist()), starts
 
 
 _RUN_CASES = [
@@ -1406,32 +1405,36 @@ _RUN_CASES = [
     ("IV", ExperimentConfig(shots=2500, v=0.9165, prep_fidelity=0.9, analysis_fidelity=0.9,
                             ancilla_weights=(0.3, 0.3, 0.2, 0.2), seed=4)),
     ("I", ExperimentConfig(shots=1200, v=0.8, prep_fidelity=0.7, analysis_fidelity=0.8, seed=5)),
+    # three batches per input
+    ("IV", ExperimentConfig(shots=4000, v=0.8, analysis_fidelity=0.5, seed=6)),
 ]
 
 
 @pytest.mark.parametrize("runs", [None, 2, 3, 4])
 @pytest.mark.parametrize("basis_name, config", _RUN_CASES)
 def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
-    # the run evaluates batches 0, 1, ... in order, batch b on the input's
-    # PCG64 at its start state advanced by b * 2^64 outputs, stops at the
-    # batch that fills ``shots`` and records how many kernel calls it made;
+    # the run evaluates batches 0, 1, ... on one stream per input, each
+    # batch starting where the one before it stopped, stops at the batch
+    # that fills ``shots`` and records how many kernel calls it made;
     # ``runs`` repeats the run in one process (None: once), and each repeat
-    # must start again from batch 0 with nothing carried over from the last
+    # must start again at the input's start state with nothing carried over
+    # from the last
     basis = named_basis(basis_name)
     for i, phi in enumerate(basis.states):
-        counts, batches = _single_batch_run(phi, basis, config)
+        counts, starts = _single_batch_run(phi, basis, config)
+        batches = len(starts)
         for _ in range(runs or 1):
             evaluated = []
 
             def kernel(table, rng):
-                evaluated.append(_fresh_batch(rng, config.seed, i))
+                evaluated.append(_stream_position(rng))
                 return _simulate_batch(table, rng)
 
             with monkeypatch.context() as patched:
                 patched.setattr(experiment, "_simulate_batch", kernel)
                 table = run_cloning_experiment(phi, basis, config)
             assert table.counts == counts
-            assert evaluated == list(range(batches))
+            assert evaluated == starts
             record = table.to_dict()
             assert record["batches"] == table.batches == batches
             assert record["trials"] == table.trials == batches * BATCH_TRIALS
@@ -1480,18 +1483,26 @@ def test_whole_runs_sample_the_layout_12_law(basis_name):
 @pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
 def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, shots):
     # a stand-in kernel gives every batch the same 17 hits, counted per
-    # outcome and drawing nothing; the run adds every full batch and, of the
-    # batch that fills ``shots``, a multivariate_hypergeometric sample of its
-    # counts drawn from the start of that batch's window
+    # outcome, and draws one uniform; the run adds every full batch and, of
+    # the batch that fills ``shots``, a multivariate_hypergeometric sample of
+    # its counts drawn from the input's generator after that batch's draw
     hits = np.array([5, 3, 2, 7])
-    monkeypatch.setattr(experiment, "_simulate_batch", lambda table, rng: hits.copy())
+
+    def kernel(table, rng):
+        rng.random()
+        return hits.copy()
+
+    monkeypatch.setattr(experiment, "_simulate_batch", kernel)
     basis = basis_logical()
     config = ExperimentConfig(shots=shots, seed=12)
     for i, phi in enumerate(basis.states):
         full, need = divmod(shots, 17)
         expected = full * hits
         if need:
-            expected += _batch_rng(12, i, full).multivariate_hypergeometric(hits, need)
+            rng = _input_rng(12, i)
+            for _ in range(full + 1):
+                rng.random()
+            expected += rng.multivariate_hypergeometric(hits, need)
         table = run_cloning_experiment(phi, basis, config)
         assert [table.counts[k] for k in range(4)] == expected.tolist()
         assert sum(table.counts) == shots
@@ -1531,17 +1542,22 @@ def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
     ({0, 3, 9}, True),
 ])
 def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, raises, runs):
-    # a stand-in kernel: batch b yields one coincidence when b is in hit_batches;
-    # ``runs`` repeats the run in one process (None: once), and the dry count
-    # of each repeat must start again from zero
+    # a stand-in kernel counts its calls: batch b, its call b of the run,
+    # yields one coincidence when b is in hit_batches; ``runs`` repeats the
+    # run in one process (None: once), and the dry count of each repeat must
+    # start again from zero
+    calls = []
+
+    def kernel(table, rng):
+        calls.append(None)
+        return np.array([len(calls) - 1 in hit_batches, 0, 0, 0], dtype=np.int64)
+
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
-    monkeypatch.setattr(
-        experiment, "_simulate_batch",
-        lambda table, rng: np.array([_fresh_batch(rng, 0, 0) in hit_batches, 0, 0, 0], dtype=np.int64),
-    )
+    monkeypatch.setattr(experiment, "_simulate_batch", kernel)
     basis = basis_logical()
     config = ExperimentConfig(shots=len(hit_batches))
     for _ in range(runs or 1):
+        calls.clear()
         if raises:
             with pytest.raises(RuntimeError, match="yield is"):
                 run_cloning_experiment(basis.states[0], basis, config)
@@ -1603,12 +1619,13 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # ---------------------------------------------------- fixed-seed regression
 
 # Integer counts per input (rows) and outcome (columns), from one PCG64 per
-# input advanced by 2^64 outputs per batch, over 32768-trial batches. "I"
-# was recorded at stream layout 11, which draws the clean trials of a batch
-# as outcome counts and walks only the trials with a replaced state; layouts
-# 12 and 13 draw an ideal batch as layout 11 did, so it stands. "IV" was
-# re-recorded at layout 13, whose E trials draw one uniform per replaced
-# scanner setting in place of a Haar state. A change to the Monte Carlo
+# input over 32768-trial batches. "I" was recorded at stream layout 11,
+# which draws the clean trials of a batch as outcome counts and walks only
+# the trials with a replaced state; layouts 12 to 14 draw an ideal batch as
+# layout 11 did, so it stands. "IV" was re-recorded at layout 13, whose E
+# trials draw one uniform per replaced scanner setting in place of a Haar
+# state. Every run of both ends in its first batch, which layout 14 draws
+# as layout 13 did. A change to the Monte Carlo
 # arithmetic that keeps the draws and the accept rule must leave them as
 # they are.
 _GOLDEN_COUNTS = {
@@ -1916,6 +1933,13 @@ def test_fidelity_table_estimates_each_table_once_on_construction(monkeypatch):
     # an all-zero counts table cannot make a record
     with pytest.raises(ValueError, match="counts are all zero"):
         FidelityTable("I", [_counts_table((0, 0, 0, 0))])
+
+
+@pytest.mark.parametrize("tables", [[], (), iter([])])
+def test_fidelity_table_needs_a_counts_table(tables):
+    # an average over no inputs has no value
+    with pytest.raises(ValueError, match="^a fidelity table needs at least one counts table$"):
+        FidelityTable("I", tables)
 
 
 def test_counts_csv_format():

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symclone.experiment import STREAM_LAYOUT
+
 ROOT = Path(__file__).resolve().parents[1]
 SAME_OUTPUT = ROOT / "tools" / "same_output.py"
 DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
@@ -115,8 +117,9 @@ def test_same_output_rejects_a_reversed_seed_range():
 
 def test_cli_output_matches_the_recorded_digests():
     # every output of the command matrix at seed 0 and 2000 shots, byte for
-    # byte; a numpy release may change its Generator streams (NEP 19), so
-    # the message names the numpy that recorded the digests and this one
+    # byte; a numpy release may change its Generator streams (NEP 19) and a
+    # new stream layout changes the draws, so the message names the numpy
+    # and the layout that recorded the digests and those of this checkout
     recorded = json.loads(DIGESTS.read_text())
     assert (recorded["shots"], recorded["seeds"]) == (same_output.DIGEST_SHOTS,
                                                       same_output.DIGEST_SEEDS)
@@ -127,8 +130,9 @@ def test_cli_output_matches_the_recorded_digests():
     assert not differing, (
         f"CLI output differs from {DIGESTS.name} in {len(differing)} of {len(expected)} commands: "
         + "; ".join(differing)
-        + f". Recorded under numpy {recorded['numpy']} (Python {recorded['python']}), running under"
-        f" numpy {np.__version__} (Python {platform.python_version()}). To see the difference, run"
+        + f". Recorded under numpy {recorded['numpy']} (Python {recorded['python']}) at stream"
+        f" layout {recorded['streamLayout']}, running under numpy {np.__version__}"
+        f" (Python {platform.python_version()}) at stream layout {STREAM_LAYOUT}. To see the difference, run"
         " tools/same_output.py --against a tree of the parent revision; after a change of output"
         " on purpose, run tools/same_output.py --record tests/data/cli_digests.json."
     )
@@ -141,6 +145,7 @@ def test_record_writes_the_digests_of_this_checkout(tmp_path):
     written = json.loads((tmp_path / "digests.json").read_text())
     assert written["digests"] == json.loads(DIGESTS.read_text())["digests"]
     assert written["numpy"] == np.__version__
+    assert written["streamLayout"] == STREAM_LAYOUT
     result = _same_output("--record", str(tmp_path / "other.json"), "--shots", "10")
     assert result.returncode == 2
     assert "--shots and --seeds go with --against" in result.stderr

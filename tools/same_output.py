@@ -24,9 +24,10 @@ its own ``src/``.
 
 ``--record FILE`` runs the matrix at seed 0 and 2000 shots in this
 interpreter, on this checkout's ``src/``, and writes the sha256 of every
-output to FILE, with the numpy and Python versions that ran it. The test
-suite re-runs that matrix and compares the digests, so a change that
-alters any output on purpose records the file again.
+output to FILE, with the numpy and Python versions that ran it and the
+stream layout of the Monte Carlo. The test suite re-runs that matrix and
+compares the digests, so a change that alters any output on purpose
+records the file again.
 """
 
 from __future__ import annotations
@@ -220,9 +221,10 @@ def main(argv=None) -> int:
                          " --shots and --seeds go with --against")
         sys.path.insert(0, str(ROOT / "src"))
         import numpy
+        from symclone.experiment import STREAM_LAYOUT
 
         record = {"numpy": numpy.__version__, "python": platform.python_version(),
-                  "shots": DIGEST_SHOTS, "seeds": DIGEST_SEEDS, "digests": digests()}
+                  "streamLayout": STREAM_LAYOUT, "shots": DIGEST_SHOTS, "seeds": DIGEST_SEEDS, "digests": digests()}
         args.record.write_text(json.dumps(record, indent=1) + "\n")
         print(f"recorded {len(record['digests'])} commands in {args.record}")
         return 0
