@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import STRUCT_TOL, DensityMatrix, PureState
+from .hilbert import STRUCT_TOL, DensityMatrix, PureState, _integer
 
 __all__ = [
     "FockState",
@@ -78,6 +78,7 @@ class FockState:
     __slots__ = ("ports", "dim", "terms")
 
     def __init__(self, ports: int, dim: int, terms: dict[tuple[int, ...], complex]):
+        ports, dim = _integer(ports, "ports"), _integer(dim, "dim")
         if ports < 1 or dim < 1:
             raise ValueError("need at least one port and one level")
         n_modes = ports * dim
@@ -100,6 +101,7 @@ class FockState:
 
     @classmethod
     def vacuum(cls, ports: int, dim: int) -> "FockState":
+        ports, dim = _integer(ports, "ports"), _integer(dim, "dim")
         return cls(ports, dim, {(0,) * (ports * dim): 1.0 + 0j})
 
     @property
@@ -124,7 +126,7 @@ def _pruned(raw: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], comple
 
 
 def _check_port(state: FockState, port: int) -> None:
-    if not 0 <= port < state.ports:
+    if not 0 <= _integer(port, "port") < state.ports:
         raise ValueError(f"port {port} out of range for {state.ports} ports")
 
 
@@ -150,7 +152,7 @@ def single_photon(port: int, psi: PureState, ports: int = 2) -> FockState:
 
 def identical_photons(port: int, psi: PureState, n: int, ports: int = 2) -> FockState:
     """n photons in one port, all in internal state ``psi``: (a_psi^dag)^n / sqrt(n!) |0>."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("need at least one photon")
     state = FockState.vacuum(ports, psi.dim)
     for _ in range(n):
@@ -186,10 +188,10 @@ def beam_splitter(state: FockState, port_a: int, port_b: int) -> FockState:
     splitter's image of its mode. Acts identically on every internal level;
     unitary, so the norm and total photon number are preserved.
     """
-    if port_a == port_b:
-        raise ValueError("beam splitter needs two distinct ports")
     _check_port(state, port_a)
     _check_port(state, port_b)
+    if port_a == port_b:
+        raise ValueError("beam splitter needs two distinct ports")
     d = state.dim
     r = 1 / math.sqrt(2)
     images: dict[int, list[tuple[int, complex]]] = {}

@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure. Errors go to
 stderr as a single line with an ``error:`` prefix. A reader that closes
 standard output early (``symclone clone --json | head -1``) is no error:
 the rest of the output is dropped, nothing is printed on stderr and the
-exit code is 0. Floating output is printed with 6 significant digits;
-``--json`` switches to full precision.
+exit code is 0. Floating text output is printed with 6 significant
+digits; the ``hom`` CSV writes the delay with 6 and R with 9, and
+``--json`` switches to full precision. A value that starts with ``-``
+goes after an equals sign, as in ``--input=-0.6,0.8``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,12 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; remap to the documented usage code.
+    # argparse reads a value that starts with "-", such as -0.6,0.8, as a
+    # flag, so the error for the flag left without one names the form that works.
     def error(self, message):
+        flag, _, reason = message.removeprefix("argument ").partition(": ")
+        if reason == "expected one argument":
+            message += f" (write a value that starts with '-' as {flag}=VALUE)"
         raise _UsageError(message)
 
 

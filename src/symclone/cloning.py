@@ -68,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import DensityMatrix, PureState, _is_integer
+from .hilbert import DensityMatrix, PureState, _dimension, _integer
 
 __all__ = [
     "CloningSpec",
@@ -87,14 +87,6 @@ __all__ = [
 DEFAULT_CASCADE_CAP = 6
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int: an int or a numpy integer; a bool, a float such
-    as 2.0 or a non-number is an error that names ``name``."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class CloningSpec:
     """An N -> M cloning task for internal dimension d, each kept as an int."""
@@ -104,10 +96,8 @@ class CloningSpec:
     m: int
 
     def __post_init__(self):
-        for name in ("d", "n", "m"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
+        for name, check in (("d", _dimension), ("n", _integer), ("m", _integer)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if not 1 <= self.n < self.m:
             raise ValueError(f"need 1 <= N < M, got N={self.n}, M={self.m}")
 
@@ -155,11 +145,9 @@ class CloningOutcome:
 
 def f_est(n: int, d: int) -> float:
     """Optimal mean fidelity for estimating a d-dim state from n copies: (n+1)/(n+d)."""
-    n, d = _integer(n, "n"), _integer(d, "d")
+    n, d = _integer(n, "n"), _dimension(d, "d")
     if n < 1:
         raise ValueError(f"need at least one copy, got {n}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     return (n + 1) / (n + d)
 
 

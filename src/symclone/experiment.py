@@ -207,7 +207,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .hilbert import LabeledBasis, PureState, _is_integer, named_basis
+from .hilbert import LabeledBasis, PureState, _integer, named_basis
 
 __all__ = [
     "BATCH_TRIALS",
@@ -270,11 +270,12 @@ _KEYS = {
 }
 
 
-def _integer(value, key: str) -> int:
+def _config_integer(value, key: str) -> int:
     """A config integer as an int: an int, a numpy integer, an integral
     Fraction or an integral float such as 3.0 (JSON may write an integer
     that way); a bool, a number with a fraction or a non-number is an
-    error."""
+    error. Counts and indices follow the stricter :func:`hilbert._integer
+    <symclone.hilbert._integer>`, which takes no float."""
     if isinstance(value, numbers.Rational):  # exact: a Fraction may be past the float range
         integral = int(value) == value
     else:
@@ -320,7 +321,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "shots", _integer(self.shots, "shots"))
+        object.__setattr__(self, "shots", _config_integer(self.shots, "shots"))
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
         for name in ("v", "prep_fidelity", "analysis_fidelity"):
@@ -347,7 +348,7 @@ class ExperimentConfig:
             if abs(sum(w) - 1.0) > 1e-12:
                 raise ValueError(f"ancilla weights must sum to 1, got {sum(w)!r}")
             object.__setattr__(self, "ancilla_weights", w)
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", _config_integer(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -388,7 +389,7 @@ class CountsTable:
     in outcome order, and the number of batches of ``BATCH_TRIALS`` trials
     the run evaluated to collect them (0 for counts that no run produced).
     ``counts`` is given as a list or a tuple of integers and kept as a
-    tuple of ints. A bool or a float, even 2.0, is not an integer here: the
+    tuple of ints; ``phi_index`` and ``batches`` are kept as ints. A bool or a float, even 2.0, is not an integer here: the
     CSV, the JSON and the estimator would read it differently, and the
     estimator indexes the counts with ``phi_index``."""
 
@@ -404,17 +405,14 @@ class CountsTable:
         counts = tuple(self.counts)
         if len(counts) != len(self.basis_labels):
             raise ValueError(f"{len(counts)} counts for {len(self.basis_labels)} basis labels")
-        if not _is_integer(self.phi_index):
-            raise ValueError(f"phi index must be an integer, got {self.phi_index!r}")
-        if not 0 <= self.phi_index < len(counts):
+        if not 0 <= _integer(self.phi_index, "phi index") < len(counts):
             raise ValueError(f"phi index {self.phi_index} out of range")
         for name, values in (("counts", counts), ("batches", (self.batches,))):
-            for n in values:
-                if not _is_integer(n):
-                    raise ValueError(f"{name} must be integers, got {n!r}")
-                if n < 0:
-                    raise ValueError(f"{name} must be nonnegative")
+            if any(_integer(n, name) < 0 for n in values):
+                raise ValueError(f"{name} must be nonnegative")
         object.__setattr__(self, "counts", tuple(map(int, counts)))
+        object.__setattr__(self, "phi_index", int(self.phi_index))
+        object.__setattr__(self, "batches", int(self.batches))
 
     @property
     def input_label(self) -> str:

@@ -10,7 +10,6 @@ know about photons.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,21 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is not a number here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an int or a numpy integer; a bool, a float such
+    as 2.0 or a non-number is an error that names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _dimension(value, name: str = "dimension") -> int:
+    """``value`` as an int dimension: an integer (see :func:`_integer`) of
+    at least 2."""
+    d = _integer(value, name)
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -61,8 +72,7 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
+        object.__setattr__(self, "dim", _dimension(self.dim))
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
@@ -101,8 +111,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
+        object.__setattr__(self, "dim", _dimension(self.dim))
         mat = np.asarray(self.mat, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrix, got {mat.shape}")
@@ -138,6 +147,7 @@ class LabeledBasis:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _dimension(self.dim))
         states = tuple(self.states)
         labels = tuple(self.labels)
         if len(states) != self.dim or len(labels) != self.dim:
@@ -169,6 +179,7 @@ class LabeledBasis:
 
 def basis_state(d: int, k: int) -> PureState:
     """Computational unit vector |k> in d dimensions."""
+    d, k = _dimension(d), _integer(k, "level index")
     if not 0 <= k < d:
         raise ValueError(f"level index {k} out of range for dimension {d}")
     amps = np.zeros(d, dtype=complex)
@@ -178,8 +189,7 @@ def basis_state(d: int, k: int) -> PureState:
 
 def basis_computational(d: int) -> LabeledBasis:
     """Computational basis {|0>, ..., |d-1>} with plain index labels."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     return LabeledBasis(
         dim=d,
         states=tuple(basis_state(d, k) for k in range(d)),

@@ -11,7 +11,8 @@ the distribution of the input level's occupation. The Fock tables index the
 m-photon symmetric subspace for both. The outcome law of a Monte Carlo run,
 built from the engine's coincidence probabilities, is the exact law its
 counts sample when the analyzer is ideal. ``haar_state`` draws the
-Haar-random input states the test modules share.
+Haar-random input states the test modules share, and ``fourier_basis``
+builds their Fourier basis.
 """
 
 import itertools
@@ -28,6 +29,13 @@ def haar_state(rng: np.random.Generator, d: int) -> PureState:
     """A Haar-random state of dimension d from 2d standard normals of ``rng``:
     d real parts, then d imaginary parts."""
     return PureState.normalized(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+
+def fourier_basis(d: int) -> LabeledBasis:
+    """The Fourier basis of dimension d, b_k = sum_l w^(kl) e_l / sqrt(d),
+    w = exp(2 pi i/d), labelled f0, ..., f(d-1)."""
+    cols = np.exp(2j * np.pi / d) ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d)
+    return LabeledBasis(d, tuple(PureState(d, c) for c in cols.T), tuple(f"f{k}" for k in range(d)))
 
 
 @cache

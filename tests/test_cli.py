@@ -175,6 +175,25 @@ def test_non_finite_amplitudes_are_usage_errors(command, spec, capsys):
     assert captured.err.splitlines() == ["error: amplitudes must be finite"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["clone", "--input", "-0.6,0.8"],
+    ["cascade", "--input", "-1,0,0,0"],
+    ["hom", "--tau-min-fs", "-1e3"],
+])
+def test_a_value_that_starts_with_a_dash_is_answered_with_the_equals_form(argv, capsys):
+    # argparse takes such a value for a flag; the one error line names the
+    # --flag=VALUE form, and that form runs
+    command, flag, value = argv
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: argument {flag}: expected one argument"
+        f" (write a value that starts with '-' as {flag}=VALUE)"
+    ]
+    assert main([command, f"{flag}={value}"]) == EXIT_OK
+
+
 # ----------------------------------------------------------------------- hom
 
 

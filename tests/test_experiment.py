@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _engine_reference import coincidence_probabilities, first_column_basis, haar_state, outcome_law
+from _engine_reference import (
+    coincidence_probabilities,
+    first_column_basis,
+    fourier_basis,
+    haar_state,
+    outcome_law,
+)
 from symclone import experiment
 from symclone.experiment import (
     BATCH_TRIALS,
@@ -49,13 +55,8 @@ def _labeled(cols):
                         labels=tuple(f"b{k}" for k in range(d)))
 
 
-def _fourier(d):
-    """The Fourier basis of dimension d, b_k = sum_l w^(kl) e_l / sqrt(d), w = exp(2 pi i/d)."""
-    return _labeled(np.exp(2j * np.pi / d) ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d))
-
-
 def _fourier_basis():
-    return _fourier(3)
+    return fourier_basis(3)
 
 
 def _haar_basis(d=4):
@@ -750,6 +751,26 @@ def test_e_trial_weight_has_the_law_of_a_replaced_settings_component(d):
         assert np.max(np.abs(_one_sample_z(counts, n, 0.1))) < 5.0
 
 
+def test_e_trial_weight_mean_tells_its_law_from_the_next_at_d_32():
+    # at d = 32 the means of Beta(1, d - 2) and Beta(1, d - 1), 1/31 and
+    # 1/32, lie 0.032 standard deviations apart, which the 2e4 draws above
+    # cannot resolve; 2e5 draws, in chunks of 2e4, put them ~14 sigma apart.
+    # The mean of X against 1/(d - 1) at |z| < 5, fixed beforehand
+    d, chunk, chunks = 32, 20_000, 10
+    rng = np.random.default_rng(3200)
+    table = _clean_row_table(0, np.full(d, 1.0 / d), 0.9, 1.0, 1.0)
+    rows = np.arange(chunk)
+    total = 0.0
+    for _ in range(chunks):
+        k = rng.integers(0, d, chunk)
+        j = (k + rng.integers(1, d, chunk)) % d
+        total += _e_trial_weights(table, k, j, rng)[rows, j].sum()
+    n = chunk * chunks
+    mean = 1.0 / (d - 1)
+    sigma = math.sqrt((2.0 / (d * (d - 1)) - mean * mean) / n)
+    assert abs(total / n - mean) < 5.0 * sigma
+
+
 def _one_sample_z(counts, n, probs):
     """Per outcome, the z-score of the ``counts`` of n independent draws
     against the outcome probabilities ``probs``."""
@@ -1134,7 +1155,7 @@ _TABLE_CASES = {
     "degraded-Haar4": (_haar_basis, 0.9165, 0.9, 0.9, (0.3, 0.3, 0.2, 0.2)),
     "all-replaced-IV": (basis_four, 0.9, 0.0, 0.0, None),  # every row dirty
     "degraded-Haar2": (partial(_haar_basis, 2), 0.9165, 0.9, 0.9, (0.6, 0.4)),  # X = 1
-    "degraded-F8": (partial(_fourier, 8), 0.9165, 0.9, 0.9, None),
+    "degraded-F8": (partial(fourier_basis, 8), 0.9165, 0.9, 0.9, None),
 }
 
 
@@ -1668,7 +1689,7 @@ def test_ideal_run_reaches_the_optimal_fidelity_at_any_dimension(d):
     # at f = 1 a trial depends only on basis indices, so the two bases give
     # the same counts
     cfg = ExperimentConfig(shots=40_000, seed=11)
-    bases = (_labeled(np.eye(d, dtype=complex)), _fourier(d))
+    bases = (_labeled(np.eye(d, dtype=complex)), fourier_basis(d))
     tables = [run_cloning_experiment(basis.states[0], basis, cfg) for basis in bases]
     assert tables[0].counts == tables[1].counts
     res = estimate_probabilities(tables[0])
@@ -1689,7 +1710,7 @@ def test_counts_do_not_depend_on_the_basis_at_any_fidelity(d, weights):
     # computational, the Fourier and a Haar basis, input by input
     config = ExperimentConfig(shots=2000, v=0.9, prep_fidelity=0.8, analysis_fidelity=0.7,
                               ancilla_weights=weights, seed=8)
-    bases = [_labeled(np.eye(d, dtype=complex)), _fourier(d), _haar_basis(d)]
+    bases = [_labeled(np.eye(d, dtype=complex)), fourier_basis(d), _haar_basis(d)]
     for i in range(d):
         tables = [run_cloning_experiment(basis.states[i], basis, config) for basis in bases]
         assert tables[0].counts == tables[1].counts == tables[2].counts
@@ -1974,12 +1995,12 @@ def test_counts_keep_basis_labels_that_contain_the_separator():
     (0, (3, 1, 2), 0, "3 counts for 2 basis labels"),
     (0, (3,), 0, "1 counts for 2 basis labels"),
     # the CSV would write 2.5, the JSON 2 and the estimator read 2.5
-    (0, (2.5, 0.5), 0, r"^counts must be integers, got 2\.5$"),
-    (0, (2.0, 1), 0, r"^counts must be integers, got 2\.0$"),
-    (0, (3, float("nan")), 0, r"^counts must be integers, got nan$"),
-    (0, (True, 1), 0, r"^counts must be integers, got True$"),
-    (0, (3, 1), 1.5, r"^batches must be integers, got 1\.5$"),
-    (0, (3, 1), True, r"^batches must be integers, got True$"),
+    (0, (2.5, 0.5), 0, r"^counts must be an integer, got 2\.5$"),
+    (0, (2.0, 1), 0, r"^counts must be an integer, got 2\.0$"),
+    (0, (3, float("nan")), 0, r"^counts must be an integer, got nan$"),
+    (0, (True, 1), 0, r"^counts must be an integer, got True$"),
+    (0, (3, 1), 1.5, r"^batches must be an integer, got 1\.5$"),
+    (0, (3, 1), True, r"^batches must be an integer, got True$"),
     # numpy reads True as a mask, not as index 1
     (True, (3, 1), 0, r"^phi index must be an integer, got True$"),
     (1.0, (3, 1), 0, r"^phi index must be an integer, got 1\.0$"),
@@ -1994,9 +2015,12 @@ def test_counts_table_keeps_its_counts_as_a_tuple_in_outcome_order():
     table = CountsTable(("s0", "s1", "s2"), 2, [4, 0, 9], ExperimentConfig(shots=13))
     assert table.counts == (4, 0, 9)
     assert table.input_label == "s2"
-    # numpy integers are integers, kept as ints
-    table = CountsTable(("s0", "s1"), 0, list(np.array([4, 9])), ExperimentConfig(shots=13))
+    # numpy integers are integers, kept as ints, so the summary serializes
+    table = CountsTable(("s0", "s1"), np.int64(0), list(np.array([4, 9])),
+                        ExperimentConfig(shots=13), batches=np.int64(2))
     assert table.counts == (4, 9) and all(type(n) is int for n in table.counts)
+    assert type(table.phi_index) is int and type(table.batches) is int
+    assert json.loads(json.dumps(table.to_dict()))["batches"] == 2
     # a mapping names its outcomes by key, which the table cannot check
     with pytest.raises(TypeError, match="counts must be a list or a tuple, got dict"):
         CountsTable(("s0", "s1"), 0, {1: 3, 2: 4}, ExperimentConfig(shots=7))

@@ -1,11 +1,14 @@
 """Hilbert-space primitives: state validation, bench bases, fidelities."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from _engine_reference import haar_state
+from _engine_reference import fourier_basis, haar_state
+from symclone.bosonic import FockState, beam_splitter, identical_photons, single_photon
+from symclone.cloning import CloningSpec, f_est
 from symclone.hilbert import (
     BASIS_NAMES,
     DensityMatrix,
@@ -42,6 +45,46 @@ def test_pure_state_requires_normalization():
 def test_pure_state_requires_dim_at_least_two():
     with pytest.raises(ValueError):
         PureState(1, np.array([1.0]))
+
+
+# The callers of the one integer rule and the one dimension rule of
+# ``symclone.hilbert``, each with a value that is not an integer
+_NOT_AN_INTEGER = [
+    pytest.param(lambda v: PureState(v, np.eye(4)[0]), 4.0, id="PureState-dim"),
+    pytest.param(lambda v: DensityMatrix(v, np.eye(2) / 2), 2.0, id="DensityMatrix-dim"),
+    pytest.param(lambda v: LabeledBasis(v, basis_logical().states, basis_logical().labels), 4.0,
+                 id="LabeledBasis-dim"),
+    pytest.param(lambda v: CloningSpec(d=v, n=1, m=2), 4.0, id="CloningSpec-d"),
+    pytest.param(lambda v: basis_state(4, v), 1.0, id="basis_state-k-float"),
+    pytest.param(lambda v: basis_state(4, v), True, id="basis_state-k-bool"),
+    pytest.param(basis_computational, 4.0, id="basis_computational-d"),
+    pytest.param(lambda v: FockState.vacuum(2, v), 4.0, id="FockState.vacuum-dim"),
+    pytest.param(lambda v: beam_splitter(single_photon(0, basis_state(4, 0)), 0, v), True,
+                 id="beam_splitter-port"),
+    pytest.param(lambda v: identical_photons(0, basis_state(4, 0), v), 2.0,
+                 id="identical_photons-n"),
+]
+
+
+@pytest.mark.parametrize("build, value", _NOT_AN_INTEGER)
+def test_a_dimension_index_or_count_that_is_not_an_integer_is_an_error_naming_it(build, value):
+    # a float such as 4.0 or a bool is not an integer, even where numpy or
+    # Python would read it as one
+    with pytest.raises(ValueError, match=rf" must be an integer, got {re.escape(repr(value))}$"):
+        build(value)
+
+
+def test_one_dimension_rule_serves_states_bases_and_specs():
+    # a numpy integer is an integer, stored as an int; below 2 is one error
+    d = np.int64(4)
+    dims = (PureState(d, np.eye(4)[0]).dim, DensityMatrix(d, np.eye(4) / 4).dim,
+            basis_computational(d).dim, basis_state(d, np.int64(1)).dim,
+            CloningSpec(d=d, n=1, m=2).d)
+    assert all(type(x) is int and x == 4 for x in dims)
+    for build in (lambda: PureState(1, [1.0]), lambda: basis_computational(1),
+                  lambda: CloningSpec(d=1, n=1, m=2), lambda: f_est(1, 1)):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 2, got 1$"):
+            build()
 
 
 def test_pure_state_normalized_constructor():
@@ -198,16 +241,9 @@ def test_index_of():
 # ----------------------------------------------------------- unbiasedness
 
 
-def _fourier_basis(d: int) -> LabeledBasis:
-    k = np.arange(d)
-    cols = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
-    states = tuple(PureState(d, cols[:, j]) for j in range(d))
-    return LabeledBasis(d, states, tuple(f"f{j}" for j in range(d)))
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_fourier_basis_is_unbiased_to_computational(d):
-    overlaps = _cross_overlaps(basis_computational(d), _fourier_basis(d))
+    overlaps = _cross_overlaps(basis_computational(d), fourier_basis(d))
     assert np.max(np.abs(overlaps - 1 / d)) < 1e-10
 
 

@@ -81,6 +81,7 @@ _ONCE = {
     "clone --json d=3 amplitudes": ["clone", "--json", "--input", "0.6,0.8j,0"],
     "clone IV:2": ["clone", "--input", "IV:2"],
     "hom IV:1 ancilla I:1": ["hom", "--input", "IV:1", "--ancilla", "I:1"],
+    "clone --json --input=-0.6,0.8": ["clone", "--json", "--input=-0.6,0.8"],
 }
 
 # The size of the recorded digests: small enough for the test suite.
