@@ -13,24 +13,43 @@ coincidences has been collected.
 
 Randomness
 ----------
-Reproducible, with one stream per input drawn in order. Trials are
-processed in fixed-size batches (``BATCH_TRIALS``). The run for input index
-``i`` draws every variate from one generator,
+Reproducible, with one stream per input drawn in order. Trials come in
+fixed-size batches of B = ``BATCH_TRIALS``, and a run evaluates them in
+draws of one or more batches. The run for input index ``i`` draws every
+variate from one generator,
 
     Generator(PCG64(SeedSequence(config.seed, spawn_key=(i,))))
 
-built when the run starts. Batches 0, 1, ... draw from it in order, each
-where the one before it stopped, until ``shots`` coincidences are counted,
-so two runs with the same config are count-for-count identical. The run
-records the number of batches it evaluated in its ``CountsTable``.
+built when the run starts. Draws 0, 1, ... take their variates from it in
+order, each where the one before it stopped, until ``shots`` coincidences
+are counted, so two runs with the same config are count-for-count
+identical. The run records the number of batches it evaluated, summed over
+its draws, in its ``CountsTable``.
 
-The batch that fills ``shots`` usually yields more coincidences than are
-still needed. A batch returns its counts per outcome, not its hits in trial
+Draw 0 is one batch. With h coincidences counted over the b batches drawn
+so far and ``need`` still to count, the next draw takes
+
+    m = ceil((need + 3 sqrt(need)) * b / h)
+
+batches, enough to fill ``need`` at the yield so far with three standard
+deviations to spare, and one batch while h = 0. m is at most the cap of
+the table (``_draw_cap``): the most batches that keep a draw's expected
+near trials (below) times d at or below ``_DRAW_CELLS``, and at least one,
+so ~4 on the degraded basis-IV bench and 1 at d >= 16. A table with no near
+cells is capped at ``_MAX_DRAW_BATCHES`` only, which keeps a draw's hits
+within what ``multivariate_hypergeometric`` takes. The sizes do not change
+the law: a draw of m batches is one multinomial draw over m B trials, which
+counts them per cell as m draws over B trials would in sum; and a draw's
+size depends only on the draws before it, so the hits stay independent in
+trial order.
+
+The draw that fills ``shots`` usually yields more coincidences than are
+still needed. A draw returns its counts per outcome, not its hits in trial
 order, so the run keeps a uniformly random subset of them of the size it
 needs, with one ``multivariate_hypergeometric`` draw on those counts, from
-the input's generator after the batch's own draws. This is exact: the
+the input's generator after the draw's own variates. This is exact: the
 trials are independent, so the first r hits in trial order would be a
-uniformly random r-subset of the batch's hits as well.
+uniformly random r-subset of the draw's hits as well.
 
 A trial is post-selected with outcome j when
 
@@ -50,9 +69,9 @@ trial. A trial whose scanner weights sum to at most ``_Q_TOTAL_CUTOFF`` is
 never accepted: no scanner setting can click, and a sum that small is
 rounding residue of an exact 0, not a click probability.
 
-The draws of a run follow stream layout 14 (``STREAM_LAYOUT``): its
-batches in order, then that sample. Within a batch of B trials the layout
-draws only the variates a trial can still use.
+The variates of a run follow stream layout 15 (``STREAM_LAYOUT``): its
+draws in order, then that sample. Within a draw of n = m B trials the
+layout draws only the variates a trial can still use.
 In a trial where no state was replaced (a "clean" trial) p_coal/2,
 p_filter, the bound b_k = min(p_coal/2, p_coal/2 * p_filter) of step 5
 below and the d thresholds t_{k,j} depend on the ancilla index alone, so
@@ -63,7 +82,7 @@ largest bound of step 5 such a trial can have. A replaced state is
 orthogonal to its target, so a replaced signal S has S_p = 0 and
 <e_p|S> = 0: with k = p its p_coal/2 is 1/8 and its p_filter is 1/2 with
 the filter kept and at most 1/2 with it replaced, so r = 1/16. Each trial
-falls in one cell of one ``multinomial`` draw of B trials:
+falls in one cell of one ``multinomial`` draw of n trials:
 
 - A_k, ancilla k, the signal replaced, the filter kept and u < r:
   w_k (1 - f_p) f_a r, r = 1/16 for k = p and 0 otherwise, where the
@@ -88,13 +107,13 @@ falls in one cell of one ``multinomial`` draw of B trials:
 - the rest of 1, the trials that can never be counted.
 
 The table of an input holds these cells with the input index, v and f_a
-that the walk below reads, so it is a batch's whole law: a batch takes the
-table and its stream and nothing else, and cannot pair the cells with
-other values. The O cells are the batch's counts of its clean trials, so
-an ideal batch (f_p = f_a = 1, every other cell empty) is that one draw;
-at v = 1 with uniform ancilla weights, 7/64 of its trials land in the O
-cells. The trials of the A, A', C and E cells, the "near" trials, are
-walked; their draws, in this order:
+that the walk below reads, so it is a draw's whole law: a draw takes the
+table, its stream and its number of batches and nothing else, and cannot
+pair the cells with other values. The O cells are the draw's counts of its
+clean trials, so an ideal draw (f_p = f_a = 1, every other cell empty) is
+that one multinomial; at v = 1 with uniform ancilla weights, 7/64 of its
+trials land in the O cells. The trials of the A, A', C and E cells, the
+"near" trials, are walked; their draws, in this order:
 
 1. the multinomial draw over the cells;
 2. one accept uniform ``u`` per near trial, uniform on [0, r) for the
@@ -108,8 +127,8 @@ walked; their draws, in this order:
    setting other than k, in the order of the replaced settings, and one per
    trial for that first replaced setting.
 
-The trials of a batch are independent, so only how many fall in each cell
-matters, not which: a batch holds its near trials grouped by cell, and a
+The trials of a draw are independent, so only how many fall in each cell
+matters, not which: a draw holds its near trials grouped by cell, and a
 trial outside every near cell draws nothing at all. A perturbation of n
 states with fidelity f = 1 draws nothing; otherwise it draws the number
 k ~ Binomial(n, 1 - f) of states it replaces, then which k of them (a
@@ -133,7 +152,7 @@ the table.
 
 A fixed seed reproduces counts only under the layout that drew them;
 CHANGES.md records what each layout changed from the one before. The tests
-check layout 14 against
+check layout 15 against
 
 - the exact outcome law of each configuration with an ideal analyzer,
   which ``outcome_law`` builds from the second-quantized engine, averaging
@@ -146,6 +165,10 @@ check layout 14 against
   reference;
 - whole runs of layout 12, whose batch the tests keep, in a two-sample
   test;
+- whole runs of layout 14, which drew one batch at a time, in a two-sample
+  test;
+- a replay of the run, draw by draw, with the size rule written out, bit
+  for bit, and the walked cells of each degraded draw against the cap;
 - a per-row reference batch in the kernel's own draw order, bit for bit.
   It builds each scanner setting of an E trial in full from its X and
   evaluates the full closed forms, so it checks the shortcut trial by
@@ -182,8 +205,8 @@ trial. A trial passes both thinning steps exactly when
 u < min(p_coal/2, p_coal/2 * p_filter * margin), one comparison. A
 perturbation returns the indices of the states it replaced, and a replaced
 state is kept with the index of its trial. The near trials that reach
-step 5 are counted in one pass: outcome j is the number of the trial's
-thresholds at or below u.
+step 5 are counted in two passes, the A, A' and C trials, then the E
+trials: outcome j is the number of the trial's thresholds at or below u.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
@@ -232,11 +255,11 @@ __all__ = [
 # statistics).
 BATCH_TRIALS = 32768
 
-# The order of the draws in a run and their use: the batches in order, each
-# as the module docstring states, then the sample of the batch that fills
-# ``shots``. Recorded in every config dict: a fixed seed reproduces counts
-# only under the layout that drew them.
-STREAM_LAYOUT = 14
+# The order of the variates in a run and their use: the draws of batches in
+# order, each sized and drawn as the module docstring states, then the
+# sample of the draw that fills ``shots``. Recorded in every config dict: a
+# fixed seed reproduces counts only under the layout that drew them.
+STREAM_LAYOUT = 15
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -254,8 +277,23 @@ _Q_TOTAL_CUTOFF = 1e-20
 _BOUND_MARGIN = 1.0 + 1e-9
 
 # Give up if this many consecutive batches, 8 192 000 trials whatever the
-# batch size, yield no coincidence at all.
+# batch size, yield no coincidence at all. A draw without a coincidence
+# counts all its batches and a draw with one starts the count again; before
+# the first coincidence every draw is one batch.
 _MAX_DRY_BATCHES = 8_192_000 // BATCH_TRIALS
+
+# A draw walks all its near trials at once, so the cap of a table
+# (``_draw_cap``) keeps a draw's expected near trials times d, the entries
+# of its widest arrays, at or below this many: 3 or 4 batches a draw on the
+# degraded basis-IV bench. There, warm 5e4-shot tables took a median of 0,
+# 4 and 1 379 minor faults at 8 192, 16 384 and 32 768 cells (3 at layout
+# 14, one batch a draw): past ~0.5 MB of arrays glibc trims the heap top
+# after a draw and the next one faults it back.
+_DRAW_CELLS = 16_384
+
+# The most batches of one draw: its hits stay below the 10^9 that
+# ``multivariate_hypergeometric`` takes.
+_MAX_DRAW_BATCHES = 10**9 // BATCH_TRIALS
 
 # Each field of ``ExperimentConfig`` and its key, in ``to_dict`` order. The
 # key names the value in ``to_dict``, in config files, in the JSON summary and
@@ -599,19 +637,22 @@ def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.nd
     cum_q = np.cumsum(q, axis=1)
     totals = cum_q[:, -1:]
     resolvable = totals > _Q_TOTAL_CUTOFF
-    scale = np.where(resolvable, (half_coal * p_filter)[:, None], 0.0)
-    return scale * cum_q / np.where(resolvable, totals, 1.0)
+    totals = np.where(resolvable, totals, 1.0)
+    # scale * cum_q / totals, in place: these are a draw's widest arrays
+    cum_q *= np.where(resolvable, (half_coal * p_filter)[:, None], 0.0)
+    cum_q /= totals
+    return cum_q
 
 
 class _CleanRows(NamedTuple):
-    """The constants of one input's batches (see :func:`_clean_row_table`),
-    a batch's whole law. Every per-ancilla array is indexed by the ancilla
+    """The constants of one input's draws (see :func:`_clean_row_table`),
+    a draw's whole law. Every per-ancilla array is indexed by the ancilla
     index k."""
 
     p: int  # the input, basis state p of the measurement basis
     v: float  # the overlap at the first splitter
     analysis_f: float  # the fidelity of the filter-arm and scanner-arm perturbations
-    cells: np.ndarray  # the multinomial cells of a batch: near cells, outcome cells, the rest
+    cells: np.ndarray  # the multinomial cells of a trial: near cells, outcome cells, the rest
     reach: np.ndarray  # per near cell, the bound below which its accept uniform is drawn
     half_coal: np.ndarray  # p_coal/2 of a trial with a clean signal
     p_filter: np.ndarray  # p_filter of a trial with a clean signal and filter
@@ -620,7 +661,7 @@ class _CleanRows(NamedTuple):
 def _clean_row_table(
     p: int, weights: np.ndarray, v: float, prep_f: float, analysis_f: float
 ) -> _CleanRows:
-    """The constants of the batches of input ``p`` with ancilla weights
+    """The constants of the draws of input ``p`` with ancilla weights
     ``weights``, overlap v and fidelities ``prep_f`` and ``analysis_f``,
     computed once per input: the cells of the stream layout and their
     reaches (see the module docstring). It keeps p, v and ``analysis_f`` as
@@ -635,7 +676,7 @@ def _clean_row_table(
     p_coal/2 and p_filter, evaluated by the same closed forms as the
     near trials in :func:`_simulate_batch`.
 
-    ``cells`` are the probabilities of a batch's one ``multinomial`` draw,
+    ``cells`` are the probabilities of the one ``multinomial`` of a draw,
     for the weights w_k normalized, f_p = ``prep_f`` and f_a =
     ``analysis_f``: first the near cells, cell c = kind * d + k for ancilla
     k, with kind 0 for A_k, 1 for A'_k, 2 for C_k and 3 + i for E_{i,k};
@@ -682,9 +723,9 @@ def _signal_and_filter_arms(
     rng: np.random.Generator,
 ):
     """Draw steps 3 and 4 of the module docstring for the A trials of a
-    batch, its first ``n_a`` near trials, its A' trials, the next ``n_af``,
+    draw, its first ``n_a`` near trials, its A' trials, the next ``n_af``,
     and its C trials, the next ``n_c``; ``u`` and ``anc`` hold the accept
-    uniforms and the ancilla indices of the batch's near trials.
+    uniforms and the ancilla indices of the draw's near trials.
 
     Returns the indices of the A, A' and C trials below their bound of step
     5, with their signals, p_coal/2 and filter terms (:func:`_filter_terms`).
@@ -727,7 +768,7 @@ def _scanner_overlaps(table: _CleanRows, S: np.ndarray, anc: np.ndarray, rng: np
 
 
 def _e_trial_weights(table: _CleanRows, anc: np.ndarray, first: np.ndarray, rng: np.random.Generator):
-    """Draw step 5 of the module docstring for the E trials of a batch, by
+    """Draw step 5 of the module docstring for the E trials of a draw, by
     its E-trial shortcut: returns X_j = |g_j[k]|^2, one row of d settings
     per trial. ``anc`` is each trial's ancilla index k and ``first`` its
     first replaced scanner setting, in the order of the settings that puts
@@ -753,23 +794,45 @@ def _e_trial_weights(table: _CleanRows, anc: np.ndarray, first: np.ndarray, rng:
     return x
 
 
-def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
-    """Run BATCH_TRIALS single-shot trials on ``rng``; return the number of
-    post-selected trials with each outcome. ``table`` is
+def _outcome_counts(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The number of trials counted with each outcome, for accept uniforms
+    ``u`` and one row of thresholds per trial: outcome j is the number of
+    the trial's thresholds at or below its u, and d is no count."""
+    d = thresholds.shape[1]
+    return np.bincount((u[:, None] >= thresholds).sum(axis=1), minlength=d + 1)[:d]
+
+
+def _full_path_counts(table: _CleanRows, u, anc, n_a: int, n_af: int, n_c: int, rng) -> np.ndarray:
+    """Draw steps 3 to 5 of the module docstring for the A, A' and C trials
+    of a draw (see :func:`_signal_and_filter_arms` for the arguments);
+    returns their counts per outcome. Their arrays are freed on return,
+    before the E trials draw."""
+    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(
+        table, u, anc, n_a, n_af, n_c, rng
+    )
+    q = _event_terms(A, B, table.v, *_scanner_overlaps(table, S, anc[rows], rng))
+    return _outcome_counts(u[rows], _acceptance_thresholds(half_coal, p_filter, q))
+
+
+def _simulate_batch(table: _CleanRows, rng: np.random.Generator, batches: int) -> np.ndarray:
+    """Run one draw of ``batches`` batches, batches * BATCH_TRIALS
+    single-shot trials, on ``rng``; return the number of post-selected
+    trials with each outcome. ``table`` is
     :func:`_clean_row_table` of the input, the overlap v, the ancilla
-    weights and the run's fidelities, and it is the batch's whole law: the
+    weights and the run's fidelities, and it is the draw's whole law: the
     input index p, v and the analysis fidelity f_a, which the scanner-arm
-    perturbation draws with, are read from it, so a batch cannot be run
+    perturbation draws with, are read from it, so a draw cannot be run
     under values other than those its cells were built for.
 
-    The batch draws in the stream layout (see the module docstring): steps 1
-    and 2 here, steps 3 and 4 in :func:`_signal_and_filter_arms`, and step 5
-    in :func:`_scanner_overlaps` for the A, A' and C trials that reach it,
-    whose scanner weights then come from :func:`_event_terms`, and in
-    :func:`_e_trial_weights` for the E trials.
+    The draw follows the stream layout (see the module docstring): steps 1
+    and 2 here, then, in :func:`_full_path_counts`, steps 3 and 4 in
+    :func:`_signal_and_filter_arms` and step 5 in :func:`_scanner_overlaps`
+    for the A, A' and C trials that reach it, whose scanner weights then
+    come from :func:`_event_terms`, and step 5 in :func:`_e_trial_weights`
+    for the E trials.
     """
     d = len(table.half_coal)
-    n = rng.multinomial(BATCH_TRIALS, table.cells)
+    n = rng.multinomial(batches * BATCH_TRIALS, table.cells)
     counts = n[-1 - d : -1]
     near = n[: len(table.reach)]
     cell = np.repeat(np.arange(len(near)), near)  # grouped by cell: A, A', C, then E trials
@@ -785,29 +848,35 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator) -> np.ndarray:
     # place of ~0.59 MB, glibc trimmed the heap top after each batch and the
     # next one faulted it back: 7 467 minor faults per 5e4-shot table
     # against 0 (4 499 against 0 once a 300 KB array had raised glibc's trim
-    # threshold), and slower tables
-    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(
-        table, u, anc, n_a, n_af, n_c, rng
-    )
-    F, G = _scanner_overlaps(table, S, anc[rows], rng)
-    q = _event_terms(A, B, table.v, F, G)
-    # the E trials follow the A, A' and C trials that pass, with their terms
-    # read from the table
-    e_rows = np.arange(n_a + n_af + n_c, len(cell))
-    e_anc = anc[e_rows]
+    # threshold), and slower tables. The A, A' and C trials are counted
+    # before the E trials draw, so a draw of 4 such batches peaks at
+    # ~0.44 MB of arrays (tracemalloc); counted together with the E trials,
+    # and with thresholds scaled out of place, it peaked at ~0.84 MB and a
+    # CLI pass of that bench took ~2 600 minor faults in place of ~1
+    counts += _full_path_counts(table, u, anc, n_a, n_af, n_c, rng)
+    # the E trials follow the A, A' and C trials, with their terms read from
+    # the table
+    e = slice(n_a + n_af + n_c, None)
+    e_anc = anc[e]
     # position i of the order that puts setting k last is setting i below
     # k and setting i + 1 from k on
-    first = cell[e_rows] // d - 3
+    first = cell[e] // d - 3
     first += first >= e_anc
-    q = np.concatenate([q, _e_trial_weights(table, e_anc, first, rng)])
-    rows = np.concatenate([rows, e_rows])
-    thresholds = _acceptance_thresholds(
-        np.concatenate([half_coal, table.half_coal[e_anc]]),
-        np.concatenate([p_filter, table.p_filter[e_anc]]),
-        q,
-    )
-    counts += np.bincount((u[rows, None] >= thresholds).sum(axis=1), minlength=d + 1)[:d]
+    x = _e_trial_weights(table, e_anc, first, rng)
+    counts += _outcome_counts(u[e], _acceptance_thresholds(table.half_coal[e_anc],
+                                                           table.p_filter[e_anc], x))
     return counts
+
+
+def _draw_cap(table: _CleanRows) -> int:
+    """The most batches one draw of ``table`` takes: the most that keep the
+    draw's expected near trials times d at or below ``_DRAW_CELLS``, at
+    least 1 and at most ``_MAX_DRAW_BATCHES``, which alone caps a table with
+    no near cells."""
+    cells = BATCH_TRIALS * len(table.half_coal) * table.cells[: len(table.reach)].sum()
+    if cells * _MAX_DRAW_BATCHES <= _DRAW_CELLS:
+        return _MAX_DRAW_BATCHES
+    return max(1, int(_DRAW_CELLS // cells))
 
 
 def run_cloning_experiment(
@@ -817,10 +886,11 @@ def run_cloning_experiment(
 ) -> CountsTable:
     """Collect coincidence counts for one input state of ``basis``.
 
-    ``phi`` must be an element of ``basis``; trials accumulate until
+    ``phi`` must be an element of ``basis``; trials accumulate, in draws
+    of batches sized to the coincidences still needed, until
     ``config.shots`` post-selected coincidences are recorded. Fully
     deterministic given the config (see the module docstring for the
-    stream layout).
+    stream layout and the size of each draw).
     """
     phi_index = basis.index_of(phi)
     table = _clean_row_table(
@@ -830,36 +900,41 @@ def run_cloning_experiment(
         config.prep_fidelity,
         config.analysis_fidelity,
     )
-    # one stream per input: the batches, then the closing sample, draw from it in order
+    cap = _draw_cap(table)
+    # one stream per input: the draws, then the closing sample, draw from it in order
     seed = np.random.SeedSequence(config.seed, spawn_key=(phi_index,))
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = np.zeros(basis.dim, dtype=np.int64)
     collected = 0
-    batch = 0
+    batches = 0
     dry = 0
     while collected < config.shots:
-        batch_counts = _simulate_batch(table, rng)
-        batch += 1
-        hits = int(batch_counts.sum())
+        need = config.shots - collected
+        size = 1
+        if collected:
+            # ``need`` at the yield so far, with three standard deviations to spare
+            size = min(cap, math.ceil((need + 3.0 * math.sqrt(need)) * batches / collected))
+        draw_counts = _simulate_batch(table, rng, size)
+        batches += size
+        hits = int(draw_counts.sum())
         if hits == 0:
-            dry += 1
+            dry += size
             if dry >= _MAX_DRY_BATCHES:
                 raise RuntimeError("post-selection yield is (near) zero for this configuration")
             continue
         dry = 0
-        need = config.shots - collected
         if hits > need:
-            # keep a uniformly random ``need`` of the batch's hits, as the
+            # keep a uniformly random ``need`` of the draw's hits, as the
             # first ``need`` in trial order of independent trials would be
-            batch_counts = rng.multivariate_hypergeometric(batch_counts, need)
-        counts += batch_counts
+            draw_counts = rng.multivariate_hypergeometric(draw_counts, need)
+        counts += draw_counts
         collected += min(hits, need)
     return CountsTable(
         basis_labels=tuple(basis.labels),
         phi_index=phi_index,
         counts=counts.tolist(),
         config=config,
-        batches=batch,
+        batches=batches,
     )
 
 

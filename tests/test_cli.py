@@ -491,7 +491,8 @@ def test_experiment_runtime_failure_is_one_error_line(tmp_path, monkeypatch, cap
     # a kernel that never yields a coincidence: the run gives up after the
     # dry-batch budget, a runtime failure, and writes nothing
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 3)
-    monkeypatch.setattr(experiment, "_simulate_batch", lambda table, rng: np.zeros(0, dtype=np.intp))
+    monkeypatch.setattr(experiment, "_simulate_batch",
+                        lambda table, rng, batches: np.zeros(0, dtype=np.intp))
     out_dir = tmp_path / "runs"
     assert main(["experiment", "--shots", "100", "--out-dir", str(out_dir)]) == EXIT_RUNTIME
     captured = capsys.readouterr()

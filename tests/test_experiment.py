@@ -140,11 +140,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 14
+    assert cfg.to_dict()["streamLayout"] == 15
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, "14", None):
+    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, "15", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -806,7 +806,7 @@ def test_batches_and_runs_sample_the_exact_outcome_law(case):
         table = _clean_row_table(i, config.weights_for(d), v, prep_f, 1.0)
         pooled = np.zeros(d)
         for b in range(16):
-            pooled += _simulate_batch(table, _batch_rng(pooled_seed, i, b))
+            pooled += _simulate_batch(table, _batch_rng(pooled_seed, i, b), 1)
         assert np.max(np.abs(_one_sample_z(pooled, 16 * BATCH_TRIALS, law))) < 5.0
         counts = run_cloning_experiment(phi, basis, config).counts
         counts = np.array([counts[k] for k in range(d)])
@@ -833,12 +833,13 @@ def test_ideal_batch_draws_one_multinomial_and_nothing_else():
     table = _clean_row_table(0, np.full(4, 0.25), 1.0, 1.0, 1.0)
     assert not table.cells[:24].any()
     assert table.cells[24:28].sum() == pytest.approx(7 / 64, rel=1e-12)
-    rng = _CallLog(_batch_rng(3, 0, 0))
-    counts = _simulate_batch(table, rng)
-    assert rng.calls == ["multinomial"]
-    fresh = _batch_rng(3, 0, 0)
-    assert np.array_equal(counts, fresh.multinomial(BATCH_TRIALS, table.cells)[24:28])
-    assert _stream_position(rng.rng) == _stream_position(fresh)
+    for batches in (1, 5):  # a draw of 5 batches is one multinomial over their trials
+        rng = _CallLog(_batch_rng(3, 0, 0))
+        counts = _simulate_batch(table, rng, batches)
+        assert rng.calls == ["multinomial"]
+        fresh = _batch_rng(3, 0, 0)
+        assert np.array_equal(counts, fresh.multinomial(batches * BATCH_TRIALS, table.cells)[24:28])
+        assert _stream_position(rng.rng) == _stream_position(fresh)
 
 
 def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
@@ -849,7 +850,7 @@ def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
     v, f = 0.9, 0.8
     table = _clean_row_table(2, np.full(4, 0.25), v, f, 1.0)
     rng = _batch_rng(21, 2, 0)
-    _simulate_batch(table, rng)
+    _simulate_batch(table, rng, 1)
     fresh = _batch_rng(21, 2, 0)
     n = fresh.multinomial(BATCH_TRIALS, table.cells)
     n_a = n[:4].sum()
@@ -871,7 +872,7 @@ def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials
     phi, v, f = basis.states[0].amps, 0.9, 0.7
     table = _clean_row_table(0, np.full(4, 0.25), v, 1.0, f)
     rng = _batch_rng(22, 0, 0)
-    _simulate_batch(table, rng)
+    _simulate_batch(table, rng, 1)
     fresh = _batch_rng(22, 0, 0)
     n = fresh.multinomial(BATCH_TRIALS, table.cells)[:24]
     cell = np.repeat(np.arange(24), n)
@@ -911,7 +912,7 @@ def _two_sample_z(case, reference, seeds, batches=16):
     for i in range(4):
         table = _clean_row_table(i, weights, v, prep_f, analysis_f)
         for b in range(batches):
-            counts[0, i] += _simulate_batch(table, _batch_rng(seeds[0], i, b))
+            counts[0, i] += _simulate_batch(table, _batch_rng(seeds[0], i, b), 1)
             hits = reference(i, basis.matrix, weights, v, prep_f, analysis_f, _batch_rng(seeds[1], i, b))
             counts[1, i] += np.bincount(hits, minlength=4)
     p = counts.sum(axis=0) / (2 * n)
@@ -957,9 +958,9 @@ def _clean_reference(p, d, v):
     return bound, np.minimum(thresholds, bound[:, None])
 
 
-def _reference_near_trials(p, basis_cols, weights, v, prep_f, analysis_f, rng):
-    """Steps 1-4 of a reference batch of input ``p`` in the draw order of
-    stream layouts 12 to 14, which build the cells from the clean trial of
+def _reference_near_trials(p, basis_cols, weights, v, prep_f, analysis_f, rng, batches=1):
+    """Steps 1-4 of a reference draw of ``batches`` batches of input ``p`` in
+    the draw order of stream layouts 12 to 15, which build the cells from the clean trial of
     each ancilla and the reach of each kind of near trial, written out term
     by term, and evaluate p_coal/2 and the filter terms on every near trial
     from explicit states in lab coordinates, with no clean-row table. The
@@ -994,7 +995,7 @@ def _reference_near_trials(p, basis_cols, weights, v, prep_f, analysis_f, rng):
     near += [w * prep_f * analysis_f * analysis_f**i * (1.0 - analysis_f) for i in range(d - 1)]
     near = np.concatenate(near) * reach
     clean = w * prep_f * analysis_f ** (d + 1) @ np.diff(thresholds, axis=1, prepend=0.0)
-    n = rng.multinomial(BATCH_TRIALS, [*near, *clean, 1.0 - near.sum() - clean.sum()])
+    n = rng.multinomial(batches * BATCH_TRIALS, [*near, *clean, 1.0 - near.sum() - clean.sum()])
     counts = n[len(near) : len(near) + d].copy()
     cell = np.repeat(np.arange(len(near)), n[: len(near)])
     kind, anc = np.divmod(cell, d)
@@ -1046,9 +1047,10 @@ def _settings_with_weight(j, k, x, settings):
     return chi @ settings
 
 
-def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
-    """Reference: a batch of input ``p`` in the kernel's draw order (stream
-    layouts 13 and 14), with steps 1-4 of :func:`_reference_near_trials`;
+def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng, batches=1):
+    """Reference: a draw of ``batches`` batches of input ``p`` in the
+    kernel's draw order (stream layouts 13 to 15), with steps 1-4 of
+    :func:`_reference_near_trials`;
     returns its counts per outcome. Step 5 replaces every scanner setting
     of each A, A' and C trial with probability 1 - f_a by a Haar state
     orthogonal to it.
@@ -1062,7 +1064,7 @@ def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
     through the full closed forms checks the kernel's shortcut trial by
     trial."""
     counts, kind, anc, u, S, N, filters, half_coal = _reference_near_trials(
-        p, basis_cols, weights, v, prep_f, analysis_f, rng)
+        p, basis_cols, weights, v, prep_f, analysis_f, rng, batches)
     d = len(basis_cols)
     settings = basis_cols.T
     G = np.array(np.broadcast_to(settings, (len(anc), d, d)))
@@ -1137,11 +1139,13 @@ def _layout2_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
 
 def _assert_table_path_matches_reference(basis, phi_index, weights, v, prep_f, analysis_f,
                                          seed, batches):
+    # draws of one and of two batches in turn
     table = _clean_row_table(phi_index, weights, v, prep_f, analysis_f)
     for b in range(batches):
         fast, slow = _batch_rng(seed, phi_index, b), _batch_rng(seed, phi_index, b)
-        counts = _simulate_batch(table, fast)
-        expected = _per_row_batch(phi_index, basis.matrix, weights, v, prep_f, analysis_f, slow)
+        counts = _simulate_batch(table, fast, 1 + b % 2)
+        expected = _per_row_batch(phi_index, basis.matrix, weights, v, prep_f, analysis_f, slow,
+                                  1 + b % 2)
         assert np.array_equal(counts, expected), (b, counts, expected)
         assert _stream_position(fast) == _stream_position(slow)
 
@@ -1219,7 +1223,7 @@ def test_near_trials_reach_as_far_as_a_trial_can_be_kept(monkeypatch, case):
             arms.clear()
             scanners.clear()
             e_trials.clear()
-            _simulate_batch(table, _batch_rng(47, p, b))
+            _simulate_batch(table, _batch_rng(47, p, b), 1)
             if prep_f == analysis_f == 1.0:
                 assert arms == scanners == e_trials == []
                 continue
@@ -1325,11 +1329,11 @@ def test_ideal_batch_never_evaluates_event_terms(monkeypatch):
     noisy = _clean_row_table(1, weights, 1.0, 0.5, 1.0)
     monkeypatch.setattr(experiment, "_event_terms", counted)
     for b in range(5):
-        counts = _simulate_batch(table, _batch_rng(9, 1, b))
+        counts = _simulate_batch(table, _batch_rng(9, 1, b), 1)
         assert counts.sum() > 0
     assert calls == []
     # the counter sees the rows of a noisy batch, which do need the terms
-    _simulate_batch(noisy, _batch_rng(9, 1, 0))
+    _simulate_batch(noisy, _batch_rng(9, 1, 0), 1)
     assert len(calls) == 1 and calls[0] > 0
 
 
@@ -1394,71 +1398,143 @@ def test_edge_ancilla_weights_run_through_the_multinomial(weights):
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(experiment, "_signal_and_filter_arms", signal_and_filter_arms)
         for b in range(20):
-            _simulate_batch(table, _batch_rng(6, 0, b))
+            _simulate_batch(table, _batch_rng(6, 0, b), 1)
     assert len(arms) == 20 and not np.isin(np.concatenate(arms), zero).any()
     table = run_cloning_experiment(basis.states[0], basis, config)
     assert sum(table.counts) == 500
 
 
-def _single_batch_run(phi, basis, config):
+def _draw_cap(table):
+    """The cap of layout 15's draws, written out: the most batches whose
+    expected near trials times d stay at or below 16 384, at least 1, and
+    at most 10^9 // BATCH_TRIALS = 30 517, the cap of a table with no near
+    cell."""
+    walked = BATCH_TRIALS * len(table.half_coal) * table.cells[: len(table.reach)].sum()
+    return min(30517, max(1, math.floor(16384 / walked))) if walked else 30517
+
+
+def _draw_size(need, batches, collected, cap):
+    """The size of layout 15's next draw, written out: one batch until the
+    first hit, then ceil((need + 3 sqrt(need)) b / h) batches for the b
+    batches and h hits so far, at most ``cap``."""
+    if not collected:
+        return 1
+    return min(cap, math.ceil((need + 3.0 * math.sqrt(need)) * batches / collected))
+
+
+def _reference_run(phi, basis, config, size=_draw_size):
     """Reference: run_cloning_experiment replayed on one generator at the
-    input's start state (:func:`_input_rng`), batch after batch, keeping a
+    input's start state (:func:`_input_rng`), draw after draw, each of
+    ``size(need, batches, collected, cap)`` batches, keeping a
     ``multivariate_hypergeometric`` sample of the outcome counts of the
-    batch that fills ``shots``, drawn after the batch. Returns the counts
-    and the stream state at the start of each batch."""
+    draw that fills ``shots``, drawn after the draw. Returns the counts and,
+    per draw, the stream state at its start and its number of batches."""
     i = basis.index_of(phi)
     table = _clean_row_table(i, config.weights_for(basis.dim), config.v, config.prep_fidelity,
                              config.analysis_fidelity)
+    cap = _draw_cap(table)
     rng = _input_rng(config.seed, i)
-    counts, collected, starts = np.zeros(basis.dim, dtype=np.int64), 0, []
+    counts, collected, batches, draws = np.zeros(basis.dim, dtype=np.int64), 0, 0, []
     while collected < config.shots:
-        starts.append(_stream_position(rng))
-        batch_counts = _simulate_batch(table, rng)
-        if collected + batch_counts.sum() > config.shots:
-            batch_counts = rng.multivariate_hypergeometric(batch_counts, config.shots - collected)
-        counts += batch_counts
-        collected += int(batch_counts.sum())
-    return tuple(counts.tolist()), starts
+        m = size(config.shots - collected, batches, collected, cap)
+        draws.append((_stream_position(rng), m))
+        draw_counts = _simulate_batch(table, rng, m)
+        batches += m
+        if collected + draw_counts.sum() > config.shots:
+            draw_counts = rng.multivariate_hypergeometric(draw_counts, config.shots - collected)
+        counts += draw_counts
+        collected += int(draw_counts.sum())
+    return tuple(counts.tolist()), draws
 
+
+def _one_batch(need, batches, collected, cap):
+    """Layout 14's draw size: every draw is one batch."""
+    return 1
+
+
+_DEGRADED_IV = dict(v=0.9165, prep_fidelity=0.9, analysis_fidelity=0.9,
+                    ancilla_weights=(0.3, 0.3, 0.2, 0.2))
 
 _RUN_CASES = [
     ("I", ExperimentConfig(shots=3000, seed=3)),
-    ("IV", ExperimentConfig(shots=2500, v=0.9165, prep_fidelity=0.9, analysis_fidelity=0.9,
-                            ancilla_weights=(0.3, 0.3, 0.2, 0.2), seed=4)),
+    ("IV", ExperimentConfig(shots=2500, seed=4, **_DEGRADED_IV)),
     ("I", ExperimentConfig(shots=1200, v=0.8, prep_fidelity=0.7, analysis_fidelity=0.8, seed=5)),
-    # three batches per input
+    # three draws of one batch per input, the cap of this table
     ("IV", ExperimentConfig(shots=4000, v=0.8, analysis_fidelity=0.5, seed=6)),
+    # three draws per input, the last two at the cap of 3 or 4 batches
+    ("IV", ExperimentConfig(shots=20_000, seed=7, **_DEGRADED_IV)),
+    # an ideal draw of one batch, then one of 8 batches
+    ("I", ExperimentConfig(shots=30_000, seed=8)),
 ]
 
 
 @pytest.mark.parametrize("runs", [None, 2, 3, 4])
 @pytest.mark.parametrize("basis_name, config", _RUN_CASES)
 def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
-    # the run evaluates batches 0, 1, ... on one stream per input, each
-    # batch starting where the one before it stopped, stops at the batch
-    # that fills ``shots`` and records how many kernel calls it made;
-    # ``runs`` repeats the run in one process (None: once), and each repeat
-    # must start again at the input's start state with nothing carried over
-    # from the last
+    # the run evaluates draws 0, 1, ... on one stream per input, each draw
+    # starting where the one before it stopped and taking the number of
+    # batches the size rule gives, stops at the draw that fills ``shots``
+    # and records the batches of all its draws; ``runs`` repeats the run in
+    # one process (None: once), and each repeat must start again at the
+    # input's start state with nothing carried over from the last
     basis = named_basis(basis_name)
     for i, phi in enumerate(basis.states):
-        counts, starts = _single_batch_run(phi, basis, config)
-        batches = len(starts)
+        counts, draws = _reference_run(phi, basis, config)
+        batches = sum(m for _, m in draws)
         for _ in range(runs or 1):
             evaluated = []
 
-            def kernel(table, rng):
-                evaluated.append(_stream_position(rng))
-                return _simulate_batch(table, rng)
+            def kernel(table, rng, batches):
+                evaluated.append((_stream_position(rng), batches))
+                return _simulate_batch(table, rng, batches)
 
             with monkeypatch.context() as patched:
                 patched.setattr(experiment, "_simulate_batch", kernel)
                 table = run_cloning_experiment(phi, basis, config)
             assert table.counts == counts
-            assert evaluated == starts
+            assert evaluated == draws
             record = table.to_dict()
             assert record["batches"] == table.batches == batches
             assert record["trials"] == table.trials == batches * BATCH_TRIALS
+
+
+def test_each_degraded_draw_walks_at_most_the_cap_of_expected_cells(monkeypatch):
+    # on the degraded basis-IV bench at 5e4 shots a draw's expected near
+    # trials times d stay at or below 16 384 cells: at most 3 batches for
+    # inputs 0 and 1 and 4 for inputs 2 and 3, and the cap is reached. A
+    # noisy table at d = 16 draws one batch at a time, an ideal one is
+    # capped only by the 10^9 hits of ``multivariate_hypergeometric``. An
+    # ideal run of 1e5 shots takes at most 3 draws per input and as many
+    # batches as one batch per draw would, +- 1
+    sizes = []
+
+    def kernel(table, rng, batches):
+        sizes.append(batches)
+        return _simulate_batch(table, rng, batches)
+
+    monkeypatch.setattr(experiment, "_simulate_batch", kernel)
+    basis = basis_four()
+    config = ExperimentConfig(shots=50_000, seed=11, **_DEGRADED_IV)
+    for i, phi in enumerate(basis.states):
+        table = _clean_row_table(i, config.weights_for(4), config.v, config.prep_fidelity,
+                                 config.analysis_fidelity)
+        near = table.cells[: len(table.reach)].sum()
+        sizes.clear()
+        run_cloning_experiment(phi, basis, config)
+        assert max(sizes) == experiment._draw_cap(table) == [3, 3, 4, 4][i]
+        assert max(sizes) * BATCH_TRIALS * near * 4 <= 16384
+    noisy16 = _clean_row_table(0, np.full(16, 1 / 16), 0.9165, 0.9, 0.9)
+    assert experiment._draw_cap(noisy16) == 1
+    ideal = _clean_row_table(0, np.full(4, 0.25), 1.0, 1.0, 1.0)
+    assert experiment._draw_cap(ideal) == 30517 and 30517 * BATCH_TRIALS < 10**9
+    basis = basis_logical()
+    config = ExperimentConfig(shots=100_000, seed=12)
+    for phi in basis.states:
+        sizes.clear()
+        table = run_cloning_experiment(phi, basis, config)
+        assert len(sizes) <= 3
+        _, draws = _reference_run(phi, basis, config, _one_batch)
+        assert abs(table.batches - len(draws)) <= 1
 
 
 def _whole_run_z(basis_name, seeds, reference):
@@ -1480,12 +1556,13 @@ def _whole_run_z(basis_name, seeds, reference):
 
 def _layout12_run(phi, basis, config):
     """The counts of a whole run of ``config`` whose batches are layout
-    12's (:func:`_layout12_batch`) in place of the kernel's."""
+    12's (:func:`_layout12_batch`) in place of the kernel's, m of them in
+    a draw of m batches."""
     weights = config.weights_for(basis.dim)
 
-    def layout12(table, rng):
-        return _layout12_batch(table.p, basis.matrix, weights, table.v, config.prep_fidelity,
-                               table.analysis_f, rng)
+    def layout12(table, rng, batches):
+        return sum(_layout12_batch(table.p, basis.matrix, weights, table.v, config.prep_fidelity,
+                                   table.analysis_f, rng) for _ in range(batches))
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(experiment, "_simulate_batch", layout12)
@@ -1501,33 +1578,57 @@ def test_whole_runs_sample_the_layout_12_law(basis_name):
     assert np.max(np.abs(_whole_run_z(basis_name, (95, 96), _layout12_run))) < 5.0
 
 
+def _layout14_run(phi, basis, config):
+    """The counts of a whole run of ``config`` drawn one batch at a time, as
+    stream layout 14 drew it."""
+    return _reference_run(phi, basis, config, _one_batch)[0]
+
+
+@pytest.mark.parametrize("basis_name", ["I", "IV"])
+def test_whole_runs_sample_the_layout_14_law(basis_name):
+    # the previous layout's law: whole runs of the ideal basis-I and the
+    # degraded basis-IV bench (seed 97), in draws sized to the coincidences
+    # still needed, against the same runs drawn one batch at a time (seed
+    # 98): per input and outcome the counts must agree (|z| < 5, fixed
+    # beforehand)
+    assert np.max(np.abs(_whole_run_z(basis_name, (97, 98), _layout14_run))) < 5.0
+
+
 @pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
 def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, shots):
     # a stand-in kernel gives every batch the same 17 hits, counted per
-    # outcome, and draws one uniform; the run adds every full batch and, of
-    # the batch that fills ``shots``, a multivariate_hypergeometric sample of
-    # its counts drawn from the input's generator after that batch's draw
+    # outcome, and draws one uniform per draw; the run adds every draw
+    # before the one that fills ``shots`` and, of that draw, a
+    # multivariate_hypergeometric sample of its counts drawn from the
+    # input's generator after that draw's uniform. The draws take 1 batch,
+    # then ceil((need + 3 sqrt(need))/17) = 3 for the 33 still needed of 50
+    # shots and 4 for the 34 of 51
     hits = np.array([5, 3, 2, 7])
+    sizes = []
 
-    def kernel(table, rng):
+    def kernel(table, rng, batches):
+        sizes.append(batches)
         rng.random()
-        return hits.copy()
+        return batches * hits
 
     monkeypatch.setattr(experiment, "_simulate_batch", kernel)
     basis = basis_logical()
     config = ExperimentConfig(shots=shots, seed=12)
+    expected_sizes = {50: [1, 3], 51: [1, 4]}.get(shots, [1])
+    *full, last = expected_sizes
+    need = shots - 17 * sum(full)
     for i, phi in enumerate(basis.states):
-        full, need = divmod(shots, 17)
-        expected = full * hits
-        if need:
-            rng = _input_rng(12, i)
-            for _ in range(full + 1):
-                rng.random()
-            expected += rng.multivariate_hypergeometric(hits, need)
+        rng = _input_rng(12, i)
+        for _ in expected_sizes:
+            rng.random()
+        expected = sum(full) * hits
+        expected += rng.multivariate_hypergeometric(last * hits, need) if 17 * last > need else last * hits
+        sizes.clear()
         table = run_cloning_experiment(phi, basis, config)
+        assert sizes == expected_sizes
         assert [table.counts[k] for k in range(4)] == expected.tolist()
         assert sum(table.counts) == shots
-        assert table.batches == full + (need > 0)
+        assert table.batches == sum(expected_sizes)
 
 
 def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
@@ -1547,45 +1648,58 @@ def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
         table = _clean_row_table(i, config.weights_for(4), config.v, config.prep_fidelity,
                                  config.analysis_fidelity)
         for b in range(8):
-            batches[i] += _simulate_batch(table, _batch_rng(1000, i, b))
+            batches[i] += _simulate_batch(table, _batch_rng(1000, i, b), 1)
     n1, n2 = tables.sum(axis=1, keepdims=True), batches.sum(axis=1, keepdims=True)
     p = (tables + batches) / (n1 + n2)
     z = (tables / n1 - batches / n2) / np.sqrt(p * (1.0 - p) * (1.0 / n1 + 1.0 / n2))
     assert np.max(np.abs(z)) < 5.0
 
 
+# The draw sizes of each case below: one batch a draw until the first hit,
+# then ceil((need + 3 sqrt(need)) b / h) batches (an ideal table, no cap)
+_DRY_DRAWS = {
+    (0, 5, 10): [1, 7, 16],  # 7 = ceil(2 + 3 sqrt 2), 16 = 4 * 8 / 2
+    (4,): [1, 1, 1, 1, 1],
+    (5,): [1, 1, 1, 1, 1],
+    (0, 30): [1, 4, 20],  # 4 = 1 + 3, 20 = 4 * 5 / 1
+    (0, 6, 100): [1, 7, 16],
+}
+
+
 @pytest.mark.parametrize("runs", [None, 3, 4])
 @pytest.mark.parametrize("hit_batches, raises", [
-    ({0, 5, 10}, False),  # dry runs of 4 between hits: each hit resets the count
+    ({0, 5, 10}, False),  # each draw after the first hit holds one
     ({4}, False),  # 4 dry batches first
     ({5}, True),  # the 5th consecutive dry batch gives up
-    ({0, 6}, True),
-    ({0, 3, 9}, True),
+    ({0, 30}, True),  # a dry draw of 4 batches, then one of 20: 24 dry batches
+    ({0, 6, 100}, True),  # a draw of 7 batches with a hit, then a dry one of 16
 ])
 def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, raises, runs):
-    # a stand-in kernel counts its calls: batch b, its call b of the run,
+    # a stand-in kernel counts the batches of its draws: batch b of the run
     # yields one coincidence when b is in hit_batches; ``runs`` repeats the
     # run in one process (None: once), and the dry count of each repeat must
     # start again from zero
-    calls = []
+    sizes = []
 
-    def kernel(table, rng):
-        calls.append(None)
-        return np.array([len(calls) - 1 in hit_batches, 0, 0, 0], dtype=np.int64)
+    def kernel(table, rng, batches):
+        start = sum(sizes)
+        sizes.append(batches)
+        return np.array([len(hit_batches & set(range(start, start + batches))), 0, 0, 0])
 
     monkeypatch.setattr(experiment, "_MAX_DRY_BATCHES", 5)
     monkeypatch.setattr(experiment, "_simulate_batch", kernel)
     basis = basis_logical()
     config = ExperimentConfig(shots=len(hit_batches))
     for _ in range(runs or 1):
-        calls.clear()
+        sizes.clear()
         if raises:
             with pytest.raises(RuntimeError, match="yield is"):
                 run_cloning_experiment(basis.states[0], basis, config)
         else:
             table = run_cloning_experiment(basis.states[0], basis, config)
             assert table.counts[0] == len(hit_batches)
-            assert table.batches == max(hit_batches) + 1  # the dry batches count too
+            assert table.batches == sum(sizes)  # the dry batches count too
+        assert sizes == _DRY_DRAWS[tuple(sorted(hit_batches))]
 
 
 def test_dry_batch_guard_gives_up_after_8192000_trials():
@@ -1626,7 +1740,7 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
         # trial whose only replaced scanner setting is its ancilla's, the
         # most common such trial, is never walked)
         for b in range(10):
-            _simulate_batch(table, _batch_rng(0, i, b))
+            _simulate_batch(table, _batch_rng(0, i, b), 1)
         monkeypatch.undo()
     totals = np.concatenate([t for t, _ in seen])
     thresholds = np.concatenate([th for _, th in seen])
@@ -1645,26 +1759,31 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # the trials with a replaced state; layouts 12 to 14 draw an ideal batch as
 # layout 11 did, so it stands. "IV" was re-recorded at layout 13, whose E
 # trials draw one uniform per replaced scanner setting in place of a Haar
-# state. Every run of both ends in its first batch, which layout 14 draws
-# as layout 13 did. A change to the Monte Carlo
-# arithmetic that keeps the draws and the accept rule must leave them as
-# they are.
+# state. Every run of both ends in its first batch, which layouts 14 and 15
+# draw as layout 13 did. "IV-20000", the degraded bench at 20 000 shots,
+# was recorded at layout 15: its runs take draws of 1, 3 and 3 batches
+# (inputs 0 and 1) and of 1, 4 and 4 (inputs 2 and 3), so it pins the size
+# of each draw. A change to the Monte Carlo arithmetic that keeps the draws
+# and the accept rule must leave them as they are.
 _GOLDEN_COUNTS = {
     "I": [[1204, 257, 277, 262], [296, 1174, 271, 259], [302, 293, 1133, 272], [282, 321, 278, 1119]],
     "IV": [[1111, 366, 253, 270], [367, 1123, 250, 260], [400, 394, 897, 309], [389, 421, 287, 903]],
+    "IV-20000": [[11157, 3622, 2621, 2600], [3540, 11194, 2692, 2574], [4155, 3996, 8969, 2880],
+                 [4099, 4076, 2869, 8956]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
     # the degraded bench of acceptance criterion 6
-    "IV": ExperimentConfig(shots=2000, v=0.9165, prep_fidelity=0.9, analysis_fidelity=0.9,
-                           ancilla_weights=(0.3, 0.3, 0.2, 0.2), seed=0),
+    "IV": ExperimentConfig(shots=2000, seed=0, **_DEGRADED_IV),
 }
 
 
-@pytest.mark.parametrize("basis_name", sorted(_GOLDEN_COUNTS))
-def test_fixed_seed_counts_are_pinned(basis_name):
-    table = replicate_table(basis_name, _GOLDEN_CONFIGS[basis_name])
-    assert [[t.counts[i] for i in range(4)] for t in table.tables] == _GOLDEN_COUNTS[basis_name]
+@pytest.mark.parametrize("case", sorted(_GOLDEN_COUNTS))
+def test_fixed_seed_counts_are_pinned(case):
+    basis_name, _, shots = case.partition("-")
+    config = _GOLDEN_CONFIGS[basis_name]
+    table = replicate_table(basis_name, replace(config, shots=int(shots or config.shots)))
+    assert [[t.counts[i] for i in range(4)] for t in table.tables] == _GOLDEN_COUNTS[case]
 
 
 # ------------------------------------------------------------------- runs

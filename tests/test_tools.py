@@ -33,10 +33,10 @@ def test_same_output_finds_a_tree_identical_to_itself():
     result = _same_output("--against", str(ROOT), "--shots", "2000", "--seeds", "0")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 31 and all(line.startswith("identical  ") for line in lines[:30])
+    assert len(lines) == 32 and all(line.startswith("identical  ") for line in lines[:31])
     assert lines[15] == "identical  symclone --help"
     assert lines[21] == "identical  formulas --n 2 --m 1 (usage error)"
-    assert lines[-1] == "30/30 commands identical"
+    assert lines[-1] == "31/31 commands identical"
 
 
 def test_same_output_states_the_largest_json_difference(tmp_path):
@@ -81,7 +81,8 @@ def test_same_output_states_the_largest_json_difference(tmp_path):
     # at d = 2 the shifted fidelity 1/2 + 1/3 + 0.25 passes 1: a usage error
     assert lines[29] == ("different  clone --json --input=-0.6,0.8  "
                          "(exit: largest difference 1 over 1 numbers, stderr, stdout)")
-    assert lines[-1] == "17/30 commands identical"
+    assert lines[30] == "identical  experiment IV degraded --shots 20000"
+    assert lines[-1] == "18/31 commands identical"
 
 
 def test_difference_report_needs_two_json_values_of_one_shape():
@@ -144,7 +145,7 @@ def test_cli_output_matches_the_recorded_digests():
 def test_record_writes_the_digests_of_this_checkout(tmp_path):
     result = _same_output("--record", str(tmp_path / "digests.json"))
     assert result.returncode == 0, result.stderr
-    assert result.stdout == f"recorded 30 commands in {tmp_path / 'digests.json'}\n"
+    assert result.stdout == f"recorded 31 commands in {tmp_path / 'digests.json'}\n"
     written = json.loads((tmp_path / "digests.json").read_text())
     assert written["digests"] == json.loads(DIGESTS.read_text())["digests"]
     assert written["numpy"] == np.__version__

@@ -82,6 +82,9 @@ _ONCE = {
     "clone IV:2": ["clone", "--input", "IV:2"],
     "hom IV:1 ancilla I:1": ["hom", "--input", "IV:1", "--ancilla", "I:1"],
     "clone --json --input=-0.6,0.8": ["clone", "--json", "--input=-0.6,0.8"],
+    # several draws of batches per input, so the size of each draw shows
+    "experiment IV degraded --shots 20000": ["experiment", *_EXPERIMENTS["experiment IV degraded"],
+                                             "--shots", "20000"],
 }
 
 # The size of the recorded digests: small enough for the test suite.
