@@ -24,7 +24,7 @@ built when the run starts. Draws 0, 1, ... take their variates from it in
 order, each where the one before it stopped, until ``shots`` coincidences
 are counted, so two runs with the same config are count-for-count
 identical. The run records the number of batches it evaluated, summed over
-its draws, in its ``CountsTable``.
+its draws, and the number of its draws in its ``CountsTable``.
 
 Draw 0 is one batch. With h coincidences counted over the b batches drawn
 so far and ``need`` still to count, the next draw takes
@@ -424,18 +424,21 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class CountsTable:
     """Coincidence counts N_{phi,i} for one input state, one per basis label
-    in outcome order, and the number of batches of ``BATCH_TRIALS`` trials
-    the run evaluated to collect them (0 for counts that no run produced).
-    ``counts`` is given as a list or a tuple of integers and kept as a
-    tuple of ints; ``phi_index`` and ``batches`` are kept as ints. A bool or a float, even 2.0, is not an integer here: the
-    CSV, the JSON and the estimator would read it differently, and the
-    estimator indexes the counts with ``phi_index``."""
+    in outcome order, the number of batches of ``BATCH_TRIALS`` trials the
+    run evaluated to collect them and the number of draws, kernel calls,
+    it took them in (both 0 for counts that no run produced). ``counts`` is
+    given as a list or a tuple of integers and kept as a tuple of ints;
+    ``phi_index``, ``batches`` and ``draws`` are kept as ints. A bool or a
+    float, even 2.0, is not an integer here: the CSV, the JSON and the
+    estimator would read it differently, and the estimator indexes the
+    counts with ``phi_index``."""
 
     basis_labels: tuple[str, ...]
     phi_index: int
     counts: tuple[int, ...]
     config: ExperimentConfig
     batches: int = 0
+    draws: int = 0
 
     def __post_init__(self):
         if not isinstance(self.counts, (list, tuple)):
@@ -445,12 +448,13 @@ class CountsTable:
             raise ValueError(f"{len(counts)} counts for {len(self.basis_labels)} basis labels")
         if not 0 <= _integer(self.phi_index, "phi index") < len(counts):
             raise ValueError(f"phi index {self.phi_index} out of range")
-        for name, values in (("counts", counts), ("batches", (self.batches,))):
+        for name, values in (("counts", counts), ("batches", (self.batches,)),
+                             ("draws", (self.draws,))):
             if any(_integer(n, name) < 0 for n in values):
                 raise ValueError(f"{name} must be nonnegative")
         object.__setattr__(self, "counts", tuple(map(int, counts)))
-        object.__setattr__(self, "phi_index", int(self.phi_index))
-        object.__setattr__(self, "batches", int(self.batches))
+        for name in ("phi_index", "batches", "draws"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def input_label(self) -> str:
@@ -467,6 +471,7 @@ class CountsTable:
             "phiIndex": self.phi_index,
             "counts": {str(i): n for i, n in enumerate(self.counts)},
             "batches": self.batches,
+            "draws": self.draws,
             "trials": self.trials,
             "config": self.config.to_dict(),
         }
@@ -907,6 +912,7 @@ def run_cloning_experiment(
     counts = np.zeros(basis.dim, dtype=np.int64)
     collected = 0
     batches = 0
+    draws = 0
     dry = 0
     while collected < config.shots:
         need = config.shots - collected
@@ -916,6 +922,7 @@ def run_cloning_experiment(
             size = min(cap, math.ceil((need + 3.0 * math.sqrt(need)) * batches / collected))
         draw_counts = _simulate_batch(table, rng, size)
         batches += size
+        draws += 1
         hits = int(draw_counts.sum())
         if hits == 0:
             dry += size
@@ -935,6 +942,7 @@ def run_cloning_experiment(
         counts=counts.tolist(),
         config=config,
         batches=batches,
+        draws=draws,
     )
 
 

@@ -1494,6 +1494,7 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
             assert table.counts == counts
             assert evaluated == draws
             record = table.to_dict()
+            assert record["draws"] == table.draws == len(draws)
             assert record["batches"] == table.batches == batches
             assert record["trials"] == table.trials == batches * BATCH_TRIALS
 
@@ -2140,6 +2141,22 @@ def test_counts_table_keeps_its_counts_as_a_tuple_in_outcome_order():
     assert table.counts == (4, 9) and all(type(n) is int for n in table.counts)
     assert type(table.phi_index) is int and type(table.batches) is int
     assert json.loads(json.dumps(table.to_dict()))["batches"] == 2
+    assert table.draws == 0  # no run produced these counts
+
+
+@pytest.mark.parametrize("draws, message", [
+    (-1, "draws must be nonnegative"),
+    (2.0, r"^draws must be an integer, got 2\.0$"),
+    (True, r"^draws must be an integer, got True$"),
+])
+def test_counts_table_checks_its_draws_as_an_integer(draws, message):
+    # the number of kernel calls of a run, 0 for counts that no run
+    # produced, follows the one integer rule and is kept as an int
+    table = CountsTable(("s0", "s1"), 0, (3, 1), ExperimentConfig(shots=4), batches=3,
+                        draws=np.int64(2))
+    assert type(table.draws) is int and table.to_dict()["draws"] == 2
+    with pytest.raises(ValueError, match=message):
+        CountsTable(("s0", "s1"), 0, (3, 1), ExperimentConfig(shots=4), batches=3, draws=draws)
     # a mapping names its outcomes by key, which the table cannot check
     with pytest.raises(TypeError, match="counts must be a list or a tuple, got dict"):
         CountsTable(("s0", "s1"), 0, {1: 3, 2: 4}, ExperimentConfig(shots=7))
