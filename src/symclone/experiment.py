@@ -807,7 +807,10 @@ def _outcome_counts(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.bincount((u[:, None] >= thresholds).sum(axis=1), minlength=d + 1)[:d]
 
 
-def _full_path_counts(table: _CleanRows, u, anc, n_a: int, n_af: int, n_c: int, rng) -> np.ndarray:
+def _full_path_counts(
+    table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, n_af: int, n_c: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
     """Draw steps 3 to 5 of the module docstring for the A, A' and C trials
     of a draw (see :func:`_signal_and_filter_arms` for the arguments);
     returns their counts per outcome. Their arrays are freed on return,
@@ -854,10 +857,10 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator, batches: int) -
     # next one faulted it back: 7 467 minor faults per 5e4-shot table
     # against 0 (4 499 against 0 once a 300 KB array had raised glibc's trim
     # threshold), and slower tables. The A, A' and C trials are counted
-    # before the E trials draw, so a draw of 4 such batches peaks at
-    # ~0.44 MB of arrays (tracemalloc); counted together with the E trials,
-    # and with thresholds scaled out of place, it peaked at ~0.84 MB and a
-    # CLI pass of that bench took ~2 600 minor faults in place of ~1
+    # before the E trials draw, and the thresholds are scaled in place: a
+    # draw of 4 such batches peaks at ~0.44 MB of arrays (tracemalloc), and
+    # at ~0.84 MB with ~2 600 minor faults per CLI pass of that bench
+    # otherwise
     counts += _full_path_counts(table, u, anc, n_a, n_af, n_c, rng)
     # the E trials follow the A, A' and C trials, with their terms read from
     # the table

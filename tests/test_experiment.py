@@ -960,10 +960,11 @@ def _clean_reference(p, d, v):
 
 def _reference_near_trials(p, basis_cols, weights, v, prep_f, analysis_f, rng, batches=1):
     """Steps 1-4 of a reference draw of ``batches`` batches of input ``p`` in
-    the draw order of stream layouts 12 to 15, which build the cells from the clean trial of
-    each ancilla and the reach of each kind of near trial, written out term
-    by term, and evaluate p_coal/2 and the filter terms on every near trial
-    from explicit states in lab coordinates, with no clean-row table. The
+    the draw order of stream layouts 12 to 15, which build the cells from
+    the clean trial of each ancilla and the reach of each kind of near
+    trial, written out term by term, and evaluate p_coal/2 and the filter
+    terms on every near trial from explicit states in lab coordinates, with
+    no clean-row table. The
     closed forms take the signal and filter states in the coordinates of the
     measurement basis, whose column k is ancilla k. A trial passes step 5's
     bounds as two comparisons, u below p_coal/2 and u below
@@ -1538,6 +1539,26 @@ def test_each_degraded_draw_walks_at_most_the_cap_of_expected_cells(monkeypatch)
         assert abs(table.batches - len(draws)) <= 1
 
 
+def test_an_ideal_draw_stays_within_what_the_hypergeometric_sample_takes(monkeypatch):
+    # sized to the need alone, the second draw of this 2e9-shot ideal run
+    # fills it with ~2e9 hits, past the 10^9 that
+    # ``multivariate_hypergeometric`` takes (a ValueError at this seed);
+    # capped at 30 517 batches, a draw holds ~1.1e8, and the run ends in
+    # ~20 draws
+    sizes = []
+
+    def kernel(table, rng, batches):
+        sizes.append(batches)
+        return _simulate_batch(table, rng, batches)
+
+    monkeypatch.setattr(experiment, "_simulate_batch", kernel)
+    basis = basis_logical()
+    config = ExperimentConfig(shots=2 * 10**9, seed=5)
+    table = run_cloning_experiment(basis.states[1], basis, config)
+    assert sum(table.counts) == 2 * 10**9
+    assert max(sizes) == 30517 and len(sizes) < 30
+
+
 def _whole_run_z(basis_name, seeds, reference):
     """Per input and outcome, the z-score between the counts of whole runs
     of ``_GOLDEN_CONFIGS[basis_name]`` at 25 000 shots per input (seed
@@ -1622,8 +1643,10 @@ def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, s
         rng = _input_rng(12, i)
         for _ in expected_sizes:
             rng.random()
-        expected = sum(full) * hits
-        expected += rng.multivariate_hypergeometric(last * hits, need) if 17 * last > need else last * hits
+        kept = last * hits
+        if 17 * last > need:
+            kept = rng.multivariate_hypergeometric(kept, need)
+        expected = sum(full) * hits + kept
         sizes.clear()
         table = run_cloning_experiment(phi, basis, config)
         assert sizes == expected_sizes
