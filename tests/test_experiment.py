@@ -1616,15 +1616,14 @@ def test_whole_runs_sample_the_layout_14_law(basis_name):
     assert np.max(np.abs(_whole_run_z(basis_name, (97, 98), _layout14_run))) < 5.0
 
 
-@pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
-def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, shots):
-    # a stand-in kernel gives every batch the same 17 hits, counted per
-    # outcome, and draws one uniform per draw; the run adds every draw
-    # before the one that fills ``shots`` and, of that draw, a
-    # multivariate_hypergeometric sample of its counts drawn from the
-    # input's generator after that draw's uniform. The draws take 1 batch,
-    # then ceil((need + 3 sqrt(need))/17) = 3 for the 33 still needed of 50
-    # shots and 4 for the 34 of 51
+def _check_fill_run(monkeypatch, shots, expected_sizes):
+    """Check every input's ``shots``-shot run of basis I (seed 12) with a
+    stand-in kernel that gives every batch the same 17 hits, counted per
+    outcome, and draws one uniform per draw. The draws must take
+    ``expected_sizes`` batches, and the run adds every draw before the one
+    that fills ``shots`` and, of that draw, a multivariate_hypergeometric
+    sample of its counts drawn from the input's generator after that draw's
+    uniform."""
     hits = np.array([5, 3, 2, 7])
     sizes = []
 
@@ -1636,7 +1635,6 @@ def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, s
     monkeypatch.setattr(experiment, "_simulate_batch", kernel)
     basis = basis_logical()
     config = ExperimentConfig(shots=shots, seed=12)
-    expected_sizes = {50: [1, 3], 51: [1, 4]}.get(shots, [1])
     *full, last = expected_sizes
     need = shots - 17 * sum(full)
     for i, phi in enumerate(basis.states):
@@ -1653,6 +1651,26 @@ def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, s
         assert [table.counts[k] for k in range(4)] == expected.tolist()
         assert sum(table.counts) == shots
         assert table.batches == sum(expected_sizes)
+
+
+@pytest.mark.parametrize("shots", [50, 51, 16, 17, 1])
+def test_the_batch_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, shots):
+    # with the cap at 1 every draw is one batch, as at layout 14: the run
+    # adds every full batch and a sample of the batch that fills ``shots``
+    monkeypatch.setattr(experiment, "_draw_cap", lambda table: 1)
+    _check_fill_run(monkeypatch, shots, [1] * -(-shots // 17))
+
+
+@pytest.mark.parametrize("shots, expected_sizes", [
+    # 1 batch, then ceil((need + 3 sqrt(need)) / 17) = 3 for the 33 still
+    # needed of 50 shots and 4 for the 34 of 51 (an ideal table, no cap)
+    (50, [1, 3]),
+    (51, [1, 4]),
+    (17, [1]),
+])
+def test_the_draw_that_fills_shots_keeps_a_hypergeometric_sample(monkeypatch, shots,
+                                                                 expected_sizes):
+    _check_fill_run(monkeypatch, shots, expected_sizes)
 
 
 def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
@@ -1679,30 +1697,13 @@ def test_the_batch_that_fills_shots_samples_the_outcome_law_of_whole_batches():
     assert np.max(np.abs(z)) < 5.0
 
 
-# The draw sizes of each case below: one batch a draw until the first hit,
-# then ceil((need + 3 sqrt(need)) b / h) batches (an ideal table, no cap)
-_DRY_DRAWS = {
-    (0, 5, 10): [1, 7, 16],  # 7 = ceil(2 + 3 sqrt 2), 16 = 4 * 8 / 2
-    (4,): [1, 1, 1, 1, 1],
-    (5,): [1, 1, 1, 1, 1],
-    (0, 30): [1, 4, 20],  # 4 = 1 + 3, 20 = 4 * 5 / 1
-    (0, 6, 100): [1, 7, 16],
-}
-
-
-@pytest.mark.parametrize("runs", [None, 3, 4])
-@pytest.mark.parametrize("hit_batches, raises", [
-    ({0, 5, 10}, False),  # each draw after the first hit holds one
-    ({4}, False),  # 4 dry batches first
-    ({5}, True),  # the 5th consecutive dry batch gives up
-    ({0, 30}, True),  # a dry draw of 4 batches, then one of 20: 24 dry batches
-    ({0, 6, 100}, True),  # a draw of 7 batches with a hit, then a dry one of 16
-])
-def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, raises, runs):
-    # a stand-in kernel counts the batches of its draws: batch b of the run
-    # yields one coincidence when b is in hit_batches; ``runs`` repeats the
-    # run in one process (None: once), and the dry count of each repeat must
-    # start again from zero
+def _dry_guard_run(monkeypatch, hit_batches, raises, runs):
+    """Run input 0 of basis I for ``len(hit_batches)`` shots with a stand-in
+    kernel and a dry budget of 5 batches; return the sizes of the draws of
+    the last run. The kernel counts the batches of its draws: batch b of the
+    run yields one coincidence when b is in hit_batches. ``runs`` repeats
+    the run in one process (None: once), and the dry count of each repeat
+    must start again from zero."""
     sizes = []
 
     def kernel(table, rng, batches):
@@ -1723,7 +1724,43 @@ def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, ra
             table = run_cloning_experiment(basis.states[0], basis, config)
             assert table.counts[0] == len(hit_batches)
             assert table.batches == sum(sizes)  # the dry batches count too
-        assert sizes == _DRY_DRAWS[tuple(sorted(hit_batches))]
+    return sizes
+
+
+@pytest.mark.parametrize("runs", [None, 3, 4])
+@pytest.mark.parametrize("hit_batches, raises", [
+    ({0, 5, 10}, False),  # dry runs of 4 between hits: each hit resets the count
+    ({4}, False),  # 4 dry batches first
+    ({5}, True),  # the 5th consecutive dry batch gives up
+    ({0, 6}, True),
+    ({0, 3, 9}, True),
+])
+def test_dry_batch_guard_counts_consecutive_batches(monkeypatch, hit_batches, raises, runs):
+    # with the cap at 1 every draw is one batch, as at layout 14, so a dry
+    # run between two hits is a run of dry draws
+    monkeypatch.setattr(experiment, "_draw_cap", lambda table: 1)
+    sizes = _dry_guard_run(monkeypatch, hit_batches, raises, runs)
+    assert sizes == [1] * len(sizes)
+    if raises:
+        # it gives up at the 5th of 5 consecutive dry batches
+        assert not hit_batches & set(range(len(sizes) - 5, len(sizes)))
+    else:
+        assert len(sizes) == max(hit_batches) + 1
+
+
+@pytest.mark.parametrize("runs", [None, 3, 4])
+@pytest.mark.parametrize("hit_batches, raises, draws", [
+    # an ideal table, no cap: one batch a draw until the first hit, then
+    # ceil((need + 3 sqrt(need)) b / h) batches
+    ({0, 5, 10}, False, [1, 7, 16]),  # 7 = ceil(2 + 3 sqrt 2), 16 = 4 * 8 / 2
+    ({4}, False, [1] * 5),
+    ({5}, True, [1] * 5),
+    ({0, 30}, True, [1, 4, 20]),  # a dry draw of 4 batches, then one of 20: 24 dry batches
+    ({0, 6, 100}, True, [1, 7, 16]),  # a draw of 7 batches with a hit, then a dry one of 16
+])
+def test_dry_batch_guard_counts_the_batches_of_sized_draws(monkeypatch, hit_batches, raises,
+                                                           draws, runs):
+    assert _dry_guard_run(monkeypatch, hit_batches, raises, runs) == draws
 
 
 def test_dry_batch_guard_gives_up_after_8192000_trials():
