@@ -69,7 +69,7 @@ trial. A trial whose scanner weights sum to at most ``_Q_TOTAL_CUTOFF`` is
 never accepted: no scanner setting can click, and a sum that small is
 rounding residue of an exact 0, not a click probability.
 
-The variates of a run follow stream layout 15 (``STREAM_LAYOUT``): its
+The variates of a run follow stream layout 16 (``STREAM_LAYOUT``): its
 draws in order, then that sample. Within a draw of n = m B trials the
 layout draws only the variates a trial can still use.
 In a trial where no state was replaced (a "clean" trial) p_coal/2,
@@ -89,18 +89,13 @@ falls in one cell of one ``multinomial`` draw of n trials:
   filter e_p is orthogonal to both photons and never clicks;
 - A'_k, signal and filter replaced and u < r: w_k (1 - f_p) (1 - f_a) r,
   r = 1/16 for k = p and p_near otherwise;
-- C_k, the signal kept, the filter replaced and u < r: w_k f_p (1 - f_a) r.
-  With a clean signal a replaced filter is orthogonal to it, so its
-  p_filter = |filter_k|^2/2 never exceeds the clean one: r = b_k for
-  k != p, and r = 0 for k = p, where the filter is orthogonal to both
-  photons;
+- C_k, the signal kept, the filter replaced and u < r: w_k f_p (1 - f_a) r,
+  r = 1/(16 (d - 1)) for k != p (below), and r = 0 for k = p, where the
+  filter is orthogonal to both photons;
 - E_{i,k}, signal and filter kept, u < b_k and, with the scanner settings
   taken in the order that puts setting k last, setting i of that order the
   first one replaced: w_k f_p f_a b_k f_a^i (1 - f_a), i < d - 1. A trial
-  whose only replaced setting is k has every q_j = 0 and is never counted.
-  An E trial has S = filter = e_p and N = e_k, so its scanner weights are
-  q_j = c X_j, X_j = |<e_k|g_j>|^2, for a factor c that cancels in
-  cum(q)/sum(q) (below);
+  whose only replaced setting is k has every q_j = 0 and is never counted;
 - O_j, a clean trial counted with outcome j: the sum over k of
   w_k f_p f_a^(d + 1) (t_{k,j} - t_{k,j-1}), for the clean thresholds
   t_{k,j}, each at most b_k, and t_{k,-1} = 0;
@@ -119,13 +114,14 @@ trials land in the O cells. The trials of the A, A', C and E cells, the
 2. one accept uniform ``u`` per near trial, uniform on [0, r) for the
    reach r of its cell;
 3. the replaced signal of each A and A' trial;
-4. the replaced filter of each A' trial kept, u < p_coal/2, then of each
-   C trial;
-5. the scanner-arm perturbation of the A, A' and C trials that also pass
-   u < p_coal/2 * p_filter; then, of the E trials, which settings after the
-   first replaced one in its order are replaced, one uniform per replaced
-   setting other than k, in the order of the replaced settings, and one per
-   trial for that first replaced setting.
+4. the replaced filter of each A' trial kept, u < p_coal/2;
+5. the scanner-arm perturbation of the A and A' trials that also pass
+   u < p_coal/2 * p_filter; then, of the C and E trials, which of the
+   settings they may still replace are replaced (every setting of a C
+   trial, and of an E trial k and those after its first replaced one in
+   its order), one uniform per replaced setting other than the one at the
+   trial's coordinate (below), in the order of the replaced settings, and
+   one per E trial for its first replaced setting.
 
 The trials of a draw are independent, so only how many fall in each cell
 matters, not which: a draw holds its near trials grouped by cell, and a
@@ -136,23 +132,37 @@ sample without replacement), then 2(d - 1) standard normals for each
 replaced state, in order: the law of n independent pass tests with
 probability f, drawn with k indices in place of n uniforms. A state
 that is replaced for certain (the signal of an A or A' trial, the filter
-of an A' or C trial) draws only its normals. The reaches carry a relative
+of an A' trial) draws only its normals. The reaches carry a relative
 rounding margin (``_BOUND_MARGIN``), so each lies above every threshold a
 trial of its cell can have, rounding included.
 
-An E trial reads each scanner setting only through X_j. An unreplaced
-setting k gives X = 1 and an unreplaced other setting 0; a replaced setting
-k is orthogonal to e_k and gives 0. A replaced setting j != k is
-Haar-random on the complement of e_j, so X_j is a Beta(1, d - 2) variate,
-drawn from one uniform U as X = 1 - U^(1/(d - 2)), and X = 1 at d = 2,
-where no uniform is drawn (``_e_trial_weights``). So an E trial draws no
-normal, builds no state and evaluates no ``_event_terms``; its thresholds
-are p_coal/2 * p_filter * cum(X)_j/sum(X) with p_coal/2 and p_filter of
-the table.
+The trials whose signal is kept, C and E, take one walk
+(``_e_trial_weights``): their scanner weights are q_j = c X_j, for a factor
+c that cancels in cum(q)/sum(q) and X_j = |<e_c|g_j>|^2 read at one
+coordinate c, k for an E trial and p for a C trial. An unreplaced setting
+c gives X = 1 and an unreplaced other setting 0; a replaced setting c is
+orthogonal to e_c and gives 0. A replaced setting j != c is Haar-random on
+the complement of e_j, so X_j is a Beta(1, d - 2) variate, drawn from one
+uniform U as X = 1 - U^(1/(d - 2)), and X = 1 at d = 2, where no uniform
+is drawn. So these trials draw no normal, build no state and evaluate no
+``_event_terms``; their thresholds are p_coal/2 * p_filter *
+cum(X)_j/sum(X) with p_coal/2 and p_filter of the table.
+
+A C trial has S = e_p, N = e_k (k != p) and a replaced filter chi
+orthogonal to e_p, so A = 0, B = conj(chi_k), p_coal/2 = 1/8,
+p_filter = |chi_k|^2/2 and q_j = |chi_k|^2 X_j with X read at p. chi
+enters only as the factor |chi_k|^2 on thresholds below the reach, where u
+is uniform, so each outcome's probability is linear in that factor, and
+chi is independent of the scanner. Averaging chi out exactly (conditional
+Monte Carlo; Casella and Robert, Biometrika 83, 81 (1996)) puts the mean
+E|chi_k|^2 = 1/(d - 1), over the (d - 1)-dimensional complement of e_p,
+in its place: the C cell still draws the replaced-filter event, with
+p_filter 1/(2 (d - 1)), but no filter. A C trial has no forced first
+setting.
 
 A fixed seed reproduces counts only under the layout that drew them;
 CHANGES.md records what each layout changed from the one before. The tests
-check layout 15 against
+check layout 16 against
 
 - the exact outcome law of each configuration with an ideal analyzer,
   which ``outcome_law`` builds from the second-quantized engine, averaging
@@ -163,20 +173,21 @@ check layout 15 against
   test on the degraded basis-IV bench and on basis I with analysis noise
   alone: with analysis noise the law has no closed form, so this is its
   reference;
-- whole runs of layout 12, whose batch the tests keep, in a two-sample
-  test;
-- whole runs of layout 14, which drew one batch at a time, in a two-sample
-  test;
+- whole runs with layout 12's batches, which draw every C filter and
+  replaced scanner setting as a Haar state, in a two-sample test;
+- whole runs in sized draws against the same runs drawn one batch at a
+  time, in a two-sample test;
 - a replay of the run, draw by draw, with the size rule written out, bit
-  for bit, and the walked cells of each degraded draw against the cap;
+  for bit, the walked cells of each degraded draw against the cap, and
+  fixed-seed counts whose later draws stay below the cap;
 - a per-row reference batch in the kernel's own draw order, bit for bit.
-  It builds each scanner setting of an E trial in full from its X and
-  evaluates the full closed forms, so it checks the shortcut trial by
-  trial;
-- the shortcut's own math: the drawn X against |<e_k|g>|^2 of replaced
-  states at d = 3, 4, 8 and 32 (first two moments and binned counts), and
-  the scanner weights of an E trial against c X_j at d = 5 for every input
-  and ancilla.
+  It builds each walked scanner setting in full from its X, and a C
+  trial's filter with |filter_k|^2 = 1/(d - 1), and evaluates the full
+  closed forms, so it checks the walk trial by trial;
+- the walk's own math: the drawn X against |<e_k|g>|^2 of replaced states
+  at d = 3, 4, 8 and 32 (first two moments and binned counts), the scanner
+  weights of C and E trials against c X_j at d = 5, and the mean of
+  |chi_k|^2 over replaced filters at d = 2, 3, 4, 8 and 32.
 
 A trial is evaluated in the coordinates of the measurement basis U, of
 which the input, every ancilla state and every scanner setting are
@@ -200,20 +211,20 @@ S with the unreplaced scanner settings are its components, and only a
 replaced setting takes an inner product.
 
 A near trial reads from the table each number that no replaced state
-changes: p_coal/2 unless its signal was replaced, and p_filter of an E
+changes: p_coal/2 unless its signal was replaced, and p_filter of a C or E
 trial. A trial passes both thinning steps exactly when
 u < min(p_coal/2, p_coal/2 * p_filter * margin), one comparison. A
 perturbation returns the indices of the states it replaced, and a replaced
 state is kept with the index of its trial. The near trials that reach
-step 5 are counted in two passes, the A, A' and C trials, then the E
+step 5 are counted in two passes, the A and A' trials, then the C and E
 trials: outcome j is the number of the trial's thresholds at or below u.
 
 The two-photon step (interfere on the first splitter, post-select
 coalescence, split, analyze) is computed in one place, the closed forms
-``_half_coal``, ``_filter_terms`` (the filter arm, which an A, A' or C
-trial evaluates once, for the bound of step 5, and reuses for its
-thresholds) and ``_event_terms`` (the scanner weights of the A, A' and C
-trials), which also give the table.
+``_half_coal``, ``_filter_terms`` (the filter arm, which an A or A' trial
+evaluates once, for the bound of step 5, and reuses for its thresholds)
+and ``_event_terms`` (the scanner weights of the A and A' trials), which
+also give the table.
 The tests check them against the second-quantized engine of
 :mod:`symclone.bosonic`, which a run never calls, and against the same
 forms written as products with the unit vector e_k.
@@ -259,7 +270,7 @@ BATCH_TRIALS = 32768
 # order, each sized and drawn as the module docstring states, then the
 # sample of the draw that fills ``shots``. Recorded in every config dict: a
 # fixed seed reproduces counts only under the layout that drew them.
-STREAM_LAYOUT = 15
+STREAM_LAYOUT = 16
 
 # Scanner weights sum(q) at or below this are rounding residue, not a
 # click probability. In lab coordinates a basis-IV trial whose scanner arm
@@ -284,11 +295,11 @@ _MAX_DRY_BATCHES = 8_192_000 // BATCH_TRIALS
 
 # A draw walks all its near trials at once, so the cap of a table
 # (``_draw_cap``) keeps a draw's expected near trials times d, the entries
-# of its widest arrays, at or below this many: 3 or 4 batches a draw on the
-# degraded basis-IV bench. There, warm 5e4-shot tables took a median of 0,
-# 4 and 1 379 minor faults at 8 192, 16 384 and 32 768 cells (3 at layout
-# 14, one batch a draw): past ~0.5 MB of arrays glibc trims the heap top
-# after a draw and the next one faults it back.
+# of its widest arrays, at or below this many: 4 batches a draw on the
+# degraded basis-IV bench. There, at layout 15, warm 5e4-shot tables took a
+# median of 0, 4 and 1 379 minor faults at 8 192, 16 384 and 32 768 cells (3
+# at layout 14, one batch a draw): past ~0.5 MB of arrays glibc trims the
+# heap top after a draw and the next one faults it back.
 _DRAW_CELLS = 16_384
 
 # The most batches of one draw: its hits stay below the 10^9 that
@@ -634,16 +645,18 @@ def _scanner_bound(half_coal: np.ndarray, p_filter: np.ndarray) -> np.ndarray:
 
 
 def _acceptance_thresholds(half_coal: np.ndarray, p_filter: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per row, the d cumulative thresholds p_coal/2 * p_filter * cum(q)_j/sum(q).
+    """Per row, the d cumulative thresholds p_coal/2 * p_filter * cum(q)_j/sum(q),
+    written over the weights ``q``.
 
     A row with sum(q) <= ``_Q_TOTAL_CUTOFF`` is unresolvable (no scanner
     setting can click): it gets all-zero thresholds and never passes.
     """
-    cum_q = np.cumsum(q, axis=1)
+    # cum_q, then scale * cum_q / totals, in place: these are a draw's widest
+    # arrays
+    cum_q = np.cumsum(q, axis=1, out=q)
     totals = cum_q[:, -1:]
     resolvable = totals > _Q_TOTAL_CUTOFF
     totals = np.where(resolvable, totals, 1.0)
-    # scale * cum_q / totals, in place: these are a draw's widest arrays
     cum_q *= np.where(resolvable, (half_coal * p_filter)[:, None], 0.0)
     cum_q /= totals
     return cum_q
@@ -660,7 +673,7 @@ class _CleanRows(NamedTuple):
     cells: np.ndarray  # the multinomial cells of a trial: near cells, outcome cells, the rest
     reach: np.ndarray  # per near cell, the bound below which its accept uniform is drawn
     half_coal: np.ndarray  # p_coal/2 of a trial with a clean signal
-    p_filter: np.ndarray  # p_filter of a trial with a clean signal and filter
+    p_filter: np.ndarray  # per C and E cell, from cell 2d on, the p_filter of its walk
 
 
 def _clean_row_table(
@@ -678,8 +691,10 @@ def _clean_row_table(
     basis, so its numbers depend on k alone. In basis coordinates these
     states are unit vectors: S = filter = e_p, N = e_k, and the overlaps
     with the scanner settings are F = S and G = N. The table holds their
-    p_coal/2 and p_filter, evaluated by the same closed forms as the
-    near trials in :func:`_simulate_batch`.
+    p_coal/2 per ancilla, evaluated by the same closed forms as the near
+    trials in :func:`_simulate_batch`, and the p_filter of each C and E
+    cell: the clean one of ancilla k for E_{i,k}, the mean over the
+    replaced filter for C_k.
 
     ``cells`` are the probabilities of the one ``multinomial`` of a draw,
     for the weights w_k normalized, f_p = ``prep_f`` and f_a =
@@ -699,11 +714,15 @@ def _clean_row_table(
     bound = _scanner_bound(half_coal, p_filter)
     # a clean trial, as a near one, is counted only below its bound of step 5
     thresholds = np.minimum(_acceptance_thresholds(half_coal, p_filter, q), bound[:, None])
+    # per walked cell, C_k then E_{i,k}: a C trial's p_filter |filter_k|^2/2
+    # averaged over its replaced filter, 0 with the ancilla e_p
+    walk_filter = np.concatenate([np.where(k == p, 0.0, 0.5 / (d - 1)), np.tile(p_filter, d - 1)])
     w = weights / weights.sum()
     p_near = (1.0 + v * v) / 8.0 * _BOUND_MARGIN
-    reach = np.concatenate([np.zeros(d), np.full(d, p_near), np.tile(bound, d)])
-    # with the ancilla e_p: a replaced signal's bound, and a dead C cell
-    reach[[p, d + p, 2 * d + p]] = _BOUND_MARGIN / 16.0, _BOUND_MARGIN / 16.0, 0.0
+    reach = np.concatenate([np.zeros(d), np.full(d, p_near),
+                            _scanner_bound(np.tile(half_coal, d), walk_filter)])
+    # with the ancilla e_p, a replaced signal's bound
+    reach[[p, d + p]] = _BOUND_MARGIN / 16.0
     # per kind, the probability of its replacements: A, A', C, then E_i
     kept, replaced = analysis_f, 1.0 - analysis_f
     kinds = [(1.0 - prep_f) * kept, (1.0 - prep_f) * replaced, prep_f * replaced]
@@ -719,43 +738,36 @@ def _clean_row_table(
         cells=np.concatenate([near, outcomes, [1.0 - near.sum() - outcomes.sum()]]),
         reach=reach,
         half_coal=half_coal,
-        p_filter=p_filter,
+        p_filter=walk_filter,
     )
 
 
 def _signal_and_filter_arms(
-    table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, n_af: int, n_c: int,
-    rng: np.random.Generator,
+    table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, rng: np.random.Generator
 ):
-    """Draw steps 3 and 4 of the module docstring for the A trials of a
-    draw, its first ``n_a`` near trials, its A' trials, the next ``n_af``,
-    and its C trials, the next ``n_c``; ``u`` and ``anc`` hold the accept
-    uniforms and the ancilla indices of the draw's near trials.
+    """Draw steps 3 and 4 of the module docstring for the A and A' trials of
+    a draw, the trials whose signal is replaced: ``u`` and ``anc`` hold
+    their accept uniforms and ancilla indices, the ``n_a`` A trials first.
 
-    Returns the indices of the A, A' and C trials below their bound of step
-    5, with their signals, p_coal/2 and filter terms (:func:`_filter_terms`).
+    Returns the indices of those trials below their bound of step 5, with
+    their signals, p_coal/2 and filter terms (:func:`_filter_terms`).
     """
     p, v, d = table.p, table.v, len(table.half_coal)
-    n_s = n_a + n_af  # the trials with a replaced signal
-    S_bad = _complement_states(p, rng.standard_normal((n_s, 2 * d - 2)))
-    half_coal = _half_coal(S_bad, anc[:n_s], v)
-    kept = np.flatnonzero(u[:n_s] < half_coal)
-    pre = np.concatenate([kept, np.arange(n_s, n_s + n_c)])
-    S = np.zeros((len(pre), d), dtype=complex)
-    S[:, p] = 1.0
-    S[: len(kept)] = S_bad[kept]
+    S = _complement_states(p, rng.standard_normal((len(u), 2 * d - 2)))
+    half_coal = _half_coal(S, anc, v)
+    kept = np.flatnonzero(u < half_coal)
+    S, half_coal = S[kept], half_coal[kept]
     filters = np.zeros_like(S)
     filters[:, p] = 1.0
-    f_rows = np.flatnonzero(pre >= n_a)  # the A' trials kept, then the C trials
+    f_rows = np.flatnonzero(kept >= n_a)  # the A' trials kept
     filters[f_rows] = _complement_states(p, rng.standard_normal((len(f_rows), 2 * d - 2)))
-    half_coal = np.concatenate([half_coal[kept], table.half_coal[anc[n_s : n_s + n_c]]])
-    p_filter, A, B = _filter_terms(S, anc[pre], v, filters)
-    passing = np.flatnonzero(u[pre] < _scanner_bound(half_coal, p_filter))
-    return pre[passing], S[passing], half_coal[passing], p_filter[passing], A[passing], B[passing]
+    p_filter, A, B = _filter_terms(S, anc[kept], v, filters)
+    passing = np.flatnonzero(u[kept] < _scanner_bound(half_coal, p_filter))
+    return kept[passing], S[passing], half_coal[passing], p_filter[passing], A[passing], B[passing]
 
 
 def _scanner_overlaps(table: _CleanRows, S: np.ndarray, anc: np.ndarray, rng: np.random.Generator):
-    """Draw step 5 of the module docstring for the A, A' and C trials that
+    """Draw step 5 of the module docstring for the A and A' trials that
     reach it: ``S`` holds their signals and ``anc`` their ancilla indices
     k. Returns the scanner overlaps F_j = <g_j|S> and G_j = <g_j|N>, one
     row per trial.
@@ -772,29 +784,33 @@ def _scanner_overlaps(table: _CleanRows, S: np.ndarray, anc: np.ndarray, rng: np
     return F, G
 
 
-def _e_trial_weights(table: _CleanRows, anc: np.ndarray, first: np.ndarray, rng: np.random.Generator):
-    """Draw step 5 of the module docstring for the E trials of a draw, by
-    its E-trial shortcut: returns X_j = |g_j[k]|^2, one row of d settings
-    per trial. ``anc`` is each trial's ancilla index k and ``first`` its
-    first replaced scanner setting, in the order of the settings that puts
-    setting k last, so the settings that may still be replaced are
-    j > ``first`` and k.
+def _e_trial_weights(table: _CleanRows, coord: np.ndarray, first: np.ndarray, rng: np.random.Generator):
+    """Draw step 5 of the module docstring for the C and E trials of a
+    draw, by their one-coordinate walk: returns X_j = |g_j[c]|^2, one row
+    of d settings per trial, for the coordinate c that the trial reads,
+    ``coord``: the ancilla index k of an E trial, the input index p of a C
+    trial. ``first`` is an E trial's first replaced scanner setting, in the
+    order of the settings that puts setting k last, so the settings that
+    may still be replaced are j > ``first`` and k; a C trial has
+    ``first`` = -1 and may replace any setting.
 
-    X is the trial's scanner weights up to a factor: in an E trial A = 1
-    and B = delta_pk, and :func:`_event_terms` gives q_j = c X_j with
-    c = 2 + 2 v^2 for k = p and 1 otherwise, which cancels in
-    cum(q)/sum(q).
+    X is the trial's scanner weights up to a factor that cancels in
+    cum(q)/sum(q): :func:`_event_terms` gives q_j = c X_j, in an E trial
+    (A = 1, B = delta_pk) with c = 2 + 2 v^2 for k = p and 1 otherwise, in
+    a C trial (A = 0) with c = |filter_k|^2.
     """
     d = len(table.half_coal)
     j = np.arange(d)
-    free = np.flatnonzero((j > first[:, None]) | (j == anc[:, None]))
-    rows, cols = np.divmod(free[_replaced(len(free), table.analysis_f, rng)], d)
-    x = np.zeros((len(anc), d))
-    x[np.arange(len(anc)), anc] = 1.0
-    x[rows, cols] = 0.0  # a replaced setting k is orthogonal to e_k
-    other = cols != anc[rows]
-    rows = np.concatenate([rows[other], np.arange(len(anc))])
-    cols = np.concatenate([cols[other], first])
+    free = (j > first[:, None]) | (j == coord[:, None])
+    bad = np.flatnonzero(free)[_replaced(np.count_nonzero(free), table.analysis_f, rng)]
+    rows, cols = np.divmod(bad, d)
+    x = np.zeros((len(coord), d))
+    x[np.arange(len(coord)), coord] = 1.0
+    x[rows, cols] = 0.0  # a replaced setting c is orthogonal to e_c
+    other = cols != coord[rows]
+    forced = np.flatnonzero(first >= 0)
+    rows = np.concatenate([rows[other], forced])
+    cols = np.concatenate([cols[other], first[forced]])
     x[rows, cols] = 1.0 if d == 2 else 1.0 - rng.random(len(rows)) ** (1.0 / (d - 2))
     return x
 
@@ -808,16 +824,13 @@ def _outcome_counts(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 
 def _full_path_counts(
-    table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, n_af: int, n_c: int,
-    rng: np.random.Generator,
+    table: _CleanRows, u: np.ndarray, anc: np.ndarray, n_a: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw steps 3 to 5 of the module docstring for the A, A' and C trials
-    of a draw (see :func:`_signal_and_filter_arms` for the arguments);
-    returns their counts per outcome. Their arrays are freed on return,
-    before the E trials draw."""
-    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(
-        table, u, anc, n_a, n_af, n_c, rng
-    )
+    """Draw steps 3 to 5 of the module docstring for the A and A' trials of
+    a draw (see :func:`_signal_and_filter_arms` for the arguments); returns
+    their counts per outcome. Their arrays are freed on return, before the
+    C and E trials draw."""
+    rows, S, half_coal, p_filter, A, B = _signal_and_filter_arms(table, u, anc, n_a, rng)
     q = _event_terms(A, B, table.v, *_scanner_overlaps(table, S, anc[rows], rng))
     return _outcome_counts(u[rows], _acceptance_thresholds(half_coal, p_filter, q))
 
@@ -835,9 +848,9 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator, batches: int) -
     The draw follows the stream layout (see the module docstring): steps 1
     and 2 here, then, in :func:`_full_path_counts`, steps 3 and 4 in
     :func:`_signal_and_filter_arms` and step 5 in :func:`_scanner_overlaps`
-    for the A, A' and C trials that reach it, whose scanner weights then
-    come from :func:`_event_terms`, and step 5 in :func:`_e_trial_weights`
-    for the E trials.
+    for the A and A' trials that reach it, whose scanner weights then come
+    from :func:`_event_terms`, and step 5 in :func:`_e_trial_weights` for
+    the C and E trials.
     """
     d = len(table.half_coal)
     n = rng.multinomial(batches * BATCH_TRIALS, table.cells)
@@ -849,30 +862,30 @@ def _simulate_batch(table: _CleanRows, rng: np.random.Generator, batches: int) -
     u = rng.random(len(cell))
     u *= table.reach[cell]
     anc = cell % d
-    n_a, n_af, n_c = near[: 3 * d].reshape(3, d).sum(axis=1)
+    n_s = near[: 2 * d].sum()  # the A and A' trials, whose signal is replaced
     # steps 3-4 and the draws of step 5 run in functions of their own, so
     # their arrays are freed before the next step allocates. Written as one
     # function, a degraded basis-IV batch peaked at ~0.95 MB of arrays in
     # place of ~0.59 MB, glibc trimmed the heap top after each batch and the
     # next one faulted it back: 7 467 minor faults per 5e4-shot table
     # against 0 (4 499 against 0 once a 300 KB array had raised glibc's trim
-    # threshold), and slower tables. The A, A' and C trials are counted
-    # before the E trials draw, and the thresholds are scaled in place: a
-    # draw of 4 such batches peaks at ~0.44 MB of arrays (tracemalloc), and
-    # at ~0.84 MB with ~2 600 minor faults per CLI pass of that bench
-    # otherwise
-    counts += _full_path_counts(table, u, anc, n_a, n_af, n_c, rng)
-    # the E trials follow the A, A' and C trials, with their terms read from
-    # the table
-    e = slice(n_a + n_af + n_c, None)
-    e_anc = anc[e]
-    # position i of the order that puts setting k last is setting i below
-    # k and setting i + 1 from k on
-    first = cell[e] // d - 3
-    first += first >= e_anc
-    x = _e_trial_weights(table, e_anc, first, rng)
-    counts += _outcome_counts(u[e], _acceptance_thresholds(table.half_coal[e_anc],
-                                                           table.p_filter[e_anc], x))
+    # threshold), and slower tables. The A and A' trials are counted before
+    # the C and E trials draw, the walk keeps its free settings as a mask
+    # and the thresholds are summed and scaled in place: a 4-batch draw of
+    # inputs 0 and 1 of that bench peaks at ~0.41 MB of arrays
+    # (tracemalloc); at ~0.51 MB otherwise, a loop of harness passes took
+    # ~1 650 minor faults per pass in place of ~700
+    counts += _full_path_counts(table, u[:n_s], anc[:n_s], near[:d].sum(), rng)
+    # the C and E trials follow, with their terms read from the table.
+    # Position i of the order that puts setting k last is setting i below k
+    # and setting i + 1 from k on; a C trial (kind 2) has first = -1
+    walk = cell[n_s:]
+    w_anc = anc[n_s:]
+    first = walk // d - 3
+    first += first >= w_anc
+    x = _e_trial_weights(table, np.where(first < 0, table.p, w_anc), first, rng)
+    counts += _outcome_counts(u[n_s:], _acceptance_thresholds(table.half_coal[w_anc],
+                                                              table.p_filter[walk - 2 * d], x))
     return counts
 
 

@@ -140,11 +140,11 @@ def test_config_round_trip():
 
 def test_config_records_the_stream_layout():
     cfg = ExperimentConfig(shots=10)
-    assert cfg.to_dict()["streamLayout"] == 15
+    assert cfg.to_dict()["streamLayout"] == 16
     data = cfg.to_dict()
     del data["streamLayout"]
     assert ExperimentConfig.from_dict(data) == cfg
-    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, "15", None):
+    for layout in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, "16", None):
         with pytest.raises(ValueError, match="streamLayout"):
             ExperimentConfig.from_dict({**cfg.to_dict(), "streamLayout": layout})
 
@@ -700,17 +700,21 @@ def test_index_closed_forms_equal_the_unit_vector_products_exactly(d):
         assert np.array_equal(_event_terms(got[1], got[2], v, F, G), q)
 
 
-def test_e_trial_scanner_weights_are_a_factor_times_the_weights_drawn():
+def test_walked_scanner_weights_are_a_factor_times_the_weights_drawn():
     # an E trial has S = filter = e_p and N = e_k, so A = 1 and B = delta_pk,
     # and its scanner weights are q_j = c X_j, X_j = |component k of g_j|^2,
-    # c = 2 + 2 v^2 for k = p and 1 otherwise: at d = 5, for every p and k,
-    # on settings each kept (e_j) or replaced by a Haar state orthogonal to
-    # e_j, which covers every value of X, 1 for an unreplaced setting k and
-    # 0 for an unreplaced other setting or a replaced setting k. The bound
-    # is 8 ulps of c, fixed beforehand
+    # c = 2 + 2 v^2 for k = p and 1 otherwise. A C trial (k != p) has a
+    # filter orthogonal to e_p, so A = 0 and q_j = c X_j with X read at
+    # component p and c = |filter_k|^2. At d = 5, for every p and k, on
+    # settings each kept (e_j) or replaced by a Haar state orthogonal to
+    # e_j, which covers every value of X, 1 for an unreplaced setting at the
+    # coordinate read and 0 for an unreplaced other setting or a replaced
+    # setting at that coordinate. The bound is 8 ulps of c, fixed beforehand
     d, v, n = 5, 0.83, 200
     rng = np.random.default_rng(58)
+    c_rng = np.random.default_rng(59)  # the C trials' filters
     targets = np.tile(np.arange(d), n)
+    eps = np.finfo(float).eps
     for p in range(d):
         S = np.zeros((n, d), dtype=complex)
         S[:, p] = 1.0
@@ -720,7 +724,35 @@ def test_e_trial_scanner_weights_are_a_factor_times_the_weights_drawn():
             g = np.where((rng.random((n, d)) < 0.5)[..., None], haar.reshape(n, d, d), np.eye(d))
             c = 2.0 + 2.0 * v * v if k == p else 1.0
             q = _event_terms(A, B, v, np.conj(g[:, :, p]), np.conj(g[:, :, k]))
-            assert np.max(np.abs(q - c * _abs2(g[:, :, k]))) <= 8 * np.finfo(float).eps * c
+            assert np.max(np.abs(q - c * _abs2(g[:, :, k]))) <= 8 * eps * c
+            if k != p:
+                filters = _complement_states(p, c_rng.standard_normal((n, 2 * d - 2)))
+                _, A, B = _filter_terms(S, np.full(n, k), v, filters)
+                c = _abs2(filters[:, k])[:, None]
+                q = _event_terms(A, B, v, np.conj(g[:, :, p]), np.conj(g[:, :, k]))
+                assert np.all(np.abs(q - c * _abs2(g[:, :, p])) <= 8 * eps * c)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 32])
+def test_a_replaced_filter_weighs_one_over_d_minus_1_on_average(d):
+    # a C trial's p_filter is |filter_k|^2/2, k != p, for a filter that is
+    # Haar-random orthogonal to e_p, and the walk takes its mean: on the
+    # (d - 1)-dimensional complement of e_p, E|filter_k|^2 = 1/(d - 1). The
+    # mean of |filter_k|^2 over rows of ``_complement_states`` against
+    # 1/(d - 1) (|z| < 5, fixed beforehand; at d = 2 the complement is one
+    # state, of weight 1 to rounding), and the table's C cells against half
+    # of it
+    rng = np.random.default_rng(60 + d)
+    n = 20_000
+    p = rng.integers(0, d, n)
+    k = (p + rng.integers(1, d, n)) % d
+    x = _abs2(_complement_states(p, rng.standard_normal((n, 2 * d - 2)))[np.arange(n), k])
+    if d == 2:
+        assert np.max(np.abs(x - 1.0)) < 1e-15
+    else:
+        assert abs(x.mean() - 1.0 / (d - 1)) < 5.0 * x.std() / math.sqrt(n)
+    table = _clean_row_table(0, np.full(d, 1.0 / d), 0.9, 0.9, 0.9)
+    assert np.array_equal(2.0 * table.p_filter[:d], np.r_[0.0, np.full(d - 1, 1.0 / (d - 1))])
 
 
 @pytest.mark.parametrize("d", [3, 4, 8, 32])
@@ -860,43 +892,35 @@ def test_prep_only_batch_draws_its_perturbation_only_for_near_trials():
     assert _stream_position(rng) == _stream_position(fresh)
 
 
-def test_analysis_only_batch_draws_scanner_states_only_for_filter_passing_trials():
+def test_analysis_only_batch_walks_every_trial_without_a_normal():
     # with a clean signal there are no A or A' trials, and no C trial with
-    # the input's ancilla, whose replaced filter can never click; a C trial
-    # draws its replaced filter, and its scanner settings only if it passes
-    # its own bound of step 5, each replaced with its normals; an E trial
-    # draws which settings after its first replaced one in the order that
-    # puts its ancilla's setting last are replaced, then one uniform per
-    # replaced setting other than its ancilla's and one for that first one
-    basis = basis_logical()
-    phi, v, f = basis.states[0].amps, 0.9, 0.7
-    table = _clean_row_table(0, np.full(4, 0.25), v, 1.0, f)
+    # the input's ancilla, whose replaced filter can never click. No trial
+    # draws a filter or a scanner state: a C or E trial draws which of its
+    # settings are replaced (every setting of a C trial; of an E trial,
+    # those after its first replaced one in the order that puts its
+    # ancilla's setting last), then one uniform per replaced setting other
+    # than the one at its coordinate (the input's for a C trial, the
+    # ancilla's for an E trial) and one per E trial for its first one
+    table = _clean_row_table(0, np.full(4, 0.25), 0.9, 1.0, 0.7)
     rng = _batch_rng(22, 0, 0)
     _simulate_batch(table, rng, 1)
     fresh = _batch_rng(22, 0, 0)
     n = fresh.multinomial(BATCH_TRIALS, table.cells)[:24]
-    cell = np.repeat(np.arange(24), n)
-    kind, anc = np.divmod(cell, 4)
-    assert not n[:9].any()
-    u = fresh.random(len(cell)) * table.reach[cell]
-    c = kind == 2
-    N = basis.matrix.T[anc[c]]
-    filters = _basis_complement(0, fresh.standard_normal((int(c.sum()), 6))) @ basis.matrix.T
-    p_filter, _ = _elementwise_terms(phi, N, v, filters, basis.matrix.T)
-    half_coal = (1.0 + v * v * np.abs(N @ np.conj(phi)) ** 2) / 8.0
-    passing = int(np.count_nonzero(u[c] < half_coal * p_filter * (1.0 + 1e-9)))
-    assert 0 < passing < c.sum()
-    _replay_fail_draws(fresh, 4 * passing, f)
-    e = kind >= 3
-    position, i = _setting_order(kind[e], anc[e], 4)
+    kind, anc = np.divmod(np.repeat(np.arange(24), n), 4)
+    assert not n[:9].any() and n[9:12].all()
+    fresh.random(len(kind))
+    position, i = _setting_order(kind, anc, 4)
+    coord = np.where(kind == 2, 0, anc)[:, None]
     free = position > i
     replaced = np.zeros(int(free.sum()), dtype=bool)
-    replaced[fresh.choice(len(replaced), fresh.binomial(len(replaced), 1.0 - f), replace=False,
+    replaced[fresh.choice(len(replaced), fresh.binomial(len(replaced), 0.3), replace=False,
                           shuffle=False)] = True
-    assert replaced.any()
-    others = np.count_nonzero(replaced & (position[free] != 3))  # the replaced settings j != k
-    assert 0 < others < replaced.sum()
-    fresh.random(others + int(e.sum()))
+    bad = np.zeros_like(free)
+    bad[free] = replaced
+    others = bad & (np.arange(4) != coord)  # the replaced settings j != c
+    assert others[kind == 2].any() and bad[kind == 2, 0].any()  # C trials replace p and others
+    assert 0 < others.sum() < bad.sum()
+    fresh.random(int(others.sum() + np.count_nonzero(kind >= 3)))
     assert _stream_position(rng) == _stream_position(fresh)
 
 
@@ -958,19 +982,26 @@ def _clean_reference(p, d, v):
     return bound, np.minimum(thresholds, bound[:, None])
 
 
-def _reference_near_trials(p, basis_cols, weights, v, prep_f, analysis_f, rng, batches=1):
+def _reference_near_trials(layout, p, basis_cols, weights, v, prep_f, analysis_f, rng,
+                           batches=1):
     """Steps 1-4 of a reference draw of ``batches`` batches of input ``p`` in
-    the draw order of stream layouts 12 to 15, which build the cells from
-    the clean trial of each ancilla and the reach of each kind of near
-    trial, written out term by term, and evaluate p_coal/2 and the filter
-    terms on every near trial from explicit states in lab coordinates, with
-    no clean-row table. The
-    closed forms take the signal and filter states in the coordinates of the
-    measurement basis, whose column k is ancilla k. A trial passes step 5's
-    bounds as two comparisons, u below p_coal/2 and u below
+    the draw order of stream layout ``layout``: 15, whose C cells layouts 12
+    to 14 share, or 16. Both build the cells from the clean trial of each
+    ancilla and the reach of each kind of near trial, written out term by
+    term, and evaluate p_coal/2 and the filter terms on every near trial
+    from explicit states in lab coordinates, with no clean-row table. Layout
+    15 draws the filter of each C trial as a Haar state orthogonal to the
+    input, with the reach b_k of its cell. Layout 16 draws no C filter: each
+    C trial takes the filter orthogonal to the input with |component k|^2 =
+    1/(d - 1), the mean of a Haar state's (:func:`_settings_with_weight`),
+    below the reach 1/(16 (d - 1)) * (1 + 1e-9). The closed forms take the
+    signal and filter states in the coordinates of the measurement basis,
+    whose column k is ancilla k. A trial passes step 5's bounds as two
+    comparisons, u below p_coal/2 and u below
     p_coal/2 * p_filter * (1 + 1e-9). Returns the counts of the clean trials
     and, for the near trials that pass, in cell order, their kind, ancilla
     index, u, signal, ancilla, filter and p_coal/2."""
+    assert layout in (15, 16)
     d = len(basis_cols)
     phi = basis_cols[:, p]
     settings = basis_cols.T
@@ -983,10 +1014,11 @@ def _reference_near_trials(p, basis_cols, weights, v, prep_f, analysis_f, rng, b
     # e_p and the ancilla e_p
     at_p = np.arange(d) == p
     p_near = (1.0 + v * v) / 8.0 * margin
+    c_reach = bound if layout == 15 else 1.0 / (16.0 * (d - 1)) * margin
     reach = np.concatenate([
         np.where(at_p, margin / 16.0, 0.0),  # A_k: signal replaced, filter kept
         np.where(at_p, margin / 16.0, p_near),  # A'_k: both replaced
-        np.where(at_p, 0.0, bound),  # C_k: filter replaced
+        np.where(at_p, 0.0, c_reach),  # C_k: filter replaced
         np.tile(bound, d - 1),  # E_{i,k} (i-major): setting i of the k-last order first replaced
     ])
     # the cells: the near cells, O_j, the rest
@@ -1007,10 +1039,15 @@ def _reference_near_trials(p, basis_cols, weights, v, prep_f, analysis_f, rng, b
     s_rows = np.flatnonzero(kind <= 1)
     S[s_rows] = _basis_complement(p, rng.standard_normal((len(s_rows), 2 * d - 2))) @ settings
     half_coal = (1.0 + (v * v) * np.abs(np.einsum("bi,bi->b", np.conj(S), N)) ** 2) / 8.0
-    # step 4: the filters of the A' trials kept, then of the C trials
+    # step 4: the filters of the A' trials kept, then, in layout 15, of the
+    # C trials; in layout 16 a C trial's filter is drawn not at all
     filters = np.array(np.broadcast_to(phi, (len(anc), d)))
-    f_rows = np.flatnonzero(((kind == 1) & (u < half_coal)) | (kind == 2))
+    f_rows = np.flatnonzero(((kind == 1) & (u < half_coal)) | ((kind == 2) & (layout == 15)))
     filters[f_rows] = _basis_complement(p, rng.standard_normal((len(f_rows), 2 * d - 2))) @ settings
+    if layout == 16:
+        c_rows = np.flatnonzero(kind == 2)
+        filters[c_rows] = _settings_with_weight(np.full(len(c_rows), p), anc[c_rows],
+                                                1.0 / (d - 1), settings)
     p_filter = _filter_terms(_in_basis(basis_cols, S), anc, v, _in_basis(basis_cols, filters))[0]
     rows = np.flatnonzero((u < half_coal) & (u < half_coal * p_filter * margin))
     return (counts, *(x[rows] for x in (kind, anc, u, S, N, filters, half_coal)))
@@ -1050,29 +1087,30 @@ def _settings_with_weight(j, k, x, settings):
 
 def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng, batches=1):
     """Reference: a draw of ``batches`` batches of input ``p`` in the
-    kernel's draw order (stream layouts 13 to 15), with steps 1-4 of
-    :func:`_reference_near_trials`;
-    returns its counts per outcome. Step 5 replaces every scanner setting
-    of each A, A' and C trial with probability 1 - f_a by a Haar state
-    orthogonal to it.
-    Then, for the E trials, it draws which settings after the first
-    replaced one in the order that puts setting k last are replaced, one
-    uniform U per replaced setting j != k and one per trial for that first
-    one, X = 1 - U^(1/(d - 2)) (X = 1 at d = 2). Each such setting is built
-    in full, in lab coordinates, with |component k|^2 = X, and a replaced
-    setting k with component k = 0 (:func:`_settings_with_weight`): any
-    completion gives the same scanner weights, so evaluating every trial
-    through the full closed forms checks the kernel's shortcut trial by
+    kernel's draw order (stream layout 16), with steps 1-4 of
+    :func:`_reference_near_trials`; returns its counts per outcome. Step 5
+    replaces every scanner setting of each A and A' trial with probability
+    1 - f_a by a Haar state orthogonal to it.
+    Then, for the C and E trials, it draws which settings are replaced
+    (every setting of a C trial; of an E trial, those after the first
+    replaced one in the order that puts setting k last), one uniform U per
+    replaced setting j other than the trial's coordinate c (p for a C
+    trial, k for an E trial) and one per E trial for its first replaced
+    setting, X = 1 - U^(1/(d - 2)) (X = 1 at d = 2). Each such setting is
+    built in full, in lab coordinates, with |component c|^2 = X, and a
+    replaced setting c with component c = 0 (:func:`_settings_with_weight`):
+    any completion gives the same scanner weights, so evaluating every
+    trial through the full closed forms checks the kernel's walk trial by
     trial."""
     counts, kind, anc, u, S, N, filters, half_coal = _reference_near_trials(
-        p, basis_cols, weights, v, prep_f, analysis_f, rng, batches)
+        16, p, basis_cols, weights, v, prep_f, analysis_f, rng, batches)
     d = len(basis_cols)
     settings = basis_cols.T
     G = np.array(np.broadcast_to(settings, (len(anc), d, d)))
-    full = int(np.count_nonzero(kind <= 2))  # the A, A' and C trials come first
+    full = int(np.count_nonzero(kind <= 1))  # the A and A' trials come first
     G[:full] = _basis_perturbed(basis_cols, np.arange(d), (full, d), analysis_f, rng)
     position, i = _setting_order(kind[full:], anc[full:], d)
-    k = anc[full:, None]
+    k = np.where(kind[full:] == 2, p, anc[full:])[:, None]  # the coordinate c of each trial
     free = position > i
     replaced = np.zeros(int(free.sum()), dtype=bool)
     if analysis_f < 1.0:
@@ -1082,10 +1120,11 @@ def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng, batches=1
     bad = np.zeros_like(free)
     bad[free] = replaced
     rows, cols = np.nonzero(bad & (np.arange(d) != k))
-    rows = np.concatenate([rows, np.arange(len(k))])
-    cols = np.concatenate([cols, np.argmax(position == i, axis=1)])
+    forced = np.flatnonzero(i[:, 0] >= 0)  # the E trials
+    rows = np.concatenate([rows, forced])
+    cols = np.concatenate([cols, np.argmax(position[forced] == i[forced], axis=1)])
     x = np.ones(len(rows)) if d == 2 else 1.0 - rng.random(len(rows)) ** (1.0 / (d - 2))
-    G_e = G[full:]  # a view: the settings of the E trials
+    G_e = G[full:]  # a view: the settings of the C and E trials
     G_e[rows, cols] = _settings_with_weight(cols, k[rows, 0], x, settings)
     k_rows = np.flatnonzero(bad[np.arange(len(k)), k[:, 0]])
     G_e[k_rows, k[k_rows, 0]] = _settings_with_weight(k[k_rows, 0], k[k_rows, 0], 0.0, settings)
@@ -1094,15 +1133,16 @@ def _per_row_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng, batches=1
 
 def _layout12_batch(p, basis_cols, weights, v, prep_f, analysis_f, rng):
     """Reference for the sampled law: a batch of input ``p`` as stream
-    layout 12 drew it, with steps 1-4 of :func:`_reference_near_trials`;
-    returns its counts per outcome. Step 5 replaces each scanner setting
+    layout 12 drew it, with steps 1-4 of :func:`_reference_near_trials` in
+    layout 15, which draws every C trial's filter as a Haar state; returns
+    its counts per outcome. Step 5 replaces each scanner setting
     after the trial's first replaced one in the order that puts setting k
     last (every setting of an A, A' or C trial) with probability 1 - f_a,
     then that first one of each E trial, each by a Haar state orthogonal to
     it drawn from 2(d - 1) normals, and evaluates every trial through the
     full closed forms."""
     counts, kind, anc, u, S, N, filters, half_coal = _reference_near_trials(
-        p, basis_cols, weights, v, prep_f, analysis_f, rng)
+        15, p, basis_cols, weights, v, prep_f, analysis_f, rng)
     d = len(basis_cols)
     settings = basis_cols.T
     position, i = _setting_order(kind, anc, d)
@@ -1181,31 +1221,31 @@ def test_near_trials_reach_as_far_as_a_trial_can_be_kept(monkeypatch, case):
     # of its kind can reach: with the input's ancilla k = p, 1/16 for a
     # replaced signal, whose p_coal/2 is 1/8 and p_filter at most 1/2, and 0
     # for a C trial; with k != p, 0 for a replaced signal behind a kept
-    # filter, p_near for a replaced signal and filter, and the clean bound
-    # b_k of step 5 for a C trial, whose replaced filter never raises
-    # p_filter above the clean one; b_k for an E trial, whose signal and
-    # filter are clean. So every near trial lies below its reach, every A
-    # trial passes to step 5, every C trial is kept at step 4, the A, A'
-    # and C trials that pass reach the scanner draws of step 5, every E
-    # trial reaches its own with a first replaced setting other than k, and
-    # a batch that can replace no state walks no trial
+    # filter, p_near for a replaced signal and filter, and 1/(16 (d - 1))
+    # for a C trial, whose thresholds carry its replaced filter's mean
+    # |filter_k|^2 = 1/(d - 1); b_k for an E trial, whose signal and filter
+    # are clean. So every A trial passes to step 5, only the A and A' trials
+    # draw their arms and the ones that pass reach the scanner draws of step
+    # 5, every C trial walks at the input's coordinate p with no forced
+    # setting, every E trial at its ancilla's with a first replaced setting
+    # other than k, and a batch that can replace no state walks no trial
     make_basis, v, prep_f, analysis_f, weights = _TABLE_CASES[case]
     d = make_basis().dim
     weights = np.full(d, 1.0 / d) if weights is None else np.array(weights)
-    arms, scanners, e_trials = [], [], []
+    arms, scanners, walks = [], [], []
 
-    def signal_and_filter_arms(table, u, anc, n_a, n_af, n_c, rng):
-        out = _signal_and_filter_arms(table, u, anc, n_a, n_af, n_c, rng)
-        arms.append((u.copy(), anc.copy(), n_a, n_af, n_c, out[0]))
+    def signal_and_filter_arms(table, u, anc, n_a, rng):
+        out = _signal_and_filter_arms(table, u, anc, n_a, rng)
+        arms.append((u.copy(), anc.copy(), n_a, out[0]))
         return out
 
     def scanner_overlaps(table, S, anc, rng):
         scanners.append(len(S))
         return _scanner_overlaps(table, S, anc, rng)
 
-    def e_trial_weights(table, anc, first, rng):
-        e_trials.append((anc.copy(), first.copy()))
-        return _e_trial_weights(table, anc, first, rng)
+    def e_trial_weights(table, coord, first, rng):
+        walks.append((coord.copy(), first.copy()))
+        return _e_trial_weights(table, coord, first, rng)
 
     monkeypatch.setattr(experiment, "_signal_and_filter_arms", signal_and_filter_arms)
     monkeypatch.setattr(experiment, "_scanner_overlaps", scanner_overlaps)
@@ -1214,33 +1254,36 @@ def test_near_trials_reach_as_far_as_a_trial_can_be_kept(monkeypatch, case):
     low = (1.0 + 1e-9) / 16.0
     for p in range(d):
         table = _clean_row_table(p, weights, v, prep_f, analysis_f)
-        bound = _scanner_bound(table.half_coal, table.p_filter)
+        bound = _scanner_bound(table.half_coal, table.p_filter[-d:])  # the E cells' p_filter
         at_p = np.arange(d) == p
         assert np.array_equal(table.reach, np.concatenate([
-            np.where(at_p, low, 0.0), np.where(at_p, low, p_near), np.where(at_p, 0.0, bound),
-            np.tile(bound, d - 1),
+            np.where(at_p, low, 0.0), np.where(at_p, low, p_near),
+            np.where(at_p, 0.0, 1.0 / (16.0 * (d - 1)) * (1.0 + 1e-9)), np.tile(bound, d - 1),
         ]))
         for b in range(3):
             arms.clear()
             scanners.clear()
-            e_trials.clear()
+            walks.clear()
             _simulate_batch(table, _batch_rng(47, p, b), 1)
             if prep_f == analysis_f == 1.0:
-                assert arms == scanners == e_trials == []
+                assert arms == scanners == walks == []
                 continue
-            (u, anc, n_a, n_af, n_c, passed), = arms
-            n_s = n_a + n_af
-            assert len(u) > 0
+            fresh = _batch_rng(47, p, b)
+            near = fresh.multinomial(BATCH_TRIALS, table.cells)[: len(table.reach)]
+            kind, k = np.divmod(np.repeat(np.arange(len(near)), near), d)
+            n_s = int(np.count_nonzero(kind <= 1))
+            (u, anc, n_a, passed), = arms
+            assert len(kind) > 0 and np.array_equal(anc, k[:n_s])
+            assert n_a == np.count_nonzero(kind == 0)
             assert np.all(anc[:n_a] == p) and np.all(u[:n_a] < low)
-            assert np.all(u[n_a:n_s] < np.where(anc[n_a:n_s] == p, low, p_near))
-            assert np.all(anc[n_s : n_s + n_c] != p)
-            assert np.all(u[n_s:] < bound[anc[n_s:]])
-            assert np.all(u[n_s : n_s + n_c] < table.half_coal[anc[n_s : n_s + n_c]])
+            assert np.all(u[n_a:] < np.where(anc[n_a:] == p, low, p_near))
             assert np.isin(np.arange(n_a), passed).all()
             assert scanners == [len(passed)]
-            (e_anc, e_first), = e_trials
-            assert len(e_first) == len(u) - n_s - n_c
-            assert np.all((e_first >= 0) & (e_first < d) & (e_first != e_anc))
+            (coord, first), = walks
+            c, e = kind[n_s:] == 2, kind[n_s:] >= 3
+            assert np.all(k[n_s:][c] != p) and np.all(coord[c] == p) and np.all(first[c] == -1)
+            assert np.array_equal(coord[e], k[n_s:][e])
+            assert np.all((first[e] >= 0) & (first[e] < d) & (first[e] != coord[e]))
 
 
 def test_a_replaced_filter_never_raises_p_filter_above_the_clean_one():
@@ -1248,7 +1291,9 @@ def test_a_replaced_filter_never_raises_p_filter_above_the_clean_one():
     # state is orthogonal to its target. With the signal e_p a replaced
     # filter has A = <filter|e_p> = 0 and p_filter = |filter_k|^2/2 <= 1/2
     # for k != p and 0 for k = p, never above the clean p_filter of ancilla
-    # k (1/2 and 1), so a C trial stays below the clean bound b_k. A
+    # k (1/2 and 1): a C trial enters only through |filter_k|^2, and its
+    # cell's p_filter, the mean 1/(2 (d - 1)) of that, stays below the
+    # reach of the C cell. A
     # replaced signal S has S_p = 0 and A = 0 behind the kept filter e_p:
     # with k != p also B = 0, so p_filter = 0; with k = p, p_coal/2 = 1/8
     # and p_filter <= 1/2, a bound at or below the reach 1/16 of its cells,
@@ -1273,12 +1318,15 @@ def test_a_replaced_filter_never_raises_p_filter_above_the_clean_one():
         anc = np.full(64, k)
         table = _clean_row_table(p, np.full(d, 1.0 / d), v, 1.0, 1.0)
         reach = table.reach.reshape(-1, d)[:, k]  # per kind: A, A', C, then E
+        walk_filter = table.p_filter.reshape(-1, d)[:, k]  # per kind: C, then E
         # C: the signal kept, the filter replaced
         p_filter, A, _ = _filter_terms(S, anc, v, filters)
         assert not A.any()
-        assert np.all(p_filter <= table.p_filter[k] * (1.0 + 1e-12))
+        assert np.array_equal(p_filter, _abs2(filters[:, k]) / 2.0)
+        assert np.all(p_filter <= walk_filter[-1] * (1.0 + 1e-12))
         assert k != p or not p_filter.any()
-        assert np.all(table.half_coal[anc] * p_filter <= reach[2])
+        assert walk_filter[0] == (0.0 if k == p else 0.5 / (d - 1))
+        assert table.half_coal[k] * walk_filter[0] <= reach[2]
         # A and A': the signal replaced, the filter kept (S holds e_p) or replaced
         signals = _complement_states(p, rng.standard_normal((64, 2 * d - 2)))
         half_coal = _half_coal(signals, anc, v)
@@ -1406,18 +1454,18 @@ def test_edge_ancilla_weights_run_through_the_multinomial(weights):
 
 
 def _draw_cap(table):
-    """The cap of layout 15's draws, written out: the most batches whose
-    expected near trials times d stay at or below 16 384, at least 1, and
-    at most 10^9 // BATCH_TRIALS = 30 517, the cap of a table with no near
-    cell."""
+    """The cap of the draws of layouts 15 and 16, written out: the most
+    batches whose expected near trials times d stay at or below 16 384, at
+    least 1, and at most 10^9 // BATCH_TRIALS = 30 517, the cap of a table
+    with no near cell."""
     walked = BATCH_TRIALS * len(table.half_coal) * table.cells[: len(table.reach)].sum()
     return min(30517, max(1, math.floor(16384 / walked))) if walked else 30517
 
 
 def _draw_size(need, batches, collected, cap):
-    """The size of layout 15's next draw, written out: one batch until the
-    first hit, then ceil((need + 3 sqrt(need)) b / h) batches for the b
-    batches and h hits so far, at most ``cap``."""
+    """The size of the next draw of layouts 15 and 16, written out: one
+    batch until the first hit, then ceil((need + 3 sqrt(need)) b / h)
+    batches for the b batches and h hits so far, at most ``cap``."""
     if not collected:
         return 1
     return min(cap, math.ceil((need + 3.0 * math.sqrt(need)) * batches / collected))
@@ -1449,7 +1497,7 @@ def _reference_run(phi, basis, config, size=_draw_size):
 
 
 def _one_batch(need, batches, collected, cap):
-    """Layout 14's draw size: every draw is one batch."""
+    """Every draw is one batch, as layout 14 drew them."""
     return 1
 
 
@@ -1460,9 +1508,9 @@ _RUN_CASES = [
     ("I", ExperimentConfig(shots=3000, seed=3)),
     ("IV", ExperimentConfig(shots=2500, seed=4, **_DEGRADED_IV)),
     ("I", ExperimentConfig(shots=1200, v=0.8, prep_fidelity=0.7, analysis_fidelity=0.8, seed=5)),
-    # three draws of one batch per input, the cap of this table
+    # two draws per input, of 1 and 2 batches, the cap of this table
     ("IV", ExperimentConfig(shots=4000, v=0.8, analysis_fidelity=0.5, seed=6)),
-    # three draws per input, the last two at the cap of 3 or 4 batches
+    # three draws per input, the second at the cap of 4 batches
     ("IV", ExperimentConfig(shots=20_000, seed=7, **_DEGRADED_IV)),
     # an ideal draw of one batch, then one of 8 batches
     ("I", ExperimentConfig(shots=30_000, seed=8)),
@@ -1502,8 +1550,8 @@ def test_run_counts_match_single_batches(monkeypatch, basis_name, config, runs):
 
 def test_each_degraded_draw_walks_at_most_the_cap_of_expected_cells(monkeypatch):
     # on the degraded basis-IV bench at 5e4 shots a draw's expected near
-    # trials times d stay at or below 16 384 cells: at most 3 batches for
-    # inputs 0 and 1 and 4 for inputs 2 and 3, and the cap is reached. A
+    # trials times d stay at or below 16 384 cells: at most 4 batches for
+    # every input, and the cap is reached. A
     # noisy table at d = 16 draws one batch at a time, an ideal one is
     # capped only by the 10^9 hits of ``multivariate_hypergeometric``. An
     # ideal run of 1e5 shots takes at most 3 draws per input and as many
@@ -1523,7 +1571,7 @@ def test_each_degraded_draw_walks_at_most_the_cap_of_expected_cells(monkeypatch)
         near = table.cells[: len(table.reach)].sum()
         sizes.clear()
         run_cloning_experiment(phi, basis, config)
-        assert max(sizes) == experiment._draw_cap(table) == [3, 3, 4, 4][i]
+        assert max(sizes) == experiment._draw_cap(table) == [4, 4, 4, 4][i]
         assert max(sizes) * BATCH_TRIALS * near * 4 <= 16384
     noisy16 = _clean_row_table(0, np.full(16, 1 / 16), 0.9165, 0.9, 0.9)
     assert experiment._draw_cap(noisy16) == 1
@@ -1593,27 +1641,27 @@ def _layout12_run(phi, basis, config):
 
 @pytest.mark.parametrize("basis_name", ["I", "IV"])
 def test_whole_runs_sample_the_layout_12_law(basis_name):
-    # whole runs of the ideal basis-I and the degraded basis-IV bench (seed
-    # 95) against the same runs with layout 12's batches, which draw every
-    # replaced scanner setting of an E trial as a Haar state (seed 96): per
-    # input and outcome the counts must agree (|z| < 5, fixed beforehand)
+    # the previous layout's law: whole runs of the ideal basis-I and the
+    # degraded basis-IV bench (seed 95) against the same runs with layout
+    # 12's batches (seed 96), which draw the filter of every C trial and
+    # every replaced scanner setting as a Haar state, as layouts 12 to 15
+    # drew the C trials: per input and outcome the counts must agree
+    # (|z| < 5, fixed beforehand)
     assert np.max(np.abs(_whole_run_z(basis_name, (95, 96), _layout12_run))) < 5.0
 
 
-def _layout14_run(phi, basis, config):
-    """The counts of a whole run of ``config`` drawn one batch at a time, as
-    stream layout 14 drew it."""
+def _one_batch_run(phi, basis, config):
+    """The counts of a whole run of ``config`` drawn one batch at a time."""
     return _reference_run(phi, basis, config, _one_batch)[0]
 
 
 @pytest.mark.parametrize("basis_name", ["I", "IV"])
-def test_whole_runs_sample_the_layout_14_law(basis_name):
-    # the previous layout's law: whole runs of the ideal basis-I and the
-    # degraded basis-IV bench (seed 97), in draws sized to the coincidences
-    # still needed, against the same runs drawn one batch at a time (seed
-    # 98): per input and outcome the counts must agree (|z| < 5, fixed
-    # beforehand)
-    assert np.max(np.abs(_whole_run_z(basis_name, (97, 98), _layout14_run))) < 5.0
+def test_sized_draws_sample_the_law_of_one_batch_draws(basis_name):
+    # whole runs of the ideal basis-I and the degraded basis-IV bench (seed
+    # 97), in draws sized to the coincidences still needed, against the same
+    # runs drawn one batch at a time (seed 98): per input and outcome the
+    # counts must agree (|z| < 5, fixed beforehand)
+    assert np.max(np.abs(_whole_run_z(basis_name, (97, 98), _one_batch_run))) < 5.0
 
 
 def _check_fill_run(monkeypatch, shots, expected_sizes):
@@ -1790,8 +1838,9 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
     seen = []
 
     def recorded(half_coal, p_filter, q):
+        totals = q.sum(axis=1)  # before the thresholds are written over q
         thresholds = _acceptance_thresholds(half_coal, p_filter, q)
-        seen.append((q.sum(axis=1), thresholds))
+        seen.append((totals, thresholds))
         return thresholds
 
     for i in range(4):
@@ -1817,33 +1866,40 @@ def test_degraded_batch_accepts_no_row_with_residue_weights(monkeypatch):
 # Integer counts per input (rows) and outcome (columns), from one PCG64 per
 # input over 32768-trial batches. "I" was recorded at stream layout 11,
 # which draws the clean trials of a batch as outcome counts and walks only
-# the trials with a replaced state; layouts 12 to 14 draw an ideal batch as
-# layout 11 did, so it stands. "IV" was re-recorded at layout 13, whose E
-# trials draw one uniform per replaced scanner setting in place of a Haar
-# state. Every run of both ends in its first batch, which layouts 14 and 15
-# draw as layout 13 did. "IV-20000", the degraded bench at 20 000 shots,
-# was recorded at layout 15: its runs take draws of 1, 3 and 3 batches
-# (inputs 0 and 1) and of 1, 4 and 4 (inputs 2 and 3), so it pins the size
-# of each draw. A change to the Monte Carlo arithmetic that keeps the draws
-# and the accept rule must leave them as they are.
+# the trials with a replaced state; layouts 12 to 16 draw an ideal batch as
+# layout 11 did, so it stands. "IV" and "IV-20000", the degraded bench at
+# 2 000 and 20 000 shots, were re-recorded at layout 16, whose C trials
+# take the one-coordinate walk of the E trials. Every run of "IV" ends in
+# its first batch; the runs of "IV-20000" take draws of 1, 4 and 3 batches
+# (input 0), of 1, 4 and 2 (input 1) and of 1, 4 and 4 (inputs 2 and 3),
+# so it pins the size of each draw and the cap. "IV-prep", prep-only basis
+# IV at 5 000 shots, was recorded at layout 16 and draws as layout 15 did
+# (it holds no C trial): its later draws stay below the cap, so the margin
+# of the size rule moves them, and with 2 sqrt(need) in place of
+# 3 sqrt(need) the counts of input 3 change. A change to the Monte Carlo
+# arithmetic that keeps the draws and the accept rule must leave them as
+# they are.
 _GOLDEN_COUNTS = {
     "I": [[1204, 257, 277, 262], [296, 1174, 271, 259], [302, 293, 1133, 272], [282, 321, 278, 1119]],
-    "IV": [[1111, 366, 253, 270], [367, 1123, 250, 260], [400, 394, 897, 309], [389, 421, 287, 903]],
-    "IV-20000": [[11157, 3622, 2621, 2600], [3540, 11194, 2692, 2574], [4155, 3996, 8969, 2880],
-                 [4099, 4076, 2869, 8956]],
+    "IV": [[1141, 346, 261, 252], [359, 1096, 276, 269], [368, 440, 920, 272], [417, 380, 280, 923]],
+    "IV-20000": [[11155, 3594, 2520, 2731], [3521, 11133, 2722, 2624], [4069, 4021, 9060, 2850],
+                 [4035, 3986, 2917, 9062]],
+    "IV-prep": [[3491, 477, 498, 534], [1282, 2349, 736, 633], [1332, 632, 2361, 675],
+                [1349, 711, 646, 2294]],
 }
 _GOLDEN_CONFIGS = {
     "I": ExperimentConfig(shots=2000, seed=0),
     # the degraded bench of acceptance criterion 6
     "IV": ExperimentConfig(shots=2000, seed=0, **_DEGRADED_IV),
+    "IV-20000": ExperimentConfig(shots=20_000, seed=0, **_DEGRADED_IV),
+    "IV-prep": ExperimentConfig(shots=5000, seed=1, v=0.95, prep_fidelity=0.8,
+                                ancilla_weights=(0.4, 0.2, 0.2, 0.2)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_GOLDEN_COUNTS))
 def test_fixed_seed_counts_are_pinned(case):
-    basis_name, _, shots = case.partition("-")
-    config = _GOLDEN_CONFIGS[basis_name]
-    table = replicate_table(basis_name, replace(config, shots=int(shots or config.shots)))
+    table = replicate_table(case.partition("-")[0], _GOLDEN_CONFIGS[case])
     assert [[t.counts[i] for i in range(4)] for t in table.tables] == _GOLDEN_COUNTS[case]
 
 
