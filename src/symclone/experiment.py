@@ -714,13 +714,16 @@ def _clean_row_table(
     bound = _scanner_bound(half_coal, p_filter)
     # a clean trial, as a near one, is counted only below its bound of step 5
     thresholds = np.minimum(_acceptance_thresholds(half_coal, p_filter, q), bound[:, None])
-    # per walked cell, C_k then E_{i,k}: a C trial's p_filter |filter_k|^2/2
-    # averaged over its replaced filter, 0 with the ancilla e_p
-    walk_filter = np.concatenate([np.where(k == p, 0.0, 0.5 / (d - 1)), np.tile(p_filter, d - 1)])
+    # a C trial's p_filter, |filter_k|^2/2 averaged over its replaced
+    # filter, and 0 with the ancilla e_p; then, per walked cell, C_k and
+    # E_{i,k} (the lists repeat the clean arrays, cheaper than np.tile)
+    c_filter = np.full(d, 0.5 / (d - 1))
+    c_filter[p] = 0.0
+    walk_filter = np.concatenate([c_filter, *[p_filter] * (d - 1)])
     w = weights / weights.sum()
     p_near = (1.0 + v * v) / 8.0 * _BOUND_MARGIN
-    reach = np.concatenate([np.zeros(d), np.full(d, p_near),
-                            _scanner_bound(np.tile(half_coal, d), walk_filter)])
+    reach = np.concatenate([np.zeros(d), np.full(d, p_near), _scanner_bound(half_coal, c_filter),
+                            *[bound] * (d - 1)])
     # with the ancilla e_p, a replaced signal's bound
     reach[[p, d + p]] = _BOUND_MARGIN / 16.0
     # per kind, the probability of its replacements: A, A', C, then E_i
